@@ -32,13 +32,8 @@ fn distinct_shapes(lineages: &[&Dnf]) -> usize {
     engine.stats().cache.entries
 }
 
-/// One line per listed workload: why it is in the benchmark and the input
+/// One line per workload: why it is in the benchmark and the input
 /// properties of [`DESCRIBED_SEED`].
-///
-/// `served-mixed` runs (`--workload served-mixed`) but is not listed: on the
-/// two-vCPU virtual machine the benchmark was tuned on, its open-loop tails
-/// moved by 60% and more between runs of one build (host preemptions delay
-/// every request that arrives meanwhile), far beyond any usable bound.
 pub fn workloads() -> Vec<(&'static str, String)> {
     let capacity = CacheConfig::default().capacity;
     let seed = DESCRIBED_SEED;
@@ -120,7 +115,7 @@ mod tests {
     #[test]
     fn descriptions_fit_the_benchmark_format() {
         let workloads = workloads();
-        assert_eq!(workloads.iter().map(|(n, _)| *n).collect::<Vec<_>>(), crate::WORKLOADS[..2]);
+        assert_eq!(workloads.iter().map(|(n, _)| *n).collect::<Vec<_>>(), crate::WORKLOADS);
         for (name, why) in &workloads {
             assert!(valid_name(name));
             assert!(why.len() <= 200 && !why.contains(['\n', '"', '\\']), "{name}: {why}");

@@ -1,4 +1,4 @@
-//! Seeded inputs of the three workloads. Everything here is a pure function
+//! Seeded inputs of the two workloads. Everything here is a pure function
 //! of the `--seed` argument: the same seed gives the same inputs.
 
 use banzhaf_boolean::{Dnf, Var};
@@ -17,8 +17,6 @@ enum Stream {
     HardTail = 3,
     HardRepeat = 4,
     Updates = 5,
-    Reads = 6,
-    ReadOrder = 7,
     Warmup = 8,
 }
 
@@ -47,7 +45,7 @@ pub fn corpora() -> Vec<LiveWorkload> {
 }
 
 /// The IMDB-like database and queries of [`corpora`] (the live database of
-/// `served-mixed` and of every workload's write phase).
+/// every workload's write phase).
 pub fn imdb() -> LiveWorkload {
     imdb_workload(&DatasetSpec::default())
 }
@@ -70,7 +68,6 @@ fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
 /// A lineage with its variables renamed through a random bijection and its
 /// clauses shuffled: isomorphic to `base`, so its Banzhaf values are the
 /// base's values carried through `map`.
-#[derive(Clone, Debug, PartialEq)]
 pub struct Renamed {
     pub lineage: Dnf,
     /// `(base variable, renamed variable)`, one pair per base variable.
@@ -184,37 +181,6 @@ pub fn update_pairs(workload: &LiveWorkload, seed: u64, pairs: usize) -> Vec<Upd
         .collect()
 }
 
-/// One op of the served mix.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ServedOp {
-    /// Attribute a renamed copy of read-pool lineage `base`.
-    Read { base: usize, renamed: Renamed },
-    /// Apply the next update of the update stream.
-    Write(Update),
-}
-
-/// One op in this many of the served mix is a write.
-pub const WRITE_EVERY: usize = 20;
-
-/// The first `n` ops of the served mix: reads of freshly renamed lineages
-/// of `pool`, walked in seeded cycles, and every [`WRITE_EVERY`]-th op the
-/// next of `updates`, cycling.
-pub fn served_ops(seed: u64, pool: &[Dnf], updates: &[Update], n: usize) -> Vec<ServedOp> {
-    let mut rng = rng(seed, Stream::Reads, 0);
-    let mut reads = cycles(pool.len(), self::rng(seed, Stream::ReadOrder, 0));
-    let mut writes = updates.iter().cycle();
-    (0..n)
-        .map(|k| {
-            if k % WRITE_EVERY == WRITE_EVERY - 1 {
-                ServedOp::Write(writes.next().expect("a non-empty update stream").clone())
-            } else {
-                let base = reads.next().expect("an endless stream");
-                ServedOp::Read { base, renamed: rename(&pool[base], &mut rng) }
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,13 +193,7 @@ mod tests {
                 assert_eq!(hard_tail_op(seed, i), hard_tail_op(seed, i));
             }
             let imdb = imdb();
-            let updates = update_pairs(&imdb, seed, 20);
-            assert_eq!(updates, update_pairs(&imdb, seed, 20));
-            let pool: Vec<Dnf> = imdb.corpus().instances.into_iter().map(|i| i.lineage).collect();
-            assert_eq!(
-                served_ops(seed, &pool, &updates, 100),
-                served_ops(seed, &pool, &updates, 100)
-            );
+            assert_eq!(update_pairs(&imdb, seed, 20), update_pairs(&imdb, seed, 20));
         }
     }
 
@@ -244,14 +204,9 @@ mod tests {
         assert_ne!(a.lineage, b.lineage);
         assert_eq!((a.repeat_of.is_some(), b.repeat_of.is_some()), (false, false));
         let imdb = imdb();
-        assert_ne!(update_pairs(&imdb, 1, 5), update_pairs(&imdb, 2, 5));
-        let pool: Vec<Dnf> = imdb.corpus().instances.into_iter().map(|i| i.lineage).collect();
-        let updates = update_pairs(&imdb, 1, 5);
-        let (a, b) = (served_ops(1, &pool, &updates, 40), served_ops(2, &pool, &updates, 40));
+        let (a, b) = (update_pairs(&imdb, 1, 5), update_pairs(&imdb, 2, 5));
         assert_ne!(a, b);
-        let writes =
-            |ops: &[ServedOp]| ops.iter().filter(|o| matches!(o, ServedOp::Write(_))).count();
-        assert_eq!(writes(&a), writes(&b));
+        assert_eq!(a.len(), b.len());
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! raw backend, d-tree compilation and counting. Layers an op does not pass
 //! through are timed by a *sweep* after the loop over the workload's inputs.
 
-use crate::check::{self, Referee};
+use crate::check::{self, Referee, Values};
 use crate::metrics::Report;
-use crate::stats::Summary;
+use crate::stats::Robust;
 use crate::trace::{layer_self_times, Tracer};
 use banzhaf::{exaban_all_with_counts, model_counts, Budget, DTree};
 use banzhaf_boolean::Dnf;
@@ -50,9 +50,10 @@ pub struct Layers {
     /// Served vs in-process wall on the same lineages.
     pub served_ns: u64,
     pub inprocess_ns: u64,
-    pub queue_depth_max: usize,
-    pub rejected: u64,
-    pub serve_failed: u64,
+    /// Bursts of the serve sweep: wall from first submit to last
+    /// completion, and requests.
+    pub burst_ns: u64,
+    pub burst_requests: u64,
     pub apply_us: Vec<f64>,
     pub touched: u64,
     pub live_compile_steps: u64,
@@ -60,6 +61,9 @@ pub struct Layers {
     pub lag_ms: Vec<f64>,
     pub traced_op_ns: Vec<f64>,
     pub untraced_op_ns: Vec<f64>,
+    /// Wall of the traced ops by a clock read around each op's root span,
+    /// apart from the tracer.
+    pub clock_op_ns: u64,
 }
 
 fn ns(d: Duration) -> u64 {
@@ -151,7 +155,8 @@ pub struct WritePhase {
     live: LiveSession,
     workload: LiveWorkload,
     updates: Vec<Update>,
-    latencies_ms: Vec<f64>,
+    /// Start and latency in ms of each applied update.
+    latencies_ms: Vec<(Instant, f64)>,
     errors: u64,
     before: LiveStats,
 }
@@ -178,7 +183,7 @@ impl WritePhase {
         let outcome = self.live.apply_update(self.updates[i].clone());
         let d = t.elapsed();
         tracer.end(span, 1);
-        self.latencies_ms.push(d.as_secs_f64() * 1e3);
+        self.latencies_ms.push((t, d.as_secs_f64() * 1e3));
         acc.apply_us.push(d.as_secs_f64() * 1e6);
         match outcome {
             Ok(report) => acc.touched += report.touched.len() as u64,
@@ -204,14 +209,14 @@ impl WritePhase {
         }
     }
 
-    /// Applies the remaining updates and returns every update's latency in
-    /// ms, in order; refused updates are failures.
+    /// Applies the remaining updates and returns every update's start and
+    /// latency in ms, in order; refused updates are failures.
     pub fn finish(
         &mut self,
         tracer: &mut Tracer,
         acc: &mut Layers,
         report: &mut Report,
-    ) -> Vec<f64> {
+    ) -> Vec<(Instant, f64)> {
         while self.latencies_ms.len() < self.updates.len() {
             self.apply_next(tracer, acc);
         }
@@ -267,12 +272,19 @@ pub fn serve_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get().saturating_sub(1).max(1))
 }
 
+/// Requests one burst of the serve sweep submits back to back: half the
+/// service's default queue capacity, so none is refused.
+const BURST: usize = 32;
+
 /// Serves `lineages` one at a time on a fresh service and attributes them
 /// in-process on a fresh engine of the same configuration: the serving
 /// layer's cost over the session on identical cache states. `with_latency`
 /// also records the submit and service times (closed loops have no served
-/// ops of their own to take them from). Served answers must match the
-/// in-process ones. Returns the in-process session's statistics.
+/// ops of their own to take them from). Then serves them again in bursts of
+/// [`BURST`] submitted back to back, which keeps the queue full. Every served
+/// answer must match the in-process one; refused and failed requests fail
+/// the run.
+/// Returns the in-process session's statistics.
 pub fn serve_sweep(
     tracer: &mut Tracer,
     lineages: &[&Dnf],
@@ -284,7 +296,8 @@ pub fn serve_sweep(
         ServeConfig::new(EngineConfig::default()).with_workers(serve_workers()),
     );
     let mut session = Engine::new(EngineConfig::default()).session();
-    let mut wrong = 0;
+    let mut locals: Vec<Option<Values>> = Vec::with_capacity(lineages.len());
+    let (mut wrong, mut refused) = (0, 0);
     for (i, l) in lineages.iter().enumerate() {
         let op = i as u64;
         let root = tracer.begin("sweep", op);
@@ -308,7 +321,7 @@ pub fn serve_sweep(
             }
             Err(_) => {
                 tracer.end(span, 1);
-                acc.rejected += 1;
+                refused += 1;
                 None
             }
         };
@@ -318,14 +331,31 @@ pub fn serve_sweep(
         acc.inprocess_ns += ns(t.elapsed());
         tracer.end(span, 1);
         tracer.end(root, 1);
-        let served = served.as_ref().and_then(check::values_of);
-        wrong += u64::from(served.is_none() || served != local.as_ref().and_then(check::values_of));
+        let (served, local) =
+            (served.as_ref().and_then(check::values_of), local.as_ref().and_then(check::values_of));
+        wrong += u64::from(served.is_none() || served != local);
+        locals.push(local);
     }
-    let stats = service.stats();
-    acc.serve_failed += stats.failed;
-    acc.queue_depth_max = acc.queue_depth_max.max(stats.queue_depth);
-    report.attempted += lineages.len() as u64;
+    for (burst, locals) in lineages.chunks(BURST).zip(locals.chunks(BURST)) {
+        let start = Instant::now();
+        let tickets: Vec<_> =
+            burst.iter().map(|l| service.submit((*l).clone(), RequestOptions::default())).collect();
+        let served: Vec<_> = tickets.into_iter().map(|t| t.map(|t| t.wait().ok())).collect();
+        acc.burst_ns += ns(start.elapsed());
+        acc.burst_requests += burst.len() as u64;
+        for (served, local) in served.into_iter().zip(locals) {
+            let Ok(served) = served else {
+                refused += 1;
+                continue;
+            };
+            let served = served.as_ref().and_then(check::values_of);
+            wrong += u64::from(served.is_none() || served != *local);
+        }
+    }
+    report.attempted += 2 * lineages.len() as u64;
     report.fail(wrong, "served answers differ from in-process answers");
+    report.fail(refused, "serve requests refused");
+    report.fail(service.stats().failed, "serve requests failed");
     *session.stats()
 }
 
@@ -336,7 +366,6 @@ pub struct CacheDelta {
     pub prekey_skips: u64,
     pub canon_steps: u64,
     pub canon_searches: u64,
-    pub evictions: u64,
     pub entries: usize,
 }
 
@@ -348,7 +377,6 @@ impl CacheDelta {
             prekey_skips: after.prekey_skips - before.prekey_skips,
             canon_steps: after.canon_steps - before.canon_steps,
             canon_searches: after.canon_searches - before.canon_searches,
-            evictions: after.evictions - before.evictions,
             entries: after.entries,
         }
     }
@@ -391,7 +419,6 @@ pub fn report_layers(
     );
     report.set("cache.canon_steps", per_op(cache.canon_steps), "");
     report.set("cache.canon_searches", per_op(cache.canon_searches), "");
-    report.set("cache.evictions", per_op(cache.evictions), "");
     report.set("cache.entries", cache.entries as f64, "at the end of the loop");
     report.set(
         "session.overhead_ratio",
@@ -406,35 +433,37 @@ pub fn report_layers(
         ratio(acc.pool_ns as f64 / 1e3, acc.pool_calls as f64),
         format!("mean of {}", acc.pool_calls),
     );
-    let compile = Summary::of(&acc.compile_us);
-    report.set("dtree.compile_us_p50", compile.p50, format!("of {}", compile.n));
+    let compile = Robust::of(&acc.compile_us);
+    report.set("dtree.compile_us_p50", compile.p50, compile.p50_label());
     report.set("dtree.compile_us_p99", compile.tail, compile.tail_label());
     report.set("dtree.nodes", ratio(acc.nodes as f64, compile.n as f64), "mean per tree");
     report.set("core.count_us", ratio(acc.count_ns as f64 / 1e3, probed), "mean per tree");
-    let submit = Summary::of(&acc.submit_us);
-    let service = Summary::of(&acc.service_us);
-    report.set("serve.submit_us", submit.p50, format!("p50 of {}", submit.n));
+    let submit = Robust::of(&acc.submit_us);
+    let service = Robust::of(&acc.service_us);
+    report.set("serve.submit_us", submit.p50, submit.p50_label());
     report.set(
         "serve.service_us",
         service.p50,
-        format!("p50 of {}, submit call to done", service.n),
+        format!("{}, submit call to done", service.p50_label()),
     );
     report.set(
         "serve.overhead_ratio",
         ratio(acc.served_ns as f64, acc.inprocess_ns as f64),
         "served wall / in-process session wall, same lineages",
     );
-    report.set("serve.queue_depth_max", acc.queue_depth_max as f64, "");
-    report.set("serve.rejected", acc.rejected as f64, "");
-    report.set("serve.failed", acc.serve_failed as f64, "");
-    let apply = Summary::of(&acc.apply_us);
+    report.set(
+        "serve.burst_us",
+        ratio(acc.burst_ns as f64 / 1e3, acc.burst_requests as f64),
+        format!("per request, bursts of {BURST} submitted back to back"),
+    );
+    let apply = Robust::of(&acc.apply_us);
     let updates = apply.n as f64;
-    report.set("live.apply_update_us_p50", apply.p50, format!("of {}", apply.n));
+    report.set("live.apply_update_us_p50", apply.p50, apply.p50_label());
     report.set("live.apply_update_us_p99", apply.tail, apply.tail_label());
     report.set("live.touched_answers", ratio(acc.touched as f64, updates), "");
     report.set("live.compile_steps", ratio(acc.live_compile_steps as f64, updates), "");
     report.set("live.cache_hits", ratio(acc.live_cache_hits as f64, updates), "");
-    let lag = Summary::of(&acc.lag_ms);
+    let lag = Robust::of(&acc.lag_ms);
     report.set("harness.generator_lag_p99_ms", lag.tail, lag.tail_label());
     report.set(
         "harness.trace_overhead_ratio",
@@ -457,25 +486,26 @@ pub fn report_layers(
         ratio(acc.compiled_core_ns as f64, wall as f64),
         "shadow compile+count of the lineages the ops compiled / op wall",
     );
-    for (metric, layer) in [
-        ("self.harness_ms", "harness"),
-        ("self.query_ms", "query"),
-        ("self.engine_ms", "engine"),
-        ("self.serve_ms", "serve"),
-    ] {
+    for (metric, layer) in
+        [("self.harness_ms", "harness"), ("self.query_ms", "query"), ("self.engine_ms", "engine")]
+    {
         report.set(metric, layer_ms(layer), "");
     }
+    // The layers' self times against the ops' wall by the outside clock: the
+    // remainder is the tracer's own cost at the edges of each op. Self times
+    // that overlap or miss part of an op show up as a sum beyond the clock's
+    // wall or far below it.
     let accounted: u64 = layers.iter().map(|(_, t)| t).sum();
-    let unaccounted = wall.abs_diff(accounted);
+    let clock = acc.clock_op_ns;
     report.set(
-        "self.unaccounted_ms",
-        per_traced_ms(unaccounted),
-        "op wall minus the layers' self times",
+        "self.unaccounted_us",
+        ratio(clock.saturating_sub(accounted) as f64 / 1e3, traced),
+        "outside-clock op wall minus the layers' self times, per op",
     );
-    if unaccounted * 1000 > wall {
-        report
-            .problems
-            .push(format!("self times miss {unaccounted} ns of {wall} ns traced op wall"));
+    if accounted > clock || (clock - accounted) * 100 > clock {
+        report.problems.push(format!(
+            "layer self times add up to {accounted} ns of {clock} ns traced op wall"
+        ));
     }
     let mut shares: Vec<String> = layers
         .iter()

@@ -2,14 +2,16 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload <explain-corpora|hard-tail|served-mixed> --seed <n> --seconds <s> --trace <0|1>
+//!     --workload <explain-corpora|hard-tail> --seed <n> --seconds <s> --trace <0|1>
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- --describe > BENCHMARK.json
 //! ```
 //!
 //! A run prints one line per metric with its unit, then, as its last line, a
 //! JSON object with `correct`, `attempted`, `failed` and `metrics`: the
 //! end-to-end metrics with `--trace 0`, the per-layer ones with `--trace 1`.
-//! `--describe` prints the benchmark's description, with the measured input
+//! End-to-end times are scaled to a reference machine speed, read from a
+//! fixed piece of work timed throughout the run (see `pace`); the notes
+//! print the speed each run saw. `--describe` prints the benchmark's description, with the measured input
 //! properties of each workload.
 
 mod check;
@@ -17,6 +19,7 @@ mod describe;
 mod inputs;
 mod layers;
 mod metrics;
+mod pace;
 mod rss;
 mod stats;
 mod trace;
@@ -24,7 +27,7 @@ mod workloads;
 
 use workloads::Args;
 
-pub const WORKLOADS: [&str; 3] = ["explain-corpora", "hard-tail", "served-mixed"];
+pub const WORKLOADS: [&str; 2] = ["explain-corpora", "hard-tail"];
 
 fn usage() -> ! {
     eprintln!(
@@ -62,8 +65,7 @@ fn main() {
     let args = Args { seed, seconds, trace };
     let mut report = match workload {
         "explain-corpora" => workloads::explain_corpora(&args),
-        "hard-tail" => workloads::hard_tail(&args),
-        _ => workloads::served_mixed(&args),
+        _ => workloads::hard_tail(&args),
     };
     print!("{}", report.render(trace));
 }

@@ -40,9 +40,13 @@ pub struct PeakRss {
     peaks_mb: Vec<f64>,
 }
 
+/// Parts of a loop the peak is taken over.
+const PARTS: u32 = 10;
+
 impl PeakRss {
-    /// Starts counting parts of length `part` from now.
-    pub fn start(part: Duration) -> Self {
+    /// Starts counting [`PARTS`] parts of a loop of length `window` from now.
+    pub fn start(window: Duration) -> Self {
+        let part = window / PARTS;
         trim_heap();
         let resettable = reset_peak();
         PeakRss { part, next: Instant::now() + part, resettable, peaks_mb: Vec::new() }

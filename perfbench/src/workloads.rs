@@ -1,30 +1,24 @@
-//! The three workloads. Each sets itself up several times (the median is
+//! The two workloads. Each sets itself up several times (the median is
 //! `setup_s`), runs its loop for the requested seconds, and checks every
 //! answer after the loop.
 
 use crate::check::{self, Referee, Values};
-use crate::inputs::{self, ServedOp};
+use crate::inputs;
 use crate::layers::{
-    self, query_sweep, report_layers, serve_sweep, shadow, CacheDelta, Layers, WritePhase,
+    query_sweep, report_layers, serve_sweep, shadow, CacheDelta, Layers, WritePhase,
     WRITE_PHASE_UPDATES,
 };
 use crate::metrics::Report;
+use crate::pace::{self, Pace, Scale, REFERENCE_MS};
 use crate::rss::PeakRss;
-use crate::stats::{median, median_of_parts, Robust, PARTS};
+use crate::stats::{median, median_of_parts, parts_of, Robust};
 use crate::trace::{traces_op, Tracer};
 use banzhaf_boolean::Dnf;
-use banzhaf_db::Database;
 use banzhaf_engine::{BatchOptions, Engine, EngineConfig, Session};
 use banzhaf_query::evaluate;
-use banzhaf_serve::{AttributionService, RequestOptions, ServeConfig, Ticket, UpdateTicket};
 use banzhaf_workloads::LiveWorkload;
 use std::collections::HashMap;
-use std::future::Future;
 use std::hint::black_box;
-use std::pin::Pin;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
-use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 pub struct Args {
@@ -36,46 +30,85 @@ pub struct Args {
 /// Set-ups per run; `setup_s` is their median.
 const SETUPS: usize = 15;
 
+/// Times `make` [`SETUPS`] times, each at reference speed: scaled by the
+/// reference work's time just before it.
 fn timed_setups<S>(mut make: impl FnMut() -> S) -> (S, Vec<f64>) {
     let mut times = Vec::with_capacity(SETUPS);
     let mut state = None;
     for _ in 0..SETUPS {
         drop(state.take());
+        let reference = pace::reference_ms();
         let start = Instant::now();
         state = Some(make());
-        times.push(start.elapsed().as_secs_f64());
+        times.push(start.elapsed().as_secs_f64() * REFERENCE_MS / reference);
     }
     (state.expect("at least one set-up"), times)
 }
 
 fn report_setup(report: &mut Report, times: &[f64]) {
-    report.set("setup_s", median(times), format!("median of {} set-ups", times.len()));
+    report.set(
+        "setup_s",
+        median(times),
+        format!("median of {} set-ups, at reference speed", times.len()),
+    );
 }
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Latencies of reads and writes, in the order they were issued.
+fn ns(d: Duration) -> u64 {
+    d.as_nanos() as u64
+}
+
+/// The loop's machine speed, and how its end-to-end times are scaled.
+fn report_scale(report: &mut Report, scale: &Scale) {
+    report.notes.push(format!(
+        "reference work took {:.4} ms (median), against {REFERENCE_MS} ms at reference speed; \
+         end-to-end times are scaled to reference speed second by second",
+        scale.reference_ms
+    ));
+}
+
+/// Reads and writes at reference speed: `reads_ms[i]` started `op_at[i]`
+/// seconds into the loop.
+fn scaled(
+    pace: Pace,
+    op_at: Vec<f64>,
+    reads_ms: Vec<f64>,
+    writes: &[(Instant, f64)],
+    report: &mut Report,
+) -> (Vec<f64>, Vec<f64>) {
+    let writes: Vec<(f64, f64)> = writes.iter().map(|&(t, ms)| (pace.offset(t), ms)).collect();
+    let scale = pace.finish();
+    report.set("harness.reference_ms", scale.reference_ms, "median over the loop");
+    report_scale(report, &scale);
+    let reads: Vec<(f64, f64)> = op_at.into_iter().zip(reads_ms).collect();
+    (scale.series(&reads), scale.series(&writes))
+}
+
+/// Latencies of reads and writes at reference speed, in the order they were
+/// issued.
 fn report_latencies(report: &mut Report, reads_ms: &[f64], writes_ms: &[f64]) {
     let reads = Robust::of(reads_ms);
-    report.set("latency_p50_ms", reads.p50, format!("of {} reads, median of parts", reads.n));
+    report.set("latency_p50_ms", reads.p50, format!("{} reads", reads.p50_label()));
     report.set("latency_p99_ms", reads.tail, reads.tail_label());
     let writes = Robust::of(writes_ms);
-    report.set("update_p50_ms", writes.p50, format!("of {} writes, median of parts", writes.n));
+    report.set("update_p50_ms", writes.p50, format!("{} writes", writes.p50_label()));
     report.set("update_p99_ms", writes.tail, writes.tail_label());
 }
 
-/// Closed-loop throughput: ops per second of op wall, the median over
-/// contiguous parts of the run.
+/// Closed-loop throughput: ops per second of op wall at reference speed,
+/// the median over contiguous parts of the run.
 fn report_throughput(report: &mut Report, latencies_ms: &[f64], what: &str) {
+    let parts = parts_of(latencies_ms.len());
     let rate =
-        median_of_parts(latencies_ms, PARTS, |p| p.len() as f64 / (p.iter().sum::<f64>() / 1e3));
-    report.set("ops_per_s", rate, format!("{what} per second of op wall, median of parts"));
+        median_of_parts(latencies_ms, parts, |p| p.len() as f64 / (p.iter().sum::<f64>() / 1e3));
+    report.set("ops_per_s", rate, format!("{what} per second of op wall, median of {parts} parts"));
 }
 
 /// Peak resident memory: the median over parts of the loop of each part's
-/// `VmHWM`.
+/// `VmHWM`. Other processes do not move it, so it is not scaled.
 fn report_peak_rss(report: &mut Report, rss: PeakRss) {
     let peaks = rss.finish();
     if peaks.is_empty() {
@@ -143,9 +176,11 @@ pub fn explain_corpora(args: &Args) -> Report {
     let mut digests: Vec<(usize, u64)> = Vec::new();
     let (loop_start, window) = (Instant::now(), Duration::from_secs_f64(args.seconds));
     let deadline = loop_start + window;
-    let mut rss = PeakRss::start(window / PARTS as u32);
+    let mut rss = PeakRss::start(window);
     let mut last_end: Option<Instant> = None;
     let mut op = 0u64;
+    let mut pace = Pace::start(loop_start);
+    let mut op_at = Vec::new();
     'run: for pass in 0.. {
         for qi in inputs::explain_order(args.seed, st.queries.len(), pass) {
             let (w, q) = st.queries[qi];
@@ -165,6 +200,7 @@ pub fn explain_corpora(args: &Args) -> Report {
                 let outcomes = st.session.attribute_batch(&lineages, BatchOptions::default());
                 acc.session_ns += tracer.end(span, lineages.len() as u32);
                 let wall = tracer.end(root, 1);
+                acc.clock_op_ns += ns(start.elapsed());
                 latencies.push(wall as f64 / 1e6);
                 acc.traced_op_ns.push(wall as f64);
                 acc.answers += answers.len() as u64;
@@ -184,8 +220,10 @@ pub fn explain_corpora(args: &Args) -> Report {
                 check::digest_explained(&explained)
             };
             digests.push((qi, digest));
+            op_at.push(pace.offset(start));
             op += 1;
             st.writes.catch_up(loop_start, window, &mut tracer, &mut acc);
+            pace.tick();
             rss.tick();
             last_end = Some(Instant::now());
             if last_end.is_some_and(|t| t >= deadline) {
@@ -199,10 +237,11 @@ pub fn explain_corpora(args: &Args) -> Report {
     acc.session_compile_steps = session_after.compile_steps - session_before.compile_steps;
     acc.session_cache_hits = session_after.cache_hits - session_before.cache_hits;
 
-    let writes_ms = st.writes.finish(&mut tracer, &mut acc, &mut report);
+    let writes = st.writes.finish(&mut tracer, &mut acc, &mut report);
+    let (reads, writes) = scaled(pace, op_at, latencies, &writes, &mut report);
     report_peak_rss(&mut report, rss);
-    report_throughput(&mut report, &latencies, "explains");
-    report_latencies(&mut report, &latencies, &writes_ms);
+    report_throughput(&mut report, &reads, "explains");
+    report_latencies(&mut report, &reads, &writes);
 
     if args.trace {
         let pass: Vec<Dnf> = st
@@ -279,8 +318,10 @@ pub fn hard_tail(args: &Args) -> Report {
     let mut answers: Vec<(usize, Option<Values>)> = Vec::new();
     let (loop_start, window) = (Instant::now(), Duration::from_secs_f64(args.seconds));
     let deadline = loop_start + window;
-    let mut rss = PeakRss::start(window / PARTS as u32);
+    let mut rss = PeakRss::start(window);
     let mut last_end: Option<Instant> = None;
+    let mut pace = Pace::start(loop_start);
+    let mut op_at = Vec::new();
     let mut i = 0;
     loop {
         let lineage = inputs::hard_tail_op(args.seed, i).lineage;
@@ -295,6 +336,7 @@ pub fn hard_tail(args: &Args) -> Report {
             let outcome = st.session.attribute(&lineage);
             acc.session_ns += tracer.end(span, 1);
             let wall = tracer.end(root, 1);
+            acc.clock_op_ns += ns(start.elapsed());
             latencies.push(wall as f64 / 1e6);
             acc.traced_op_ns.push(wall as f64);
             let compiled = [outcome.as_ref().is_ok_and(|a| !a.stats.cache_hit)];
@@ -308,8 +350,10 @@ pub fn hard_tail(args: &Args) -> Report {
             outcome
         };
         answers.push((i, outcome.ok().as_ref().and_then(check::values_of)));
+        op_at.push(pace.offset(start));
         i += 1;
         st.writes.catch_up(loop_start, window, &mut tracer, &mut acc);
+        pace.tick();
         rss.tick();
         last_end = Some(Instant::now());
         if last_end.is_some_and(|t| t >= deadline) {
@@ -323,10 +367,11 @@ pub fn hard_tail(args: &Args) -> Report {
     acc.session_compile_steps = session_after.compile_steps - session_before.compile_steps;
     acc.session_cache_hits = session_after.cache_hits - session_before.cache_hits;
 
-    let writes_ms = st.writes.finish(&mut tracer, &mut acc, &mut report);
+    let writes = st.writes.finish(&mut tracer, &mut acc, &mut report);
+    let (reads, writes) = scaled(pace, op_at, latencies, &writes, &mut report);
     report_peak_rss(&mut report, rss);
-    report_throughput(&mut report, &latencies, "attributions");
-    report_latencies(&mut report, &latencies, &writes_ms);
+    report_throughput(&mut report, &reads, "attributions");
+    report_latencies(&mut report, &reads, &writes);
 
     if args.trace {
         query_sweep(&mut tracer, &st.imdb, 120, &mut acc);
@@ -362,367 +407,6 @@ pub fn hard_tail(args: &Args) -> Report {
     report.fail(wrong, "hard-tail answers differ from the reference");
     st.writes.check(&mut referee, &mut report);
     write_trace(&tracer, "hard-tail", &mut report);
-    report
-}
-
-// ----------------------------------------------------------- served mixed
-
-/// Requests per second offered by the generator: about half of what one
-/// serve worker sustains on the mix, so the queue stays short.
-pub const OFFERED_RATE: f64 = 1200.0;
-const QUEUE_CAPACITY: usize = 4096;
-/// Requests still pending when the window closes beyond which the run is
-/// flagged as saturated (a growing backlog) rather than measured.
-const SATURATED_BACKLOG: usize = 64;
-/// Read lineages the traced run's sweeps replay.
-const SERVED_SWEEP: usize = 2000;
-
-struct Served {
-    imdb: LiveWorkload,
-    pool: Vec<Dnf>,
-    ops: Vec<ServedOp>,
-    service: AttributionService,
-}
-
-fn served_setup(seed: u64, seconds: f64) -> Served {
-    let corpora = inputs::corpora();
-    let pool: Vec<Dnf> = corpora[..2]
-        .iter()
-        .flat_map(|w| w.corpus().instances.into_iter().map(|i| i.lineage))
-        .collect();
-    let imdb = corpora[1].clone();
-    let n = (OFFERED_RATE * seconds).ceil() as usize + 1;
-    let updates = inputs::update_pairs(&imdb, seed, n / inputs::WRITE_EVERY / 2 + 1);
-    let ops = inputs::served_ops(seed, &pool, &updates, n);
-    let mut config = ServeConfig::new(EngineConfig::default())
-        .with_workers(layers::serve_workers())
-        .with_queue_capacity(QUEUE_CAPACITY)
-        .with_live_database(imdb.db.clone());
-    for (name, query) in &imdb.queries {
-        config = config.with_live_query(name.clone(), query.clone());
-    }
-    let service = AttributionService::start(config);
-    // Warm-up: every pool shape once, so the cache holds the working set.
-    for chunk in pool.chunks(QUEUE_CAPACITY) {
-        let tickets: Vec<Ticket> = chunk
-            .iter()
-            .map(|l| service.submit(l.clone(), RequestOptions::default()).expect("queue fits"))
-            .collect();
-        for ticket in tickets {
-            black_box(ticket.wait().ok());
-        }
-    }
-    Served { imdb, pool, ops, service }
-}
-
-/// Completion stamp of one request. The ticket's waker records when the
-/// worker completed the request and unparks the generator, so the generator
-/// sleeps between due times instead of spinning against the workers for the
-/// CPU, and completions are timed when they happen, not when next polled.
-struct Stamp {
-    at: Mutex<Option<Instant>>,
-    generator: Thread,
-}
-
-impl Wake for Stamp {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.at.lock().expect("stamp lock poisoned").get_or_insert_with(Instant::now);
-        self.generator.unpark();
-    }
-}
-
-enum InFlight {
-    Read(Ticket),
-    Write(UpdateTicket),
-}
-
-enum Outcome {
-    /// The digest of the served values, if the read succeeded.
-    Read(Option<u64>),
-    /// Whether the write succeeded.
-    Write(bool),
-}
-
-struct Pending {
-    k: usize,
-    due: Instant,
-    submitted: Instant,
-    submit_ns: u64,
-    ticket: InFlight,
-    stamp: Arc<Stamp>,
-    /// Taken from the ticket by an earlier poll, not yet recorded.
-    completed: Option<(Instant, Outcome)>,
-}
-
-impl Pending {
-    fn is_done(&self) -> bool {
-        match &self.ticket {
-            InFlight::Read(t) => t.is_done(),
-            InFlight::Write(t) => t.is_done(),
-        }
-    }
-
-    /// Polls the ticket with the stamp's waker; once the request has
-    /// completed, its completion time and outcome.
-    fn poll(&mut self) -> Option<(Instant, Outcome)> {
-        if self.completed.is_some() {
-            return self.completed.take();
-        }
-        let waker = Waker::from(Arc::clone(&self.stamp));
-        let mut cx = Context::from_waker(&waker);
-        let outcome = match &mut self.ticket {
-            InFlight::Read(ticket) => match Pin::new(ticket).poll(&mut cx) {
-                Poll::Ready(r) => Outcome::Read(
-                    r.ok().as_ref().and_then(check::values_of).map(|v| check::digest(&v)),
-                ),
-                Poll::Pending => return None,
-            },
-            InFlight::Write(ticket) => match Pin::new(ticket).poll(&mut cx) {
-                Poll::Ready(r) => Outcome::Write(r.is_ok()),
-                Poll::Pending => return None,
-            },
-        };
-        // Completed before the waker was registered: the poll is the stamp.
-        let at = self.stamp.at.lock().expect("stamp lock poisoned").unwrap_or_else(Instant::now);
-        Some((at, outcome))
-    }
-}
-
-/// What the open loop observed.
-#[derive(Default)]
-struct Observed {
-    reads_ms: Vec<f64>,
-    writes_ms: Vec<f64>,
-    /// Per read op: the digest of its served values.
-    read_digests: Vec<(usize, Option<u64>)>,
-    write_failures: u64,
-    last_done: Option<Instant>,
-}
-
-/// Records every pending request whose ticket is done.
-fn harvest(
-    pending: &mut Vec<Pending>,
-    seen: &mut Observed,
-    trace: bool,
-    tracer: &mut Tracer,
-    acc: &mut Layers,
-) {
-    let mut i = 0;
-    while i < pending.len() {
-        let p = &mut pending[i];
-        let completed = if p.completed.is_some() || p.is_done() { p.poll() } else { None };
-        let Some((done, outcome)) = completed else {
-            i += 1;
-            continue;
-        };
-        let p = pending.swap_remove(i);
-        seen.last_done = seen.last_done.max(Some(done));
-        let latency = ms(done - p.due);
-        let submit_end = p.submitted + Duration::from_nanos(p.submit_ns);
-        if trace && traces_op(p.k as u64) {
-            let op = p.k as u64;
-            let root = tracer.record("harness.op", op, p.due, done, None);
-            tracer.record("harness.lag", op, p.due, p.submitted, Some(root));
-            tracer.record("serve.submit", op, p.submitted, submit_end, Some(root));
-            tracer.record("serve.wait", op, submit_end, done, Some(root));
-            acc.traced_op_ns.push(latency * 1e6);
-        } else {
-            acc.untraced_op_ns.push(latency * 1e6);
-        }
-        acc.submit_us.push(p.submit_ns as f64 / 1e3);
-        acc.service_us.push((done - p.submitted).as_secs_f64() * 1e6);
-        match outcome {
-            Outcome::Read(digest) => {
-                seen.reads_ms.push(latency);
-                seen.read_digests.push((p.k, digest));
-            }
-            Outcome::Write(ok) => {
-                seen.writes_ms.push(latency);
-                seen.write_failures += u64::from(!ok);
-            }
-        }
-    }
-}
-
-/// `served-mixed`: an open loop at [`OFFERED_RATE`] from one generator
-/// thread against the service, which hosts the IMDB-like live database.
-#[allow(clippy::too_many_lines)]
-pub fn served_mixed(args: &Args) -> Report {
-    let mut report = Report::default();
-    let (st, setup_times) = timed_setups(|| served_setup(args.seed, args.seconds));
-    report_setup(&mut report, &setup_times);
-    let service = &st.service;
-
-    let mut tracer = Tracer::new(args.trace);
-    let mut acc = Layers::default();
-    let mut seen = Observed::default();
-    let cache_before = service.engine_stats().cache;
-    let period = Duration::from_secs_f64(1.0 / OFFERED_RATE);
-    let mut applied: Vec<usize> = Vec::new();
-    let mut pending: Vec<Pending> = Vec::new();
-    let generator = std::thread::current();
-    let start = Instant::now() + Duration::from_millis(5);
-    let window_end = start + Duration::from_secs_f64(args.seconds);
-    let mut rss = PeakRss::start(Duration::from_secs_f64(args.seconds) / PARTS as u32);
-    let mut k = 0usize;
-    while k < st.ops.len() {
-        rss.tick();
-        let due = start + period * k as u32;
-        if due >= window_end {
-            break;
-        }
-        let now = Instant::now();
-        if now < due {
-            harvest(&mut pending, &mut seen, args.trace, &mut tracer, &mut acc);
-            std::thread::park_timeout(due.saturating_duration_since(Instant::now()));
-            continue;
-        }
-        acc.lag_ms.push(ms(now - due));
-        let submitted = Instant::now();
-        let ticket = match &st.ops[k] {
-            ServedOp::Read { renamed, .. } => service
-                .submit(renamed.lineage.clone(), RequestOptions::default())
-                .map(InFlight::Read),
-            ServedOp::Write(update) => service
-                .submit_update(update.clone(), RequestOptions::default())
-                .map(InFlight::Write),
-        };
-        let submit_ns = submitted.elapsed().as_nanos() as u64;
-        match ticket {
-            Ok(ticket) => {
-                if matches!(st.ops[k], ServedOp::Write(_)) {
-                    applied.push(k);
-                }
-                let stamp = Arc::new(Stamp { at: Mutex::new(None), generator: generator.clone() });
-                let mut p =
-                    Pending { k, due, submitted, submit_ns, ticket, stamp, completed: None };
-                // Registers the stamp's waker, or finds the request done.
-                p.completed = p.poll();
-                pending.push(p);
-            }
-            Err(_) => acc.rejected += 1,
-        }
-        if k % 64 == 0 {
-            acc.queue_depth_max = acc.queue_depth_max.max(service.stats().queue_depth);
-        }
-        k += 1;
-    }
-    let submitted_ops = k;
-    let backlog = pending.len();
-    let queue_depth_end = service.stats().queue_depth;
-    let drain_deadline = Instant::now() + Duration::from_secs(60);
-    while !pending.is_empty() && Instant::now() < drain_deadline {
-        harvest(&mut pending, &mut seen, args.trace, &mut tracer, &mut acc);
-        std::thread::park_timeout(Duration::from_millis(1));
-    }
-    let unfinished = pending.len() as u64;
-    let Observed { reads_ms, writes_ms, read_digests, write_failures, last_done } = seen;
-    let last_done = last_done.unwrap_or(window_end);
-
-    report.notes.push(format!(
-        "open loop: {submitted_ops} ops offered at {OFFERED_RATE}/s to {} workers; \
-         {backlog} pending and {queue_depth_end} queued when the window closed",
-        layers::serve_workers()
-    ));
-    if backlog > SATURATED_BACKLOG || acc.rejected > 0 || unfinished > 0 {
-        report.problems.push(format!(
-            "saturated: backlog {backlog}, {} rejected, {unfinished} unfinished; \
-             latency of a saturated run is not reported as a measurement",
-            acc.rejected
-        ));
-    }
-    let cache = CacheDelta::between(&cache_before, &service.engine_stats().cache);
-    let completed = (reads_ms.len() + writes_ms.len()) as f64;
-    report.set(
-        "ops_per_s",
-        completed / (last_done - start).as_secs_f64(),
-        "completed per second, first due time to last completion",
-    );
-    report_latencies(&mut report, &reads_ms, &writes_ms);
-    report_peak_rss(&mut report, rss);
-    let stats = service.stats();
-    acc.serve_failed = stats.failed;
-
-    if args.trace {
-        query_sweep(&mut tracer, &st.imdb, 120, &mut acc);
-        let sample: Vec<&Dnf> = st
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                ServedOp::Read { renamed, .. } => Some(&renamed.lineage),
-                ServedOp::Write(_) => None,
-            })
-            .take(SERVED_SWEEP)
-            .collect();
-        // The served ops carry the submit and service times; the sweep adds
-        // the in-process comparison.
-        let serve_failed = acc.serve_failed;
-        let session = serve_sweep(&mut tracer, &sample, false, &mut acc, &mut report);
-        acc.serve_failed = serve_failed;
-        acc.session_ns = acc.inprocess_ns;
-        acc.session_ops = sample.len() as u64;
-        acc.session_compile_steps = session.compile_steps;
-        acc.session_cache_hits = session.cache_hits;
-        let backend = EngineConfig::default().attributor();
-        let config = EngineConfig::default();
-        let compiled = vec![false; sample.len()];
-        shadow(&mut tracer, 0, &sample, &compiled, backend.as_ref(), &config, &mut acc);
-        let engine = Engine::new(EngineConfig::default());
-        let updates: Vec<_> = applied
-            .iter()
-            .take(WRITE_PHASE_UPDATES)
-            .filter_map(|&k| match &st.ops[k] {
-                ServedOp::Write(u) => Some(u.clone()),
-                ServedOp::Read { .. } => None,
-            })
-            .collect();
-        let mut replay = WritePhase::new(&engine, st.imdb.clone(), updates);
-        let mut sweep_report = Report::default();
-        replay.finish(&mut tracer, &mut acc, &mut sweep_report);
-        report.fail(sweep_report.failed, "replayed live updates failed");
-        report_layers(&mut report, &tracer, &acc, &cache, completed as u64);
-    }
-
-    // Reads against their base's reference carried through the renaming;
-    // writes by the final live state against a cold evaluation of a mirror
-    // database that applied the same updates in the same order.
-    let mut referee = Referee::new();
-    let mut base_refs: HashMap<usize, Option<Values>> = HashMap::new();
-    let mut wrong = 0;
-    for (k, got) in &read_digests {
-        let ServedOp::Read { base, renamed } = &st.ops[*k] else { unreachable!("reads only") };
-        let base_values =
-            base_refs.entry(*base).or_insert_with(|| referee.reference(&st.pool[*base])).clone();
-        let want = base_values.map(|v| check::digest(&check::transfer(&v, &renamed.map)));
-        wrong += u64::from(got.is_none() || *got != want);
-    }
-    report.attempted += submitted_ops as u64;
-    report.fail(wrong, "served reads differ from the reference");
-    report.fail(write_failures, "served writes failed");
-    report.fail(acc.rejected + unfinished, "requests refused or unfinished");
-    let mut mirror: Database = st.imdb.db.clone();
-    for &k in &applied {
-        if let ServedOp::Write(update) = &st.ops[k] {
-            // A write the service refused as invalid (its pair's other half
-            // was rejected by a full queue) fails here too; it is already
-            // counted among the failed ops.
-            let _ = mirror.apply_update(update);
-        }
-    }
-    let mut stale = 0;
-    for (name, query) in &st.imdb.queries {
-        let got = service.live_attribution(name).map(|a| check::digest_explained(&a));
-        let answers = evaluate(query, &mirror).into_answers();
-        let want =
-            referee.reference_answers(answers.iter().map(|a| (a.tuple.as_slice(), &a.lineage)));
-        stale += u64::from(got != Some(want));
-    }
-    report.fail(stale, "live queries disagree with a cold evaluation after the writes");
-    write_trace(&tracer, "served-mixed", &mut report);
     report
 }
 
