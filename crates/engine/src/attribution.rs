@@ -90,14 +90,16 @@ pub struct EngineStats {
     /// Colour-refinement work spent canonicalizing the lineage for the
     /// shared cache's order-insensitive key (0 when the backend was invoked
     /// directly, without a session). Unlike `compile_steps` this cost is
-    /// paid on every attribution, hit or miss — the bench layer's
+    /// paid on canonical hits as well as misses (vacant fingerprints and
+    /// exact presentation matches pay none) — the bench layer's
     /// `canon_hit_rate` experiment weighs it against the compile work the
     /// extra hits save.
     pub canon_steps: u64,
     /// Individualization searches this attribution actually ran (its own
     /// shape plus any still-unkeyed cache residents or in-batch mates it had
-    /// to settle against; 0 when the fingerprint pre-key resolved the
-    /// lookup, or when the backend was invoked directly).
+    /// to settle against; 0 when the fingerprint pre-key or an exact
+    /// presentation match resolved the lookup, or when the backend was
+    /// invoked directly).
     pub canon_searches: u64,
     /// 1 when the cache lookup was resolved without any canonicalization
     /// search because the lineage's cheap isomorphism-invariant fingerprint

@@ -8,14 +8,18 @@
 //!
 //! Design:
 //!
-//! * **Two-level keying: fingerprint, then canonical form.** Every lookup
-//!   first computes a cheap isomorphism-invariant [`Fingerprint`]
+//! * **Keying: fingerprint, then exact presentation, then canonical key.**
+//!   Every lookup first computes a cheap isomorphism-invariant [`Fingerprint`]
 //!   (variable/clause counts plus hashed clause-width and variable-degree
 //!   multisets — one linear pass, no refinement). Isomorphic lineages always
 //!   share a fingerprint, so an empty fingerprint bucket is a **definite
 //!   miss**: the lineage is compiled and inserted under its fingerprint with
-//!   the canonical form left *uncomputed*. Only when a second distinct shape
-//!   arrives under the same fingerprint does anyone pay for canonicalization
+//!   the canonical form left *uncomputed*. In an occupied bucket, a resident
+//!   whose dense [`Shape`] equals the probe's — the same presentation, with
+//!   the aggregate payload — settles the lookup with no search
+//!   ([`SharedCache::settle_presentation`]): its values were computed on
+//!   that very dense form. Only when no resident shares the presentation
+//!   does anyone pay for canonicalization
 //!   — the new arrival and any still-unkeyed residents are canonicalized
 //!   ([`CanonicalKey`], the colour-refinement canonical renaming of
 //!   [`crate::canon`]) and compared exactly. Singleton fingerprints — the
@@ -406,11 +410,13 @@ pub struct CacheStats {
     pub canon_steps: u64,
     /// Individualization searches actually run by the engine's sessions
     /// (one per shape canonicalized — lookups resolved by the fingerprint
-    /// alone run none).
+    /// alone run none, and neither do presentation hits, which count in
+    /// `hits`).
     pub canon_searches: u64,
     /// Lookups resolved without any individualization search because their
     /// fingerprint bucket was vacant (the common case for heterogeneous
-    /// traffic).
+    /// traffic). Presentation hits run no search either, but count in
+    /// `hits`, not here.
     pub prekey_skips: u64,
     /// Warm-start snapshot files loaded successfully (see
     /// [`SharedCache::load`] / [`ShardedCache::load`]).
@@ -446,9 +452,11 @@ pub(crate) enum Lookup {
     /// no canonicalization is needed (insert the compiled result with
     /// `canon: None`).
     Vacant,
-    /// Residents share the fingerprint. Canonicalize (outside the lock!) the
-    /// probe and any resident returned with `canon: None`, then settle the
-    /// lookup with [`SharedCache::finish_lookup`].
+    /// Residents share the fingerprint. A resident with the probe's exact
+    /// presentation settles through [`SharedCache::settle_presentation`];
+    /// otherwise canonicalize (outside the lock!) the probe and any resident
+    /// returned with `canon: None`, then settle the lookup with
+    /// [`SharedCache::finish_lookup`].
     Occupied(Vec<Resident>),
 }
 
@@ -511,8 +519,8 @@ struct CacheInner {
     snapshot_rejects: u64,
 }
 
-/// The shared, size-bounded attribution cache, keyed by fingerprint first
-/// and canonical lineage second.
+/// The shared, size-bounded attribution cache, keyed by fingerprint first,
+/// exact presentation second and canonical lineage third.
 ///
 /// Wrapped in an `Arc` by [`crate::Engine`] and handed to every
 /// [`crate::Session`]; safe to share across threads. Lookups and merges take
@@ -624,6 +632,39 @@ impl SharedCache {
         }
         inner.misses += 1;
         None
+    }
+
+    /// Settles an occupied lookup by exact presentation, without any
+    /// canonicalization: if resident `id` still holds `shape` — re-checked
+    /// here, under the lock, because a cross-presentation [`SharedCache::insert`]
+    /// may have swapped the entry's shape, witness and values since the
+    /// [`SharedCache::lookup`] that reported it — the entry's recency is
+    /// refreshed, a hit is counted, and its dense attribution is returned.
+    /// The values were computed on this very dense form, so the caller maps
+    /// them back with [`Prekeyed::map_back`]. `None` (entry evicted or
+    /// swapped) counts nothing: the caller settles through the canonical
+    /// path instead.
+    pub(crate) fn settle_presentation(&self, id: u64, shape: &Shape) -> Option<Arc<Attribution>> {
+        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        if !inner.entries.get(&id).is_some_and(|e| *e.shape == *shape) {
+            return None;
+        }
+        inner.tick += 1;
+        let tick = inner.tick;
+        let entry = inner.entries.get_mut(&id).expect("resident just seen");
+        entry.tick = tick;
+        let attribution = Arc::clone(&entry.attribution);
+        inner.recency.push_back((id, tick));
+        inner.hits += 1;
+        Self::compact(&mut inner);
+        Some(attribution)
+    }
+
+    /// Counts a miss for an occupied lookup the caller resolved without
+    /// settling against the cache (an earlier instance of the same batch
+    /// compiles this very presentation).
+    pub(crate) fn record_miss(&self) {
+        self.inner.lock().expect("cache lock poisoned").misses += 1;
     }
 
     /// Merges one freshly computed dense attribution under its fingerprint,
@@ -1003,6 +1044,21 @@ impl ShardedCache {
         resolved: &[(u64, Arc<CanonInfo>)],
     ) -> Option<CacheHit> {
         self.shard(fp).finish_lookup(fp, key, resolved)
+    }
+
+    /// Routed [`SharedCache::settle_presentation`].
+    pub(crate) fn settle_presentation(
+        &self,
+        fp: Fingerprint,
+        id: u64,
+        shape: &Shape,
+    ) -> Option<Arc<Attribution>> {
+        self.shard(fp).settle_presentation(id, shape)
+    }
+
+    /// Routed [`SharedCache::record_miss`].
+    pub(crate) fn record_miss(&self, fp: Fingerprint) {
+        self.shard(fp).record_miss();
     }
 
     /// Routed [`SharedCache::insert`].
@@ -1474,6 +1530,38 @@ mod tests {
     }
 
     #[test]
+    fn presentation_settle_refuses_an_entry_swapped_since_the_lookup() {
+        // The lookup reports a resident holding the probe's presentation; a
+        // racing cross-presentation insert then swaps the entry to another
+        // labelling before the settle. The settle must re-check under the
+        // lock and refuse — serving the swapped values through the probe's
+        // own renaming would hand the middle score to a leaf — and the
+        // canonical path must still serve the right values.
+        let a = prekeyed_of(vec![vec![0, 1], vec![1, 2]]); // middle at dense 1
+        let b = prekeyed_of(vec![vec![0, 1], vec![0, 2]]); // middle at dense 0
+        let cache = SharedCache::new(8);
+        let mine = Arc::new(a.shape.canonicalize().0);
+        cache.insert(a.fingerprint, &a.shape, Some(Arc::clone(&mine)), path3_attribution(&a));
+        let Lookup::Occupied(residents) = cache.lookup(a.fingerprint) else {
+            panic!("the entry is resident");
+        };
+        let resident = residents.iter().find(|r| r.shape == a.shape).expect("same presentation");
+        let theirs = Arc::new(b.shape.canonicalize().0);
+        cache.insert(b.fingerprint, &b.shape, Some(theirs), path3_attribution(&b));
+        assert_eq!(cache.stats().entries, 1, "the insert swapped the one entry");
+        assert!(cache.settle_presentation(resident.id, &a.shape).is_none());
+        assert_eq!(cache.stats().hits, 0, "a refused settle counts nothing");
+        let hit = cache.finish_lookup(a.fingerprint, &mine.key, &[]).expect("canonical hit");
+        let mapped = a.map_back_via(&mine, &hit.canon, &hit.attribution);
+        assert_eq!(mapped.values[&path3_middle(&a)].exact(), Some(Natural::from(100u64)));
+        // An unswapped entry settles by presentation and maps back directly.
+        let hit = cache.settle_presentation(resident.id, &b.shape).expect("b holds the entry");
+        let mapped = b.map_back(&hit);
+        assert_eq!(mapped.values[&path3_middle(&b)].exact(), Some(Natural::from(100u64)));
+        assert_eq!(cache.stats().hits, 2);
+    }
+
+    #[test]
     fn dense_dnf_is_isomorphic_to_the_input() {
         // The backend runs the dense presentation; it must be the same
         // function modulo renaming — model counts are renaming-invariant.
@@ -1538,6 +1626,17 @@ mod tests {
         insert(&cache, &sum, 1);
         assert!(probe(&cache, &count).is_none(), "a SUM lineage never serves a COUNT hit");
         assert!(probe(&cache, &other).is_none(), "different weights never share a hit");
+        // The skeleton presentation is shared, but kind and weights are part
+        // of the presentation: none of them settles on the SUM entry.
+        let Lookup::Occupied(residents) = cache.lookup(sum.fingerprint) else {
+            panic!("the SUM entry is resident");
+        };
+        let boolean = prekeyed_of(vec![vec![0, 1], vec![1, 2]]);
+        for twin in [&count, &other, &boolean] {
+            assert_eq!(twin.shape.clauses, sum.shape.clauses, "one skeleton presentation");
+            assert!(cache.settle_presentation(residents[0].id, &twin.shape).is_none());
+        }
+        assert!(cache.settle_presentation(residents[0].id, &sum.shape).is_some());
         insert(&cache, &count, 2);
         insert(&cache, &other, 3);
         assert_eq!(cache.stats().entries, 3);

@@ -12,7 +12,7 @@ use banzhaf::{Budget, Interrupted};
 use banzhaf_boolean::{Dnf, WeightedDnf};
 use banzhaf_db::{Database, Value};
 use banzhaf_query::{evaluate, UnionQuery};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -368,7 +368,8 @@ impl Session {
     /// lineage size), so a cached and an uncached session perform identical
     /// compile work per lineage and their results are bit-for-bit
     /// comparable. The isomorphism-invariant canonical key is only computed
-    /// when the cache's cheap fingerprint pre-key is contested.
+    /// when the cache's cheap fingerprint pre-key is contested and no
+    /// resident holds the lineage's exact dense presentation.
     pub fn attribute(&mut self, lineage: &Dnf) -> Result<Attribution, Interrupted> {
         // Single-instance batch: the planning loop resolves a cache hit
         // before any compile work, and the shared counters record exactly
@@ -499,19 +500,19 @@ impl Session {
         // Plan, walking the instances in order exactly like the sequential
         // loop would observe the cache. A vacant fingerprint bucket (and no
         // earlier batch instance pending under it) is a definite miss that
-        // *skips the canonicalization search entirely*; a contested bucket
-        // canonicalizes the instance plus any still-unkeyed residents and
-        // settles on the exact key — resolving a pre-existing cache hit
-        // immediately, or matching an earlier in-batch instance ("owner")
-        // whose freshly compiled result this instance will reuse.
+        // *skips the canonicalization search entirely*. A probe whose exact
+        // dense presentation a resident (or an earlier pending instance)
+        // already holds resolves by presentation, again with no search: the
+        // stored values were computed on this very dense form. Otherwise a
+        // contested bucket canonicalizes the instance plus any still-unkeyed
+        // residents and settles on the exact key — resolving a pre-existing
+        // cache hit immediately, or matching an earlier in-batch instance
+        // ("owner") whose freshly compiled result this instance will reuse.
         let mut results: Vec<Option<Result<Attribution, Interrupted>>> =
             (0..n).map(|_| None).collect();
         let mut reuse: Vec<Option<usize>> = vec![None; n];
         let mut jobs: Vec<usize> = Vec::new();
-        // The canonical witness of each instance's shape, computed at most
-        // once per batch (an instance's witness may be paid for by a *later*
-        // instance probing it as a potential in-batch owner).
-        let mut my_canon: Vec<Option<Arc<CanonInfo>>> = (0..n).map(|_| None).collect();
+        let mut keying = Keying::new(&prekeyed, shared_budget, use_cache);
         // Witnesses computed for still-unkeyed cache residents, memoized by
         // entry id (the settle step also stores them on the entries, so
         // other sessions never re-pay either).
@@ -522,41 +523,43 @@ impl Session {
         let mut paid = vec![(0u64, 0u64, 0u64); n];
 
         // Which instances will pay the individualization search is decidable
-        // before the walk: a probe canonicalizes iff its fingerprint bucket
-        // is occupied or its fingerprint repeats within the batch, and a
-        // contested bucket's still-unkeyed residents canonicalize alongside
+        // before the walk: only the first instance of each presentation
+        // (later ones reuse it or inherit its witness), only if no resident
+        // holds that presentation, and only if its fingerprint bucket is
+        // occupied or another such presentation shares it within the batch;
+        // a contested bucket's still-unkeyed residents canonicalize alongside
         // it. Fan exactly those searches across the pool up front and let
         // the sequential cache-state walk below consume the memoized
         // results: the search is deterministic, so the charged costs,
         // counters, and the resulting plan are bit-identical to computing
         // inline. Skipped under a shared budget, where the walk must charge
         // each descent to the budget in instance order.
-        let mut speculated: Vec<Option<(CanonInfo, u64)>> = (0..n).map(|_| None).collect();
         let mut speculated_residents: HashMap<u64, (CanonInfo, u64)> = HashMap::new();
         if use_cache && shared_budget.is_none() && n > 1 {
-            let mut fp_count: HashMap<Fingerprint, usize> = HashMap::new();
-            for p in &prekeyed {
-                *fp_count.entry(p.fingerprint).or_default() += 1;
-            }
-            let mut peeked: HashMap<Fingerprint, Vec<Resident>> = HashMap::new();
-            for p in &prekeyed {
-                peeked.entry(p.fingerprint).or_insert_with(|| self.cache.peek(p.fingerprint));
+            // Per fingerprint: the residents, and the first instances of the
+            // presentations none of them holds.
+            let mut buckets: HashMap<Fingerprint, (Vec<Resident>, Vec<usize>)> = HashMap::new();
+            for (i, p) in prekeyed.iter().enumerate() {
+                let (residents, unmatched) = buckets
+                    .entry(p.fingerprint)
+                    .or_insert_with(|| (self.cache.peek(p.fingerprint), Vec::new()));
+                if keying.first[i].is_none() && !residents.iter().any(|r| r.shape == p.shape) {
+                    unmatched.push(i);
+                }
             }
             let mut probe_tasks: Vec<usize> = Vec::new();
             let mut resident_tasks: Vec<(u64, Arc<Shape>)> = Vec::new();
-            let mut queued: HashSet<Fingerprint> = HashSet::new();
-            for (i, p) in prekeyed.iter().enumerate() {
-                let residents = &peeked[&p.fingerprint];
-                if fp_count[&p.fingerprint] > 1 || !residents.is_empty() {
-                    probe_tasks.push(i);
+            for (residents, unmatched) in buckets.values() {
+                if unmatched.is_empty() || (residents.is_empty() && unmatched.len() < 2) {
+                    continue;
                 }
-                if queued.insert(p.fingerprint) {
-                    for r in residents {
-                        if r.canon.is_none() {
-                            resident_tasks.push((r.id, Arc::clone(&r.shape)));
-                        }
-                    }
-                }
+                probe_tasks.extend_from_slice(unmatched);
+                resident_tasks.extend(
+                    residents
+                        .iter()
+                        .filter(|r| r.canon.is_none())
+                        .map(|r| (r.id, Arc::clone(&r.shape))),
+                );
             }
             let shapes: Vec<Arc<Shape>> = probe_tasks
                 .iter()
@@ -568,7 +571,7 @@ impl Session {
                     self.config.pool().parallel_map(&shapes, |_, shape| shape.canonicalize());
                 let mut it = computed.into_iter();
                 for &i in &probe_tasks {
-                    speculated[i] = it.next();
+                    keying.speculated[i] = it.next();
                 }
                 for (id, _) in &resident_tasks {
                     if let Some(pair) = it.next() {
@@ -586,35 +589,24 @@ impl Session {
             let fp = prekeyed[i].fingerprint;
             let (mut steps, mut searches, mut skips) = (0u64, 0u64, 0u64);
             let mut plan_job = true;
+            let mates: &[usize] = pending.get(&fp).map_or(&[], Vec::as_slice);
+            // An earlier pending instance with this very presentation owns
+            // the compile; the reuse needs no witness.
+            let twin = mates.iter().copied().find(|&j| prekeyed[j].shape == prekeyed[i].shape);
             match self.cache.lookup(fp) {
                 Lookup::Vacant => {
-                    let mates = pending.get(&fp).cloned().unwrap_or_default();
                     if mates.is_empty() {
                         // Definite miss, nothing in flight: compile without
                         // ever running the individualization search.
                         skips += 1;
-                    } else if let Some(mine) = key_probe(
-                        &prekeyed,
-                        &mut speculated,
-                        shared_budget,
-                        i,
-                        &mut steps,
-                        &mut searches,
-                    ) {
-                        if let Some(j) = find_mate(
-                            &prekeyed,
-                            &mut my_canon,
-                            &mut speculated,
-                            shared_budget,
-                            &mates,
-                            &mine,
-                            &mut steps,
-                            &mut searches,
-                        ) {
+                    } else if let Some(j) = twin {
+                        reuse[i] = Some(j);
+                        plan_job = false;
+                    } else if let Some(mine) = keying.key(i, &mut steps, &mut searches) {
+                        if let Some(j) = keying.find_mate(mates, &mine, &mut steps, &mut searches) {
                             reuse[i] = Some(j);
                             plan_job = false;
                         }
-                        my_canon[i] = Some(mine);
                     }
                     // An interrupted descent (shared budget already drained)
                     // leaves the instance unkeyed: it compiles — and promptly
@@ -622,14 +614,29 @@ impl Session {
                     // stalling the planning walk.
                 }
                 Lookup::Occupied(residents) => {
-                    if let Some(mine) = key_probe(
-                        &prekeyed,
-                        &mut speculated,
-                        shared_budget,
-                        i,
-                        &mut steps,
-                        &mut searches,
-                    ) {
+                    // A resident holding this exact presentation settles the
+                    // lookup without canonicalizing anything, unless a racing
+                    // insert swapped the entry's presentation since the
+                    // lookup (the settle re-checks under the cache lock).
+                    let presented = residents
+                        .iter()
+                        .find(|r| r.shape == prekeyed[i].shape)
+                        .and_then(|r| self.cache.settle_presentation(fp, r.id, &prekeyed[i].shape));
+                    if let Some(hit) = presented {
+                        self.stats.cache_hits += 1;
+                        let mut attribution = cache_hit(prekeyed[i].map_back(&hit));
+                        attribution.stats.canon_steps = 0;
+                        attribution.stats.canon_searches = 0;
+                        attribution.stats.prekey_skips = 0;
+                        results[i] = Some(Ok(attribution));
+                        plan_job = false;
+                    } else if let Some(j) = twin {
+                        // Not cached when looked up: a miss, as for any
+                        // in-batch reuse.
+                        self.cache.record_miss(fp);
+                        reuse[i] = Some(j);
+                        plan_job = false;
+                    } else if let Some(mine) = keying.key(i, &mut steps, &mut searches) {
                         // Settle against the residents in bucket order,
                         // lazily canonicalizing the unkeyed ones and stopping
                         // at the first exact match.
@@ -679,23 +686,14 @@ impl Session {
                                 plan_job = false;
                             }
                             None => {
-                                let mates = pending.get(&fp).cloned().unwrap_or_default();
-                                if let Some(j) = find_mate(
-                                    &prekeyed,
-                                    &mut my_canon,
-                                    &mut speculated,
-                                    shared_budget,
-                                    &mates,
-                                    &mine,
-                                    &mut steps,
-                                    &mut searches,
-                                ) {
+                                if let Some(j) =
+                                    keying.find_mate(mates, &mine, &mut steps, &mut searches)
+                                {
                                     reuse[i] = Some(j);
                                     plan_job = false;
                                 }
                             }
                         }
-                        my_canon[i] = Some(mine);
                     }
                 }
             }
@@ -770,7 +768,7 @@ impl Session {
                 }
             }
         };
-        let computed: Vec<JobOutcome> = if algorithm.cacheable() {
+        let computed: Vec<JobOutcome> = if algorithm.cacheable() && !jobs.is_empty() {
             config.pool().parallel_map(&jobs, |_, &i| run(i))
         } else {
             jobs.iter().map(|&i| run(i)).collect()
@@ -791,7 +789,7 @@ impl Session {
                     self.cache.insert(
                         prekeyed[i].fingerprint,
                         &prekeyed[i].shape,
-                        my_canon[i].clone(),
+                        keying.canon[i].clone(),
                         Arc::new((**attribution).clone()),
                     );
                 }
@@ -807,14 +805,14 @@ impl Session {
                 let owner = reuse[i];
                 match &dense_outcomes[&owner.unwrap_or(i)] {
                     JobOutcome::Done(attribution) => {
-                        let mut mapped = match owner {
-                            Some(j) => {
-                                let mine =
-                                    my_canon[i].as_ref().expect("reusing instances are keyed");
-                                let theirs = my_canon[j].as_ref().expect("reused owners are keyed");
+                        let mut mapped = match owner.map(|j| (&keying.canon[i], &keying.canon[j])) {
+                            Some((Some(mine), Some(theirs))) => {
                                 prekeyed[i].map_back_via(mine, theirs, attribution)
                             }
-                            None => prekeyed[i].map_back(attribution),
+                            // Compiled here, or reused from an owner with this
+                            // very presentation: the values are over our own
+                            // dense variables.
+                            _ => prekeyed[i].map_back(attribution),
                         };
                         let (steps, searches, skips) = paid[i];
                         mapped.stats.canon_steps = steps;
@@ -959,61 +957,96 @@ enum JobOutcome {
     Panicked(u64),
 }
 
-/// Canonicalizes instance `i`'s shape for the planning walk: consuming the
-/// speculative memo when the parallel pre-pass already paid for it, charging
-/// the shared budget when one is present (`None` means the descent was
-/// interrupted and the instance stays unkeyed), and charging the walk's cost
-/// counters either way.
-fn key_probe(
-    prekeyed: &[Prekeyed],
-    speculated: &mut [Option<(CanonInfo, u64)>],
-    shared_budget: Option<&Budget>,
-    i: usize,
-    steps: &mut u64,
-    searches: &mut u64,
-) -> Option<Arc<CanonInfo>> {
-    let computed = match speculated[i].take() {
-        Some(pair) => Some(pair),
-        None => match shared_budget {
-            Some(budget) => prekeyed[i].shape.canonicalize_budgeted(budget).ok(),
-            None => Some(prekeyed[i].shape.canonicalize()),
-        },
-    };
-    computed.map(|(info, cost)| {
-        *steps += cost;
-        *searches += 1;
-        Arc::new(info)
-    })
+/// The canonicalization state of one batch's planning walk.
+struct Keying<'a> {
+    prekeyed: &'a [Prekeyed],
+    shared_budget: Option<&'a Budget>,
+    /// `first[i]` is the earliest instance with the same dense presentation
+    /// as instance `i` (`None` for the first of its presentation).
+    first: Vec<Option<usize>>,
+    /// The canonical witness of each instance's shape, computed at most
+    /// once per batch (an instance's witness may be paid for by a *later*
+    /// instance probing it as a potential in-batch owner).
+    canon: Vec<Option<Arc<CanonInfo>>>,
+    /// Witnesses the parallel pre-pass already paid for.
+    speculated: Vec<Option<(CanonInfo, u64)>>,
 }
 
-/// Searches the earlier in-batch instances `mates` (pending under the same
-/// fingerprint) for one whose canonical key equals `mine`, lazily
-/// canonicalizing mates that have not been keyed yet and charging the work to
-/// the probing instance — exactly where the sequential loop would pay it.
-#[allow(clippy::too_many_arguments)]
-fn find_mate(
-    prekeyed: &[Prekeyed],
-    my_canon: &mut [Option<Arc<CanonInfo>>],
-    speculated: &mut [Option<(CanonInfo, u64)>],
-    shared_budget: Option<&Budget>,
-    mates: &[usize],
-    mine: &CanonInfo,
-    steps: &mut u64,
-    searches: &mut u64,
-) -> Option<usize> {
-    for &j in mates {
-        if my_canon[j].is_none() {
-            match key_probe(prekeyed, speculated, shared_budget, j, steps, searches) {
-                Some(info) => my_canon[j] = Some(info),
-                // An unkeyable mate under a drained budget cannot match.
-                None => continue,
+impl<'a> Keying<'a> {
+    /// Groups the batch by exact presentation (equal presentations share a
+    /// fingerprint, so only same-fingerprint instances are compared). A
+    /// cacheless batch never keys, so it skips the grouping.
+    fn new(prekeyed: &'a [Prekeyed], shared_budget: Option<&'a Budget>, use_cache: bool) -> Self {
+        let n = prekeyed.len();
+        let mut first = vec![None; n];
+        if use_cache {
+            let mut firsts: HashMap<Fingerprint, Vec<usize>> = HashMap::new();
+            for (i, p) in prekeyed.iter().enumerate() {
+                let seen = firsts.entry(p.fingerprint).or_default();
+                first[i] = seen.iter().copied().find(|&j| prekeyed[j].shape == p.shape);
+                if first[i].is_none() {
+                    seen.push(i);
+                }
             }
         }
-        if my_canon[j].as_ref().expect("just keyed").key == mine.key {
-            return Some(j);
+        Keying {
+            prekeyed,
+            shared_budget,
+            first,
+            canon: (0..n).map(|_| None).collect(),
+            speculated: (0..n).map(|_| None).collect(),
         }
     }
-    None
+
+    /// Canonicalizes instance `i`'s shape: reusing a witness already
+    /// computed for it or for an earlier instance of the same presentation
+    /// (the witness is a function of the presentation, so that is free),
+    /// else consuming the speculative memo, else searching — under the
+    /// shared budget when one is present (`None` means the descent was
+    /// interrupted and the instance stays unkeyed). Searches are charged to
+    /// the walk's cost counters.
+    fn key(&mut self, i: usize, steps: &mut u64, searches: &mut u64) -> Option<Arc<CanonInfo>> {
+        let known =
+            self.canon[i].clone().or_else(|| self.first[i].and_then(|j| self.canon[j].clone()));
+        let info = match known {
+            Some(info) => info,
+            None => {
+                let (info, cost) = match self.speculated[i].take() {
+                    Some(pair) => pair,
+                    None => match self.shared_budget {
+                        Some(budget) => {
+                            self.prekeyed[i].shape.canonicalize_budgeted(budget).ok()?
+                        }
+                        None => self.prekeyed[i].shape.canonicalize(),
+                    },
+                };
+                *steps += cost;
+                *searches += 1;
+                Arc::new(info)
+            }
+        };
+        self.canon[i] = Some(Arc::clone(&info));
+        Some(info)
+    }
+
+    /// Searches the earlier in-batch instances `mates` (pending under the
+    /// same fingerprint) for one whose canonical key equals `mine`, lazily
+    /// canonicalizing mates that have not been keyed yet and charging the
+    /// work to the probing instance — exactly where the sequential loop would
+    /// pay it.
+    fn find_mate(
+        &mut self,
+        mates: &[usize],
+        mine: &CanonInfo,
+        steps: &mut u64,
+        searches: &mut u64,
+    ) -> Option<usize> {
+        // An unkeyable mate under a drained budget cannot match.
+        mates
+            .iter()
+            .copied()
+            .find(|&j| self.key(j, steps, searches).is_some_and(|c| c.key == mine.key))
+    }
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 #[cfg(feature = "failpoints")]
@@ -117,8 +117,15 @@ impl ThreadPool {
     /// so `new(4)` on a single-core container runs inline rather than
     /// pretending to parallelize. Use [`ThreadPool::oversubscribed`] when
     /// more workers than cores is genuinely wanted.
+    ///
+    /// The available-CPU count is read once per process and memoized: on
+    /// Linux the query reads cgroup files, which would otherwise cost every
+    /// pool construction tens of microseconds.
     pub fn new(threads: usize) -> Self {
-        let available = std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1);
+        static AVAILABLE: OnceLock<usize> = OnceLock::new();
+        let available = *AVAILABLE.get_or_init(|| {
+            std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
+        });
         let threads = if threads == 0 { available } else { threads.min(available) };
         ThreadPool { threads }
     }

@@ -215,7 +215,16 @@ fn interrupted_canonicalization_is_a_miss_never_a_wrong_key() {
     let _fp = arm("canon::refine", Trigger::Always, FailAction::Trigger);
     let engine = Engine::new(EngineConfig::default());
     let mut session = engine.session();
-    let batch = [ring(0, 6), ring(100, 6)];
+    // Two isomorphic rings in different dense presentations (the second
+    // visits its labels in the order 0, 2, 4, 1, 3, 5), so only the
+    // canonical key could pair them.
+    let scrambled = Dnf::from_clauses(
+        [0u32, 2, 4, 1, 3, 5, 0]
+            .windows(2)
+            .map(|w| vec![Var(100 + w[0]), Var(100 + w[1])])
+            .collect::<Vec<_>>(),
+    );
+    let batch = [ring(0, 6), scrambled];
     let refs: Vec<&Dnf> = batch.iter().collect();
     let budget = Budget::with_max_steps(1_000_000);
     let outcomes = session.attribute_batch(&refs, BatchOptions::new().with_shared_budget(&budget));
@@ -229,6 +238,25 @@ fn interrupted_canonicalization_is_a_miss_never_a_wrong_key() {
             assert_eq!(att.value(x).unwrap().exact().unwrap(), want);
         }
     }
+    assert_cache_consistent(&engine.stats().cache);
+
+    // A shifted copy has the very same dense presentation: it shares the
+    // compile without any key, so the interrupted search cannot touch it.
+    let engine = Engine::new(EngineConfig::default());
+    let mut session = engine.session();
+    let batch = [ring(0, 6), ring(100, 6)];
+    let refs: Vec<&Dnf> = batch.iter().collect();
+    let budget = Budget::with_max_steps(1_000_000);
+    let outcomes = session.attribute_batch(&refs, BatchOptions::new().with_shared_budget(&budget));
+    for (lineage, outcome) in batch.iter().zip(&outcomes) {
+        let att = outcome.as_ref().expect("a presentation reuse needs no key");
+        for (i, x) in lineage.universe().iter().enumerate() {
+            let want = expected.value(Var(i as u32)).unwrap().exact().unwrap();
+            assert_eq!(att.value(x).unwrap().exact().unwrap(), want);
+        }
+    }
+    assert!(outcomes[1].as_ref().unwrap().stats.cache_hit);
+    assert_eq!(session.stats().canon_searches, 0);
     assert_cache_consistent(&engine.stats().cache);
 }
 

@@ -116,6 +116,28 @@ fn random_isomorph(phi: &Dnf, seed: u64) -> (Dnf, std::collections::HashMap<Var,
     (Dnf::from_clauses(clauses), bijection)
 }
 
+/// The dense first-occurrence presentation the engine's cache compares
+/// before canonicalizing: variables renamed to `0..n` in order of first
+/// occurrence (clauses first, then the unused universe), each clause sorted,
+/// then the clause list sorted.
+fn first_occurrence_presentation(lineage: &Dnf) -> (usize, Vec<Vec<u32>>) {
+    let mut ids: std::collections::HashMap<Var, u32> = std::collections::HashMap::new();
+    let mut rename = |v: Var| -> u32 {
+        let next = ids.len() as u32;
+        *ids.entry(v).or_insert(next)
+    };
+    let mut clauses: Vec<Vec<u32>> =
+        lineage.clauses().iter().map(|c| c.iter().map(&mut rename).collect()).collect();
+    for v in lineage.universe().iter() {
+        rename(v);
+    }
+    for c in &mut clauses {
+        c.sort_unstable();
+    }
+    clauses.sort_unstable();
+    (ids.len(), clauses)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -138,7 +160,13 @@ proptest! {
         prop_assert_eq!(stats.hits, 1);
         prop_assert_eq!(stats.misses, 1);
         prop_assert_eq!(stats.entries, 1);
-        prop_assert!(stats.canon_steps > 0, "canonicalization cost must be observable");
+        if first_occurrence_presentation(&phi) == first_occurrence_presentation(&renamed) {
+            // The isomorph happens to share phi's dense presentation: the
+            // lookup settles by presentation and never searches.
+            prop_assert_eq!(stats.canon_searches, 0, "an equal presentation needs no search");
+        } else {
+            prop_assert!(stats.canon_steps > 0, "canonicalization cost must be observable");
+        }
         // The cached values transfer through the bijection.
         prop_assert_eq!(&first.model_count, &second.model_count);
         for x in phi.universe().iter() {
@@ -520,4 +548,182 @@ fn weighted_lineages_key_apart_by_weights_and_kind() {
     assert!(session.attribute_aggregate(&renamed).unwrap().stats.cache_hit);
     assert_eq!(engine.stats().cache.entries, 5);
     assert_eq!(engine.stats().cache.hits, 1);
+}
+
+/// An order-independent rendering of everything an attribution reports per
+/// fact plus its model count and aggregate total; the Debug form of each
+/// score is injective, so equal renderings mean bit-identical results.
+fn rendering(universe: &VarSet, attribution: &Attribution) -> Vec<String> {
+    let mut out: Vec<String> = universe
+        .iter()
+        .map(|x| {
+            let shapley = attribution.shapley.as_ref().map(|s| format!("{:?}", s[&x]));
+            format!(
+                "{x}={:?} shapley={shapley:?}",
+                attribution.value(x).expect("universe is scored")
+            )
+        })
+        .collect();
+    out.push(format!("models={:?}", attribution.model_count));
+    out.push(format!("total={:?}", attribution.aggregate_total));
+    out
+}
+
+/// A lineage whose canonical search is not trivial (a 5-cycle with a pendant
+/// clause), shifted by a label offset. Shifting every label preserves the
+/// label order, so every offset has the same dense presentation.
+fn shifted_lineage(offset: u32) -> Dnf {
+    let v = |i: u32| Var(offset + i);
+    Dnf::from_clauses(vec![
+        vec![v(0), v(1)],
+        vec![v(1), v(2)],
+        vec![v(2), v(3)],
+        vec![v(3), v(4)],
+        vec![v(4), v(0)],
+        vec![v(2), v(5), v(6)],
+    ])
+}
+
+#[test]
+fn repeated_presentation_hits_without_a_search_and_matches_cache_off() {
+    let config = EngineConfig::default().with_shapley(true);
+    let engine = Engine::new(config.clone());
+    let mut cached = engine.session();
+    let mut plain = Engine::new(config.with_cache_config(CacheConfig::disabled())).session();
+    for offset in [0, 0, 40] {
+        let phi = shifted_lineage(offset);
+        let a = cached.attribute(&phi).unwrap();
+        let b = plain.attribute(&phi).unwrap();
+        assert_eq!(rendering(phi.universe(), &a), rendering(phi.universe(), &b));
+        assert_eq!((a.stats.canon_steps, a.stats.canon_searches), (0, 0));
+    }
+    assert_eq!(cached.stats().cache_hits, 2, "both repeats are served from the cache");
+    assert_eq!(cached.stats().canon_searches, 0, "equal presentations never search");
+    let stats = engine.stats().cache;
+    assert_eq!((stats.hits, stats.misses, stats.insertions), (2, 1, 1));
+    assert_eq!(stats.canon_searches, 0);
+}
+
+#[test]
+fn batch_of_one_presentation_compiles_once_at_every_thread_count() {
+    let lineages: Vec<Dnf> = (0..6).map(|k| shifted_lineage(k * 10)).collect();
+    let refs: Vec<&Dnf> = lineages.iter().collect();
+    let plain = Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled()))
+        .session()
+        .attribute_batch(&refs, BatchOptions::default());
+    let one_compile = plain[0].as_ref().unwrap().stats.compile_steps;
+    for threads in [1, 2] {
+        let engine = Engine::new(EngineConfig::default().with_threads(threads));
+        let mut session = engine.session();
+        let out = session.attribute_batch(&refs, BatchOptions::default());
+        for ((phi, a), b) in lineages.iter().zip(&out).zip(&plain) {
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert_eq!(rendering(phi.universe(), a), rendering(phi.universe(), b), "{threads}");
+        }
+        assert!(!out[0].as_ref().unwrap().stats.cache_hit);
+        assert!(out[1..].iter().all(|a| a.as_ref().unwrap().stats.cache_hit));
+        let stats = session.stats();
+        assert_eq!(stats.compile_steps, one_compile, "one compile for the whole batch");
+        assert_eq!((stats.cache_hits, stats.canon_searches, stats.canon_steps), (5, 0, 0));
+        assert_eq!(engine.stats().cache.insertions, 1);
+    }
+}
+
+#[test]
+fn weighted_lineages_with_one_skeleton_presentation_never_share_by_presentation() {
+    // The odd weight in the middle vs at the end of a 4-path: equal
+    // skeleton presentation and equal fingerprint, different functions.
+    let path = |weights: [i64; 3], kind| {
+        WeightedDnf::from_weighted_clauses(
+            kind,
+            vec![
+                (vec![Var(0), Var(1)], Rational::from(weights[0])),
+                (vec![Var(1), Var(2)], Rational::from(weights[1])),
+                (vec![Var(2), Var(3)], Rational::from(weights[2])),
+            ],
+        )
+    };
+    let variants = [
+        path([2, 9, 2], AggregateKind::Sum),
+        path([9, 2, 2], AggregateKind::Sum),
+        path([2, 9, 2], AggregateKind::Max),
+    ];
+    let engine = Engine::new(EngineConfig::default());
+    let mut cached = engine.session();
+    let mut plain =
+        Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled())).session();
+    for lineage in &variants {
+        let a = cached.attribute_aggregate(lineage).unwrap();
+        let b = plain.attribute_aggregate(lineage).unwrap();
+        assert!(
+            !a.stats.cache_hit,
+            "{:?} {:?} must not be served",
+            lineage.kind(),
+            lineage.weights()
+        );
+        assert_eq!(rendering(lineage.universe(), &a), rendering(lineage.universe(), &b));
+    }
+    // The exact repeat of each variant is a presentation hit.
+    for lineage in &variants {
+        let a = cached.attribute_aggregate(lineage).unwrap();
+        assert!(a.stats.cache_hit);
+        assert_eq!(a.stats.canon_searches, 0);
+    }
+    assert_eq!(engine.stats().cache.entries, 3);
+}
+
+#[test]
+fn in_batch_reuse_maps_back_by_presentation_or_through_witnesses() {
+    // A 3-path whose middle fact holds the middle label, a relabelling whose
+    // middle fact holds the smallest label (another presentation), and a
+    // shifted copy of the first (the same presentation). The middle fact
+    // scores differently from the ends, so a reuse mapped back the wrong way
+    // shows.
+    let path = |a: u32, b: u32, c: u32| {
+        Dnf::from_clauses(vec![vec![Var(a), Var(b)], vec![Var(b), Var(c)]])
+    };
+    let lineages = [path(0, 1, 2), path(21, 20, 22), path(10, 11, 12)];
+    let refs: Vec<&Dnf> = lineages.iter().collect();
+    let plain = Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled()))
+        .session()
+        .attribute_batch(&refs, BatchOptions::default());
+    for threads in [1, 2] {
+        let mut session = Engine::new(EngineConfig::default().with_threads(threads)).session();
+        let out = session.attribute_batch(&refs, BatchOptions::default());
+        for ((phi, a), b) in lineages.iter().zip(&out).zip(&plain) {
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert_eq!(rendering(phi.universe(), a), rendering(phi.universe(), b), "{threads}");
+        }
+        assert_eq!(session.stats().cache_hits, 2, "both later paths reuse the first compile");
+        // The relabelling keys itself and the pending owner; the shifted
+        // copy reuses the owner by presentation, with no search.
+        assert_eq!(session.stats().canon_searches, 2);
+        assert_eq!(out[2].as_ref().unwrap().stats.canon_searches, 0);
+    }
+}
+
+#[test]
+fn a_repeated_presentation_reuses_its_witness_within_a_batch() {
+    let path = |a: u32, b: u32, c: u32| {
+        Dnf::from_clauses(vec![vec![Var(a), Var(b)], vec![Var(b), Var(c)]])
+    };
+    let engine = Engine::new(EngineConfig::default());
+    let mut session = engine.session();
+    // The resident holds the presentation with the middle fact in the middle.
+    session.attribute(&path(0, 1, 2)).unwrap();
+    // Two copies of another presentation (middle fact smallest): both hit
+    // through the canonical key, and only the first pays the search.
+    let lineages = [path(21, 20, 22), path(31, 30, 32)];
+    let refs: Vec<&Dnf> = lineages.iter().collect();
+    let out = session.attribute_batch(&refs, BatchOptions::default());
+    let plain = Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled()))
+        .session()
+        .attribute_batch(&refs, BatchOptions::default());
+    for ((phi, a), b) in lineages.iter().zip(&out).zip(&plain) {
+        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+        assert!(a.stats.cache_hit);
+        assert_eq!(rendering(phi.universe(), a), rendering(phi.universe(), b));
+    }
+    assert!(out[0].as_ref().unwrap().stats.canon_searches > 0);
+    assert_eq!(out[1].as_ref().unwrap().stats.canon_searches, 0);
 }
