@@ -1,6 +1,6 @@
 //! iDNF bound functions `L(φ)` and `U(φ)` and their linear-time counting.
 //!
-//! An *iDNF* (independent DNF, [22] in the paper) is a positive DNF in which
+//! An *iDNF* (independent DNF, \[22\] in the paper) is a positive DNF in which
 //! every variable occurs at most once. Model counting for iDNF functions is
 //! linear time because the clauses are over pairwise disjoint variable sets.
 //!

@@ -8,7 +8,7 @@
 //! * [`bounds_for_var`] — the `bounds` procedure (Fig. 2): lower/upper bounds
 //!   on Banzhaf values and model counts over a *partial* d-tree, using the
 //!   iDNF constructions of Sec. 3.2.1 at non-trivial leaves.
-//! * [`adaban`] / [`adaban_all`] — **AdaBan** (Fig. 3): anytime deterministic
+//! * [`adaban()`] / [`adaban_all`] — **AdaBan** (Fig. 3): anytime deterministic
 //!   approximation with relative error `ε`, intertwining incremental d-tree
 //!   compilation with bound refinement.
 //! * [`ichiban_rank`] / [`ichiban_topk`] — **IchiBan** (Sec. 4.1): ranking and

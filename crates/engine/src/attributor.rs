@@ -28,7 +28,7 @@ use std::time::Instant;
 /// callers, which is what lets a [`crate::Session`] fan batch attribution out
 /// across a thread pool without cloning backend state.
 pub trait Attributor: Send + Sync {
-    /// The backend's display name (matches [`crate::Algorithm::name`]).
+    /// The backend's display name (matches [`crate::Backend::name`]).
     fn name(&self) -> &'static str;
 
     /// Computes attribution scores for every fact of the lineage's universe.

@@ -49,12 +49,9 @@
 //!   [`crate::Engine::stats`] (and the serving layer's stats).
 
 use crate::attribution::{Attribution, Score};
-use crate::canon::{
-    canonical_form_classed, canonical_form_classed_budgeted, fingerprint, weighted_payload,
-    Fingerprint,
-};
+use crate::canon::{canonical_form_classed, fingerprint, weighted_payload, Fingerprint};
 use crate::persist::SnapshotError;
-use banzhaf::{Budget, Interrupted};
+use banzhaf::Budget;
 use banzhaf_arith::Rational;
 use banzhaf_boolean::{AggregateKind, Dnf, Var, VarSet, WeightedDnf};
 use std::collections::{HashMap, VecDeque};
@@ -116,36 +113,15 @@ pub(crate) struct Shape {
 
 impl Shape {
     /// Runs the individualization search on this presentation. Returns the
-    /// canonical renaming and the refinement steps it cost.
-    pub(crate) fn canonicalize(&self) -> (CanonInfo, u64) {
+    /// canonical renaming and the refinement steps it cost, or `None` when
+    /// `budget` ran out mid-descent: the caller then treats the shape as
+    /// unkeyable (a definite miss) rather than stalling the planning walk.
+    pub(crate) fn canonicalize(&self, budget: Option<&Budget>) -> Option<(CanonInfo, u64)> {
         let classes = self.weight_classes();
-        let form = canonical_form_classed(self.num_vars, &self.clauses, classes.as_deref());
+        let form = canonical_form_classed(self.num_vars, &self.clauses, classes.as_deref(), budget)
+            .ok()?;
         let payload = self.canonical_payload(&form.order, &form.clauses);
-        (
-            CanonInfo {
-                key: CanonicalKey { num_vars: self.num_vars, clauses: form.clauses, payload },
-                order: form.order,
-            },
-            form.steps,
-        )
-    }
-
-    /// [`Shape::canonicalize`] under a cooperative budget: exhaustion
-    /// interrupts the descent and the caller treats the shape as unkeyable
-    /// (a definite miss) rather than stalling the planning walk.
-    pub(crate) fn canonicalize_budgeted(
-        &self,
-        budget: &Budget,
-    ) -> Result<(CanonInfo, u64), Interrupted> {
-        let classes = self.weight_classes();
-        let form = canonical_form_classed_budgeted(
-            self.num_vars,
-            &self.clauses,
-            classes.as_deref(),
-            budget,
-        )?;
-        let payload = self.canonical_payload(&form.order, &form.clauses);
-        Ok((
+        Some((
             CanonInfo {
                 key: CanonicalKey { num_vars: self.num_vars, clauses: form.clauses, payload },
                 order: form.order,
@@ -660,9 +636,9 @@ impl SharedCache {
         Some(attribution)
     }
 
-    /// Counts a miss for an occupied lookup the caller resolved without
-    /// settling against the cache (an earlier instance of the same batch
-    /// compiles this very presentation).
+    /// Counts a miss for an instance the caller resolved without looking the
+    /// cache up: an earlier instance of the same batch compiles this very
+    /// presentation, so the skipped lookup could only have missed.
     pub(crate) fn record_miss(&self) {
         self.inner.lock().expect("cache lock poisoned").misses += 1;
     }
@@ -751,27 +727,6 @@ impl SharedCache {
             }
         }
         Self::compact(&mut inner);
-    }
-
-    /// A non-counting view of a fingerprint bucket: the residents, without
-    /// touching the hit/miss counters or the recency queue. Batch planning
-    /// uses this to decide *speculatively* which probes will need
-    /// canonicalization (so the searches can fan out across the pool); the
-    /// authoritative [`SharedCache::lookup`] / [`SharedCache::finish_lookup`]
-    /// pair still runs for every instance, in instance order, so the
-    /// counters and recency are exactly what the sequential walk produces.
-    pub(crate) fn peek(&self, fp: Fingerprint) -> Vec<Resident> {
-        let inner = self.inner.lock().expect("cache lock poisoned");
-        match inner.buckets.get(&fp) {
-            Some(ids) => ids
-                .iter()
-                .map(|&id| {
-                    let entry = &inner.entries[&id];
-                    Resident { id, shape: Arc::clone(&entry.shape), canon: entry.canon.clone() }
-                })
-                .collect(),
-            None => Vec::new(),
-        }
     }
 
     /// Records canonicalization work performed by a session of this engine —
@@ -1072,11 +1027,6 @@ impl ShardedCache {
         self.shard(fp).insert(fp, shape, canon, attribution);
     }
 
-    /// Routed [`SharedCache::peek`].
-    pub(crate) fn peek(&self, fp: Fingerprint) -> Vec<Resident> {
-        self.shard(fp).peek(fp)
-    }
-
     /// Records canonicalization telemetry. The work is engine-wide (one
     /// session call spans many fingerprints), so it is recorded on shard 0
     /// and reported through the aggregate [`ShardedCache::stats`].
@@ -1162,7 +1112,7 @@ impl fmt::Debug for ShardedCache {
 /// used on the serving path.
 pub fn canonical_key_probe(lineage: &Dnf) -> u64 {
     let prekeyed = Prekeyed::of(lineage);
-    let (_, steps) = prekeyed.shape.canonicalize();
+    let (_, steps) = prekeyed.shape.canonicalize(None).expect("no budget, no interrupt");
     steps
 }
 
@@ -1213,11 +1163,11 @@ mod tests {
         match cache.lookup(p.fingerprint) {
             Lookup::Vacant => None,
             Lookup::Occupied(residents) => {
-                let (mine, _) = p.shape.canonicalize();
+                let (mine, _) = p.shape.canonicalize(None).unwrap();
                 let resolved: Vec<(u64, Arc<CanonInfo>)> = residents
                     .iter()
                     .filter(|r| r.canon.is_none())
-                    .map(|r| (r.id, Arc::new(r.shape.canonicalize().0)))
+                    .map(|r| (r.id, Arc::new(r.shape.canonicalize(None).unwrap().0)))
                     .collect();
                 cache.finish_lookup(p.fingerprint, &mine.key, &resolved)
             }
@@ -1384,9 +1334,9 @@ mod tests {
         let middle_large = prekeyed_of(vec![vec![9, 0], vec![9, 1]]);
         let middle_small = prekeyed_of(vec![vec![0, 1], vec![0, 2]]);
         assert_eq!(middle_mid.fingerprint, middle_large.fingerprint);
-        let (mid, steps) = middle_mid.shape.canonicalize();
-        let (large, _) = middle_large.shape.canonicalize();
-        let (small, _) = middle_small.shape.canonicalize();
+        let (mid, steps) = middle_mid.shape.canonicalize(None).unwrap();
+        let (large, _) = middle_large.shape.canonicalize(None).unwrap();
+        let (small, _) = middle_small.shape.canonicalize(None).unwrap();
         assert_eq!(mid.key, large.key, "isomorphic lineages must key equal");
         assert_eq!(mid.key, small.key, "isomorphic lineages must key equal");
         assert!(steps > 0);
@@ -1394,8 +1344,8 @@ mod tests {
         let path4 = prekeyed_of(vec![vec![0, 1], vec![1, 2], vec![2, 3]]);
         let star4 = prekeyed_of(vec![vec![0, 1], vec![0, 2], vec![0, 3]]);
         assert_ne!(
-            path4.shape.canonicalize().0.key,
-            star4.shape.canonicalize().0.key,
+            path4.shape.canonicalize(None).unwrap().0.key,
+            star4.shape.canonicalize(None).unwrap().0.key,
             "non-isomorphic shapes must key apart"
         );
         // The path and the star already separate on the cheap pre-key (their
@@ -1471,8 +1421,8 @@ mod tests {
         let a = prekeyed_of(vec![vec![0, 1], vec![1, 2]]); // middle at dense 1
         let b = prekeyed_of(vec![vec![0, 1], vec![0, 2]]); // middle at dense 0
         assert_ne!(*a.shape, *b.shape, "the presentations must differ");
-        let (ca, _) = a.shape.canonicalize();
-        let (cb, _) = b.shape.canonicalize();
+        let (ca, _) = a.shape.canonicalize(None).unwrap();
+        let (cb, _) = b.shape.canonicalize(None).unwrap();
         assert_eq!(ca.key, cb.key, "isomorphic shapes share one canonical key");
         let cache = SharedCache::new(8);
         cache.insert(a.fingerprint, &a.shape, Some(Arc::new(ca)), path3_attribution(&a));
@@ -1482,7 +1432,7 @@ mod tests {
         // the composed witnesses: the middle fact must carry the middle
         // score regardless of which writer landed last.
         let c = prekeyed_of(vec![vec![7, 3], vec![3, 9]]); // middle fact: 3
-        let (mine, _) = c.shape.canonicalize();
+        let (mine, _) = c.shape.canonicalize(None).unwrap();
         let hit = probe(&cache, &c).expect("isomorphic probe hits the shared entry");
         let mapped = c.map_back_via(&mine, &hit.canon, &hit.attribution);
         assert_eq!(mapped.values[&v(3)].exact(), Some(Natural::from(100u64)));
@@ -1505,7 +1455,7 @@ mod tests {
         std::thread::scope(|scope| {
             for p in &presentations {
                 scope.spawn(move || {
-                    let mine = Arc::new(p.shape.canonicalize().0);
+                    let mine = Arc::new(p.shape.canonicalize(None).unwrap().0);
                     let middle = path3_middle(p);
                     for _ in 0..500 {
                         cache.insert(
@@ -1540,13 +1490,13 @@ mod tests {
         let a = prekeyed_of(vec![vec![0, 1], vec![1, 2]]); // middle at dense 1
         let b = prekeyed_of(vec![vec![0, 1], vec![0, 2]]); // middle at dense 0
         let cache = SharedCache::new(8);
-        let mine = Arc::new(a.shape.canonicalize().0);
+        let mine = Arc::new(a.shape.canonicalize(None).unwrap().0);
         cache.insert(a.fingerprint, &a.shape, Some(Arc::clone(&mine)), path3_attribution(&a));
         let Lookup::Occupied(residents) = cache.lookup(a.fingerprint) else {
             panic!("the entry is resident");
         };
         let resident = residents.iter().find(|r| r.shape == a.shape).expect("same presentation");
-        let theirs = Arc::new(b.shape.canonicalize().0);
+        let theirs = Arc::new(b.shape.canonicalize(None).unwrap().0);
         cache.insert(b.fingerprint, &b.shape, Some(theirs), path3_attribution(&b));
         assert_eq!(cache.stats().entries, 1, "the insert swapped the one entry");
         assert!(cache.settle_presentation(resident.id, &a.shape).is_none());
@@ -1632,9 +1582,9 @@ mod tests {
             panic!("the SUM entry is resident");
         };
         let boolean = prekeyed_of(vec![vec![0, 1], vec![1, 2]]);
-        for twin in [&count, &other, &boolean] {
-            assert_eq!(twin.shape.clauses, sum.shape.clauses, "one skeleton presentation");
-            assert!(cache.settle_presentation(residents[0].id, &twin.shape).is_none());
+        for variant in [&count, &other, &boolean] {
+            assert_eq!(variant.shape.clauses, sum.shape.clauses, "one skeleton presentation");
+            assert!(cache.settle_presentation(residents[0].id, &variant.shape).is_none());
         }
         assert!(cache.settle_presentation(residents[0].id, &sum.shape).is_some());
         insert(&cache, &count, 2);
@@ -1649,7 +1599,10 @@ mod tests {
         let a = weighted_of(AggregateKind::Max, vec![(vec![0, 1], 2), (vec![1, 2], 9)]);
         let b = weighted_of(AggregateKind::Max, vec![(vec![7, 3], 9), (vec![3, 9], 2)]);
         assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.shape.canonicalize().0.key, b.shape.canonicalize().0.key);
+        assert_eq!(
+            a.shape.canonicalize(None).unwrap().0.key,
+            b.shape.canonicalize(None).unwrap().0.key
+        );
         let cache = SharedCache::new(8);
         insert(&cache, &a, 1);
         assert!(probe(&cache, &b).is_some(), "isomorphic weighted lineages share an entry");
@@ -1657,7 +1610,10 @@ mod tests {
         // reflection is a genuine weighted isomorphism carrying each weight
         // to its clause's image, so the swap is a relabelling in disguise.
         let swapped = weighted_of(AggregateKind::Max, vec![(vec![0, 1], 9), (vec![1, 2], 2)]);
-        assert_eq!(a.shape.canonicalize().0.key, swapped.shape.canonicalize().0.key);
+        assert_eq!(
+            a.shape.canonicalize(None).unwrap().0.key,
+            swapped.shape.canonicalize(None).unwrap().0.key
+        );
         assert!(probe(&cache, &swapped).is_some(), "the reflected 3-path is the same function");
         // On a skeleton whose automorphisms can NOT realize the move — the
         // 4-path, whose only symmetry is the reflection fixing the middle —
@@ -1674,7 +1630,10 @@ mod tests {
             vec![(vec![0, 1], 9), (vec![1, 2], 2), (vec![2, 3], 2)],
         );
         assert_eq!(middle.fingerprint, end.fingerprint);
-        assert_ne!(middle.shape.canonicalize().0.key, end.shape.canonicalize().0.key);
+        assert_ne!(
+            middle.shape.canonicalize(None).unwrap().0.key,
+            end.shape.canonicalize(None).unwrap().0.key
+        );
         insert(&cache, &middle, 2);
         assert!(probe(&cache, &end).is_none(), "weight placement distinguishes entries");
     }

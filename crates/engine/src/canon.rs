@@ -33,7 +33,7 @@
 //!    buffers reused across rounds *and* across individualization search
 //!    nodes, and new colour ids are assigned positionally so the fixpoint —
 //!    partition and ids both — is identical to the full-recompute rounds the
-//!    seed shipped (kept as a [`tests::oracle`] the proptests compare
+//!    seed shipped (kept as a `tests::oracle` the proptests compare
 //!    against).
 //! 2. **Orbit breaking with backtracking**: while some colour class still
 //!    holds several variables, the search *individualizes* each candidate of
@@ -90,67 +90,45 @@ pub(crate) struct CanonicalForm {
 /// only ever degrades cache hit rate, never correctness).
 const MAX_LEAVES: usize = 512;
 
+/// The unclassed, unbudgeted spelling of [`canonical_form_classed`], kept
+/// for the oracle proptests.
+#[cfg(test)]
+pub(crate) fn canonical_form(num_vars: usize, clauses: &[Vec<u32>]) -> CanonicalForm {
+    canonical_form_classed(num_vars, clauses, None, None).expect("no budget, no interrupt")
+}
+
 /// Computes the canonical form of `clauses` over variables `0..num_vars`
 /// (variables beyond the clauses' support are degree-0 universe padding and
 /// are appended after the used variables in input order — no clause mentions
-/// them, so the key does not depend on their order). Production callers go
-/// through [`canonical_form_classed`] (the cache derives clause classes from
-/// the shape's payload); this unclassed spelling serves the oracle proptests.
-#[cfg(test)]
-pub(crate) fn canonical_form(num_vars: usize, clauses: &[Vec<u32>]) -> CanonicalForm {
-    canonical_form_classed(num_vars, clauses, None)
-}
-
-/// [`canonical_form`] over a *clause-classed* lineage: `classes[c]` is an
-/// isomorphism-invariant label of clause `c` (weighted lineages label each
-/// clause by the rank of its weight, see `cache::Shape::canonicalize`). The
-/// labels join the clause nodes' initial colours, so refinement separates
-/// clauses of different classes and only class-preserving renamings count as
-/// automorphisms; the candidate leaves are ordered by `(renamed clause list,
-/// induced class sequence)`, so two weighted-isomorphic lineages pick the
-/// same witness even when the Boolean skeleton alone has automorphisms that
-/// permute differently-weighted clauses (the 3-path with distinct end-clause
-/// weights is the motivating case). With `classes: None` — or all labels
-/// equal — every choice reduces to the unclassed search, bit-identically.
+/// them, so the key does not depend on their order).
+///
+/// `classes[c]` is an isomorphism-invariant label of clause `c` (weighted
+/// lineages label each clause by the rank of its weight, see
+/// `cache::Shape::canonicalize`). The labels join the clause nodes' initial
+/// colours, so refinement separates clauses of different classes and only
+/// class-preserving renamings count as automorphisms; the candidate leaves
+/// are ordered by `(renamed clause list, induced class sequence)`, so two
+/// weighted-isomorphic lineages pick the same witness even when the Boolean
+/// skeleton alone has automorphisms that permute differently-weighted clauses
+/// (the 3-path with distinct end-clause weights is the motivating case). With
+/// `classes: None` — or all labels equal — every choice reduces to the
+/// unclassed search, bit-identically.
+///
+/// Under a cooperative `budget` every refinement round charges its step
+/// lump, so a step cap or deadline interrupts the individualization descent
+/// mid-stream instead of letting a pathologically symmetric shape stall the
+/// whole batch-planning walk. With an unexhausted budget the result — form,
+/// witness order, and step count — is bit-identical to `budget: None`; on
+/// exhaustion the caller gets `Err` and treats the shape as unkeyable (a
+/// cache miss, never a wrong key).
 pub(crate) fn canonical_form_classed(
     num_vars: usize,
     clauses: &[Vec<u32>],
     classes: Option<&[u32]>,
-) -> CanonicalForm {
-    let mut searcher = Searcher::new(num_vars, clauses, classes);
-    let initial = searcher.initial_colouring();
-    searcher.search(initial);
-    let (order, canonical_clauses, _) =
-        searcher.best.expect("the search visits at least one discrete leaf");
-    CanonicalForm { order, clauses: canonical_clauses, steps: searcher.steps }
-}
-
-/// [`canonical_form`] under a cooperative [`Budget`]: every refinement round
-/// charges its step lump, so a step cap or deadline interrupts the
-/// individualization descent mid-stream instead of letting a pathologically
-/// symmetric shape stall the whole batch-planning walk. With an unexhausted
-/// budget the result — form, witness order, and step count — is bit-identical
-/// to the unbudgeted path; on exhaustion the caller gets `Err` and treats the
-/// shape as unkeyable (a cache miss, never a wrong key).
-#[cfg(test)]
-pub(crate) fn canonical_form_budgeted(
-    num_vars: usize,
-    clauses: &[Vec<u32>],
-    budget: &Budget,
-) -> Result<CanonicalForm, Interrupted> {
-    canonical_form_classed_budgeted(num_vars, clauses, None, budget)
-}
-
-/// [`canonical_form_classed`] under a cooperative [`Budget`] — the weighted
-/// analogue of [`canonical_form_budgeted`], with the same interrupt contract.
-pub(crate) fn canonical_form_classed_budgeted(
-    num_vars: usize,
-    clauses: &[Vec<u32>],
-    classes: Option<&[u32]>,
-    budget: &Budget,
+    budget: Option<&Budget>,
 ) -> Result<CanonicalForm, Interrupted> {
     let mut searcher = Searcher::new(num_vars, clauses, classes);
-    searcher.budget = Some(budget);
+    searcher.budget = budget;
     let initial = searcher.initial_colouring();
     if !searcher.interrupted {
         searcher.search(initial);
@@ -1293,14 +1271,14 @@ mod tests {
         }
         let full = canonical_form(6, &clauses);
         // With an unexhausted budget the budgeted path is bit-identical.
-        let unlimited =
-            canonical_form_budgeted(6, &clauses, &Budget::unlimited()).expect("unlimited");
+        let unlimited = canonical_form_classed(6, &clauses, None, Some(&Budget::unlimited()))
+            .expect("unlimited");
         assert_eq!(unlimited.clauses, full.clauses);
         assert_eq!(unlimited.order, full.order);
         assert_eq!(unlimited.steps, full.steps);
         // A cap far below the full search's refinement cost interrupts it.
         let capped = Budget::with_max_steps((full.steps / 4).max(1));
-        assert!(canonical_form_budgeted(6, &clauses, &capped).is_err());
+        assert!(canonical_form_classed(6, &clauses, None, Some(&capped)).is_err());
         assert!(
             capped.steps_used() <= full.steps,
             "an interrupted descent must stop charging: {} charged vs {} full",

@@ -40,33 +40,11 @@ impl Algorithm {
         Algorithm::MonteCarlo,
         Algorithm::CnfProxy,
     ];
-
-    /// `true` iff the backend is a deterministic function of the lineage, so
-    /// its results may be transferred between isomorphic lineages by the
-    /// session cache. Monte Carlo is excluded: its RNG advances across calls,
-    /// so serving one lineage's samples for another would silently correlate
-    /// estimates that are supposed to be independent. Delegates to the
-    /// algorithm's [`crate::Backend`] descriptor.
-    pub fn cacheable(self) -> bool {
-        backend(self).cacheable
-    }
-
-    /// The short display name used in reports (from the algorithm's
-    /// [`crate::Backend`] descriptor).
-    pub fn name(self) -> &'static str {
-        backend(self).name
-    }
-
-    /// `true` iff the backend attributes weighted aggregate lineages (from
-    /// the algorithm's [`crate::Backend`] descriptor).
-    pub fn supports_aggregates(self) -> bool {
-        backend(self).aggregates
-    }
 }
 
 impl fmt::Display for Algorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+        f.write_str(backend(*self).name)
     }
 }
 
@@ -179,8 +157,8 @@ impl FallbackPolicy {
 pub struct CacheConfig {
     /// Enable the engine-level shared attribution cache keyed by canonical
     /// lineage. Only applies to deterministic backends
-    /// ([`Algorithm::cacheable`]); the randomized Monte Carlo baseline always
-    /// resamples.
+    /// ([`crate::Backend::cacheable`]); the randomized Monte Carlo baseline
+    /// always resamples.
     pub enabled: bool,
     /// Total entry-count bound across all shards; least recently used shapes
     /// are evicted beyond it (per shard — each shard is bounded to its share
@@ -461,7 +439,7 @@ mod tests {
     fn every_algorithm_builds_an_attributor() {
         for algorithm in Algorithm::ALL {
             let attributor = EngineConfig::new(algorithm).attributor();
-            assert_eq!(attributor.name(), algorithm.name());
+            assert_eq!(attributor.name(), backend(algorithm).name);
             assert!(!format!("{algorithm}").is_empty());
         }
     }

@@ -32,7 +32,7 @@
 use crate::attribution::{Attribution, EngineStats, Score};
 use crate::cache::{CanonInfo, CanonicalKey, Shape, SnapshotEntry};
 use crate::canon::{fingerprint, Fingerprint};
-use crate::config::Algorithm;
+use crate::registry::REGISTRY;
 use banzhaf::{ApproxInterval, ShapleyValue};
 use banzhaf_arith::{Int, Natural, Rational, Sign};
 use banzhaf_boolean::Var;
@@ -117,7 +117,7 @@ fn fnv1a_bytes(bytes: &[u8]) -> u64 {
 /// resolve to one of the engine's own statics — an unknown name rejects the
 /// snapshot (a newer engine's backend, or garbage).
 fn static_algorithm_name(name: &str) -> Option<&'static str> {
-    Algorithm::ALL.iter().map(|a| a.name()).find(|n| *n == name)
+    REGISTRY.iter().map(|b| b.name).find(|n| *n == name)
 }
 
 // ---------------------------------------------------------------------------
@@ -548,9 +548,9 @@ mod tests {
 
     fn sample_entries() -> Vec<SnapshotEntry> {
         let p = Prekeyed::of(&Dnf::from_clauses(vec![vec![Var(0), Var(1)], vec![Var(1), Var(2)]]));
-        let (canon, _) = p.shape.canonicalize();
+        let (canon, _) = p.shape.canonicalize(None).unwrap();
         let attribution = Arc::new(Attribution {
-            algorithm: Algorithm::ExaBan.name(),
+            algorithm: "ExaBan",
             values: [
                 (Var(0), Score::Exact(Natural::from(1u64))),
                 (Var(1), Score::Rational(Rational::new(Int::from(-3i64), Natural::from(4u64)))),

@@ -2,9 +2,9 @@
 //!
 //! Every attribution backend the engine can dispatch to is described by one
 //! [`Backend`] entry in [`REGISTRY`] — its display name, the precision class
-//! of its results, which lineage kinds it accepts (Boolean and/or aggregate),
-//! whether its results are cacheable, and how to build its [`Attributor`]
-//! from an [`EngineConfig`]. Everything that used to `match` on
+//! of its results, whether it accepts aggregate lineages (every backend
+//! accepts Boolean ones), whether its results are cacheable, and how to
+//! build its [`Attributor`] from an [`EngineConfig`]. Everything that used to `match` on
 //! [`Algorithm`] — attributor construction, display names, cache
 //! admissibility, the fallback ladder's rung selection — now reads the
 //! registry instead, so **adding a backend is one descriptor plus its
@@ -48,18 +48,18 @@ impl Precision {
 pub struct Backend {
     /// The [`Algorithm`] this descriptor implements.
     pub algorithm: Algorithm,
-    /// The short display name (`Algorithm::name` delegates here).
+    /// The short display name (what `Algorithm`'s `Display` prints).
     pub name: &'static str,
     /// The precision class of the backend's scores.
     pub precision: Precision,
-    /// `true` iff the backend attributes Boolean (unweighted) lineages.
-    pub boolean: bool,
     /// `true` iff the backend attributes weighted aggregate lineages
     /// (COUNT/SUM/MIN/MAX) through [`Attributor::attribute_aggregate`].
     pub aggregates: bool,
     /// `true` iff the backend is a deterministic function of the lineage, so
     /// its results may be transferred between isomorphic lineages by the
-    /// shared cache (`Algorithm::cacheable` delegates here).
+    /// shared cache. Monte Carlo is excluded: its RNG advances across calls,
+    /// so serving one lineage's samples for another would silently correlate
+    /// estimates that are supposed to be independent.
     pub cacheable: bool,
     /// Builds the backend's [`Attributor`] from an engine configuration.
     pub build: fn(&EngineConfig) -> Box<dyn Attributor>,
@@ -73,7 +73,6 @@ pub static REGISTRY: &[Backend] = &[
         algorithm: Algorithm::ExaBan,
         name: "ExaBan",
         precision: Precision::Exact,
-        boolean: true,
         aggregates: true,
         cacheable: true,
         build: |config| {
@@ -87,7 +86,6 @@ pub static REGISTRY: &[Backend] = &[
         algorithm: Algorithm::AdaBan,
         name: "AdaBan",
         precision: Precision::Interval,
-        boolean: true,
         aggregates: false,
         cacheable: true,
         build: |config| {
@@ -102,7 +100,6 @@ pub static REGISTRY: &[Backend] = &[
         algorithm: Algorithm::IchiBan,
         name: "IchiBan",
         precision: Precision::Interval,
-        boolean: true,
         aggregates: false,
         cacheable: true,
         build: |config| {
@@ -119,7 +116,6 @@ pub static REGISTRY: &[Backend] = &[
         algorithm: Algorithm::Sig22,
         name: "Sig22",
         precision: Precision::Exact,
-        boolean: true,
         aggregates: false,
         cacheable: true,
         build: |_| Box::new(Sig22Attributor),
@@ -128,7 +124,6 @@ pub static REGISTRY: &[Backend] = &[
         algorithm: Algorithm::MonteCarlo,
         name: "MC",
         precision: Precision::Estimate,
-        boolean: true,
         aggregates: true,
         cacheable: false,
         build: |config| {
@@ -145,7 +140,6 @@ pub static REGISTRY: &[Backend] = &[
         algorithm: Algorithm::CnfProxy,
         name: "CNFProxy",
         precision: Precision::Estimate,
-        boolean: true,
         aggregates: false,
         cacheable: false,
         build: |_| Box::new(CnfProxyAttributor),
@@ -175,17 +169,16 @@ pub fn first_with(precision: Precision, aggregates: bool) -> Option<&'static Bac
 pub fn markdown_table() -> String {
     use std::fmt::Write as _;
     let mut out = String::from(
-        "| Backend | Precision | Boolean | Aggregates | Cacheable |\n\
-         |---------|-----------|---------|------------|-----------|\n",
+        "| Backend | Precision | Aggregates | Cacheable |\n\
+         |---------|-----------|------------|-----------|\n",
     );
     for b in REGISTRY {
         let tick = |yes: bool| if yes { "yes" } else { "no" };
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} |",
             b.name,
             b.precision.label(),
-            tick(b.boolean),
             tick(b.aggregates),
             tick(b.cacheable),
         );

@@ -3,11 +3,11 @@
 
 use crate::attribution::{Attribution, Degradation, DegradeReason, Ranked};
 use crate::attributor::Attributor;
-use crate::cache::{CacheStats, CanonInfo, Lookup, Prekeyed, Resident, Shape, ShardedCache};
+use crate::cache::{CacheStats, CanonInfo, Lookup, Prekeyed, Resident, ShardedCache};
 use crate::canon::Fingerprint;
 use crate::config::{Algorithm, EngineConfig, FallbackPolicy, Rung};
 use crate::persist::SnapshotError;
-use crate::registry::{first_with, Precision};
+use crate::registry::{backend, first_with, Precision};
 use banzhaf::{Budget, Interrupted};
 use banzhaf_boolean::{Dnf, WeightedDnf};
 use banzhaf_db::{Database, Value};
@@ -295,7 +295,8 @@ impl QueryAttribution {
 /// lineage, and a hit skips compilation entirely.
 ///
 /// Batch entry points ([`Session::attribute_batch`], [`Session::explain`])
-/// fan the per-shape attribution across the configured thread pool
+/// plan the batch in one sequential walk over the cache, then fan the
+/// per-shape compiles across the configured thread pool
 /// ([`EngineConfig::threads`]); results are bit-identical to the sequential
 /// path at every thread count.
 pub struct Session {
@@ -383,13 +384,13 @@ impl Session {
     /// Attributes a batch of lineages, fanning the work across the
     /// configured thread pool ([`EngineConfig::threads`]).
     ///
-    /// Work sharing mirrors the sequential loop exactly: lineages are
-    /// fingerprinted and grouped first (with the exact canonical key
-    /// computed lazily, only where fingerprints collide), each *distinct*
-    /// uncached shape is compiled once (in parallel), and the freshly
-    /// compiled trees are merged into the d-tree cache by the session alone
-    /// once the workers have joined — the cache never sees concurrent
-    /// writers. By default every instance gets its own fresh [`Budget`] from
+    /// Work sharing mirrors the sequential loop exactly: one planning walk
+    /// looks the lineages up in instance order on the calling thread (with
+    /// the exact canonical key computed lazily, only where fingerprints
+    /// collide), each *distinct* uncached shape is compiled once (only the
+    /// compiles fan out across the pool), and the freshly compiled trees are
+    /// merged into the d-tree cache by the session alone once the workers
+    /// have joined — the cache never sees concurrent writers. By default every instance gets its own fresh [`Budget`] from
     /// the configuration, exactly as repeated [`Session::attribute`] calls
     /// would, so the per-instance results — values, model counts, cache-hit
     /// flags, and `Interrupted` outcomes under step caps — are
@@ -447,7 +448,7 @@ impl Session {
     /// session: the configured one when the registry says it is capable,
     /// otherwise the registry's first exact aggregate backend.
     fn effective_aggregate_algorithm(&self) -> Algorithm {
-        if self.config.algorithm.supports_aggregates() {
+        if backend(self.config.algorithm).aggregates {
             self.config.algorithm
         } else {
             first_with(Precision::Exact, true)
@@ -457,8 +458,9 @@ impl Session {
     }
 
     /// Batch attribution over prekeyed (densely renamed + fingerprinted)
-    /// lineages.
-    #[allow(clippy::too_many_lines)]
+    /// lineages, in three stages: [`Session::plan`] walks the instances
+    /// against the cache, [`Session::compile`] runs the planned jobs, and
+    /// [`Session::assemble`] merges, maps back and degrades.
     fn batch_prekeyed(
         &mut self,
         prekeyed: Vec<Prekeyed>,
@@ -478,140 +480,88 @@ impl Session {
         // instance carries an aggregate payload (the public entry points
         // build them that way). Aggregate batches may substitute the
         // configured backend with a capable one, so every capability check
-        // below reads the *effective* algorithm.
-        let aggregate_batch = prekeyed.iter().any(|p| p.weighted.is_some());
-        let algorithm = if aggregate_batch {
+        // reads the *effective* algorithm.
+        let algorithm = if prekeyed.iter().any(|p| p.weighted.is_some()) {
             self.effective_aggregate_algorithm()
         } else {
             self.config.algorithm
         };
-        if aggregate_batch
-            && algorithm != self.config.algorithm
-            && self.aggregate_attributor.is_none()
-        {
+        if algorithm != self.config.algorithm && self.aggregate_attributor.is_none() {
             self.aggregate_attributor =
                 Some(EngineConfig { algorithm, ..self.config.clone() }.attributor());
         }
-        // Randomized backends are never cached: transferring one lineage's
-        // samples to another would correlate supposedly independent
-        // estimates (see [`crate::Algorithm::cacheable`]).
-        let use_cache = self.config.cache.enabled && algorithm.cacheable();
+        let batch = Batch {
+            prekeyed,
+            stream_base,
+            shared_budget,
+            // Copied out so the borrow of `self.config` ends before the
+            // mutable assembly stage.
+            rungs: fallback.unwrap_or(&self.config.fallback).rungs().to_vec(),
+            algorithm,
+            // Randomized backends are never cached: transferring one
+            // lineage's samples to another would correlate supposedly
+            // independent estimates (see [`crate::Backend::cacheable`]).
+            use_cache: self.config.cache.enabled && backend(algorithm).cacheable,
+        };
+        let plan = self.plan(&batch);
+        let computed = self.compile(&batch, &plan.jobs);
+        self.assemble(&batch, plan, computed)
+    }
 
-        // Plan, walking the instances in order exactly like the sequential
-        // loop would observe the cache. A vacant fingerprint bucket (and no
-        // earlier batch instance pending under it) is a definite miss that
-        // *skips the canonicalization search entirely*. A probe whose exact
-        // dense presentation a resident (or an earlier pending instance)
-        // already holds resolves by presentation, again with no search: the
-        // stored values were computed on this very dense form. Otherwise a
-        // contested bucket canonicalizes the instance plus any still-unkeyed
-        // residents and settles on the exact key — resolving a pre-existing
-        // cache hit immediately, or matching an earlier in-batch instance
-        // ("owner") whose freshly compiled result this instance will reuse.
-        let mut results: Vec<Option<Result<Attribution, Interrupted>>> =
-            (0..n).map(|_| None).collect();
-        let mut reuse: Vec<Option<usize>> = vec![None; n];
-        let mut jobs: Vec<usize> = Vec::new();
-        let mut keying = Keying::new(&prekeyed, shared_budget, use_cache);
-        // Witnesses computed for still-unkeyed cache residents, memoized by
-        // entry id (the settle step also stores them on the entries, so
-        // other sessions never re-pay either).
-        let mut resident_canon: HashMap<u64, Arc<CanonInfo>> = HashMap::new();
+    /// Plans a batch, walking the instances in order exactly like the
+    /// sequential loop would observe the cache. An instance whose exact
+    /// dense presentation an earlier instance compiles reuses that compile
+    /// outright. A vacant fingerprint bucket (and no earlier batch instance
+    /// pending under it) is a definite miss that *skips the canonicalization
+    /// search entirely*. A probe whose exact dense presentation a resident
+    /// already holds resolves by presentation, again with no search: the
+    /// stored values were computed on this very dense form. Otherwise a
+    /// contested bucket canonicalizes the instance plus any still-unkeyed
+    /// residents and settles on the exact key — resolving a pre-existing
+    /// cache hit immediately, or matching an earlier in-batch instance
+    /// ("owner") whose freshly compiled result this instance will reuse.
+    fn plan(&mut self, batch: &Batch) -> Plan {
+        let n = batch.prekeyed.len();
+        let mut plan = Plan {
+            jobs: Vec::new(),
+            hits: (0..n).map(|_| None).collect(),
+            reuse: vec![None; n],
+            canon: vec![None; n],
+            paid: vec![(0, 0, 0); n],
+        };
+        if !batch.use_cache {
+            plan.jobs = (0..n).collect();
+            return plan;
+        }
+        let mut keying = Keying::new(&batch.prekeyed, batch.shared_budget);
         // Earlier instances that will insert a fresh entry, by fingerprint.
         let mut pending: HashMap<Fingerprint, Vec<usize>> = HashMap::new();
-        // Per-instance canonicalization costs: (steps, searches, skips).
-        let mut paid = vec![(0u64, 0u64, 0u64); n];
-
-        // Which instances will pay the individualization search is decidable
-        // before the walk: only the first instance of each presentation
-        // (later ones reuse it or inherit its witness), only if no resident
-        // holds that presentation, and only if its fingerprint bucket is
-        // occupied or another such presentation shares it within the batch;
-        // a contested bucket's still-unkeyed residents canonicalize alongside
-        // it. Fan exactly those searches across the pool up front and let
-        // the sequential cache-state walk below consume the memoized
-        // results: the search is deterministic, so the charged costs,
-        // counters, and the resulting plan are bit-identical to computing
-        // inline. Skipped under a shared budget, where the walk must charge
-        // each descent to the budget in instance order.
-        let mut speculated_residents: HashMap<u64, (CanonInfo, u64)> = HashMap::new();
-        if use_cache && shared_budget.is_none() && n > 1 {
-            // Per fingerprint: the residents, and the first instances of the
-            // presentations none of them holds.
-            let mut buckets: HashMap<Fingerprint, (Vec<Resident>, Vec<usize>)> = HashMap::new();
-            for (i, p) in prekeyed.iter().enumerate() {
-                let (residents, unmatched) = buckets
-                    .entry(p.fingerprint)
-                    .or_insert_with(|| (self.cache.peek(p.fingerprint), Vec::new()));
-                if keying.first[i].is_none() && !residents.iter().any(|r| r.shape == p.shape) {
-                    unmatched.push(i);
-                }
-            }
-            let mut probe_tasks: Vec<usize> = Vec::new();
-            let mut resident_tasks: Vec<(u64, Arc<Shape>)> = Vec::new();
-            for (residents, unmatched) in buckets.values() {
-                if unmatched.is_empty() || (residents.is_empty() && unmatched.len() < 2) {
-                    continue;
-                }
-                probe_tasks.extend_from_slice(unmatched);
-                resident_tasks.extend(
-                    residents
-                        .iter()
-                        .filter(|r| r.canon.is_none())
-                        .map(|r| (r.id, Arc::clone(&r.shape))),
-                );
-            }
-            let shapes: Vec<Arc<Shape>> = probe_tasks
-                .iter()
-                .map(|&i| Arc::clone(&prekeyed[i].shape))
-                .chain(resident_tasks.iter().map(|(_, shape)| Arc::clone(shape)))
-                .collect();
-            if shapes.len() > 1 {
-                let computed =
-                    self.config.pool().parallel_map(&shapes, |_, shape| shape.canonicalize());
-                let mut it = computed.into_iter();
-                for &i in &probe_tasks {
-                    keying.speculated[i] = it.next();
-                }
-                for (id, _) in &resident_tasks {
-                    if let Some(pair) = it.next() {
-                        speculated_residents.insert(*id, pair);
-                    }
-                }
-            }
-        }
-
-        for i in 0..n {
-            if !use_cache {
-                jobs.push(i);
+        for (i, p) in batch.prekeyed.iter().enumerate() {
+            let fp = p.fingerprint;
+            // An earlier instance with this very presentation compiles it:
+            // reuse needs no lookup and no witness, and the lookup it skips
+            // would have been a miss.
+            if let Some(j) = keying.first[i].filter(|j| plan.jobs.binary_search(j).is_ok()) {
+                self.cache.record_miss(fp);
+                plan.reuse[i] = Some(j);
                 continue;
             }
-            let fp = prekeyed[i].fingerprint;
             let (mut steps, mut searches, mut skips) = (0u64, 0u64, 0u64);
-            let mut plan_job = true;
             let mates: &[usize] = pending.get(&fp).map_or(&[], Vec::as_slice);
-            // An earlier pending instance with this very presentation owns
-            // the compile; the reuse needs no witness.
-            let twin = mates.iter().copied().find(|&j| prekeyed[j].shape == prekeyed[i].shape);
+            let mut hit = None;
+            let mut owner = None;
             match self.cache.lookup(fp) {
+                // Definite miss, nothing in flight: compile without ever
+                // running the individualization search.
+                Lookup::Vacant if mates.is_empty() => skips += 1,
+                // An interrupted descent (shared budget already drained)
+                // leaves the instance unkeyed: it compiles — and promptly
+                // starves on the same exhausted budget — rather than
+                // stalling the planning walk.
                 Lookup::Vacant => {
-                    if mates.is_empty() {
-                        // Definite miss, nothing in flight: compile without
-                        // ever running the individualization search.
-                        skips += 1;
-                    } else if let Some(j) = twin {
-                        reuse[i] = Some(j);
-                        plan_job = false;
-                    } else if let Some(mine) = keying.key(i, &mut steps, &mut searches) {
-                        if let Some(j) = keying.find_mate(mates, &mine, &mut steps, &mut searches) {
-                            reuse[i] = Some(j);
-                            plan_job = false;
-                        }
+                    if let Some(mine) = keying.key(i, &mut steps, &mut searches) {
+                        owner = keying.find_mate(mates, &mine, &mut steps, &mut searches);
                     }
-                    // An interrupted descent (shared budget already drained)
-                    // leaves the instance unkeyed: it compiles — and promptly
-                    // starves on the same exhausted budget — rather than
-                    // stalling the planning walk.
                 }
                 Lookup::Occupied(residents) => {
                     // A resident holding this exact presentation settles the
@@ -620,131 +570,76 @@ impl Session {
                     // lookup (the settle re-checks under the cache lock).
                     let presented = residents
                         .iter()
-                        .find(|r| r.shape == prekeyed[i].shape)
-                        .and_then(|r| self.cache.settle_presentation(fp, r.id, &prekeyed[i].shape));
-                    if let Some(hit) = presented {
-                        self.stats.cache_hits += 1;
-                        let mut attribution = cache_hit(prekeyed[i].map_back(&hit));
-                        attribution.stats.canon_steps = 0;
-                        attribution.stats.canon_searches = 0;
-                        attribution.stats.prekey_skips = 0;
-                        results[i] = Some(Ok(attribution));
-                        plan_job = false;
-                    } else if let Some(j) = twin {
-                        // Not cached when looked up: a miss, as for any
-                        // in-batch reuse.
-                        self.cache.record_miss(fp);
-                        reuse[i] = Some(j);
-                        plan_job = false;
+                        .find(|r| r.shape == p.shape)
+                        .and_then(|r| self.cache.settle_presentation(fp, r.id, &p.shape));
+                    if let Some(dense) = presented {
+                        hit = Some(p.map_back(&dense));
                     } else if let Some(mine) = keying.key(i, &mut steps, &mut searches) {
-                        // Settle against the residents in bucket order,
-                        // lazily canonicalizing the unkeyed ones and stopping
-                        // at the first exact match.
-                        let mut resolved: Vec<(u64, Arc<CanonInfo>)> = Vec::new();
-                        for r in &residents {
-                            let canon = if let Some(c) = &r.canon {
-                                Arc::clone(c)
-                            } else if let Some(c) = resident_canon.get(&r.id) {
-                                Arc::clone(c)
-                            } else {
-                                let computed = match speculated_residents.remove(&r.id) {
-                                    Some(pair) => Some(pair),
-                                    None => match shared_budget {
-                                        Some(budget) => r.shape.canonicalize_budgeted(budget).ok(),
-                                        None => Some(r.shape.canonicalize()),
-                                    },
-                                };
-                                let Some((info, cost)) = computed else {
-                                    // Budget drained mid-descent: stop
-                                    // settling; the keys resolved so far
-                                    // still count.
-                                    break;
-                                };
-                                steps += cost;
-                                searches += 1;
-                                let info = Arc::new(info);
-                                resident_canon.insert(r.id, Arc::clone(&info));
-                                resolved.push((r.id, Arc::clone(&info)));
-                                info
-                            };
-                            if canon.key == mine.key {
-                                break;
-                            }
-                        }
+                        let resolved = keying.settle(&residents, &mine, &mut steps, &mut searches);
                         match self.cache.finish_lookup(fp, &mine.key, &resolved) {
-                            Some(hit) => {
-                                self.stats.cache_hits += 1;
-                                let mut attribution = cache_hit(prekeyed[i].map_back_via(
-                                    &mine,
-                                    &hit.canon,
-                                    &hit.attribution,
-                                ));
-                                attribution.stats.canon_steps = steps;
-                                attribution.stats.canon_searches = searches;
-                                attribution.stats.prekey_skips = skips;
-                                results[i] = Some(Ok(attribution));
-                                plan_job = false;
-                            }
+                            Some(h) => hit = Some(p.map_back_via(&mine, &h.canon, &h.attribution)),
                             None => {
-                                if let Some(j) =
-                                    keying.find_mate(mates, &mine, &mut steps, &mut searches)
-                                {
-                                    reuse[i] = Some(j);
-                                    plan_job = false;
-                                }
+                                owner = keying.find_mate(mates, &mine, &mut steps, &mut searches);
                             }
                         }
                     }
                 }
             }
-            if plan_job {
-                jobs.push(i);
+            plan.paid[i] = (steps, searches, skips);
+            if let Some(attribution) = hit {
+                self.stats.cache_hits += 1;
+                plan.hits[i] = Some(cache_hit(attribution));
+            } else if owner.is_some() {
+                plan.reuse[i] = owner;
+            } else {
+                plan.jobs.push(i);
                 pending.entry(fp).or_default().push(i);
             }
-            paid[i] = (steps, searches, skips);
         }
+        plan.canon = keying.canon;
         // Account the canonicalization work: per session (SessionStats), and
         // per engine through the shared cache's counters so the end-to-end
         // serving stats can weigh the keying cost against the hits it buys.
-        let (total_steps, total_searches, total_skips) = paid
+        let (steps, searches, skips) = plan
+            .paid
             .iter()
             .fold((0u64, 0u64, 0u64), |(s, q, k), &(ds, dq, dk)| (s + ds, q + dq, k + dk));
-        self.stats.canon_steps += total_steps;
-        self.stats.canon_searches += total_searches;
-        self.stats.prekey_skips += total_skips;
-        if use_cache {
-            self.cache.record_canon(total_steps, total_searches, total_skips);
-        }
+        self.stats.canon_steps += steps;
+        self.stats.canon_searches += searches;
+        self.stats.prekey_skips += skips;
+        self.cache.record_canon(steps, searches, skips);
+        plan
+    }
 
-        // Compute the distinct shapes. Deterministic backends fan instances
-        // across the pool; the randomized Monte Carlo backend parallelizes
-        // *inside* each instance (per-variable seed streams), so its
-        // instance loop stays inline rather than nesting pools.
-        // The rungs are resolved up front (call override, else configuration)
-        // and copied out so the borrow of `self.config` ends before the
-        // mutable final-assembly pass.
-        let rungs: Vec<Rung> = fallback.unwrap_or(&self.config.fallback).rungs().to_vec();
-        let attributor: &dyn Attributor =
-            if aggregate_batch && !self.config.algorithm.supports_aggregates() {
-                self.aggregate_attributor.as_deref().expect("substitute built above")
-            } else {
-                self.attributor.as_ref()
-            };
+    /// Runs the planned compile jobs. Deterministic backends fan instances
+    /// across the pool; the randomized Monte Carlo backend parallelizes
+    /// *inside* each instance (per-variable seed streams), so its instance
+    /// loop stays inline rather than nesting pools. Workers never touch the
+    /// cache.
+    fn compile(&self, batch: &Batch, jobs: &[usize]) -> Vec<JobOutcome> {
+        let attributor: &dyn Attributor = if batch.algorithm == self.config.algorithm {
+            self.attributor.as_ref()
+        } else {
+            self.aggregate_attributor.as_deref().expect("substitute built for the batch")
+        };
         let config = &self.config;
-        let attempt = |i: usize, budget: &Budget| match &prekeyed[i].weighted {
-            Some(w) => attributor.attribute_aggregate_indexed(w, stream_base + i as u64, budget),
-            None => attributor.attribute_indexed(&prekeyed[i].dnf, stream_base + i as u64, budget),
+        let attempt = |i: usize, budget: &Budget| {
+            let (p, stream) = (&batch.prekeyed[i], batch.stream_base + i as u64);
+            match &p.weighted {
+                Some(w) => attributor.attribute_aggregate_indexed(w, stream, budget),
+                None => attributor.attribute_indexed(&p.dnf, stream, budget),
+            }
         };
         let run = |i: usize| -> JobOutcome {
             let fresh;
-            let budget = match shared_budget {
+            let budget = match batch.shared_budget {
                 Some(shared) => shared,
                 None => {
                     fresh = config.budget();
                     &fresh
                 }
             };
-            if rungs.is_empty() {
+            if batch.rungs.is_empty() {
                 // Strict: identical to the historical path — a panicking
                 // worker unwinds through the pool to the caller untouched.
                 banzhaf_par::failpoint!("session::compile");
@@ -768,90 +663,95 @@ impl Session {
                 }
             }
         };
-        let computed: Vec<JobOutcome> = if algorithm.cacheable() && !jobs.is_empty() {
-            config.pool().parallel_map(&jobs, |_, &i| run(i))
+        if backend(batch.algorithm).cacheable && !jobs.is_empty() {
+            config.pool().parallel_map(jobs, |_, &i| run(i))
         } else {
             jobs.iter().map(|&i| run(i)).collect()
-        };
+        }
+    }
 
-        // Single-writer merge: only now — with every worker joined — does the
-        // session record stats and fold the freshly compiled results into the
-        // shared cache (the merge itself is serialized by the cache's brief
-        // internal lock; no worker ever computes under it). Only *completed*
-        // compilations are inserted: a starved or panicked job's partial
-        // d-tree never reaches the cache.
-        let mut dense_outcomes: HashMap<usize, JobOutcome> = HashMap::with_capacity(jobs.len());
+    /// Assembles the batch's results from the plan and the compile outcomes.
+    ///
+    /// Single-writer merge: only now — with every worker joined — does the
+    /// session record stats and fold the freshly compiled results into the
+    /// shared cache (the merge itself is serialized by the cache's brief
+    /// internal lock; no worker ever computes under it). Only *completed*
+    /// compilations are inserted: a starved or panicked job's partial
+    /// d-tree never reaches the cache. Each instance is then mapped back to
+    /// its own variables, or degraded if its compile failed.
+    fn assemble(
+        &mut self,
+        batch: &Batch,
+        plan: Plan,
+        computed: Vec<JobOutcome>,
+    ) -> Vec<Result<Attribution, Interrupted>> {
+        let Plan { jobs, hits, reuse, canon, paid } = plan;
+        let mut outcomes: HashMap<usize, JobOutcome> = HashMap::with_capacity(jobs.len());
         for (&i, outcome) in jobs.iter().zip(computed) {
             if let JobOutcome::Done(attribution) = &outcome {
                 self.record(attribution);
-                if use_cache {
+                if batch.use_cache {
                     banzhaf_par::failpoint!("session::merge");
+                    let p = &batch.prekeyed[i];
                     self.cache.insert(
-                        prekeyed[i].fingerprint,
-                        &prekeyed[i].shape,
-                        keying.canon[i].clone(),
+                        p.fingerprint,
+                        &p.shape,
+                        canon[i].clone(),
                         Arc::new((**attribution).clone()),
                     );
                 }
             }
-            dense_outcomes.insert(i, outcome);
+            outcomes.insert(i, outcome);
         }
-        (0..n)
-            .zip(results)
-            .map(|(i, early)| {
-                if let Some(resolved) = early {
-                    return resolved;
-                }
-                let owner = reuse[i];
-                match &dense_outcomes[&owner.unwrap_or(i)] {
-                    JobOutcome::Done(attribution) => {
-                        let mut mapped = match owner.map(|j| (&keying.canon[i], &keying.canon[j])) {
-                            Some((Some(mine), Some(theirs))) => {
-                                prekeyed[i].map_back_via(mine, theirs, attribution)
+        hits.into_iter()
+            .enumerate()
+            .map(|(i, hit)| {
+                let resolved = if let Some(hit) = hit {
+                    Ok(hit)
+                } else {
+                    let owner = reuse[i];
+                    match &outcomes[&owner.unwrap_or(i)] {
+                        JobOutcome::Done(attribution) => {
+                            let p = &batch.prekeyed[i];
+                            let mapped = match owner.map(|j| (&canon[i], &canon[j])) {
+                                Some((Some(mine), Some(theirs))) => {
+                                    p.map_back_via(mine, theirs, attribution)
+                                }
+                                // Compiled here, or reused from an owner with
+                                // this very presentation: the values are over
+                                // our own dense variables.
+                                _ => p.map_back(attribution),
+                            };
+                            if owner.is_some() {
+                                // An in-batch reuse is a cache hit, same as
+                                // the sequential loop would have scored it.
+                                self.stats.cache_hits += 1;
+                                Ok(cache_hit(mapped))
+                            } else {
+                                Ok(mapped)
                             }
-                            // Compiled here, or reused from an owner with this
-                            // very presentation: the values are over our own
-                            // dense variables.
-                            _ => prekeyed[i].map_back(attribution),
-                        };
-                        let (steps, searches, skips) = paid[i];
-                        mapped.stats.canon_steps = steps;
-                        mapped.stats.canon_searches = searches;
-                        mapped.stats.prekey_skips = skips;
-                        if owner.is_some() {
-                            // An in-batch reuse is a cache hit, same as the
-                            // sequential loop would have scored it.
-                            self.stats.cache_hits += 1;
-                            Ok(cache_hit(mapped))
-                        } else {
-                            Ok(mapped)
+                        }
+                        JobOutcome::Starved(spent) => {
+                            self.degrade(batch, i, DegradeReason::BudgetExhausted, *spent)
+                        }
+                        JobOutcome::Panicked(spent) => {
+                            self.degrade(batch, i, DegradeReason::WorkerPanic, *spent)
                         }
                     }
-                    JobOutcome::Starved(spent) => self.degrade(
-                        &prekeyed[i],
-                        stream_base + i as u64,
-                        shared_budget,
-                        &rungs,
-                        DegradeReason::BudgetExhausted,
-                        *spent,
-                        paid[i],
-                    ),
-                    JobOutcome::Panicked(spent) => self.degrade(
-                        &prekeyed[i],
-                        stream_base + i as u64,
-                        shared_budget,
-                        &rungs,
-                        DegradeReason::WorkerPanic,
-                        *spent,
-                        paid[i],
-                    ),
-                }
+                };
+                resolved.map(|mut attribution| {
+                    let (steps, searches, skips) = paid[i];
+                    attribution.stats.canon_steps = steps;
+                    attribution.stats.canon_searches = searches;
+                    attribution.stats.prekey_skips = skips;
+                    attribution
+                })
             })
             .collect()
     }
 
-    /// Re-attributes one instance down the fallback ladder after its primary
-    /// attempt failed.
+    /// Re-attributes instance `i` of the batch down the fallback ladder
+    /// after its primary attempt failed.
     ///
     /// Runs inline on the session thread during final assembly: degraded
     /// work is a tail correction under overload, not something to schedule
@@ -860,37 +760,35 @@ impl Session {
     /// share one (each failed instance walks its own ladder — transferring a
     /// Monte Carlo estimate between mates would correlate supposedly
     /// independent streams).
-    #[allow(clippy::too_many_arguments)]
     fn degrade(
         &mut self,
-        prekeyed: &Prekeyed,
-        stream: u64,
-        shared_budget: Option<&Budget>,
-        rungs: &[Rung],
+        batch: &Batch,
+        i: usize,
         reason: DegradeReason,
         primary_spent: u64,
-        paid: (u64, u64, u64),
     ) -> Result<Attribution, Interrupted> {
         // An explicit cancellation is the client's word, not overload:
         // honour it instead of degrading.
-        if rungs.is_empty() || shared_budget.is_some_and(Budget::is_cancelled) {
+        if batch.rungs.is_empty() || batch.shared_budget.is_some_and(Budget::is_cancelled) {
             return Err(Interrupted);
         }
+        let (prekeyed, stream) = (&batch.prekeyed[i], batch.stream_base + i as u64);
         let mut spent = primary_spent;
         let mut fallback_steps = 0u64;
-        for rung in rungs {
+        for rung in &batch.rungs {
             // An aggregate instance only degrades onto rungs whose backend
             // advertises the aggregate capability in the registry — the
             // standard ladder's interval rung (AdaBan) is skipped and the
             // estimate rung (Monte Carlo) answers.
-            if prekeyed.weighted.is_some() && !rung.algorithm.supports_aggregates() {
+            if prekeyed.weighted.is_some() && !backend(rung.algorithm).aggregates {
                 continue;
             }
             // The rung inherits whatever wall-clock remains on the request
             // deadline, but never less than its grace allowance — the last
             // rung must be able to answer even when the deadline has already
             // passed. With no deadline the grace alone bounds the rung.
-            let timeout = shared_budget
+            let timeout = batch
+                .shared_budget
                 .and_then(Budget::remaining_time)
                 .map_or(rung.grace, |remaining| remaining.max(rung.grace));
             let budget = Budget::new(Some(timeout), rung.max_steps);
@@ -907,10 +805,6 @@ impl Session {
                     Some(Degradation { rung: rung.algorithm, reason, budget_spent: spent });
                 attribution.stats.degraded = true;
                 attribution.stats.fallback_steps = fallback_steps;
-                let (steps, searches, skips) = paid;
-                attribution.stats.canon_steps = steps;
-                attribution.stats.canon_searches = searches;
-                attribution.stats.prekey_skips = skips;
                 self.record(&attribution);
                 self.stats.degraded += 1;
                 self.stats.fallback_steps += fallback_steps;
@@ -948,6 +842,34 @@ fn cache_hit(mut attribution: Attribution) -> Attribution {
     attribution
 }
 
+/// One batch's fixed context, shared by the planning, compile and assembly
+/// stages.
+struct Batch<'a> {
+    prekeyed: Vec<Prekeyed>,
+    /// Instance `i` draws sample stream `stream_base + i`.
+    stream_base: u64,
+    shared_budget: Option<&'a Budget>,
+    /// The fallback ladder (call override, else configuration).
+    rungs: Vec<Rung>,
+    /// The effective algorithm (an aggregate batch may substitute one).
+    algorithm: Algorithm,
+    use_cache: bool,
+}
+
+/// What the planning walk decided for each instance of a batch.
+struct Plan {
+    /// Instances that compile, in instance order.
+    jobs: Vec<usize>,
+    /// Instances already resolved by a cache hit.
+    hits: Vec<Option<Attribution>>,
+    /// The earlier in-batch instance whose compile each instance reuses.
+    reuse: Vec<Option<usize>>,
+    /// The canonical witness of each instance's shape, where one was needed.
+    canon: Vec<Option<Arc<CanonInfo>>>,
+    /// Per-instance canonicalization costs: (steps, searches, skips).
+    paid: Vec<(u64, u64, u64)>,
+}
+
 /// What one compile job produced: a completed attribution (the only outcome
 /// that may enter the shared cache), or a failure with the steps the budget
 /// had recorded when it surfaced — the degradation ladder reports that spend.
@@ -957,7 +879,9 @@ enum JobOutcome {
     Panicked(u64),
 }
 
-/// The canonicalization state of one batch's planning walk.
+/// The canonicalization state of one batch's planning walk. Every search
+/// runs inline, in instance order, and is charged to the instance whose
+/// probe needed it — exactly where the sequential loop would pay it.
 struct Keying<'a> {
     prekeyed: &'a [Prekeyed],
     shared_budget: Option<&'a Budget>,
@@ -968,58 +892,42 @@ struct Keying<'a> {
     /// once per batch (an instance's witness may be paid for by a *later*
     /// instance probing it as a potential in-batch owner).
     canon: Vec<Option<Arc<CanonInfo>>>,
-    /// Witnesses the parallel pre-pass already paid for.
-    speculated: Vec<Option<(CanonInfo, u64)>>,
+    /// Witnesses computed for still-unkeyed cache residents, memoized by
+    /// entry id (the settle step also stores them on the entries, so other
+    /// sessions never re-pay either).
+    residents: HashMap<u64, Arc<CanonInfo>>,
 }
 
 impl<'a> Keying<'a> {
     /// Groups the batch by exact presentation (equal presentations share a
-    /// fingerprint, so only same-fingerprint instances are compared). A
-    /// cacheless batch never keys, so it skips the grouping.
-    fn new(prekeyed: &'a [Prekeyed], shared_budget: Option<&'a Budget>, use_cache: bool) -> Self {
+    /// fingerprint, so only same-fingerprint instances are compared).
+    fn new(prekeyed: &'a [Prekeyed], shared_budget: Option<&'a Budget>) -> Self {
         let n = prekeyed.len();
         let mut first = vec![None; n];
-        if use_cache {
-            let mut firsts: HashMap<Fingerprint, Vec<usize>> = HashMap::new();
-            for (i, p) in prekeyed.iter().enumerate() {
-                let seen = firsts.entry(p.fingerprint).or_default();
-                first[i] = seen.iter().copied().find(|&j| prekeyed[j].shape == p.shape);
-                if first[i].is_none() {
-                    seen.push(i);
-                }
+        let mut firsts: HashMap<Fingerprint, Vec<usize>> = HashMap::new();
+        for (i, p) in prekeyed.iter().enumerate() {
+            let seen = firsts.entry(p.fingerprint).or_default();
+            first[i] = seen.iter().copied().find(|&j| prekeyed[j].shape == p.shape);
+            if first[i].is_none() {
+                seen.push(i);
             }
         }
-        Keying {
-            prekeyed,
-            shared_budget,
-            first,
-            canon: (0..n).map(|_| None).collect(),
-            speculated: (0..n).map(|_| None).collect(),
-        }
+        Keying { prekeyed, shared_budget, first, canon: vec![None; n], residents: HashMap::new() }
     }
 
     /// Canonicalizes instance `i`'s shape: reusing a witness already
     /// computed for it or for an earlier instance of the same presentation
     /// (the witness is a function of the presentation, so that is free),
-    /// else consuming the speculative memo, else searching — under the
-    /// shared budget when one is present (`None` means the descent was
-    /// interrupted and the instance stays unkeyed). Searches are charged to
-    /// the walk's cost counters.
+    /// else searching — under the shared budget when one is present (`None`
+    /// means the descent was interrupted and the instance stays unkeyed).
+    /// Searches are charged to the walk's cost counters.
     fn key(&mut self, i: usize, steps: &mut u64, searches: &mut u64) -> Option<Arc<CanonInfo>> {
         let known =
             self.canon[i].clone().or_else(|| self.first[i].and_then(|j| self.canon[j].clone()));
         let info = match known {
             Some(info) => info,
             None => {
-                let (info, cost) = match self.speculated[i].take() {
-                    Some(pair) => pair,
-                    None => match self.shared_budget {
-                        Some(budget) => {
-                            self.prekeyed[i].shape.canonicalize_budgeted(budget).ok()?
-                        }
-                        None => self.prekeyed[i].shape.canonicalize(),
-                    },
-                };
+                let (info, cost) = self.prekeyed[i].shape.canonicalize(self.shared_budget)?;
                 *steps += cost;
                 *searches += 1;
                 Arc::new(info)
@@ -1032,8 +940,7 @@ impl<'a> Keying<'a> {
     /// Searches the earlier in-batch instances `mates` (pending under the
     /// same fingerprint) for one whose canonical key equals `mine`, lazily
     /// canonicalizing mates that have not been keyed yet and charging the
-    /// work to the probing instance — exactly where the sequential loop would
-    /// pay it.
+    /// work to the probing instance.
     fn find_mate(
         &mut self,
         mates: &[usize],
@@ -1046,6 +953,41 @@ impl<'a> Keying<'a> {
             .iter()
             .copied()
             .find(|&j| self.key(j, steps, searches).is_some_and(|c| c.key == mine.key))
+    }
+
+    /// Settles a contested bucket against its residents in bucket order,
+    /// lazily canonicalizing the unkeyed ones and stopping at the first
+    /// exact match with `mine`. Returns the witnesses computed here, for
+    /// [`ShardedCache::finish_lookup`] to store on their entries.
+    fn settle(
+        &mut self,
+        residents: &[Resident],
+        mine: &CanonInfo,
+        steps: &mut u64,
+        searches: &mut u64,
+    ) -> Vec<(u64, Arc<CanonInfo>)> {
+        let mut resolved = Vec::new();
+        for r in residents {
+            let canon = if let Some(c) = r.canon.as_ref().or_else(|| self.residents.get(&r.id)) {
+                Arc::clone(c)
+            } else {
+                // Budget drained mid-descent: stop settling; the keys
+                // resolved so far still count.
+                let Some((info, cost)) = r.shape.canonicalize(self.shared_budget) else {
+                    break;
+                };
+                *steps += cost;
+                *searches += 1;
+                let info = Arc::new(info);
+                self.residents.insert(r.id, Arc::clone(&info));
+                resolved.push((r.id, Arc::clone(&info)));
+                info
+            };
+            if canon.key == mine.key {
+                break;
+            }
+        }
+        resolved
     }
 }
 
@@ -1549,9 +1491,9 @@ mod tests {
     }
 
     /// A batch where *every* fingerprint bucket is contested: four isomorphic
-    /// cycles (one fingerprint, four instances) plus two isomorphic paths,
-    /// interleaved — the worst case for the speculative canonicalization
-    /// fan-out, since each instance both probes and may key its mates.
+    /// cycles (one fingerprint, four instances) plus four isomorphic paths,
+    /// interleaved — the worst case for the planning walk's cost accounting,
+    /// since each instance both probes and may key its mates.
     fn contested_heavy_batch() -> Vec<Dnf> {
         let mut lineages = Vec::new();
         for s in 0..4u32 {
@@ -1566,10 +1508,9 @@ mod tests {
 
     #[test]
     fn contested_heavy_batches_fan_out_with_identical_cost_accounting() {
-        // The parallel canonicalization pre-pass must leave the plan — and
-        // every charged counter — bit-identical to the sequential walk, even
-        // when every bucket is contested and the fan-out covers the whole
-        // batch.
+        // The thread count must leave the plan — and every charged counter —
+        // bit-identical to the single-threaded walk, even when every bucket
+        // is contested and each instance keys its mates.
         let lineages = contested_heavy_batch();
         let refs: Vec<&Dnf> = lineages.iter().collect();
         let mut sequential = Engine::new(EngineConfig::default().with_threads(1)).session();

@@ -626,6 +626,49 @@ fn batch_of_one_presentation_compiles_once_at_every_thread_count() {
         assert_eq!(stats.compile_steps, one_compile, "one compile for the whole batch");
         assert_eq!((stats.cache_hits, stats.canon_searches, stats.canon_steps), (5, 0, 0));
         assert_eq!(engine.stats().cache.insertions, 1);
+        // In-batch reuse is a cache miss for the engine: one per instance.
+        let cache = engine.stats().cache;
+        assert_eq!((cache.hits, cache.misses, cache.insertions), (0, 6, 1));
+    }
+}
+
+#[test]
+fn in_batch_presentation_reuse_in_an_occupied_bucket_is_a_miss() {
+    // Two disjoint triangles share the hexagon's fingerprint but are not
+    // isomorphic to it. With the hexagon resident, the first triangle copy
+    // searches, misses and compiles; the second copy has the same dense
+    // presentation and reuses that compile with no search.
+    let ring = |vars: &[u32]| -> Vec<Vec<Var>> {
+        (0..vars.len()).map(|k| vec![Var(vars[k]), Var(vars[(k + 1) % vars.len()])]).collect()
+    };
+    let hexagon = Dnf::from_clauses(ring(&[0, 1, 2, 3, 4, 5]));
+    let triangles = |offset: u32| {
+        let mut clauses = ring(&[offset, offset + 1, offset + 2]);
+        clauses.extend(ring(&[offset + 3, offset + 4, offset + 5]));
+        Dnf::from_clauses(clauses)
+    };
+    let lineages = [triangles(100), triangles(200)];
+    let refs: Vec<&Dnf> = lineages.iter().collect();
+    let engine = Engine::new(EngineConfig::default());
+    let mut session = engine.session();
+    session.attribute(&hexagon).unwrap();
+    let before = engine.stats().cache;
+    let out = session.attribute_batch(&refs, BatchOptions::default());
+    let after = engine.stats().cache;
+    assert_eq!(after.hits - before.hits, 0);
+    assert_eq!(after.misses - before.misses, 2, "both copies are misses");
+    assert_eq!(after.insertions - before.insertions, 1);
+    let (first, second) = (out[0].as_ref().unwrap(), out[1].as_ref().unwrap());
+    assert_eq!(first.stats.canon_searches, 2, "the probe and the unkeyed hexagon");
+    assert!(!first.stats.cache_hit);
+    assert_eq!(second.stats.canon_searches, 0);
+    assert_eq!(second.stats.compile_steps, 0);
+    let plain = Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled()))
+        .session()
+        .attribute_batch(&refs, BatchOptions::default());
+    for ((phi, a), b) in lineages.iter().zip(&out).zip(&plain) {
+        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+        assert_eq!(rendering(phi.universe(), a), rendering(phi.universe(), b));
     }
 }
 
