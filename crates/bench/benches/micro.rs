@@ -1,12 +1,15 @@
 //! Criterion micro-benchmarks of the building blocks: bigint arithmetic,
-//! iDNF bound construction and counting, d-tree compilation, and Monte Carlo
-//! sampling throughput.
+//! iDNF bound construction and counting, d-tree compilation, Monte Carlo
+//! sampling throughput, and provenance-aware query evaluation.
 
 use banzhaf::{Budget, DTree, PivotHeuristic};
 use banzhaf_arith::Natural;
 use banzhaf_baselines::{mc_banzhaf, McOptions};
 use banzhaf_boolean::{lower_bound_fn, upper_bound_fn};
-use banzhaf_workloads::{LineageGenerator, LineageShape};
+use banzhaf_query::evaluate;
+use banzhaf_workloads::{
+    academic_workload, imdb_workload, tpch_workload, DatasetSpec, LineageGenerator, LineageShape,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,5 +89,25 @@ fn bench_mc_sampling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_bigint, bench_idnf_bounds, bench_compile, bench_mc_sampling);
+/// Lineage extraction for each of the 16 corpus queries at the default
+/// scale: the query layer under every explain request.
+fn bench_evaluate(c: &mut Criterion) {
+    let mut group = c.benchmark_group("evaluate");
+    let spec = DatasetSpec::default();
+    for workload in [academic_workload(&spec), imdb_workload(&spec), tpch_workload(&spec)] {
+        for (name, query) in &workload.queries {
+            group.bench_function(name, |bench| bench.iter(|| evaluate(query, &workload.db)));
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_bigint,
+    bench_idnf_bounds,
+    bench_compile,
+    bench_mc_sampling,
+    bench_evaluate
+);
 criterion_main!(benches);

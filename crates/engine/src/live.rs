@@ -14,7 +14,7 @@
 //!   [`Dnf::condition`]`(v, false)` restricted to its used variables, which
 //!   is definitionally the lineage a fresh evaluation of the shrunken
 //!   database would build;
-//! * insertions re-run the backtracking join only with the new fact *pinned*
+//! * insertions re-run the planned join only with the new fact *pinned*
 //!   ([`banzhaf_query::delta_groundings`]), merging the delta clauses into
 //!   the affected answers' lineages;
 //!
@@ -34,7 +34,7 @@ use banzhaf::Interrupted;
 use banzhaf_boolean::{Dnf, Var};
 use banzhaf_db::{Database, DbError, FactId, Update, Value};
 use banzhaf_query::{delta_groundings, evaluate, UnionQuery};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
 impl Engine {
@@ -158,11 +158,20 @@ struct LiveQuery {
     answers: BTreeMap<Vec<Value>, LiveAnswer>,
     /// Lineage variable → the answers whose lineage mentions it.
     by_var: HashMap<Var, BTreeSet<Vec<Value>>>,
+    /// The sum of every answer's [`LiveAnswer::cold_cost`], maintained by
+    /// [`LiveQuery::put`] and [`LiveQuery::remove`].
+    cold_cost: u64,
 }
 
 impl LiveQuery {
-    /// Inserts (or replaces) an answer, maintaining the inverted index.
-    fn put(&mut self, tuple: Vec<Value>, lineage: Dnf, outcome: Result<Attribution, Interrupted>) {
+    /// Inserts (or replaces) an answer, maintaining the inverted index and
+    /// the cold-cost total, and returns the answer's cold cost.
+    fn put(
+        &mut self,
+        tuple: Vec<Value>,
+        lineage: Dnf,
+        outcome: Result<Attribution, Interrupted>,
+    ) -> u64 {
         self.unindex(&tuple);
         // A registered lineage's universe is exactly its used variables (the
         // evaluator and the delta path both maintain this), so indexing the
@@ -170,20 +179,26 @@ impl LiveQuery {
         for var in lineage.universe().iter() {
             self.by_var.entry(var).or_default().insert(tuple.clone());
         }
-        self.answers.insert(tuple, LiveAnswer::new(lineage, outcome));
+        let answer = LiveAnswer::new(lineage, outcome);
+        let cold_cost = answer.cold_cost;
+        self.cold_cost += cold_cost;
+        self.answers.insert(tuple, answer);
+        cold_cost
     }
 
-    /// Removes an answer and its index entries.
+    /// Removes an answer, its index entries and its cold cost.
     fn remove(&mut self, tuple: &[Value]) {
         self.unindex(tuple);
         self.answers.remove(tuple);
     }
 
-    /// Drops the index entries of the answer's current lineage, if any.
+    /// Drops the index entries and the cold cost of the answer's current
+    /// lineage, if any.
     fn unindex(&mut self, tuple: &[Value]) {
         let Some(existing) = self.answers.get(tuple) else {
             return;
         };
+        self.cold_cost -= existing.cold_cost;
         for var in existing.lineage.universe().iter() {
             if let Some(tuples) = self.by_var.get_mut(&var) {
                 tuples.remove(tuple);
@@ -278,7 +293,13 @@ impl LiveSession {
         let raw = evaluate(&query, &self.db).into_answers();
         let lineages: Vec<&Dnf> = raw.iter().map(|a| &a.lineage).collect();
         let outcomes = self.session.attribute_batch(&lineages, BatchOptions::default());
-        let mut live = LiveQuery { name, query, answers: BTreeMap::new(), by_var: HashMap::new() };
+        let mut live = LiveQuery {
+            name,
+            query,
+            answers: BTreeMap::new(),
+            by_var: HashMap::new(),
+            cold_cost: 0,
+        };
         for (answer, outcome) in raw.into_iter().zip(outcomes) {
             live.put(answer.tuple, answer.lineage, outcome);
         }
@@ -298,7 +319,7 @@ impl LiveSession {
     /// For a deletion, the touched answers are read off the inverted index
     /// (the answers whose lineage mentions the deleted fact's variable); no
     /// query is re-evaluated, each new lineage is obtained by conditioning
-    /// the old one. For an insertion, the backtracking join re-runs with the
+    /// the old one. For an insertion, the planned join re-runs with the
     /// new fact pinned, contributing delta clauses to existing and new
     /// answers. Either way the touched lineages are re-attributed through
     /// the ordinary batch path — untouched canonical shapes stay warm in the
@@ -359,15 +380,17 @@ impl LiveSession {
         let outcomes = self.session.attribute_batch(&lineages, BatchOptions::default());
         let mut outcomes = outcomes.into_iter();
         let mut touched = Vec::with_capacity(staged.len());
-        let mut touched_keys: HashSet<(usize, Vec<Value>)> = HashSet::new();
+        // The surviving touched answers (staged at most once each) and the
+        // sum of their cold costs.
+        let (mut kept, mut kept_cost) = (0u64, 0u64);
         for (qi, tuple, lineage, change) in staged {
             let q = &mut self.queries[qi];
             if change == AnswerChange::Removed {
                 q.remove(&tuple);
             } else {
                 let outcome = outcomes.next().expect("one outcome per staged job");
-                q.put(tuple.clone(), lineage, outcome);
-                touched_keys.insert((qi, tuple.clone()));
+                kept_cost += q.put(tuple.clone(), lineage, outcome);
+                kept += 1;
             }
             touched.push(TouchedAnswer { query: q.name.clone(), tuple, change });
         }
@@ -375,16 +398,9 @@ impl LiveSession {
         // Account what the delta path skipped: every untouched answer would
         // have been re-attributed by a cold re-evaluation of the updated
         // database.
-        let mut untouched = 0u64;
-        let mut steps_saved = 0u64;
-        for (qi, q) in self.queries.iter().enumerate() {
-            for (tuple, answer) in &q.answers {
-                if !touched_keys.contains(&(qi, tuple.clone())) {
-                    untouched += 1;
-                    steps_saved += answer.cold_cost;
-                }
-            }
-        }
+        let answers: u64 = self.queries.iter().map(|q| q.answers.len() as u64).sum();
+        let untouched = answers - kept;
+        let steps_saved = self.queries.iter().map(|q| q.cold_cost).sum::<u64>() - kept_cost;
 
         let compile_steps = self.session.stats().compile_steps - steps_before;
         let cache_hits = self.session.stats().cache_hits - hits_before;
@@ -394,7 +410,7 @@ impl LiveSession {
         } else {
             self.stats.deletes += 1;
         }
-        self.stats.answers_touched += touched_keys.len() as u64;
+        self.stats.answers_touched += kept;
         self.stats.answers_removed +=
             touched.iter().filter(|t| t.change == AnswerChange::Removed).count() as u64;
         self.stats.answers_untouched += untouched;
@@ -515,6 +531,40 @@ mod tests {
         assert!(report.touched.is_empty());
         assert_eq!(report.compile_steps, 0);
         assert_matches_cold(&live, "q", Q);
+    }
+
+    #[test]
+    fn running_totals_match_a_walk_over_every_answer() {
+        let engine = Engine::new(EngineConfig::default());
+        let mut live = engine.live_session(sample_db());
+        live.register("q1", parse_program(Q).unwrap());
+        live.register("q2", parse_program("P(Y) :- R(X, Y).").unwrap());
+        let updates = [
+            Update::insert("S", vec![20.into(), 2.into()]),
+            Update::insert("R", vec![7.into(), 30.into()]),
+            Update::delete("S", vec![30.into(), 1.into()]),
+            Update::insert("R", vec![1.into(), 30.into()]),
+            Update::delete("R", vec![1.into(), 10.into()]),
+        ];
+        for update in updates {
+            let report = live.apply_update(update).unwrap();
+            let mut untouched = 0u64;
+            let mut steps_saved = 0u64;
+            for q in &live.queries {
+                assert_eq!(q.cold_cost, q.answers.values().map(|a| a.cold_cost).sum::<u64>());
+                for (tuple, answer) in &q.answers {
+                    let touched = report.touched.iter().any(|t| {
+                        t.query == q.name && t.tuple == *tuple && t.change != AnswerChange::Removed
+                    });
+                    if !touched {
+                        untouched += 1;
+                        steps_saved += answer.cold_cost;
+                    }
+                }
+            }
+            assert_eq!(report.untouched, untouched);
+            assert_eq!(report.steps_saved, steps_saved);
+        }
     }
 
     #[test]

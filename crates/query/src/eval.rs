@@ -1,17 +1,28 @@
 //! Provenance-aware query evaluation: computing per-answer lineage.
 //!
-//! The evaluator enumerates homomorphisms from each conjunctive query into the
-//! database by backtracking over atoms (most-bound-first ordering), applying
-//! selection predicates as soon as their variable is bound. Every homomorphism
-//! (grounding) contributes one clause to the lineage of the answer tuple it
-//! produces: the conjunction of the provenance variables of the *endogenous*
-//! facts it uses (exogenous facts contribute nothing, missing facts prune the
-//! grounding), exactly as defined in Sec. 2 of the paper.
+//! Every homomorphism (grounding) of a conjunctive query into the database
+//! contributes one clause to the lineage of the answer tuple it produces: the
+//! conjunction of the provenance variables of the *endogenous* facts it uses
+//! (exogenous facts contribute nothing, missing facts prune the grounding),
+//! exactly as defined in Sec. 2 of the paper.
+//!
+//! Groundings are enumerated by a planned, indexed join. Each call plans each
+//! conjunctive query once: its atoms become join steps in most-bound-first
+//! order, and every variable gets a dense slot in a binding vector of
+//! borrowed database values, so a value is cloned only into an emitted
+//! answer tuple. A step records its keyed positions (constants, and variables
+//! an earlier step bound), the variables it binds first, and the selections
+//! on those variables, which its tuples must pass before anything is bound. A
+//! keyed step probes a transient hash index from the keyed values to the
+//! relation's matching tuples; the index is built on the step's first probe
+//! and dropped with the plan. A step without keyed positions scans its
+//! relation. Delta evaluation pins one step to a single inserted tuple.
 
-use crate::{ConjunctiveQuery, Term, UnionQuery};
+use crate::{ConjunctiveQuery, Selection, Term, UnionQuery};
 use banzhaf_arith::Rational;
 use banzhaf_boolean::{Dnf, Var, VarSet, WeightedDnf};
-use banzhaf_db::{Database, FactId, Provenance, Value};
+use banzhaf_db::{Database, FactId, Provenance, Relation, Value};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -29,10 +40,8 @@ pub struct Answer {
 /// The result of evaluating a UCQ over a database.
 #[derive(Clone, Debug, Default)]
 pub struct QueryResult {
+    /// Sorted by tuple, so lookups binary-search.
     answers: Vec<Answer>,
-    /// Tuple → position in `answers`, so per-answer lookups are O(1) instead
-    /// of a linear scan (query results can have many thousands of answers).
-    index: HashMap<Vec<Value>, usize>,
 }
 
 impl QueryResult {
@@ -43,7 +52,8 @@ impl QueryResult {
 
     /// Looks up the lineage of a particular answer tuple.
     pub fn lineage_of(&self, tuple: &[Value]) -> Option<&Dnf> {
-        self.index.get(tuple).map(|&i| &self.answers[i].lineage)
+        let i = self.answers.binary_search_by(|a| a.tuple.as_slice().cmp(tuple)).ok()?;
+        Some(&self.answers[i].lineage)
     }
 
     /// Consumes the result, yielding the owned answers (still sorted by
@@ -65,15 +75,11 @@ impl QueryResult {
 /// so callers can map lineage variables back to facts via
 /// [`Database::fact`](banzhaf_db::Database::fact).
 pub fn evaluate(query: &UnionQuery, db: &Database) -> QueryResult {
-    // Collect clauses per answer tuple across all disjuncts.
-    let mut clauses: HashMap<Vec<Value>, Vec<Vec<Var>>> = HashMap::new();
+    let mut groundings = Vec::new();
     for cq in &query.disjuncts {
-        let groundings = enumerate_groundings(cq, db);
-        for (tuple, clause) in groundings {
-            clauses.entry(tuple).or_default().push(clause);
-        }
+        enumerate_groundings(cq, db, &mut groundings);
     }
-    let mut answers: Vec<Answer> = clauses
+    let answers = group_by_tuple(groundings)
         .into_iter()
         .map(|(tuple, clause_list)| {
             let universe: VarSet = clause_list.iter().flatten().copied().collect();
@@ -81,9 +87,21 @@ pub fn evaluate(query: &UnionQuery, db: &Database) -> QueryResult {
             Answer { tuple, lineage }
         })
         .collect();
-    answers.sort_by(|a, b| a.tuple.cmp(&b.tuple));
-    let index = answers.iter().enumerate().map(|(i, a)| (a.tuple.clone(), i)).collect();
-    QueryResult { answers, index }
+    QueryResult { answers }
+}
+
+/// Groups `(tuple, item)` pairs by tuple, in tuple order, cloning each
+/// distinct tuple once; items keep their order within a group.
+fn group_by_tuple<T>(mut pairs: Vec<(Vec<&Value>, T)>) -> Vec<(Vec<Value>, Vec<T>)> {
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut groups: Vec<(Vec<&Value>, Vec<T>)> = Vec::new();
+    for (tuple, item) in pairs {
+        match groups.last_mut() {
+            Some((last, items)) if *last == tuple => items.push(item),
+            _ => groups.push((tuple, vec![item])),
+        }
+    }
+    groups.into_iter().map(|(tuple, items)| (tuple.into_iter().cloned().collect(), items)).collect()
 }
 
 /// One group of an aggregate query: the grouping-key tuple and the weighted
@@ -103,8 +121,8 @@ pub struct AggregateAnswer {
 /// The result of aggregate evaluation: one [`AggregateAnswer`] per group.
 #[derive(Clone, Debug, Default)]
 pub struct AggregateResult {
+    /// Sorted by tuple, so lookups binary-search.
     answers: Vec<AggregateAnswer>,
-    index: HashMap<Vec<Value>, usize>,
 }
 
 impl AggregateResult {
@@ -115,7 +133,8 @@ impl AggregateResult {
 
     /// Looks up the weighted lineage of a particular group.
     pub fn lineage_of(&self, tuple: &[Value]) -> Option<&WeightedDnf> {
-        self.index.get(tuple).map(|&i| &self.answers[i].lineage)
+        let i = self.answers.binary_search_by(|a| a.tuple.as_slice().cmp(tuple)).ok()?;
+        Some(&self.answers[i].lineage)
     }
 
     /// Consumes the result, yielding the owned answers (still sorted by
@@ -198,7 +217,8 @@ pub fn evaluate_aggregate(
     if specs.iter().any(|s| s.kind != kind) {
         return Err(AggregateError::MixedAggregates);
     }
-    let mut weighted: HashMap<Vec<Value>, Vec<(Vec<Var>, Rational)>> = HashMap::new();
+    let mut weighted = Vec::new();
+    let mut groundings = Vec::new();
     for (cq, spec) in query.disjuncts.iter().zip(specs) {
         // Reuse the Boolean grounding enumeration unchanged: appending the
         // aggregated variable to the head makes every grounding surface its
@@ -207,7 +227,8 @@ pub fn evaluate_aggregate(
         if let Some(input) = &spec.input {
             probe.head.push(input.clone());
         }
-        for (mut tuple, clause) in enumerate_groundings(&probe, db) {
+        enumerate_groundings(&probe, db, &mut groundings);
+        for (mut tuple, clause) in groundings.drain(..) {
             let weight = match &spec.input {
                 Some(variable) => {
                     let value =
@@ -217,7 +238,7 @@ pub fn evaluate_aggregate(
                         None => {
                             return Err(AggregateError::NonIntegerInput {
                                 variable: variable.clone(),
-                                value,
+                                value: value.clone(),
                             })
                         }
                     }
@@ -227,19 +248,17 @@ pub fn evaluate_aggregate(
             if clause.is_empty() {
                 return Err(AggregateError::UnconditionalGrounding);
             }
-            weighted.entry(tuple).or_default().push((clause, weight));
+            weighted.push((tuple, (clause, weight)));
         }
     }
-    let mut answers: Vec<AggregateAnswer> = weighted
+    let answers = group_by_tuple(weighted)
         .into_iter()
         .map(|(tuple, pairs)| {
             let lineage = WeightedDnf::from_weighted_clauses(kind, pairs);
             AggregateAnswer { tuple, lineage }
         })
         .collect();
-    answers.sort_by(|a, b| a.tuple.cmp(&b.tuple));
-    let index = answers.iter().enumerate().map(|(i, a)| (a.tuple.clone(), i)).collect();
-    Ok(AggregateResult { answers, index })
+    Ok(AggregateResult { answers })
 }
 
 /// Groundings contributed by a single endogenous fact: every homomorphism of
@@ -249,8 +268,8 @@ pub fn evaluate_aggregate(
 ///
 /// This is the delta rule of incremental view maintenance specialised to one
 /// inserted fact: for each disjunct and each atom position whose relation
-/// matches, the backtracking join re-runs with that position *pinned* to the
-/// new tuple while every other atom ranges over the full (already updated)
+/// matches, the planned join re-runs with that position *pinned* to the new
+/// tuple while every other atom ranges over the full (already updated)
 /// database. A grounding that uses the new fact at `k` atom positions is
 /// found `k` times; the canonical DNF constructor deduplicates the repeated
 /// clauses.
@@ -262,44 +281,32 @@ pub fn delta_groundings(
     let Some(fact) = db.fact(id) else {
         return Vec::new();
     };
-    let mut results = Vec::new();
+    let mut groundings = Vec::new();
     for cq in &query.disjuncts {
-        let order = atom_order(cq);
-        for (atom_index, atom) in cq.atoms.iter().enumerate() {
-            if atom.relation != fact.relation() || atom.terms.len() != fact.values().len() {
-                continue;
+        let Some(plan) = Plan::new(cq, db) else {
+            continue;
+        };
+        // The plan exists, so every atom's arity is its relation's, which is
+        // the fact's when the relation names match.
+        for (step, s) in plan.steps.iter().enumerate() {
+            if cq.atoms[s.atom].relation == fact.relation() {
+                let pin =
+                    Pin { step, values: fact.values(), provenance: Provenance::Endogenous(id) };
+                plan.run(Some(pin), &mut groundings);
             }
-            let search = Search {
-                cq,
-                db,
-                order: &order,
-                pin: Some(Pin {
-                    atom_index,
-                    values: fact.values(),
-                    provenance: Provenance::Endogenous(id),
-                }),
-            };
-            let mut bindings: HashMap<&str, Value> = HashMap::new();
-            let mut clause: Vec<Var> = Vec::new();
-            ground_atom(&search, 0, &mut bindings, &mut clause, &mut results);
         }
     }
-    results
+    groundings
+        .into_iter()
+        .map(|(tuple, clause)| (tuple.into_iter().cloned().collect(), clause))
+        .collect()
 }
 
-/// Enumerates all groundings of a CQ, returning for each the answer tuple and
-/// the clause of endogenous provenance variables it uses.
-fn enumerate_groundings(cq: &ConjunctiveQuery, db: &Database) -> Vec<(Vec<Value>, Vec<Var>)> {
-    // Order atoms greedily so that atoms sharing variables with already
-    // processed atoms come early (reduces the branching of the backtracking
-    // join).
-    let order = atom_order(cq);
-    let search = Search { cq, db, order: &order, pin: None };
-    let mut results = Vec::new();
-    let mut bindings: HashMap<&str, Value> = HashMap::new();
-    let mut clause: Vec<Var> = Vec::new();
-    ground_atom(&search, 0, &mut bindings, &mut clause, &mut results);
-    results
+/// Appends every grounding of a CQ to `out`.
+fn enumerate_groundings<'d>(cq: &ConjunctiveQuery, db: &'d Database, out: &mut Vec<Grounding<'d>>) {
+    if let Some(plan) = Plan::new(cq, db) {
+        plan.run(None, out);
+    }
 }
 
 fn atom_order(cq: &ConjunctiveQuery) -> Vec<usize> {
@@ -331,137 +338,232 @@ fn atom_order(cq: &ConjunctiveQuery) -> Vec<usize> {
     chosen
 }
 
-/// The invariant context of one backtracking join: the query disjunct, the
-/// database, the atom visit order, and (for delta evaluation) the atom
-/// position pinned to a single tuple.
-struct Search<'q, 'd> {
-    cq: &'q ConjunctiveQuery,
-    db: &'d Database,
-    order: &'d [usize],
-    pin: Option<Pin<'d>>,
+/// A tuple of a relation together with its provenance tag.
+type Tuple<'d> = (&'d [Value], Provenance);
+
+/// One grounding: the answer tuple, borrowed from the database, and the
+/// clause of endogenous provenance variables it uses.
+type Grounding<'d> = (Vec<&'d Value>, Vec<Var>);
+
+/// A transient hash index of one step: the values at its keyed variable
+/// positions → the relation's tuples that carry them and that the step
+/// admits (see [`Step::admits`]), in relation order.
+type Index<'d> = HashMap<Vec<&'d Value>, Vec<Tuple<'d>>>;
+
+/// A conjunctive query planned against one database: its atoms as join
+/// steps in [`atom_order`], with every variable resolved to a dense slot of
+/// the binding vector.
+struct Plan<'q, 'd> {
+    steps: Vec<Step<'q, 'd>>,
+    /// The slot of each head variable (`None` only for a hand-built query
+    /// whose head variable no atom binds; the parser rejects those).
+    head: Vec<Option<usize>>,
+    /// The number of distinct variables.
+    slots: usize,
 }
 
-/// A pinned atom occurrence: during grounding, the atom at `atom_index` is
-/// matched only against this single tuple.
+/// One atom of a [`Plan`]: where its candidate tuples come from, what they
+/// must match, and which slots they bind.
+struct Step<'q, 'd> {
+    /// The atom's index in the query body.
+    atom: usize,
+    relation: &'d Relation,
+    /// Positions holding a constant.
+    constants: Vec<(usize, &'q Value)>,
+    /// Positions repeating a variable of this atom: `(position, first
+    /// occurrence)`.
+    repeats: Vec<(usize, usize)>,
+    /// Positions of variables an earlier step bound: `(position, slot)`.
+    keyed: Vec<(usize, usize)>,
+    /// Positions of variables this step binds first: `(position, slot)`.
+    binds: Vec<(usize, usize)>,
+    /// Selections on the variables this step binds: `(position, selection)`.
+    selections: Vec<(usize, &'q Selection)>,
+    /// Built on the step's first probe and dropped with the plan, so the
+    /// database itself carries no index.
+    index: OnceCell<Index<'d>>,
+}
+
+/// A pinned step: during grounding, the step matches only this tuple.
+#[derive(Clone, Copy)]
 struct Pin<'d> {
-    atom_index: usize,
+    step: usize,
     values: &'d [Value],
     provenance: Provenance,
 }
 
-fn ground_atom<'q>(
-    search: &Search<'q, '_>,
-    depth: usize,
-    bindings: &mut HashMap<&'q str, Value>,
-    clause: &mut Vec<Var>,
-    results: &mut Vec<(Vec<Value>, Vec<Var>)>,
-) {
-    let cq = search.cq;
-    if depth == search.order.len() {
-        // All atoms grounded; check any selection that might involve
-        // variables bound only now (they were checked eagerly, but re-check
-        // defensively) and emit the answer.
-        if !selections_hold(cq, bindings, true) {
-            return;
-        }
-        let tuple: Vec<Value> = cq
-            .head
-            .iter()
-            .map(|v| bindings.get(v.as_str()).expect("head variable bound by parser check").clone())
-            .collect();
-        results.push((tuple, clause.clone()));
-        return;
-    }
-    let atom_index = search.order[depth];
-    if let Some(pin) = search.pin.as_ref().filter(|pin| pin.atom_index == atom_index) {
-        try_tuple(search, depth, pin.values, pin.provenance, bindings, clause, results);
-        return;
-    }
-    let atom = &cq.atoms[atom_index];
-    let Some(relation) = search.db.relation(&atom.relation) else {
-        return; // Unknown relation: no groundings.
-    };
-    for (values, provenance) in relation.tuples() {
-        try_tuple(search, depth, values, provenance, bindings, clause, results);
-    }
-}
-
-/// Attempts to match the atom at `search.order[depth]` against one tuple:
-/// unify, check selections, record the provenance variable and recurse.
-fn try_tuple<'q>(
-    search: &Search<'q, '_>,
-    depth: usize,
-    values: &[Value],
-    provenance: Provenance,
-    bindings: &mut HashMap<&'q str, Value>,
-    clause: &mut Vec<Var>,
-    results: &mut Vec<(Vec<Value>, Vec<Var>)>,
-) {
-    let cq = search.cq;
-    let atom = &cq.atoms[search.order[depth]];
-    if values.len() != atom.terms.len() {
-        return;
-    }
-    // Try to unify the atom's terms with the tuple.
-    let mut new_bindings: Vec<&'q str> = Vec::new();
-    for (term, value) in atom.terms.iter().zip(values.iter()) {
-        match term {
-            Term::Constant(c) => {
-                if c != value {
-                    undo(bindings, &new_bindings);
-                    return;
+impl<'q, 'd> Plan<'q, 'd> {
+    /// Plans `cq` over `db`, or returns `None` when `cq` has no grounding at
+    /// all: an atom names an unknown relation or disagrees with its arity
+    /// (no tuple can match it), or a selection constrains a variable no atom
+    /// binds.
+    fn new(cq: &'q ConjunctiveQuery, db: &'d Database) -> Option<Self> {
+        // Slot → (variable name, binding step).
+        let mut slots: Vec<(&'q str, usize)> = Vec::new();
+        let mut steps = Vec::with_capacity(cq.atoms.len());
+        for atom_index in atom_order(cq) {
+            let atom = &cq.atoms[atom_index];
+            let relation = db.relation(&atom.relation).filter(|r| r.arity() == atom.terms.len())?;
+            let mut step = Step {
+                atom: atom_index,
+                relation,
+                constants: Vec::new(),
+                repeats: Vec::new(),
+                keyed: Vec::new(),
+                binds: Vec::new(),
+                selections: Vec::new(),
+                index: OnceCell::new(),
+            };
+            for (pos, term) in atom.terms.iter().enumerate() {
+                let name = match term {
+                    Term::Constant(c) => {
+                        step.constants.push((pos, c));
+                        continue;
+                    }
+                    Term::Variable(name) => name.as_str(),
+                };
+                if let Some(first) = atom.terms[..pos].iter().position(|t| t == term) {
+                    step.repeats.push((pos, first));
+                } else if let Some(slot) = slots.iter().position(|&(n, _)| n == name) {
+                    step.keyed.push((pos, slot));
+                } else {
+                    step.binds.push((pos, slots.len()));
+                    slots.push((name, steps.len()));
                 }
             }
-            Term::Variable(name) => match bindings.get(name.as_str()) {
-                Some(bound) if bound != value => {
-                    undo(bindings, &new_bindings);
-                    return;
-                }
-                Some(_) => {}
-                None => {
-                    bindings.insert(name.as_str(), value.clone());
-                    new_bindings.push(name.as_str());
-                }
-            },
+            steps.push(step);
         }
-    }
-    // Apply selections whose variables are bound.
-    if !selections_hold(cq, bindings, false) {
-        undo(bindings, &new_bindings);
-        return;
-    }
-    let pushed_var = match provenance {
-        Provenance::Endogenous(id) => {
-            clause.push(Var(id.0));
-            true
+        for selection in &cq.selections {
+            let slot = slots.iter().position(|&(n, _)| n == selection.variable)?;
+            let step: &mut Step = &mut steps[slots[slot].1];
+            let pos =
+                step.binds.iter().find(|&&(_, s)| s == slot).expect("the step binds the slot").0;
+            step.selections.push((pos, selection));
         }
-        Provenance::Exogenous => false,
-    };
-    ground_atom(search, depth + 1, bindings, clause, results);
-    if pushed_var {
-        clause.pop();
+        let head =
+            cq.head.iter().map(|v| slots.iter().position(|&(n, _)| n == v.as_str())).collect();
+        Some(Plan { steps, head, slots: slots.len() })
     }
-    undo(bindings, &new_bindings);
-}
 
-fn undo<'q>(bindings: &mut HashMap<&'q str, Value>, added: &[&'q str]) {
-    for name in added {
-        bindings.remove(name);
+    /// Appends every grounding of the plan (with `pin`'s step matching only
+    /// its tuple) to `out`.
+    fn run(&self, pin: Option<Pin<'d>>, out: &mut Vec<Grounding<'d>>) {
+        let mut run = Run {
+            plan: self,
+            pin,
+            bindings: vec![None; self.slots],
+            key: Vec::new(),
+            clause: Vec::new(),
+            out,
+        };
+        run.descend(0);
     }
 }
 
-/// Checks the selection predicates. When `require_all_bound` is false,
-/// selections over still-unbound variables are treated as satisfied (they will
-/// be re-checked once bound).
-fn selections_hold(
-    cq: &ConjunctiveQuery,
-    bindings: &HashMap<&str, Value>,
-    require_all_bound: bool,
-) -> bool {
-    cq.selections.iter().all(|sel| match bindings.get(sel.variable.as_str()) {
-        Some(value) => sel.comparison.evaluate(value, &sel.constant),
-        None => !require_all_bound,
-    })
+impl<'d> Step<'_, 'd> {
+    /// `true` iff `values` carries the step's constants, repeats its
+    /// repeated variables and passes its selections.
+    fn admits(&self, values: &[Value]) -> bool {
+        self.constants.iter().all(|&(pos, c)| values[pos] == *c)
+            && self.repeats.iter().all(|&(pos, first)| values[pos] == values[first])
+            && self
+                .selections
+                .iter()
+                .all(|&(pos, s)| s.comparison.evaluate(&values[pos], &s.constant))
+    }
+
+    /// `true` iff the step has a keyed position (a constant or a variable an
+    /// earlier step bound), so that probing an index beats a scan.
+    fn is_keyed(&self) -> bool {
+        !self.constants.is_empty() || !self.keyed.is_empty()
+    }
+
+    /// The step's index, built on first use.
+    fn index(&self) -> &Index<'d> {
+        self.index.get_or_init(|| {
+            let mut index: Index<'d> = HashMap::new();
+            for (values, provenance) in self.relation.tuples() {
+                if self.admits(values) {
+                    let key = self.keyed.iter().map(|&(pos, _)| &values[pos]).collect();
+                    index.entry(key).or_default().push((values, provenance));
+                }
+            }
+            index
+        })
+    }
+}
+
+/// The mutable state of one run of a [`Plan`].
+struct Run<'p, 'q, 'd> {
+    plan: &'p Plan<'q, 'd>,
+    pin: Option<Pin<'d>>,
+    /// Slot → the value bound to it, borrowed from the database.
+    bindings: Vec<Option<&'d Value>>,
+    /// Scratch buffer holding the probe key of the current step.
+    key: Vec<&'d Value>,
+    /// The endogenous facts used by the current partial grounding.
+    clause: Vec<Var>,
+    out: &'p mut Vec<Grounding<'d>>,
+}
+
+impl<'d> Run<'_, '_, 'd> {
+    fn descend(&mut self, depth: usize) {
+        let plan = self.plan;
+        let Some(step) = plan.steps.get(depth) else {
+            let tuple = plan
+                .head
+                .iter()
+                .map(|slot| {
+                    slot.and_then(|s| self.bindings[s])
+                        .expect("head variable bound by parser check")
+                })
+                .collect();
+            self.out.push((tuple, self.clause.clone()));
+            return;
+        };
+        if let Some(pin) = self.pin.filter(|pin| pin.step == depth) {
+            let values = pin.values;
+            let joins = step.keyed.iter().all(|&(pos, s)| self.bindings[s] == Some(&values[pos]));
+            if joins && step.admits(values) {
+                self.extend(depth, (values, pin.provenance));
+            }
+        } else if step.is_keyed() {
+            self.key.clear();
+            let bindings = &self.bindings;
+            self.key.extend(
+                step.keyed.iter().map(|&(_, s)| bindings[s].expect("an earlier step bound it")),
+            );
+            if let Some(bucket) = step.index().get(self.key.as_slice()) {
+                for &tuple in bucket {
+                    self.extend(depth, tuple);
+                }
+            }
+        } else {
+            for tuple in step.relation.tuples() {
+                if step.admits(tuple.0) {
+                    self.extend(depth, tuple);
+                }
+            }
+        }
+    }
+
+    /// Extends the partial grounding by a tuple the step at `depth` admits
+    /// and joins with: binds the step's new slots, records the tuple's
+    /// provenance variable and descends.
+    fn extend(&mut self, depth: usize, (values, provenance): Tuple<'d>) {
+        let step = &self.plan.steps[depth];
+        for &(pos, slot) in &step.binds {
+            self.bindings[slot] = Some(&values[pos]);
+        }
+        match provenance {
+            Provenance::Endogenous(id) => {
+                self.clause.push(Var(id.0));
+                self.descend(depth + 1);
+                self.clause.pop();
+            }
+            Provenance::Exogenous => self.descend(depth + 1),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -160,3 +160,260 @@ proptest! {
         }
     }
 }
+
+// ------------------------------------------------ differential join tests
+
+use banzhaf_repro::query::{delta_groundings, Atom, Comparison, ConjunctiveQuery, Selection, Term};
+use rand::rngs::StdRng;
+use rand::Rng;
+use std::collections::{BTreeMap, HashMap};
+
+/// Values are drawn from `0..DOMAIN`, so joins and duplicates are frequent.
+const DOMAIN: i64 = 3;
+
+/// A random evaluation case: a small database and a union of conjunctive
+/// queries over it.
+#[derive(Debug)]
+struct JoinCase {
+    db: Database,
+    query: UnionQuery,
+    /// The database's relations with their arities.
+    schema: Vec<(String, usize)>,
+}
+
+/// Strategy generating [`JoinCase`]s: 2–3 relations of arity 1–3 holding
+/// endogenous, exogenous and duplicate tuples, queried by 1–2 disjuncts of
+/// 1–3 atoms with constants, repeated variables, selections (some on the
+/// variable `V`, which no atom binds), atoms over an unknown relation and
+/// atoms whose arity differs from their relation's.
+struct JoinCases;
+
+fn random_tuple(rng: &mut StdRng, arity: usize) -> Vec<Value> {
+    (0..arity).map(|_| Value::from(rng.gen_range(0..DOMAIN))).collect()
+}
+
+fn random_cq(rng: &mut StdRng, schema: &[(String, usize)], head_arity: usize) -> ConjunctiveQuery {
+    const VARS: [&str; 3] = ["X", "Y", "Z"];
+    let mut atoms = Vec::new();
+    for _ in 0..rng.gen_range(1..=3usize) {
+        let (relation, arity) = if rng.gen_bool(0.1) {
+            ("Missing".to_owned(), rng.gen_range(1..=2usize))
+        } else {
+            let (name, arity) = &schema[rng.gen_range(0..schema.len())];
+            let arity = if rng.gen_bool(0.1) { arity + 1 } else { *arity };
+            (name.clone(), arity)
+        };
+        let terms = (0..arity)
+            .map(|_| {
+                if rng.gen_bool(0.25) {
+                    Term::constant(rng.gen_range(0..DOMAIN))
+                } else {
+                    Term::var(VARS[rng.gen_range(0..VARS.len())])
+                }
+            })
+            .collect();
+        atoms.push(Atom::new(relation, terms));
+    }
+    if atoms.iter().all(|a| a.variables().next().is_none()) {
+        atoms[0].terms[0] = Term::var("X");
+    }
+    let cq = ConjunctiveQuery {
+        name: "Q".into(),
+        head: Vec::new(),
+        aggregate: None,
+        atoms,
+        selections: Vec::new(),
+    };
+    let bound = cq.variables();
+    let head = (0..head_arity).map(|_| bound[rng.gen_range(0..bound.len())].clone()).collect();
+    let comparisons = [
+        Comparison::Lt,
+        Comparison::Le,
+        Comparison::Eq,
+        Comparison::Ne,
+        Comparison::Ge,
+        Comparison::Gt,
+    ];
+    let selections = (0..rng.gen_range(0..=2usize))
+        .map(|_| Selection {
+            variable: ["X", "Y", "Z", "V"][rng.gen_range(0..4usize)].into(),
+            comparison: comparisons[rng.gen_range(0..comparisons.len())],
+            constant: Value::from(rng.gen_range(0..DOMAIN)),
+        })
+        .collect();
+    ConjunctiveQuery { head, selections, ..cq }
+}
+
+impl Strategy for JoinCases {
+    type Value = JoinCase;
+
+    fn generate(&self, rng: &mut StdRng) -> JoinCase {
+        let mut db = Database::new();
+        let schema: Vec<(String, usize)> = (0..rng.gen_range(2..=3usize))
+            .map(|i| (format!("R{i}"), rng.gen_range(1..=3usize)))
+            .collect();
+        for (name, arity) in &schema {
+            db.add_relation(name.as_str(), *arity);
+            let mut tuples: Vec<Vec<Value>> = Vec::new();
+            for _ in 0..rng.gen_range(0..=6usize) {
+                let values = if !tuples.is_empty() && rng.gen_bool(0.2) {
+                    tuples[rng.gen_range(0..tuples.len())].clone()
+                } else {
+                    random_tuple(rng, *arity)
+                };
+                if rng.gen_bool(0.7) {
+                    db.insert_endogenous(name, values.clone()).unwrap();
+                } else {
+                    db.insert_exogenous(name, values.clone()).unwrap();
+                }
+                tuples.push(values);
+            }
+        }
+        let head_arity = rng.gen_range(0..=2usize);
+        let disjuncts =
+            (0..rng.gen_range(1..=2usize)).map(|_| random_cq(rng, &schema, head_arity)).collect();
+        JoinCase { db, query: UnionQuery { disjuncts }, schema }
+    }
+}
+
+/// Every grounding of `cq` over `db` by brute force: each combination of
+/// one stored tuple per atom, kept when the terms agree with it and every
+/// selection holds.
+fn oracle_groundings(cq: &ConjunctiveQuery, db: &Database) -> Vec<(Vec<Value>, Vec<Var>)> {
+    let candidates: Vec<Vec<(&[Value], Provenance)>> = cq
+        .atoms
+        .iter()
+        .map(|a| db.relation(&a.relation).map(|r| r.tuples().collect()).unwrap_or_default())
+        .collect();
+    let combinations: usize = candidates.iter().map(Vec::len).product();
+    let mut out = Vec::new();
+    'combination: for n in 0..combinations {
+        let mut rest = n;
+        let mut binding: HashMap<&str, &Value> = HashMap::new();
+        let mut clause = Vec::new();
+        for (atom, tuples) in cq.atoms.iter().zip(&candidates) {
+            let (values, provenance) = tuples[rest % tuples.len()];
+            rest /= tuples.len();
+            if values.len() != atom.terms.len() {
+                continue 'combination;
+            }
+            for (term, value) in atom.terms.iter().zip(values) {
+                let agrees = match term {
+                    Term::Constant(c) => c == value,
+                    Term::Variable(v) => *binding.entry(v.as_str()).or_insert(value) == value,
+                };
+                if !agrees {
+                    continue 'combination;
+                }
+            }
+            clause.extend(provenance.fact_id().map(|id| Var(id.0)));
+        }
+        let selected = cq.selections.iter().all(|s| {
+            binding.get(s.variable.as_str()).is_some_and(|v| s.comparison.evaluate(v, &s.constant))
+        });
+        if selected {
+            out.push((cq.head.iter().map(|v| binding[v.as_str()].clone()).collect(), clause));
+        }
+    }
+    out
+}
+
+/// The per-answer lineages the oracle's groundings induce, by tuple.
+fn oracle_answers(query: &UnionQuery, db: &Database) -> Vec<(Vec<Value>, Dnf)> {
+    let mut clauses: BTreeMap<Vec<Value>, Vec<Vec<Var>>> = BTreeMap::new();
+    for cq in &query.disjuncts {
+        for (tuple, clause) in oracle_groundings(cq, db) {
+            clauses.entry(tuple).or_default().push(clause);
+        }
+    }
+    clauses.into_iter().map(|(tuple, clauses)| (tuple, Dnf::from_clauses(clauses))).collect()
+}
+
+/// The query's per-answer lineages as computed by [`evaluate`].
+fn evaluated(query: &UnionQuery, db: &Database) -> Vec<(Vec<Value>, Dnf)> {
+    evaluate(query, db).into_answers().into_iter().map(|a| (a.tuple, a.lineage)).collect()
+}
+
+/// The aggregate answers the oracle's groundings induce, with the error
+/// [`evaluate_aggregate`] must raise for a grounding over exogenous facts
+/// only. `query` must carry its aggregate on every disjunct.
+fn oracle_aggregate(
+    query: &UnionQuery,
+    db: &Database,
+    kind: AggregateKind,
+) -> Result<Vec<(Vec<Value>, WeightedDnf)>, AggregateError> {
+    let mut weighted: BTreeMap<Vec<Value>, Vec<(Vec<Var>, Rational)>> = BTreeMap::new();
+    for cq in &query.disjuncts {
+        let input = cq.aggregate.as_ref().and_then(|a| a.input.clone());
+        let mut probe = cq.clone();
+        probe.head.extend(input.clone());
+        for (mut tuple, clause) in oracle_groundings(&probe, db) {
+            if clause.is_empty() {
+                return Err(AggregateError::UnconditionalGrounding);
+            }
+            let weight = match input {
+                Some(_) => Rational::from(tuple.pop().unwrap().as_int().unwrap()),
+                None => Rational::one(),
+            };
+            weighted.entry(tuple).or_default().push((clause, weight));
+        }
+    }
+    Ok(weighted
+        .into_iter()
+        .map(|(tuple, pairs)| (tuple, WeightedDnf::from_weighted_clauses(kind, pairs)))
+        .collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The planned, indexed join finds exactly the cross-product oracle's
+    /// groundings.
+    #[test]
+    fn evaluate_matches_cross_product_oracle(case in JoinCases) {
+        prop_assert_eq!(evaluated(&case.query, &case.db), oracle_answers(&case.query, &case.db));
+    }
+
+    /// COUNT and SUM evaluation agree with the oracle, errors included.
+    #[test]
+    fn evaluate_aggregate_matches_cross_product_oracle(case in JoinCases, sum in any::<bool>()) {
+        let kind = if sum { AggregateKind::Sum } else { AggregateKind::Count };
+        let mut query = case.query.clone();
+        for (i, cq) in query.disjuncts.iter_mut().enumerate() {
+            let variables = cq.variables();
+            let input = sum.then(|| variables[i % variables.len()].clone());
+            cq.aggregate = Some(AggregateSpec { kind, input });
+        }
+        let have = evaluate_aggregate(&query, &case.db)
+            .map(|r| r.into_answers().into_iter().map(|a| (a.tuple, a.lineage)).collect::<Vec<_>>());
+        prop_assert_eq!(have, oracle_aggregate(&query, &case.db, kind));
+    }
+
+    /// After an insert, every answer's lineage is the disjunction of its old
+    /// lineage and the inserted fact's delta clauses, each of which uses the
+    /// fact.
+    #[test]
+    fn delta_groundings_extend_old_lineages(case in JoinCases, seed in any::<u64>()) {
+        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let JoinCase { mut db, query, schema } = case;
+        let before = evaluated(&query, &db);
+        let (relation, arity) = &schema[rng.gen_range(0..schema.len())];
+        let id = db.insert_endogenous(relation, random_tuple(&mut rng, *arity)).unwrap();
+        let mut delta: BTreeMap<Vec<Value>, Vec<Vec<Var>>> = BTreeMap::new();
+        for (tuple, clause) in delta_groundings(&query, &db, id) {
+            prop_assert!(clause.contains(&Var(id.0)));
+            delta.entry(tuple).or_default().push(clause);
+        }
+        let mut merged: BTreeMap<Vec<Value>, Dnf> = before.into_iter().collect();
+        for (tuple, clauses) in delta {
+            let delta = Dnf::from_clauses(clauses);
+            let lineage = match merged.remove(&tuple) {
+                Some(old) => old.or(&delta),
+                None => delta,
+            };
+            merged.insert(tuple, lineage);
+        }
+        let merged: Vec<(Vec<Value>, Dnf)> = merged.into_iter().collect();
+        prop_assert_eq!(merged, evaluated(&query, &db));
+    }
+}
