@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the building blocks: bigint arithmetic,
-//! iDNF bound construction and counting, d-tree compilation, Monte Carlo
-//! sampling throughput, and provenance-aware query evaluation.
+//! iDNF bound construction and counting, d-tree compilation, ExaBan's count
+//! and context passes, Monte Carlo sampling throughput, and provenance-aware
+//! query evaluation.
 
-use banzhaf::{Budget, DTree, PivotHeuristic};
+use banzhaf::{exaban_all_with_counts, model_counts, Budget, DTree, PivotHeuristic};
 use banzhaf_arith::Natural;
 use banzhaf_baselines::{mc_banzhaf, McOptions};
 use banzhaf_boolean::{lower_bound_fn, upper_bound_fn};
@@ -57,8 +58,10 @@ fn bench_compile(c: &mut Criterion) {
     let mut group = c.benchmark_group("dtree_compile");
     group.sample_size(20);
     let mut rng = StdRng::seed_from_u64(12);
-    for vars in [15usize, 25, 35] {
-        let phi = LineageGenerator::new(shape(vars, vars)).generate(&mut rng);
+    // Paper-corpus sizes, then hard-tail sizes (`perfbench`'s `HARD_SIZES`
+    // clause counts at 45 and 55 variables).
+    for (vars, clauses) in [(15usize, 15usize), (25, 25), (35, 35), (45, 32), (55, 37)] {
+        let phi = LineageGenerator::new(shape(vars, clauses)).generate(&mut rng);
         group.bench_with_input(BenchmarkId::new("compile_full", vars), &vars, |bench, _| {
             bench.iter(|| {
                 DTree::compile_full(phi.clone(), PivotHeuristic::MostFrequent, &Budget::unlimited())
@@ -66,6 +69,25 @@ fn bench_compile(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+}
+
+/// ExaBan's two passes over one compiled 50-variable tree, apart from the
+/// compilation they follow.
+fn bench_exaban_pass(c: &mut Criterion) {
+    let mut group = c.benchmark_group("exaban_pass");
+    group.sample_size(20);
+    let mut rng = StdRng::seed_from_u64(14);
+    let phi = LineageGenerator::new(shape(50, 35)).generate(&mut rng);
+    let tree =
+        DTree::compile_full(phi, PivotHeuristic::MostFrequent, &Budget::unlimited()).unwrap();
+    group.bench_with_input(
+        BenchmarkId::new("counts_and_contexts", tree.num_nodes()),
+        &tree,
+        |bench, tree| {
+            bench.iter(|| exaban_all_with_counts(tree, &model_counts(tree)));
+        },
+    );
     group.finish();
 }
 
@@ -107,6 +129,7 @@ criterion_group!(
     bench_bigint,
     bench_idnf_bounds,
     bench_compile,
+    bench_exaban_pass,
     bench_mc_sampling,
     bench_evaluate
 );

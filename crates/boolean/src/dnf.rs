@@ -165,23 +165,6 @@ impl Dnf {
         counts
     }
 
-    /// A used variable with the largest number of occurrences, if any.
-    ///
-    /// This is the default Shannon-expansion pivot heuristic (Sec. 3.1):
-    /// conditioning on the most frequent variable tends to break the most
-    /// clause interactions. Ties are broken by the smaller variable index so
-    /// the choice is deterministic.
-    pub fn most_frequent_var(&self) -> Option<Var> {
-        let counts = self.occurrence_counts();
-        counts.into_iter().max_by(|(v1, c1), (v2, c2)| c1.cmp(c2).then(v2.cmp(v1))).map(|(v, _)| v)
-    }
-
-    /// The first used variable (lowest index), if any. Used by the ablation
-    /// benchmark comparing pivot-selection heuristics.
-    pub fn first_var(&self) -> Option<Var> {
-        self.used_vars().iter().next()
-    }
-
     /// Conditioning: the function `φ[v := value]` over the universe minus `v`.
     pub fn condition(&self, v: Var, value: bool) -> Dnf {
         let mut universe = self.universe.clone();
@@ -402,16 +385,6 @@ mod tests {
         // A lineage whose universe already equals its used variables is
         // unchanged.
         assert_eq!(phi.restrict_to_used(), phi);
-    }
-
-    #[test]
-    fn most_frequent_var_heuristic() {
-        let phi = example9();
-        assert_eq!(phi.most_frequent_var(), Some(v(0)));
-        assert_eq!(phi.first_var(), Some(v(0)));
-        let single = Dnf::from_clauses(vec![vec![v(5), v(3)]]);
-        assert!(single.most_frequent_var().is_some());
-        assert_eq!(Dnf::constant_false(VarSet::empty()).most_frequent_var(), None);
     }
 
     #[test]

@@ -10,9 +10,6 @@
 //!   function may be defined over more variables than it mentions, which
 //!   matters for model counting, cf. Example 13 of the paper);
 //! * conditioning `φ[x := b]`, evaluation, and structural queries;
-//! * independence partitioning (connected components of the variable/clause
-//!   incidence graph) and common-variable factoring — the decomposition steps
-//!   used by d-tree compilation;
 //! * the iDNF lower/upper bound constructions `L(φ)` and `U(φ)` of
 //!   Sec. 3.2.1 with their linear-time model counting;
 //! * brute-force model counting and Banzhaf evaluation used as a test oracle.
@@ -38,7 +35,6 @@ mod brute;
 mod clause;
 mod dnf;
 mod idnf;
-mod partition;
 mod var;
 mod weighted;
 
@@ -46,6 +42,5 @@ pub use assignment::Assignment;
 pub use clause::Clause;
 pub use dnf::Dnf;
 pub use idnf::{lower_bound_fn, upper_bound_fn, IdnfCounts};
-pub use partition::{common_variables, independent_components, Factored};
 pub use var::{Var, VarSet};
 pub use weighted::{AggregateKind, AggregateValue, WeightedDnf};

@@ -22,7 +22,7 @@
 use crate::bounds::bounds_for_var;
 use banzhaf_arith::{Natural, Ratio};
 use banzhaf_boolean::Var;
-use banzhaf_dtree::{Budget, DTree, Interrupted, PivotHeuristic};
+use banzhaf_dtree::{Budget, DTree, Interrupted, OpKind, PivotHeuristic};
 
 /// Configuration of the AdaBan approximation.
 #[derive(Clone, Debug)]
@@ -158,13 +158,11 @@ pub fn adaban(
         let mut expanded_any = false;
         loop {
             budget.step()?;
-            let shannon_before = tree.stats().exclusive;
-            if !tree.expand_largest_leaf(options.heuristic) {
+            let Some(op) = tree.expand_largest_leaf(options.heuristic) else {
                 break;
-            }
+            };
             expanded_any = true;
-            let shannon_after = tree.stats().exclusive;
-            if !options.lazy || shannon_after > shannon_before {
+            if !options.lazy || op == OpKind::Exclusive {
                 break;
             }
         }

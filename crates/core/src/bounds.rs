@@ -8,7 +8,7 @@
 
 use banzhaf_arith::{Int, Natural};
 use banzhaf_boolean::{lower_bound_fn, upper_bound_fn, IdnfCounts, Var};
-use banzhaf_dtree::{DTree, Node, NodeId, OpKind};
+use banzhaf_dtree::{DTree, Node, NodeId, OpKind, Span};
 
 /// The quadruple of bounds computed per node by the `bounds` procedure:
 /// `Lb ≤ Banzhaf(φ, x) ≤ Ub` and `L# ≤ #φ ≤ U#`.
@@ -72,37 +72,34 @@ fn mul_interval(banzhaf: (&Int, &Int), factor: (&Natural, &Natural)) -> (Int, In
 /// Sec. 3.2.4, which additionally exploits `Banzhaf(φ,x) = #φ − 2·#φ[x:=0]`.
 pub fn bounds_for_var(tree: &DTree, x: Var, use_opt4: bool) -> BoundQuad {
     let mut quads: Vec<Option<BoundQuad>> = vec![None; tree.num_nodes()];
-    for id in tree.postorder() {
-        let quad = match tree.node(id) {
+    // Descending ids visit children before parents.
+    for i in (0..tree.num_nodes()).rev() {
+        let quad = match tree.node(NodeId(i as u32)) {
+            Node::Const { value: false, .. } => BoundQuad::exact(Int::zero(), Natural::zero()),
+            Node::Const { value: true, num_vars } => {
+                BoundQuad::exact(Int::zero(), Natural::pow2(*num_vars as usize))
+            }
+            Node::Leaf(dnf) if !dnf.universe().contains(x) => {
+                // The leaf does not mention x: Banzhaf contribution is
+                // exactly zero, only the count bounds matter.
+                BoundQuad {
+                    banzhaf_lower: Int::zero(),
+                    banzhaf_upper: Int::zero(),
+                    count_lower: lower_bound_fn(dnf).idnf_model_count(),
+                    count_upper: upper_bound_fn(dnf).idnf_model_count(),
+                }
+            }
             Node::Leaf(dnf) => {
-                if dnf.is_false() {
-                    BoundQuad::exact(Int::zero(), Natural::zero())
-                } else if dnf.is_true() {
-                    BoundQuad::exact(Int::zero(), Natural::pow2(dnf.num_vars()))
-                } else if let Some(v) = dnf.is_single_literal() {
-                    let b = if v == x { Int::one() } else { Int::zero() };
-                    BoundQuad::exact(b, Natural::one())
-                } else if !dnf.universe().contains(x) {
-                    // The leaf does not mention x: Banzhaf contribution is
-                    // exactly zero, only the count bounds matter.
-                    BoundQuad {
-                        banzhaf_lower: Int::zero(),
-                        banzhaf_upper: Int::zero(),
-                        count_lower: lower_bound_fn(dnf).idnf_model_count(),
-                        count_upper: upper_bound_fn(dnf).idnf_model_count(),
-                    }
+                let counts = if use_opt4 {
+                    IdnfCounts::for_leaf_opt4(dnf, x)
                 } else {
-                    let counts = if use_opt4 {
-                        IdnfCounts::for_leaf_opt4(dnf, x)
-                    } else {
-                        IdnfCounts::for_leaf(dnf, x)
-                    };
-                    BoundQuad {
-                        banzhaf_lower: counts.banzhaf_lower,
-                        banzhaf_upper: counts.banzhaf_upper,
-                        count_lower: counts.count_lower,
-                        count_upper: counts.count_upper,
-                    }
+                    IdnfCounts::for_leaf(dnf, x)
+                };
+                BoundQuad {
+                    banzhaf_lower: counts.banzhaf_lower,
+                    banzhaf_upper: counts.banzhaf_upper,
+                    count_lower: counts.count_lower,
+                    count_upper: counts.count_upper,
                 }
             }
             Node::PosLit(v) => {
@@ -113,16 +110,18 @@ pub fn bounds_for_var(tree: &DTree, x: Var, use_opt4: bool) -> BoundQuad {
                 let b = if *v == x { Int::minus_one() } else { Int::zero() };
                 BoundQuad::exact(b, Natural::one())
             }
-            Node::Op { op, children, num_vars } => combine(*op, children, *num_vars, &quads, tree),
+            Node::Op { op, num_vars, children } => {
+                combine(*op, *children, *num_vars as usize, &quads, tree)
+            }
         };
-        quads[id.index()] = Some(quad);
+        quads[i] = Some(quad);
     }
     quads[tree.root().index()].take().expect("root bounds computed")
 }
 
 fn combine(
     op: OpKind,
-    children: &[NodeId],
+    children: Span,
     num_vars: usize,
     quads: &[Option<BoundQuad>],
     tree: &DTree,
@@ -137,20 +136,20 @@ fn combine(
             // scaled intervals keeps exactly that child's contribution.
             let mut count_lower = Natural::one();
             let mut count_upper = Natural::one();
-            for &c in children {
+            for c in children.ids() {
                 count_lower = count_lower.mul_ref(&child(c).count_lower);
                 count_upper = count_upper.mul_ref(&child(c).count_upper);
             }
             let mut banzhaf_lower = Int::zero();
             let mut banzhaf_upper = Int::zero();
-            for (i, &c) in children.iter().enumerate() {
+            for (i, c) in children.ids().enumerate() {
                 let q = child(c);
                 if q.banzhaf_lower.is_zero() && q.banzhaf_upper.is_zero() {
                     continue;
                 }
                 let mut sib_lower = Natural::one();
                 let mut sib_upper = Natural::one();
-                for (j, &s) in children.iter().enumerate() {
+                for (j, s) in children.ids().enumerate() {
                     if j != i {
                         sib_lower = sib_lower.mul_ref(&child(s).count_lower);
                         sib_upper = sib_upper.mul_ref(&child(s).count_upper);
@@ -167,7 +166,7 @@ fn combine(
             // Non-model counts multiply: # = 2^n − Π (2^{n_i} − #_i).
             let mut nm_lower = Natural::one(); // product of (2^{n_i} − U#_i)
             let mut nm_upper = Natural::one(); // product of (2^{n_i} − L#_i)
-            for &c in children {
+            for c in children.ids() {
                 let ni = tree.node(c).num_vars();
                 let q = child(c);
                 nm_lower = nm_lower.mul_ref(&Natural::pow2(ni).saturating_sub(&q.count_upper));
@@ -177,7 +176,7 @@ fn combine(
             let count_upper = Natural::pow2(num_vars).saturating_sub(&nm_lower);
             let mut banzhaf_lower = Int::zero();
             let mut banzhaf_upper = Int::zero();
-            for (i, &c) in children.iter().enumerate() {
+            for (i, c) in children.ids().enumerate() {
                 let q = child(c);
                 if q.banzhaf_lower.is_zero() && q.banzhaf_upper.is_zero() {
                     continue;
@@ -187,7 +186,7 @@ fn combine(
                 // counts.
                 let mut sib_lower = Natural::one();
                 let mut sib_upper = Natural::one();
-                for (j, &s) in children.iter().enumerate() {
+                for (j, s) in children.ids().enumerate() {
                     if j != i {
                         let nj = tree.node(s).num_vars();
                         let sq = child(s);
@@ -209,7 +208,7 @@ fn combine(
             let mut banzhaf_upper = Int::zero();
             let mut count_lower = Natural::zero();
             let mut count_upper = Natural::zero();
-            for &c in children {
+            for c in children.ids() {
                 let q = child(c);
                 banzhaf_lower += &q.banzhaf_lower;
                 banzhaf_upper += &q.banzhaf_upper;
@@ -284,7 +283,7 @@ mod tests {
                     tree.expansions()
                 );
             }
-            if !tree.expand_largest_leaf(PivotHeuristic::MostFrequent) {
+            if tree.expand_largest_leaf(PivotHeuristic::MostFrequent).is_none() {
                 break;
             }
         }

@@ -15,10 +15,21 @@
 //! "context factor" to each leaf — which shares the count computation across
 //! variables exactly as the paper suggests ("For all variables, it uses the
 //! same d-tree and shares the computation of the counts").
+//!
+//! Both passes follow the arena's id order (a child's id exceeds its
+//! parent's), so neither builds a traversal order. The count pass visits ids
+//! downwards; the context pass walks depth-first from the root with each
+//! pending node carrying its context, so it keeps no per-node context
+//! vector. Two-child nodes — most of a Shannon-expanded tree — take a direct
+//! path, wider ones reuse one scratch buffer of sibling factors, and the
+//! values accumulate in a vector indexed by position in the tree's universe
+//! ([`DTree::universe`]), which also supplies the zero entries of variables
+//! that occur only in constant leaves.
 
 use banzhaf_arith::{Int, Natural};
 use banzhaf_boolean::Var;
-use banzhaf_dtree::{DTree, Node, NodeId, OpKind};
+use banzhaf_dtree::{DTree, Node, NodeId, OpKind, Span};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Exact Banzhaf values of every variable of a function, plus its model count.
@@ -58,63 +69,124 @@ impl BanzhafResult {
 /// variables and across algorithms via [`exaban_all_with_counts`].
 ///
 /// # Panics
-/// Panics (in debug builds) if the d-tree is not complete.
+/// Panics if the d-tree is not complete.
 pub fn model_counts(tree: &DTree) -> Vec<Natural> {
     // One instantiation of the generic bottom-up combine
-    // (`DTree::fold_postorder`): the Boolean counting semiring. The aggregate
-    // layer instantiates the same skeleton with weighted values.
-    tree.fold_postorder(|_, node, counts| match node {
-        Node::Leaf(dnf) => {
-            debug_assert!(
-                dnf.is_constant() || dnf.is_single_literal().is_some(),
-                "ExaBan requires a complete d-tree"
-            );
-            if dnf.is_false() {
-                Natural::zero()
-            } else if dnf.is_true() {
-                Natural::pow2(dnf.num_vars())
-            } else {
-                // Single positive literal over a singleton universe.
-                Natural::one()
-            }
+    // (`DTree::fold_bottom_up`): the Boolean counting semiring.
+    tree.fold_bottom_up(|_, node, counts| match node {
+        Node::Op { op, num_vars, children } => {
+            combine_counts(*op, *children, *num_vars as usize, counts, tree)
         }
-        Node::PosLit(_) | Node::NegLit(_) => Natural::one(),
-        Node::Op { op, children, num_vars } => {
-            combine_counts(*op, children, *num_vars, counts, tree)
-        }
+        leaf => leaf_count(leaf),
     })
 }
 
+/// The model count of a leaf of a complete d-tree.
+fn leaf_count(leaf: &Node) -> Natural {
+    match leaf {
+        Node::Const { value: true, num_vars } => Natural::pow2(*num_vars as usize),
+        Node::Const { value: false, .. } => Natural::zero(),
+        Node::PosLit(_) | Node::NegLit(_) => Natural::one(),
+        Node::Leaf(_) | Node::Op { .. } => panic!("ExaBan requires a complete d-tree"),
+    }
+}
+
+/// Model counts of a complete d-tree's nodes, as the passes read them.
+trait Counts {
+    fn count(&self, tree: &DTree, c: NodeId) -> Cow<'_, Natural>;
+}
+
+/// Per-node counts, as [`model_counts`] returns them.
+impl Counts for [Natural] {
+    fn count(&self, _: &DTree, c: NodeId) -> Cow<'_, Natural> {
+        Cow::Borrowed(&self[c.index()])
+    }
+}
+
+/// The model counts of the inner nodes only: a leaf's count follows from
+/// the leaf, and leaves are about half of a compiled tree. An inner node's
+/// count sits at its rank among the inner nodes.
+struct InnerCounts {
+    /// Bit `i % 64` of word `i / 64` is set iff node `i` is inner.
+    inner: Vec<u64>,
+    /// The number of inner nodes before each word of `inner`.
+    before: Vec<u32>,
+    counts: Vec<Natural>,
+}
+
+impl InnerCounts {
+    /// Runs the bottom-up count pass over a complete d-tree.
+    fn new(tree: &DTree) -> Self {
+        let n = tree.num_nodes();
+        let mut inner = vec![0u64; n.div_ceil(64)];
+        for i in 0..n {
+            if matches!(tree.node(NodeId(i as u32)), Node::Op { .. }) {
+                inner[i / 64] |= 1 << (i % 64);
+            }
+        }
+        let mut before = Vec::with_capacity(inner.len());
+        let mut total = 0;
+        for word in &inner {
+            before.push(total);
+            total += word.count_ones();
+        }
+        let mut this = InnerCounts { inner, before, counts: vec![Natural::zero(); total as usize] };
+        // Descending ids visit children before parents.
+        for i in (0..n).rev() {
+            let id = NodeId(i as u32);
+            if let Node::Op { op, num_vars, children } = tree.node(id) {
+                let count = combine_counts(*op, *children, *num_vars as usize, &this, tree);
+                let rank = this.rank(id);
+                this.counts[rank] = count;
+            }
+        }
+        this
+    }
+
+    /// The number of inner nodes before node `id`.
+    fn rank(&self, id: NodeId) -> usize {
+        let (word, bit) = (id.index() / 64, id.index() % 64);
+        (self.before[word] + (self.inner[word] & ((1 << bit) - 1)).count_ones()) as usize
+    }
+}
+
+impl Counts for InnerCounts {
+    fn count(&self, tree: &DTree, c: NodeId) -> Cow<'_, Natural> {
+        match tree.node(c) {
+            Node::Op { .. } => Cow::Borrowed(&self.counts[self.rank(c)]),
+            leaf => Cow::Owned(leaf_count(leaf)),
+        }
+    }
+}
+
+/// `2^{n_c} − #_c`: the number of non-models of child `c`.
+fn non_models<C: Counts + ?Sized>(tree: &DTree, counts: &C, c: NodeId) -> Natural {
+    &Natural::pow2(tree.node(c).num_vars()) - &*counts.count(tree, c)
+}
+
 /// Combines children model counts at an inner node.
-fn combine_counts(
+fn combine_counts<C: Counts + ?Sized>(
     op: OpKind,
-    children: &[NodeId],
+    children: Span,
     num_vars: usize,
-    counts: &[Natural],
+    counts: &C,
     tree: &DTree,
 ) -> Natural {
+    let mut children = children.ids();
     match op {
         OpKind::IndependentAnd => {
-            let mut acc = Natural::one();
-            for &c in children {
-                acc = acc.mul_ref(&counts[c.index()]);
-            }
-            acc
+            children.fold(Natural::one(), |acc, c| acc.mul_ref(&counts.count(tree, c)))
         }
+        // #φ = 2^n − Π (2^{n_i} − #φ_i): multiply the non-model counts.
         OpKind::IndependentOr => {
-            // #φ = 2^n − Π (2^{n_i} − #φ_i): multiply the non-model counts.
-            let mut non_models = Natural::one();
-            for &c in children {
-                let child_vars = tree.node(c).num_vars();
-                let nm = &Natural::pow2(child_vars) - &counts[c.index()];
-                non_models = non_models.mul_ref(&nm);
-            }
-            &Natural::pow2(num_vars) - &non_models
+            let nm =
+                children.fold(Natural::one(), |acc, c| acc.mul_ref(&non_models(tree, counts, c)));
+            &Natural::pow2(num_vars) - &nm
         }
         OpKind::Exclusive => {
-            let mut acc = Natural::zero();
-            for &c in children {
-                acc += &counts[c.index()];
+            let mut acc = counts.count(tree, children.next().expect("⊕ has children")).into_owned();
+            for c in children {
+                acc += &*counts.count(tree, c);
             }
             acc
         }
@@ -129,80 +201,54 @@ fn combine_counts(
 /// for positive lineage the root value is always non-negative.
 ///
 /// # Panics
-/// Panics (in debug builds) if the d-tree is not complete.
+/// Panics if the d-tree is not complete.
 pub fn exaban_single(tree: &DTree, x: Var) -> (Int, Natural) {
     let counts = model_counts(tree);
     // Per-node Banzhaf value of `x` in the subtree function.
     let mut banzhaf: Vec<Int> = vec![Int::zero(); tree.num_nodes()];
-    // Whether the subtree mentions `x` (computed bottom-up to avoid repeated
-    // subtree scans).
+    // Whether `x` occurs as a literal in the subtree (computed bottom-up to
+    // avoid repeated subtree scans). Constant leaves contribute a Banzhaf
+    // value of zero whether or not `x` is among their variables.
     let mut contains: Vec<bool> = vec![false; tree.num_nodes()];
-    for id in tree.postorder() {
-        let (b, has) = match tree.node(id) {
-            Node::Leaf(dnf) => {
-                let has = dnf.universe().contains(x);
-                let b = if dnf.is_constant() {
-                    Int::zero()
-                } else if dnf.is_single_literal() == Some(x) {
-                    Int::one()
-                } else {
-                    Int::zero()
-                };
-                (b, has)
-            }
+    // Descending ids visit children before parents.
+    for i in (0..tree.num_nodes()).rev() {
+        let (b, has) = match tree.node(NodeId(i as u32)) {
+            Node::Const { .. } => (Int::zero(), false),
             Node::PosLit(v) => (if *v == x { Int::one() } else { Int::zero() }, *v == x),
             Node::NegLit(v) => (if *v == x { Int::minus_one() } else { Int::zero() }, *v == x),
+            Node::Leaf(_) => panic!("ExaBan requires a complete d-tree"),
             Node::Op { op, children, .. } => {
-                let has = children.iter().any(|&c| contains[c.index()]);
-                let b = match op {
-                    OpKind::IndependentAnd => {
-                        // B = B_i · Π_{j≠i} #_j where x is in child i.
+                let holder = children.ids().position(|c| contains[c.index()]);
+                let b = match (op, holder) {
+                    (OpKind::Exclusive, _) => {
                         let mut acc = Int::zero();
-                        if has {
-                            let i = children
-                                .iter()
-                                .position(|&c| contains[c.index()])
-                                .expect("has implies a child containing x");
-                            acc = banzhaf[children[i].index()].clone();
-                            for (j, &c) in children.iter().enumerate() {
-                                if j != i {
-                                    acc = acc.mul_natural(&counts[c.index()]);
-                                }
-                            }
-                        }
-                        acc
-                    }
-                    OpKind::IndependentOr => {
-                        let mut acc = Int::zero();
-                        if has {
-                            let i = children
-                                .iter()
-                                .position(|&c| contains[c.index()])
-                                .expect("has implies a child containing x");
-                            acc = banzhaf[children[i].index()].clone();
-                            for (j, &c) in children.iter().enumerate() {
-                                if j != i {
-                                    let nj = tree.node(c).num_vars();
-                                    let factor = &Natural::pow2(nj) - &counts[c.index()];
-                                    acc = acc.mul_natural(&factor);
-                                }
-                            }
-                        }
-                        acc
-                    }
-                    OpKind::Exclusive => {
-                        let mut acc = Int::zero();
-                        for &c in children {
+                        for c in children.ids() {
                             acc += &banzhaf[c.index()];
                         }
                         acc
                     }
+                    (_, None) => Int::zero(),
+                    // B = B_i · Π_{j≠i} f_j where x is in child i and f_j is
+                    // #_j (⊙) or 2^{n_j} − #_j (⊗).
+                    (_, Some(i)) => {
+                        let mut acc = banzhaf[children.get(i).index()].clone();
+                        for (j, c) in children.ids().enumerate() {
+                            if j != i {
+                                acc = if *op == OpKind::IndependentAnd {
+                                    acc.mul_natural(&counts[c.index()])
+                                } else {
+                                    acc.mul_natural(&non_models(tree, &counts[..], c))
+                                };
+                            }
+                        }
+                        acc
+                    }
                 };
-                (b, has)
+                (b, holder.is_some())
             }
         };
-        banzhaf[id.index()] = b;
-        contains[id.index()] = has;
+        banzhaf[i] = b;
+        contains[i] = has;
     }
     (banzhaf[tree.root().index()].clone(), counts[tree.root().index()].clone())
 }
@@ -217,9 +263,9 @@ pub fn exaban_single(tree: &DTree, x: Var) -> (Int, Natural) {
 /// `⊕` nodes pass the context through unchanged (Eq. (5), (7), (9)).
 ///
 /// # Panics
-/// Panics (in debug builds) if the d-tree is not complete.
+/// Panics if the d-tree is not complete.
 pub fn exaban_all(tree: &DTree) -> BanzhafResult {
-    exaban_all_with_counts(tree, &model_counts(tree))
+    propagate(tree, &InnerCounts::new(tree))
 }
 
 /// [`exaban_all`] with a precomputed per-node model-count vector (as returned
@@ -227,84 +273,80 @@ pub fn exaban_all(tree: &DTree) -> BanzhafResult {
 /// shared across algorithms operating on one compiled d-tree.
 ///
 /// # Panics
-/// Panics (in debug builds) if the d-tree is not complete or if `counts` does
-/// not match the tree.
+/// Panics if the d-tree is not complete, or (in debug builds) if `counts`
+/// does not match the tree.
 pub fn exaban_all_with_counts(tree: &DTree, counts: &[Natural]) -> BanzhafResult {
     debug_assert_eq!(counts.len(), tree.num_nodes(), "counts vector does not match the tree");
-    let mut contexts: Vec<Natural> = vec![Natural::zero(); tree.num_nodes()];
-    contexts[tree.root().index()] = Natural::one();
+    propagate(tree, counts)
+}
 
-    // Accumulate signed contributions per variable (negated literals from
-    // Shannon expansion contribute negatively).
-    let mut acc: HashMap<Var, Int> = HashMap::new();
+/// The top-down context pass of [`exaban_all`] over the given counts.
+fn propagate<C: Counts + ?Sized>(tree: &DTree, counts: &C) -> BanzhafResult {
+    let universe = tree.universe().as_slice();
+    let position = |v: &Var| universe.binary_search(v).expect("literal in the tree's universe");
+    // Signed contributions per universe variable (negated literals from
+    // Shannon expansion contribute negatively). Variables that only occur in
+    // constant leaves keep the value 0.
+    let mut acc: Vec<Int> = vec![Int::zero(); universe.len()];
+    // Sibling factors and their suffix products, reused across nodes.
+    let mut factors: Vec<Natural> = Vec::new();
+    let mut suffix: Vec<Natural> = Vec::new();
 
-    for id in tree.preorder() {
-        let ctx = contexts[id.index()].clone();
+    // Depth-first from the root, each pending node carrying its context, so
+    // only the contexts of the frontier are held — not one per node.
+    let mut stack: Vec<(NodeId, Natural)> = vec![(tree.root(), Natural::one())];
+    while let Some((id, ctx)) = stack.pop() {
         match tree.node(id) {
-            Node::Leaf(dnf) => {
-                if let Some(v) = dnf.is_single_literal() {
-                    *acc.entry(v).or_default() += &Int::from(ctx);
-                } else {
-                    // Constant leaf: its universe variables have zero
-                    // contribution through this subtree but must still appear
-                    // in the result with value 0.
-                    for v in dnf.universe().iter() {
-                        acc.entry(v).or_default();
+            Node::Const { .. } => {}
+            Node::PosLit(v) => acc[position(v)] += &Int::from(ctx),
+            Node::NegLit(v) => acc[position(v)] -= &Int::from(ctx),
+            Node::Leaf(_) => panic!("ExaBan requires a complete d-tree"),
+            Node::Op { op, children, .. } => {
+                let factor = |c: NodeId| match op {
+                    OpKind::IndependentAnd => counts.count(tree, c),
+                    _ => Cow::Owned(non_models(tree, counts, c)),
+                };
+                match (op, children.len()) {
+                    (OpKind::Exclusive, _) => {
+                        stack.extend(children.ids().map(|c| (c, ctx.clone())));
+                    }
+                    (_, 2) => {
+                        let (a, b) = (children.get(0), children.get(1));
+                        stack.push((a, ctx.mul_ref(&factor(b))));
+                        stack.push((b, ctx.mul_ref(&factor(a))));
+                    }
+                    (_, k) => {
+                        // Child j's context is ctx · Π_{i<j} f_i · Π_{i>j} f_i,
+                        // with a running prefix and a suffix table to stay
+                        // linear in the fan-out.
+                        factors.clear();
+                        factors.extend(children.ids().map(|c| factor(c).into_owned()));
+                        suffix.clear();
+                        suffix.push(Natural::one());
+                        for f in factors.iter().rev() {
+                            let next = suffix.last().expect("seeded").mul_ref(f);
+                            suffix.push(next);
+                        }
+                        let mut prefix = ctx;
+                        for (j, c) in children.ids().enumerate() {
+                            stack.push((c, prefix.mul_ref(&suffix[k - 1 - j])));
+                            prefix = prefix.mul_ref(&factors[j]);
+                        }
                     }
                 }
             }
-            Node::PosLit(v) => {
-                *acc.entry(*v).or_default() += &Int::from(ctx);
-            }
-            Node::NegLit(v) => {
-                *acc.entry(*v).or_default() -= &Int::from(ctx);
-            }
-            Node::Op { op, children, .. } => match op {
-                OpKind::Exclusive => {
-                    for &c in children {
-                        contexts[c.index()] = ctx.clone();
-                    }
-                }
-                OpKind::IndependentAnd | OpKind::IndependentOr => {
-                    // Child i's context is ctx · Π_{j≠i} factor_j where
-                    // factor_j is #_j (⊙) or 2^{n_j} − #_j (⊗). Computed with
-                    // prefix/suffix products to stay linear in the fan-out.
-                    let factors: Vec<Natural> = children
-                        .iter()
-                        .map(|&c| match op {
-                            OpKind::IndependentAnd => counts[c.index()].clone(),
-                            _ => {
-                                let nj = tree.node(c).num_vars();
-                                &Natural::pow2(nj) - &counts[c.index()]
-                            }
-                        })
-                        .collect();
-                    let k = children.len();
-                    let mut prefix = vec![Natural::one(); k + 1];
-                    for i in 0..k {
-                        prefix[i + 1] = prefix[i].mul_ref(&factors[i]);
-                    }
-                    let mut suffix = vec![Natural::one(); k + 1];
-                    for i in (0..k).rev() {
-                        suffix[i] = suffix[i + 1].mul_ref(&factors[i]);
-                    }
-                    for (i, &c) in children.iter().enumerate() {
-                        let sibling_product = prefix[i].mul_ref(&suffix[i + 1]);
-                        contexts[c.index()] = ctx.mul_ref(&sibling_product);
-                    }
-                }
-            },
         }
     }
 
-    let values = acc
-        .into_iter()
-        .map(|(v, b)| {
+    let values = universe
+        .iter()
+        .zip(acc)
+        .map(|(&v, b)| {
             debug_assert!(!b.is_negative(), "positive lineage has non-negative Banzhaf values");
             (v, b.into_magnitude())
         })
         .collect();
-    BanzhafResult { values, model_count: counts[tree.root().index()].clone() }
+    BanzhafResult { values, model_count: counts.count(tree, tree.root()).into_owned() }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use crate::adaban::ApproxInterval;
 use crate::bounds::bounds_for_var;
 use banzhaf_arith::Ratio;
 use banzhaf_boolean::Var;
-use banzhaf_dtree::{Budget, DTree, Interrupted, Node, PivotHeuristic};
+use banzhaf_dtree::{Budget, DTree, Interrupted, PivotHeuristic};
 use std::collections::HashMap;
 
 /// Configuration of IchiBan.
@@ -89,20 +89,6 @@ pub struct Ranking {
     pub certified: bool,
 }
 
-/// Collects every variable mentioned anywhere in the (possibly partial)
-/// d-tree — i.e. the universe of the represented function.
-pub(crate) fn tree_vars(tree: &DTree) -> Vec<Var> {
-    let mut set = banzhaf_boolean::VarSet::empty();
-    for id in tree.preorder() {
-        match tree.node(id) {
-            Node::Leaf(dnf) => set = set.union(dnf.universe()),
-            Node::PosLit(v) | Node::NegLit(v) => set.insert(*v),
-            Node::Op { .. } => {}
-        }
-    }
-    set.iter().collect()
-}
-
 fn interval_for(tree: &DTree, x: Var, use_opt4: bool) -> ApproxInterval {
     let quad = bounds_for_var(tree, x, use_opt4);
     let (lower, upper) = quad.banzhaf_bounds_clamped();
@@ -126,7 +112,7 @@ pub fn ichiban_topk(
     options: &IchiBanOptions,
     budget: &Budget,
 ) -> Result<TopK, Interrupted> {
-    let vars = tree_vars(tree);
+    let vars: Vec<Var> = tree.universe().iter().collect();
     let k = k.min(vars.len());
     // Candidates still in the running for the top-k set.
     let mut active: Vec<Var> = vars.clone();
@@ -173,7 +159,7 @@ pub fn ichiban_rank(
     options: &IchiBanOptions,
     budget: &Budget,
 ) -> Result<Ranking, Interrupted> {
-    let vars = tree_vars(tree);
+    let vars: Vec<Var> = tree.universe().iter().collect();
     let mut intervals: HashMap<Var, ApproxInterval> = HashMap::new();
 
     loop {
@@ -215,7 +201,7 @@ fn expand_batch(
 ) -> Result<(), Interrupted> {
     for _ in 0..options.expansion_batch.max(1) {
         budget.step()?;
-        if !tree.expand_largest_leaf(options.heuristic) {
+        if tree.expand_largest_leaf(options.heuristic).is_none() {
             break;
         }
     }
@@ -364,7 +350,12 @@ mod tests {
         );
         let mut tree = DTree::from_leaf(phi);
         tree.expand_largest_leaf(PivotHeuristic::MostFrequent);
-        let vars = tree_vars(&tree);
+        let vars: Vec<Var> = tree.universe().iter().collect();
         assert_eq!(vars, vec![v(0), v(1), v(5)]);
+        // The unused v5 sits in a constant leaf, yet is still ranked.
+        let ranking = ichiban_rank(&mut tree, &IchiBanOptions::certain(), &Budget::unlimited());
+        let mut ranked = ranking.unwrap().order;
+        ranked.sort();
+        assert_eq!(ranked, vars);
     }
 }

@@ -93,24 +93,20 @@ fn binomial_row(n: usize) -> Vec<Natural> {
 /// variables) for every node of a complete d-tree.
 fn model_counts_by_size(tree: &DTree) -> Vec<Vec<Natural>> {
     let mut counts: Vec<Vec<Natural>> = vec![Vec::new(); tree.num_nodes()];
-    for id in tree.postorder() {
-        let c = match tree.node(id) {
-            Node::Leaf(dnf) => {
-                if dnf.is_false() {
-                    vec![Natural::zero(); dnf.num_vars() + 1]
-                } else if dnf.is_true() {
-                    binomial_row(dnf.num_vars())
-                } else {
-                    debug_assert!(dnf.is_single_literal().is_some(), "complete d-tree required");
-                    vec![Natural::zero(), Natural::one()]
-                }
+    // Descending ids visit children before parents.
+    for i in (0..tree.num_nodes()).rev() {
+        let c = match tree.node(NodeId(i as u32)) {
+            Node::Const { value: false, num_vars } => {
+                vec![Natural::zero(); *num_vars as usize + 1]
             }
+            Node::Const { value: true, num_vars } => binomial_row(*num_vars as usize),
             Node::PosLit(_) => vec![Natural::zero(), Natural::one()],
             Node::NegLit(_) => vec![Natural::one(), Natural::zero()],
+            Node::Leaf(_) => panic!("complete d-tree required"),
             Node::Op { op, children, num_vars } => match op {
                 OpKind::IndependentAnd => {
                     let mut acc = vec![Natural::one()];
-                    for &ch in children {
+                    for ch in children.ids() {
                         acc = convolve(&acc, &counts[ch.index()]);
                     }
                     acc
@@ -118,7 +114,7 @@ fn model_counts_by_size(tree: &DTree) -> Vec<Vec<Natural>> {
                 OpKind::IndependentOr => {
                     // Convolve the non-model vectors, then complement.
                     let mut acc = vec![Natural::one()];
-                    for &ch in children {
+                    for ch in children.ids() {
                         let nv = tree.node(ch).num_vars();
                         let row = binomial_row(nv);
                         let nm: Vec<Natural> = row
@@ -128,15 +124,15 @@ fn model_counts_by_size(tree: &DTree) -> Vec<Vec<Natural>> {
                             .collect();
                         acc = convolve(&acc, &nm);
                     }
-                    binomial_row(*num_vars)
+                    binomial_row(*num_vars as usize)
                         .iter()
                         .zip(acc.iter())
                         .map(|(total, nm)| total - nm)
                         .collect()
                 }
                 OpKind::Exclusive => {
-                    let mut acc = vec![Natural::zero(); num_vars + 1];
-                    for &ch in children {
+                    let mut acc = vec![Natural::zero(); *num_vars as usize + 1];
+                    for ch in children.ids() {
                         for (k, v) in counts[ch.index()].iter().enumerate() {
                             acc[k] += v;
                         }
@@ -145,7 +141,7 @@ fn model_counts_by_size(tree: &DTree) -> Vec<Vec<Natural>> {
                 }
             },
         };
-        counts[id.index()] = c;
+        counts[i] = c;
     }
     counts
 }
@@ -155,7 +151,7 @@ fn model_counts_by_size(tree: &DTree) -> Vec<Vec<Natural>> {
 /// `x` such that `φ[Y] = 0` and `φ[Y ∪ {x}] = 1`.
 ///
 /// # Panics
-/// Panics (in debug builds) if the d-tree is not complete.
+/// Panics if the d-tree is not complete.
 pub fn critical_counts_all(tree: &DTree) -> HashMap<Var, Vec<Natural>> {
     let by_size = model_counts_by_size(tree);
     let n = tree.num_vars();
@@ -166,71 +162,71 @@ pub fn critical_counts_all(tree: &DTree) -> HashMap<Var, Vec<Natural>> {
     let mut contexts: Vec<Vec<Natural>> = vec![Vec::new(); tree.num_nodes()];
     contexts[tree.root().index()] = vec![Natural::one()];
 
-    let mut acc: HashMap<Var, Vec<Int>> = HashMap::new();
-    let add_contribution =
-        |acc: &mut HashMap<Var, Vec<Int>>, v: Var, ctx: &[Natural], negate: bool| {
-            let entry = acc.entry(v).or_insert_with(|| vec![Int::zero(); n]);
-            for (k, c) in ctx.iter().enumerate() {
-                if k < entry.len() && !c.is_zero() {
-                    let delta = Int::from(c.clone());
-                    if negate {
-                        entry[k] -= &delta;
-                    } else {
-                        entry[k] += &delta;
-                    }
-                }
-            }
-        };
-
-    for id in tree.preorder() {
-        let ctx = contexts[id.index()].clone();
-        match tree.node(id) {
-            Node::Leaf(dnf) => {
-                if let Some(v) = dnf.is_single_literal() {
-                    add_contribution(&mut acc, v, &ctx, false);
+    // Per universe variable; variables that only occur in constant leaves
+    // keep all-zero counts.
+    let universe = tree.universe().as_slice();
+    let mut acc: Vec<Vec<Int>> = vec![vec![Int::zero(); n]; universe.len()];
+    let add_contribution = |acc: &mut [Vec<Int>], v: Var, ctx: &[Natural], negate: bool| {
+        let entry = &mut acc[universe.binary_search(&v).expect("literal in the tree's universe")];
+        for (k, c) in ctx.iter().enumerate() {
+            if k < entry.len() && !c.is_zero() {
+                let delta = Int::from(c.clone());
+                if negate {
+                    entry[k] -= &delta;
                 } else {
-                    for v in dnf.universe().iter() {
-                        acc.entry(v).or_insert_with(|| vec![Int::zero(); n.max(1)]);
-                    }
+                    entry[k] += &delta;
                 }
             }
+        }
+    };
+
+    // Ascending ids visit parents before children.
+    for i in 0..tree.num_nodes() {
+        let ctx = std::mem::take(&mut contexts[i]);
+        match tree.node(NodeId(i as u32)) {
+            Node::Const { .. } => {}
             Node::PosLit(v) => add_contribution(&mut acc, *v, &ctx, false),
             Node::NegLit(v) => add_contribution(&mut acc, *v, &ctx, true),
-            Node::Op { op, children, .. } => match op {
-                OpKind::Exclusive => {
-                    for &ch in children {
-                        contexts[ch.index()].clone_from(&ctx);
+            Node::Leaf(_) => panic!("complete d-tree required"),
+            Node::Op { op, children, .. } => {
+                match op {
+                    OpKind::Exclusive => {
+                        for ch in children.ids() {
+                            contexts[ch.index()].clone_from(&ctx);
+                        }
+                    }
+                    OpKind::IndependentAnd | OpKind::IndependentOr => {
+                        // The sibling factor vectors: model counts by size (⊙)
+                        // or non-model counts by size (⊗).
+                        let factors: Vec<Vec<Natural>> = children
+                            .ids()
+                            .map(|ch| sibling_factor(tree, ch, &by_size, *op))
+                            .collect();
+                        let k = children.len();
+                        let mut prefix: Vec<Vec<Natural>> = Vec::with_capacity(k + 1);
+                        prefix.push(vec![Natural::one()]);
+                        for f in &factors {
+                            let last = prefix.last().expect("non-empty");
+                            prefix.push(convolve(last, f));
+                        }
+                        let mut suffix: Vec<Vec<Natural>> = vec![vec![Natural::one()]; k + 1];
+                        for i in (0..k).rev() {
+                            suffix[i] = convolve(&suffix[i + 1], &factors[i]);
+                        }
+                        for (i, ch) in children.ids().enumerate() {
+                            let siblings = convolve(&prefix[i], &suffix[i + 1]);
+                            contexts[ch.index()] = convolve(&ctx, &siblings);
+                        }
                     }
                 }
-                OpKind::IndependentAnd | OpKind::IndependentOr => {
-                    // The sibling factor vectors: model counts by size (⊙)
-                    // or non-model counts by size (⊗).
-                    let factors: Vec<Vec<Natural>> = children
-                        .iter()
-                        .map(|&ch| sibling_factor(tree, ch, &by_size, *op))
-                        .collect();
-                    let k = children.len();
-                    let mut prefix: Vec<Vec<Natural>> = Vec::with_capacity(k + 1);
-                    prefix.push(vec![Natural::one()]);
-                    for f in &factors {
-                        let last = prefix.last().expect("non-empty");
-                        prefix.push(convolve(last, f));
-                    }
-                    let mut suffix: Vec<Vec<Natural>> = vec![vec![Natural::one()]; k + 1];
-                    for i in (0..k).rev() {
-                        suffix[i] = convolve(&suffix[i + 1], &factors[i]);
-                    }
-                    for (i, &ch) in children.iter().enumerate() {
-                        let siblings = convolve(&prefix[i], &suffix[i + 1]);
-                        contexts[ch.index()] = convolve(&ctx, &siblings);
-                    }
-                }
-            },
+            }
         }
     }
 
-    acc.into_iter()
-        .map(|(v, counts)| {
+    universe
+        .iter()
+        .zip(acc)
+        .map(|(&v, counts)| {
             let counts: Vec<Natural> = counts
                 .into_iter()
                 .map(|c| {

@@ -16,6 +16,20 @@
 //! compiler here exposes both a one-shot [`DTree::compile_full`] and an
 //! incremental [`DTree::expand_leaf`] / [`DTree::expand_largest_leaf`] API.
 //!
+//! Both run one decomposition step over a *dense* leaf: the function's
+//! variables are mapped monotonically onto `0..n` and every clause becomes a
+//! row of `⌈n/64⌉` bitset words, so factoring is an AND of the rows, the
+//! independence split a union-find over dense variables, and the Shannon
+//! pivot a column popcount. Full compilation keeps its pending leaves dense
+//! and never builds an intermediate [`banzhaf_boolean::Dnf`].
+//!
+//! The compiled tree is a compact arena of 16-byte [`Node`]s: constant and
+//! literal leaves own no heap memory, inner nodes name a run of one flat
+//! child list, and only the leaves a partial tree still has to expand box
+//! their DNF. A child's id is always larger than its parent's, so passes walk
+//! the arena in id order, and the tree stores its function's universe once
+//! ([`DTree::universe`]) for passes that report a value per variable.
+//!
 //! # Example
 //!
 //! ```
@@ -33,10 +47,12 @@
 
 mod budget;
 mod compile;
+mod dense;
 mod node;
+mod partition;
 mod tree;
 
 pub use budget::{Budget, Interrupted};
 pub use compile::PivotHeuristic;
-pub use node::{Node, NodeId, OpKind};
-pub use tree::DTree;
+pub use node::{Node, NodeId, OpKind, Span};
+pub use tree::{DTree, DTreeStats};

@@ -1,7 +1,25 @@
 //! The d-tree arena.
+//!
+//! A [`DTree`] keeps its nodes in one `Vec<Node>` of 16-byte slots.
+//! Expansion replaces a leaf in place and appends its children in one run,
+//! so a [`Node::Op`] names its children as a [`Span`] of consecutive ids and
+//! a child always has a larger id than its parent: ascending id order visits
+//! parents before children and descending id order visits children before
+//! parents, which is all the bottom-up and top-down passes need — no child
+//! list, traversal stack or order vector.
+//!
+//! The tree also stores the universe of the function it represents once
+//! ([`DTree::universe`]). Constant leaves keep only their variable count, so
+//! passes that report a value for every variable seed their entries from the
+//! universe, and the leaves still awaiting decomposition are tracked in a
+//! side list, so incremental callers never rescan the arena to find them.
 
+use crate::node::Span;
 use crate::{Node, NodeId, OpKind};
-use banzhaf_boolean::{Dnf, Var};
+use banzhaf_boolean::{Dnf, VarSet};
+
+/// The content of a slot whose node an expansion step is about to write.
+pub(crate) const PLACEHOLDER: Node = Node::Const { value: false, num_vars: 0 };
 
 /// A (possibly partial) decomposition tree for a positive DNF function.
 ///
@@ -14,6 +32,9 @@ use banzhaf_boolean::{Dnf, Var};
 #[derive(Clone, Debug)]
 pub struct DTree {
     nodes: Vec<Node>,
+    universe: VarSet,
+    /// The [`Node::Leaf`] ids, in no particular order.
+    pending: Vec<NodeId>,
     root: NodeId,
     expansions: u64,
 }
@@ -21,7 +42,20 @@ pub struct DTree {
 impl DTree {
     /// Creates the trivial d-tree whose single leaf is the whole function.
     pub fn from_leaf(phi: Dnf) -> Self {
-        DTree { nodes: vec![Node::Leaf(phi)], root: NodeId(0), expansions: 0 }
+        let mut tree = DTree::empty(phi.universe().clone());
+        match Node::trivial(&phi) {
+            Some(node) => {
+                tree.push(node);
+            }
+            None => tree.push_pending(phi),
+        }
+        tree
+    }
+
+    /// A tree over `universe` with no nodes yet; the first node pushed is
+    /// the root.
+    pub(crate) fn empty(universe: VarSet) -> Self {
+        DTree { nodes: Vec::new(), universe, pending: Vec::new(), root: NodeId(0), expansions: 0 }
     }
 
     /// The root node id.
@@ -32,6 +66,19 @@ impl DTree {
     /// Immutable access to a node.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
+    }
+
+    /// The children of node `id` (empty for leaves).
+    pub fn children(&self, id: NodeId) -> Span {
+        match self.node(id) {
+            Node::Op { children, .. } => *children,
+            _ => Span::new(id, 0),
+        }
+    }
+
+    /// The universe of the represented function, in ascending order.
+    pub fn universe(&self) -> &VarSet {
+        &self.universe
     }
 
     /// Number of nodes in the arena.
@@ -50,143 +97,98 @@ impl DTree {
         id
     }
 
+    /// Appends a leaf awaiting decomposition.
+    pub(crate) fn push_pending(&mut self, phi: Dnf) {
+        let id = self.push(Node::Leaf(Box::new(phi)));
+        self.pending.push(id);
+    }
+
+    /// Turns the leaf in slot `id` into a pending [`Node::Leaf`].
+    pub(crate) fn set_pending(&mut self, id: NodeId, phi: Dnf) {
+        self.nodes[id.index()] = Node::Leaf(Box::new(phi));
+        self.pending.push(id);
+    }
+
     pub(crate) fn replace(&mut self, id: NodeId, node: Node) {
         self.nodes[id.index()] = node;
     }
 
-    /// Moves the node out of the arena, leaving a cheap placeholder behind.
-    /// The caller must `replace` the slot before the tree is used again; the
-    /// expansion path does exactly that, which lets it take a leaf's DNF
-    /// without cloning it.
-    pub(crate) fn take(&mut self, id: NodeId) -> Node {
-        std::mem::replace(
-            &mut self.nodes[id.index()],
-            Node::Leaf(Dnf::constant_false(banzhaf_boolean::VarSet::empty())),
-        )
+    /// Makes `id` an inner node over `children`, which follow it.
+    pub(crate) fn set_op(&mut self, id: NodeId, op: OpKind, num_vars: u32, children: Span) {
+        debug_assert!(children.ids().all(|c| c > id), "children follow their parent");
+        self.replace(id, Node::Op { op, num_vars, children });
+    }
+
+    /// Moves the pending leaf `id` out of the arena, leaving a placeholder
+    /// the expansion overwrites.
+    ///
+    /// # Panics
+    /// Panics if `id` is not a pending leaf.
+    pub(crate) fn take_pending(&mut self, id: NodeId) -> Dnf {
+        let slot = std::mem::replace(&mut self.nodes[id.index()], PLACEHOLDER);
+        let Node::Leaf(phi) = slot else {
+            panic!("expand_leaf called on a trivial leaf or inner node {slot:?}");
+        };
+        let at = self.pending.iter().position(|&p| p == id).expect("leaves are tracked");
+        self.pending.swap_remove(at);
+        *phi
+    }
+
+    /// Releases the arena's spare capacity once the tree stops growing.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
     }
 
     pub(crate) fn bump_expansions(&mut self) {
         self.expansions += 1;
     }
 
-    /// Ids of the nodes appended to the arena since it had `first` nodes —
-    /// pushes are strictly sequential, so this is the contiguous tail range.
-    pub(crate) fn appended_since(&self, first: usize) -> Vec<NodeId> {
-        (first..self.nodes.len()).map(|i| NodeId(i as u32)).collect()
-    }
-
-    /// Ids of all leaves that are neither constants nor literals; these are
-    /// the candidates for further decomposition.
+    /// Ids of all leaves that are neither constants nor literals, in
+    /// ascending order; these are the candidates for further decomposition.
     pub fn non_trivial_leaves(&self) -> Vec<NodeId> {
-        (0..self.nodes.len() as u32)
-            .map(NodeId)
-            .filter(|id| self.node(*id).is_non_trivial_leaf() && Self::is_reachable(*id))
-            .collect()
+        let mut ids = self.pending.clone();
+        ids.sort_unstable();
+        ids
     }
 
-    /// The non-trivial leaf whose DNF has the largest size, if any.
+    /// The non-trivial leaf whose DNF has the largest size, if any (ties go to
+    /// the larger clause count, then to the larger id).
     ///
     /// `AdaBan` expands this leaf next: the largest leaf is the one whose
     /// iDNF bounds are typically loosest, so decomposing it tightens the
     /// overall approximation interval the most.
     pub fn largest_non_trivial_leaf(&self) -> Option<NodeId> {
-        self.non_trivial_leaves().into_iter().max_by_key(|id| match self.node(*id) {
-            Node::Leaf(dnf) => (dnf.size(), dnf.num_clauses()),
-            _ => (0, 0),
+        self.pending.iter().copied().max_by_key(|&id| match self.node(id) {
+            Node::Leaf(dnf) => (dnf.size(), dnf.num_clauses(), id),
+            _ => unreachable!("pending ids are leaves"),
         })
     }
 
-    /// `true` iff the d-tree is complete: every reachable leaf is a constant
-    /// or a literal.
+    /// `true` iff the d-tree is complete: every leaf is a constant or a
+    /// literal.
     pub fn is_complete(&self) -> bool {
-        self.non_trivial_leaves().is_empty()
+        self.pending.is_empty()
     }
 
-    /// `true` iff `id` is reachable from the root. Replaced leaves leave no
-    /// orphans behind (we replace in place), but defensive filtering keeps the
-    /// invariant obvious.
-    fn is_reachable(id: NodeId) -> bool {
-        // All nodes in the arena are reachable by construction: expansion
-        // replaces a node in place and only appends children.
-        let _ = id;
-        true
-    }
-
-    /// Nodes in post-order (children before parents), computed iteratively so
-    /// that very deep trees (Shannon chains over thousands of variables) do
-    /// not overflow the stack.
-    pub fn postorder(&self) -> Vec<NodeId> {
-        let mut order = Vec::with_capacity(self.nodes.len());
-        let mut stack: Vec<(NodeId, bool)> = vec![(self.root, false)];
-        while let Some((id, expanded)) = stack.pop() {
-            if expanded {
-                order.push(id);
-                continue;
-            }
-            stack.push((id, true));
-            if let Node::Op { children, .. } = self.node(id) {
-                for &c in children.iter().rev() {
-                    stack.push((c, false));
-                }
-            }
-        }
-        order
-    }
-
-    /// Generic bottom-up combine: evaluates `f` at every node in post-order
-    /// and returns the per-node values indexed by [`NodeId::index`].
+    /// Generic bottom-up combine: evaluates `f` at every node, children
+    /// before parents, and returns the per-node values indexed by
+    /// [`NodeId::index`].
     ///
     /// The closure receives the node id, the node itself, and the slice of
     /// values computed so far — children are always finished before their
-    /// parent, so `values[child.index()]` is valid inside `f`. This is the
-    /// propagation skeleton shared by model counting and the aggregate-valued
-    /// passes: the semiring (counts, weighted sums, min/max with ±∞
-    /// identities) lives entirely in the closure.
-    pub fn fold_postorder<T: Clone + Default>(
+    /// parent, so `values[child.index()]` is valid inside `f`. Nodes are
+    /// visited in descending id order, which is bottom-up because a child's
+    /// id is always larger than its parent's.
+    pub fn fold_bottom_up<T: Clone + Default>(
         &self,
         mut f: impl FnMut(NodeId, &Node, &[T]) -> T,
     ) -> Vec<T> {
         let mut values = vec![T::default(); self.num_nodes()];
-        for id in self.postorder() {
-            values[id.index()] = f(id, self.node(id), &values);
+        for i in (0..self.nodes.len()).rev() {
+            let id = NodeId(i as u32);
+            values[i] = f(id, self.node(id), &values);
         }
         values
-    }
-
-    /// Nodes in pre-order (parents before children), computed iteratively.
-    pub fn preorder(&self) -> Vec<NodeId> {
-        let mut order = Vec::with_capacity(self.nodes.len());
-        let mut stack: Vec<NodeId> = vec![self.root];
-        while let Some(id) = stack.pop() {
-            order.push(id);
-            if let Node::Op { children, .. } = self.node(id) {
-                for &c in children.iter().rev() {
-                    stack.push(c);
-                }
-            }
-        }
-        order
-    }
-
-    /// `true` iff the subtree rooted at `id` mentions variable `x`.
-    pub fn subtree_contains_var(&self, id: NodeId, x: Var) -> bool {
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            match self.node(n) {
-                Node::Leaf(dnf) => {
-                    if dnf.universe().contains(x) {
-                        return true;
-                    }
-                }
-                Node::PosLit(v) | Node::NegLit(v) => {
-                    if *v == x {
-                        return true;
-                    }
-                }
-                Node::Op { children, .. } => stack.extend(children.iter().copied()),
-            }
-        }
-        false
     }
 
     /// Renders the tree as an indented multi-line string (for debugging and
@@ -199,13 +201,15 @@ impl DTree {
             let indent = "  ".repeat(depth);
             match self.node(id) {
                 Node::Leaf(dnf) => writeln!(out, "{indent}leaf {dnf}").expect("string write"),
+                Node::Const { value, num_vars } => {
+                    let c = if *value { "⊤" } else { "⊥" };
+                    writeln!(out, "{indent}{c}[{num_vars} vars]").expect("string write");
+                }
                 Node::PosLit(v) => writeln!(out, "{indent}{v}").expect("string write"),
                 Node::NegLit(v) => writeln!(out, "{indent}¬{v}").expect("string write"),
-                Node::Op { op, children, num_vars } => {
+                Node::Op { op, num_vars, children } => {
                     writeln!(out, "{indent}{op} [{num_vars} vars]").expect("string write");
-                    for &c in children.iter().rev() {
-                        stack.push((c, depth + 1));
-                    }
+                    stack.extend(children.ids().rev().map(|c| (c, depth + 1)));
                 }
             }
         }
@@ -214,23 +218,19 @@ impl DTree {
 
     /// Total number of variables of the represented function.
     pub fn num_vars(&self) -> usize {
-        self.node(self.root).num_vars()
+        self.universe.len()
     }
 
     /// Statistics about the current shape of the tree.
     pub fn stats(&self) -> DTreeStats {
         let mut stats = DTreeStats::default();
-        for id in self.preorder() {
-            match self.node(id) {
+        for node in &self.nodes {
+            match node {
                 Node::Leaf(dnf) => {
                     stats.leaves += 1;
-                    if dnf.is_constant() || dnf.is_single_literal().is_some() {
-                        stats.trivial_leaves += 1;
-                    } else {
-                        stats.pending_leaf_size += dnf.size();
-                    }
+                    stats.pending_leaf_size += dnf.size();
                 }
-                Node::PosLit(_) | Node::NegLit(_) => {
+                Node::Const { .. } | Node::PosLit(_) | Node::NegLit(_) => {
                     stats.leaves += 1;
                     stats.trivial_leaves += 1;
                 }
@@ -269,6 +269,7 @@ pub struct DTreeStats {
 mod tests {
     use super::*;
     use crate::{Budget, PivotHeuristic};
+    use banzhaf_boolean::Var;
 
     fn v(i: u32) -> Var {
         Var(i)
@@ -282,8 +283,7 @@ mod tests {
         assert_eq!(t.num_vars(), 3);
         assert!(!t.is_complete());
         assert_eq!(t.non_trivial_leaves(), vec![NodeId(0)]);
-        assert!(t.subtree_contains_var(t.root(), v(2)));
-        assert!(!t.subtree_contains_var(t.root(), v(9)));
+        assert_eq!(t.largest_non_trivial_leaf(), Some(NodeId(0)));
     }
 
     #[test]
@@ -296,31 +296,22 @@ mod tests {
 
     #[test]
     fn traversal_orders_cover_all_nodes() {
-        let phi = Dnf::from_clauses(vec![vec![v(0), v(1)], vec![v(2), v(3)], vec![v(4), v(5)]]);
+        let phi = Dnf::from_clauses(vec![vec![v(0), v(1)], vec![v(1), v(2)], vec![v(2), v(3)]]);
         let t =
             DTree::compile_full(phi, PivotHeuristic::MostFrequent, &Budget::unlimited()).unwrap();
-        let post = t.postorder();
-        let pre = t.preorder();
-        assert_eq!(post.len(), t.num_nodes());
-        assert_eq!(pre.len(), t.num_nodes());
-        // Post-order places children before parents.
-        let pos_of = |id: NodeId| post.iter().position(|&x| x == id).unwrap();
-        for id in t.preorder() {
-            if let Node::Op { children, .. } = t.node(id) {
-                for &c in children {
-                    assert!(pos_of(c) < pos_of(id));
-                }
+        // Every node but the root is the child of exactly one node, which
+        // precedes it: ascending ids visit parents first and descending ids
+        // children first.
+        let mut parents = vec![0; t.num_nodes()];
+        for i in 0..t.num_nodes() {
+            let id = NodeId(i as u32);
+            for c in t.children(id).ids() {
+                assert!(c > id);
+                parents[c.index()] += 1;
             }
         }
-        // Pre-order places parents before children.
-        let pre_pos = |id: NodeId| pre.iter().position(|&x| x == id).unwrap();
-        for id in t.preorder() {
-            if let Node::Op { children, .. } = t.node(id) {
-                for &c in children {
-                    assert!(pre_pos(c) > pre_pos(id));
-                }
-            }
-        }
+        assert_eq!(parents[0], 0);
+        assert!(parents[1..].iter().all(|&p| p == 1));
     }
 
     #[test]
@@ -334,5 +325,6 @@ mod tests {
         assert!(s.independent_and >= 1);
         let rendered = t.render();
         assert!(rendered.contains("⊙") || rendered.contains("⊗"));
+        assert_eq!(t.universe().as_slice(), &[v(0), v(1), v(2)]);
     }
 }

@@ -65,7 +65,7 @@ proptest! {
                 prop_assert!(quad.count_lower <= exact_count);
                 prop_assert!(exact_count <= quad.count_upper);
             }
-            if !tree.expand_largest_leaf(PivotHeuristic::MostFrequent) {
+            if tree.expand_largest_leaf(PivotHeuristic::MostFrequent).is_none() {
                 break;
             }
         }
@@ -158,6 +158,133 @@ proptest! {
         for v in lineage.universe().iter() {
             prop_assert_eq!(values.value(v).unwrap().to_u64(), Some(1));
         }
+    }
+}
+
+// ------------------------------------------ d-tree kernel differential tests
+
+/// Sparse, non-contiguous variable ids: `Var(1000 + 7k)`.
+fn sparse_var(k: usize) -> Var {
+    Var(1000 + 7 * k as u32)
+}
+
+/// Clause lists of 1–10 clauses of width 1–4, as variable indices that
+/// [`sparse_dnf`] reduces modulo the universe size.
+fn clause_lists() -> impl Strategy<Value = Vec<Vec<usize>>> {
+    proptest::collection::vec(proptest::collection::vec(0usize..130, 1..=4), 1..=10)
+}
+
+/// A positive DNF over the universe of `n` sparse variables, so dense rows
+/// span one, two or three words for `n` up to 130. The first clause is
+/// repeated and extended by one variable, so every function has a duplicate
+/// and an absorbed clause; universe variables no clause uses are common.
+fn sparse_dnf(n: usize, clauses: Vec<Vec<usize>>) -> Dnf {
+    let mut clauses: Vec<Vec<Var>> =
+        clauses.into_iter().map(|c| c.into_iter().map(|k| sparse_var(k % n)).collect()).collect();
+    let mut absorbed = clauses[0].clone();
+    clauses.push(absorbed.clone());
+    absorbed.push(sparse_var((absorbed.len() * 31) % n));
+    clauses.push(absorbed);
+    Dnf::from_clauses_with_universe(clauses, (0..n).map(sparse_var).collect())
+}
+
+/// Brute-force critical-set counts by size, `result[x][k] = #kC(x)`, from a
+/// truth table over at most 16 variables.
+fn brute_critical_counts(phi: &Dnf) -> Vec<(Var, Vec<u64>)> {
+    let vars = phi.universe().as_slice();
+    let n = vars.len();
+    let masks: Vec<u32> = phi
+        .clauses()
+        .iter()
+        .map(|c| c.iter().map(|v| 1u32 << vars.binary_search(&v).unwrap()).sum())
+        .collect();
+    let table: Vec<bool> =
+        (0u32..1 << n).map(|world| masks.iter().any(|&m| m & !world == 0)).collect();
+    (0..n)
+        .map(|i| {
+            let mut counts = vec![0u64; n];
+            for world in (0u32..1 << n).filter(|w| w & (1 << i) == 0) {
+                if !table[world as usize] && table[(world | 1 << i) as usize] {
+                    counts[world.count_ones() as usize] += 1;
+                }
+            }
+            (vars[i], counts)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// ExaBan's Banzhaf values and Shapley values over the dense d-tree
+    /// kernel equal brute force, on sparse multi-word universes.
+    #[test]
+    fn dense_kernel_values_match_brute_force(n in 1usize..=16, clauses in clause_lists()) {
+        let phi = sparse_dnf(n, clauses);
+        {
+            let tree = DTree::compile_full(phi.clone(), PivotHeuristic::MostFrequent, &Budget::unlimited()).unwrap();
+            let banzhaf = exaban_all(&tree);
+            prop_assert_eq!(banzhaf.model_count.clone(), phi.brute_force_model_count());
+            let shapley = shapley_all(&tree);
+            let n = phi.num_vars() as u64;
+            for (x, counts) in brute_critical_counts(&phi) {
+                let total: u64 = counts.iter().sum();
+                prop_assert_eq!(banzhaf.value(x).unwrap().to_u64(), Some(total));
+                let mut numer = Natural::zero();
+                for (k, &c) in counts.iter().enumerate() {
+                    let k = k as u64;
+                    let coeff = Natural::factorial(k).mul_ref(&Natural::factorial(n - 1 - k));
+                    numer += &coeff.mul_u64(c);
+                }
+                prop_assert_eq!(&shapley[&x].numer, &numer);
+                prop_assert_eq!(&shapley[&x].denom, &Natural::factorial(n));
+            }
+        }
+    }
+
+    /// One-shot compilation and incremental expansion to completion build the
+    /// same tree up to node order: equal values, expansion and node counts,
+    /// and shape statistics.
+    #[test]
+    fn compile_full_agrees_with_incremental_expansion(n in 1usize..=130, clauses in clause_lists()) {
+        let phi = sparse_dnf(n, clauses);
+        let full = DTree::compile_full(phi.clone(), PivotHeuristic::MostFrequent, &Budget::unlimited()).unwrap();
+        let mut stepped = DTree::from_leaf(phi.clone());
+        while stepped.expand_largest_leaf(PivotHeuristic::MostFrequent).is_some() {}
+        prop_assert_eq!(full.expansions(), stepped.expansions());
+        prop_assert_eq!(full.num_nodes(), stepped.num_nodes());
+        prop_assert_eq!(full.stats(), stepped.stats());
+        let (a, b) = (exaban_all(&full), exaban_all(&stepped));
+        prop_assert_eq!(&a.model_count, &b.model_count);
+        prop_assert_eq!(&a.values, &b.values);
+        prop_assert_eq!(a.values.len(), phi.num_vars());
+    }
+}
+
+/// Pins the d-tree shape of eight seeded hard-tail-sized lineages, recorded
+/// before the dense kernel replaced the `Dnf`-based compiler: expansion
+/// steps, arena nodes and the model count must not move.
+#[test]
+fn golden_dtree_shapes() {
+    // (seed, num_vars, num_clauses, expansions, nodes, model count)
+    let golden: [(u64, usize, usize, u64, usize, &str); 8] = [
+        (1, 40, 30, 2083, 7040, "16683545288"),
+        (2, 45, 32, 850, 2842, "268914627328"),
+        (3, 50, 35, 4117, 13511, "8482246328168"),
+        (4, 55, 37, 14562, 43505, "278285453650800"),
+        (5, 60, 40, 7505, 24257, "558204089248208"),
+        (6, 42, 31, 2091, 6940, "132586698304"),
+        (7, 48, 34, 2539, 7986, "542026636768"),
+        (8, 58, 38, 6311, 19911, "556371674747088"),
+    ];
+    for (seed, num_vars, num_clauses, expansions, nodes, count) in golden {
+        let shape = LineageShape { num_vars, num_clauses, min_width: 2, max_width: 4, skew: 0.5 };
+        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let phi = LineageGenerator::new(shape).generate(&mut rng);
+        let tree =
+            DTree::compile_full(phi, PivotHeuristic::MostFrequent, &Budget::unlimited()).unwrap();
+        assert_eq!((tree.expansions(), tree.num_nodes()), (expansions, nodes), "seed {seed}");
+        assert_eq!(exaban_all(&tree).model_count.to_string(), count, "seed {seed}");
     }
 }
 
