@@ -1742,7 +1742,7 @@ pub fn aggregate_attribution(config: &HarnessConfig) -> String {
                     .values
                     .into_iter()
                     .map(|(var, score)| match score {
-                        Score::Rational(r) => (var, r),
+                        Score::Rational(r) => (var, *r),
                         other => panic!("exact aggregate backends return rationals, got {other:?}"),
                     })
                     .collect();
@@ -1794,7 +1794,7 @@ pub fn aggregate_attribution(config: &HarnessConfig) -> String {
     let twin_rehits = kind_engine.stats().cache.hits == hits_before + 1;
     let kind_keying_separate = twin_missed && twin_rehits;
     let twin_agrees = twin.values.iter().all(|(var, score)| {
-        matches!(score, Score::Rational(r) if *r == count_twin.brute_force_aggregate_banzhaf(*var))
+        matches!(score, Score::Rational(r) if **r == count_twin.brute_force_aggregate_banzhaf(*var))
     });
 
     let cache_stats = cached_engine.stats().cache;

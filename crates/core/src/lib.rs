@@ -50,7 +50,9 @@ pub use aggregate::{aggregate_banzhaf_all, AggregateBanzhafResult, AggregateCost
 pub use banzhaf_boolean::{AggregateKind, AggregateValue, Dnf, Var, WeightedDnf};
 pub use banzhaf_dtree::{Budget, DTree, Interrupted, PivotHeuristic};
 pub use bounds::{bounds_for_var, BoundQuad};
-pub use exaban::{exaban_all, exaban_all_with_counts, exaban_single, model_counts, BanzhafResult};
+pub use exaban::{
+    exaban_all, exaban_all_with_counts, exaban_single, model_counts, BanzhafResult, ModelCounts,
+};
 pub use ichiban::{ichiban_rank, ichiban_topk, IchiBanOptions, Ranking, TopK};
 pub use shapley::{critical_counts_all, shapley_all, ShapleyValue};
 pub use values::{l1_distance_normalized, normalized_index, normalized_power};

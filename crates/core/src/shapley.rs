@@ -299,7 +299,7 @@ pub(crate) fn total_from_sizes(tree: &DTree) -> Natural {
     for c in &by_size[tree.root().index()] {
         total += c;
     }
-    let scalar = crate::exaban::model_counts(tree)[tree.root().index()].clone();
+    let scalar = crate::exaban::model_counts(tree).get(tree, tree.root()).into_owned();
     debug_assert_eq!(total, scalar);
     total
 }

@@ -162,19 +162,6 @@ impl LeafStack {
 
     /// Sorts the rows at `words[rows_at..]` and drops duplicates.
     fn sort_dedup(&mut self, rows_at: usize, w: usize) {
-        if w == 1 {
-            let rows = &mut self.words[rows_at..];
-            rows.sort_unstable();
-            let mut kept = 0;
-            for i in 0..rows.len() {
-                if kept == 0 || rows[i] != rows[kept - 1] {
-                    rows[kept] = rows[i];
-                    kept += 1;
-                }
-            }
-            self.words.truncate(rows_at + kept);
-            return;
-        }
         let rows = &self.words[rows_at..];
         self.order.clear();
         self.order.extend(0..(rows.len() / w) as u32);
@@ -246,15 +233,11 @@ impl<'a> Kernel<'a> {
                 }
                 out.finish(tree, self.vars, w, start, false);
             }
+            // One child would need a single common variable and an empty
+            // rest, i.e. the literal leaf, which is never expanded.
             let children = children(tree);
-            if children.len() == 1 {
-                // A single child is spliced into the leaf's slot; its own slot
-                // stays behind as an orphan.
-                let node = tree.node(first).clone();
-                tree.replace(id, node);
-            } else {
-                tree.set_op(id, OpKind::IndependentAnd, num_vars, children);
-            }
+            debug_assert!(children.len() >= 2, "a factored leaf has at least two children");
+            tree.set_op(id, OpKind::IndependentAnd, num_vars, children);
             return OpKind::IndependentAnd;
         }
 

@@ -109,14 +109,10 @@ impl DTree {
         self.pending.push(id);
     }
 
-    pub(crate) fn replace(&mut self, id: NodeId, node: Node) {
-        self.nodes[id.index()] = node;
-    }
-
     /// Makes `id` an inner node over `children`, which follow it.
     pub(crate) fn set_op(&mut self, id: NodeId, op: OpKind, num_vars: u32, children: Span) {
         debug_assert!(children.ids().all(|c| c > id), "children follow their parent");
-        self.replace(id, Node::Op { op, num_vars, children });
+        self.nodes[id.index()] = Node::Op { op, num_vars, children };
     }
 
     /// Moves the pending leaf `id` out of the arena, leaving a placeholder
@@ -168,27 +164,6 @@ impl DTree {
     /// literal.
     pub fn is_complete(&self) -> bool {
         self.pending.is_empty()
-    }
-
-    /// Generic bottom-up combine: evaluates `f` at every node, children
-    /// before parents, and returns the per-node values indexed by
-    /// [`NodeId::index`].
-    ///
-    /// The closure receives the node id, the node itself, and the slice of
-    /// values computed so far — children are always finished before their
-    /// parent, so `values[child.index()]` is valid inside `f`. Nodes are
-    /// visited in descending id order, which is bottom-up because a child's
-    /// id is always larger than its parent's.
-    pub fn fold_bottom_up<T: Clone + Default>(
-        &self,
-        mut f: impl FnMut(NodeId, &Node, &[T]) -> T,
-    ) -> Vec<T> {
-        let mut values = vec![T::default(); self.num_nodes()];
-        for i in (0..self.nodes.len()).rev() {
-            let id = NodeId(i as u32);
-            values[i] = f(id, self.node(id), &values);
-        }
-        values
     }
 
     /// Renders the tree as an indented multi-line string (for debugging and

@@ -12,15 +12,19 @@ use std::time::Duration;
 /// The attribution score of one fact, at whatever precision the backend
 /// provides: an exact value, a certified interval, or a point estimate with
 /// no guarantee.
+///
+/// The two wide variants are boxed, so a score takes 32 bytes instead of 56:
+/// exact scores, by far the most common, fill every attribution map and
+/// every cache entry.
 #[derive(Clone, Debug)]
 pub enum Score {
     /// An exact Banzhaf value (ExaBan, Sig22, AdaBan with ε = 0).
     Exact(Natural),
     /// An exact *aggregate* Banzhaf value — a signed rational, since SUM
     /// weights are arbitrary and MIN attribution can be negative.
-    Rational(Rational),
+    Rational(Box<Rational>),
     /// A certified interval containing the exact value (AdaBan, IchiBan).
-    Interval(ApproxInterval),
+    Interval(Box<ApproxInterval>),
     /// A point estimate with no deterministic guarantee (MC, CNF proxy).
     Estimate(f64),
 }
@@ -52,7 +56,7 @@ impl Score {
     /// the common exact view across Boolean and aggregate attributions.
     pub fn exact_rational(&self) -> Option<Rational> {
         match self {
-            Score::Rational(r) => Some(r.clone()),
+            Score::Rational(r) => Some((**r).clone()),
             _ => self.exact().map(|b| Rational::from(&b)),
         }
     }
@@ -249,32 +253,39 @@ mod tests {
         let exact = Score::Exact(Natural::from(4u64));
         assert_eq!(exact.point(), 4.0);
         assert_eq!(exact.exact().unwrap().to_u64(), Some(4));
-        let interval =
-            Score::Interval(ApproxInterval::new(Natural::from(2u64), Natural::from(6u64)));
+        let interval = Score::Interval(Box::new(ApproxInterval::new(
+            Natural::from(2u64),
+            Natural::from(6u64),
+        )));
         assert_eq!(interval.point(), 4.0);
         assert!(interval.exact().is_none());
-        let pinned = Score::Interval(ApproxInterval::new(Natural::from(3u64), Natural::from(3u64)));
+        let pinned = Score::Interval(Box::new(ApproxInterval::new(
+            Natural::from(3u64),
+            Natural::from(3u64),
+        )));
         assert_eq!(pinned.exact().unwrap().to_u64(), Some(3));
         let estimate = Score::Estimate(1.5);
         assert!(estimate.exact().is_none());
         assert_eq!(exact.cmp_points(&estimate), Ordering::Greater);
         // Aggregate scores are exact rationals: no `Natural` view, but the
         // exact-rational view and the precise comparison both see them.
-        let rational =
-            Score::Rational(Rational::new(banzhaf_arith::Int::from(-3i64), Natural::from(2u64)));
+        let rational = Score::Rational(Box::new(Rational::new(
+            banzhaf_arith::Int::from(-3i64),
+            Natural::from(2u64),
+        )));
         assert!(rational.exact().is_none());
         assert!(rational.is_exact());
         assert_eq!(rational.point(), -1.5);
         assert_eq!(rational.exact_rational().unwrap().to_f64(), -1.5);
         assert_eq!(exact.exact_rational().unwrap().to_f64(), 4.0);
-        let larger = Score::Rational(Rational::from(1i64));
+        let larger = Score::Rational(Box::new(Rational::from(1i64)));
         assert_eq!(rational.cmp_points(&larger), Ordering::Less);
     }
 
     #[test]
     fn rational_scores_keep_the_attribution_exact() {
         let mut att = exact_attribution(&[(0, 3)]);
-        att.values.insert(v(1), Score::Rational(Rational::from(-2i64)));
+        att.values.insert(v(1), Score::Rational(Box::new(Rational::from(-2i64))));
         att.aggregate = Some(AggregateKind::Sum);
         assert!(att.is_exact());
         assert!(att.exact_values().is_none(), "a rational score has no Natural view");

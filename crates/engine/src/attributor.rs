@@ -177,7 +177,11 @@ impl Attributor for ExaBanAttributor {
         let (result, cost) = aggregate_banzhaf_all(lineage, self.heuristic, deadline)?;
         Ok(Attribution {
             algorithm: self.name(),
-            values: result.values.into_iter().map(|(v, r)| (v, Score::Rational(r))).collect(),
+            values: result
+                .values
+                .into_iter()
+                .map(|(v, r)| (v, Score::Rational(Box::new(r))))
+                .collect(),
             model_count: None,
             shapley: None,
             aggregate: Some(lineage.kind()),
@@ -222,12 +226,13 @@ impl Attributor for AdaBanAttributor {
                 .into_iter()
                 .map(|(v, _)| {
                     let b = exact.values[&v].clone();
-                    (v, Score::Interval(ApproxInterval::new(b.clone(), b)))
+                    (v, Score::Interval(Box::new(ApproxInterval::new(b.clone(), b))))
                 })
                 .collect();
             (values, Some(exact.model_count))
         } else {
-            let values = intervals.into_iter().map(|(v, i)| (v, Score::Interval(i))).collect();
+            let values =
+                intervals.into_iter().map(|(v, i)| (v, Score::Interval(Box::new(i)))).collect();
             (values, None)
         };
         Ok(Attribution {
@@ -255,7 +260,7 @@ impl Attributor for AdaBanAttributor {
     ) -> Result<Score, Interrupted> {
         let mut tree = DTree::from_leaf(lineage.clone());
         let interval = adaban(&mut tree, x, &self.options, deadline)?;
-        Ok(Score::Interval(interval))
+        Ok(Score::Interval(Box::new(interval)))
     }
 }
 
@@ -275,7 +280,8 @@ impl Attributor for IchiBanAttributor {
         let start = Instant::now();
         let mut tree = DTree::from_leaf(lineage.clone());
         let ranking = ichiban_rank(&mut tree, &self.options, deadline)?;
-        let values = ranking.intervals.into_iter().map(|(v, i)| (v, Score::Interval(i))).collect();
+        let values =
+            ranking.intervals.into_iter().map(|(v, i)| (v, Score::Interval(Box::new(i)))).collect();
         Ok(Attribution {
             algorithm: self.name(),
             values,

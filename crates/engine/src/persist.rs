@@ -370,7 +370,7 @@ impl<'a> Reader<'a> {
                     // instead of panicking on a hostile file.
                     return self.corrupt("interval lower <= upper");
                 }
-                Ok(Score::Interval(ApproxInterval::new(lower, upper)))
+                Ok(Score::Interval(Box::new(ApproxInterval::new(lower, upper))))
             }
             2 => Ok(Score::Estimate(f64::from_bits(self.u64("estimate bits")?))),
             3 => {
@@ -381,7 +381,7 @@ impl<'a> Reader<'a> {
                     return self.corrupt("non-zero rational denominator");
                 }
                 let sign = if negative { Sign::Negative } else { Sign::Positive };
-                Ok(Score::Rational(Rational::new(Int::from_sign_mag(sign, numer), denom)))
+                Ok(Score::Rational(Box::new(Rational::new(Int::from_sign_mag(sign, numer), denom))))
             }
             _ => self.corrupt("score tag in 0..=3"),
         }
@@ -553,10 +553,16 @@ mod tests {
             algorithm: "ExaBan",
             values: [
                 (Var(0), Score::Exact(Natural::from(1u64))),
-                (Var(1), Score::Rational(Rational::new(Int::from(-3i64), Natural::from(4u64)))),
+                (
+                    Var(1),
+                    Score::Rational(Box::new(Rational::new(Int::from(-3i64), Natural::from(4u64)))),
+                ),
                 (
                     Var(2),
-                    Score::Interval(ApproxInterval::new(Natural::from(1u64), Natural::from(2u64))),
+                    Score::Interval(Box::new(ApproxInterval::new(
+                        Natural::from(1u64),
+                        Natural::from(2u64),
+                    ))),
                 ),
             ]
             .into_iter()

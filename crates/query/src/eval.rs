@@ -13,16 +13,18 @@
 //! answer tuple. A step records its keyed positions (constants, and variables
 //! an earlier step bound), the variables it binds first, and the selections
 //! on those variables, which its tuples must pass before anything is bound. A
-//! keyed step probes a transient hash index from the keyed values to the
-//! relation's matching tuples; the index is built on the step's first probe
-//! and dropped with the plan. A step without keyed positions scans its
-//! relation. Delta evaluation pins one step to a single inserted tuple.
+//! keyed step scans its relation on its first probe; from the second probe on
+//! it probes a transient hash index from the keyed values to the relation's
+//! matching tuples, built then and dropped with the plan, so a step probed
+//! once never pays for an index. A step without keyed positions scans its
+//! relation. Delta evaluation plans the atom it pins to the inserted tuple
+//! first, so every later step is keyed by values the tuple bound.
 
 use crate::{ConjunctiveQuery, Selection, Term, UnionQuery};
 use banzhaf_arith::Rational;
 use banzhaf_boolean::{Dnf, Var, VarSet, WeightedDnf};
 use banzhaf_db::{Database, FactId, Provenance, Relation, Value};
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -282,18 +284,17 @@ pub fn delta_groundings(
         return Vec::new();
     };
     let mut groundings = Vec::new();
+    let pin = Pin { values: fact.values(), provenance: Provenance::Endogenous(id) };
     for cq in &query.disjuncts {
-        let Some(plan) = Plan::new(cq, db) else {
-            continue;
-        };
-        // The plan exists, so every atom's arity is its relation's, which is
-        // the fact's when the relation names match.
-        for (step, s) in plan.steps.iter().enumerate() {
-            if cq.atoms[s.atom].relation == fact.relation() {
-                let pin =
-                    Pin { step, values: fact.values(), provenance: Provenance::Endogenous(id) };
-                plan.run(Some(pin), &mut groundings);
-            }
+        // One plan per atom over the fact's relation, led by that atom. A
+        // plan exists for every such atom or for none, and when it exists the
+        // atom's arity is its relation's, which is the fact's.
+        for (atom, _) in cq.atoms.iter().enumerate().filter(|(_, a)| a.relation == fact.relation())
+        {
+            let Some(plan) = Plan::new(cq, db, Some(atom)) else {
+                break;
+            };
+            plan.run(Some(pin), &mut groundings);
         }
     }
     groundings
@@ -304,16 +305,22 @@ pub fn delta_groundings(
 
 /// Appends every grounding of a CQ to `out`.
 fn enumerate_groundings<'d>(cq: &ConjunctiveQuery, db: &'d Database, out: &mut Vec<Grounding<'d>>) {
-    if let Some(plan) = Plan::new(cq, db) {
+    if let Some(plan) = Plan::new(cq, db, None) {
         plan.run(None, out);
     }
 }
 
-fn atom_order(cq: &ConjunctiveQuery) -> Vec<usize> {
+/// The join order of `cq`'s atoms, led by `first` if given.
+fn atom_order(cq: &ConjunctiveQuery, first: Option<usize>) -> Vec<usize> {
     let n = cq.atoms.len();
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut chosen: Vec<usize> = Vec::with_capacity(n);
     let mut bound_vars: Vec<&str> = Vec::new();
+    if let Some(first) = first {
+        remaining.retain(|&i| i != first);
+        chosen.push(first);
+        bound_vars.extend(cq.atoms[first].variables());
+    }
     while !remaining.is_empty() {
         // Pick the remaining atom with the most variables already bound
         // (ties: fewest unbound variables, then original order).
@@ -365,8 +372,6 @@ struct Plan<'q, 'd> {
 /// One atom of a [`Plan`]: where its candidate tuples come from, what they
 /// must match, and which slots they bind.
 struct Step<'q, 'd> {
-    /// The atom's index in the query body.
-    atom: usize,
     relation: &'d Relation,
     /// Positions holding a constant.
     constants: Vec<(usize, &'q Value)>,
@@ -379,39 +384,40 @@ struct Step<'q, 'd> {
     binds: Vec<(usize, usize)>,
     /// Selections on the variables this step binds: `(position, selection)`.
     selections: Vec<(usize, &'q Selection)>,
-    /// Built on the step's first probe and dropped with the plan, so the
+    /// Whether the step has been probed; its first probe scans.
+    probed: Cell<bool>,
+    /// Built on the step's second probe and dropped with the plan, so the
     /// database itself carries no index.
     index: OnceCell<Index<'d>>,
 }
 
-/// A pinned step: during grounding, the step matches only this tuple.
+/// The inserted tuple a delta plan's first step matches, and nothing else.
 #[derive(Clone, Copy)]
 struct Pin<'d> {
-    step: usize,
     values: &'d [Value],
     provenance: Provenance,
 }
 
 impl<'q, 'd> Plan<'q, 'd> {
-    /// Plans `cq` over `db`, or returns `None` when `cq` has no grounding at
-    /// all: an atom names an unknown relation or disagrees with its arity
-    /// (no tuple can match it), or a selection constrains a variable no atom
-    /// binds.
-    fn new(cq: &'q ConjunctiveQuery, db: &'d Database) -> Option<Self> {
+    /// Plans `cq` over `db`, its join led by atom `first` if given, or
+    /// returns `None` when `cq` has no grounding at all: an atom names an
+    /// unknown relation or disagrees with its arity (no tuple can match it),
+    /// or a selection constrains a variable no atom binds.
+    fn new(cq: &'q ConjunctiveQuery, db: &'d Database, first: Option<usize>) -> Option<Self> {
         // Slot → (variable name, binding step).
         let mut slots: Vec<(&'q str, usize)> = Vec::new();
         let mut steps = Vec::with_capacity(cq.atoms.len());
-        for atom_index in atom_order(cq) {
+        for atom_index in atom_order(cq, first) {
             let atom = &cq.atoms[atom_index];
             let relation = db.relation(&atom.relation).filter(|r| r.arity() == atom.terms.len())?;
             let mut step = Step {
-                atom: atom_index,
                 relation,
                 constants: Vec::new(),
                 repeats: Vec::new(),
                 keyed: Vec::new(),
                 binds: Vec::new(),
                 selections: Vec::new(),
+                probed: Cell::new(false),
                 index: OnceCell::new(),
             };
             for (pos, term) in atom.terms.iter().enumerate() {
@@ -445,8 +451,8 @@ impl<'q, 'd> Plan<'q, 'd> {
         Some(Plan { steps, head, slots: slots.len() })
     }
 
-    /// Appends every grounding of the plan (with `pin`'s step matching only
-    /// its tuple) to `out`.
+    /// Appends every grounding of the plan (with the first step matching
+    /// only `pin`'s tuple, if given) to `out`.
     fn run(&self, pin: Option<Pin<'d>>, out: &mut Vec<Grounding<'d>>) {
         let mut run = Run {
             plan: self,
@@ -478,7 +484,7 @@ impl<'d> Step<'_, 'd> {
         !self.constants.is_empty() || !self.keyed.is_empty()
     }
 
-    /// The step's index, built on first use.
+    /// The step's index, built on first use (the step's second probe).
     fn index(&self) -> &Index<'d> {
         self.index.get_or_init(|| {
             let mut index: Index<'d> = HashMap::new();
@@ -521,11 +527,18 @@ impl<'d> Run<'_, '_, 'd> {
             self.out.push((tuple, self.clause.clone()));
             return;
         };
-        if let Some(pin) = self.pin.filter(|pin| pin.step == depth) {
-            let values = pin.values;
-            let joins = step.keyed.iter().all(|&(pos, s)| self.bindings[s] == Some(&values[pos]));
-            if joins && step.admits(values) {
-                self.extend(depth, (values, pin.provenance));
+        if let Some(pin) = self.pin.filter(|_| depth == 0) {
+            if step.admits(pin.values) {
+                self.extend(depth, (pin.values, pin.provenance));
+            }
+        } else if step.is_keyed() && !step.probed.replace(true) {
+            for tuple in step.relation.tuples() {
+                let values = tuple.0;
+                let joins =
+                    step.keyed.iter().all(|&(pos, s)| self.bindings[s] == Some(&values[pos]));
+                if joins && step.admits(values) {
+                    self.extend(depth, tuple);
+                }
             }
         } else if step.is_keyed() {
             self.key.clear();
@@ -755,6 +768,38 @@ mod tests {
         // pins; the canonical DNF form absorbs the duplicate.
         let id = db.insert_endogenous("E", vec![2.into(), 2.into()]).unwrap();
         assert_delta_matches(&q, &before, &db, id);
+    }
+
+    #[test]
+    fn a_delta_plan_leads_with_its_pinned_atom_and_indexes_repeated_probes_only() {
+        let mut db = Database::new();
+        db.add_relation("R", 2);
+        db.add_relation("S", 2);
+        for (a, b) in [(1, 10), (2, 10), (3, 20)] {
+            db.insert_endogenous("R", vec![a.into(), b.into()]).unwrap();
+        }
+        let id = db.insert_endogenous("S", vec![10.into(), 7.into()]).unwrap();
+        db.insert_endogenous("S", vec![20.into(), 8.into()]).unwrap();
+        let q = parse_program("Q(A) :- R(A, B), S(B, C).").unwrap();
+        let cq = &q.disjuncts[0];
+
+        // Pinned to S(10, 7): S leads, and R is probed once, by a scan.
+        assert_eq!(atom_order(cq, Some(1)), vec![1, 0]);
+        let plan = Plan::new(cq, &db, Some(1)).unwrap();
+        let fact = db.fact(id).unwrap();
+        let pin = Pin { values: fact.values(), provenance: Provenance::Endogenous(id) };
+        let mut out = Vec::new();
+        plan.run(Some(pin), &mut out);
+        assert_eq!(out.len(), 2);
+        assert!(plan.steps[1].index.get().is_none(), "one probe builds no index");
+
+        // A full run probes its second step once per S tuple: the first
+        // probe scans and the second builds the index.
+        let plan = Plan::new(cq, &db, None).unwrap();
+        let mut out = Vec::new();
+        plan.run(None, &mut out);
+        assert_eq!(out.len(), 3);
+        assert!(plan.steps[1].index.get().is_some(), "a second probe builds the index");
     }
 
     #[test]

@@ -76,7 +76,7 @@ fn main() {
                     panic!("exact aggregate scores are rationals");
                 };
                 let expected = lineage.brute_force_aggregate_banzhaf(var);
-                assert_eq!(*got, expected, "aggregate Banzhaf of {var:?} disagrees");
+                assert_eq!(**got, expected, "aggregate Banzhaf of {var:?} disagrees");
                 println!("  {var:?} -> {got}");
             }
         }

@@ -495,7 +495,7 @@ proptest! {
                     panic!("aggregate scores are exact rationals");
                 };
                 prop_assert_eq!(
-                    got,
+                    &**got,
                     &answer.lineage.brute_force_aggregate_banzhaf(x),
                     "cache={} threads={} var={}", cache, two_threads, x
                 );
