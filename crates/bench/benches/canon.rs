@@ -1,11 +1,21 @@
-//! Criterion micro-benchmarks of the cache-keying layers: the full
-//! refinement-based canonical key (`canonical_key_probe`) against the cheap
-//! isomorphism-invariant fingerprint pre-key (`prekey_probe`) on rings,
-//! cliques and random clause soups — the pre-key is what singleton-traffic
-//! lookups pay instead of the individualization search.
+//! Criterion micro-benchmarks of the cache-keying layers: the full canonical
+//! key (`canonical_key_probe`) against the cheap isomorphism-invariant
+//! fingerprint pre-key (`prekey_probe`) — the pre-key is what
+//! singleton-traffic lookups pay instead of the canonical key.
+//!
+//! Families, each labelled by its variable count:
+//!
+//! * `ring`, `clique`, `soup` — indecomposable shapes that go straight to the
+//!   individualization search;
+//! * `star` — `x ∧ ⋁(a_i ∧ b_i)` at k = 21, 60 and 200, the hierarchical
+//!   movie–actor lineage: one factor and one split key it;
+//! * `battery` — 30 and 300 singleton clauses: one split keys it;
+//! * `hard` — a seeded 50-variable, 35-clause random lineage of the
+//!   benchmark's hard-tail shape, which guards the indecomposable path.
 
 use banzhaf_boolean::{Dnf, Var};
 use banzhaf_engine::{canonical_key_probe, prekey_probe};
+use banzhaf_workloads::{LineageGenerator, LineageShape};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,6 +47,22 @@ fn soup(num_vars: u32, seed: u64) -> Dnf {
     Dnf::from_clauses(clauses)
 }
 
+fn star(k: u32) -> Dnf {
+    Dnf::from_clauses(
+        (0..k).map(|i| vec![Var(0), Var(2 * i + 1), Var(2 * i + 2)]).collect::<Vec<_>>(),
+    )
+}
+
+fn battery(k: u32) -> Dnf {
+    Dnf::from_clauses((0..k).map(|i| vec![Var(i)]).collect::<Vec<_>>())
+}
+
+fn hard(seed: u64) -> Dnf {
+    let shape =
+        LineageShape { num_vars: 50, num_clauses: 35, min_width: 2, max_width: 4, skew: 0.5 };
+    LineageGenerator::new(shape).generate(&mut StdRng::seed_from_u64(seed))
+}
+
 fn bench_keying(c: &mut Criterion) {
     let mut group = c.benchmark_group("canon_keying");
     group.sample_size(20);
@@ -44,6 +70,9 @@ fn bench_keying(c: &mut Criterion) {
         ("ring", [32u32, 128, 512].iter().map(|&n| ring(n)).collect()),
         ("clique", [8u32, 16, 32].iter().map(|&n| clique(n)).collect()),
         ("soup", [32u32, 128, 512].iter().map(|&n| soup(n, u64::from(n))).collect()),
+        ("star", [21u32, 60, 200].iter().map(|&k| star(k)).collect()),
+        ("battery", [30u32, 300].iter().map(|&k| battery(k)).collect()),
+        ("hard", vec![hard(7)]),
     ];
     for (family, lineages) in &families {
         for phi in lineages {

@@ -14,7 +14,7 @@ use banzhaf_engine::{Algorithm, BatchOptions, CacheConfig, Engine, EngineConfig}
 use banzhaf_query::parse_program;
 use banzhaf_workloads::Corpus;
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A per-instance success predicate, used to slice sweep records by algorithm.
 type InstancePredicate = Box<dyn Fn(&InstanceRecord) -> bool>;
@@ -606,7 +606,9 @@ pub fn ablation_adaban(config: &HarnessConfig) -> String {
 }
 
 /// Engine ablation: the effect of the session d-tree cache (keyed by
-/// canonical lineage) on the total knowledge-compilation work per corpus.
+/// canonical lineage) on the total knowledge-compilation work per corpus,
+/// and on the wall time per instance of the cached and uncached `attribute`
+/// calls (interleaved, best of [`crate::runner::CACHE_WALL_REPEATS`]).
 pub fn engine_cache(config: &HarnessConfig) -> String {
     let mut table = TextTable::new([
         "Dataset",
@@ -615,6 +617,8 @@ pub fn engine_cache(config: &HarnessConfig) -> String {
         "Steps (cached)",
         "Steps (uncached)",
         "Saved",
+        "µs/inst (cached)",
+        "µs/inst (uncached)",
     ]);
     for corpus in config.corpora() {
         let lineages: Vec<&Dnf> = corpus.instances.iter().map(|i| &i.lineage).collect();
@@ -629,9 +633,16 @@ pub fn engine_cache(config: &HarnessConfig) -> String {
                 (cmp.uncached_steps - cmp.cached_steps.min(cmp.uncached_steps)) as usize,
                 cmp.uncached_steps.max(1) as usize,
             ),
+            per_instance_us(cmp.cached_wall, lineages.len()),
+            per_instance_us(cmp.uncached_wall, lineages.len()),
         ]);
     }
     format!("Engine — d-tree cache effect (ExaBan, canonical-lineage keying)\n{}", table.render())
+}
+
+/// Mean microseconds per instance of `wall` spread over `instances`.
+fn per_instance_us(wall: Duration, instances: usize) -> String {
+    format!("{:.1}", wall.as_secs_f64() * 1e6 / instances.max(1) as f64)
 }
 
 /// A ring lineage over `vars` variables starting at `offset` — connected, no
@@ -1372,7 +1383,6 @@ pub fn degrade_under_pressure(config: &HarnessConfig) -> String {
     use banzhaf_engine::{FallbackPolicy, Rung, Score};
     use banzhaf_serve::{block_on, join_all, AttributionService, RequestOptions, ServeConfig};
     use std::collections::BTreeMap;
-    use std::time::Duration;
 
     let reps = 3 * config.scale.max(1);
 
@@ -1894,7 +1904,6 @@ pub fn run_all(config: &HarnessConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn tiny_config() -> HarnessConfig {
         HarnessConfig { timeout: Duration::from_millis(50), scale: 1, ..Default::default() }
@@ -1920,6 +1929,7 @@ mod tests {
     fn engine_cache_report_covers_all_corpora() {
         let report = engine_cache(&tiny_config());
         assert!(report.contains("d-tree cache effect"));
+        assert!(report.contains("µs/inst (cached)") && report.contains("µs/inst (uncached)"));
         assert!(report.contains("Academic-like"));
         assert!(report.contains("TPC-H-like"));
     }

@@ -262,12 +262,22 @@ pub struct CacheComparison {
     pub cached_steps: u64,
     /// Total compile steps with the cache disabled.
     pub uncached_steps: u64,
+    /// Wall time of the cached run's `attribute` calls, best of
+    /// [`CACHE_WALL_REPEATS`].
+    pub cached_wall: Duration,
+    /// Wall time of the uncached run's `attribute` calls, best of
+    /// [`CACHE_WALL_REPEATS`].
+    pub uncached_wall: Duration,
 }
+
+/// Runs per [`compare_cache`] call; each side's wall time is its best run.
+pub const CACHE_WALL_REPEATS: usize = 3;
 
 /// Attributes every lineage twice through engine sessions — once with the
 /// canonical-lineage d-tree cache, once without — and reports the compile
-/// work each run performed. Both sessions attribute the canonical form, so
-/// per-instance compile work is identical except where the cache elides it.
+/// work and the wall time each run spent. Both sessions attribute the
+/// canonical form, so per-instance compile work is identical except where
+/// the cache elides it.
 ///
 /// Every *completed* attribution is charged to its run's step total — in
 /// particular a cache miss is charged even if the uncached run timed out on
@@ -275,23 +285,46 @@ pub struct CacheComparison {
 /// whose one-time compile cost was dropped (under tight budgets the bias is
 /// against the cache, never in its favour). `instances` counts the instances
 /// both runs completed.
+///
+/// The corpus runs [`CACHE_WALL_REPEATS`] times, each time through fresh
+/// engines (so the cached run starts cold), with the cached and uncached
+/// call on each lineage timed back to back; each side keeps its fastest
+/// run's total. Counts come from the first run.
 pub fn compare_cache(lineages: &[&Dnf], config: &HarnessConfig) -> CacheComparison {
-    let mut comparison = CacheComparison::default();
+    let mut comparison = CacheComparison {
+        cached_wall: Duration::MAX,
+        uncached_wall: Duration::MAX,
+        ..CacheComparison::default()
+    };
     let base = config.engine_config(Algorithm::ExaBan);
-    let mut cached = Engine::new(base.clone().with_cache_config(CacheConfig::new())).session();
-    let mut uncached = Engine::new(base.with_cache_config(CacheConfig::disabled())).session();
-    for lineage in lineages {
-        let (a, b) = (cached.attribute(lineage), uncached.attribute(lineage));
-        if let Ok(a) = &a {
-            comparison.cache_hits += a.stats.cache_hit as u64;
-            comparison.cached_steps += a.stats.compile_steps;
+    for repeat in 0..CACHE_WALL_REPEATS {
+        let mut cached = Engine::new(base.clone().with_cache_config(CacheConfig::new())).session();
+        let mut uncached =
+            Engine::new(base.clone().with_cache_config(CacheConfig::disabled())).session();
+        let (mut cached_wall, mut uncached_wall) = (Duration::ZERO, Duration::ZERO);
+        for lineage in lineages {
+            let start = Instant::now();
+            let a = cached.attribute(lineage);
+            let middle = Instant::now();
+            let b = uncached.attribute(lineage);
+            uncached_wall += middle.elapsed();
+            cached_wall += middle - start;
+            if repeat > 0 {
+                continue;
+            }
+            if let Ok(a) = &a {
+                comparison.cache_hits += a.stats.cache_hit as u64;
+                comparison.cached_steps += a.stats.compile_steps;
+            }
+            if let Ok(b) = &b {
+                comparison.uncached_steps += b.stats.compile_steps;
+            }
+            if a.is_ok() && b.is_ok() {
+                comparison.instances += 1;
+            }
         }
-        if let Ok(b) = &b {
-            comparison.uncached_steps += b.stats.compile_steps;
-        }
-        if a.is_ok() && b.is_ok() {
-            comparison.instances += 1;
-        }
+        comparison.cached_wall = comparison.cached_wall.min(cached_wall);
+        comparison.uncached_wall = comparison.uncached_wall.min(uncached_wall);
     }
     comparison
 }
@@ -412,5 +445,9 @@ mod tests {
         );
         // Exactly one compilation's worth of work with the cache.
         assert_eq!(comparison.cached_steps * 6, comparison.uncached_steps);
+        // Both runs were timed (best of the repeats, so never the sentinel).
+        assert!(comparison.cached_wall > Duration::ZERO && comparison.cached_wall < Duration::MAX);
+        assert!(comparison.uncached_wall > Duration::ZERO);
+        assert!(comparison.uncached_wall < Duration::MAX);
     }
 }

@@ -99,7 +99,7 @@ pub struct EngineStats {
     /// `canon_hit_rate` experiment weighs it against the compile work the
     /// extra hits save.
     pub canon_steps: u64,
-    /// Individualization searches this attribution actually ran (its own
+    /// Canonical keys this attribution actually computed (its own
     /// shape plus any still-unkeyed cache residents or in-batch mates it had
     /// to settle against; 0 when the fingerprint pre-key or an exact
     /// presentation match resolved the lookup, or when the backend was

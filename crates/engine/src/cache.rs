@@ -21,11 +21,11 @@
 //!   that very dense form. Only when no resident shares the presentation
 //!   does anyone pay for canonicalization
 //!   — the new arrival and any still-unkeyed residents are canonicalized
-//!   ([`CanonicalKey`], the colour-refinement canonical renaming of
+//!   ([`CanonicalKey`], the decomposed canonical renaming of
 //!   [`crate::canon`]) and compared exactly. Singleton fingerprints — the
-//!   common case for heterogeneous traffic — never run the
-//!   individualization search at all; the searches avoided this way are
-//!   counted as [`CacheStats::prekey_skips`].
+//!   common case for heterogeneous traffic — never compute a canonical key
+//!   at all; the searches avoided this way are counted as
+//!   [`CacheStats::prekey_skips`].
 //! * **Exact canonical confirmation**: equal canonical keys imply isomorphic
 //!   lineages (so cached attributions transfer under the variable
 //!   bijection), and isomorphic lineages produce equal keys under arbitrary
@@ -59,10 +59,11 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// The exact cache key: the lineage with its variables renamed to the dense
-/// colour-refinement canonical numbering of [`crate::canon`].
+/// canonical numbering of [`crate::canon`] (factor, split, and the
+/// refinement search on indecomposable cores).
 ///
-/// The invariant is **equal keys ⇔ isomorphic lineages, up to the
-/// refinement's power**:
+/// The invariant is **equal keys ⇔ isomorphic lineages, up to the search's
+/// power on cores**:
 ///
 /// * *Soundness is unconditional*: the key is always a true renaming of the
 ///   lineage, so equal keys imply a variable bijection between the two
@@ -70,9 +71,9 @@ use std::sync::{Arc, Mutex};
 ///   transfer through it.
 /// * *Completeness* — isomorphic lineages (any variable bijection composed
 ///   with any clause reordering) receive equal keys — holds whenever the
-///   canonicalization's backtracking search runs to exhaustion, which it
-///   does for every lineage whose refinement-invariant leaf count fits the
-///   [`crate::canon`] leaf budget; past that (astronomically symmetric)
+///   backtracking search of every indecomposable core runs to exhaustion,
+///   which it does for every core whose refinement-invariant leaf count fits
+///   the [`crate::canon`] leaf budget; past that (astronomically symmetric)
 ///   bound two copies may key apart and merely miss each other in the cache.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct CanonicalKey {
@@ -112,10 +113,14 @@ pub(crate) struct Shape {
 }
 
 impl Shape {
-    /// Runs the individualization search on this presentation. Returns the
-    /// canonical renaming and the refinement steps it cost, or `None` when
-    /// `budget` ran out mid-descent: the caller then treats the shape as
+    /// Computes the canonical key of this presentation: common variables
+    /// factored out first, independent components keyed apart, and only
+    /// indecomposable cores searched (see [`crate::canon`]). Returns the
+    /// canonical renaming and the keying steps it cost, or `None` when
+    /// `budget` ran out mid-way: the caller then treats the shape as
     /// unkeyable (a definite miss) rather than stalling the planning walk.
+    /// The weighted payload rides along as clause classes, so a weighted
+    /// shape keys class-aware at every stage.
     pub(crate) fn canonicalize(&self, budget: Option<&Budget>) -> Option<(CanonInfo, u64)> {
         let classes = self.weight_classes();
         let form = canonical_form_classed(self.num_vars, &self.clauses, classes.as_deref(), budget)
@@ -205,7 +210,7 @@ pub(crate) struct CanonInfo {
 }
 
 /// A lineage prepared for a cache lookup: densely renamed, fingerprinted —
-/// and *not yet canonicalized*. The individualization search only runs (via
+/// and *not yet canonicalized*. The canonical key is only computed (via
 /// [`Shape::canonicalize`]) when the fingerprint bucket is contested.
 pub(crate) struct Prekeyed {
     pub(crate) fingerprint: Fingerprint,
@@ -379,12 +384,12 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries evicted to keep the cache within its capacity bound.
     pub evictions: u64,
-    /// Canonicalization work (colour-refinement steps) spent computing the
-    /// exact cache keys by the engine's sessions — the price paid for the
-    /// order-insensitive keying, to weigh against the compile steps the hits
-    /// save.
+    /// Canonicalization work (decomposition and refinement steps) spent
+    /// computing the exact cache keys by the engine's sessions — the price
+    /// paid for the order-insensitive keying, to weigh against the compile
+    /// steps the hits save.
     pub canon_steps: u64,
-    /// Individualization searches actually run by the engine's sessions
+    /// Canonical keys actually computed by the engine's sessions
     /// (one per shape canonicalized — lookups resolved by the fingerprint
     /// alone run none, and neither do presentation hits, which count in
     /// `hits`).
@@ -1107,8 +1112,8 @@ impl fmt::Debug for ShardedCache {
 }
 
 /// Computes the full canonical key of `lineage` — dense renaming,
-/// fingerprint, and the individualization search — and returns the
-/// refinement steps spent. A benchmarking probe for the keying cost; not
+/// fingerprint, and the decomposed canonical form — and returns the keying
+/// steps spent. A benchmarking probe for the keying cost; not
 /// used on the serving path.
 pub fn canonical_key_probe(lineage: &Dnf) -> u64 {
     let prekeyed = Prekeyed::of(lineage);

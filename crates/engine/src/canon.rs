@@ -5,70 +5,79 @@
 //! two lineages receive the same key **iff** one is a variable bijection of
 //! the other (clause order is immaterial — [`banzhaf_boolean::Dnf`] already
 //! sorts clauses, but *which* order the sort produces depends on the variable
-//! names, which is exactly what a renaming changes).
+//! names, which is exactly what a renaming changes). A first-occurrence
+//! renaming is sound but incomplete: the 3-path `{x,y} ∨ {y,z}` keys as
+//! `{0,1} ∨ {1,2}` or `{0,1} ∨ {0,2}` depending on which variable carries the
+//! middle label.
 //!
-//! The previous scheme — rename variables to a dense numbering by first
-//! occurrence, then sort the renamed clauses — is sound (its key is a true
-//! renaming of the input, so equal keys do imply isomorphism) but badly
-//! incomplete: the renaming walks the clauses in the order the *original*
-//! labels sort them, so a mere relabelling changes the walk and hence the
-//! key. The 3-path `{x,y} ∨ {y,z}` keys as `{0,1} ∨ {1,2}` when `x<y<z` but
-//! as `{0,1} ∨ {0,2}` when the middle variable carries the smallest label —
-//! one isomorphism class, two keys, and a spurious cache miss for every
-//! labelling family the first-occurrence walk happens to separate.
+//! [`canonical_form_classed`] keys a lineage in three stages, following the
+//! decomposition ExaBan's d-tree compiler applies before any Shannon step:
 //!
-//! This module computes a genuinely order-insensitive form in two stages:
+//! 1. **Factor (⊙).** The variables common to every clause of a part take the
+//!    next canonical indices; they are pairwise twins (swapping two of them
+//!    maps every clause to itself), so their order among themselves cannot
+//!    change the key. The remainder — each clause minus the common variables
+//!    — is keyed and shifted past them.
+//! 2. **Split (⊗).** The connected components of the clause–variable
+//!    incidence graph are keyed separately (an empty clause is a component of
+//!    its own) and concatenated in the order of their keys
+//!    `(variable count, renamed clause list, class sequence)`. Isomorphic
+//!    components key equal, so which of them comes first cannot change the
+//!    key either.
+//! 3. **Search.** A part that neither factors nor splits — an indecomposable
+//!    core — runs the colour-refinement and individualization search below.
+//!    An input that is indecomposable at the top level runs it on its own
+//!    arrays, so its form, witness and step count are the search's alone.
 //!
-//! 1. **Colour refinement** (1-dimensional Weisfeiler–Leman) over the
-//!    bipartite clause–variable *incidence graph*: variables and clauses
-//!    start with colours derived from their degrees/widths, and cells are
-//!    split by the multiset of their members' neighbour colours until the
-//!    partition stabilizes. The resulting partition is isomorphism-invariant
-//!    and usually fine enough to order most variables outright. Refinement
-//!    runs as a Hopcroft-style *worklist*: only cells holding a neighbour of
-//!    a fragment split in the previous round are re-examined (with one
-//!    largest fragment per split skipped — members with equal counts against
-//!    every small fragment have equal counts against the large remainder
-//!    too), neighbour-colour multisets are counting-sorted into scratch
-//!    buffers reused across rounds *and* across individualization search
-//!    nodes, and new colour ids are assigned positionally so the fixpoint —
-//!    partition and ids both — is identical to the full-recompute rounds the
-//!    seed shipped (kept as a `tests::oracle` the proptests compare
-//!    against).
-//! 2. **Orbit breaking with backtracking**: while some colour class still
-//!    holds several variables, the search *individualizes* each candidate of
-//!    the first such class in turn (gives it a fresh colour), re-refines, and
-//!    recurses. Each discrete leaf yields one candidate renaming; the
-//!    lexicographically smallest renamed clause list over all explored
-//!    leaves is the canonical form. Two leaves that produce the *same*
-//!    clause list witness an automorphism of the input (the composition of
-//!    their renamings); the search accumulates the orbits of the discovered
-//!    automorphisms in a union-find and skips cell members already known to
-//!    be automorphic images of an explored sibling — *before* paying for
-//!    their refinement — which collapses the factorially symmetric cases
-//!    (stars, cliques, rings, singleton batteries) to a linear number of
-//!    leaves, the same pruning that makes nauty-style canonical labelling
-//!    practical.
+//! Lineages of hierarchical queries need only the first two stages, so they
+//! key in linear time where the search would pay for every cell of
+//! interchangeable facts (the `k` actors of one movie) roughly `k³`.
 //!
-//! Every leaf is a true renaming of the input, so **equal keys imply
-//! isomorphic lineages unconditionally** — soundness does not depend on the
-//! search. Completeness (isomorphic lineages ⇒ equal keys) holds whenever
-//! the search runs to exhaustion, which it does for every lineage whose
-//! refinement-invariant leaf count stays within [`MAX_LEAVES`]; past that
-//! cap exploration stops early and two differently-labelled copies of such
-//! an (astronomically symmetric) lineage may canonicalize differently and
-//! merely miss each other in the cache. In practice the heavily symmetric
-//! lineages (rings, stars, grids) are exactly the ones where all leaves are
-//! automorphic images of one another, so the first leaf already *is* the
-//! canonical form and the cap is unreachable without adversarial input.
+//! The search works on the bipartite clause–variable incidence graph:
 //!
-//! Because even the worklist search costs real work, the cache avoids it
-//! entirely where it can: [`fingerprint`] computes a cheap isomorphism
-//! *invariant* (variable/clause counts plus hashed clause-width and
-//! variable-degree multisets) in one linear pass. Two isomorphic lineages
-//! always share a fingerprint, so an empty fingerprint bucket is a definite
-//! cache miss and the canonical form only needs to be computed once a
-//! *second* distinct shape shows up under the same fingerprint.
+//! * **Colour refinement** (1-dimensional Weisfeiler–Leman): variables and
+//!   clauses start with colours derived from their degrees/widths (and
+//!   clause classes), and cells split by the multiset of their members'
+//!   neighbour colours until the partition is stable. It runs as a
+//!   Hopcroft-style *worklist*: only cells holding a neighbour of a fragment
+//!   split in the previous round are re-examined (one largest fragment per
+//!   split is skipped), neighbour-colour multisets are counting-sorted into
+//!   reused scratch buffers, and colour ids are assigned positionally, so the
+//!   fixpoint — partition and ids both — equals that of full-recompute rounds
+//!   (kept as a `tests::oracle`).
+//! * **Orbit breaking with backtracking**: while some colour class still
+//!   holds several variables, each candidate of the first such class is
+//!   individualized in turn, re-refined, and recursed into. Each discrete
+//!   leaf yields a candidate renaming; the smallest renamed clause list wins.
+//!   Two leaves with the *same* list witness an automorphism, whose orbits
+//!   (a union-find) prune siblings before their refinement is paid for, which
+//!   keeps stars, cliques, rings and singleton batteries at a linear number
+//!   of leaves.
+//!
+//! **Soundness.** Every stage only ever assigns indices to input variables,
+//! one each, so the result is a renaming of the input: equal keys imply
+//! isomorphic lineages unconditionally.
+//!
+//! **Completeness.** Any variable bijection between two lineages maps the
+//! common variables of one onto those of the other and its components onto
+//! isomorphic components, so factoring and splitting commute with it; the
+//! part keys are canonical, so the assembled keys are equal. For a core,
+//! completeness holds whenever the search runs to exhaustion, which it does
+//! for every core whose refinement-invariant leaf count stays within
+//! [`MAX_LEAVES`] (the cap applies per core); past that cap two copies of an
+//! (astronomically symmetric) core may key apart and merely miss each other
+//! in the cache.
+//!
+//! Two witnesses that yield the same key differ by an automorphism of the
+//! input, so values mapped back through either agree.
+//!
+//! Because keying still costs real work, the cache avoids it where it can:
+//! [`fingerprint`] computes a cheap isomorphism *invariant* (variable/clause
+//! counts plus hashed clause-width and variable-degree multisets) in one
+//! linear pass. Two isomorphic lineages always share a fingerprint, so an
+//! empty fingerprint bucket is a definite cache miss and the canonical form
+//! only needs to be computed once a *second* distinct shape shows up under
+//! the same fingerprint.
 
 use banzhaf::{Budget, Interrupted};
 use banzhaf_arith::Rational;
@@ -80,18 +89,18 @@ pub(crate) struct CanonicalForm {
     pub(crate) order: Vec<u32>,
     /// The clauses renamed through `order`, each sorted, the list sorted.
     pub(crate) clauses: Vec<Vec<u32>>,
-    /// Refinement work performed (node signatures computed), the
-    /// canonicalization analogue of `compile_steps`.
+    /// Keying work performed (decomposition passes plus the search's node
+    /// signatures), the canonicalization analogue of `compile_steps`.
     pub(crate) steps: u64,
 }
 
-/// Backtracking-leaf budget. Exploration past this many discrete partitions
-/// stops with the best form found so far (see the module docs for why this
-/// only ever degrades cache hit rate, never correctness).
+/// Backtracking-leaf budget of one core's search. Exploration past this many
+/// discrete partitions stops with the best form found so far (see the module
+/// docs for why this only ever degrades cache hit rate, never correctness).
 const MAX_LEAVES: usize = 512;
 
 /// The unclassed, unbudgeted spelling of [`canonical_form_classed`], kept
-/// for the oracle proptests.
+/// for the tests.
 #[cfg(test)]
 pub(crate) fn canonical_form(num_vars: usize, clauses: &[Vec<u32>]) -> CanonicalForm {
     canonical_form_classed(num_vars, clauses, None, None).expect("no budget, no interrupt")
@@ -104,29 +113,50 @@ pub(crate) fn canonical_form(num_vars: usize, clauses: &[Vec<u32>]) -> Canonical
 ///
 /// `classes[c]` is an isomorphism-invariant label of clause `c` (weighted
 /// lineages label each clause by the rank of its weight, see
-/// `cache::Shape::canonicalize`). The labels join the clause nodes' initial
-/// colours, so refinement separates clauses of different classes and only
-/// class-preserving renamings count as automorphisms; the candidate leaves
-/// are ordered by `(renamed clause list, induced class sequence)`, so two
-/// weighted-isomorphic lineages pick the same witness even when the Boolean
-/// skeleton alone has automorphisms that permute differently-weighted clauses
-/// (the 3-path with distinct end-clause weights is the motivating case). With
-/// `classes: None` — or all labels equal — every choice reduces to the
-/// unclassed search, bit-identically.
+/// `cache::Shape::canonicalize`). A label rides along with its clause through
+/// factoring and splitting, orders parts after their clause lists, and joins
+/// the clause nodes' initial colours in the search, so only class-preserving
+/// renamings count as automorphisms and every candidate is ordered by
+/// `(renamed clause list, induced class sequence)`: two weighted-isomorphic
+/// lineages pick the same witness even when the Boolean skeleton alone has
+/// automorphisms that permute differently-weighted clauses (the 3-path with
+/// distinct end-clause weights is the motivating case). With `classes: None`
+/// — or all labels equal — every choice reduces to the unclassed key.
 ///
-/// Under a cooperative `budget` every refinement round charges its step
-/// lump, so a step cap or deadline interrupts the individualization descent
-/// mid-stream instead of letting a pathologically symmetric shape stall the
-/// whole batch-planning walk. With an unexhausted budget the result — form,
-/// witness order, and step count — is bit-identical to `budget: None`; on
-/// exhaustion the caller gets `Err` and treats the shape as unkeyable (a
-/// cache miss, never a wrong key).
+/// Under a cooperative `budget` every decomposition pass and every
+/// refinement round charges its step lump, so a step cap or deadline
+/// interrupts the keying mid-stream instead of letting a pathologically
+/// symmetric shape stall the whole batch-planning walk. With an unexhausted
+/// budget the result — form, witness order, and step count — is
+/// bit-identical to `budget: None`; on exhaustion the caller gets `Err` and
+/// treats the shape as unkeyable (a cache miss, never a wrong key).
 pub(crate) fn canonical_form_classed(
     num_vars: usize,
     clauses: &[Vec<u32>],
     classes: Option<&[u32]>,
     budget: Option<&Budget>,
 ) -> Result<CanonicalForm, Interrupted> {
+    let mut keyer = Keyer::new(num_vars, clauses, classes, budget);
+    let part: Vec<u32> = (0..clauses.len() as u32).collect();
+    let used: Vec<u32> = (0..num_vars as u32).filter(|&v| keyer.used[v as usize]).collect();
+    let Some(step) = keyer.decompose(&part, &used) else {
+        let ((order, canonical_clauses, _), steps) = search(num_vars, clauses, classes, budget)?;
+        return Ok(CanonicalForm { order, clauses: canonical_clauses, steps });
+    };
+    let (mut order, canonical_clauses, _) = keyer.apply(&part, &used, step)?;
+    order.extend((0..num_vars as u32).filter(|&v| !keyer.used[v as usize]));
+    debug_assert!(canonical_clauses.windows(2).all(|w| w[0] <= w[1]), "parts assemble sorted");
+    Ok(CanonicalForm { order, clauses: canonical_clauses, steps: keyer.steps })
+}
+
+/// Runs the refinement and individualization search on `clauses` over
+/// `0..num_vars` and returns its best leaf with the steps it cost.
+fn search(
+    num_vars: usize,
+    clauses: &[Vec<u32>],
+    classes: Option<&[u32]>,
+    budget: Option<&Budget>,
+) -> Result<(Candidate, u64), Interrupted> {
     let mut searcher = Searcher::new(num_vars, clauses, classes);
     searcher.budget = budget;
     let initial = searcher.initial_colouring();
@@ -136,9 +166,218 @@ pub(crate) fn canonical_form_classed(
     if searcher.interrupted {
         return Err(Interrupted);
     }
-    let (order, canonical_clauses, _) =
-        searcher.best.expect("the uninterrupted search visits at least one discrete leaf");
-    Ok(CanonicalForm { order, clauses: canonical_clauses, steps: searcher.steps })
+    let best = searcher.best.expect("the uninterrupted search visits at least one discrete leaf");
+    Ok((best, searcher.steps))
+}
+
+/// One decomposition step of a part.
+enum Step {
+    /// The variables common to every clause of the part (ascending).
+    Factor(Vec<u32>),
+    /// The part's connected components: `(clause ids, variables ascending)`.
+    Split(Vec<(Vec<u32>, Vec<u32>)>),
+}
+
+/// The factor and split stages of [`canonical_form_classed`]. A part is a
+/// set of input clause ids plus the variables they still mention; factoring
+/// marks its common variables `factored`, which removes them from every
+/// clause of the part (and of no other part: parts never share a variable).
+struct Keyer<'a> {
+    clauses: &'a [Vec<u32>],
+    classes: Option<&'a [u32]>,
+    budget: Option<&'a Budget>,
+    /// Whether some clause mentions the variable.
+    used: Vec<bool>,
+    /// Variables already factored out of their part.
+    factored: Vec<bool>,
+    /// Per-variable scratch, zero between uses: occurrence counts, component
+    /// slots of union-find roots, or a core's local variable numbering.
+    scratch: Vec<u32>,
+    /// Union-find parents over variables, the identity between passes.
+    parent: Vec<u32>,
+    steps: u64,
+}
+
+/// Union-find root with path halving.
+fn find(parent: &mut [u32], v: u32) -> u32 {
+    let mut v = v;
+    while parent[v as usize] != v {
+        parent[v as usize] = parent[parent[v as usize] as usize];
+        v = parent[v as usize];
+    }
+    v
+}
+
+impl<'a> Keyer<'a> {
+    fn new(
+        num_vars: usize,
+        clauses: &'a [Vec<u32>],
+        classes: Option<&'a [u32]>,
+        budget: Option<&'a Budget>,
+    ) -> Self {
+        let mut used = vec![false; num_vars];
+        for clause in clauses {
+            for &v in clause {
+                used[v as usize] = true;
+            }
+        }
+        Keyer {
+            clauses,
+            classes,
+            budget,
+            used,
+            factored: vec![false; num_vars],
+            scratch: vec![0; num_vars],
+            parent: (0..num_vars as u32).collect(),
+            steps: 0,
+        }
+    }
+
+    fn class(&self, c: u32) -> u32 {
+        self.classes.map_or(0, |labels| labels[c as usize])
+    }
+
+    /// How `part` (whose clauses mention exactly `vars`) decomposes, or
+    /// `None` for a core. Finding out is free: only a pass that decomposes
+    /// is charged, in [`Keyer::apply`].
+    fn decompose(&mut self, part: &[u32], vars: &[u32]) -> Option<Step> {
+        let Keyer { clauses, factored, scratch, parent, .. } = self;
+        let live = |c: u32| clauses[c as usize].iter().copied().filter(|&v| !factored[v as usize]);
+        for &c in part {
+            for v in live(c) {
+                scratch[v as usize] += 1;
+            }
+        }
+        let common: Vec<u32> =
+            vars.iter().copied().filter(|&v| scratch[v as usize] as usize == part.len()).collect();
+        for &v in vars {
+            scratch[v as usize] = 0;
+        }
+        if !common.is_empty() {
+            return Some(Step::Factor(common));
+        }
+        for &c in part {
+            let mut members = live(c);
+            let Some(first) = members.next() else { continue };
+            let first = find(parent, first);
+            for v in members {
+                let root = find(parent, v);
+                if root != first {
+                    parent[root as usize] = first;
+                }
+            }
+        }
+        let mut components: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+        for &v in vars {
+            let root = find(parent, v) as usize;
+            if scratch[root] == 0 {
+                components.push((Vec::new(), Vec::new()));
+                scratch[root] = components.len() as u32;
+            }
+            components[scratch[root] as usize - 1].1.push(v);
+        }
+        for &c in part {
+            match live(c).next() {
+                Some(v) => components[scratch[find(parent, v) as usize] as usize - 1].0.push(c),
+                None => components.push((vec![c], Vec::new())),
+            }
+        }
+        for &v in vars {
+            scratch[find(parent, v) as usize] = 0;
+        }
+        for &v in vars {
+            parent[v as usize] = v;
+        }
+        (components.len() > 1).then_some(Step::Split(components))
+    }
+
+    /// Keys `part` over `vars`: directly when every clause is empty, by the
+    /// search when it is a core, else through one decomposition step.
+    fn key_part(&mut self, part: &[u32], vars: &[u32]) -> Result<Candidate, Interrupted> {
+        if vars.is_empty() {
+            let mut classes: Vec<u32> = part.iter().map(|&c| self.class(c)).collect();
+            classes.sort_unstable();
+            return Ok((Vec::new(), vec![Vec::new(); part.len()], classes));
+        }
+        match self.decompose(part, vars) {
+            Some(step) => self.apply(part, vars, step),
+            None => self.core(part, vars),
+        }
+    }
+
+    /// Charges the pass that found `step` and keys `part` through it. The
+    /// assembled clause list comes out sorted without a sort: a factored
+    /// prefix is shared by every clause, and the clauses of an earlier part
+    /// start below every variable of a later one (a variable-free part holds
+    /// one empty clause, the least of all).
+    fn apply(&mut self, part: &[u32], vars: &[u32], step: Step) -> Result<Candidate, Interrupted> {
+        let cost: u64 = part.iter().map(|&c| self.clauses[c as usize].len() as u64 + 1).sum();
+        self.steps += cost;
+        if let Some(budget) = self.budget {
+            budget.charge(cost)?;
+        }
+        match step {
+            Step::Factor(common) => {
+                for &v in &common {
+                    self.factored[v as usize] = true;
+                }
+                let rest: Vec<u32> =
+                    vars.iter().copied().filter(|&v| !self.factored[v as usize]).collect();
+                let (order, clauses, classes) = self.key_part(part, &rest)?;
+                let width = common.len() as u32;
+                let clauses = clauses
+                    .into_iter()
+                    .map(|clause| (0..width).chain(clause.into_iter().map(|v| v + width)).collect())
+                    .collect();
+                let mut full = common;
+                full.extend(order);
+                Ok((full, clauses, classes))
+            }
+            Step::Split(components) => {
+                let mut keys = Vec::with_capacity(components.len());
+                for (clauses, vars) in &components {
+                    keys.push(self.key_part(clauses, vars)?);
+                }
+                keys.sort_by(|a, b| (a.0.len(), &a.1, &a.2).cmp(&(b.0.len(), &b.1, &b.2)));
+                let mut assembled: Candidate = (Vec::new(), Vec::new(), Vec::new());
+                for (order, clauses, classes) in keys {
+                    let offset = assembled.0.len() as u32;
+                    assembled.1.extend(
+                        clauses.into_iter().map(|c| c.into_iter().map(|v| v + offset).collect()),
+                    );
+                    assembled.0.extend(order);
+                    assembled.2.extend(classes);
+                }
+                Ok(assembled)
+            }
+        }
+    }
+
+    /// Runs the search on a core, renumbered to its own dense universe.
+    fn core(&mut self, part: &[u32], vars: &[u32]) -> Result<Candidate, Interrupted> {
+        for (local, &v) in vars.iter().enumerate() {
+            self.scratch[v as usize] = local as u32;
+        }
+        let clauses: Vec<Vec<u32>> = part
+            .iter()
+            .map(|&c| {
+                self.clauses[c as usize]
+                    .iter()
+                    .filter(|&&v| !self.factored[v as usize])
+                    .map(|&v| self.scratch[v as usize])
+                    .collect()
+            })
+            .collect();
+        for &v in vars {
+            self.scratch[v as usize] = 0;
+        }
+        let classes: Option<Vec<u32>> =
+            self.classes.map(|_| part.iter().map(|&c| self.class(c)).collect());
+        let ((order, clauses, classes), steps) =
+            search(vars.len(), &clauses, classes.as_deref(), self.budget)?;
+        self.steps += steps;
+        Ok((order.into_iter().map(|local| vars[local as usize]).collect(), clauses, classes))
+    }
 }
 
 /// A cheap isomorphism invariant of a lineage: any variable bijection
@@ -372,15 +611,8 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// Union-find root with path halving.
     fn orbit_root(&mut self, v: u32) -> u32 {
-        let mut v = v;
-        while self.orbit[v as usize] != v {
-            let parent = self.orbit[v as usize];
-            self.orbit[v as usize] = self.orbit[parent as usize];
-            v = self.orbit[v as usize];
-        }
-        v
+        find(&mut self.orbit, v)
     }
 
     /// Records that an automorphism maps `a` to `b`.
@@ -1112,6 +1344,103 @@ mod tests {
             .collect()
     }
 
+    /// The search stage alone, on the input's own arrays.
+    fn search_form(num_vars: usize, clauses: &[Vec<u32>]) -> CanonicalForm {
+        let ((order, clauses, _), steps) =
+            search(num_vars, clauses, None, None).expect("no budget, no interrupt");
+        CanonicalForm { order, clauses, steps }
+    }
+
+    /// The search stage's key with classes: (clause list, class sequence).
+    fn search_key(
+        num_vars: usize,
+        clauses: &[Vec<u32>],
+        classes: &[u32],
+    ) -> (Vec<Vec<u32>>, Vec<u32>) {
+        let ((_, clauses, classes), _) =
+            search(num_vars, clauses, Some(classes), None).expect("no budget, no interrupt");
+        (clauses, classes)
+    }
+
+    /// The composed key with classes, rebuilt from the witness order — so it
+    /// is a renaming of the input by construction, and equals the form's
+    /// clause list exactly when the form is one.
+    fn composed_key(
+        num_vars: usize,
+        clauses: &[Vec<u32>],
+        classes: &[u32],
+    ) -> (Vec<Vec<u32>>, Vec<u32>) {
+        let form = canonical_form_classed(num_vars, clauses, Some(classes), None)
+            .expect("no budget, no interrupt");
+        let mut sorted = form.order.clone();
+        sorted.sort_unstable();
+        assert!(sorted.iter().copied().eq(0..num_vars as u32), "the witness is a permutation");
+        let mut rank = vec![0u32; num_vars];
+        for (index, &v) in form.order.iter().enumerate() {
+            rank[v as usize] = index as u32;
+        }
+        let mut renamed: Vec<(Vec<u32>, u32)> = clauses
+            .iter()
+            .zip(classes)
+            .map(|(clause, &class)| {
+                let mut c: Vec<u32> = clause.iter().map(|&v| rank[v as usize]).collect();
+                c.sort_unstable();
+                (c, class)
+            })
+            .collect();
+        renamed.sort_unstable();
+        let key: (Vec<Vec<u32>>, Vec<u32>) = renamed.into_iter().unzip();
+        assert_eq!(key.0, form.clauses, "the key is the input renamed through its witness");
+        key
+    }
+
+    /// A decomposable lineage: `copies` isomorphic copies of a `shape` core
+    /// plus one core of another kind, under `common` variables shared by
+    /// every clause, with one clause that is empty once they are factored
+    /// out (an empty clause of its own when `common` is 0), `unused` universe
+    /// variables no clause mentions, and random classes in `0..2`.
+    fn decomposable(
+        kinds: (usize, usize),
+        size: usize,
+        copies: usize,
+        common: usize,
+        unused: usize,
+        rng: &mut StdRng,
+    ) -> (usize, Vec<Vec<u32>>, Vec<u32>) {
+        let mut clauses: Vec<Vec<u32>> = Vec::new();
+        let mut next = common as u32;
+        let core = shape(kinds.0, size, rng);
+        let other = shape(kinds.1, size.saturating_sub(1).max(3), rng);
+        for (n, core_clauses) in std::iter::repeat_n(&core, copies).chain([&other]) {
+            for clause in core_clauses {
+                clauses.push(clause.iter().map(|&v| v + next).collect());
+            }
+            next += *n as u32;
+        }
+        clauses.push(Vec::new());
+        for clause in &mut clauses {
+            clause.extend(0..common as u32);
+            clause.sort_unstable();
+        }
+        let classes = (0..clauses.len()).map(|_| rng.gen_range(0..2u32)).collect();
+        (next as usize + unused, clauses, classes)
+    }
+
+    /// `clauses` (with their classes) relabelled and shuffled.
+    fn scramble(
+        num_vars: usize,
+        clauses: &[Vec<u32>],
+        classes: &[u32],
+        rng: &mut StdRng,
+    ) -> (Vec<Vec<u32>>, Vec<u32>) {
+        let mut pairs: Vec<(Vec<u32>, u32)> =
+            relabel(num_vars, clauses, rng).into_iter().zip(classes.iter().copied()).collect();
+        for i in (1..pairs.len()).rev() {
+            pairs.swap(i, rng.gen_range(0..=i));
+        }
+        pairs.into_iter().unzip()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
@@ -1130,12 +1459,13 @@ mod tests {
                     refined_colours(num_vars, clauses),
                     oracle::refined_colours(num_vars, clauses)
                 );
-                // Identical canonical key and identical witness order.
-                let fast = canonical_form(num_vars, clauses);
+                // The search stage: identical key and identical witness.
+                let fast = search_form(num_vars, clauses);
                 let slow = oracle::canonical_form(num_vars, clauses);
                 prop_assert_eq!(&fast.clauses, &slow.clauses);
                 prop_assert_eq!(&fast.order, &slow.order);
-                prop_assert!(is_renaming_of(&fast, num_vars, clauses));
+                // The composed key is a renaming of the input.
+                prop_assert!(is_renaming_of(&canonical_form(num_vars, clauses), num_vars, clauses));
             }
             // Relabelling changes neither the key nor the fingerprint.
             prop_assert_eq!(
@@ -1146,6 +1476,44 @@ mod tests {
                 fingerprint(num_vars, &base),
                 fingerprint(num_vars, &relabelled)
             );
+        }
+
+        #[test]
+        fn decomposed_keys_are_canonical_renamings(
+            kind in 0usize..6,
+            other_kind in 0usize..6,
+            size in 3usize..7,
+            copies in 1usize..4,
+            common in 0usize..3,
+            unused in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let kinds = (kind, other_kind);
+            let (num_vars, clauses, classes) =
+                decomposable(kinds, size, copies, common, unused, &mut rng);
+            let key = composed_key(num_vars, &clauses, &classes);
+            // Invariant under relabelling and clause shuffling.
+            let (scrambled, scrambled_classes) = scramble(num_vars, &clauses, &classes, &mut rng);
+            prop_assert_eq!(&composed_key(num_vars, &scrambled, &scrambled_classes), &key);
+            // Complete and sound exactly where the search is: against an
+            // isomorphic copy, a reclassed copy and an independently drawn
+            // shape, keys agree iff the search-only keys agree.
+            let mut reclassed = classes.clone();
+            let flip = rng.gen_range(0..reclassed.len());
+            reclassed[flip] ^= 1;
+            let (drawn_vars, drawn, drawn_classes) =
+                decomposable(kinds, size, copies, common, unused, &mut rng);
+            let search = search_key(num_vars, &clauses, &classes);
+            for (n, other, other_classes) in [
+                (num_vars, &scrambled, &scrambled_classes),
+                (num_vars, &clauses, &reclassed),
+                (drawn_vars, &drawn, &drawn_classes),
+            ] {
+                let same_key = n == num_vars && composed_key(n, other, other_classes) == key;
+                let same_search = n == num_vars && search_key(n, other, other_classes) == search;
+                prop_assert_eq!(same_key, same_search);
+            }
         }
     }
 
@@ -1215,8 +1583,10 @@ mod tests {
         // so the first leaf is already canonical, every later leaf collides
         // with it and feeds the orbit union-find, and the discovered orbits
         // prune the n!-leaf search tree down to a linear walk.
+        // The composed key splits this battery without searching, so the
+        // search stage is run directly to keep orbit pruning covered.
         let clauses: Vec<Vec<u32>> = (0..12).map(|v| vec![v]).collect();
-        let form = canonical_form(12, &clauses);
+        let form = search_form(12, &clauses);
         let expected: Vec<Vec<u32>> = (0..12).map(|v| vec![v]).collect();
         assert_eq!(form.clauses, expected);
         // The orbit prune caps the work far below the 512-leaf safety net:
@@ -1285,6 +1655,54 @@ mod tests {
             capped.steps_used(),
             full.steps
         );
+    }
+
+    #[test]
+    fn step_capped_budget_interrupts_disjoint_clique_cores() {
+        // Four disjoint 6-cliques: the split stage hands each to its own
+        // search, and all four charge one budget. A cap that lets any one
+        // core finish must still stop the four of them together.
+        let clique: Vec<Vec<u32>> =
+            (0..6u32).flat_map(|a| (a + 1..6).map(move |b| vec![a, b])).collect();
+        let one = Budget::unlimited();
+        canonical_form_classed(6, &clique, None, Some(&one)).expect("unlimited");
+        let cap = one.steps_used() * 2;
+        assert!(
+            canonical_form_classed(6, &clique, None, Some(&Budget::with_max_steps(cap))).is_ok()
+        );
+        let cores: Vec<Vec<u32>> = (0..4u32)
+            .flat_map(|k| clique.iter().map(move |c| c.iter().map(|&v| v + 6 * k).collect()))
+            .collect();
+        let full = canonical_form(24, &cores);
+        let unlimited = canonical_form_classed(24, &cores, None, Some(&Budget::unlimited()))
+            .expect("unlimited");
+        assert_eq!((&unlimited.clauses, &unlimited.order), (&full.clauses, &full.order));
+        assert_eq!(unlimited.steps, full.steps);
+        let capped = Budget::with_max_steps(cap);
+        assert!(canonical_form_classed(24, &cores, None, Some(&capped)).is_err());
+    }
+
+    #[test]
+    fn hierarchical_shapes_key_in_linear_steps() {
+        // The star `x ∧ ⋁(a_i ∧ b_i)` factors once and splits once; the
+        // battery of singletons splits once. Neither reaches the search,
+        // whose cost on these interchangeable cells grows like `k³`.
+        let mut per_clause = Vec::new();
+        for k in [21u32, 200] {
+            let star: Vec<Vec<u32>> = (0..k).map(|i| vec![0, 2 * i + 1, 2 * i + 2]).collect();
+            let battery: Vec<Vec<u32>> = (0..k).map(|i| vec![i]).collect();
+            for (num_vars, clauses) in [(2 * k as usize + 1, star), (k as usize, battery)] {
+                let form = canonical_form(num_vars, &clauses);
+                assert!(is_renaming_of(&form, num_vars, &clauses));
+                // Each clause already is its canonical self.
+                assert_eq!(form.clauses, clauses);
+                per_clause.push(form.steps / u64::from(k));
+            }
+        }
+        // Steps per clause are the same at k = 21 and at k = 200.
+        assert_eq!(per_clause[0], per_clause[2], "star: {per_clause:?}");
+        assert_eq!(per_clause[1], per_clause[3], "battery: {per_clause:?}");
+        assert!(per_clause[0] <= 12 && per_clause[1] <= 4, "{per_clause:?}");
     }
 
     #[test]

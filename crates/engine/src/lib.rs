@@ -25,10 +25,11 @@
 //!   two levels: a cheap isomorphism-invariant *fingerprint* (clause/var
 //!   counts plus width and degree multiset hashes) settles the common case
 //!   without any search, and only contested fingerprints fall back to the
-//!   exact order-insensitive canonical form (worklist colour refinement plus
-//!   orbit-breaking backtracking over the clause–variable incidence graph),
-//!   so *any* variable renaming or clause reordering of a cached lineage
-//!   hits.
+//!   exact order-insensitive canonical form (common variables factored out
+//!   and independent components split, as ExaBan's compiler does, then
+//!   worklist colour refinement plus orbit-breaking backtracking over the
+//!   clause–variable incidence graph of each indecomposable core), so *any*
+//!   variable renaming or clause reordering of a cached lineage hits.
 //!
 //! ```
 //! use banzhaf_engine::{Algorithm, Engine, EngineConfig};

@@ -8,11 +8,11 @@
 //! [`SnapshotError`] (never a panic, never a silently garbled entry). The
 //! cache layers treat a rejected snapshot as a cold start.
 //!
-//! # Layout (version 1)
+//! # Layout (version 2)
 //!
 //! ```text
 //! magic      8 bytes   b"BZHSNAP\0"
-//! version    u32 LE    1
+//! version    u32 LE    2
 //! count      u64 LE    number of entries
 //! entries    ...       see below
 //! checksum   u64 LE    FNV-1a over every byte after the magic, before this
@@ -46,8 +46,11 @@ use std::time::Duration;
 const MAGIC: &[u8; 8] = b"BZHSNAP\0";
 /// The current format version. Readers reject every other version — the
 /// format is versioned precisely so a future layout change degrades old
-/// engines to a cold start instead of feeding them garbage.
-const VERSION: u32 = 1;
+/// engines to a cold start instead of feeding them garbage. Version 2 has
+/// version 1's layout but stores the decomposed canonical keys of
+/// [`crate::canon`]: a decomposable shape's version-1 key is not what any
+/// renamed copy keys to now, so its entry could only miss and be duplicated.
+const VERSION: u32 = 2;
 
 /// Why a snapshot file was rejected. Every variant degrades the loading
 /// cache to a cold start; none of them panics or admits a partial load.

@@ -182,12 +182,12 @@ pub struct SessionStats {
     pub cache_hits: u64,
     /// Total knowledge-compilation steps actually performed.
     pub compile_steps: u64,
-    /// Total colour-refinement steps spent canonicalizing lineages for the
-    /// shared cache's exact keys. Only paid when a fingerprint bucket is
-    /// contested — weigh against the `compile_steps` the hits save.
+    /// Total decomposition and refinement steps spent canonicalizing lineages
+    /// for the shared cache's exact keys. Only paid when a fingerprint bucket
+    /// is contested — weigh against the `compile_steps` the hits save.
     pub canon_steps: u64,
-    /// Individualization searches actually run (one per shape
-    /// canonicalized; fingerprint-resolved lookups run none).
+    /// Canonical keys actually computed (one per shape canonicalized;
+    /// fingerprint-resolved lookups compute none).
     pub canon_searches: u64,
     /// Lookups resolved without any search because their cheap
     /// isomorphism-invariant fingerprint had no resident entry.

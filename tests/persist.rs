@@ -213,6 +213,24 @@ fn version_mismatch_is_a_typed_error_and_degrades_to_cold() {
 }
 
 #[test]
+fn version_1_snapshots_are_rejected_and_degrade_to_cold() {
+    // Version 1 stored canonical keys from before decomposed keying; a
+    // checksum-valid version-1 file must be refused, not half-reachable.
+    let scratch = Scratch::new("version1");
+    let expected = write_good_snapshot(&scratch.path);
+    let mut bytes = std::fs::read(&scratch.path).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let checksum = fnv1a(&bytes[8..bytes.len() - 8]);
+    let at = bytes.len() - 8;
+    bytes[at..].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(&scratch.path, &bytes).unwrap();
+    let probe = Engine::new(EngineConfig::default());
+    let err = probe.shared_cache().load(&scratch.path).expect_err("version 1 must be rejected");
+    assert!(matches!(err, SnapshotError::UnsupportedVersion(1)), "got {err}");
+    assert_degrades_to_cold(&scratch.path, &expected);
+}
+
+#[test]
 fn garbage_tails_and_bit_flips_are_rejected_and_degrade_to_cold() {
     let scratch = Scratch::new("garbage");
     let expected = write_good_snapshot(&scratch.path);
