@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks of the building blocks: bigint arithmetic,
 //! iDNF bound construction and counting, d-tree compilation, ExaBan's count
-//! and context passes, Monte Carlo sampling throughput, and provenance-aware
-//! query evaluation.
+//! and context passes, Monte Carlo sampling throughput, provenance-aware
+//! query evaluation, and the session's cache-hit path.
 
 use banzhaf::{exaban_all_with_counts, model_counts, Budget, DTree, PivotHeuristic};
 use banzhaf_arith::Natural;
 use banzhaf_baselines::{mc_banzhaf, McOptions};
-use banzhaf_boolean::{lower_bound_fn, upper_bound_fn};
+use banzhaf_boolean::{lower_bound_fn, upper_bound_fn, Dnf};
+use banzhaf_engine::{BatchOptions, Engine, EngineConfig};
 use banzhaf_query::evaluate;
 use banzhaf_workloads::{
     academic_workload, imdb_workload, tpch_workload, DatasetSpec, LineageGenerator, LineageShape,
@@ -124,6 +125,31 @@ fn bench_evaluate(c: &mut Criterion) {
     group.finish();
 }
 
+/// A warmed `attribute_batch` over each corpus query's answer lineages:
+/// every instance is a cache hit, so this times the engine layer alone
+/// (prekey, presentation settle, map-back) under every explain request.
+fn bench_session_hit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("session_hit");
+    let spec = DatasetSpec::default();
+    for workload in [academic_workload(&spec), imdb_workload(&spec), tpch_workload(&spec)] {
+        for (name, query) in &workload.queries {
+            let lineages: Vec<Dnf> = evaluate(query, &workload.db)
+                .into_answers()
+                .into_iter()
+                .map(|a| a.lineage)
+                .collect();
+            let refs: Vec<&Dnf> = lineages.iter().collect();
+            let engine = Engine::new(EngineConfig::default());
+            let mut session = engine.session();
+            session.attribute_batch(&refs, BatchOptions::default());
+            group.bench_function(name, |bench| {
+                bench.iter(|| session.attribute_batch(&refs, BatchOptions::default()));
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_bigint,
@@ -131,6 +157,7 @@ criterion_group!(
     bench_compile,
     bench_exaban_pass,
     bench_mc_sampling,
-    bench_evaluate
+    bench_evaluate,
+    bench_session_hit
 );
 criterion_main!(benches);

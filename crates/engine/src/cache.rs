@@ -53,7 +53,7 @@ use crate::canon::{canonical_form_classed, fingerprint, weighted_payload, Finger
 use crate::persist::SnapshotError;
 use banzhaf::Budget;
 use banzhaf_arith::Rational;
-use banzhaf_boolean::{AggregateKind, Dnf, Var, VarSet, WeightedDnf};
+use banzhaf_boolean::{AggregateKind, Clause, Dnf, Var, VarSet, WeightedDnf};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -211,59 +211,56 @@ pub(crate) struct CanonInfo {
 
 /// A lineage prepared for a cache lookup: densely renamed, fingerprinted —
 /// and *not yet canonicalized*. The canonical key is only computed (via
-/// [`Shape::canonicalize`]) when the fingerprint bucket is contested.
+/// [`Shape::canonicalize`]) when the fingerprint bucket is contested, and the
+/// lineage a backend runs ([`Prekeyed::dense_dnf`] /
+/// [`Prekeyed::dense_weighted`]) only when the lookup misses, so a cache hit
+/// builds neither.
 pub(crate) struct Prekeyed {
     pub(crate) fingerprint: Fingerprint,
     pub(crate) shape: Arc<Shape>,
-    /// The same function over the dense variables `0..n` — what the backends
-    /// run; results are renamed back to the original facts via
-    /// [`Prekeyed::map_back`].
-    pub(crate) dnf: Dnf,
-    /// For aggregate lookups ([`Prekeyed::of_weighted`]): the dense weighted
-    /// lineage the backends run, `None` for Boolean lookups.
-    pub(crate) weighted: Option<WeightedDnf>,
     /// Dense variable → original fact.
     originals: Vec<Var>,
 }
 
 impl Prekeyed {
-    /// Renames variables to `0..n` by first occurrence (clauses first, then
-    /// the unused universe padding), computes the fingerprint, and builds
-    /// the dense [`Dnf`] the backends will run. No refinement, no search —
-    /// one linear pass.
+    /// Renames variables to `0..n` by first occurrence (clauses as stored,
+    /// then the unused universe padding in ascending order) and computes the
+    /// fingerprint. No refinement, no search, no hashing: each variable is
+    /// ranked in the lineage's sorted universe by binary search, and the
+    /// rank indexes a table of first-occurrence ids.
     pub(crate) fn of(lineage: &Dnf) -> Prekeyed {
-        let mut ids: HashMap<Var, u32> = HashMap::with_capacity(lineage.num_vars());
-        let mut originals: Vec<Var> = Vec::with_capacity(lineage.num_vars());
-        let mut rename = |v: Var, originals: &mut Vec<Var>| -> u32 {
-            *ids.entry(v).or_insert_with(|| {
-                originals.push(v);
-                (originals.len() - 1) as u32
-            })
-        };
+        const UNSEEN: u32 = u32::MAX;
+        let universe = lineage.universe().as_slice();
+        let mut ids = vec![UNSEEN; universe.len()];
+        let mut originals: Vec<Var> = Vec::with_capacity(universe.len());
         let mut clauses: Vec<Vec<u32>> = lineage
             .clauses()
             .iter()
             .map(|c| {
-                let mut clause: Vec<u32> = c.iter().map(|v| rename(v, &mut originals)).collect();
+                let mut clause: Vec<u32> = c
+                    .iter()
+                    .map(|v| {
+                        let rank = universe
+                            .binary_search(&v)
+                            .expect("clause variables lie in the universe");
+                        if ids[rank] == UNSEEN {
+                            ids[rank] = originals.len() as u32;
+                            originals.push(v);
+                        }
+                        ids[rank]
+                    })
+                    .collect();
                 clause.sort_unstable();
                 clause
             })
             .collect();
         clauses.sort_unstable();
-        for v in lineage.universe().iter() {
-            rename(v, &mut originals);
-        }
+        originals
+            .extend(universe.iter().zip(&ids).filter(|&(_, &id)| id == UNSEEN).map(|(&v, _)| v));
         let num_vars = originals.len();
-        let universe = VarSet::from_sorted((0..num_vars as u32).map(Var).collect());
-        let dnf = Dnf::from_clauses_with_universe(
-            clauses.iter().map(|c| c.iter().map(|&i| Var(i))),
-            universe,
-        );
         Prekeyed {
             fingerprint: fingerprint(num_vars, &clauses),
             shape: Arc::new(Shape { num_vars, clauses, payload: None }),
-            dnf,
-            weighted: None,
             originals,
         }
     }
@@ -275,59 +272,70 @@ impl Prekeyed {
     /// lookups never even share a bucket with Boolean ones (or with a
     /// different kind or weight multiset).
     pub(crate) fn of_weighted(lineage: &WeightedDnf) -> Prekeyed {
-        let base = Prekeyed::of(lineage.dnf());
-        // The weighted clauses are distinct (duplicates were merged at
-        // construction), so a sorted-variable-list lookup recovers each dense
-        // clause's weight unambiguously.
-        let by_clause: HashMap<Vec<Var>, &Rational> = lineage
-            .dnf()
-            .clauses()
-            .iter()
-            .zip(lineage.weights())
-            .map(|(c, w)| {
-                let mut vars = c.vars().to_vec();
-                vars.sort_unstable();
-                (vars, w)
-            })
-            .collect();
-        let weights: Vec<Rational> = base
-            .shape
-            .clauses
+        let Prekeyed { fingerprint, shape, originals } = Prekeyed::of(lineage.dnf());
+        let Shape { num_vars, clauses, .. } =
+            Arc::into_inner(shape).expect("the shape was just built");
+        // The weighted clauses are distinct and sorted (duplicates were
+        // merged at construction), so renaming a dense clause back to its
+        // facts and binary-searching the clause list recovers its weight.
+        let stored = lineage.dnf().clauses();
+        let weights: Vec<Rational> = clauses
             .iter()
             .map(|c| {
-                let mut vars: Vec<Var> = c.iter().map(|&i| base.originals[i as usize]).collect();
-                vars.sort_unstable();
-                by_clause[&vars].clone()
+                let clause = Clause::new(c.iter().map(|&i| originals[i as usize]));
+                let at = stored.binary_search(&clause).expect("every dense clause is stored");
+                lineage.weights()[at].clone()
             })
             .collect();
         let kind = lineage.kind();
-        let fingerprint =
-            base.fingerprint.with_payload(weighted_payload(kind, &base.shape.clauses, &weights));
-        let weighted = WeightedDnf::from_weighted_clauses(
-            kind,
-            base.shape
-                .clauses
-                .iter()
-                .zip(&weights)
-                .map(|(c, w)| (c.iter().map(|&i| Var(i)).collect::<Vec<Var>>(), w.clone())),
-        )
-        .widen_universe(base.dnf.universe().clone());
-        let shape = Arc::new(Shape {
-            num_vars: base.shape.num_vars,
-            clauses: base.shape.clauses.clone(),
-            payload: Some(WeightedInfo { kind, weights }),
-        });
         Prekeyed {
-            fingerprint,
-            shape,
-            dnf: base.dnf,
-            weighted: Some(weighted),
-            originals: base.originals,
+            fingerprint: fingerprint.with_payload(weighted_payload(kind, &clauses, &weights)),
+            shape: Arc::new(Shape {
+                num_vars,
+                clauses,
+                payload: Some(WeightedInfo { kind, weights }),
+            }),
+            originals,
         }
     }
 
-    /// Renames a dense-variable attribution (computed on [`Prekeyed::dnf`])
-    /// back to the original facts.
+    /// `true` for an aggregate lookup ([`Prekeyed::of_weighted`]).
+    pub(crate) fn is_aggregate(&self) -> bool {
+        self.shape.payload.is_some()
+    }
+
+    /// The same function over the dense variables `0..n` — what a Boolean
+    /// backend runs; results are renamed back to the original facts via
+    /// [`Prekeyed::map_back`]. Built from the shape on each call.
+    pub(crate) fn dense_dnf(&self) -> Dnf {
+        Dnf::from_clauses_with_universe(
+            self.shape.clauses.iter().map(|c| c.iter().map(|&i| Var(i))),
+            self.dense_universe(),
+        )
+    }
+
+    /// For an aggregate lookup, the dense weighted lineage an aggregate
+    /// backend runs (`None` for a Boolean lookup). Built from the shape on
+    /// each call.
+    pub(crate) fn dense_weighted(&self) -> Option<WeightedDnf> {
+        let payload = self.shape.payload.as_ref()?;
+        let clauses = self.shape.clauses.iter().zip(&payload.weights);
+        Some(
+            WeightedDnf::from_weighted_clauses(
+                payload.kind,
+                clauses.map(|(c, w)| (c.iter().map(|&i| Var(i)).collect::<Vec<Var>>(), w.clone())),
+            )
+            .widen_universe(self.dense_universe()),
+        )
+    }
+
+    fn dense_universe(&self) -> VarSet {
+        VarSet::from_sorted((0..self.shape.num_vars as u32).map(Var).collect())
+    }
+
+    /// Renames a dense-variable attribution (computed on
+    /// [`Prekeyed::dense_dnf`] or [`Prekeyed::dense_weighted`]) back to the
+    /// original facts.
     pub(crate) fn map_back(&self, dense: &Attribution) -> Attribution {
         Self::rename_through(dense, |v| self.originals[v.index()])
     }
@@ -1521,13 +1529,13 @@ mod tests {
         // The backend runs the dense presentation; it must be the same
         // function modulo renaming — model counts are renaming-invariant.
         let phi = Dnf::from_clauses(vec![vec![v(7), v(2)], vec![v(2), v(5)], vec![v(9)]]);
-        let prekeyed = Prekeyed::of(&phi);
+        let dense = Prekeyed::of(&phi).dense_dnf();
         assert_eq!(
             phi.brute_force_model_count(),
-            prekeyed.dnf.brute_force_model_count(),
+            dense.brute_force_model_count(),
             "dense renaming must preserve the function"
         );
-        assert_eq!(prekeyed.dnf.num_vars(), phi.num_vars());
+        assert_eq!(dense.num_vars(), phi.num_vars());
     }
 
     #[test]
@@ -1667,7 +1675,9 @@ mod tests {
             ],
         );
         let prekeyed = Prekeyed::of_weighted(&lineage);
-        let dense = prekeyed.weighted.as_ref().expect("weighted lookup keeps the dense lineage");
+        assert!(prekeyed.is_aggregate());
+        assert!(Prekeyed::of(lineage.dnf()).dense_weighted().is_none());
+        let dense = prekeyed.dense_weighted().expect("a weighted lookup builds a weighted lineage");
         assert_eq!(dense.kind(), AggregateKind::Sum);
         assert_eq!(dense.num_vars(), lineage.num_vars());
         for (dense_var, original_var) in prekeyed.originals.iter().enumerate() {
@@ -1676,6 +1686,117 @@ mod tests {
                 lineage.brute_force_aggregate_banzhaf(*original_var),
                 "dense renaming must preserve per-fact aggregate Banzhaf values"
             );
+        }
+    }
+
+    /// The dense renaming as it was first written: a hash map from fact to
+    /// first-occurrence id, and a hash map from clause to weight.
+    mod oracle {
+        use super::*;
+
+        pub(super) fn of(lineage: &Dnf) -> (Shape, Vec<Var>, Fingerprint) {
+            let mut ids: HashMap<Var, u32> = HashMap::new();
+            let mut originals: Vec<Var> = Vec::new();
+            let mut rename = |v: Var, originals: &mut Vec<Var>| -> u32 {
+                *ids.entry(v).or_insert_with(|| {
+                    originals.push(v);
+                    (originals.len() - 1) as u32
+                })
+            };
+            let mut clauses: Vec<Vec<u32>> = lineage
+                .clauses()
+                .iter()
+                .map(|c| {
+                    let mut clause: Vec<u32> =
+                        c.iter().map(|v| rename(v, &mut originals)).collect();
+                    clause.sort_unstable();
+                    clause
+                })
+                .collect();
+            clauses.sort_unstable();
+            for v in lineage.universe().iter() {
+                rename(v, &mut originals);
+            }
+            let num_vars = originals.len();
+            let fp = fingerprint(num_vars, &clauses);
+            (Shape { num_vars, clauses, payload: None }, originals, fp)
+        }
+
+        pub(super) fn of_weighted(lineage: &WeightedDnf) -> (Shape, Vec<Var>, Fingerprint) {
+            let (base, originals, fp) = of(lineage.dnf());
+            let by_clause: HashMap<Vec<Var>, &Rational> = lineage
+                .dnf()
+                .clauses()
+                .iter()
+                .zip(lineage.weights())
+                .map(|(c, w)| (c.vars().to_vec(), w))
+                .collect();
+            let weights: Vec<Rational> = base
+                .clauses
+                .iter()
+                .map(|c| {
+                    let mut vars: Vec<Var> = c.iter().map(|&i| originals[i as usize]).collect();
+                    vars.sort_unstable();
+                    by_clause[&vars].clone()
+                })
+                .collect();
+            let kind = lineage.kind();
+            let fp = fp.with_payload(weighted_payload(kind, &base.clauses, &weights));
+            let payload = Some(WeightedInfo { kind, weights });
+            (Shape { payload, ..base }, originals, fp)
+        }
+    }
+
+    /// A random lineage over facts drawn sparsely from `0..200`, with
+    /// `unused` more universe facts that no clause mentions, and a random
+    /// weight per clause.
+    fn random_lineage(
+        rng: &mut rand::rngs::StdRng,
+        unused: usize,
+    ) -> (Dnf, Vec<(Vec<Var>, Rational)>) {
+        use rand::Rng;
+        let facts: Vec<Var> =
+            (0..rng.gen_range(1..12usize)).map(|_| Var(rng.gen_range(0..200u32))).collect();
+        let clauses: Vec<(Vec<Var>, Rational)> = (0..rng.gen_range(1..8usize))
+            .map(|_| {
+                let width = rng.gen_range(1..4usize);
+                let clause = (0..width).map(|_| facts[rng.gen_range(0..facts.len())]).collect();
+                (clause, Rational::from(rng.gen_range(1..4i64)))
+            })
+            .collect();
+        let mut universe: VarSet = clauses.iter().flat_map(|(c, _)| c.iter().copied()).collect();
+        for _ in 0..unused {
+            universe.insert(Var(rng.gen_range(0..200u32)));
+        }
+        let dnf = Dnf::from_clauses_with_universe(clauses.iter().map(|(c, _)| c.clone()), universe);
+        (dnf, clauses)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn dense_presentation_matches_the_hashed_renaming(
+            seed in proptest::prelude::any::<u64>(),
+            unused in 0usize..4,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (dnf, clauses) = random_lineage(&mut rng, unused);
+            let prekeyed = Prekeyed::of(&dnf);
+            let (shape, originals, fp) = oracle::of(&dnf);
+            proptest::prop_assert_eq!(&*prekeyed.shape, &shape);
+            proptest::prop_assert_eq!(&prekeyed.originals, &originals);
+            proptest::prop_assert_eq!(prekeyed.fingerprint, fp);
+            for kind in [AggregateKind::Sum, AggregateKind::Max] {
+                let weighted = WeightedDnf::from_weighted_clauses(kind, clauses.clone())
+                    .widen_universe(dnf.universe().clone());
+                let prekeyed = Prekeyed::of_weighted(&weighted);
+                let (shape, originals, fp) = oracle::of_weighted(&weighted);
+                proptest::prop_assert_eq!(&*prekeyed.shape, &shape);
+                proptest::prop_assert_eq!(&prekeyed.originals, &originals);
+                proptest::prop_assert_eq!(prekeyed.fingerprint, fp);
+            }
         }
     }
 }

@@ -481,7 +481,7 @@ impl Session {
         // build them that way). Aggregate batches may substitute the
         // configured backend with a capable one, so every capability check
         // reads the *effective* algorithm.
-        let algorithm = if prekeyed.iter().any(|p| p.weighted.is_some()) {
+        let algorithm = if prekeyed.iter().any(Prekeyed::is_aggregate) {
             self.effective_aggregate_algorithm()
         } else {
             self.config.algorithm
@@ -511,11 +511,13 @@ impl Session {
     /// Plans a batch, walking the instances in order exactly like the
     /// sequential loop would observe the cache. An instance whose exact
     /// dense presentation an earlier instance compiles reuses that compile
-    /// outright. A vacant fingerprint bucket (and no earlier batch instance
-    /// pending under it) is a definite miss that *skips the canonicalization
-    /// search entirely*. A probe whose exact dense presentation a resident
-    /// already holds resolves by presentation, again with no search: the
-    /// stored values were computed on this very dense form. Otherwise a
+    /// outright; one whose presentation an earlier instance settled on a
+    /// resident settles on that resident again without a lookup. A vacant
+    /// fingerprint bucket (and no earlier batch instance pending under it)
+    /// is a definite miss that *skips the canonicalization search
+    /// entirely*. A probe whose exact dense presentation a resident already
+    /// holds resolves by presentation, again with no search: the stored
+    /// values were computed on this very dense form. Otherwise a
     /// contested bucket canonicalizes the instance plus any still-unkeyed
     /// residents and settles on the exact key — resolving a pre-existing
     /// cache hit immediately, or matching an earlier in-batch instance
@@ -536,14 +538,31 @@ impl Session {
         let mut keying = Keying::new(&batch.prekeyed, batch.shared_budget);
         // Earlier instances that will insert a fresh entry, by fingerprint.
         let mut pending: HashMap<Fingerprint, Vec<usize>> = HashMap::new();
+        // `settled[j]`: the entry that last settled presentation `j` (the
+        // first instance of it) by presentation.
+        let mut settled: Vec<Option<u64>> = vec![None; n];
         for (i, p) in batch.prekeyed.iter().enumerate() {
             let fp = p.fingerprint;
+            let first = keying.first[i].unwrap_or(i);
             // An earlier instance with this very presentation compiles it:
             // reuse needs no lookup and no witness, and the lookup it skips
             // would have been a miss.
-            if let Some(j) = keying.first[i].filter(|j| plan.jobs.binary_search(j).is_ok()) {
+            if plan.jobs.binary_search(&first).is_ok() {
                 self.cache.record_miss(fp);
-                plan.reuse[i] = Some(j);
+                plan.reuse[i] = Some(first);
+                continue;
+            }
+            // An earlier instance with this very presentation settled on a
+            // resident: settle on it again, skipping the lookup. The lookup
+            // would find that same resident first (the walk inserts nothing),
+            // and the settle counts the hit and refreshes the recency exactly
+            // as it would. An entry evicted or swapped since then refuses,
+            // counting nothing, and the instance looks up as usual.
+            if let Some(dense) =
+                settled[first].and_then(|id| self.cache.settle_presentation(fp, id, &p.shape))
+            {
+                self.stats.cache_hits += 1;
+                plan.hits[i] = Some(cache_hit(p.map_back(&dense)));
                 continue;
             }
             let (mut steps, mut searches, mut skips) = (0u64, 0u64, 0u64);
@@ -568,11 +587,11 @@ impl Session {
                     // lookup without canonicalizing anything, unless a racing
                     // insert swapped the entry's presentation since the
                     // lookup (the settle re-checks under the cache lock).
-                    let presented = residents
-                        .iter()
-                        .find(|r| r.shape == p.shape)
-                        .and_then(|r| self.cache.settle_presentation(fp, r.id, &p.shape));
-                    if let Some(dense) = presented {
+                    let presented = residents.iter().find(|r| r.shape == p.shape).and_then(|r| {
+                        self.cache.settle_presentation(fp, r.id, &p.shape).map(|d| (r.id, d))
+                    });
+                    if let Some((id, dense)) = presented {
+                        settled[first] = Some(id);
                         hit = Some(p.map_back(&dense));
                     } else if let Some(mine) = keying.key(i, &mut steps, &mut searches) {
                         let resolved = keying.settle(&residents, &mine, &mut steps, &mut searches);
@@ -624,11 +643,7 @@ impl Session {
         };
         let config = &self.config;
         let attempt = |i: usize, budget: &Budget| {
-            let (p, stream) = (&batch.prekeyed[i], batch.stream_base + i as u64);
-            match &p.weighted {
-                Some(w) => attributor.attribute_aggregate_indexed(w, stream, budget),
-                None => attributor.attribute_indexed(&p.dnf, stream, budget),
-            }
+            run_dense(attributor, &batch.prekeyed[i], batch.stream_base + i as u64, budget)
         };
         let run = |i: usize| -> JobOutcome {
             let fresh;
@@ -644,7 +659,7 @@ impl Session {
                 // worker unwinds through the pool to the caller untouched.
                 banzhaf_par::failpoint!("session::compile");
                 match attempt(i, budget) {
-                    Ok(attribution) => JobOutcome::Done(Box::new(attribution)),
+                    Ok(attribution) => JobOutcome::Done(Arc::new(attribution)),
                     Err(Interrupted) => JobOutcome::Starved(budget.steps_used()),
                 }
             } else {
@@ -657,7 +672,7 @@ impl Session {
                     attempt(i, budget)
                 }));
                 match caught {
-                    Ok(Ok(attribution)) => JobOutcome::Done(Box::new(attribution)),
+                    Ok(Ok(attribution)) => JobOutcome::Done(Arc::new(attribution)),
                     Ok(Err(Interrupted)) => JobOutcome::Starved(budget.steps_used()),
                     Err(_) => JobOutcome::Panicked(budget.steps_used()),
                 }
@@ -697,7 +712,7 @@ impl Session {
                         p.fingerprint,
                         &p.shape,
                         canon[i].clone(),
-                        Arc::new((**attribution).clone()),
+                        Arc::clone(attribution),
                     );
                 }
             }
@@ -780,7 +795,7 @@ impl Session {
             // advertises the aggregate capability in the registry — the
             // standard ladder's interval rung (AdaBan) is skipped and the
             // estimate rung (Monte Carlo) answers.
-            if prekeyed.weighted.is_some() && !backend(rung.algorithm).aggregates {
+            if prekeyed.is_aggregate() && !backend(rung.algorithm).aggregates {
                 continue;
             }
             // The rung inherits whatever wall-clock remains on the request
@@ -794,9 +809,8 @@ impl Session {
             let budget = Budget::new(Some(timeout), rung.max_steps);
             let rung_config = EngineConfig { algorithm: rung.algorithm, ..self.config.clone() };
             let rung_attributor = rung_config.attributor();
-            let outcome = catch_unwind(AssertUnwindSafe(|| match &prekeyed.weighted {
-                Some(w) => rung_attributor.attribute_aggregate_indexed(w, stream, &budget),
-                None => rung_attributor.attribute_indexed(&prekeyed.dnf, stream, &budget),
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_dense(rung_attributor.as_ref(), prekeyed, stream, &budget)
             }));
             fallback_steps += budget.steps_used();
             if let Ok(Ok(dense)) = outcome {
@@ -830,6 +844,20 @@ impl Session {
     fn record(&mut self, attribution: &Attribution) {
         self.stats.compile_steps += attribution.stats.compile_steps;
         self.stats.wall += attribution.stats.wall;
+    }
+}
+
+/// Runs `attributor` on the dense lineage of `p`, built here: only instances
+/// that reach a backend pay for building it.
+fn run_dense(
+    attributor: &dyn Attributor,
+    p: &Prekeyed,
+    stream: u64,
+    budget: &Budget,
+) -> Result<Attribution, Interrupted> {
+    match p.dense_weighted() {
+        Some(w) => attributor.attribute_aggregate_indexed(&w, stream, budget),
+        None => attributor.attribute_indexed(&p.dense_dnf(), stream, budget),
     }
 }
 
@@ -874,7 +902,9 @@ struct Plan {
 /// that may enter the shared cache), or a failure with the steps the budget
 /// had recorded when it surfaced — the degradation ladder reports that spend.
 enum JobOutcome {
-    Done(Box<Attribution>),
+    /// Shared with the cache entry it is merged into, so the merge copies
+    /// nothing.
+    Done(Arc<Attribution>),
     Starved(u64),
     Panicked(u64),
 }
@@ -1214,6 +1244,98 @@ mod tests {
             assert_eq!(session.stats().compile_steps, sequential.stats().compile_steps);
             assert_eq!(session.stats().attributions, sequential.stats().attributions);
         }
+    }
+
+    /// The counters a batch must leave exactly as the one-at-a-time loop
+    /// does (everything but wall time).
+    fn counters(stats: &SessionStats) -> [u64; 8] {
+        [
+            stats.attributions,
+            stats.cache_hits,
+            stats.compile_steps,
+            stats.canon_steps,
+            stats.canon_searches,
+            stats.prekey_skips,
+            stats.degraded,
+            stats.fallback_steps,
+        ]
+    }
+
+    #[test]
+    fn warm_batches_settle_repeated_presentations_like_the_sequential_loop() {
+        // `mixed_batch` repeats the cycle's presentation four times; add
+        // repeats of the other two presentations, interleaved.
+        let mut lineages = mixed_batch();
+        lineages.push(Dnf::from_clauses(vec![vec![v(50), v(51)], vec![v(51), v(52)]]));
+        lineages.push(shifted_cycle(70));
+        lineages.push(Dnf::from_clauses(vec![vec![v(60), v(61)], vec![v(60), v(62)], vec![v(63)]]));
+        lineages.push(Dnf::from_clauses(vec![vec![v(80), v(81)], vec![v(81), v(82)]]));
+        let refs: Vec<&Dnf> = lineages.iter().collect();
+        // Two engines warmed by a first pass: one looped, one batched.
+        let (looped, batched) =
+            (Engine::new(EngineConfig::default()), Engine::new(EngineConfig::default()));
+        let mut warm = looped.session();
+        for l in &lineages {
+            warm.attribute(l).unwrap();
+        }
+        batched.session().attribute_batch(&refs, BatchOptions::default());
+        let (loop_before, batch_before) = (looped.stats().cache, batched.stats().cache);
+        let mut one_at_a_time = looped.session();
+        let expected: Vec<Attribution> =
+            lineages.iter().map(|l| one_at_a_time.attribute(l).unwrap()).collect();
+        let mut batch = batched.session();
+        let got = batch.attribute_batch(&refs, BatchOptions::default());
+        for (want, have) in expected.iter().zip(&got) {
+            let have = have.as_ref().unwrap();
+            assert_eq!(want.exact_values().unwrap(), have.exact_values().unwrap());
+            assert_eq!(want.model_count, have.model_count);
+            assert!(have.stats.cache_hit, "a warm cache serves every instance");
+            assert_eq!(want.stats.cache_hit, have.stats.cache_hit);
+        }
+        assert_eq!(counters(batch.stats()), counters(one_at_a_time.stats()));
+        let (loop_after, batch_after) = (looped.stats().cache, batched.stats().cache);
+        assert_eq!(
+            (batch_after.hits - batch_before.hits, batch_after.misses - batch_before.misses),
+            (loop_after.hits - loop_before.hits, loop_after.misses - loop_before.misses),
+        );
+        assert_eq!(batch_after.hits - batch_before.hits, lineages.len() as u64);
+        assert_eq!(batch_after.entries, loop_after.entries);
+    }
+
+    #[test]
+    fn batch_presentation_settles_refresh_recency_like_the_sequential_loop() {
+        // Capacity 2 holding A then B (A least recent). `[A, B, A]` leaves B
+        // least recent, so the next insert must evict B, not A — in a batch
+        // exactly as in the loop, which only holds if the third instance's
+        // settle (no lookup) refreshes A's recency.
+        let a = shifted_cycle(0);
+        let b = Dnf::from_clauses(vec![vec![v(0), v(1)], vec![v(1), v(2)]]);
+        let c = Dnf::from_clauses(vec![vec![v(0), v(1)], vec![v(0), v(2)], vec![v(3)]]);
+        let survivors = |batch: bool| {
+            let engine = Engine::new(
+                EngineConfig::default().with_cache_config(CacheConfig::new().with_capacity(2)),
+            );
+            let mut session = engine.session();
+            session.attribute(&a).unwrap();
+            session.attribute(&b).unwrap();
+            let again = [&a, &b, &shifted_cycle(40)];
+            if batch {
+                let got = session.attribute_batch(&again, BatchOptions::default());
+                assert!(got.iter().all(|r| r.as_ref().unwrap().stats.cache_hit));
+            } else {
+                for l in again {
+                    assert!(session.attribute(l).unwrap().stats.cache_hit);
+                }
+            }
+            session.attribute(&c).unwrap();
+            let stats = engine.stats().cache;
+            assert_eq!((stats.entries, stats.evictions), (2, 1));
+            // B last: its miss inserts it again and evicts another entry.
+            let hits = [&a, &c, &b].map(|l| session.attribute(l).unwrap().stats.cache_hit);
+            (hits, stats.hits)
+        };
+        assert_eq!(survivors(true), survivors(false));
+        assert_eq!(survivors(true).0, [true, true, false], "B, the least recent, was evicted");
     }
 
     #[test]

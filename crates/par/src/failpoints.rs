@@ -20,8 +20,9 @@
 //! replayed bit-for-bit.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// What an armed failpoint does when its trigger fires.
@@ -34,6 +35,21 @@ pub enum FailAction {
     /// Report `true` from the site; the site interprets it (e.g. a queue
     /// pretends to be full, a budget pretends to be exhausted).
     Trigger,
+    /// Run a hook on the hitting thread, then carry on (exercises an
+    /// operation interleaved at exactly this point, with no sleep and no
+    /// second thread). The hook runs outside the registry lock, so it may
+    /// hit failpoints itself.
+    Run(Hook),
+}
+
+/// The closure a [`FailAction::Run`] calls.
+#[derive(Clone)]
+pub struct Hook(pub Arc<dyn Fn() + Send + Sync>);
+
+impl fmt::Debug for Hook {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Hook")
+    }
 }
 
 /// When an armed failpoint fires.
@@ -114,7 +130,8 @@ pub fn arm(site: &'static str, trigger: Trigger, action: FailAction) -> FailGuar
 ///
 /// Returns `true` iff the site is armed with [`FailAction::Trigger`] and the
 /// trigger fired on this hit. [`FailAction::Panic`] panics from here;
-/// [`FailAction::Sleep`] blocks and then returns `false`.
+/// [`FailAction::Sleep`] blocks and [`FailAction::Run`] calls its hook, and
+/// both then return `false`.
 pub fn hit(site: &'static str) -> bool {
     let action = {
         let map = registry().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -130,6 +147,10 @@ pub fn hit(site: &'static str) -> bool {
             false
         }
         FailAction::Trigger => true,
+        FailAction::Run(hook) => {
+            (hook.0)();
+            false
+        }
     }
 }
 
@@ -181,6 +202,21 @@ mod tests {
             assert!(hit("fp-test-guard"));
         }
         assert!(!hit("fp-test-guard"), "guard drop must disarm");
+    }
+
+    #[test]
+    fn run_action_calls_its_hook_and_may_hit_sites_itself() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&calls);
+        let hook = Hook(Arc::new(move || {
+            counter.fetch_add(1, Ordering::Relaxed);
+            assert!(!hit("fp-test-run"), "NthHit(2) fires once");
+        }));
+        let _g = arm("fp-test-run", Trigger::NthHit(2), FailAction::Run(hook));
+        let fired: Vec<bool> = (0..3).map(|_| hit("fp-test-run")).collect();
+        assert_eq!(fired, vec![false, false, false], "a hook reports nothing to the site");
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(hits("fp-test-run"), 4, "the hook's own hit counts too");
     }
 
     #[test]

@@ -124,6 +124,9 @@ fn parse_head(head: &str) -> Result<(String, Vec<String>, Option<AggregateSpec>)
     let open = head.find('(').ok_or_else(|| ParseError::new(format!("malformed head: {head}")))?;
     let close =
         head.rfind(')').ok_or_else(|| ParseError::new(format!("malformed head: {head}")))?;
+    if close < open {
+        return Err(ParseError::new(format!("')' before '(' in head: {head}")));
+    }
     let name = head[..open].trim();
     if name.is_empty() {
         return Err(ParseError::new("head predicate name is empty"));
@@ -220,6 +223,9 @@ fn parse_atom(item: &str) -> Result<Atom, ParseError> {
     let open = item.find('(').expect("caller checked");
     let close =
         item.rfind(')').ok_or_else(|| ParseError::new(format!("missing ')' in atom: {item}")))?;
+    if close < open {
+        return Err(ParseError::new(format!("')' before '(' in atom: {item}")));
+    }
     let relation = item[..open].trim();
     if relation.is_empty() {
         return Err(ParseError::new(format!("missing relation name in atom: {item}")));
@@ -399,6 +405,55 @@ mod tests {
         // Every rule of a union must carry the same aggregate kind.
         assert!(parse_program("Q(X, SUM(V)) :- R(X, V).\nQ(X, MAX(V)) :- S(X, V).").is_err());
         assert!(parse_program("Q(X, SUM(V)) :- R(X, V).\nQ(X) :- S(X, V).").is_err());
+    }
+
+    #[test]
+    fn a_closing_parenthesis_before_the_opening_one_is_a_parse_error() {
+        for text in ["Q)(X :- R(X).", "Q(X) :- R)(X.", "Q():-) R(X, Y"] {
+            assert!(parse_program(text).is_err(), "{text}");
+        }
+    }
+
+    /// Seeded mutations of valid programs — deleted, inserted, duplicated and
+    /// swapped characters drawn from the grammar's own punctuation — must
+    /// each parse or return a [`ParseError`], never panic.
+    #[test]
+    fn mutated_programs_never_panic() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const SEEDS: [&str; 6] = [
+            "Q() :- R(X), S(X, Y), T(Y).",
+            "Q(X, Y) :- R(X, 3), S(X, Y, 'abc').",
+            "Q(X) :- R(X, Y), Y >= 10, X != 'x', Y < 20.",
+            "Q(X) :- R(X, Y), S(Y).\nQ(X) :- T(X).",
+            "Q(X, SUM(V)) :- R(X, Y), S(Y, V).",
+            "% comment\nQ(COUNT(*)) :- R(X, Y), X <= 2.",
+        ];
+        const ALPHABET: &[char] = &[
+            '(', ')', ',', '.', ':', '-', '\'', '*', '<', '>', '=', '!', '%', ' ', '\n', 'X', 'q',
+            '7',
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for _ in 0..20_000 {
+            let mut text: Vec<char> = SEEDS[rng.gen_range(0..SEEDS.len())].chars().collect();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let (at, other) = (rng.gen_range(0..text.len()), rng.gen_range(0..text.len()));
+                match rng.gen_range(0..4u8) {
+                    0 => {
+                        text.remove(at);
+                    }
+                    1 => text.insert(at, ALPHABET[rng.gen_range(0..ALPHABET.len())]),
+                    2 => text.insert(at, text[other]),
+                    _ => text.swap(at, other),
+                }
+                if text.is_empty() {
+                    break;
+                }
+            }
+            let text: String = text.into_iter().collect();
+            let outcome = std::panic::catch_unwind(|| parse_program(&text));
+            assert!(outcome.is_ok(), "parse_program panicked on {text:?}");
+        }
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //! mutex.
 #![cfg(feature = "failpoints")]
 
-use banzhaf_repro::par::failpoints::{arm, hits, FailAction, Trigger};
+use banzhaf_repro::par::failpoints::{arm, hits, FailAction, Hook, Trigger};
 use banzhaf_repro::prelude::*;
 use proptest::prelude::*;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Serializes the whole suite: armed sites are process-global state.
@@ -287,6 +287,50 @@ fn cache_lock_contention_slows_but_never_corrupts() {
     let stats = service.engine_stats().cache;
     assert_cache_consistent(&stats);
     assert!(stats.hits + stats.insertions >= 8, "all eight requests settled: {stats:?}");
+}
+
+#[test]
+fn a_repeated_presentation_settles_without_a_lookup_and_falls_back_once_evicted() {
+    let _lock = faults_lock();
+    let (a, c, a_again) = (ring(0, 6), ring(0, 5), ring(100, 6));
+    let expected = undisturbed(&a);
+    let config = EngineConfig::default().with_cache_config(CacheConfig::new().with_capacity(2));
+    let batch = [&a, &c, &a_again];
+
+    // Undisturbed: the third instance has the first one's presentation and
+    // settles on the same resident without looking the cache up.
+    let engine = Engine::new(config.clone());
+    engine.session().attribute_batch(&[&a, &c], BatchOptions::default());
+    let count = arm("cache::lookup", Trigger::NthHit(u64::MAX), FailAction::Trigger);
+    let outcomes = engine.session().attribute_batch(&batch, BatchOptions::default());
+    assert!(outcomes.iter().all(|o| o.as_ref().unwrap().stats.cache_hit));
+    assert_eq!(hits("cache::lookup"), 2, "three instances, two lookups");
+    drop(count);
+
+    // Disturbed: at the second instance's lookup another session evicts both
+    // residents and inserts the first presentation again under a new entry.
+    // The third instance's settle on the old entry refuses, and it falls
+    // back to a lookup, which finds the new entry.
+    let engine = Engine::new(config);
+    engine.session().attribute_batch(&[&a, &c], BatchOptions::default());
+    let other = engine.clone();
+    let evict = Hook(Arc::new(move || {
+        let mut session = other.session();
+        for lineage in [ring(0, 7), ring(0, 8), ring(200, 6)] {
+            assert!(!session.attribute(&lineage).unwrap().stats.cache_hit);
+        }
+    }));
+    let _evict = arm("cache::lookup", Trigger::NthHit(2), FailAction::Run(evict));
+    let outcomes = engine.session().attribute_batch(&batch, BatchOptions::default());
+    assert_eq!(hits("cache::lookup"), 6, "the refused settle looked the cache up");
+    let hit: Vec<bool> = outcomes.iter().map(|o| o.as_ref().unwrap().stats.cache_hit).collect();
+    assert_eq!(hit, [true, false, true], "C was evicted; A hits its new entry");
+    let att = outcomes[2].as_ref().unwrap();
+    for (i, x) in a_again.universe().iter().enumerate() {
+        let want = expected.value(Var(i as u32)).unwrap().exact().unwrap();
+        assert_eq!(att.value(x).unwrap().exact().unwrap(), want);
+    }
+    assert_cache_consistent(&engine.stats().cache);
 }
 
 /// The failpoint sites the randomized schedule may arm, with the action each

@@ -179,6 +179,75 @@ proptest! {
     }
 }
 
+/// `phi` with facts `x` and `y` exchanged.
+fn swapped(phi: &Dnf, x: Var, y: Var) -> Dnf {
+    let swap = |v: Var| {
+        if v == x {
+            y
+        } else if v == y {
+            x
+        } else {
+            v
+        }
+    };
+    Dnf::from_clauses_with_universe(
+        phi.clauses().iter().map(|c| c.iter().map(swap).collect::<Vec<_>>()),
+        phi.universe().iter().map(swap).collect(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The paper's definitions hold through the session, cold and from the
+    /// cache: a null fact (in no clause of the absorbed lineage) scores 0 and
+    /// every other fact scores above 0, twin facts (exchanging them leaves
+    /// the lineage unchanged) score equally, every value lies in
+    /// `0..=2^(n-1)`, and a cached pass equals the cold pass. Each
+    /// presentation appears twice in the batch, so the cached pass also
+    /// settles repeated presentations within one batch.
+    #[test]
+    fn banzhaf_invariants_hold_cold_and_from_the_cache(
+        phi in small_dnf(),
+        unused in 0u32..3,
+        seed in any::<u64>(),
+    ) {
+        let padding = (0..unused).map(|i| Var(20 + i));
+        let phi = phi.widen_universe(phi.universe().iter().chain(padding).collect());
+        let shift = |v: Var| Var(v.0 + 100);
+        let shifted = Dnf::from_clauses_with_universe(
+            phi.clauses().iter().map(|c| c.iter().map(shift).collect::<Vec<_>>()),
+            phi.universe().iter().map(shift).collect(),
+        );
+        let (isomorph, _) = random_isomorph(&phi, seed);
+        let batch = [&phi, &shifted, &isomorph, &phi, &isomorph, &shifted];
+        let cold = Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled()))
+            .session()
+            .attribute_batch(&batch, BatchOptions::default());
+        let engine = Engine::new(EngineConfig::default());
+        engine.session().attribute_batch(&batch, BatchOptions::default());
+        let cached = engine.session().attribute_batch(&batch, BatchOptions::default());
+        for ((lineage, cold), cached) in batch.iter().zip(&cold).zip(&cached) {
+            let (cold, cached) = (cold.as_ref().unwrap(), cached.as_ref().unwrap());
+            prop_assert!(cached.stats.cache_hit, "a warm cache serves every instance");
+            prop_assert_eq!(cold.exact_values().unwrap(), cached.exact_values().unwrap());
+            prop_assert_eq!(&cold.model_count, &cached.model_count);
+            let values = cached.exact_values().unwrap();
+            let relevant = lineage.absorb().used_vars();
+            let ceiling = Natural::pow2(lineage.num_vars() - 1);
+            for x in lineage.universe().iter() {
+                prop_assert_eq!(values[&x].is_zero(), !relevant.contains(x), "null fact {}", x);
+                prop_assert!(values[&x] <= ceiling, "{} above 2^(n-1)", x);
+                for y in lineage.universe().iter().filter(|&y| y > x) {
+                    if swapped(lineage, x, y) == **lineage {
+                        prop_assert_eq!(&values[&x], &values[&y], "twins {} and {}", x, y);
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn engine_explains_workload_answers_like_the_raw_pipeline() {
     // The engine front door must agree with the hand-wired pipeline on a
