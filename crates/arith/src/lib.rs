@@ -15,8 +15,9 @@
 //! * [`Int`] — a signed integer as a sign plus a [`Natural`] magnitude.
 //!   Banzhaf values of variables in non-positive functions can be negative, so
 //!   the signed type is what the algorithms expose.
-//! * [`Ratio`] — a tiny exact rational used for ε-threshold comparisons such
-//!   as `(1-ε)·U ≤ (1+ε)·L` without any floating-point rounding.
+//! * [`Rational`] — a signed exact rational in lowest terms, for aggregate
+//!   weights and values and for ε-threshold comparisons such as
+//!   `(1-ε)·U ≤ (1+ε)·L` without any floating-point rounding.
 //!
 //! # Example
 //!
@@ -35,10 +36,8 @@
 
 mod int;
 mod natural;
-mod ratio;
 mod rational;
 
 pub use int::{Int, Sign};
 pub use natural::Natural;
-pub use ratio::Ratio;
 pub use rational::Rational;

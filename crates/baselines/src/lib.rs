@@ -28,6 +28,6 @@ mod proxy;
 mod sig22;
 
 pub use cnf::CnfFormula;
-pub use mc::{mc_aggregate_banzhaf_par, mc_banzhaf, mc_banzhaf_par, rank_estimates, McOptions};
+pub use mc::{mc_banzhaf, mc_banzhaf_par, rank_estimates, McOptions};
 pub use proxy::{cnf_proxy, rank_proxy};
 pub use sig22::{sig22_exact, Sig22Result};

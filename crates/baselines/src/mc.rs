@@ -17,7 +17,7 @@
 //! count**.
 
 use banzhaf_arith::Natural;
-use banzhaf_boolean::{Assignment, Dnf, Var, WeightedDnf};
+use banzhaf_boolean::{Assignment, Dnf, Lineage, Var};
 use banzhaf_dtree::{Budget, Interrupted};
 use banzhaf_par::{seed, ThreadPool};
 use rand::rngs::StdRng;
@@ -50,11 +50,17 @@ pub fn mc_banzhaf(
     seed: u64,
     budget: &Budget,
 ) -> Result<HashMap<Var, f64>, Interrupted> {
-    mc_banzhaf_par(phi, options, seed, budget, &ThreadPool::sequential())
+    mc_banzhaf_par(Lineage::Boolean(phi), options, seed, budget, &ThreadPool::sequential())
 }
 
-/// Estimates the Banzhaf value of every variable of `phi`, fanning the
+/// Estimates the Banzhaf value of every variable of `lineage`, fanning the
 /// per-variable sampling loops across `pool`.
+///
+/// A Boolean lineage samples the marginal `φ[Y∪{x}] − φ[Y]`; an aggregate
+/// one the aggregate marginal `val(Y∪{x}) − val(Y)` evaluated through
+/// [`banzhaf_boolean::WeightedDnf::evaluate`], so one sampler serves
+/// COUNT/SUM/MIN/MAX alike, signed marginals included (MIN attribution can be
+/// negative).
 ///
 /// Estimates are **bit-identical to the sequential path** for any thread
 /// count: each variable's samples come from its own derived seed stream, so
@@ -63,18 +69,19 @@ pub fn mc_banzhaf(
 /// under a tight cap the parallel and sequential runs both fail with
 /// [`Interrupted`] but may interrupt while working on different variables.
 pub fn mc_banzhaf_par(
-    phi: &Dnf,
+    lineage: Lineage<'_>,
     options: &McOptions,
     seed: u64,
     budget: &Budget,
     pool: &ThreadPool,
 ) -> Result<HashMap<Var, f64>, Interrupted> {
-    let vars: Vec<Var> = phi.universe().iter().collect();
+    let vars: Vec<Var> = lineage.universe().iter().collect();
     let n = vars.len();
     let scale = Natural::pow2(n.saturating_sub(1)).to_f64();
     let estimates = pool.parallel_map(&vars, |i, &x| {
         let mut rng = StdRng::seed_from_u64(seed::derive(seed, i as u64));
-        estimate_one(phi, &vars, x, *options, &mut rng, budget).map(|mean| mean * scale)
+        estimate_one(&vars, x, *options, &mut rng, budget, |y| marginal(lineage, y, x))
+            .map(|mean| mean * scale)
     });
     vars.into_iter()
         .zip(estimates)
@@ -82,78 +89,15 @@ pub fn mc_banzhaf_par(
         .collect::<Result<HashMap<Var, f64>, Interrupted>>()
 }
 
-/// One variable's sampling loop: the mean marginal contribution of `x` over
-/// `options.samples_per_var` uniform subsets of `vars ∖ {x}`.
+/// One variable's sampling loop: the mean of `marginal` over
+/// `options.samples_per_var` uniform subsets `Y` of `vars ∖ {x}`.
 fn estimate_one(
-    phi: &Dnf,
     vars: &[Var],
     x: Var,
     options: McOptions,
     rng: &mut StdRng,
     budget: &Budget,
-) -> Result<f64, Interrupted> {
-    let mut positive_flips = 0u64;
-    for _ in 0..options.samples_per_var {
-        budget.step()?;
-        // Sample Y ⊆ X∖{x} uniformly.
-        let mut assignment = Assignment::empty();
-        for &y in vars {
-            if y != x && rng.gen_bool(0.5) {
-                assignment.set(y, true);
-            }
-        }
-        let without = phi.evaluate(&assignment);
-        if without {
-            // Monotone lineage: adding x cannot turn the query false, so
-            // the marginal contribution is 0.
-            continue;
-        }
-        assignment.set(x, true);
-        if phi.evaluate(&assignment) {
-            positive_flips += 1;
-        }
-    }
-    Ok(positive_flips as f64 / options.samples_per_var.max(1) as f64)
-}
-
-/// Estimates the *aggregate* Banzhaf value of every variable of `w`, fanning
-/// the per-variable sampling loops across `pool`.
-///
-/// The scheme is [`mc_banzhaf_par`]'s, with the Boolean marginal
-/// `φ[Y∪{x}] − φ[Y]` replaced by the aggregate marginal
-/// `val(Y∪{x}) − val(Y)` evaluated through [`WeightedDnf::evaluate`] — so one
-/// sampler serves COUNT/SUM/MIN/MAX alike, signed marginals included (MIN
-/// attribution can be negative). Per-variable seed streams keep the estimates
-/// bit-identical at every thread count, exactly as in the Boolean sampler.
-pub fn mc_aggregate_banzhaf_par(
-    w: &WeightedDnf,
-    options: &McOptions,
-    seed: u64,
-    budget: &Budget,
-    pool: &ThreadPool,
-) -> Result<HashMap<Var, f64>, Interrupted> {
-    let vars: Vec<Var> = w.universe().iter().collect();
-    let n = vars.len();
-    let scale = Natural::pow2(n.saturating_sub(1)).to_f64();
-    let estimates = pool.parallel_map(&vars, |i, &x| {
-        let mut rng = StdRng::seed_from_u64(seed::derive(seed, i as u64));
-        estimate_one_aggregate(w, &vars, x, *options, &mut rng, budget).map(|mean| mean * scale)
-    });
-    vars.into_iter()
-        .zip(estimates)
-        .map(|(x, estimate)| estimate.map(|e| (x, e)))
-        .collect::<Result<HashMap<Var, f64>, Interrupted>>()
-}
-
-/// One variable's aggregate sampling loop: the mean aggregate marginal of `x`
-/// over `options.samples_per_var` uniform subsets of `vars ∖ {x}`.
-fn estimate_one_aggregate(
-    w: &WeightedDnf,
-    vars: &[Var],
-    x: Var,
-    options: McOptions,
-    rng: &mut StdRng,
-    budget: &Budget,
+    marginal: impl Fn(&mut Assignment) -> f64,
 ) -> Result<f64, Interrupted> {
     let mut sum = 0.0f64;
     for _ in 0..options.samples_per_var {
@@ -165,12 +109,36 @@ fn estimate_one_aggregate(
                 assignment.set(y, true);
             }
         }
-        let without = w.evaluate(&assignment);
-        assignment.set(x, true);
-        let with = w.evaluate(&assignment);
-        sum += (with - without).to_f64();
+        sum += marginal(&mut assignment);
     }
+    // Boolean marginals are 0 or 1, and f64 sums them exactly: the mean is
+    // the flip count over the sample count.
     Ok(sum / options.samples_per_var.max(1) as f64)
+}
+
+/// The marginal contribution of `x` to the sampled world `y` (which leaves
+/// `x` unset); sets `x` in `y` when it needs the world with `x`.
+fn marginal(lineage: Lineage<'_>, y: &mut Assignment, x: Var) -> f64 {
+    match lineage {
+        Lineage::Boolean(phi) => {
+            // Monotone lineage: once Y satisfies φ, adding x cannot turn the
+            // query false, so the marginal contribution is 0.
+            if phi.evaluate(y) {
+                return 0.0;
+            }
+            y.set(x, true);
+            if phi.evaluate(y) {
+                1.0
+            } else {
+                0.0
+            }
+        }
+        Lineage::Aggregate(w) => {
+            let without = w.evaluate(y);
+            y.set(x, true);
+            (w.evaluate(y) - without).to_f64()
+        }
+    }
 }
 
 /// Ranks variables by decreasing Monte Carlo estimate (ties by index).
@@ -185,6 +153,8 @@ pub fn rank_estimates(estimates: &HashMap<Var, f64>) -> Vec<Var> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use banzhaf_arith::Rational;
+    use banzhaf_boolean::{AggregateKind, WeightedDnf};
 
     fn v(i: u32) -> Var {
         Var(i)
@@ -239,16 +209,15 @@ mod tests {
         let sequential = mc_banzhaf(&phi, &options, 0xBA27AF, &Budget::unlimited()).unwrap();
         for threads in [2, 3, 4] {
             let pool = ThreadPool::new(threads);
+            let phi = Lineage::Boolean(&phi);
             let parallel =
-                mc_banzhaf_par(&phi, &options, 0xBA27AF, &Budget::unlimited(), &pool).unwrap();
+                mc_banzhaf_par(phi, &options, 0xBA27AF, &Budget::unlimited(), &pool).unwrap();
             assert_eq!(sequential, parallel, "thread count {threads} changed the sample set");
         }
     }
 
     #[test]
     fn aggregate_estimates_converge_and_stay_thread_invariant() {
-        use banzhaf_arith::Rational;
-        use banzhaf_boolean::AggregateKind;
         let w = WeightedDnf::from_weighted_clauses(
             AggregateKind::Sum,
             vec![
@@ -258,8 +227,8 @@ mod tests {
             ],
         );
         let options = McOptions { samples_per_var: 20_000 };
-        let estimates = mc_aggregate_banzhaf_par(
-            &w,
+        let estimates = mc_banzhaf_par(
+            Lineage::Aggregate(&w),
             &options,
             42,
             &Budget::unlimited(),
@@ -275,15 +244,14 @@ mod tests {
         for threads in [2, 4] {
             let pool = ThreadPool::new(threads);
             let parallel =
-                mc_aggregate_banzhaf_par(&w, &options, 42, &Budget::unlimited(), &pool).unwrap();
+                mc_banzhaf_par(Lineage::Aggregate(&w), &options, 42, &Budget::unlimited(), &pool)
+                    .unwrap();
             assert_eq!(estimates, parallel, "thread count {threads} changed the sample set");
         }
     }
 
     #[test]
     fn aggregate_min_marginals_can_be_negative() {
-        use banzhaf_arith::Rational;
-        use banzhaf_boolean::AggregateKind;
         // MIN with a strongly negative clause: the fact enabling it drags the
         // minimum down, so its attribution is negative.
         let w = WeightedDnf::from_weighted_clauses(
@@ -291,8 +259,8 @@ mod tests {
             vec![(vec![v(0)], Rational::from(-8i64)), (vec![v(1)], Rational::from(5i64))],
         );
         let options = McOptions { samples_per_var: 5_000 };
-        let estimates = mc_aggregate_banzhaf_par(
-            &w,
+        let estimates = mc_banzhaf_par(
+            Lineage::Aggregate(&w),
             &options,
             7,
             &Budget::unlimited(),
@@ -311,7 +279,78 @@ mod tests {
         assert_eq!(result.unwrap_err(), Interrupted);
         // The shared budget also interrupts the parallel path.
         let pool = ThreadPool::new(4);
-        let result = mc_banzhaf_par(&phi, &options, 1, &Budget::with_max_steps(10), &pool);
+        let phi = Lineage::Boolean(&phi);
+        let result = mc_banzhaf_par(phi, &options, 1, &Budget::with_max_steps(10), &pool);
         assert_eq!(result.unwrap_err(), Interrupted);
+    }
+
+    /// `(variable, f64 bits)` of every estimate, in variable order.
+    fn bits(estimates: &HashMap<Var, f64>) -> Vec<(u32, u64)> {
+        let mut bits: Vec<(u32, u64)> = estimates.iter().map(|(v, e)| (v.0, e.to_bits())).collect();
+        bits.sort_unstable();
+        bits
+    }
+
+    #[test]
+    fn golden_estimate_bits() {
+        // The exact bits of the sampler's estimates. Both the Boolean
+        // short-circuit (a world that already satisfies φ draws no second
+        // evaluation) and the order of the RNG draws feed these bits, so a
+        // change to either moves them.
+        let options = McOptions { samples_per_var: 200 };
+        // Example 13 of the paper, seed 7: exact values 3, 1, 1, 5.
+        let phi = Dnf::from_clauses(vec![vec![v(0), v(1)], vec![v(0), v(2)], vec![v(3)]]);
+        let estimates = mc_banzhaf(&phi, &options, 7, &Budget::unlimited()).unwrap();
+        assert_eq!(
+            bits(&estimates),
+            [
+                (0, 0x4009eb851eb851ec), // 3.24
+                (1, 0x3fe851eb851eb852), // 0.76
+                (2, 0x3fe3333333333333), // 0.6
+                (3, 0x4013851eb851eb85), // 4.88
+            ]
+        );
+        // SUM and MIN over the same weighted clauses, on the seed the engine's
+        // Monte Carlo backend (seed 7) derives for sample stream 3.
+        let golden = [
+            (
+                AggregateKind::Sum,
+                [
+                    (0, 0x400a3d70a3d70a3d), // 3.28
+                    (1, 0x402651eb851eb852), // 11.16
+                    (2, 0xc01fae147ae147ae), // -7.92
+                    (3, 0x404c000000000000), // 56
+                ],
+            ),
+            (
+                AggregateKind::Min,
+                [
+                    (0, 0xc034147ae147ae14), // -20.08
+                    (1, 0xbfe0a3d70a3d70a4), // -0.52
+                    (2, 0xc033a3d70a3d70a4), // -19.64
+                    (3, 0x4041c7ae147ae148), // 35.56
+                ],
+            ),
+        ];
+        for (kind, expected) in golden {
+            let w = WeightedDnf::from_weighted_clauses(
+                kind,
+                vec![
+                    (vec![v(0), v(1)], Rational::from(3i64)),
+                    (vec![v(0), v(2)], Rational::from(-2i64)),
+                    (vec![v(3)], Rational::from(7i64)),
+                ],
+            );
+            let seed = seed::derive(7, 3);
+            let estimates = mc_banzhaf_par(
+                Lineage::Aggregate(&w),
+                &options,
+                seed,
+                &Budget::unlimited(),
+                &ThreadPool::sequential(),
+            )
+            .unwrap();
+            assert_eq!(bits(&estimates), expected, "{kind}");
+        }
     }
 }

@@ -13,7 +13,8 @@
 //! * any artifact reports `bit_identical: false` (correctness regression:
 //!   parallel, served or cached execution diverged from the sequential
 //!   reference);
-//! * the serve experiment saw no shared-cache hits;
+//! * the serve experiment saw no shared-cache hits, or its cache hits and
+//!   insertions do not add up to its requests;
 //! * the canonical keying's hit rate on the permuted/renamed stream fails to
 //!   strictly beat the first-occurrence keying it replaced, or drops below
 //!   the baseline floor;
@@ -213,6 +214,16 @@ fn check_correctness(gate: &mut Gate, artifacts: &Artifacts) {
         cache_hits > 0.0,
         "serve.cache_hits",
         format!("shared cross-session cache must serve hits (got {cache_hits})"),
+    );
+    // Every request is one lookup: a hit, or a miss that compiles and
+    // inserts, and nothing is evicted. How the two split depends on how the
+    // workers race a cold shape; their sum does not.
+    let requests = f64_at(serve, &["requests"], serve_path);
+    let insertions = f64_at(serve, &["cache_insertions"], serve_path);
+    gate.check(
+        cache_hits + insertions == requests,
+        "serve.cache_accounting",
+        format!("cache hits {cache_hits} + insertions {insertions} must equal requests {requests}"),
     );
     let canon_rate = f64_at(canon, &["canon_hit_rate"], canon_path);
     let naive_rate = f64_at(canon, &["naive_hit_rate"], canon_path);

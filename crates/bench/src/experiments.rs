@@ -779,6 +779,11 @@ pub const SPEEDUP_REPEATS: usize = 5;
 /// * `serve_rps` vs `sequential_rps`: requests per second with and without
 ///   the serving layer; the cache makes the served run do strictly less
 ///   compile work on repeated shapes.
+/// * `cache_hits` + `cache_insertions` = `requests`: every request is a hit
+///   or a miss that compiles and inserts, and nothing is evicted. The split
+///   between the two depends on scheduling: when both workers miss the same
+///   cold shape at once, both compile and insert it (28/4 in most runs,
+///   27/5 in some). Only the sum is deterministic.
 ///
 /// Emits `BENCH_serve.json` for the CI `bench-regression` gate, which tracks
 /// the machine-normalized ratio (`speedup_vs_cold`) rather than the raw rps.
@@ -1744,7 +1749,7 @@ pub fn aggregate_attribution(config: &HarnessConfig) -> String {
         );
         let mut session = engine.session();
         let values: Vec<Vec<(Var, banzhaf_engine::Rational)>> = session
-            .attribute_aggregate_batch(&refs, BatchOptions::default())
+            .attribute_batch(&refs, BatchOptions::default())
             .into_iter()
             .map(|outcome| {
                 let attribution = outcome.expect("no budget is set in this experiment");
@@ -1796,11 +1801,11 @@ pub fn aggregate_attribution(config: &HarnessConfig) -> String {
         );
     let kind_engine = Engine::new(EngineConfig::new(Algorithm::ExaBan).with_threads(1));
     let mut kind_session = kind_engine.session();
-    kind_session.attribute_aggregate(sum_lineage).expect("no budget is set");
+    kind_session.attribute(sum_lineage).expect("no budget is set");
     let hits_before = kind_engine.stats().cache.hits;
-    let twin = kind_session.attribute_aggregate(&count_twin).expect("no budget is set");
+    let twin = kind_session.attribute(&count_twin).expect("no budget is set");
     let twin_missed = kind_engine.stats().cache.hits == hits_before;
-    kind_session.attribute_aggregate(&count_twin).expect("no budget is set");
+    kind_session.attribute(&count_twin).expect("no budget is set");
     let twin_rehits = kind_engine.stats().cache.hits == hits_before + 1;
     let kind_keying_separate = twin_missed && twin_rehits;
     let twin_agrees = twin.values.iter().all(|(var, score)| {

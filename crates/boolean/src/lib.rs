@@ -12,6 +12,9 @@
 //! * conditioning `φ[x := b]`, evaluation, and structural queries;
 //! * the iDNF lower/upper bound constructions `L(φ)` and `U(φ)` of
 //!   Sec. 3.2.1 with their linear-time model counting;
+//! * [`WeightedDnf`] — the weighted lineage of an aggregate answer, and
+//!   [`Lineage`], the one borrowed view over both kinds that every
+//!   attribution entry point takes;
 //! * brute-force model counting and Banzhaf evaluation used as a test oracle.
 //!
 //! # Example
@@ -35,6 +38,7 @@ mod brute;
 mod clause;
 mod dnf;
 mod idnf;
+mod lineage;
 mod var;
 mod weighted;
 
@@ -42,5 +46,6 @@ pub use assignment::Assignment;
 pub use clause::Clause;
 pub use dnf::Dnf;
 pub use idnf::{lower_bound_fn, upper_bound_fn, IdnfCounts};
+pub use lineage::{AsLineage, Lineage};
 pub use var::{Var, VarSet};
 pub use weighted::{AggregateKind, AggregateValue, WeightedDnf};

@@ -20,7 +20,7 @@
 //! 4. the tighter leaf bound based on `#φ − 2·#φ[x:=0]` (`use_opt4`).
 
 use crate::bounds::bounds_for_var;
-use banzhaf_arith::{Natural, Ratio};
+use banzhaf_arith::{Int, Natural, Rational};
 use banzhaf_boolean::Var;
 use banzhaf_dtree::{Budget, DTree, Interrupted, OpKind, PivotHeuristic};
 
@@ -29,7 +29,7 @@ use banzhaf_dtree::{Budget, DTree, Interrupted, OpKind, PivotHeuristic};
 pub struct AdaBanOptions {
     /// Relative error ε ∈ [0, 1]. With ε = 0 AdaBan degenerates to exact
     /// computation (it keeps expanding until lower and upper bounds meet).
-    pub epsilon: Ratio,
+    pub epsilon: Rational,
     /// Shannon pivot-selection heuristic used for leaf expansion.
     pub heuristic: PivotHeuristic,
     /// Use the tighter leaf bounds of optimization (4).
@@ -42,7 +42,7 @@ pub struct AdaBanOptions {
 
 impl AdaBanOptions {
     /// Options with the paper's default configuration and the given ε.
-    pub fn with_epsilon(epsilon: Ratio) -> Self {
+    pub fn with_epsilon(epsilon: Rational) -> Self {
         AdaBanOptions {
             epsilon,
             heuristic: PivotHeuristic::MostFrequent,
@@ -56,13 +56,13 @@ impl AdaBanOptions {
     /// # Panics
     /// Panics if the string is not a valid decimal.
     pub fn with_epsilon_str(epsilon: &str) -> Self {
-        AdaBanOptions::with_epsilon(Ratio::from_decimal_str(epsilon).expect("valid ε"))
+        AdaBanOptions::with_epsilon(Rational::from_decimal_str(epsilon).expect("valid ε"))
     }
 }
 
 impl Default for AdaBanOptions {
     fn default() -> Self {
-        AdaBanOptions::with_epsilon(Ratio::from_u64(1, 10))
+        AdaBanOptions::with_epsilon(Rational::new(Int::one(), Natural::from(10u64)))
     }
 }
 
@@ -90,9 +90,15 @@ impl ApproxInterval {
 
     /// `true` iff the relative-error condition `(1−ε)·upper ≤ (1+ε)·lower`
     /// holds, i.e. every value in `[(1−ε)·upper, (1+ε)·lower]` is an
-    /// ε-approximation of the exact value (Prop. 16).
-    pub fn meets_epsilon(&self, epsilon: &Ratio) -> bool {
-        epsilon.error_condition_met(&self.lower, &self.upper)
+    /// ε-approximation of the exact value (Prop. 16). This is AdaBan's
+    /// stopping condition (Sec. 3.2.3 of the paper).
+    ///
+    /// Decided exactly, with no floating-point rounding near the boundary:
+    /// for ε = n/d the condition is `(d − n)·upper ≤ (d + n)·lower`. With
+    /// ε ≥ 1 the left side is at most 0, so the condition always holds.
+    pub fn meets_epsilon(&self, epsilon: &Rational) -> bool {
+        let (n, d) = (epsilon.numer(), Int::from(epsilon.denom()));
+        (&d - n).mul_natural(&self.upper) <= (&d + n).mul_natural(&self.lower)
     }
 
     /// Midpoint of the interval as `f64`, used as the point estimate when
@@ -129,8 +135,8 @@ pub fn adaban(
     // Trivial initial bounds [0, 2^{n-1}] (the Banzhaf value of a variable in
     // a positive function over n variables is at most 2^{n-1}).
     let n = tree.num_vars();
-    let mut best_lower = Natural::zero();
-    let mut best_upper = Natural::pow2(n.saturating_sub(1));
+    let mut best =
+        ApproxInterval { lower: Natural::zero(), upper: Natural::pow2(n.saturating_sub(1)) };
 
     loop {
         budget.check_deadline()?;
@@ -138,18 +144,18 @@ pub fn adaban(
         let (lower, upper) = quad.banzhaf_bounds_clamped();
         // Keep the best bounds seen so far (the quad bounds of a partial tree
         // are monotone in practice, but max/min keeps the invariant obvious).
-        if lower > best_lower {
-            best_lower = lower;
+        if lower > best.lower {
+            best.lower = lower;
         }
-        if upper < best_upper {
-            best_upper = upper;
+        if upper < best.upper {
+            best.upper = upper;
         }
-        if best_upper < best_lower {
+        if best.upper < best.lower {
             // Numerically impossible for sound bounds; normalize defensively.
-            best_upper = best_lower.clone();
+            best.upper = best.lower.clone();
         }
-        if options.epsilon.error_condition_met(&best_lower, &best_upper) {
-            return Ok(ApproxInterval::new(best_lower, best_upper));
+        if best.meets_epsilon(&options.epsilon) {
+            return Ok(best);
         }
         // Not precise enough: expand the d-tree. With the lazy optimization we
         // keep expanding through cheap factoring/partitioning steps and stop
@@ -196,7 +202,6 @@ pub fn adaban_all(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use banzhaf_arith::Int;
     use banzhaf_boolean::Dnf;
 
     fn v(i: u32) -> Var {
@@ -229,6 +234,22 @@ mod tests {
                 assert!(interval.meets_epsilon(&options.epsilon));
             }
         }
+    }
+
+    #[test]
+    fn error_condition_examples_from_paper() {
+        let interval = |l: u64, u: u64| ApproxInterval::new(Natural::from(l), Natural::from(u));
+        let eps = |s: &str| Rational::from_decimal_str(s).unwrap();
+        // Example 14: Lb = 43, Ub = 136. ε = 0.5 is not sufficient, ε = 0.6
+        // is sufficient.
+        assert!(!interval(43, 136).meets_epsilon(&eps("0.5")));
+        assert!(interval(43, 136).meets_epsilon(&eps("0.6")));
+        // With ε = 0 the condition only holds when lower == upper.
+        assert!(!interval(43, 136).meets_epsilon(&Rational::zero()));
+        assert!(interval(136, 136).meets_epsilon(&Rational::zero()));
+        // ε ≥ 1 always satisfies the condition.
+        assert!(interval(0, 100).meets_epsilon(&Rational::one()));
+        assert!(interval(0, 100).meets_epsilon(&eps("2.5")));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::adaban::ApproxInterval;
 use crate::bounds::bounds_for_var;
-use banzhaf_arith::Ratio;
+use banzhaf_arith::Rational;
 use banzhaf_boolean::Var;
 use banzhaf_dtree::{Budget, DTree, Interrupted, PivotHeuristic};
 use std::collections::HashMap;
@@ -22,7 +22,7 @@ pub struct IchiBanOptions {
     /// When `Some(ε)`, IchiBan may stop as soon as every (remaining) interval
     /// satisfies the relative error ε and rank by interval midpoints; when
     /// `None` it runs until the answer is certain.
-    pub epsilon: Option<Ratio>,
+    pub epsilon: Option<Rational>,
     /// Shannon pivot-selection heuristic for leaf expansion.
     pub heuristic: PivotHeuristic,
     /// Use the tighter leaf bounds of optimization (4).
@@ -44,7 +44,7 @@ impl IchiBanOptions {
     }
 
     /// ε-relaxed mode (`IchiBan_ε` in the paper) with default heuristics.
-    pub fn with_epsilon(epsilon: Ratio) -> Self {
+    pub fn with_epsilon(epsilon: Rational) -> Self {
         IchiBanOptions { epsilon: Some(epsilon), ..IchiBanOptions::certain() }
     }
 
@@ -53,7 +53,7 @@ impl IchiBanOptions {
     /// # Panics
     /// Panics if the string is not a valid decimal.
     pub fn with_epsilon_str(epsilon: &str) -> Self {
-        IchiBanOptions::with_epsilon(Ratio::from_decimal_str(epsilon).expect("valid ε"))
+        IchiBanOptions::with_epsilon(Rational::from_decimal_str(epsilon).expect("valid ε"))
     }
 }
 

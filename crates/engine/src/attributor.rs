@@ -7,10 +7,8 @@ use banzhaf::{
     IchiBanOptions, Interrupted, PivotHeuristic,
 };
 use banzhaf_arith::Natural;
-use banzhaf_baselines::{
-    cnf_proxy, mc_aggregate_banzhaf_par, mc_banzhaf_par, sig22_exact, McOptions,
-};
-use banzhaf_boolean::{Dnf, Var, WeightedDnf};
+use banzhaf_baselines::{cnf_proxy, mc_banzhaf_par, sig22_exact, McOptions};
+use banzhaf_boolean::{Dnf, Lineage, Var};
 use banzhaf_par::{seed, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -31,59 +29,32 @@ pub trait Attributor: Send + Sync {
     /// The backend's display name (matches [`crate::Backend::name`]).
     fn name(&self) -> &'static str;
 
-    /// Computes attribution scores for every fact of the lineage's universe.
-    fn attribute(&self, lineage: &Dnf, deadline: &Budget) -> Result<Attribution, Interrupted>;
-
-    /// [`Attributor::attribute`] with an explicit sample-stream index.
+    /// Computes attribution scores for every fact of the lineage's universe,
+    /// Boolean or aggregate, from sample stream `stream`.
     ///
-    /// Deterministic backends ignore `stream` (the default implementation
-    /// delegates to `attribute`). Randomized backends use it to select a
-    /// well-defined, reproducible sample stream instead of advancing internal
-    /// state — the contract batch-parallel execution relies on: when a
-    /// [`crate::Session`] assigns stream `base + i` to instance `i`, the
-    /// estimates are bit-identical no matter how many workers run the batch
-    /// or in which order the instances execute.
+    /// Deterministic backends ignore `stream`. Randomized backends use it to
+    /// select a well-defined, reproducible sample stream instead of advancing
+    /// internal state — the contract batch-parallel execution relies on:
+    /// when a [`crate::Session`] assigns stream `base + i` to instance `i`,
+    /// the estimates are bit-identical no matter how many workers run the
+    /// batch or in which order the instances execute.
+    ///
+    /// An aggregate lineage (its clauses carry the numeric contribution of
+    /// their grounding, under the lineage's own
+    /// [`banzhaf_boolean::AggregateKind`]) is attributed only by backends
+    /// whose registry descriptor declares [`crate::Backend::aggregates`]. The
+    /// session consults the registry before dispatching, so the others treat
+    /// one as a programming error and panic rather than fall back silently.
     fn attribute_indexed(
         &self,
-        lineage: &Dnf,
+        lineage: Lineage<'_>,
         stream: u64,
         deadline: &Budget,
-    ) -> Result<Attribution, Interrupted> {
-        let _ = stream;
-        self.attribute(lineage, deadline)
-    }
+    ) -> Result<Attribution, Interrupted>;
 
-    /// Computes attribution scores for an *aggregate* answer: a weighted
-    /// lineage whose clauses carry the numeric contribution of their
-    /// grounding, under the lineage's own [`banzhaf_boolean::AggregateKind`].
-    ///
-    /// Only backends whose registry descriptor declares
-    /// [`crate::Backend::aggregates`] implement this; the session consults the
-    /// registry before dispatching, so the default is an unambiguous
-    /// programming-error panic rather than a silent Boolean fallback.
-    fn attribute_aggregate(
-        &self,
-        lineage: &WeightedDnf,
-        deadline: &Budget,
-    ) -> Result<Attribution, Interrupted> {
-        let _ = (lineage, deadline);
-        panic!(
-            "{} does not support aggregate lineages; consult the backend registry's \
-             `aggregates` capability before dispatching",
-            self.name()
-        )
-    }
-
-    /// [`Attributor::attribute_aggregate`] with an explicit sample-stream
-    /// index — same contract as [`Attributor::attribute_indexed`].
-    fn attribute_aggregate_indexed(
-        &self,
-        lineage: &WeightedDnf,
-        stream: u64,
-        deadline: &Budget,
-    ) -> Result<Attribution, Interrupted> {
-        let _ = stream;
-        self.attribute_aggregate(lineage, deadline)
+    /// Computes attribution scores for every fact of a Boolean lineage.
+    fn attribute(&self, lineage: &Dnf, deadline: &Budget) -> Result<Attribution, Interrupted> {
+        self.attribute_indexed(Lineage::Boolean(lineage), 0, deadline)
     }
 
     /// Computes the score of a single fact. The default extracts it from a
@@ -125,6 +96,48 @@ pub trait Attributor: Send + Sync {
     }
 }
 
+/// The Boolean lineage of `lineage`, for the backend `name` that attributes
+/// only Boolean lineages; an aggregate one panics (see
+/// [`Attributor::attribute_indexed`]).
+fn boolean_only<'a>(name: &str, lineage: Lineage<'a>) -> &'a Dnf {
+    match lineage {
+        Lineage::Boolean(phi) => phi,
+        Lineage::Aggregate(_) => panic!(
+            "{name} does not support aggregate lineages; consult the backend registry's \
+             `aggregates` capability before dispatching"
+        ),
+    }
+}
+
+/// An attribution carrying only scores and stats; each backend sets the
+/// optional fields it computes on top.
+fn scored(
+    algorithm: &'static str,
+    values: impl IntoIterator<Item = (Var, Score)>,
+    stats: EngineStats,
+) -> Attribution {
+    Attribution {
+        algorithm,
+        values: values.into_iter().collect(),
+        model_count: None,
+        shapley: None,
+        aggregate: None,
+        aggregate_total: None,
+        degradation: None,
+        stats,
+    }
+}
+
+/// The work of one run over `tree`, started at `start`.
+fn tree_stats(tree: &DTree, start: Instant) -> EngineStats {
+    EngineStats {
+        compile_steps: tree.expansions(),
+        dtree_nodes: tree.num_nodes(),
+        wall: start.elapsed(),
+        ..EngineStats::default()
+    }
+}
+
 /// ExaBan: full d-tree compilation, then the shared two-pass exact algorithm.
 #[derive(Clone, Copy, Debug)]
 pub struct ExaBanAttributor {
@@ -139,61 +152,48 @@ impl Attributor for ExaBanAttributor {
         "ExaBan"
     }
 
-    fn attribute(&self, lineage: &Dnf, deadline: &Budget) -> Result<Attribution, Interrupted> {
-        let start = Instant::now();
-        let tree = DTree::compile_full(lineage.clone(), self.heuristic, deadline)?;
-        // The two-pass algorithm shares one bottom-up count pass across all
-        // variables; the optional Shapley pass reuses the same compiled tree
-        // (compilation dominates, so Banzhaf + Shapley cost barely more than
-        // Banzhaf alone).
-        let result = exaban_all(&tree);
-        let shapley = self.include_shapley.then(|| shapley_all(&tree));
-        Ok(Attribution {
-            algorithm: self.name(),
-            values: result.values.into_iter().map(|(v, b)| (v, Score::Exact(b))).collect(),
-            model_count: Some(result.model_count),
-            shapley,
-            aggregate: None,
-            aggregate_total: None,
-            degradation: None,
-            stats: EngineStats {
-                compile_steps: tree.expansions(),
-                dtree_nodes: tree.num_nodes(),
-                wall: start.elapsed(),
-                ..EngineStats::default()
-            },
-        })
-    }
-
-    fn attribute_aggregate(
+    fn attribute_indexed(
         &self,
-        lineage: &WeightedDnf,
+        lineage: Lineage<'_>,
+        _stream: u64,
         deadline: &Budget,
     ) -> Result<Attribution, Interrupted> {
         let start = Instant::now();
-        // COUNT/SUM resolve in closed form; MIN/MAX run the rank/threshold
-        // decomposition, one ExaBan pass per threshold layer (see
-        // `banzhaf::aggregate_banzhaf_all`).
-        let (result, cost) = aggregate_banzhaf_all(lineage, self.heuristic, deadline)?;
-        Ok(Attribution {
-            algorithm: self.name(),
-            values: result
-                .values
-                .into_iter()
-                .map(|(v, r)| (v, Score::Rational(Box::new(r))))
-                .collect(),
-            model_count: None,
-            shapley: None,
-            aggregate: Some(lineage.kind()),
-            aggregate_total: Some(result.total),
-            degradation: None,
-            stats: EngineStats {
-                compile_steps: cost.compile_steps,
-                dtree_nodes: cost.dtree_nodes,
-                wall: start.elapsed(),
-                ..EngineStats::default()
-            },
-        })
+        match lineage {
+            Lineage::Boolean(phi) => {
+                let tree = DTree::compile_full(phi.clone(), self.heuristic, deadline)?;
+                // The two-pass algorithm shares one bottom-up count pass
+                // across all variables; the optional Shapley pass reuses the
+                // same compiled tree (compilation dominates, so Banzhaf +
+                // Shapley cost barely more than Banzhaf alone).
+                let result = exaban_all(&tree);
+                let values = result.values.into_iter().map(|(v, b)| (v, Score::Exact(b)));
+                Ok(Attribution {
+                    model_count: Some(result.model_count),
+                    shapley: self.include_shapley.then(|| shapley_all(&tree)),
+                    ..scored(self.name(), values, tree_stats(&tree, start))
+                })
+            }
+            Lineage::Aggregate(w) => {
+                // COUNT/SUM resolve in closed form; MIN/MAX run the
+                // rank/threshold decomposition, one ExaBan pass per threshold
+                // layer (see `banzhaf::aggregate_banzhaf_all`).
+                let (result, cost) = aggregate_banzhaf_all(w, self.heuristic, deadline)?;
+                let values =
+                    result.values.into_iter().map(|(v, r)| (v, Score::Rational(Box::new(r))));
+                let stats = EngineStats {
+                    compile_steps: cost.compile_steps,
+                    dtree_nodes: cost.dtree_nodes,
+                    wall: start.elapsed(),
+                    ..EngineStats::default()
+                };
+                Ok(Attribution {
+                    aggregate: Some(w.kind()),
+                    aggregate_total: Some(result.total),
+                    ..scored(self.name(), values, stats)
+                })
+            }
+        }
     }
 }
 
@@ -209,8 +209,14 @@ impl Attributor for AdaBanAttributor {
         "AdaBan"
     }
 
-    fn attribute(&self, lineage: &Dnf, deadline: &Budget) -> Result<Attribution, Interrupted> {
+    fn attribute_indexed(
+        &self,
+        lineage: Lineage<'_>,
+        _stream: u64,
+        deadline: &Budget,
+    ) -> Result<Attribution, Interrupted> {
         let start = Instant::now();
+        let lineage = boolean_only(self.name(), lineage);
         let vars: Vec<Var> = lineage.universe().iter().collect();
         let mut tree = DTree::from_leaf(lineage.clone());
         let intervals = adaban_all(&mut tree, &vars, &self.options, deadline)?;
@@ -219,7 +225,7 @@ impl Attributor for AdaBanAttributor {
         // lineages), one bottom-up model-count pass — the same pass ExaBan
         // runs — pins every interval to its exact value and yields the model
         // count, at linear cost in the tree and with zero extra compilation.
-        let (values, model_count) = if tree.is_complete() {
+        let (values, model_count): (Vec<(Var, Score)>, _) = if tree.is_complete() {
             let counts = model_counts(&tree);
             let exact = exaban_all_with_counts(&tree, &counts);
             let values = intervals
@@ -235,21 +241,7 @@ impl Attributor for AdaBanAttributor {
                 intervals.into_iter().map(|(v, i)| (v, Score::Interval(Box::new(i)))).collect();
             (values, None)
         };
-        Ok(Attribution {
-            algorithm: self.name(),
-            values,
-            model_count,
-            shapley: None,
-            aggregate: None,
-            aggregate_total: None,
-            degradation: None,
-            stats: EngineStats {
-                compile_steps: tree.expansions(),
-                dtree_nodes: tree.num_nodes(),
-                wall: start.elapsed(),
-                ..EngineStats::default()
-            },
-        })
+        Ok(Attribution { model_count, ..scored(self.name(), values, tree_stats(&tree, start)) })
     }
 
     fn attribute_var(
@@ -276,27 +268,17 @@ impl Attributor for IchiBanAttributor {
         "IchiBan"
     }
 
-    fn attribute(&self, lineage: &Dnf, deadline: &Budget) -> Result<Attribution, Interrupted> {
+    fn attribute_indexed(
+        &self,
+        lineage: Lineage<'_>,
+        _stream: u64,
+        deadline: &Budget,
+    ) -> Result<Attribution, Interrupted> {
         let start = Instant::now();
-        let mut tree = DTree::from_leaf(lineage.clone());
+        let mut tree = DTree::from_leaf(boolean_only(self.name(), lineage).clone());
         let ranking = ichiban_rank(&mut tree, &self.options, deadline)?;
-        let values =
-            ranking.intervals.into_iter().map(|(v, i)| (v, Score::Interval(Box::new(i)))).collect();
-        Ok(Attribution {
-            algorithm: self.name(),
-            values,
-            model_count: None,
-            shapley: None,
-            aggregate: None,
-            aggregate_total: None,
-            degradation: None,
-            stats: EngineStats {
-                compile_steps: tree.expansions(),
-                dtree_nodes: tree.num_nodes(),
-                wall: start.elapsed(),
-                ..EngineStats::default()
-            },
-        })
+        let values = ranking.intervals.into_iter().map(|(v, i)| (v, Score::Interval(Box::new(i))));
+        Ok(scored(self.name(), values, tree_stats(&tree, start)))
     }
 
     fn rank(&self, lineage: &Dnf, deadline: &Budget) -> Result<Ranked, Interrupted> {
@@ -306,12 +288,7 @@ impl Attributor for IchiBanAttributor {
         Ok(Ranked {
             order: ranking.order,
             certified: ranking.certified,
-            stats: EngineStats {
-                compile_steps: tree.expansions(),
-                dtree_nodes: tree.num_nodes(),
-                wall: start.elapsed(),
-                ..EngineStats::default()
-            },
+            stats: tree_stats(&tree, start),
         })
     }
 
@@ -322,12 +299,7 @@ impl Attributor for IchiBanAttributor {
         Ok(Ranked {
             order: topk.members,
             certified: topk.certified,
-            stats: EngineStats {
-                compile_steps: tree.expansions(),
-                dtree_nodes: tree.num_nodes(),
-                wall: start.elapsed(),
-                ..EngineStats::default()
-            },
+            stats: tree_stats(&tree, start),
         })
     }
 }
@@ -341,23 +313,23 @@ impl Attributor for Sig22Attributor {
         "Sig22"
     }
 
-    fn attribute(&self, lineage: &Dnf, deadline: &Budget) -> Result<Attribution, Interrupted> {
+    fn attribute_indexed(
+        &self,
+        lineage: Lineage<'_>,
+        _stream: u64,
+        deadline: &Budget,
+    ) -> Result<Attribution, Interrupted> {
         let start = Instant::now();
-        let result = sig22_exact(lineage, deadline)?;
+        let result = sig22_exact(boolean_only(self.name(), lineage), deadline)?;
+        let values = result.values.into_iter().map(|(v, b)| (v, Score::Exact(b)));
+        let stats = EngineStats {
+            compile_steps: result.nodes_explored,
+            wall: start.elapsed(),
+            ..EngineStats::default()
+        };
         Ok(Attribution {
-            algorithm: self.name(),
-            values: result.values.into_iter().map(|(v, b)| (v, Score::Exact(b))).collect(),
             model_count: Some(result.model_count),
-            shapley: None,
-            aggregate: None,
-            aggregate_total: None,
-            degradation: None,
-            stats: EngineStats {
-                compile_steps: result.nodes_explored,
-                dtree_nodes: 0,
-                wall: start.elapsed(),
-                ..EngineStats::default()
-            },
+            ..scored(self.name(), values, stats)
         })
     }
 }
@@ -405,58 +377,23 @@ impl Attributor for MonteCarloAttributor {
 
     fn attribute(&self, lineage: &Dnf, deadline: &Budget) -> Result<Attribution, Interrupted> {
         let stream = self.next_stream.fetch_add(1, Ordering::Relaxed);
-        self.attribute_indexed(lineage, stream, deadline)
+        self.attribute_indexed(Lineage::Boolean(lineage), stream, deadline)
     }
 
     fn attribute_indexed(
         &self,
-        lineage: &Dnf,
+        lineage: Lineage<'_>,
         stream: u64,
         deadline: &Budget,
     ) -> Result<Attribution, Interrupted> {
         let start = Instant::now();
         let stream_seed = seed::derive(self.seed, stream);
         let estimates = mc_banzhaf_par(lineage, &self.options, stream_seed, deadline, &self.pool)?;
+        let values = estimates.into_iter().map(|(v, e)| (v, Score::Estimate(e)));
+        let stats = EngineStats { wall: start.elapsed(), ..EngineStats::default() };
         Ok(Attribution {
-            algorithm: self.name(),
-            values: estimates.into_iter().map(|(v, e)| (v, Score::Estimate(e))).collect(),
-            model_count: None,
-            shapley: None,
-            aggregate: None,
-            aggregate_total: None,
-            degradation: None,
-            stats: EngineStats { wall: start.elapsed(), ..EngineStats::default() },
-        })
-    }
-
-    fn attribute_aggregate(
-        &self,
-        lineage: &WeightedDnf,
-        deadline: &Budget,
-    ) -> Result<Attribution, Interrupted> {
-        let stream = self.next_stream.fetch_add(1, Ordering::Relaxed);
-        self.attribute_aggregate_indexed(lineage, stream, deadline)
-    }
-
-    fn attribute_aggregate_indexed(
-        &self,
-        lineage: &WeightedDnf,
-        stream: u64,
-        deadline: &Budget,
-    ) -> Result<Attribution, Interrupted> {
-        let start = Instant::now();
-        let stream_seed = seed::derive(self.seed, stream);
-        let estimates =
-            mc_aggregate_banzhaf_par(lineage, &self.options, stream_seed, deadline, &self.pool)?;
-        Ok(Attribution {
-            algorithm: self.name(),
-            values: estimates.into_iter().map(|(v, e)| (v, Score::Estimate(e))).collect(),
-            model_count: None,
-            shapley: None,
-            aggregate: Some(lineage.kind()),
-            aggregate_total: None,
-            degradation: None,
-            stats: EngineStats { wall: start.elapsed(), ..EngineStats::default() },
+            aggregate: lineage.aggregate_kind(),
+            ..scored(self.name(), values, stats)
         })
     }
 }
@@ -470,20 +407,21 @@ impl Attributor for CnfProxyAttributor {
         "CNFProxy"
     }
 
-    fn attribute(&self, lineage: &Dnf, deadline: &Budget) -> Result<Attribution, Interrupted> {
+    fn attribute_indexed(
+        &self,
+        lineage: Lineage<'_>,
+        _stream: u64,
+        deadline: &Budget,
+    ) -> Result<Attribution, Interrupted> {
         let start = Instant::now();
         deadline.check_deadline()?;
-        let scores = cnf_proxy(lineage);
-        Ok(Attribution {
-            algorithm: self.name(),
-            values: scores.into_iter().map(|(v, e)| (v, Score::Estimate(e))).collect(),
-            model_count: None,
-            shapley: None,
-            aggregate: None,
-            aggregate_total: None,
-            degradation: None,
-            stats: EngineStats { wall: start.elapsed(), ..EngineStats::default() },
-        })
+        let scores = cnf_proxy(boolean_only(self.name(), lineage));
+        let values = scores.into_iter().map(|(v, e)| (v, Score::Estimate(e)));
+        Ok(scored(
+            self.name(),
+            values,
+            EngineStats { wall: start.elapsed(), ..EngineStats::default() },
+        ))
     }
 }
 
@@ -493,6 +431,7 @@ mod tests {
     use crate::config::{Algorithm, EngineConfig};
     use banzhaf::exaban_all;
     use banzhaf_arith::Int;
+    use banzhaf_boolean::{AggregateKind, WeightedDnf};
 
     fn v(i: u32) -> Var {
         Var(i)
@@ -634,7 +573,7 @@ mod tests {
         }
     }
 
-    fn example_weighted(kind: banzhaf_boolean::AggregateKind) -> WeightedDnf {
+    fn example_weighted(kind: AggregateKind) -> WeightedDnf {
         use banzhaf_arith::Rational;
         WeightedDnf::from_weighted_clauses(
             kind,
@@ -648,11 +587,12 @@ mod tests {
 
     #[test]
     fn exaban_aggregate_matches_brute_force_for_every_kind() {
-        use banzhaf_boolean::AggregateKind;
         for kind in AggregateKind::ALL {
             let w = example_weighted(kind);
             let attributor = EngineConfig::new(Algorithm::ExaBan).attributor();
-            let att = attributor.attribute_aggregate(&w, &Budget::unlimited()).unwrap();
+            let att = attributor
+                .attribute_indexed(Lineage::Aggregate(&w), 0, &Budget::unlimited())
+                .unwrap();
             assert!(att.is_exact(), "{kind}");
             assert_eq!(att.aggregate, Some(kind));
             assert_eq!(att.aggregate_total.as_ref(), Some(&w.brute_force_total()), "{kind}");
@@ -668,22 +608,33 @@ mod tests {
 
     #[test]
     fn mc_aggregate_is_deterministic_given_seed_and_stream() {
-        use banzhaf_boolean::AggregateKind;
         let w = example_weighted(AggregateKind::Sum);
         let a = EngineConfig::new(Algorithm::MonteCarlo).with_seed(9).attributor();
         let b = EngineConfig::new(Algorithm::MonteCarlo).with_seed(9).attributor();
-        let ea = a.attribute_aggregate_indexed(&w, 0, &Budget::unlimited()).unwrap();
-        let eb = b.attribute_aggregate_indexed(&w, 0, &Budget::unlimited()).unwrap();
+        let ea = a.attribute_indexed(Lineage::Aggregate(&w), 0, &Budget::unlimited()).unwrap();
+        let eb = b.attribute_indexed(Lineage::Aggregate(&w), 0, &Budget::unlimited()).unwrap();
         assert_eq!(ea.estimates(), eb.estimates());
         assert_eq!(ea.aggregate, Some(AggregateKind::Sum));
         assert!(ea.aggregate_total.is_none(), "estimates certify no exact total");
+        // Stream `s` samples from the seed the backend derives for it.
+        let mc = MonteCarloAttributor::new(McOptions::default(), 9);
+        let got = mc.attribute_indexed(Lineage::Aggregate(&w), 3, &Budget::unlimited()).unwrap();
+        let sampled = mc_banzhaf_par(
+            Lineage::Aggregate(&w),
+            &McOptions::default(),
+            seed::derive(9, 3),
+            &Budget::unlimited(),
+            &ThreadPool::sequential(),
+        )
+        .unwrap();
+        assert_eq!(got.estimates(), sampled);
     }
 
     #[test]
     #[should_panic(expected = "does not support aggregate lineages")]
     fn non_aggregate_backend_panics_on_aggregate_dispatch() {
-        let w = example_weighted(banzhaf_boolean::AggregateKind::Count);
+        let w = example_weighted(AggregateKind::Count);
         let attributor = EngineConfig::new(Algorithm::Sig22).attributor();
-        let _ = attributor.attribute_aggregate(&w, &Budget::unlimited());
+        let _ = attributor.attribute_indexed(Lineage::Aggregate(&w), 0, &Budget::unlimited());
     }
 }

@@ -53,7 +53,7 @@ use crate::canon::{canonical_form_classed, fingerprint, weighted_payload, Finger
 use crate::persist::SnapshotError;
 use banzhaf::Budget;
 use banzhaf_arith::Rational;
-use banzhaf_boolean::{AggregateKind, Clause, Dnf, Var, VarSet, WeightedDnf};
+use banzhaf_boolean::{AggregateKind, Clause, Dnf, Lineage, Var, VarSet, WeightedDnf};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -228,12 +228,19 @@ impl Prekeyed {
     /// fingerprint. No refinement, no search, no hashing: each variable is
     /// ranked in the lineage's sorted universe by binary search, and the
     /// rank indexes a table of first-occurrence ids.
-    pub(crate) fn of(lineage: &Dnf) -> Prekeyed {
+    ///
+    /// An aggregate lineage renames its Boolean skeleton exactly so, the
+    /// weights follow their clauses through the rename, and the fingerprint
+    /// gains the renaming-invariant aggregate payload digest — so weighted
+    /// lookups never even share a bucket with Boolean ones (or with a
+    /// different kind or weight multiset).
+    pub(crate) fn of(lineage: Lineage<'_>) -> Prekeyed {
         const UNSEEN: u32 = u32::MAX;
-        let universe = lineage.universe().as_slice();
+        let dnf = lineage.dnf();
+        let universe = dnf.universe().as_slice();
         let mut ids = vec![UNSEEN; universe.len()];
         let mut originals: Vec<Var> = Vec::with_capacity(universe.len());
-        let mut clauses: Vec<Vec<u32>> = lineage
+        let mut clauses: Vec<Vec<u32>> = dnf
             .clauses()
             .iter()
             .map(|c| {
@@ -258,48 +265,34 @@ impl Prekeyed {
         originals
             .extend(universe.iter().zip(&ids).filter(|&(_, &id)| id == UNSEEN).map(|(&v, _)| v));
         let num_vars = originals.len();
-        Prekeyed {
-            fingerprint: fingerprint(num_vars, &clauses),
-            shape: Arc::new(Shape { num_vars, clauses, payload: None }),
-            originals,
+        let payload = match lineage {
+            Lineage::Boolean(_) => None,
+            Lineage::Aggregate(w) => {
+                // The weighted clauses are distinct and sorted (duplicates
+                // were merged at construction), so renaming a dense clause
+                // back to its facts and binary-searching the clause list
+                // recovers its weight.
+                let stored = dnf.clauses();
+                let weights = clauses
+                    .iter()
+                    .map(|c| {
+                        let clause = Clause::new(c.iter().map(|&i| originals[i as usize]));
+                        let at =
+                            stored.binary_search(&clause).expect("every dense clause is stored");
+                        w.weights()[at].clone()
+                    })
+                    .collect();
+                Some(WeightedInfo { kind: w.kind(), weights })
+            }
+        };
+        let mut fingerprint = fingerprint(num_vars, &clauses);
+        if let Some(WeightedInfo { kind, weights }) = &payload {
+            fingerprint = fingerprint.with_payload(weighted_payload(*kind, &clauses, weights));
         }
+        Prekeyed { fingerprint, shape: Arc::new(Shape { num_vars, clauses, payload }), originals }
     }
 
-    /// [`Prekeyed::of`] for a weighted aggregate lineage: the Boolean
-    /// skeleton is densely renamed exactly as for a Boolean lookup, the
-    /// weights follow their clauses through the rename, and the fingerprint
-    /// gains the renaming-invariant aggregate payload digest — so weighted
-    /// lookups never even share a bucket with Boolean ones (or with a
-    /// different kind or weight multiset).
-    pub(crate) fn of_weighted(lineage: &WeightedDnf) -> Prekeyed {
-        let Prekeyed { fingerprint, shape, originals } = Prekeyed::of(lineage.dnf());
-        let Shape { num_vars, clauses, .. } =
-            Arc::into_inner(shape).expect("the shape was just built");
-        // The weighted clauses are distinct and sorted (duplicates were
-        // merged at construction), so renaming a dense clause back to its
-        // facts and binary-searching the clause list recovers its weight.
-        let stored = lineage.dnf().clauses();
-        let weights: Vec<Rational> = clauses
-            .iter()
-            .map(|c| {
-                let clause = Clause::new(c.iter().map(|&i| originals[i as usize]));
-                let at = stored.binary_search(&clause).expect("every dense clause is stored");
-                lineage.weights()[at].clone()
-            })
-            .collect();
-        let kind = lineage.kind();
-        Prekeyed {
-            fingerprint: fingerprint.with_payload(weighted_payload(kind, &clauses, &weights)),
-            shape: Arc::new(Shape {
-                num_vars,
-                clauses,
-                payload: Some(WeightedInfo { kind, weights }),
-            }),
-            originals,
-        }
-    }
-
-    /// `true` for an aggregate lookup ([`Prekeyed::of_weighted`]).
+    /// `true` for an aggregate lookup.
     pub(crate) fn is_aggregate(&self) -> bool {
         self.shape.payload.is_some()
     }
@@ -992,7 +985,7 @@ impl ShardedCache {
     /// The serving layer reports this index per request so a fleet operator
     /// can see which partition answered.
     pub fn shard_of(&self, lineage: &Dnf) -> usize {
-        self.shard_index(Prekeyed::of(lineage).fingerprint)
+        self.shard_index(Prekeyed::of(Lineage::Boolean(lineage)).fingerprint)
     }
 
     fn shard(&self, fp: Fingerprint) -> &SharedCache {
@@ -1124,7 +1117,7 @@ impl fmt::Debug for ShardedCache {
 /// steps spent. A benchmarking probe for the keying cost; not
 /// used on the serving path.
 pub fn canonical_key_probe(lineage: &Dnf) -> u64 {
-    let prekeyed = Prekeyed::of(lineage);
+    let prekeyed = Prekeyed::of(Lineage::Boolean(lineage));
     let (_, steps) = prekeyed.shape.canonicalize(None).expect("no budget, no interrupt");
     steps
 }
@@ -1134,7 +1127,7 @@ pub fn canonical_key_probe(lineage: &Dnf) -> u64 {
 /// cannot be optimized away. A benchmarking probe.
 pub fn prekey_probe(lineage: &Dnf) -> u64 {
     use std::hash::{Hash, Hasher};
-    let prekeyed = Prekeyed::of(lineage);
+    let prekeyed = Prekeyed::of(Lineage::Boolean(lineage));
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     prekeyed.fingerprint.hash(&mut hasher);
     hasher.finish()
@@ -1166,7 +1159,7 @@ mod tests {
     fn prekeyed_of(clauses: Vec<Vec<u32>>) -> Prekeyed {
         let clauses: Vec<Vec<Var>> =
             clauses.into_iter().map(|c| c.into_iter().map(Var).collect()).collect();
-        Prekeyed::of(&Dnf::from_clauses(clauses))
+        Prekeyed::of(Lineage::Boolean(&Dnf::from_clauses(clauses)))
     }
 
     /// Runs the full two-phase lookup protocol the session uses: fingerprint
@@ -1529,7 +1522,7 @@ mod tests {
         // The backend runs the dense presentation; it must be the same
         // function modulo renaming — model counts are renaming-invariant.
         let phi = Dnf::from_clauses(vec![vec![v(7), v(2)], vec![v(2), v(5)], vec![v(9)]]);
-        let dense = Prekeyed::of(&phi).dense_dnf();
+        let dense = Prekeyed::of(Lineage::Boolean(&phi)).dense_dnf();
         assert_eq!(
             phi.brute_force_model_count(),
             dense.brute_force_model_count(),
@@ -1559,7 +1552,7 @@ mod tests {
                 .into_iter()
                 .map(|(c, w)| (c.into_iter().map(Var).collect::<Vec<Var>>(), Rational::from(w))),
         );
-        Prekeyed::of_weighted(&lineage)
+        Prekeyed::of(Lineage::Aggregate(&lineage))
     }
 
     #[test]
@@ -1674,9 +1667,9 @@ mod tests {
                 (vec![Var(2), Var(5)], Rational::from(5i64)),
             ],
         );
-        let prekeyed = Prekeyed::of_weighted(&lineage);
+        let prekeyed = Prekeyed::of(Lineage::Aggregate(&lineage));
         assert!(prekeyed.is_aggregate());
-        assert!(Prekeyed::of(lineage.dnf()).dense_weighted().is_none());
+        assert!(Prekeyed::of(Lineage::Boolean(lineage.dnf())).dense_weighted().is_none());
         let dense = prekeyed.dense_weighted().expect("a weighted lookup builds a weighted lineage");
         assert_eq!(dense.kind(), AggregateKind::Sum);
         assert_eq!(dense.num_vars(), lineage.num_vars());
@@ -1722,7 +1715,7 @@ mod tests {
             (Shape { num_vars, clauses, payload: None }, originals, fp)
         }
 
-        pub(super) fn of_weighted(lineage: &WeightedDnf) -> (Shape, Vec<Var>, Fingerprint) {
+        pub(super) fn weighted(lineage: &WeightedDnf) -> (Shape, Vec<Var>, Fingerprint) {
             let (base, originals, fp) = of(lineage.dnf());
             let by_clause: HashMap<Vec<Var>, &Rational> = lineage
                 .dnf()
@@ -1783,7 +1776,7 @@ mod tests {
             use rand::SeedableRng;
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let (dnf, clauses) = random_lineage(&mut rng, unused);
-            let prekeyed = Prekeyed::of(&dnf);
+            let prekeyed = Prekeyed::of(Lineage::Boolean(&dnf));
             let (shape, originals, fp) = oracle::of(&dnf);
             proptest::prop_assert_eq!(&*prekeyed.shape, &shape);
             proptest::prop_assert_eq!(&prekeyed.originals, &originals);
@@ -1791,8 +1784,8 @@ mod tests {
             for kind in [AggregateKind::Sum, AggregateKind::Max] {
                 let weighted = WeightedDnf::from_weighted_clauses(kind, clauses.clone())
                     .widen_universe(dnf.universe().clone());
-                let prekeyed = Prekeyed::of_weighted(&weighted);
-                let (shape, originals, fp) = oracle::of_weighted(&weighted);
+                let prekeyed = Prekeyed::of(Lineage::Aggregate(&weighted));
+                let (shape, originals, fp) = oracle::weighted(&weighted);
                 proptest::prop_assert_eq!(&*prekeyed.shape, &shape);
                 proptest::prop_assert_eq!(&prekeyed.originals, &originals);
                 proptest::prop_assert_eq!(prekeyed.fingerprint, fp);

@@ -3,7 +3,7 @@
 use crate::attributor::Attributor;
 use crate::registry::{backend, first_with, Precision};
 use banzhaf::{Budget, PivotHeuristic};
-use banzhaf_arith::Ratio;
+use banzhaf_arith::{Int, Natural, Rational};
 use banzhaf_par::ThreadPool;
 use std::fmt;
 use std::path::PathBuf;
@@ -241,7 +241,7 @@ pub struct EngineConfig {
     pub heuristic: PivotHeuristic,
     /// Relative error ε for the approximate algorithms. `None` requests the
     /// exact/certain mode (AdaBan with ε = 0, IchiBan's certain top-k).
-    pub epsilon: Option<Ratio>,
+    pub epsilon: Option<Rational>,
     /// Per-attribution wall-clock timeout (`None` = unbounded).
     pub timeout: Option<Duration>,
     /// Per-attribution cap on decomposition steps (`None` = unbounded).
@@ -280,7 +280,7 @@ impl Default for EngineConfig {
         EngineConfig {
             algorithm: Algorithm::ExaBan,
             heuristic: PivotHeuristic::MostFrequent,
-            epsilon: Some(Ratio::from_u64(1, 10)),
+            epsilon: Some(Rational::new(Int::one(), Natural::from(10u64))),
             timeout: None,
             max_steps: None,
             mc_samples_per_var: 50,
@@ -312,7 +312,7 @@ impl EngineConfig {
     /// # Panics
     /// Panics if the string is not a valid decimal.
     pub fn with_epsilon_str(mut self, epsilon: &str) -> Self {
-        self.epsilon = Some(Ratio::from_decimal_str(epsilon).expect("valid ε"));
+        self.epsilon = Some(Rational::from_decimal_str(epsilon).expect("valid ε"));
         self
     }
 
@@ -377,8 +377,8 @@ impl EngineConfig {
     }
 
     /// The configured ε, falling back to 0 (exact) in the certain mode.
-    pub fn epsilon_or_exact(&self) -> Ratio {
-        self.epsilon.clone().unwrap_or_else(Ratio::zero)
+    pub fn epsilon_or_exact(&self) -> Rational {
+        self.epsilon.clone().unwrap_or_else(Rational::zero)
     }
 
     /// Builds the [`Attributor`] this configuration describes, through the
@@ -397,7 +397,7 @@ mod tests {
     fn defaults_match_the_paper_headline_setting() {
         let config = EngineConfig::default();
         assert_eq!(config.algorithm, Algorithm::ExaBan);
-        assert_eq!(config.epsilon_or_exact(), Ratio::from_u64(1, 10));
+        assert_eq!(config.epsilon_or_exact(), Rational::new(Int::one(), Natural::from(10u64)));
         assert!(config.cache.enabled);
         assert_eq!(config.cache.capacity, 1024);
         assert_eq!(config.cache.shards, 1);
@@ -414,7 +414,7 @@ mod tests {
             .with_cache_config(CacheConfig::disabled())
             .with_shapley(true);
         assert_eq!(config.algorithm, Algorithm::AdaBan);
-        assert_eq!(config.epsilon_or_exact(), Ratio::from_u64(1, 4));
+        assert_eq!(config.epsilon_or_exact(), Rational::new(Int::one(), Natural::from(4u64)));
         assert_eq!(config.timeout, Some(Duration::from_millis(5)));
         assert!(!config.cache.enabled && config.include_shapley);
         // The certain mode drops ε entirely.

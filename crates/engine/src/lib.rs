@@ -7,8 +7,10 @@
 //! (`banzhaf`, `banzhaf-baselines`), query evaluation (`banzhaf-query`). This
 //! crate composes them behind three abstractions:
 //!
-//! * [`Attributor`] — the pluggable algorithm interface: `attribute` (all
-//!   facts), `attribute_var`, `rank` and `top_k`, each honouring a
+//! * [`Attributor`] — the pluggable algorithm interface: `attribute_indexed`
+//!   (all facts of a [`banzhaf_boolean::Lineage`], Boolean or aggregate, on
+//!   a given sample stream), `attribute`, `attribute_var`, `rank` and
+//!   `top_k`, each honouring a
 //!   cooperative [`Budget`] deadline and returning the unified
 //!   [`Attribution`] / [`Ranked`] result types with per-run [`EngineStats`].
 //!   Implementations exist for ExaBan, AdaBan, IchiBan, Sig22, Monte Carlo

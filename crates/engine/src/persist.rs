@@ -547,10 +547,11 @@ pub(crate) fn load_entries(path: &Path) -> Result<Vec<SnapshotEntry>, SnapshotEr
 mod tests {
     use super::*;
     use crate::cache::Prekeyed;
-    use banzhaf_boolean::Dnf;
+    use banzhaf_boolean::{Dnf, Lineage};
 
     fn sample_entries() -> Vec<SnapshotEntry> {
-        let p = Prekeyed::of(&Dnf::from_clauses(vec![vec![Var(0), Var(1)], vec![Var(1), Var(2)]]));
+        let phi = Dnf::from_clauses(vec![vec![Var(0), Var(1)], vec![Var(1), Var(2)]]);
+        let p = Prekeyed::of(Lineage::Boolean(&phi));
         let (canon, _) = p.shape.canonicalize(None).unwrap();
         let attribution = Arc::new(Attribution {
             algorithm: "ExaBan",

@@ -53,7 +53,8 @@ pub struct Backend {
     /// The precision class of the backend's scores.
     pub precision: Precision,
     /// `true` iff the backend attributes weighted aggregate lineages
-    /// (COUNT/SUM/MIN/MAX) through [`Attributor::attribute_aggregate`].
+    /// (COUNT/SUM/MIN/MAX): [`Attributor::attribute_indexed`] on a
+    /// [`banzhaf_boolean::Lineage::Aggregate`].
     pub aggregates: bool,
     /// `true` iff the backend is a deterministic function of the lineage, so
     /// its results may be transferred between isomorphic lineages by the

@@ -9,7 +9,7 @@ use crate::config::{Algorithm, EngineConfig, FallbackPolicy, Rung};
 use crate::persist::SnapshotError;
 use crate::registry::{backend, first_with, Precision};
 use banzhaf::{Budget, Interrupted};
-use banzhaf_boolean::{Dnf, WeightedDnf};
+use banzhaf_boolean::{AsLineage, Dnf, Lineage};
 use banzhaf_db::{Database, Value};
 use banzhaf_query::{evaluate, UnionQuery};
 use std::collections::HashMap;
@@ -360,7 +360,8 @@ impl Session {
         QueryAttribution { answers }
     }
 
-    /// Attributes one lineage under the configured budget, consulting the
+    /// Attributes one lineage — Boolean, or a weighted aggregate
+    /// (COUNT/SUM/MIN/MAX) one — under the configured budget, consulting the
     /// d-tree cache when enabled.
     ///
     /// The backend always runs on the *dense* presentation of the lineage
@@ -371,18 +372,30 @@ impl Session {
     /// comparable. The isomorphism-invariant canonical key is only computed
     /// when the cache's cheap fingerprint pre-key is contested and no
     /// resident holds the lineage's exact dense presentation.
-    pub fn attribute(&mut self, lineage: &Dnf) -> Result<Attribution, Interrupted> {
+    ///
+    /// The cache keys aggregate lineages by the canonical Boolean skeleton
+    /// *plus* the aggregate kind and the clause weights (permuted into
+    /// canonical order), so a `SUM` lineage never serves a `COUNT` hit and
+    /// weighted lineages never collide with Boolean ones. If the configured
+    /// backend does not advertise the aggregate capability in the backend
+    /// registry, the session transparently serves an aggregate lineage with
+    /// the registry's first exact aggregate-capable backend (ExaBan) instead
+    /// of panicking.
+    pub fn attribute(&mut self, lineage: &impl AsLineage) -> Result<Attribution, Interrupted> {
         // Single-instance batch: the planning loop resolves a cache hit
         // before any compile work, and the shared counters record exactly
         // one lookup per logical attribution (a separate fast-path lookup
         // here would double-count misses in `Engine::stats`).
-        self.batch_prekeyed(vec![Prekeyed::of(lineage)], None, None)
+        self.batch_prekeyed(vec![Prekeyed::of(lineage.as_lineage())], None, None)
             .pop()
             .expect("one lineage in, one attribution out")
     }
 
     /// Attributes a batch of lineages, fanning the work across the
     /// configured thread pool ([`EngineConfig::threads`]).
+    ///
+    /// A batch is homogeneous: every lineage is Boolean, or every lineage is
+    /// an aggregate one.
     ///
     /// Work sharing mirrors the sequential loop exactly: one planning walk
     /// looks the lineages up in instance order on the calling thread (with
@@ -397,50 +410,16 @@ impl Session {
     /// **bit-identical to the sequential path at every thread count**;
     /// [`BatchOptions::with_shared_budget`] charges the whole batch against
     /// one budget instead.
-    pub fn attribute_batch(
+    pub fn attribute_batch<L: AsLineage>(
         &mut self,
-        lineages: &[&Dnf],
+        lineages: &[L],
         options: BatchOptions<'_>,
     ) -> Vec<Result<Attribution, Interrupted>> {
         // The dense renaming and fingerprint are one linear pass per
         // lineage; the expensive canonical search only runs inside the
         // planning loop, where the sequential cache-state walk decides
         // (deterministically) which instances actually need it.
-        let prekeyed = lineages.iter().map(|l| Prekeyed::of(l)).collect();
-        self.batch_prekeyed(prekeyed, options.shared_budget, options.fallback)
-    }
-
-    /// Attributes one weighted aggregate lineage (COUNT/SUM/MIN/MAX) under
-    /// the configured budget, through the same planning walk and shared
-    /// cache as [`Session::attribute`].
-    ///
-    /// The cache keys aggregate lineages by the canonical Boolean skeleton
-    /// *plus* the aggregate kind and the clause weights (permuted into
-    /// canonical order), so a `SUM` lineage never serves a `COUNT` hit and
-    /// weighted lineages never collide with Boolean ones. If the configured
-    /// backend does not advertise the aggregate capability in the backend
-    /// registry, the session transparently serves the request with the
-    /// registry's first exact aggregate-capable backend (ExaBan) instead of
-    /// panicking.
-    pub fn attribute_aggregate(
-        &mut self,
-        lineage: &WeightedDnf,
-    ) -> Result<Attribution, Interrupted> {
-        self.batch_prekeyed(vec![Prekeyed::of_weighted(lineage)], None, None)
-            .pop()
-            .expect("one lineage in, one attribution out")
-    }
-
-    /// Attributes a batch of weighted aggregate lineages, fanning the work
-    /// across the configured thread pool — the aggregate counterpart of
-    /// [`Session::attribute_batch`], with the same bit-identical-to-
-    /// sequential guarantee at every thread count.
-    pub fn attribute_aggregate_batch(
-        &mut self,
-        lineages: &[&WeightedDnf],
-        options: BatchOptions<'_>,
-    ) -> Vec<Result<Attribution, Interrupted>> {
-        let prekeyed = lineages.iter().map(|l| Prekeyed::of_weighted(l)).collect();
+        let prekeyed = lineages.iter().map(|l| Prekeyed::of(l.as_lineage())).collect();
         self.batch_prekeyed(prekeyed, options.shared_budget, options.fallback)
     }
 
@@ -477,8 +456,8 @@ impl Session {
             return Vec::new();
         }
         // A batch is homogeneous: either every instance is Boolean or every
-        // instance carries an aggregate payload (the public entry points
-        // build them that way). Aggregate batches may substitute the
+        // instance carries an aggregate payload (the entry points take a
+        // slice of one lineage type). Aggregate batches may substitute the
         // configured backend with a capable one, so every capability check
         // reads the *effective* algorithm.
         let algorithm = if prekeyed.iter().any(Prekeyed::is_aggregate) {
@@ -855,10 +834,16 @@ fn run_dense(
     stream: u64,
     budget: &Budget,
 ) -> Result<Attribution, Interrupted> {
-    match p.dense_weighted() {
-        Some(w) => attributor.attribute_aggregate_indexed(&w, stream, budget),
-        None => attributor.attribute_indexed(&p.dense_dnf(), stream, budget),
-    }
+    let weighted = p.dense_weighted();
+    let dnf;
+    let lineage = match &weighted {
+        Some(w) => Lineage::Aggregate(w),
+        None => {
+            dnf = p.dense_dnf();
+            Lineage::Boolean(&dnf)
+        }
+    };
+    attributor.attribute_indexed(lineage, stream, budget)
 }
 
 /// Marks an attribution as served from the cache: the result cost nothing

@@ -60,8 +60,7 @@ fn main() {
     for result in [&revenue, &orders] {
         for answer in result.answers() {
             let lineage = &answer.lineage;
-            let attribution =
-                session.attribute_aggregate(lineage).expect("no budget set in this demo");
+            let attribution = session.attribute(lineage).expect("no budget set in this demo");
             let kind = attribution.aggregate.expect("aggregate backends report their kind");
             println!(
                 "{kind} answer {:?} via {} (total over worlds: {})",

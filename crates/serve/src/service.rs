@@ -442,7 +442,8 @@ impl ServiceCounters {
     }
 }
 
-/// A point-in-time snapshot of a service's request counters.
+/// A point-in-time snapshot of a service's request counters. The counters
+/// of the engine's cache tier are in [`AttributionService::engine_stats`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceStats {
     /// Requests accepted into the queue (attributions and updates).
@@ -465,27 +466,6 @@ pub struct ServiceStats {
     pub queue_depth: usize,
     /// The service's worker count.
     pub workers: usize,
-    /// Lookups the shared cache resolved without any canonicalization
-    /// search, because the request's cheap isomorphism-invariant fingerprint
-    /// had no resident entry (mirrors [`banzhaf_engine::CacheStats`]).
-    pub prekey_skips: u64,
-    /// Individualization searches the shared cache's exact keying actually
-    /// ran, across all sessions (mirrors [`banzhaf_engine::CacheStats`]).
-    pub canon_searches: u64,
-    /// Shards of the engine's cache tier (1 unless
-    /// [`banzhaf_engine::CacheConfig::shards`] raised it); per-shard
-    /// counters are in [`AttributionService::engine_stats`].
-    pub shards: usize,
-    /// Warm-start snapshots loaded at engine construction (mirrors
-    /// [`banzhaf_engine::CacheStats`]).
-    pub snapshot_loads: u64,
-    /// Cache entries admitted from warm-start snapshots (mirrors
-    /// [`banzhaf_engine::CacheStats`]).
-    pub snapshot_entries: u64,
-    /// Warm-start snapshots rejected — corrupt, truncated, or
-    /// version-mismatched files the engine refused and degraded to a cold
-    /// start (mirrors [`banzhaf_engine::CacheStats`]).
-    pub snapshot_rejects: u64,
 }
 
 /// The async attribution front end: a bounded request queue drained by worker
@@ -779,8 +759,6 @@ impl AttributionService {
 
     /// A snapshot of the service's request counters.
     pub fn stats(&self) -> ServiceStats {
-        let snapshot = self.engine.stats();
-        let cache = &snapshot.cache;
         ServiceStats {
             submitted: self.counters.submitted.load(Ordering::Relaxed),
             rejected: self.counters.rejected.load(Ordering::Relaxed),
@@ -791,12 +769,6 @@ impl AttributionService {
             fallback_steps: self.counters.fallback_steps.load(Ordering::Relaxed),
             queue_depth: self.queue.len(),
             workers: self.workers.len(),
-            prekey_skips: cache.prekey_skips,
-            canon_searches: cache.canon_searches,
-            shards: snapshot.shards.len(),
-            snapshot_loads: cache.snapshot_loads,
-            snapshot_entries: cache.snapshot_entries,
-            snapshot_rejects: cache.snapshot_rejects,
         }
     }
 

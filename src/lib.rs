@@ -81,9 +81,11 @@ pub mod prelude {
         shapley_all, AdaBanOptions, ApproxInterval, BanzhafResult, Budget, DTree, IchiBanOptions,
         Interrupted, PivotHeuristic, Ranking, ShapleyValue, TopK,
     };
-    pub use banzhaf_arith::{Int, Natural, Ratio, Rational};
+    pub use banzhaf_arith::{Int, Natural, Rational};
     pub use banzhaf_baselines::{cnf_proxy, mc_banzhaf, mc_banzhaf_par, sig22_exact, McOptions};
-    pub use banzhaf_boolean::{AggregateKind, Assignment, Clause, Dnf, Var, VarSet, WeightedDnf};
+    pub use banzhaf_boolean::{
+        AggregateKind, AsLineage, Assignment, Clause, Dnf, Lineage, Var, VarSet, WeightedDnf,
+    };
     pub use banzhaf_db::{Database, Fact, FactId, Provenance, Update, Value};
     pub use banzhaf_par::ThreadPool;
     pub use banzhaf_query::{

@@ -554,7 +554,7 @@ proptest! {
             .with_threads(if two_threads { 2 } else { 1 });
         let mut session = Engine::new(config).session();
         for answer in result.answers() {
-            let attribution = session.attribute_aggregate(&answer.lineage).unwrap();
+            let attribution = session.attribute(&answer.lineage).unwrap();
             prop_assert_eq!(
                 attribution.aggregate,
                 Some(if count { AggregateKind::Count } else { AggregateKind::Sum })
@@ -602,7 +602,7 @@ fn weighted_lineages_key_apart_by_weights_and_kind() {
     let engine = Engine::new(EngineConfig::default());
     let mut session = engine.session();
     for lineage in [&middle, &end, &count, &min] {
-        let attribution = session.attribute_aggregate(lineage).unwrap();
+        let attribution = session.attribute(lineage).unwrap();
         assert!(!attribution.stats.cache_hit, "{:?} must get its own entry", lineage.kind());
     }
     // The Boolean skeleton itself keys apart from every weighted entry.
@@ -614,7 +614,7 @@ fn weighted_lineages_key_apart_by_weights_and_kind() {
     // A genuine weighted isomorph — variables renamed, weights carried
     // along — is served from `middle`'s entry.
     let renamed = path(20, [2, 9, 2], AggregateKind::Sum);
-    assert!(session.attribute_aggregate(&renamed).unwrap().stats.cache_hit);
+    assert!(session.attribute(&renamed).unwrap().stats.cache_hit);
     assert_eq!(engine.stats().cache.entries, 5);
     assert_eq!(engine.stats().cache.hits, 1);
 }
@@ -765,8 +765,8 @@ fn weighted_lineages_with_one_skeleton_presentation_never_share_by_presentation(
     let mut plain =
         Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled())).session();
     for lineage in &variants {
-        let a = cached.attribute_aggregate(lineage).unwrap();
-        let b = plain.attribute_aggregate(lineage).unwrap();
+        let a = cached.attribute(lineage).unwrap();
+        let b = plain.attribute(lineage).unwrap();
         assert!(
             !a.stats.cache_hit,
             "{:?} {:?} must not be served",
@@ -777,7 +777,7 @@ fn weighted_lineages_with_one_skeleton_presentation_never_share_by_presentation(
     }
     // The exact repeat of each variant is a presentation hit.
     for lineage in &variants {
-        let a = cached.attribute_aggregate(lineage).unwrap();
+        let a = cached.attribute(lineage).unwrap();
         assert!(a.stats.cache_hit);
         assert_eq!(a.stats.canon_searches, 0);
     }

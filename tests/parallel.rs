@@ -196,13 +196,11 @@ fn contested_aggregate_batches_are_thread_count_invariant() {
             .with_cache_config(CacheConfig::new().with_enabled(cache))
             .with_seed(7);
         let mut sequential = Engine::new(config.clone()).session();
-        let expected: Vec<Attribution> = lineages
-            .iter()
-            .map(|l| sequential.attribute_aggregate(l).expect("no budget is set"))
-            .collect();
+        let expected: Vec<Attribution> =
+            lineages.iter().map(|l| sequential.attribute(l).expect("no budget is set")).collect();
         for threads in [1usize, 2, 4] {
             let mut session = Engine::new(config.clone().with_threads(threads)).session();
-            let got = session.attribute_aggregate_batch(&refs, BatchOptions::default());
+            let got = session.attribute_batch(&refs, BatchOptions::default());
             assert_eq!(got.len(), expected.len());
             for ((lineage, want), have) in lineages.iter().zip(&expected).zip(&got) {
                 let have = have.as_ref().expect("no budget is set");

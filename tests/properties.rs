@@ -77,7 +77,7 @@ proptest! {
     fn adaban_interval_is_sound_and_tight_enough(phi in small_dnf(), eps_idx in 0usize..4) {
         let eps_str = ["0", "0.1", "0.3", "1"][eps_idx];
         let options = AdaBanOptions::with_epsilon_str(eps_str);
-        let eps = Ratio::from_decimal_str(eps_str).unwrap();
+        let eps = Rational::from_decimal_str(eps_str).unwrap();
         let mut tree = DTree::from_leaf(phi.clone());
         for x in phi.universe().iter() {
             let interval = adaban(&mut tree, x, &options, &Budget::unlimited()).unwrap();
@@ -85,6 +85,21 @@ proptest! {
             prop_assert!(Int::from(interval.lower.clone()) <= exact);
             prop_assert!(exact <= Int::from(interval.upper.clone()));
             prop_assert!(interval.meets_epsilon(&eps));
+        }
+    }
+
+    /// The exact ε-condition `(1−ε)·upper ≤ (1+ε)·lower` agrees with an f64
+    /// evaluation away from the decision boundary.
+    #[test]
+    fn epsilon_condition_matches_f64(l in 0u64..1_000_000, span in 0u64..1_000_000, num in 0u64..100, den in 1u64..100) {
+        let u = l + span;
+        let eps = Rational::new(Int::from(num), Natural::from(den));
+        let exact = ApproxInterval::new(Natural::from(l), Natural::from(u)).meets_epsilon(&eps);
+        let e = num as f64 / den as f64;
+        let lhs = (1.0 - e) * u as f64;
+        let rhs = (1.0 + e) * l as f64;
+        if (lhs - rhs).abs() > 1e-3 * (lhs.abs() + rhs.abs() + 1.0) {
+            prop_assert_eq!(exact, lhs <= rhs);
         }
     }
 
