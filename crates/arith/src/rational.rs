@@ -294,11 +294,20 @@ mod tests {
                 assert_eq!(a.partial_cmp(&b), a.to_f64().partial_cmp(&b.to_f64()), "{a} vs {b}");
             }
         }
-        // Exact results, and comparisons close to zero.
+    }
+
+    #[test]
+    fn exact_arithmetic() {
         assert_eq!(&rat(1, 3) + &rat(1, 6), rat(9, 18));
         assert_eq!(&rat(1, 3) * &rat(1, 6), rat(1, 18));
         assert_eq!(rat(1, 3).mul_natural(&Natural::from(6u64)), rat(6, 3));
+    }
+
+    #[test]
+    fn exact_ordering() {
+        // Comparisons are exact, also close to zero.
         assert!(rat(1, 3) < rat(1, 2));
+        assert!(rat(2, 4) == rat(1, 2));
         assert!(rat(7, 3) > Rational::one());
         assert!(Rational::zero() < rat(1, 1_000_000));
     }
