@@ -10,6 +10,9 @@
 //! * `star` — `x ∧ ⋁(a_i ∧ b_i)` at k = 21, 60 and 200, the hierarchical
 //!   movie–actor lineage: one factor and one split key it;
 //! * `battery` — 30 and 300 singleton clauses: one split keys it;
+//! * `product` — one `imdb_q5` movie, `m ∧ (⋁ directs) ∧ (⋁ acts_in)`, with
+//!   2 × 10, 5 × 20 and 2 × 40 directors × actors: one factor and one
+//!   cross-product step key it;
 //! * `hard` — a seeded 50-variable, 35-clause random lineage of the
 //!   benchmark's hard-tail shape, which guards the indecomposable path.
 
@@ -57,6 +60,16 @@ fn battery(k: u32) -> Dnf {
     Dnf::from_clauses((0..k).map(|i| vec![Var(i)]).collect::<Vec<_>>())
 }
 
+fn product(directors: u32, actors: u32) -> Dnf {
+    let mut clauses = Vec::new();
+    for d in 1..=directors {
+        for a in directors + 1..=directors + actors {
+            clauses.push(vec![Var(0), Var(d), Var(a)]);
+        }
+    }
+    Dnf::from_clauses(clauses)
+}
+
 fn hard(seed: u64) -> Dnf {
     let shape =
         LineageShape { num_vars: 50, num_clauses: 35, min_width: 2, max_width: 4, skew: 0.5 };
@@ -72,6 +85,10 @@ fn bench_keying(c: &mut Criterion) {
         ("soup", [32u32, 128, 512].iter().map(|&n| soup(n, u64::from(n))).collect()),
         ("star", [21u32, 60, 200].iter().map(|&k| star(k)).collect()),
         ("battery", [30u32, 300].iter().map(|&k| battery(k)).collect()),
+        (
+            "product",
+            [(2u32, 10u32), (5, 20), (2, 40)].iter().map(|&(d, a)| product(d, a)).collect(),
+        ),
         ("hard", vec![hard(7)]),
     ];
     for (family, lineages) in &families {

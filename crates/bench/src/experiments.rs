@@ -1960,6 +1960,29 @@ mod tests {
         assert_eq!(parsed.get("bit_identical").unwrap().as_bool(), Some(true), "{json}");
     }
 
+    /// The deterministic half of `bench_gate`'s `canon_hit_rate` check, at
+    /// the harness's default seed: on the seeded permuted/renamed stream
+    /// every isomorph after the first of each shape hits, and the keying
+    /// cost stays within the `BENCH_baseline.json` ceiling.
+    #[test]
+    fn canon_stream_hit_rate_and_keying_cost_hold_the_baseline() {
+        let baseline = crate::json::Json::parse(include_str!("../../../BENCH_baseline.json"))
+            .expect("the baseline parses");
+        let ceiling = baseline
+            .get("canon_hit_rate")
+            .and_then(|b| b.get("canon_steps"))
+            .and_then(crate::json::Json::as_f64)
+            .expect("the baseline holds a canon_steps ceiling");
+        let (shapes, lineages) = canon_request_stream(&HarnessConfig::default());
+        assert_eq!((shapes, lineages.len()), (5, 30));
+        let engine = Engine::new(EngineConfig::new(Algorithm::ExaBan).with_threads(1));
+        let mut session = engine.session();
+        exact_value_stream(&mut session, &lineages);
+        assert_eq!(engine.stats().cache.hits, 25, "25 of 30 requests must hit");
+        let canon_steps = session.stats().canon_steps;
+        assert!(canon_steps as f64 <= ceiling, "{canon_steps} keying steps vs ceiling {ceiling}");
+    }
+
     #[test]
     fn warm_start_saves_the_whole_replayed_stream() {
         let report = warm_start(&tiny_config());

@@ -10,8 +10,10 @@
 //! `{0,1} ∨ {1,2}` or `{0,1} ∨ {0,2}` depending on which variable carries the
 //! middle label.
 //!
-//! [`canonical_form_classed`] keys a lineage in three stages, following the
-//! decomposition ExaBan's d-tree compiler applies before any Shannon step:
+//! [`canonical_form_classed`] keys a lineage in four stages. The first two
+//! follow the decomposition ExaBan's d-tree compiler applies before any
+//! Shannon step; the third is the general form of its ⊙ step (a conjunction
+//! of functions on disjoint variables), which the compiler does not apply:
 //!
 //! 1. **Factor (⊙).** The variables common to every clause of a part take the
 //!    next canonical indices; they are pairwise twins (swapping two of them
@@ -24,13 +26,33 @@
 //!    `(variable count, renamed clause list, class sequence)`. Isomorphic
 //!    components key equal, so which of them comes first cannot change the
 //!    key either.
-//! 3. **Search.** A part that neither factors nor splits — an indecomposable
-//!    core — runs the colour-refinement and individualization search below.
-//!    An input that is indecomposable at the top level runs it on its own
-//!    arrays, so its form, witness and step count are the search's alone.
+//! 3. **Product (⊙ of factors).** A connected part without common variables may still
+//!    be a cross product: every clause the union of one clause from each of
+//!    several clause sets on disjoint variables (`Movie(m) ∧ (⋁ Directs) ∧
+//!    (⋁ ActsIn)` leaves `K_{a,d}` once `m` is factored out). Every variable
+//!    of one factor meets every variable of another in some clause, so each
+//!    factor is a union of *co-components*, the connected components of the
+//!    complement of the variable co-occurrence graph. A co-component `C`
+//!    splits off when `|π_C| · |π_rest|` equals the number of clauses and no
+//!    two clauses project to the same pair (each clause maps injectively into
+//!    `π_C × π_rest`, so the count makes the map a bijection); the
+//!    co-components that split are factors, and the others together form one
+//!    more. Each factor — its distinct projections — is keyed through all
+//!    four stages, the factors are ordered by key as components are, and the
+//!    key is the sorted cross product of their clause lists with index
+//!    offsets; the witness is the concatenation of the factor orders. Classed
+//!    (weighted) parts skip this stage, so their keys are as the search
+//!    gives them.
+//! 4. **Search.** A part that neither factors, splits nor factors as a
+//!    product — an indecomposable core — runs the colour-refinement and
+//!    individualization search below. An input that is indecomposable at
+//!    the top level runs it on its own arrays, so its form, witness and step
+//!    count are the search's alone.
 //!
-//! Lineages of hierarchical queries need only the first two stages, so they
-//! key in linear time where the search would pay for every cell of
+//! Lineages of hierarchical queries decompose into independent sub-functions
+//! down to single variables, so they never reach the search. A product core
+//! costs one co-occurrence pass (`O(Σ width²)`) and one projection pass per
+//! co-component, where the search would pay for every cell of
 //! interchangeable facts (the `k` actors of one movie) roughly `k³`.
 //!
 //! The search works on the bipartite clause–variable incidence graph:
@@ -56,12 +78,20 @@
 //!
 //! **Soundness.** Every stage only ever assigns indices to input variables,
 //! one each, so the result is a renaming of the input: equal keys imply
-//! isomorphic lineages unconditionally.
+//! isomorphic lineages unconditionally. For a product this holds because the
+//! part's clauses are exactly the cross product of the factors' projections,
+//! so renaming each factor through its witness renames every clause into
+//! the assembled list.
 //!
 //! **Completeness.** Any variable bijection between two lineages maps the
-//! common variables of one onto those of the other and its components onto
-//! isomorphic components, so factoring and splitting commute with it; the
-//! part keys are canonical, so the assembled keys are equal. For a core,
+//! common variables of one onto those of the other, its components onto
+//! isomorphic components, and its co-components onto co-components with the
+//! same projection counts, so it maps the splittable co-components (and the
+//! rest) of one onto those of the other; factoring, splitting and product
+//! factoring all commute with it. The part keys are canonical, so the
+//! assembled keys are equal: the sorted cross product depends only on the
+//! multiset of factor keys, and factors with equal keys are interchangeable
+//! (swapping them maps the product to itself). For a core,
 //! completeness holds whenever the search runs to exhaustion, which it does
 //! for every core whose refinement-invariant leaf count stays within
 //! [`MAX_LEAVES`] (the cap applies per core); past that cap two copies of an
@@ -157,6 +187,8 @@ fn search(
     classes: Option<&[u32]>,
     budget: Option<&Budget>,
 ) -> Result<(Candidate, u64), Interrupted> {
+    #[cfg(test)]
+    tests::SEARCHES.with(|count| count.set(count.get() + 1));
     let mut searcher = Searcher::new(num_vars, clauses, classes);
     searcher.budget = budget;
     let initial = searcher.initial_colouring();
@@ -176,12 +208,17 @@ enum Step {
     Factor(Vec<u32>),
     /// The part's connected components: `(clause ids, variables ascending)`.
     Split(Vec<(Vec<u32>, Vec<u32>)>),
+    /// The part's cross-product factors: `(clause ids, variables ascending)`,
+    /// one clause per distinct projection onto the factor's variables.
+    Product(Vec<(Vec<u32>, Vec<u32>)>),
 }
 
-/// The factor and split stages of [`canonical_form_classed`]. A part is a
-/// set of input clause ids plus the variables they still mention; factoring
-/// marks its common variables `factored`, which removes them from every
-/// clause of the part (and of no other part: parts never share a variable).
+/// The factor, split and product stages of [`canonical_form_classed`]. A
+/// part is a set of input clause ids plus the variables they still mention;
+/// factoring marks its common variables `factored`, which removes them from
+/// every clause of the part (and of no other part: parts never share a
+/// variable). A product factor is keyed with the part's other variables
+/// marked too, so its clauses read as their projections onto it.
 struct Keyer<'a> {
     clauses: &'a [Vec<u32>],
     classes: Option<&'a [u32]>,
@@ -250,6 +287,9 @@ impl<'a> Keyer<'a> {
         }
         let common: Vec<u32> =
             vars.iter().copied().filter(|&v| scratch[v as usize] as usize == part.len()).collect();
+        // A variable of a product factor lies in one clause per projection
+        // onto the other factors, and a factor has at least two.
+        let may_be_product = vars.iter().all(|&v| scratch[v as usize] >= 2);
         for &v in vars {
             scratch[v as usize] = 0;
         }
@@ -288,11 +328,97 @@ impl<'a> Keyer<'a> {
         for &v in vars {
             parent[v as usize] = v;
         }
-        (components.len() > 1).then_some(Step::Split(components))
+        if components.len() > 1 {
+            return Some(Step::Split(components));
+        }
+        if self.classes.is_some() || !may_be_product {
+            return None;
+        }
+        self.product(part, vars).map(Step::Product)
+    }
+
+    /// The cross-product factors of a connected part without common
+    /// variables, or `None` when it has none. The candidates are the
+    /// co-components (connected components of the complement of the
+    /// variable co-occurrence graph): a factor of a product meets every
+    /// variable outside it, so each factor is a union of co-components. A
+    /// co-component `C` splits off when `|π_C| · |π_rest|` equals the number
+    /// of clauses and no two clauses project to the same pair: every clause
+    /// is the union of its two projections, so the clauses are then exactly
+    /// `π_C × π_rest`. The co-components that split are factors of their
+    /// own, and the rest, if any, is one more factor.
+    fn product(&mut self, part: &[u32], vars: &[u32]) -> Option<Vec<(Vec<u32>, Vec<u32>)>> {
+        let local = self.localize(part, vars);
+        let (component, count) = co_components(vars.len(), &local)?;
+        let mut degree = vec![0u64; vars.len()];
+        for &v in local.iter().flatten() {
+            degree[v as usize] += 1;
+        }
+        let mut factors: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+        let mut splits = vec![false; count as usize];
+        for k in 0..count {
+            // In a product `A × B` with `A` over `C`, a variable of `C` lies
+            // in `|B|` clauses per clause of `A` holding it and a variable
+            // outside in `|A|` per clause of `B`: `|B|` divides the gcd of
+            // the degrees in `C`, `|A|` that of the rest, so `|A| · |B|`
+            // divides their product. Cliques fail this before any projection.
+            let (mut inner_gcd, mut outer_gcd) = (0, 0);
+            for (v, &d) in degree.iter().enumerate() {
+                let gcd_of = if component[v] == k { &mut inner_gcd } else { &mut outer_gcd };
+                *gcd_of = gcd(*gcd_of, d);
+            }
+            if inner_gcd * outer_gcd % part.len() as u64 != 0 {
+                continue;
+            }
+            let (inner, a) = projection_ids(&local, |v| component[v as usize] == k);
+            let (outer, b) = projection_ids(&local, |v| component[v as usize] != k);
+            if a * b != part.len() {
+                continue;
+            }
+            let mut seen = vec![false; part.len()];
+            let mut pairs = inner.iter().zip(&outer).map(|(&i, &o)| i as usize * b + o as usize);
+            if !pairs.all(|pair| !std::mem::replace(&mut seen[pair], true)) {
+                continue;
+            }
+            splits[k as usize] = true;
+            factors.push(factor(part, vars, &inner, a, |v| component[v as usize] == k));
+        }
+        if factors.is_empty() {
+            return None;
+        }
+        if splits.contains(&false) {
+            let rest = |v: u32| !splits[component[v as usize] as usize];
+            let (ids, distinct) = projection_ids(&local, rest);
+            factors.push(factor(part, vars, &ids, distinct, rest));
+        }
+        Some(factors)
+    }
+
+    /// The clauses of `part` restricted to its live variables, each renamed
+    /// to its variable's position in `vars`.
+    fn localize(&mut self, part: &[u32], vars: &[u32]) -> Vec<Vec<u32>> {
+        for (local, &v) in vars.iter().enumerate() {
+            self.scratch[v as usize] = local as u32;
+        }
+        let clauses = part
+            .iter()
+            .map(|&c| {
+                self.clauses[c as usize]
+                    .iter()
+                    .filter(|&&v| !self.factored[v as usize])
+                    .map(|&v| self.scratch[v as usize])
+                    .collect()
+            })
+            .collect();
+        for &v in vars {
+            self.scratch[v as usize] = 0;
+        }
+        clauses
     }
 
     /// Keys `part` over `vars`: directly when every clause is empty, by the
-    /// search when it is a core, else through one decomposition step.
+    /// search when it is a core, else through one decomposition step (factor,
+    /// split or product).
     fn key_part(&mut self, part: &[u32], vars: &[u32]) -> Result<Candidate, Interrupted> {
         if vars.is_empty() {
             let mut classes: Vec<u32> = part.iter().map(|&c| self.class(c)).collect();
@@ -305,11 +431,13 @@ impl<'a> Keyer<'a> {
         }
     }
 
-    /// Charges the pass that found `step` and keys `part` through it. The
-    /// assembled clause list comes out sorted without a sort: a factored
-    /// prefix is shared by every clause, and the clauses of an earlier part
-    /// start below every variable of a later one (a variable-free part holds
-    /// one empty clause, the least of all).
+    /// Charges the pass that found `step` and keys `part` through it. A
+    /// factored or split clause list comes out sorted without a sort: a
+    /// factored prefix is shared by every clause, and the clauses of an
+    /// earlier part start below every variable of a later one (a
+    /// variable-free part holds one empty clause, the least of all). A
+    /// product's list is sorted once assembled: a shorter clause of an
+    /// earlier factor can sort after a longer one joined to it.
     fn apply(&mut self, part: &[u32], vars: &[u32], step: Step) -> Result<Candidate, Interrupted> {
         let cost: u64 = part.iter().map(|&c| self.clauses[c as usize].len() as u64 + 1).sum();
         self.steps += cost;
@@ -338,7 +466,7 @@ impl<'a> Keyer<'a> {
                 for (clauses, vars) in &components {
                     keys.push(self.key_part(clauses, vars)?);
                 }
-                keys.sort_by(|a, b| (a.0.len(), &a.1, &a.2).cmp(&(b.0.len(), &b.1, &b.2)));
+                sort_keys(&mut keys);
                 let mut assembled: Candidate = (Vec::new(), Vec::new(), Vec::new());
                 for (order, clauses, classes) in keys {
                     let offset = assembled.0.len() as u32;
@@ -350,27 +478,45 @@ impl<'a> Keyer<'a> {
                 }
                 Ok(assembled)
             }
+            Step::Product(factors) => {
+                // Each factor is keyed with every other variable of the part
+                // masked, so its clauses reduce to their projections onto it.
+                let mut keys = Vec::with_capacity(factors.len());
+                for (clauses, factor_vars) in &factors {
+                    for &v in vars {
+                        self.factored[v as usize] = true;
+                    }
+                    for &v in factor_vars {
+                        self.factored[v as usize] = false;
+                    }
+                    keys.push(self.key_part(clauses, factor_vars)?);
+                }
+                sort_keys(&mut keys);
+                let mut order = Vec::with_capacity(vars.len());
+                let mut product: Vec<Vec<u32>> = vec![Vec::new()];
+                for (factor_order, factor_clauses, _) in keys {
+                    let offset = order.len() as u32;
+                    let mut extended = Vec::with_capacity(product.len() * factor_clauses.len());
+                    for prefix in &product {
+                        for clause in &factor_clauses {
+                            let mut joined = prefix.clone();
+                            joined.extend(clause.iter().map(|&v| v + offset));
+                            extended.push(joined);
+                        }
+                    }
+                    product = extended;
+                    order.extend(factor_order);
+                }
+                product.sort_unstable();
+                let classes = vec![0; product.len()];
+                Ok((order, product, classes))
+            }
         }
     }
 
     /// Runs the search on a core, renumbered to its own dense universe.
     fn core(&mut self, part: &[u32], vars: &[u32]) -> Result<Candidate, Interrupted> {
-        for (local, &v) in vars.iter().enumerate() {
-            self.scratch[v as usize] = local as u32;
-        }
-        let clauses: Vec<Vec<u32>> = part
-            .iter()
-            .map(|&c| {
-                self.clauses[c as usize]
-                    .iter()
-                    .filter(|&&v| !self.factored[v as usize])
-                    .map(|&v| self.scratch[v as usize])
-                    .collect()
-            })
-            .collect();
-        for &v in vars {
-            self.scratch[v as usize] = 0;
-        }
+        let clauses = self.localize(part, vars);
         let classes: Option<Vec<u32>> =
             self.classes.map(|_| part.iter().map(|&c| self.class(c)).collect());
         let ((order, clauses, classes), steps) =
@@ -378,6 +524,127 @@ impl<'a> Keyer<'a> {
         self.steps += steps;
         Ok((order.into_iter().map(|local| vars[local as usize]).collect(), clauses, classes))
     }
+}
+
+/// Orders part keys by `(variable count, renamed clause list, class
+/// sequence)`, the order in which split and product stages assemble them.
+fn sort_keys(keys: &mut [Candidate]) {
+    keys.sort_by(|a, b| (a.0.len(), &a.1, &a.2).cmp(&(b.0.len(), &b.1, &b.2)));
+}
+
+/// The co-component of each variable of `clauses` over `0..num_vars` and
+/// how many there are: the connected components of the complement of the
+/// co-occurrence graph, or `None` when there is only one. A breadth-first
+/// search over the complement that keeps the unvisited variables in a list:
+/// the variables a popped `u` meets in some clause stay in it and the rest
+/// join `u`'s component, so every scan of the list costs at most `u`'s
+/// co-occurrence degree beyond the variables it removes, and the whole pass
+/// costs `O(Σ width²)`. The first component stops as soon as the list is
+/// empty.
+fn co_components(num_vars: usize, clauses: &[Vec<u32>]) -> Option<(Vec<u32>, u32)> {
+    let mut starts = vec![0u32; num_vars + 1];
+    for clause in clauses {
+        for &v in clause {
+            starts[v as usize + 1] += 1;
+        }
+    }
+    for v in 0..num_vars {
+        starts[v + 1] += starts[v];
+    }
+    let mut cursor = starts.clone();
+    let mut incident = vec![0u32; starts[num_vars] as usize];
+    for (c, clause) in clauses.iter().enumerate() {
+        for &v in clause {
+            incident[cursor[v as usize] as usize] = c as u32;
+            cursor[v as usize] += 1;
+        }
+    }
+    let mut component = vec![0u32; num_vars];
+    let mut met = vec![u32::MAX; num_vars];
+    let mut unvisited: Vec<u32> = (0..num_vars as u32).rev().collect();
+    let mut queue: Vec<u32> = Vec::new();
+    let mut count = 0u32;
+    while let Some(root) = unvisited.pop() {
+        component[root as usize] = count;
+        queue.clear();
+        queue.push(root);
+        let mut head = 0;
+        while head < queue.len() && !unvisited.is_empty() {
+            let u = queue[head];
+            head += 1;
+            let (from, to) = (starts[u as usize] as usize, starts[u as usize + 1] as usize);
+            for &c in &incident[from..to] {
+                for &w in &clauses[c as usize] {
+                    met[w as usize] = u;
+                }
+            }
+            unvisited.retain(|&w| {
+                let stays = met[w as usize] == u;
+                if !stays {
+                    component[w as usize] = count;
+                    queue.push(w);
+                }
+                stays
+            });
+        }
+        if count == 0 && unvisited.is_empty() {
+            return None;
+        }
+        count += 1;
+    }
+    Some((component, count))
+}
+
+/// The greatest common divisor, with `gcd(0, d) = d`.
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// Numbers the distinct projections of `clauses` onto the variables `keep`
+/// selects: the id of each clause's projection, and how many there are.
+fn projection_ids(clauses: &[Vec<u32>], keep: impl Fn(u32) -> bool) -> (Vec<u32>, usize) {
+    let projections: Vec<Vec<u32>> = clauses
+        .iter()
+        .map(|clause| {
+            let mut projection: Vec<u32> = clause.iter().copied().filter(|&v| keep(v)).collect();
+            projection.sort_unstable();
+            projection
+        })
+        .collect();
+    let mut by_projection: Vec<u32> = (0..clauses.len() as u32).collect();
+    by_projection.sort_unstable_by(|&a, &b| projections[a as usize].cmp(&projections[b as usize]));
+    let mut ids = vec![0u32; clauses.len()];
+    let mut distinct = 0u32;
+    for (i, &c) in by_projection.iter().enumerate() {
+        if i > 0 && projections[c as usize] != projections[by_projection[i - 1] as usize] {
+            distinct += 1;
+        }
+        ids[c as usize] = distinct;
+    }
+    (ids, distinct as usize + 1)
+}
+
+/// A product factor of `part`: one clause per distinct projection (by the
+/// projection `ids`, `distinct` of them) and the variables of `vars` whose
+/// local index `inside` selects.
+fn factor(
+    part: &[u32],
+    vars: &[u32],
+    ids: &[u32],
+    distinct: usize,
+    inside: impl Fn(u32) -> bool,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut clauses = vec![u32::MAX; distinct];
+    for (&c, &id) in part.iter().zip(ids) {
+        if clauses[id as usize] == u32::MAX {
+            clauses[id as usize] = c;
+        }
+    }
+    let factor_vars = (0..vars.len() as u32).filter(|&local| inside(local));
+    (clauses, factor_vars.map(|local| vars[local as usize]).collect())
 }
 
 /// A cheap isomorphism invariant of a lineage: any variable bijection
@@ -1048,6 +1315,12 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// How many times the individualization search ran on this thread.
+        pub(super) static SEARCHES: Cell<usize> = const { Cell::new(0) };
+    }
 
     /// The seed's full-recompute refiner, kept verbatim as a correctness
     /// oracle: every round rebuilds `(colour, sorted neighbour colours)`
@@ -1283,7 +1556,8 @@ mod tests {
     }
 
     /// The shape families the refiner proptests sweep: rings, paths, stars,
-    /// cliques, double-stars, and random clause soups.
+    /// cliques, double-stars, random clause soups, complete bipartite
+    /// `K_{a,b}` and the cross product of a random soup with another core.
     fn shape(kind: usize, size: usize, rng: &mut StdRng) -> (usize, Vec<Vec<u32>>) {
         let n = size as u32;
         match kind {
@@ -1308,7 +1582,7 @@ mod tests {
                 }
                 (size, clauses)
             }
-            _ => {
+            5 => {
                 let clauses = (0..size)
                     .map(|_| {
                         let width = rng.gen_range(1..=size.min(3));
@@ -1325,7 +1599,30 @@ mod tests {
                     .collect();
                 (size, clauses)
             }
+            6 => {
+                let a = (n / 3).max(2);
+                (size, (0..a).flat_map(|i| (a..n).map(move |j| vec![i, j])).collect())
+            }
+            _ => {
+                let half = (size / 2).max(3);
+                let (left_vars, left) = shape(rng.gen_range(0..7), half, rng);
+                let (right_vars, right) = shape(5, half, rng);
+                (left_vars + right_vars, cross(&left, left_vars, &right))
+            }
         }
+    }
+
+    /// The clauses `l ∪ (r + shift)` for every `l` in `left` and `r` in
+    /// `right`: the cross product of two lineages on disjoint variables.
+    fn cross(left: &[Vec<u32>], shift: usize, right: &[Vec<u32>]) -> Vec<Vec<u32>> {
+        let mut clauses = Vec::new();
+        for l in left {
+            for r in right {
+                clauses
+                    .push(l.iter().copied().chain(r.iter().map(|&v| v + shift as u32)).collect());
+            }
+        }
+        clauses
     }
 
     /// A uniformly random relabelling of `clauses` over the same universe.
@@ -1445,7 +1742,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
         fn worklist_refiner_matches_the_full_recompute_oracle(
-            kind in 0usize..6,
+            kind in 0usize..8,
             size in 3usize..12,
             seed in any::<u64>(),
         ) {
@@ -1480,8 +1777,8 @@ mod tests {
 
         #[test]
         fn decomposed_keys_are_canonical_renamings(
-            kind in 0usize..6,
-            other_kind in 0usize..6,
+            kind in 0usize..8,
+            other_kind in 0usize..8,
             size in 3usize..7,
             copies in 1usize..4,
             common in 0usize..3,
@@ -1512,6 +1809,44 @@ mod tests {
             ] {
                 let same_key = n == num_vars && composed_key(n, other, other_classes) == key;
                 let same_search = n == num_vars && search_key(n, other, other_classes) == search;
+                prop_assert_eq!(same_key, same_search);
+            }
+        }
+
+        #[test]
+        fn unclassed_keys_are_canonical_renamings(
+            kind in 0usize..8,
+            other_kind in 0usize..8,
+            size in 3usize..7,
+            copies in 1usize..4,
+            common in 0usize..3,
+            unused in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            // Without classes the product stage runs; the classed proptest
+            // above never reaches it.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let kinds = (kind, other_kind);
+            let (num_vars, clauses, _) =
+                decomposable(kinds, size, copies, common, unused, &mut rng);
+            let form = canonical_form(num_vars, &clauses);
+            prop_assert!(is_renaming_of(&form, num_vars, &clauses));
+            let zeros = vec![0; clauses.len()];
+            let (scrambled, _) = scramble(num_vars, &clauses, &zeros, &mut rng);
+            let scrambled_form = canonical_form(num_vars, &scrambled);
+            prop_assert!(is_renaming_of(&scrambled_form, num_vars, &scrambled));
+            prop_assert_eq!(&scrambled_form.clauses, &form.clauses);
+            // Keys agree iff the search-only keys agree, against an
+            // isomorphic copy, a copy missing one clause and an
+            // independently drawn shape.
+            let mut pruned = scrambled.clone();
+            pruned.swap_remove(rng.gen_range(0..pruned.len()));
+            let (drawn_vars, drawn, _) =
+                decomposable(kinds, size, copies, common, unused, &mut rng);
+            let search = search_form(num_vars, &clauses).clauses;
+            for (n, other) in [(num_vars, &scrambled), (num_vars, &pruned), (drawn_vars, &drawn)] {
+                let same_key = n == num_vars && canonical_form(n, other).clauses == form.clauses;
+                let same_search = n == num_vars && search_form(n, other).clauses == search;
                 prop_assert_eq!(same_key, same_search);
             }
         }
@@ -1703,6 +2038,62 @@ mod tests {
         assert_eq!(per_clause[0], per_clause[2], "star: {per_clause:?}");
         assert_eq!(per_clause[1], per_clause[3], "battery: {per_clause:?}");
         assert!(per_clause[0] <= 12 && per_clause[1] <= 4, "{per_clause:?}");
+    }
+
+    /// An `imdb_q5`-shaped lineage, `⋁_m movie_m ∧ (⋁ directs) ∧ (⋁ acts_in)`:
+    /// per movie `(directors, actors)`, the movie variable, then its
+    /// directors, then its actors.
+    fn movies(casts: &[(u32, u32)]) -> (usize, Vec<Vec<u32>>) {
+        let mut clauses = Vec::new();
+        let mut next = 0u32;
+        for &(directors, actors) in casts {
+            let (movie, first_director, first_actor) = (next, next + 1, next + 1 + directors);
+            for d in first_director..first_actor {
+                for a in first_actor..first_actor + actors {
+                    clauses.push(vec![movie, d, a]);
+                }
+            }
+            next = first_actor + actors;
+        }
+        (next as usize, clauses)
+    }
+
+    #[test]
+    fn cross_product_cores_key_without_the_search() {
+        let mut per_clause = Vec::new();
+        for scale in [1u32, 4] {
+            let (num_vars, clauses) = movies(&[(2, 10 * scale), (2, 10 * scale), (3, 3), (1, 4)]);
+            SEARCHES.with(|count| count.set(0));
+            let form = canonical_form(num_vars, &clauses);
+            assert_eq!(SEARCHES.with(Cell::get), 0, "every core is a product");
+            assert!(is_renaming_of(&form, num_vars, &clauses));
+            per_clause.push(form.steps / clauses.len() as u64);
+            let mut rng = StdRng::seed_from_u64(u64::from(scale));
+            let zeros = vec![0; clauses.len()];
+            let (scrambled, _) = scramble(num_vars, &clauses, &zeros, &mut rng);
+            assert_eq!(canonical_form(num_vars, &scrambled).clauses, form.clauses);
+            // Same variable and clause counts, other casts: keyed apart.
+            let (other_vars, other) = movies(&[(2, 10 * scale), (2, 10 * scale), (1, 3), (2, 5)]);
+            assert_eq!((other_vars, other.len()), (num_vars, clauses.len()));
+            assert_ne!(canonical_form(other_vars, &other).clauses, form.clauses);
+        }
+        // Keying stays linear: steps per clause do not grow with the cast.
+        assert!(per_clause[1] <= per_clause[0], "{per_clause:?}");
+        // A factor may hold an empty projection: `{x0} ∨ {∅}` times
+        // `{x1} ∨ {x2}`, read as `x1 ∨ x2 ∨ x0x1 ∨ x0x2`.
+        let absorbed = vec![vec![1], vec![2], vec![0, 1], vec![0, 2]];
+        let relabelled = vec![vec![0], vec![2], vec![0, 1], vec![1, 2]];
+        SEARCHES.with(|count| count.set(0));
+        let form = canonical_form(3, &absorbed);
+        assert_eq!(SEARCHES.with(Cell::get), 0);
+        assert!(is_renaming_of(&form, 3, &absorbed));
+        assert_eq!(canonical_form(3, &relabelled).clauses, form.clauses);
+        // Classed keying leaves products to the search, as before.
+        let (num_vars, clauses) = movies(&[(2, 10)]);
+        let classes = vec![0; clauses.len()];
+        SEARCHES.with(|count| count.set(0));
+        canonical_form_classed(num_vars, &clauses, Some(&classes), None).expect("no budget");
+        assert_eq!(SEARCHES.with(Cell::get), 1);
     }
 
     #[test]

@@ -653,6 +653,53 @@ fn shifted_lineage(offset: u32) -> Dnf {
     ])
 }
 
+/// An `imdb_q5`-shaped lineage: per movie `m`, every clause
+/// `movie_m ∧ directs_d ∧ acts_in_a` over its directors and actors, so each
+/// movie is a cross-product core under its movie fact.
+fn cast_lineage(casts: &[(u32, u32)]) -> Dnf {
+    let mut clauses = Vec::new();
+    let mut next = 0u32;
+    for &(directors, actors) in casts {
+        let (movie, first_actor) = (next, next + 1 + directors);
+        for d in next + 1..first_actor {
+            for a in first_actor..first_actor + actors {
+                clauses.push(vec![Var(movie), Var(d), Var(a)]);
+            }
+        }
+        next = first_actor + actors;
+    }
+    Dnf::from_clauses(clauses)
+}
+
+#[test]
+fn renamed_cross_product_lineages_hit_each_other_and_match_cache_off() {
+    let phi = cast_lineage(&[(2, 10), (2, 10), (3, 4)]);
+    let (renamed, bijection) = random_isomorph(&phi, 7);
+    assert_ne!(
+        first_occurrence_presentation(&phi),
+        first_occurrence_presentation(&renamed),
+        "the copy must need a canonical key, not a presentation match"
+    );
+    let engine = Engine::new(EngineConfig::default());
+    let mut cached = engine.session();
+    let mut plain =
+        Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled())).session();
+    let mut values = Vec::new();
+    for lineage in [&phi, &renamed] {
+        let a = cached.attribute(lineage).unwrap();
+        let b = plain.attribute(lineage).unwrap();
+        assert_eq!(rendering(lineage.universe(), &a), rendering(lineage.universe(), &b));
+        values.push(a);
+    }
+    assert!(values[1].stats.cache_hit, "the renamed copy must hit the first entry");
+    let stats = engine.stats().cache;
+    assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
+    for x in phi.universe().iter() {
+        let (a, b) = (values[0].value(x).unwrap(), values[1].value(bijection[&x]).unwrap());
+        assert_eq!(a.exact(), b.exact(), "{x}");
+    }
+}
+
 #[test]
 fn repeated_presentation_hits_without_a_search_and_matches_cache_off() {
     let config = EngineConfig::default().with_shapley(true);
