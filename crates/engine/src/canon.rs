@@ -26,23 +26,23 @@
 //!    `(variable count, renamed clause list, class sequence)`. Isomorphic
 //!    components key equal, so which of them comes first cannot change the
 //!    key either.
-//! 3. **Product (⊙ of factors).** A connected part without common variables may still
-//!    be a cross product: every clause the union of one clause from each of
-//!    several clause sets on disjoint variables (`Movie(m) ∧ (⋁ Directs) ∧
-//!    (⋁ ActsIn)` leaves `K_{a,d}` once `m` is factored out). Every variable
-//!    of one factor meets every variable of another in some clause, so each
-//!    factor is a union of *co-components*, the connected components of the
-//!    complement of the variable co-occurrence graph. A co-component `C`
-//!    splits off when `|π_C| · |π_rest|` equals the number of clauses and no
-//!    two clauses project to the same pair (each clause maps injectively into
-//!    `π_C × π_rest`, so the count makes the map a bijection); the
-//!    co-components that split are factors, and the others together form one
-//!    more. Each factor — its distinct projections — is keyed through all
-//!    four stages, the factors are ordered by key as components are, and the
-//!    key is the sorted cross product of their clause lists with index
-//!    offsets; the witness is the concatenation of the factor orders. Classed
-//!    (weighted) parts skip this stage, so their keys are as the search
-//!    gives them.
+//! 3. **Product (⊙ of factors).** A connected part without common variables
+//!    may still be a cross product: every clause the union of one clause from
+//!    each of several clause sets on disjoint variables (`Movie(m) ∧
+//!    (⋁ Directs) ∧ (⋁ ActsIn)` leaves `K_{a,d}` once `m` is factored out).
+//!    Every variable of one factor meets every variable of another in some
+//!    clause, so each factor is a union of *co-components*, the connected
+//!    components of the complement of the variable co-occurrence graph. A
+//!    co-component `C` splits off when `|π_C| · |π_rest|` equals the number
+//!    of clauses and no two clauses project to the same pair (each clause
+//!    maps injectively into `π_C × π_rest`, so the count makes the map a
+//!    bijection); the co-components that split are factors, and the others
+//!    together form one more. Each factor — its distinct projections — is
+//!    keyed through all four stages, the factors are ordered by key as
+//!    components are, and the key is the sorted cross product of their
+//!    clause lists with index offsets; the witness is the concatenation of
+//!    the factor orders. Classed (weighted) parts skip this stage, so their
+//!    keys are as the search gives them.
 //! 4. **Search.** A part that neither factors, splits nor factors as a
 //!    product — an indecomposable core — runs the colour-refinement and
 //!    individualization search below. An input that is indecomposable at
@@ -53,7 +53,10 @@
 //! down to single variables, so they never reach the search. A product core
 //! costs one co-occurrence pass (`O(Σ width²)`) and one projection pass per
 //! co-component, where the search would pay for every cell of
-//! interchangeable facts (the `k` actors of one movie) roughly `k³`.
+//! interchangeable facts (the `k` actors of one movie) roughly `k³`. Two
+//! degree screens keep other cores from paying for the test: a product's
+//! every variable lies in at least two clauses, and `|π_C| · |π_rest|`
+//! divides the product of the degree gcds inside and outside `C`.
 //!
 //! The search works on the bipartite clause–variable incidence graph:
 //!
