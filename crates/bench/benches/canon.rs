@@ -15,9 +15,15 @@
 //!   cross-product step key it;
 //! * `hard` — a seeded 50-variable, 35-clause random lineage of the
 //!   benchmark's hard-tail shape, which guards the indecomposable path.
+//!
+//! `canon_warm_hit` times a warm `Session::attribute` hit on a `star`,
+//! `product` and `hard` entry, once through the entry's own presentation
+//! (`own/…`) and once through a label-reversed isomorph that the entry knows
+//! as an alias (`alias/…`): neither keys anything, and the alias pays only
+//! the composed witness renaming on top.
 
 use banzhaf_boolean::{Dnf, Var};
-use banzhaf_engine::{canonical_key_probe, prekey_probe};
+use banzhaf_engine::{canonical_key_probe, prekey_probe, Engine, EngineConfig};
 use banzhaf_workloads::{LineageGenerator, LineageShape};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -109,5 +115,44 @@ fn bench_keying(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_keying);
+/// `phi` with its labels reversed: an isomorph in another dense
+/// presentation.
+fn reversed(phi: &Dnf) -> Dnf {
+    let top = phi.universe().iter().map(|v| v.0).max().unwrap_or(0);
+    Dnf::from_clauses(
+        phi.clauses()
+            .iter()
+            .map(|c| c.iter().map(|v| Var(top - v.0)).collect::<Vec<_>>())
+            .collect::<Vec<_>>(),
+    )
+}
+
+fn bench_warm_hits(c: &mut Criterion) {
+    let mut group = c.benchmark_group("canon_warm_hit");
+    group.sample_size(20);
+    for (family, phi) in [("star", star(21)), ("product", product(2, 10)), ("hard", hard(7))] {
+        let other = reversed(&phi);
+        let engine = Engine::new(EngineConfig::default());
+        let mut session = engine.session();
+        session.attribute(&phi).expect("unlimited budget");
+        // Keyed to the entry twice, the other presentation becomes an alias.
+        for _ in 0..2 {
+            let keyed = session.attribute(&other).expect("unlimited budget");
+            assert!(keyed.stats.cache_hit && keyed.stats.canon_steps > 0, "{family}");
+        }
+        let aliased = session.attribute(&other).expect("unlimited budget");
+        assert!(aliased.stats.cache_hit && aliased.stats.canon_steps == 0, "{family}");
+        let vars = phi.num_vars();
+        for (path, lineage) in [("own", &phi), ("alias", &other)] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("{path}/{family}"), vars),
+                lineage,
+                |bench, lineage| bench.iter(|| session.attribute(lineage)),
+            );
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_keying, bench_warm_hits);
 criterion_main!(benches);

@@ -8,24 +8,40 @@
 //!
 //! Design:
 //!
-//! * **Keying: fingerprint, then exact presentation, then canonical key.**
-//!   Every lookup first computes a cheap isomorphism-invariant [`Fingerprint`]
-//!   (variable/clause counts plus hashed clause-width and variable-degree
-//!   multisets — one linear pass, no refinement). Isomorphic lineages always
-//!   share a fingerprint, so an empty fingerprint bucket is a **definite
-//!   miss**: the lineage is compiled and inserted under its fingerprint with
-//!   the canonical form left *uncomputed*. In an occupied bucket, a resident
-//!   whose dense [`Shape`] equals the probe's — the same presentation, with
-//!   the aggregate payload — settles the lookup with no search
-//!   ([`SharedCache::settle_presentation`]): its values were computed on
-//!   that very dense form. Only when no resident shares the presentation
-//!   does anyone pay for canonicalization
-//!   — the new arrival and any still-unkeyed residents are canonicalized
+//! * **Keying in four levels: fingerprint, own presentation, known alias,
+//!   canonical key.** Every lookup first computes a cheap
+//!   isomorphism-invariant [`Fingerprint`] (variable/clause counts plus
+//!   hashed clause-width and variable-degree multisets — one linear pass, no
+//!   refinement). Isomorphic lineages always share a fingerprint, so an
+//!   empty fingerprint bucket is a **definite miss**: the lineage is
+//!   compiled and inserted under its fingerprint with the canonical form
+//!   left *uncomputed*. In an occupied bucket, under the same lock, a
+//!   resident whose dense [`Shape`] equals the probe's — the same
+//!   presentation, with the aggregate payload — settles the lookup with no
+//!   search: its values were computed on that very dense form. Failing
+//!   that, a resident that knows the probe's presentation as an **alias**
+//!   settles it just as cheaply: an alias is another dense presentation
+//!   that keyed to the entry before, stored with the witness order its
+//!   keying computed, so the values map back through the two witnesses
+//!   ([`Prekeyed::map_back_via`]) exactly as a fresh keying would map them.
+//!   Only when neither holds does anyone pay for canonicalization — the new
+//!   arrival and any still-unkeyed residents are canonicalized
 //!   ([`CanonicalKey`], the decomposed canonical renaming of
 //!   [`crate::canon`]) and compared exactly. Singleton fingerprints — the
 //!   common case for heterogeneous traffic — never compute a canonical key
 //!   at all; the searches avoided this way are counted as
 //!   [`CacheStats::prekey_skips`].
+//! * **Aliases are learned on the second sighting.** A canonical hit
+//!   records the probe's presentation as an alias of the entry only the
+//!   second time that presentation keys to it (a few 64-bit presentation
+//!   digests per entry remember the first sightings; a digest collision
+//!   merely records an alias early, since alias matches compare shapes in
+//!   full). Renamed isomorphs that never repeat a presentation therefore
+//!   leave no aliases behind. An entry holds at most [`ALIAS_CAP`] aliases;
+//!   they die with the entry, survive a cross-presentation swap of the
+//!   entry's own shape (they are relative to the canonical order, which the
+//!   swap keeps), and are never persisted — a warm-started engine relearns
+//!   them.
 //! * **Exact canonical confirmation**: equal canonical keys imply isomorphic
 //!   lineages (so cached attributions transfer under the variable
 //!   bijection), and isomorphic lineages produce equal keys under arbitrary
@@ -56,6 +72,7 @@ use banzhaf_arith::Rational;
 use banzhaf_boolean::{AggregateKind, Clause, Dnf, Lineage, Var, VarSet, WeightedDnf};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 /// The exact cache key: the lineage with its variables renamed to the dense
@@ -103,7 +120,7 @@ pub(crate) struct WeightedInfo {
 /// isomorphism-invariant (that is [`CanonicalKey`]'s job) — it is the stable
 /// presentation the backends run and the one the canonical form is computed
 /// from when a fingerprint collision forces it.
-#[derive(PartialEq, Eq, Debug)]
+#[derive(PartialEq, Eq, Hash, Debug)]
 pub(crate) struct Shape {
     pub(crate) num_vars: usize,
     pub(crate) clauses: Vec<Vec<u32>>,
@@ -116,12 +133,13 @@ impl Shape {
     /// Computes the canonical key of this presentation: common variables
     /// factored out first, independent components keyed apart, and only
     /// indecomposable cores searched (see [`crate::canon`]). Returns the
-    /// canonical renaming and the keying steps it cost, or `None` when
-    /// `budget` ran out mid-way: the caller then treats the shape as
-    /// unkeyable (a definite miss) rather than stalling the planning walk.
-    /// The weighted payload rides along as clause classes, so a weighted
-    /// shape keys class-aware at every stage.
-    pub(crate) fn canonicalize(&self, budget: Option<&Budget>) -> Option<(CanonInfo, u64)> {
+    /// canonical renaming, the keying steps it cost and whether some core
+    /// ran the individualization search, or `None` when `budget` ran out
+    /// mid-way: the caller then treats the shape as unkeyable (a definite
+    /// miss) rather than stalling the planning walk. The weighted payload
+    /// rides along as clause classes, so a weighted shape keys class-aware
+    /// at every stage.
+    pub(crate) fn canonicalize(&self, budget: Option<&Budget>) -> Option<(CanonInfo, u64, bool)> {
         let classes = self.weight_classes();
         let form = canonical_form_classed(self.num_vars, &self.clauses, classes.as_deref(), budget)
             .ok()?;
@@ -132,7 +150,16 @@ impl Shape {
                 order: form.order,
             },
             form.steps,
+            form.searched,
         ))
+    }
+
+    /// A 64-bit digest of the presentation, for remembering first
+    /// sightings of would-be aliases without holding their shapes.
+    fn digest(&self) -> u64 {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        self.hash(&mut hasher);
+        hasher.finish()
     }
 
     /// Per-clause class labels for the canonical search: the rank of each
@@ -334,18 +361,18 @@ impl Prekeyed {
     }
 
     /// Renames an attribution computed on *another* isomorphic shape back to
-    /// this lineage's original facts, composing the two canonical witnesses:
-    /// canonical index `i` is the owner's dense variable `owner.order[i]`
-    /// and this lineage's dense variable `mine.order[i]`.
+    /// this lineage's original facts, composing two canonical witness
+    /// orders of one canonical key: canonical index `i` is the owner's dense
+    /// variable `owner[i]` and this lineage's dense variable `mine[i]`.
     pub(crate) fn map_back_via(
         &self,
-        mine: &CanonInfo,
-        owner: &CanonInfo,
+        mine: &[u32],
+        owner: &[u32],
         dense: &Attribution,
     ) -> Attribution {
-        debug_assert_eq!(mine.key, owner.key, "witness composition requires equal keys");
+        debug_assert_eq!(mine.len(), owner.len(), "the witnesses must be of one key");
         let mut through = vec![Var(0); self.originals.len()];
-        for (&theirs, &ours) in owner.order.iter().zip(mine.order.iter()) {
+        for (&theirs, &ours) in owner.iter().zip(mine) {
             through[theirs as usize] = self.originals[ours as usize];
         }
         Self::rename_through(dense, |v| through[v.index()])
@@ -390,15 +417,16 @@ pub struct CacheStats {
     /// paid for the order-insensitive keying, to weigh against the compile
     /// steps the hits save.
     pub canon_steps: u64,
-    /// Canonical keys actually computed by the engine's sessions
-    /// (one per shape canonicalized — lookups resolved by the fingerprint
-    /// alone run none, and neither do presentation hits, which count in
-    /// `hits`).
+    /// Canonical keyings by the engine's sessions that ran the
+    /// individualization search on some indecomposable core. A keying that
+    /// factors, splits and multiplies all the way down counts only in
+    /// `canon_steps`; lookups resolved by the fingerprint, the presentation
+    /// or a known alias key nothing at all.
     pub canon_searches: u64,
     /// Lookups resolved without any individualization search because their
     /// fingerprint bucket was vacant (the common case for heterogeneous
-    /// traffic). Presentation hits run no search either, but count in
-    /// `hits`, not here.
+    /// traffic). Presentation and alias hits run no search either, but count
+    /// in `hits`, not here.
     pub prekey_skips: u64,
     /// Warm-start snapshot files loaded successfully (see
     /// [`SharedCache::load`] / [`ShardedCache::load`]).
@@ -434,12 +462,25 @@ pub(crate) enum Lookup {
     /// no canonicalization is needed (insert the compiled result with
     /// `canon: None`).
     Vacant,
-    /// Residents share the fingerprint. A resident with the probe's exact
-    /// presentation settles through [`SharedCache::settle_presentation`];
-    /// otherwise canonicalize (outside the lock!) the probe and any resident
-    /// returned with `canon: None`, then settle the lookup with
+    /// A resident holds the probe's exact presentation, as its own shape or
+    /// as a known alias — a hit, already counted, its recency refreshed.
+    Presented(PresentationHit),
+    /// Residents share the fingerprint, but none knows the probe's
+    /// presentation: canonicalize (outside the lock!) the probe and any
+    /// resident returned with `canon: None`, then settle the lookup with
     /// [`SharedCache::finish_lookup`].
     Occupied(Vec<Resident>),
+}
+
+/// A lookup settled by presentation: the stored dense attribution, and how
+/// it reaches the probe's dense variables.
+pub(crate) struct PresentationHit {
+    pub(crate) attribution: Arc<Attribution>,
+    /// `None` when the probe presents the entry's own shape (the values are
+    /// over the probe's dense variables — [`Prekeyed::map_back`]); for an
+    /// alias, the alias's witness order and the entry's witness, to compose
+    /// with [`Prekeyed::map_back_via`].
+    pub(crate) alias: Option<(Arc<[u32]>, Arc<CanonInfo>)>,
 }
 
 /// One cache entry visible to a contested lookup.
@@ -451,13 +492,21 @@ pub(crate) struct Resident {
     pub(crate) canon: Option<Arc<CanonInfo>>,
 }
 
-/// A settled cache hit: the stored dense attribution plus the owning entry's
-/// canonical witness (compose with the probe's own witness to rename the
-/// values — see [`Prekeyed::map_back_via`]).
+/// A settled canonical cache hit: the stored dense attribution plus the
+/// owning entry's canonical witness (compose with the probe's own witness to
+/// rename the values — see [`Prekeyed::map_back_via`]).
 pub(crate) struct CacheHit {
     pub(crate) attribution: Arc<Attribution>,
     pub(crate) canon: Arc<CanonInfo>,
 }
+
+/// The most aliases one entry keeps. The paper corpora reach an entry
+/// through at most three presentations besides its own.
+const ALIAS_CAP: usize = 4;
+
+/// The most first sightings one entry remembers while they wait for a
+/// second one; the oldest is forgotten first.
+const SIGHTINGS_CAP: usize = 8;
 
 struct CacheEntry {
     fingerprint: Fingerprint,
@@ -468,9 +517,72 @@ struct CacheEntry {
     attribution: Arc<Attribution>,
     /// Computed lazily, only once the fingerprint bucket is contested.
     canon: Option<Arc<CanonInfo>>,
+    /// Other presentations that keyed to this entry (only a keyed entry has
+    /// any), at most [`ALIAS_CAP`].
+    aliases: Vec<Alias>,
+    /// Digests of presentations that keyed to this entry once and are not
+    /// aliases yet, at most [`SIGHTINGS_CAP`].
+    sightings: Vec<u64>,
     /// The tick of this entry's most recent touch; queue pairs with an older
     /// tick are stale.
     tick: u64,
+}
+
+/// Another dense presentation of an entry's lineage.
+struct Alias {
+    /// Shared with the probe that taught it.
+    shape: Arc<Shape>,
+    /// `order[i]` is the alias's dense variable assigned canonical index
+    /// `i`: the witness its keying computed. The entry already holds the
+    /// canonical key, so no second copy is kept.
+    order: Arc<[u32]>,
+}
+
+impl CacheEntry {
+    fn new(
+        fingerprint: Fingerprint,
+        shape: Arc<Shape>,
+        canon: Option<Arc<CanonInfo>>,
+        attribution: Arc<Attribution>,
+        tick: u64,
+    ) -> Self {
+        CacheEntry {
+            fingerprint,
+            shape,
+            attribution,
+            canon,
+            aliases: Vec::new(),
+            sightings: Vec::new(),
+            tick,
+        }
+    }
+
+    /// The witness order through which `shape` reaches this entry, if it is
+    /// a known alias.
+    fn alias_of(&self, shape: &Shape) -> Option<&Arc<[u32]>> {
+        self.aliases.iter().find(|a| *a.shape == *shape).map(|a| &a.order)
+    }
+
+    /// Notes that `shape` (with witness `order` and presentation `digest`)
+    /// just keyed to this entry, and records it as an alias if this is its
+    /// second sighting and there is room.
+    fn sight(&mut self, shape: &Arc<Shape>, order: &[u32], digest: u64) {
+        if self.aliases.len() >= ALIAS_CAP
+            || *self.shape == **shape
+            || self.alias_of(shape).is_some()
+        {
+            return;
+        }
+        if let Some(at) = self.sightings.iter().position(|&d| d == digest) {
+            self.sightings.remove(at);
+            self.aliases.push(Alias { shape: Arc::clone(shape), order: order.into() });
+        } else {
+            if self.sightings.len() >= SIGHTINGS_CAP {
+                self.sightings.remove(0);
+            }
+            self.sightings.push(digest);
+        }
+    }
 }
 
 struct CacheInner {
@@ -502,7 +614,8 @@ struct CacheInner {
 }
 
 /// The shared, size-bounded attribution cache, keyed by fingerprint first,
-/// exact presentation second and canonical lineage third.
+/// then by the entry's own presentation or a known alias, and by canonical
+/// lineage last.
 ///
 /// Wrapped in an `Arc` by [`crate::Engine`] and handed to every
 /// [`crate::Session`]; safe to share across threads. Lookups and merges take
@@ -544,44 +657,59 @@ impl SharedCache {
         self.capacity
     }
 
-    /// Phase one of a lookup: inspects the fingerprint bucket. A vacant
-    /// bucket is a definite miss (counted here); an occupied one returns the
-    /// candidate residents so the caller can canonicalize outside the lock
-    /// and settle with [`SharedCache::finish_lookup`].
-    pub(crate) fn lookup(&self, fp: Fingerprint) -> Lookup {
+    /// Phase one of a lookup: inspects the fingerprint bucket under one
+    /// lock. A vacant bucket is a definite miss (counted here). A resident
+    /// holding `shape` as its own presentation or as an alias settles the
+    /// lookup as a hit (counted here, recency refreshed). Otherwise the
+    /// bucket's residents are returned so the caller can canonicalize
+    /// outside the lock and settle with [`SharedCache::finish_lookup`].
+    pub(crate) fn lookup(&self, fp: Fingerprint, shape: &Shape) -> Lookup {
         // Fault injection: simulate lock contention (a Sleep action stalls
         // the caller right before the acquisition).
         banzhaf_par::failpoint!("cache::lookup");
         let mut inner = self.inner.lock().expect("cache lock poisoned");
-        match inner.buckets.get(&fp) {
-            Some(ids) if !ids.is_empty() => {
-                let residents = ids
-                    .iter()
-                    .map(|&id| {
-                        let entry = &inner.entries[&id];
-                        Resident { id, shape: Arc::clone(&entry.shape), canon: entry.canon.clone() }
-                    })
-                    .collect();
-                Lookup::Occupied(residents)
+        let Some(ids) = inner.buckets.get(&fp).filter(|ids| !ids.is_empty()) else {
+            inner.misses += 1;
+            return Lookup::Vacant;
+        };
+        let presented = ids.iter().find_map(|&id| {
+            let entry = &inner.entries[&id];
+            if *entry.shape == *shape {
+                return Some((id, None));
             }
-            _ => {
-                inner.misses += 1;
-                Lookup::Vacant
-            }
+            let order = entry.alias_of(shape)?;
+            let canon = entry.canon.as_ref().expect("only a keyed entry has aliases");
+            Some((id, Some((Arc::clone(order), Arc::clone(canon)))))
+        });
+        if let Some((id, alias)) = presented {
+            let attribution = Self::touch(&mut inner, id);
+            return Lookup::Presented(PresentationHit { attribution, alias });
         }
+        let residents = ids
+            .iter()
+            .map(|&id| {
+                let entry = &inner.entries[&id];
+                Resident { id, shape: Arc::clone(&entry.shape), canon: entry.canon.clone() }
+            })
+            .collect();
+        Lookup::Occupied(residents)
     }
 
     /// Phase two of a contested lookup: stores the canonical renamings the
     /// caller computed for previously-unkeyed residents (`resolved`), then
-    /// scans the bucket for an entry whose canonical key equals `key`. A
-    /// match is a hit (recency refreshed); no match is a miss. Exactly one
-    /// of `hits`/`misses` is incremented.
+    /// scans the bucket for an entry whose canonical key equals the probe's
+    /// (`mine`, the witness of presentation `shape`). A match is a hit
+    /// (recency refreshed, and the probe's presentation sighted for the
+    /// entry's aliases); no match is a miss. Exactly one of `hits`/`misses`
+    /// is incremented.
     pub(crate) fn finish_lookup(
         &self,
         fp: Fingerprint,
-        key: &CanonicalKey,
+        shape: &Arc<Shape>,
+        mine: &CanonInfo,
         resolved: &[(u64, Arc<CanonInfo>)],
     ) -> Option<CacheHit> {
+        let digest = shape.digest();
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         for (id, canon) in resolved {
             if let Some(entry) = inner.entries.get_mut(id) {
@@ -593,44 +721,25 @@ impl SharedCache {
                 }
             }
         }
-        inner.tick += 1;
-        let tick = inner.tick;
-        let ids = inner.buckets.get(&fp).cloned().unwrap_or_default();
-        for id in ids {
-            let entry = &inner.entries[&id];
-            let matches = entry.canon.as_ref().is_some_and(|c| c.key == *key);
-            if matches {
-                let entry = inner.entries.get_mut(&id).expect("resident just seen");
-                entry.tick = tick;
-                let hit = CacheHit {
-                    attribution: Arc::clone(&entry.attribution),
-                    canon: Arc::clone(entry.canon.as_ref().expect("matched on canon")),
-                };
-                inner.recency.push_back((id, tick));
-                inner.hits += 1;
-                Self::compact(&mut inner);
-                return Some(hit);
-            }
-        }
-        inner.misses += 1;
-        None
+        let found = inner.buckets.get(&fp).and_then(|ids| {
+            ids.iter()
+                .copied()
+                .find(|id| inner.entries[id].canon.as_ref().is_some_and(|c| c.key == mine.key))
+        });
+        let Some(id) = found else {
+            inner.misses += 1;
+            return None;
+        };
+        let entry = inner.entries.get_mut(&id).expect("resident just seen");
+        entry.sight(shape, &mine.order, digest);
+        let canon = Arc::clone(entry.canon.as_ref().expect("matched on canon"));
+        let attribution = Self::touch(&mut inner, id);
+        Some(CacheHit { attribution, canon })
     }
 
-    /// Settles an occupied lookup by exact presentation, without any
-    /// canonicalization: if resident `id` still holds `shape` — re-checked
-    /// here, under the lock, because a cross-presentation [`SharedCache::insert`]
-    /// may have swapped the entry's shape, witness and values since the
-    /// [`SharedCache::lookup`] that reported it — the entry's recency is
-    /// refreshed, a hit is counted, and its dense attribution is returned.
-    /// The values were computed on this very dense form, so the caller maps
-    /// them back with [`Prekeyed::map_back`]. `None` (entry evicted or
-    /// swapped) counts nothing: the caller settles through the canonical
-    /// path instead.
-    pub(crate) fn settle_presentation(&self, id: u64, shape: &Shape) -> Option<Arc<Attribution>> {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
-        if !inner.entries.get(&id).is_some_and(|e| *e.shape == *shape) {
-            return None;
-        }
+    /// Counts a hit on resident `id` and refreshes its recency, returning
+    /// its dense attribution.
+    fn touch(inner: &mut CacheInner, id: u64) -> Arc<Attribution> {
         inner.tick += 1;
         let tick = inner.tick;
         let entry = inner.entries.get_mut(&id).expect("resident just seen");
@@ -638,8 +747,8 @@ impl SharedCache {
         let attribution = Arc::clone(&entry.attribution);
         inner.recency.push_back((id, tick));
         inner.hits += 1;
-        Self::compact(&mut inner);
-        Some(attribution)
+        Self::compact(inner);
+        attribution
     }
 
     /// Counts a miss for an instance the caller resolved without looking the
@@ -698,9 +807,18 @@ impl SharedCache {
                 // Matched by canonical key across different presentations:
                 // the attribution below is keyed by *our* dense variables,
                 // so the shape and witness must switch presentation with it.
+                // The aliases stay valid (they are relative to the
+                // canonical order, which both witnesses share); the replaced
+                // presentation joins them, and ours leaves them.
                 debug_assert!(canon.is_some(), "cross-presentation match requires a witness");
-                entry.shape = Arc::clone(shape);
-                entry.canon = canon;
+                let replaced = std::mem::replace(&mut entry.shape, Arc::clone(shape));
+                let witness = std::mem::replace(&mut entry.canon, canon);
+                entry.aliases.retain(|a| *a.shape != **shape);
+                if let Some(witness) = witness.filter(|_| entry.aliases.len() < ALIAS_CAP) {
+                    entry
+                        .aliases
+                        .push(Alias { shape: replaced, order: witness.order.as_slice().into() });
+                }
             }
             entry.attribution = attribution;
             entry.tick = tick;
@@ -708,10 +826,9 @@ impl SharedCache {
         } else {
             let id = inner.next_id;
             inner.next_id += 1;
-            inner.entries.insert(
-                id,
-                CacheEntry { fingerprint: fp, shape: Arc::clone(shape), attribution, canon, tick },
-            );
+            inner
+                .entries
+                .insert(id, CacheEntry::new(fp, Arc::clone(shape), canon, attribution, tick));
             inner.buckets.entry(fp).or_default().push(id);
             inner.recency.push_back((id, tick));
         }
@@ -833,13 +950,7 @@ impl SharedCache {
         inner.next_id += 1;
         inner.entries.insert(
             id,
-            CacheEntry {
-                fingerprint: entry.fingerprint,
-                shape: entry.shape,
-                attribution: entry.attribution,
-                canon: entry.canon,
-                tick,
-            },
+            CacheEntry::new(entry.fingerprint, entry.shape, entry.canon, entry.attribution, tick),
         );
         inner.buckets.entry(entry.fingerprint).or_default().push(id);
         inner.recency.push_back((id, tick));
@@ -993,28 +1104,19 @@ impl ShardedCache {
     }
 
     /// Routed [`SharedCache::lookup`].
-    pub(crate) fn lookup(&self, fp: Fingerprint) -> Lookup {
-        self.shard(fp).lookup(fp)
+    pub(crate) fn lookup(&self, fp: Fingerprint, shape: &Shape) -> Lookup {
+        self.shard(fp).lookup(fp, shape)
     }
 
     /// Routed [`SharedCache::finish_lookup`].
     pub(crate) fn finish_lookup(
         &self,
         fp: Fingerprint,
-        key: &CanonicalKey,
+        shape: &Arc<Shape>,
+        mine: &CanonInfo,
         resolved: &[(u64, Arc<CanonInfo>)],
     ) -> Option<CacheHit> {
-        self.shard(fp).finish_lookup(fp, key, resolved)
-    }
-
-    /// Routed [`SharedCache::settle_presentation`].
-    pub(crate) fn settle_presentation(
-        &self,
-        fp: Fingerprint,
-        id: u64,
-        shape: &Shape,
-    ) -> Option<Arc<Attribution>> {
-        self.shard(fp).settle_presentation(id, shape)
+        self.shard(fp).finish_lookup(fp, shape, mine, resolved)
     }
 
     /// Routed [`SharedCache::record_miss`].
@@ -1118,7 +1220,7 @@ impl fmt::Debug for ShardedCache {
 /// used on the serving path.
 pub fn canonical_key_probe(lineage: &Dnf) -> u64 {
     let prekeyed = Prekeyed::of(Lineage::Boolean(lineage));
-    let (_, steps) = prekeyed.shape.canonicalize(None).expect("no budget, no interrupt");
+    let (_, steps, _) = prekeyed.shape.canonicalize(None).expect("no budget, no interrupt");
     steps
 }
 
@@ -1162,22 +1264,38 @@ mod tests {
         Prekeyed::of(Lineage::Boolean(&Dnf::from_clauses(clauses)))
     }
 
-    /// Runs the full two-phase lookup protocol the session uses: fingerprint
-    /// first; on contention canonicalize the probe and any unkeyed
-    /// residents, then settle.
-    fn probe(cache: &SharedCache, p: &Prekeyed) -> Option<CacheHit> {
-        match cache.lookup(p.fingerprint) {
+    /// Runs the full lookup protocol the session uses — fingerprint, own
+    /// presentation and aliases first; on contention canonicalize the probe
+    /// and any unkeyed residents, then settle — and maps a hit back to the
+    /// probe's facts.
+    fn probe(cache: &SharedCache, p: &Prekeyed) -> Option<Attribution> {
+        match cache.lookup(p.fingerprint, &p.shape) {
             Lookup::Vacant => None,
+            Lookup::Presented(PresentationHit { attribution, alias: None }) => {
+                Some(p.map_back(&attribution))
+            }
+            Lookup::Presented(PresentationHit { attribution, alias: Some((order, canon)) }) => {
+                Some(p.map_back_via(&order, &canon.order, &attribution))
+            }
             Lookup::Occupied(residents) => {
-                let (mine, _) = p.shape.canonicalize(None).unwrap();
+                let (mine, _, _) = p.shape.canonicalize(None).unwrap();
                 let resolved: Vec<(u64, Arc<CanonInfo>)> = residents
                     .iter()
                     .filter(|r| r.canon.is_none())
                     .map(|r| (r.id, Arc::new(r.shape.canonicalize(None).unwrap().0)))
                     .collect();
-                cache.finish_lookup(p.fingerprint, &mine.key, &resolved)
+                let hit = cache.finish_lookup(p.fingerprint, &p.shape, &mine, &resolved)?;
+                Some(p.map_back_via(&mine.order, &hit.canon.order, &hit.attribution))
             }
         }
+    }
+
+    /// The one value of a [`dummy_attribution`] served for any lineage.
+    fn tag(attribution: &Attribution) -> u64 {
+        let mut values = attribution.values.values();
+        let value = values.next().expect("one value").exact().expect("exact");
+        assert!(values.next().is_none());
+        value.to_u64().expect("small tag")
     }
 
     fn insert(cache: &SharedCache, p: &Prekeyed, tag: u64) {
@@ -1340,9 +1458,9 @@ mod tests {
         let middle_large = prekeyed_of(vec![vec![9, 0], vec![9, 1]]);
         let middle_small = prekeyed_of(vec![vec![0, 1], vec![0, 2]]);
         assert_eq!(middle_mid.fingerprint, middle_large.fingerprint);
-        let (mid, steps) = middle_mid.shape.canonicalize(None).unwrap();
-        let (large, _) = middle_large.shape.canonicalize(None).unwrap();
-        let (small, _) = middle_small.shape.canonicalize(None).unwrap();
+        let (mid, steps, _) = middle_mid.shape.canonicalize(None).unwrap();
+        let (large, _, _) = middle_large.shape.canonicalize(None).unwrap();
+        let (small, _, _) = middle_small.shape.canonicalize(None).unwrap();
         assert_eq!(mid.key, large.key, "isomorphic lineages must key equal");
         assert_eq!(mid.key, small.key, "isomorphic lineages must key equal");
         assert!(steps > 0);
@@ -1399,8 +1517,8 @@ mod tests {
         // Each shape now hits its own entry, with its own values.
         let t = probe(&cache, &triangles).expect("triangles hit their entry");
         let h = probe(&cache, &hexagon).expect("hexagon hits its entry");
-        assert_eq!(t.attribution.values[&v(0)].exact(), Some(Natural::from(1u64)));
-        assert_eq!(h.attribution.values[&v(0)].exact(), Some(Natural::from(2u64)));
+        assert_eq!(tag(&t), 1);
+        assert_eq!(tag(&h), 2);
         // A relabelled copy of the triangles still lands on the triangles'
         // entry (and transfers values through the composed witnesses).
         let relabelled = prekeyed_of(vec![
@@ -1412,7 +1530,7 @@ mod tests {
             vec![4, 0],
         ]);
         let r = probe(&cache, &relabelled).expect("relabelled triangles hit");
-        assert_eq!(r.attribution.values[&v(0)].exact(), Some(Natural::from(1u64)));
+        assert_eq!(tag(&r), 1);
     }
 
     #[test]
@@ -1427,8 +1545,8 @@ mod tests {
         let a = prekeyed_of(vec![vec![0, 1], vec![1, 2]]); // middle at dense 1
         let b = prekeyed_of(vec![vec![0, 1], vec![0, 2]]); // middle at dense 0
         assert_ne!(*a.shape, *b.shape, "the presentations must differ");
-        let (ca, _) = a.shape.canonicalize(None).unwrap();
-        let (cb, _) = b.shape.canonicalize(None).unwrap();
+        let (ca, _, _) = a.shape.canonicalize(None).unwrap();
+        let (cb, _, _) = b.shape.canonicalize(None).unwrap();
         assert_eq!(ca.key, cb.key, "isomorphic shapes share one canonical key");
         let cache = SharedCache::new(8);
         cache.insert(a.fingerprint, &a.shape, Some(Arc::new(ca)), path3_attribution(&a));
@@ -1438,9 +1556,7 @@ mod tests {
         // the composed witnesses: the middle fact must carry the middle
         // score regardless of which writer landed last.
         let c = prekeyed_of(vec![vec![7, 3], vec![3, 9]]); // middle fact: 3
-        let (mine, _) = c.shape.canonicalize(None).unwrap();
-        let hit = probe(&cache, &c).expect("isomorphic probe hits the shared entry");
-        let mapped = c.map_back_via(&mine, &hit.canon, &hit.attribution);
+        let mapped = probe(&cache, &c).expect("isomorphic probe hits the shared entry");
         assert_eq!(mapped.values[&v(3)].exact(), Some(Natural::from(100u64)));
         assert_eq!(mapped.values[&v(7)].exact(), Some(Natural::from(1u64)));
         assert_eq!(mapped.values[&v(9)].exact(), Some(Natural::from(1u64)));
@@ -1470,8 +1586,7 @@ mod tests {
                             Some(Arc::clone(&mine)),
                             path3_attribution(p),
                         );
-                        if let Some(hit) = probe(cache, p) {
-                            let mapped = p.map_back_via(&mine, &hit.canon, &hit.attribution);
+                        if let Some(mapped) = probe(cache, p) {
                             assert_eq!(
                                 mapped.values[&middle].exact(),
                                 Some(Natural::from(100u64)),
@@ -1485,36 +1600,150 @@ mod tests {
         assert_eq!(cache.stats().entries, 1, "equal canonical keys share one entry");
     }
 
+    /// A 4-path `a-b-c-d` under the labelling `(a, b, c, d)`.
+    fn path4(a: u32, b: u32, c: u32, d: u32) -> Prekeyed {
+        prekeyed_of(vec![vec![a, b], vec![b, c], vec![c, d]])
+    }
+
+    /// Asserts that `mapped` scores each of `p`'s facts as
+    /// [`path3_attribution`] scores its position (100 for degree 2, else 1):
+    /// what a compile of `p`'s own presentation would return.
+    fn assert_degree_scores(p: &Prekeyed, mapped: &Attribution) {
+        let want = p.map_back(&path3_attribution(p));
+        assert_eq!(mapped.values.len(), want.values.len());
+        for (fact, score) in &want.values {
+            assert_eq!(mapped.values[fact].exact(), score.exact(), "{fact}");
+        }
+    }
+
+    /// Whether `p`'s presentation settles on a known alias of a resident.
+    fn is_alias_hit(cache: &SharedCache, p: &Prekeyed) -> bool {
+        matches!(
+            cache.lookup(p.fingerprint, &p.shape),
+            Lookup::Presented(PresentationHit { alias: Some(_), .. })
+        )
+    }
+
     #[test]
-    fn presentation_settle_refuses_an_entry_swapped_since_the_lookup() {
-        // The lookup reports a resident holding the probe's presentation; a
-        // racing cross-presentation insert then swaps the entry to another
-        // labelling before the settle. The settle must re-check under the
-        // lock and refuse — serving the swapped values through the probe's
-        // own renaming would hand the middle score to a leaf — and the
-        // canonical path must still serve the right values.
-        let a = prekeyed_of(vec![vec![0, 1], vec![1, 2]]); // middle at dense 1
-        let b = prekeyed_of(vec![vec![0, 1], vec![0, 2]]); // middle at dense 0
+    fn aliases_map_correctly_across_a_cross_presentation_swap() {
+        // Three presentations of the 4-path. `p2` becomes an alias of the
+        // entry `p1` inserted; then `p3` swaps in as the entry's own
+        // presentation. `p2` must still map through its witness, and the
+        // replaced `p1` must now settle as an alias too — serving the
+        // swapped values through `p1`'s own renaming would hand a middle
+        // score to an end.
+        let (p1, p2, p3) = (path4(0, 1, 2, 3), path4(1, 0, 2, 3), path4(3, 1, 0, 2));
+        assert!(*p1.shape != *p2.shape && *p2.shape != *p3.shape && *p1.shape != *p3.shape);
+        assert!(p1.fingerprint == p2.fingerprint && p2.fingerprint == p3.fingerprint);
+        let witness = |p: &Prekeyed| Some(Arc::new(p.shape.canonicalize(None).unwrap().0));
         let cache = SharedCache::new(8);
-        let mine = Arc::new(a.shape.canonicalize(None).unwrap().0);
-        cache.insert(a.fingerprint, &a.shape, Some(Arc::clone(&mine)), path3_attribution(&a));
-        let Lookup::Occupied(residents) = cache.lookup(a.fingerprint) else {
-            panic!("the entry is resident");
-        };
-        let resident = residents.iter().find(|r| r.shape == a.shape).expect("same presentation");
-        let theirs = Arc::new(b.shape.canonicalize(None).unwrap().0);
-        cache.insert(b.fingerprint, &b.shape, Some(theirs), path3_attribution(&b));
+        cache.insert(p1.fingerprint, &p1.shape, witness(&p1), path3_attribution(&p1));
+        for _ in 0..2 {
+            assert!(!is_alias_hit(&cache, &p2), "an alias needs two sightings");
+            assert_degree_scores(&p2, &probe(&cache, &p2).expect("canonical hit"));
+        }
+        assert!(is_alias_hit(&cache, &p2));
+        cache.insert(p3.fingerprint, &p3.shape, witness(&p3), path3_attribution(&p3));
         assert_eq!(cache.stats().entries, 1, "the insert swapped the one entry");
-        assert!(cache.settle_presentation(resident.id, &a.shape).is_none());
-        assert_eq!(cache.stats().hits, 0, "a refused settle counts nothing");
-        let hit = cache.finish_lookup(a.fingerprint, &mine.key, &[]).expect("canonical hit");
-        let mapped = a.map_back_via(&mine, &hit.canon, &hit.attribution);
-        assert_eq!(mapped.values[&path3_middle(&a)].exact(), Some(Natural::from(100u64)));
-        // An unswapped entry settles by presentation and maps back directly.
-        let hit = cache.settle_presentation(resident.id, &b.shape).expect("b holds the entry");
-        let mapped = b.map_back(&hit);
-        assert_eq!(mapped.values[&path3_middle(&b)].exact(), Some(Natural::from(100u64)));
-        assert_eq!(cache.stats().hits, 2);
+        for p in [&p1, &p2] {
+            assert!(is_alias_hit(&cache, p));
+            assert_degree_scores(p, &probe(&cache, p).expect("alias hit"));
+        }
+        assert!(matches!(
+            cache.lookup(p3.fingerprint, &p3.shape),
+            Lookup::Presented(PresentationHit { alias: None, .. })
+        ));
+        assert_degree_scores(&p3, &probe(&cache, &p3).expect("own presentation"));
+        // Swapping back drops `p1` from the aliases and keeps `p3` as one.
+        cache.insert(p1.fingerprint, &p1.shape, witness(&p1), path3_attribution(&p1));
+        let inner = cache.inner.lock().unwrap();
+        let entry = inner.entries.values().next().expect("one entry");
+        assert!(entry.shape == p1.shape);
+        assert!(entry.alias_of(&p1.shape).is_none() && entry.alias_of(&p3.shape).is_some());
+    }
+
+    #[test]
+    fn lru_eviction_drops_an_entrys_aliases() {
+        let cache = SharedCache::new(1);
+        let (p1, p2) = (path4(0, 1, 2, 3), path4(1, 0, 2, 3));
+        cache.insert(p1.fingerprint, &p1.shape, None, path3_attribution(&p1));
+        probe(&cache, &p2).expect("canonical hit");
+        probe(&cache, &p2).expect("canonical hit");
+        assert!(is_alias_hit(&cache, &p2));
+        assert_eq!(Arc::strong_count(&p2.shape), 2, "the alias shares the probe's shape");
+        insert(&cache, &prekeyed_of(vec![vec![0]]), 9);
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(Arc::strong_count(&p2.shape), 1, "the aliases died with their entry");
+        cache.insert(p1.fingerprint, &p1.shape, None, path3_attribution(&p1));
+        assert!(
+            matches!(cache.lookup(p2.fingerprint, &p2.shape), Lookup::Occupied(_)),
+            "a re-inserted entry starts without aliases"
+        );
+    }
+
+    /// `count` distinct presentations of one 7-path, none equal to the
+    /// ascending labelling's.
+    fn path7_presentations(count: usize) -> Vec<Prekeyed> {
+        use rand::{Rng, SeedableRng};
+        let labelled =
+            |labels: &[u32]| prekeyed_of(labels.windows(2).map(<[u32]>::to_vec).collect());
+        let mut found = vec![labelled(&[0, 1, 2, 3, 4, 5, 6])];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for _ in 0..10_000 {
+            let mut labels: Vec<u32> = (0..7).collect();
+            for i in (1..labels.len()).rev() {
+                labels.swap(i, rng.gen_range(0..=i));
+            }
+            let p = labelled(&labels);
+            if found.iter().all(|q| q.shape != p.shape) {
+                found.push(p);
+            }
+            if found.len() > count {
+                return found.split_off(1);
+            }
+        }
+        panic!("the 7-path has more than {count} presentations");
+    }
+
+    #[test]
+    fn aliases_are_learned_on_the_second_sighting_up_to_the_cap() {
+        let own = prekeyed_of((0..6u32).map(|k| vec![k, k + 1]).collect());
+        let others = path7_presentations(ALIAS_CAP + 1);
+        let cache = SharedCache::new(8);
+        insert(&cache, &own, 1);
+        let aliases = |cache: &SharedCache| {
+            let inner = cache.inner.lock().unwrap();
+            let entry = inner.entries.values().next().expect("one entry");
+            (entry.aliases.len(), entry.sightings.len())
+        };
+        for p in &others {
+            assert_eq!(tag(&probe(&cache, p).expect("canonical hit")), 1);
+        }
+        assert_eq!(aliases(&cache), (0, ALIAS_CAP + 1), "one sighting records no alias");
+        for p in &others {
+            assert_eq!(tag(&probe(&cache, p).expect("canonical hit")), 1);
+        }
+        assert_eq!(aliases(&cache).0, ALIAS_CAP, "the cap holds");
+        for p in &others[..ALIAS_CAP] {
+            assert!(is_alias_hit(&cache, p));
+        }
+        assert!(matches!(
+            cache.lookup(others[ALIAS_CAP].fingerprint, &others[ALIAS_CAP].shape),
+            Lookup::Occupied(_)
+        ));
+        // First sightings are remembered oldest-out: past the bound, the
+        // oldest one needs two more sightings, the newest one just one.
+        let cache = SharedCache::new(8);
+        insert(&cache, &own, 1);
+        let others = path7_presentations(SIGHTINGS_CAP + 1);
+        for p in &others {
+            probe(&cache, p).expect("canonical hit");
+        }
+        assert_eq!(aliases(&cache), (0, SIGHTINGS_CAP));
+        probe(&cache, &others[0]).expect("canonical hit");
+        probe(&cache, &others[SIGHTINGS_CAP]).expect("canonical hit");
+        assert!(!is_alias_hit(&cache, &others[0]), "its first sighting was forgotten");
+        assert!(is_alias_hit(&cache, &others[SIGHTINGS_CAP]));
     }
 
     #[test]
@@ -1584,15 +1813,12 @@ mod tests {
         assert!(probe(&cache, &other).is_none(), "different weights never share a hit");
         // The skeleton presentation is shared, but kind and weights are part
         // of the presentation: none of them settles on the SUM entry.
-        let Lookup::Occupied(residents) = cache.lookup(sum.fingerprint) else {
-            panic!("the SUM entry is resident");
-        };
         let boolean = prekeyed_of(vec![vec![0, 1], vec![1, 2]]);
         for variant in [&count, &other, &boolean] {
             assert_eq!(variant.shape.clauses, sum.shape.clauses, "one skeleton presentation");
-            assert!(cache.settle_presentation(residents[0].id, &variant.shape).is_none());
+            assert!(matches!(cache.lookup(sum.fingerprint, &variant.shape), Lookup::Occupied(_)));
         }
-        assert!(cache.settle_presentation(residents[0].id, &sum.shape).is_some());
+        assert!(matches!(cache.lookup(sum.fingerprint, &sum.shape), Lookup::Presented(_)));
         insert(&cache, &count, 2);
         insert(&cache, &other, 3);
         assert_eq!(cache.stats().entries, 3);

@@ -125,6 +125,10 @@ pub(crate) struct CanonicalForm {
     /// Keying work performed (decomposition passes plus the search's node
     /// signatures), the canonicalization analogue of `compile_steps`.
     pub(crate) steps: u64,
+    /// Whether some indecomposable core ran the individualization search
+    /// (a lineage that factors, splits and multiplies all the way down keys
+    /// without one).
+    pub(crate) searched: bool,
 }
 
 /// Backtracking-leaf budget of one core's search. Exploration past this many
@@ -174,12 +178,17 @@ pub(crate) fn canonical_form_classed(
     let used: Vec<u32> = (0..num_vars as u32).filter(|&v| keyer.used[v as usize]).collect();
     let Some(step) = keyer.decompose(&part, &used) else {
         let ((order, canonical_clauses, _), steps) = search(num_vars, clauses, classes, budget)?;
-        return Ok(CanonicalForm { order, clauses: canonical_clauses, steps });
+        return Ok(CanonicalForm { order, clauses: canonical_clauses, steps, searched: true });
     };
     let (mut order, canonical_clauses, _) = keyer.apply(&part, &used, step)?;
     order.extend((0..num_vars as u32).filter(|&v| !keyer.used[v as usize]));
     debug_assert!(canonical_clauses.windows(2).all(|w| w[0] <= w[1]), "parts assemble sorted");
-    Ok(CanonicalForm { order, clauses: canonical_clauses, steps: keyer.steps })
+    Ok(CanonicalForm {
+        order,
+        clauses: canonical_clauses,
+        steps: keyer.steps,
+        searched: keyer.searched,
+    })
 }
 
 /// Runs the refinement and individualization search on `clauses` over
@@ -190,8 +199,6 @@ fn search(
     classes: Option<&[u32]>,
     budget: Option<&Budget>,
 ) -> Result<(Candidate, u64), Interrupted> {
-    #[cfg(test)]
-    tests::SEARCHES.with(|count| count.set(count.get() + 1));
     let mut searcher = Searcher::new(num_vars, clauses, classes);
     searcher.budget = budget;
     let initial = searcher.initial_colouring();
@@ -236,6 +243,8 @@ struct Keyer<'a> {
     /// Union-find parents over variables, the identity between passes.
     parent: Vec<u32>,
     steps: u64,
+    /// Whether some core ran the search.
+    searched: bool,
 }
 
 /// Union-find root with path halving.
@@ -270,6 +279,7 @@ impl<'a> Keyer<'a> {
             scratch: vec![0; num_vars],
             parent: (0..num_vars as u32).collect(),
             steps: 0,
+            searched: false,
         }
     }
 
@@ -525,6 +535,7 @@ impl<'a> Keyer<'a> {
         let ((order, clauses, classes), steps) =
             search(vars.len(), &clauses, classes.as_deref(), self.budget)?;
         self.steps += steps;
+        self.searched = true;
         Ok((order.into_iter().map(|local| vars[local as usize]).collect(), clauses, classes))
     }
 }
@@ -1318,12 +1329,6 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::cell::Cell;
-
-    thread_local! {
-        /// How many times the individualization search ran on this thread.
-        pub(super) static SEARCHES: Cell<usize> = const { Cell::new(0) };
-    }
 
     /// The seed's full-recompute refiner, kept verbatim as a correctness
     /// oracle: every round rebuilds `(colour, sorted neighbour colours)`
@@ -1338,7 +1343,12 @@ mod tests {
             searcher.search(initial);
             let (order, canonical_clauses) =
                 searcher.best.expect("the search visits at least one discrete leaf");
-            CanonicalForm { order, clauses: canonical_clauses, steps: searcher.steps }
+            CanonicalForm {
+                order,
+                clauses: canonical_clauses,
+                steps: searcher.steps,
+                searched: true,
+            }
         }
 
         pub(crate) fn refined_colours(num_vars: usize, clauses: &[Vec<u32>]) -> (Vec<u32>, u32) {
@@ -1648,7 +1658,7 @@ mod tests {
     fn search_form(num_vars: usize, clauses: &[Vec<u32>]) -> CanonicalForm {
         let ((order, clauses, _), steps) =
             search(num_vars, clauses, None, None).expect("no budget, no interrupt");
-        CanonicalForm { order, clauses, steps }
+        CanonicalForm { order, clauses, steps, searched: true }
     }
 
     /// The search stage's key with classes: (clause list, class sequence).
@@ -2066,9 +2076,8 @@ mod tests {
         let mut per_clause = Vec::new();
         for scale in [1u32, 4] {
             let (num_vars, clauses) = movies(&[(2, 10 * scale), (2, 10 * scale), (3, 3), (1, 4)]);
-            SEARCHES.with(|count| count.set(0));
             let form = canonical_form(num_vars, &clauses);
-            assert_eq!(SEARCHES.with(Cell::get), 0, "every core is a product");
+            assert!(!form.searched, "every core is a product");
             assert!(is_renaming_of(&form, num_vars, &clauses));
             per_clause.push(form.steps / clauses.len() as u64);
             let mut rng = StdRng::seed_from_u64(u64::from(scale));
@@ -2086,17 +2095,16 @@ mod tests {
         // `{x1} ∨ {x2}`, read as `x1 ∨ x2 ∨ x0x1 ∨ x0x2`.
         let absorbed = vec![vec![1], vec![2], vec![0, 1], vec![0, 2]];
         let relabelled = vec![vec![0], vec![2], vec![0, 1], vec![1, 2]];
-        SEARCHES.with(|count| count.set(0));
         let form = canonical_form(3, &absorbed);
-        assert_eq!(SEARCHES.with(Cell::get), 0);
+        assert!(!form.searched);
         assert!(is_renaming_of(&form, 3, &absorbed));
         assert_eq!(canonical_form(3, &relabelled).clauses, form.clauses);
         // Classed keying leaves products to the search, as before.
         let (num_vars, clauses) = movies(&[(2, 10)]);
         let classes = vec![0; clauses.len()];
-        SEARCHES.with(|count| count.set(0));
-        canonical_form_classed(num_vars, &clauses, Some(&classes), None).expect("no budget");
-        assert_eq!(SEARCHES.with(Cell::get), 1);
+        let form =
+            canonical_form_classed(num_vars, &clauses, Some(&classes), None).expect("no budget");
+        assert!(form.searched);
     }
 
     #[test]

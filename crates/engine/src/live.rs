@@ -166,18 +166,41 @@ struct LiveQuery {
 impl LiveQuery {
     /// Inserts (or replaces) an answer, maintaining the inverted index and
     /// the cold-cost total, and returns the answer's cold cost.
+    ///
+    /// A registered lineage's universe is exactly its used variables (the
+    /// evaluator and the delta path both maintain this), so indexing the
+    /// universe indexes every mentioned variable. A replaced answer touches
+    /// only the index entries of the variables its lineage gained or lost:
+    /// one merge walk over the two sorted universes.
     fn put(
         &mut self,
         tuple: Vec<Value>,
         lineage: Dnf,
         outcome: Result<Attribution, Interrupted>,
     ) -> u64 {
-        self.unindex(&tuple);
-        // A registered lineage's universe is exactly its used variables (the
-        // evaluator and the delta path both maintain this), so indexing the
-        // universe indexes every mentioned variable.
-        for var in lineage.universe().iter() {
-            self.by_var.entry(var).or_default().insert(tuple.clone());
+        let old = match self.answers.get(&tuple) {
+            Some(existing) => {
+                self.cold_cost -= existing.cold_cost;
+                existing.lineage.universe().as_slice()
+            }
+            None => &[],
+        };
+        let new = lineage.universe().as_slice();
+        let (mut i, mut j) = (0, 0);
+        loop {
+            match (old.get(i), new.get(j)) {
+                (None, None) => break,
+                (Some(kept), Some(also)) if kept == also => (i, j) = (i + 1, j + 1),
+                (Some(&lost), next) if next.is_none_or(|&next| lost < next) => {
+                    Self::unindex_var(&mut self.by_var, lost, &tuple);
+                    i += 1;
+                }
+                (_, Some(&gained)) => {
+                    self.by_var.entry(gained).or_default().insert(tuple.clone());
+                    j += 1;
+                }
+                (Some(_), None) => unreachable!("a lone old variable is lost"),
+            }
         }
         let answer = LiveAnswer::new(lineage, outcome);
         let cold_cost = answer.cold_cost;
@@ -200,11 +223,16 @@ impl LiveQuery {
         };
         self.cold_cost -= existing.cold_cost;
         for var in existing.lineage.universe().iter() {
-            if let Some(tuples) = self.by_var.get_mut(&var) {
-                tuples.remove(tuple);
-                if tuples.is_empty() {
-                    self.by_var.remove(&var);
-                }
+            Self::unindex_var(&mut self.by_var, var, tuple);
+        }
+    }
+
+    /// Drops `tuple` from the index entry of `var`.
+    fn unindex_var(by_var: &mut HashMap<Var, BTreeSet<Vec<Value>>>, var: Var, tuple: &[Value]) {
+        if let Some(tuples) = by_var.get_mut(&var) {
+            tuples.remove(tuple);
+            if tuples.is_empty() {
+                by_var.remove(&var);
             }
         }
     }
@@ -552,6 +580,15 @@ mod tests {
             let mut steps_saved = 0u64;
             for q in &live.queries {
                 assert_eq!(q.cold_cost, q.answers.values().map(|a| a.cold_cost).sum::<u64>());
+                // The index `put` maintains by difference equals one rebuilt
+                // from every answer's lineage.
+                let mut rebuilt: HashMap<Var, BTreeSet<Vec<Value>>> = HashMap::new();
+                for (tuple, answer) in &q.answers {
+                    for var in answer.lineage.universe().iter() {
+                        rebuilt.entry(var).or_default().insert(tuple.clone());
+                    }
+                }
+                assert_eq!(q.by_var, rebuilt);
                 for (tuple, answer) in &q.answers {
                     let touched = report.touched.iter().any(|t| {
                         t.query == q.name && t.tuple == *tuple && t.change != AnswerChange::Removed

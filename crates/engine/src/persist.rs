@@ -554,7 +554,7 @@ mod tests {
     fn sample_entries() -> Vec<SnapshotEntry> {
         let phi = Dnf::from_clauses(vec![vec![Var(0), Var(1)], vec![Var(1), Var(2)]]);
         let p = Prekeyed::of(Lineage::Boolean(&phi));
-        let (canon, _) = p.shape.canonicalize(None).unwrap();
+        let (canon, _, _) = p.shape.canonicalize(None).unwrap();
         let attribution = Arc::new(Attribution {
             algorithm: "ExaBan",
             values: [

@@ -3,7 +3,9 @@
 
 use crate::attribution::{Attribution, Degradation, DegradeReason, Ranked};
 use crate::attributor::Attributor;
-use crate::cache::{CacheStats, CanonInfo, Lookup, Prekeyed, Resident, ShardedCache};
+use crate::cache::{
+    CacheStats, CanonInfo, Lookup, Prekeyed, PresentationHit, Resident, ShardedCache,
+};
 use crate::canon::Fingerprint;
 use crate::config::{Algorithm, EngineConfig, FallbackPolicy, Rung};
 use crate::persist::SnapshotError;
@@ -490,17 +492,17 @@ impl Session {
     /// Plans a batch, walking the instances in order exactly like the
     /// sequential loop would observe the cache. An instance whose exact
     /// dense presentation an earlier instance compiles reuses that compile
-    /// outright; one whose presentation an earlier instance settled on a
-    /// resident settles on that resident again without a lookup. A vacant
-    /// fingerprint bucket (and no earlier batch instance pending under it)
-    /// is a definite miss that *skips the canonicalization search
-    /// entirely*. A probe whose exact dense presentation a resident already
-    /// holds resolves by presentation, again with no search: the stored
-    /// values were computed on this very dense form. Otherwise a
-    /// contested bucket canonicalizes the instance plus any still-unkeyed
-    /// residents and settles on the exact key — resolving a pre-existing
-    /// cache hit immediately, or matching an earlier in-batch instance
-    /// ("owner") whose freshly compiled result this instance will reuse.
+    /// outright. A vacant fingerprint bucket (and no earlier batch instance
+    /// pending under it) is a definite miss that *skips the canonicalization
+    /// search entirely*. A probe whose exact dense presentation a resident
+    /// holds, as its own shape or as a known alias, resolves by presentation
+    /// inside the lookup, again with no search: the stored values were
+    /// computed on this very dense form, or map back through witnesses
+    /// computed before. Otherwise a contested bucket canonicalizes the
+    /// instance plus any still-unkeyed residents and settles on the exact
+    /// key — resolving a pre-existing cache hit immediately, or matching an
+    /// earlier in-batch instance ("owner") whose freshly compiled result this
+    /// instance will reuse.
     fn plan(&mut self, batch: &Batch) -> Plan {
         let n = batch.prekeyed.len();
         let mut plan = Plan {
@@ -517,38 +519,21 @@ impl Session {
         let mut keying = Keying::new(&batch.prekeyed, batch.shared_budget);
         // Earlier instances that will insert a fresh entry, by fingerprint.
         let mut pending: HashMap<Fingerprint, Vec<usize>> = HashMap::new();
-        // `settled[j]`: the entry that last settled presentation `j` (the
-        // first instance of it) by presentation.
-        let mut settled: Vec<Option<u64>> = vec![None; n];
         for (i, p) in batch.prekeyed.iter().enumerate() {
             let fp = p.fingerprint;
-            let first = keying.first[i].unwrap_or(i);
             // An earlier instance with this very presentation compiles it:
             // reuse needs no lookup and no witness, and the lookup it skips
             // would have been a miss.
-            if plan.jobs.binary_search(&first).is_ok() {
+            if let Some(first) = keying.first[i].filter(|j| plan.jobs.binary_search(j).is_ok()) {
                 self.cache.record_miss(fp);
                 plan.reuse[i] = Some(first);
-                continue;
-            }
-            // An earlier instance with this very presentation settled on a
-            // resident: settle on it again, skipping the lookup. The lookup
-            // would find that same resident first (the walk inserts nothing),
-            // and the settle counts the hit and refreshes the recency exactly
-            // as it would. An entry evicted or swapped since then refuses,
-            // counting nothing, and the instance looks up as usual.
-            if let Some(dense) =
-                settled[first].and_then(|id| self.cache.settle_presentation(fp, id, &p.shape))
-            {
-                self.stats.cache_hits += 1;
-                plan.hits[i] = Some(cache_hit(p.map_back(&dense)));
                 continue;
             }
             let (mut steps, mut searches, mut skips) = (0u64, 0u64, 0u64);
             let mates: &[usize] = pending.get(&fp).map_or(&[], Vec::as_slice);
             let mut hit = None;
             let mut owner = None;
-            match self.cache.lookup(fp) {
+            match self.cache.lookup(fp, &p.shape) {
                 // Definite miss, nothing in flight: compile without ever
                 // running the individualization search.
                 Lookup::Vacant if mates.is_empty() => skips += 1,
@@ -561,21 +546,23 @@ impl Session {
                         owner = keying.find_mate(mates, &mine, &mut steps, &mut searches);
                     }
                 }
-                Lookup::Occupied(residents) => {
-                    // A resident holding this exact presentation settles the
-                    // lookup without canonicalizing anything, unless a racing
-                    // insert swapped the entry's presentation since the
-                    // lookup (the settle re-checks under the cache lock).
-                    let presented = residents.iter().find(|r| r.shape == p.shape).and_then(|r| {
-                        self.cache.settle_presentation(fp, r.id, &p.shape).map(|d| (r.id, d))
+                Lookup::Presented(PresentationHit { attribution, alias }) => {
+                    hit = Some(match alias {
+                        None => p.map_back(&attribution),
+                        Some((order, canon)) => p.map_back_via(&order, &canon.order, &attribution),
                     });
-                    if let Some((id, dense)) = presented {
-                        settled[first] = Some(id);
-                        hit = Some(p.map_back(&dense));
-                    } else if let Some(mine) = keying.key(i, &mut steps, &mut searches) {
+                }
+                Lookup::Occupied(residents) => {
+                    if let Some(mine) = keying.key(i, &mut steps, &mut searches) {
                         let resolved = keying.settle(&residents, &mine, &mut steps, &mut searches);
-                        match self.cache.finish_lookup(fp, &mine.key, &resolved) {
-                            Some(h) => hit = Some(p.map_back_via(&mine, &h.canon, &h.attribution)),
+                        match self.cache.finish_lookup(fp, &p.shape, &mine, &resolved) {
+                            Some(h) => {
+                                hit = Some(p.map_back_via(
+                                    &mine.order,
+                                    &h.canon.order,
+                                    &h.attribution,
+                                ));
+                            }
                             None => {
                                 owner = keying.find_mate(mates, &mine, &mut steps, &mut searches);
                             }
@@ -709,7 +696,7 @@ impl Session {
                             let p = &batch.prekeyed[i];
                             let mapped = match owner.map(|j| (&canon[i], &canon[j])) {
                                 Some((Some(mine), Some(theirs))) => {
-                                    p.map_back_via(mine, theirs, attribution)
+                                    p.map_back_via(&mine.order, &theirs.order, attribution)
                                 }
                                 // Compiled here, or reused from an owner with
                                 // this very presentation: the values are over
@@ -933,18 +920,20 @@ impl<'a> Keying<'a> {
     /// Canonicalizes instance `i`'s shape: reusing a witness already
     /// computed for it or for an earlier instance of the same presentation
     /// (the witness is a function of the presentation, so that is free),
-    /// else searching — under the shared budget when one is present (`None`
+    /// else keying it — under the shared budget when one is present (`None`
     /// means the descent was interrupted and the instance stays unkeyed).
-    /// Searches are charged to the walk's cost counters.
+    /// The keying's steps are charged to the walk's cost counters, and to
+    /// `searches` if some core ran the individualization search.
     fn key(&mut self, i: usize, steps: &mut u64, searches: &mut u64) -> Option<Arc<CanonInfo>> {
         let known =
             self.canon[i].clone().or_else(|| self.first[i].and_then(|j| self.canon[j].clone()));
         let info = match known {
             Some(info) => info,
             None => {
-                let (info, cost) = self.prekeyed[i].shape.canonicalize(self.shared_budget)?;
+                let (info, cost, searched) =
+                    self.prekeyed[i].shape.canonicalize(self.shared_budget)?;
                 *steps += cost;
-                *searches += 1;
+                *searches += u64::from(searched);
                 Arc::new(info)
             }
         };
@@ -988,11 +977,11 @@ impl<'a> Keying<'a> {
             } else {
                 // Budget drained mid-descent: stop settling; the keys
                 // resolved so far still count.
-                let Some((info, cost)) = r.shape.canonicalize(self.shared_budget) else {
+                let Some((info, cost, searched)) = r.shape.canonicalize(self.shared_budget) else {
                     break;
                 };
                 *steps += cost;
-                *searches += 1;
+                *searches += u64::from(searched);
                 let info = Arc::new(info);
                 self.residents.insert(r.id, Arc::clone(&info));
                 resolved.push((r.id, Arc::clone(&info)));

@@ -290,27 +290,26 @@ fn cache_lock_contention_slows_but_never_corrupts() {
 }
 
 #[test]
-fn a_repeated_presentation_settles_without_a_lookup_and_falls_back_once_evicted() {
+fn a_repeated_presentation_looks_up_again_and_finds_its_replaced_entry() {
     let _lock = faults_lock();
     let (a, c, a_again) = (ring(0, 6), ring(0, 5), ring(100, 6));
     let expected = undisturbed(&a);
     let config = EngineConfig::default().with_cache_config(CacheConfig::new().with_capacity(2));
     let batch = [&a, &c, &a_again];
 
-    // Undisturbed: the third instance has the first one's presentation and
-    // settles on the same resident without looking the cache up.
+    // Undisturbed: the third instance has the first one's presentation, and
+    // its own lookup settles it on the same resident by presentation.
     let engine = Engine::new(config.clone());
     engine.session().attribute_batch(&[&a, &c], BatchOptions::default());
     let count = arm("cache::lookup", Trigger::NthHit(u64::MAX), FailAction::Trigger);
     let outcomes = engine.session().attribute_batch(&batch, BatchOptions::default());
     assert!(outcomes.iter().all(|o| o.as_ref().unwrap().stats.cache_hit));
-    assert_eq!(hits("cache::lookup"), 2, "three instances, two lookups");
+    assert_eq!(hits("cache::lookup"), 3, "three instances, three lookups");
     drop(count);
 
     // Disturbed: at the second instance's lookup another session evicts both
     // residents and inserts the first presentation again under a new entry.
-    // The third instance's settle on the old entry refuses, and it falls
-    // back to a lookup, which finds the new entry.
+    // The third instance's lookup finds the new entry.
     let engine = Engine::new(config);
     engine.session().attribute_batch(&[&a, &c], BatchOptions::default());
     let other = engine.clone();
@@ -322,7 +321,7 @@ fn a_repeated_presentation_settles_without_a_lookup_and_falls_back_once_evicted(
     }));
     let _evict = arm("cache::lookup", Trigger::NthHit(2), FailAction::Run(evict));
     let outcomes = engine.session().attribute_batch(&batch, BatchOptions::default());
-    assert_eq!(hits("cache::lookup"), 6, "the refused settle looked the cache up");
+    assert_eq!(hits("cache::lookup"), 6, "three in the batch, three in the hook");
     let hit: Vec<bool> = outcomes.iter().map(|o| o.as_ref().unwrap().stats.cache_hit).collect();
     assert_eq!(hit, [true, false, true], "C was evicted; A hits its new entry");
     let att = outcomes[2].as_ref().unwrap();

@@ -855,9 +855,11 @@ fn in_batch_reuse_maps_back_by_presentation_or_through_witnesses() {
         }
         assert_eq!(session.stats().cache_hits, 2, "both later paths reuse the first compile");
         // The relabelling keys itself and the pending owner; the shifted
-        // copy reuses the owner by presentation, with no search.
-        assert_eq!(session.stats().canon_searches, 2);
-        assert_eq!(out[2].as_ref().unwrap().stats.canon_searches, 0);
+        // copy reuses the owner by presentation, with no keying. A 3-path
+        // factors and splits all the way down, so neither keying searches.
+        assert!(out[1].as_ref().unwrap().stats.canon_steps > 0);
+        assert_eq!(session.stats().canon_searches, 0);
+        assert_eq!(out[2].as_ref().unwrap().stats.canon_steps, 0);
     }
 }
 
@@ -871,7 +873,8 @@ fn a_repeated_presentation_reuses_its_witness_within_a_batch() {
     // The resident holds the presentation with the middle fact in the middle.
     session.attribute(&path(0, 1, 2)).unwrap();
     // Two copies of another presentation (middle fact smallest): both hit
-    // through the canonical key, and only the first pays the search.
+    // through the canonical key, and only the first pays the keying (which
+    // decomposes without a search).
     let lineages = [path(21, 20, 22), path(31, 30, 32)];
     let refs: Vec<&Dnf> = lineages.iter().collect();
     let out = session.attribute_batch(&refs, BatchOptions::default());
@@ -883,6 +886,246 @@ fn a_repeated_presentation_reuses_its_witness_within_a_batch() {
         assert!(a.stats.cache_hit);
         assert_eq!(rendering(phi.universe(), a), rendering(phi.universe(), b));
     }
-    assert!(out[0].as_ref().unwrap().stats.canon_searches > 0);
-    assert_eq!(out[1].as_ref().unwrap().stats.canon_searches, 0);
+    assert!(out[0].as_ref().unwrap().stats.canon_steps > 0);
+    assert_eq!(out[0].as_ref().unwrap().stats.canon_searches, 0);
+    assert_eq!(out[1].as_ref().unwrap().stats.canon_steps, 0);
+}
+
+/// The 16 queries of the three paper corpora, each with its database.
+fn corpora_queries(workloads: &[LiveWorkload]) -> Vec<(&UnionQuery, &Database)> {
+    workloads.iter().flat_map(|w| w.queries.iter().map(move |(_, q)| (q, &w.db))).collect()
+}
+
+fn corpora() -> Vec<LiveWorkload> {
+    let spec = DatasetSpec::default();
+    vec![academic_workload(&spec), imdb_workload(&spec), tpch_workload(&spec)]
+}
+
+/// What one explain pass over the corpora returned and paid.
+#[derive(Debug, PartialEq)]
+struct Pass {
+    /// Every answer's rendering, in query and answer order.
+    renderings: Vec<Vec<String>>,
+    /// Every answer's cache-hit flag.
+    hits: Vec<bool>,
+    /// The keying steps and searches the pass added to the session.
+    keyed: (u64, u64),
+}
+
+fn explain_pass(session: &mut Session, queries: &[(&UnionQuery, &Database)]) -> Pass {
+    let before = *session.stats();
+    let (mut renderings, mut hits) = (Vec::new(), Vec::new());
+    for &(query, db) in queries {
+        for answer in session.explain(query, db).answers {
+            let attribution = answer.attribution().expect("unlimited budget");
+            renderings.push(rendering(answer.lineage.universe(), attribution));
+            hits.push(attribution.stats.cache_hit);
+        }
+    }
+    let after = *session.stats();
+    let keyed =
+        (after.canon_steps - before.canon_steps, after.canon_searches - before.canon_searches);
+    Pass { renderings, hits, keyed }
+}
+
+/// The alias cache's acceptance property on the paper corpora: once every
+/// presentation has been sighted twice, a warm explain pass keys nothing —
+/// every answer is served by its fingerprint bucket's own presentation or a
+/// known alias — and still equals a cache-off session bit for bit. One and
+/// three shards agree on every pass.
+#[test]
+fn warm_corpora_passes_key_nothing_and_match_cache_off() {
+    let workloads = corpora();
+    let queries = corpora_queries(&workloads);
+    assert_eq!(queries.len(), 16);
+    let mut plain =
+        Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled())).session();
+    let cold = explain_pass(&mut plain, &queries);
+    let mut per_shards = Vec::new();
+    for shards in [1, 3] {
+        let engine = Engine::new(
+            EngineConfig::default().with_cache_config(CacheConfig::new().with_shards(shards)),
+        );
+        let mut session = engine.session();
+        let passes: Vec<_> = (0..4).map(|_| explain_pass(&mut session, &queries)).collect();
+        for pass in &passes {
+            assert_eq!(pass.renderings, cold.renderings, "shards={shards}");
+        }
+        // A presentation becomes an alias the second time it keys to an
+        // entry by a cache hit. One first met as the in-batch mate of a new
+        // entry reuses that compile instead, so its sightings start on the
+        // second pass: the keying dies out over three passes, and the fourth
+        // keys nothing and hits everywhere.
+        let keyed: Vec<(u64, u64)> = passes.iter().map(|pass| pass.keyed).collect();
+        assert!(keyed[0].0 > keyed[1].0 && keyed[1].0 > keyed[2].0, "{keyed:?}");
+        assert_eq!(keyed[3], (0, 0), "shards={shards}: a warm pass keys nothing");
+        assert!(passes[3].hits.iter().all(|&hit| hit), "a warm pass is all hits");
+        let stats = engine.stats().cache;
+        assert_eq!(stats.entries, 75, "shards={shards}");
+        per_shards.push((passes, stats.hits, stats.misses, stats.insertions, stats.canon_steps));
+    }
+    assert_eq!(per_shards[0], per_shards[1], "1 and 3 shards must agree on every pass");
+}
+
+/// Aliases are not persisted: a warm-started engine serves every answer
+/// from the snapshot, but relearns the aliases (keying again on its first
+/// pass) before a pass keys nothing. The snapshot format stays at version 3.
+#[test]
+fn warm_starts_carry_no_aliases_and_relearn_them() {
+    let workloads = corpora();
+    let queries = corpora_queries(&workloads);
+    let dir = std::env::temp_dir().join(format!("banzhaf-alias-snapshot-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("corpora.bzc");
+    let engine = Engine::new(EngineConfig::default());
+    let mut session = engine.session();
+    let cold = explain_pass(&mut session, &queries);
+    for _ in 0..2 {
+        explain_pass(&mut session, &queries);
+    }
+    assert_eq!(explain_pass(&mut session, &queries).keyed, (0, 0));
+    engine.save_cache(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(&bytes[..8], b"BZHSNAP\0");
+    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 3, "snapshot version 3");
+
+    let warm = Engine::new(
+        EngineConfig::default().with_cache_config(CacheConfig::new().with_warm_start(&path)),
+    );
+    assert_eq!(warm.stats().cache.entries, 75);
+    let mut session = warm.session();
+    let passes: Vec<_> = (0..2).map(|_| explain_pass(&mut session, &queries)).collect();
+    for pass in &passes {
+        assert!(pass.hits.iter().all(|&hit| hit), "the snapshot serves every answer");
+        assert_eq!(pass.renderings, cold.renderings);
+    }
+    // Every entry is resident from the start, so each aliased presentation
+    // keys to it by a cache hit on both of the first two passes.
+    assert!(passes[0].keyed.0 > 0, "the warm engine keys the presentations it has no alias for");
+    let relearned = explain_pass(&mut session, &queries);
+    assert_eq!(relearned.keyed, (0, 0), "and relearns them as aliases");
+    assert_eq!(warm.stats().cache.insertions, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Live updates reach entries through aliases too: a seeded stream of
+/// delete/re-insert pairs over the IMDB-like database, replayed three times
+/// (a re-inserted fact gets a fresh id, so touched answers come back in
+/// other presentations), keeps every registered query bit-identical to a
+/// cold re-evaluation after every update.
+#[test]
+fn live_updates_through_aliases_match_cold_reevaluation() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let imdb = imdb_workload(&DatasetSpec::default());
+    let candidates: Vec<(String, Vec<Value>)> = imdb
+        .db
+        .endogenous_facts()
+        .filter(|(_, f)| imdb.mutable_relations.iter().any(|r| r == f.relation()))
+        .map(|(_, f)| (f.relation().to_owned(), f.values().to_vec()))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(22);
+    let picks: Vec<usize> = (0..4).map(|_| rng.gen_range(0..candidates.len())).collect();
+    let engine = Engine::new(EngineConfig::default());
+    let mut live = engine.live_session(imdb.db.clone());
+    for (name, query) in &imdb.queries {
+        live.register(name.clone(), query.clone());
+    }
+    let mut keyed = Vec::new();
+    for _ in 0..3 {
+        let before = live.session_stats().canon_steps;
+        for &pick in &picks {
+            let (relation, values) = candidates[pick].clone();
+            for update in [
+                Update::delete(relation.clone(), values.clone()),
+                Update::insert(relation.clone(), values.clone()),
+            ] {
+                live.apply_update(update).unwrap();
+                for (name, query) in &imdb.queries {
+                    assert_matches_cold(&live, name, query);
+                }
+            }
+        }
+        keyed.push(live.session_stats().canon_steps - before);
+    }
+    // The first round keys the touched answers' new presentations, the
+    // second learns them as aliases, and the third is served without keying.
+    assert!(keyed[0] > 0 && keyed[2] == 0, "{keyed:?}");
+}
+
+/// A weighted (`SUM`) lineage over `phi`'s clauses, clause `k` weighing
+/// `1 + (seed + k) % 3`.
+fn weighted_over(phi: &Dnf, seed: u64) -> WeightedDnf {
+    WeightedDnf::from_weighted_clauses(
+        AggregateKind::Sum,
+        phi.clauses().iter().enumerate().map(|(k, c)| {
+            (c.iter().collect::<Vec<Var>>(), Rational::from(1 + ((seed + k as u64) % 3) as i64))
+        }),
+    )
+}
+
+/// `w` renamed through `bijection`, each weight carried with its clause.
+fn renamed_weighted(
+    w: &WeightedDnf,
+    bijection: &std::collections::HashMap<Var, Var>,
+) -> WeightedDnf {
+    WeightedDnf::from_weighted_clauses(
+        w.kind(),
+        w.dnf().clauses().iter().zip(w.weights()).map(|(c, weight)| {
+            (c.iter().map(|v| bijection[&v]).collect::<Vec<Var>>(), weight.clone())
+        }),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random renamings and clause shuffles of one random lineage, sent
+    /// three rounds through one engine: the first keys each new
+    /// presentation, the second learns it as an alias, the third is served
+    /// by presentation or alias without any keying — and every answer, alias
+    /// hits included, equals the brute-force Banzhaf value, Boolean and
+    /// weighted alike.
+    #[test]
+    fn alias_hits_on_random_isomorphs_equal_brute_force(
+        phi in small_dnf(),
+        seeds in proptest::collection::vec(any::<u64>(), 3..=3),
+    ) {
+        let isomorphs: Vec<(Dnf, std::collections::HashMap<Var, Var>)> =
+            seeds.iter().map(|&seed| random_isomorph(&phi, seed)).collect();
+        let boolean: Vec<Dnf> =
+            std::iter::once(phi.clone()).chain(isomorphs.iter().map(|(d, _)| d.clone())).collect();
+        let base = weighted_over(&phi, seeds[0]);
+        let weighted: Vec<WeightedDnf> = std::iter::once(base.clone())
+            .chain(isomorphs.iter().map(|(_, bijection)| renamed_weighted(&base, bijection)))
+            .collect();
+        let engine = Engine::new(EngineConfig::default());
+        let mut session = engine.session();
+        for round in 0..3 {
+            for lineage in &boolean {
+                let a = session.attribute(lineage).unwrap();
+                for x in lineage.universe().iter() {
+                    let brute = lineage.brute_force_banzhaf(x);
+                    prop_assert!(!brute.is_negative());
+                    prop_assert_eq!(a.value(x).unwrap().exact(), Some(brute.into_magnitude()));
+                }
+                if round == 2 {
+                    prop_assert!(a.stats.cache_hit);
+                    prop_assert_eq!(a.stats.canon_steps, 0, "a warm presentation keys nothing");
+                }
+            }
+            for lineage in &weighted {
+                let a = session.attribute(lineage).unwrap();
+                for x in lineage.universe().iter() {
+                    let Some(Score::Rational(got)) = a.value(x) else {
+                        panic!("aggregate scores are exact rationals");
+                    };
+                    prop_assert_eq!(&**got, &lineage.brute_force_aggregate_banzhaf(x));
+                }
+                if round == 2 {
+                    prop_assert!(a.stats.cache_hit);
+                    prop_assert_eq!(a.stats.canon_steps, 0, "a warm presentation keys nothing");
+                }
+            }
+        }
+    }
 }
