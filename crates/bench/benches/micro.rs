@@ -126,8 +126,10 @@ fn bench_evaluate(c: &mut Criterion) {
 }
 
 /// A warmed `attribute_batch` over each corpus query's answer lineages:
-/// every instance is a cache hit, so this times the engine layer alone
-/// (prekey, presentation settle, map-back) under every explain request.
+/// every instance is answered in closed form (clauses that share no
+/// variable) or is a cache hit, so this times the engine layer alone (the
+/// closed form, or prekey, presentation settle and map-back) under every
+/// explain request.
 fn bench_session_hit(c: &mut Criterion) {
     let mut group = c.benchmark_group("session_hit");
     let spec = DatasetSpec::default();

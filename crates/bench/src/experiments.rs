@@ -1162,30 +1162,36 @@ pub fn canon_hit_rate(config: &HarnessConfig) -> String {
     )
 }
 
-/// The live-update repro experiment: drive a seeded insert/delete stream
-/// against the mutating Academic- and IMDB-like databases through a
-/// [`banzhaf_engine::LiveSession`], check the maintained attributions against
-/// a cold re-evaluation after *every* step, and score the compile steps the
-/// delta path avoided. Writes `BENCH_update.json` (gated by
-/// `bench_gate --update`).
-#[allow(clippy::too_many_lines)]
-pub fn update_stream(config: &HarnessConfig) -> String {
+/// One corpus family's run of the seeded update stream ([`update_stream`]).
+struct FamilyOutcome {
+    name: String,
+    updates: u64,
+    touched: u64,
+    untouched: u64,
+    incremental_steps: u64,
+    cold_steps: u64,
+    cache_hits: u64,
+    bit_identical: bool,
+}
+
+/// The fraction of `cold` compile steps that `incremental` saved (0 when
+/// the cold path compiled nothing).
+fn steps_saved(incremental: u64, cold: u64) -> f64 {
+    if cold == 0 {
+        0.0
+    } else {
+        1.0 - incremental as f64 / cold as f64
+    }
+}
+
+/// The per-family runs of [`update_stream`]'s seeded stream: bit-identity
+/// against the cold re-evaluation after every step, and the compile steps
+/// of both paths.
+fn update_families(config: &HarnessConfig) -> Vec<FamilyOutcome> {
     use banzhaf_db::Update;
     use banzhaf_workloads::{academic_workload, imdb_workload, LiveWorkload};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::fmt::Write as _;
-
-    struct FamilyOutcome {
-        name: String,
-        updates: u64,
-        touched: u64,
-        untouched: u64,
-        incremental_steps: u64,
-        cold_steps: u64,
-        cache_hits: u64,
-        bit_identical: bool,
-    }
 
     let spec = config.dataset_spec();
     let updates_per_family = 8 * config.scale.max(1) as u64;
@@ -1279,13 +1285,24 @@ pub fn update_stream(config: &HarnessConfig) -> String {
         }
         families.push(outcome);
     }
+    families
+}
 
+/// The live-update repro experiment: drives a seeded insert/delete stream
+/// against the mutating Academic- and IMDB-like databases through a
+/// [`banzhaf_engine::LiveSession`], checks the maintained attributions
+/// against a cold re-evaluation after *every* step, and scores the compile
+/// steps the delta path avoided. Writes `BENCH_update.json` (gated by
+/// `bench_gate --update`).
+pub fn update_stream(config: &HarnessConfig) -> String {
+    use std::fmt::Write as _;
+
+    let families = update_families(config);
     let total_inc: u64 = families.iter().map(|f| f.incremental_steps).sum();
     let total_cold: u64 = families.iter().map(|f| f.cold_steps).sum();
     let total_updates: u64 = families.iter().map(|f| f.updates).sum();
     let bit_identical = families.iter().all(|f| f.bit_identical);
-    let steps_saved_ratio =
-        if total_cold == 0 { 0.0 } else { 1.0 - total_inc as f64 / total_cold as f64 };
+    let steps_saved_ratio = steps_saved(total_inc, total_cold);
 
     let mut table = TextTable::new([
         "Corpus",
@@ -1299,11 +1316,7 @@ pub fn update_stream(config: &HarnessConfig) -> String {
     ]);
     let mut family_json = String::new();
     for f in &families {
-        let saved = if f.cold_steps == 0 {
-            0.0
-        } else {
-            1.0 - f.incremental_steps as f64 / f.cold_steps as f64
-        };
+        let saved = steps_saved(f.incremental_steps, f.cold_steps);
         table.push_row([
             f.name.clone(),
             f.updates.to_string(),
@@ -1981,6 +1994,29 @@ mod tests {
         assert_eq!(engine.stats().cache.hits, 25, "25 of 30 requests must hit");
         let canon_steps = session.stats().canon_steps;
         assert!(canon_steps as f64 <= ceiling, "{canon_steps} keying steps vs ceiling {ceiling}");
+    }
+
+    /// The deterministic half of `bench_gate --update`, at the harness's
+    /// default seed: the seeded insert/delete stream matches a cold
+    /// re-evaluation after every step, and its incremental path saves at
+    /// least the `BENCH_baseline.json` floor of compile steps.
+    #[test]
+    fn update_stream_is_bit_identical_and_holds_the_baseline() {
+        let baseline = crate::json::Json::parse(include_str!("../../../BENCH_baseline.json"))
+            .expect("the baseline parses");
+        let floor = baseline
+            .get("update_stream")
+            .and_then(|b| b.get("steps_saved_ratio"))
+            .and_then(crate::json::Json::as_f64)
+            .expect("the baseline holds a steps_saved_ratio floor");
+        let families = update_families(&HarnessConfig::default());
+        for f in &families {
+            assert!(f.bit_identical, "{}: an incremental step diverged from cold", f.name);
+        }
+        let incremental = families.iter().map(|f| f.incremental_steps).sum();
+        let cold = families.iter().map(|f| f.cold_steps).sum();
+        let ratio = steps_saved(incremental, cold);
+        assert!(ratio >= floor, "{ratio} of cold steps saved vs floor {floor}");
     }
 
     #[test]

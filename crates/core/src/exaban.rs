@@ -28,7 +28,7 @@
 //! that occur only in constant leaves.
 
 use banzhaf_arith::{Int, Natural};
-use banzhaf_boolean::Var;
+use banzhaf_boolean::{Clause, Dnf, Var};
 use banzhaf_dtree::{DTree, Node, NodeId, OpKind, Span};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -322,6 +322,111 @@ pub fn exaban_all_with_counts(tree: &DTree, counts: &ModelCounts) -> BanzhafResu
     BanzhafResult { values, model_count: counts.get(tree, tree.root()).into_owned() }
 }
 
+/// ExaBan in closed form for a lineage whose clauses share no variable.
+///
+/// Such a lineage compiles to a depth-two d-tree: a `⊗` over its clauses,
+/// each a `⊙` of literals. Eq. (7) and (9) then give every value directly.
+/// For `x` in clause `C_i`, `Banzhaf(φ, x) = 2^u · Π_{j≠i} (2^{|C_j|} − 1)`,
+/// where `u` counts the universe variables that occur in no clause; those
+/// score 0. The model count is `2^n − 2^u · Π_j (2^{|C_j|} − 1)`.
+#[derive(Clone, Debug)]
+pub struct ClosedForm<'a> {
+    phi: &'a Dnf,
+    /// One bit per universe position: set iff some clause uses it.
+    used: Vec<u64>,
+    /// Universe variables in no clause.
+    unused: usize,
+    /// Each distinct clause width with the value of a variable in a clause
+    /// of that width (clauses of one width score alike).
+    scores: Vec<(usize, Natural)>,
+    model_count: Natural,
+}
+
+impl<'a> ClosedForm<'a> {
+    /// The closed form of `phi`, or `None` for a constant or for clauses
+    /// that share a variable. One linear pass rejects: `Σ|C_j| ≤ n` is
+    /// tested first, in `O(clauses)` and without allocating, and then that
+    /// no variable repeats.
+    pub fn of(phi: &'a Dnf) -> Option<Self> {
+        if phi.is_constant() {
+            return None;
+        }
+        let universe = phi.universe().as_slice();
+        let clauses = phi.clauses();
+        let mut size = 0usize;
+        for clause in clauses {
+            size += clause.len();
+            if size > universe.len() {
+                return None;
+            }
+        }
+        let mut used = vec![0u64; universe.len().div_ceil(64)];
+        for v in clauses.iter().flat_map(Clause::vars) {
+            let p = universe.binary_search(v).expect("clause variable in the universe");
+            let bit = 1u64 << (p % 64);
+            if used[p / 64] & bit != 0 {
+                return None;
+            }
+            used[p / 64] |= bit;
+        }
+        // The distinct clause widths, each with its multiplicity.
+        let mut widths: Vec<(usize, u32)> = Vec::new();
+        for clause in clauses {
+            match widths.iter_mut().find(|(w, _)| *w == clause.len()) {
+                Some((_, m)) => *m += 1,
+                None => widths.push((clause.len(), 1)),
+            }
+        }
+        // Π_j (2^{|C_j|} − 1) over every clause, or over all but one clause
+        // of width `skip`. Widths are few, so recomputing it per width is
+        // cheaper than dividing.
+        let non_models = |skip: Option<usize>| {
+            widths.iter().fold(Natural::one(), |acc, &(w, m)| {
+                let f = &Natural::pow2(w) - &Natural::one();
+                acc.mul_ref(&f.pow(m - u32::from(skip == Some(w))))
+            })
+        };
+        let unused = universe.len() - size;
+        let scores =
+            widths.iter().map(|&(w, _)| (w, non_models(Some(w)).shl_bits(unused))).collect();
+        let model_count = &Natural::pow2(universe.len()) - &non_models(None).shl_bits(unused);
+        Some(ClosedForm { phi, used, unused, scores, model_count })
+    }
+
+    /// The model count `#φ`.
+    pub fn model_count(&self) -> &Natural {
+        &self.model_count
+    }
+
+    /// Every universe variable with its Banzhaf value: the clause variables
+    /// in clause order, then the unused ones with value 0.
+    pub fn values(&self) -> impl Iterator<Item = (Var, Natural)> + '_ {
+        let in_clauses = self.phi.clauses().iter().flat_map(move |clause| {
+            let (_, score) =
+                self.scores.iter().find(|(w, _)| *w == clause.len()).expect("every width scored");
+            clause.vars().iter().map(move |&v| (v, score.clone()))
+        });
+        let unused = self
+            .phi
+            .universe()
+            .iter()
+            .enumerate()
+            .filter(move |(p, _)| self.used[p / 64] & (1 << (p % 64)) == 0)
+            .map(|(_, v)| (v, Natural::zero()))
+            .take(self.unused);
+        in_clauses.chain(unused)
+    }
+}
+
+/// [`ClosedForm`] collected into a [`BanzhafResult`]: the same values and
+/// model count as [`exaban_all`] over the compiled tree, or `None` when the
+/// clauses share a variable or `phi` is a constant.
+pub fn exaban_closed_form(phi: &Dnf) -> Option<BanzhafResult> {
+    let closed = ClosedForm::of(phi)?;
+    let values = closed.values().collect();
+    Some(BanzhafResult { values, model_count: closed.model_count })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,6 +544,56 @@ mod tests {
         let all = exaban_all(&f);
         assert_eq!(all.model_count.to_u64(), Some(0));
         assert_eq!(all.value(v(0)).unwrap().to_u64(), Some(0));
+    }
+
+    #[test]
+    fn closed_form_matches_compiled_exaban_on_independent_clauses() {
+        let functions = vec![
+            banzhaf_boolean::Dnf::variable(v(7)),
+            banzhaf_boolean::Dnf::from_clauses(vec![vec![v(0), v(1), v(2)]]),
+            banzhaf_boolean::Dnf::from_clauses(vec![
+                vec![v(0), v(1)],
+                vec![v(2), v(3)],
+                vec![v(4)],
+                vec![v(5), v(6), v(7)],
+                vec![v(8), v(9)],
+            ]),
+            banzhaf_boolean::Dnf::from_clauses_with_universe(
+                vec![vec![v(1), v(3)], vec![v(4)]],
+                banzhaf_boolean::VarSet::from_iter([v(0), v(1), v(2), v(3), v(4), v(9)]),
+            ),
+        ];
+        for phi in functions {
+            let closed = exaban_closed_form(&phi).expect("independent clauses");
+            let compiled = exaban_all(&compile(phi.clone()));
+            assert_eq!(closed.model_count, compiled.model_count, "{phi}");
+            assert_eq!(closed.model_count, phi.brute_force_model_count(), "{phi}");
+            assert_eq!(closed.values, compiled.values, "{phi}");
+        }
+    }
+
+    #[test]
+    fn closed_form_refuses_shared_variables_and_constants() {
+        let shared = banzhaf_boolean::Dnf::from_clauses(vec![
+            vec![v(0), v(1)],
+            vec![v(1), v(2)],
+            vec![v(3)],
+        ]);
+        // Σ|C_j| ≤ n holds once unused variables pad the universe, so the
+        // repeat check is what refuses this one.
+        let padded = banzhaf_boolean::Dnf::from_clauses_with_universe(
+            vec![vec![v(0), v(1)], vec![v(1), v(2)]],
+            (0..8).map(v).collect(),
+        );
+        let universe = banzhaf_boolean::VarSet::from_iter([v(0), v(1)]);
+        for phi in [
+            shared,
+            padded,
+            banzhaf_boolean::Dnf::constant_true(universe.clone()),
+            banzhaf_boolean::Dnf::constant_false(universe),
+        ] {
+            assert!(ClosedForm::of(&phi).is_none(), "{phi}");
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! in Query Answering* (SIGMOD 2024):
 //!
 //! * [`exaban_all`] / [`exaban_single`] — **ExaBan** (Fig. 1): exact Banzhaf
-//!   values and model counts over a complete d-tree.
+//!   values and model counts over a complete d-tree; [`exaban_closed_form`]
+//!   gives the same answer without compiling when the clauses share no
+//!   variable.
 //! * [`bounds_for_var`] — the `bounds` procedure (Fig. 2): lower/upper bounds
 //!   on Banzhaf values and model counts over a *partial* d-tree, using the
 //!   iDNF constructions of Sec. 3.2.1 at non-trivial leaves.
@@ -51,7 +53,8 @@ pub use banzhaf_boolean::{AggregateKind, AggregateValue, Dnf, Var, WeightedDnf};
 pub use banzhaf_dtree::{Budget, DTree, Interrupted, PivotHeuristic};
 pub use bounds::{bounds_for_var, BoundQuad};
 pub use exaban::{
-    exaban_all, exaban_all_with_counts, exaban_single, model_counts, BanzhafResult, ModelCounts,
+    exaban_all, exaban_all_with_counts, exaban_closed_form, exaban_single, model_counts,
+    BanzhafResult, ClosedForm, ModelCounts,
 };
 pub use ichiban::{ichiban_rank, ichiban_topk, IchiBanOptions, Ranking, TopK};
 pub use shapley::{critical_counts_all, shapley_all, ShapleyValue};

@@ -83,11 +83,14 @@ impl Score {
 pub struct EngineStats {
     /// Knowledge-compilation steps performed: d-tree expansions for the
     /// tree-based algorithms, DPLL recursion nodes for Sig22, 0 for the
-    /// compilation-free baselines — and 0 on a cache hit.
+    /// compilation-free baselines — and 0 on a cache hit or a closed form
+    /// ([`crate::Attributor::closed_form`]).
     pub compile_steps: u64,
     /// Size of the (possibly partial) d-tree after the run, in nodes.
     pub dtree_nodes: usize,
-    /// Wall-clock time spent inside the backend.
+    /// Wall-clock time spent inside the backend; 0 for a cache hit and for
+    /// a closed form ([`crate::Attributor::closed_form`]), whose one linear
+    /// pass costs about as much as the two clock reads that would time it.
     pub wall: Duration,
     /// `true` iff the result was served from the session's d-tree cache.
     pub cache_hit: bool,

@@ -3,13 +3,14 @@
 use crate::attribution::{Attribution, EngineStats, Ranked, Score};
 use banzhaf::{
     adaban, adaban_all, aggregate_banzhaf_all, exaban_all, exaban_all_with_counts, ichiban_rank,
-    ichiban_topk, model_counts, shapley_all, AdaBanOptions, ApproxInterval, Budget, DTree,
-    IchiBanOptions, Interrupted, PivotHeuristic,
+    ichiban_topk, model_counts, shapley_all, AdaBanOptions, ApproxInterval, Budget, ClosedForm,
+    DTree, IchiBanOptions, Interrupted, PivotHeuristic,
 };
 use banzhaf_arith::Natural;
 use banzhaf_baselines::{cnf_proxy, mc_banzhaf_par, sig22_exact, McOptions};
 use banzhaf_boolean::{Dnf, Lineage, Var};
 use banzhaf_par::{seed, ThreadPool};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -51,6 +52,18 @@ pub trait Attributor: Send + Sync {
         stream: u64,
         deadline: &Budget,
     ) -> Result<Attribution, Interrupted>;
+
+    /// The attribution of a Boolean lineage that the backend answers in
+    /// closed form — in one linear pass, with no compilation and cheaper
+    /// than a cache lookup — or `None` (the default) if it needs the full
+    /// [`Attributor::attribute_indexed`] run. A [`crate::Session`] serves
+    /// such a lineage straight from here: no prekey, no cache lookup and no
+    /// cache entry. An override returns the values and model count the full
+    /// run would return; it compiles nothing, so its stats report no steps,
+    /// no nodes and no wall time.
+    fn closed_form(&self, _lineage: &Dnf) -> Option<Attribution> {
+        None
+    }
 
     /// Computes attribution scores for every fact of a Boolean lineage.
     fn attribute(&self, lineage: &Dnf, deadline: &Budget) -> Result<Attribution, Interrupted> {
@@ -152,6 +165,23 @@ impl Attributor for ExaBanAttributor {
         "ExaBan"
     }
 
+    /// Clauses that share no variable form a depth-two d-tree whose values
+    /// follow in closed form ([`ClosedForm`]); Shapley values still need the
+    /// compiled tree.
+    fn closed_form(&self, lineage: &Dnf) -> Option<Attribution> {
+        if self.include_shapley {
+            return None;
+        }
+        let closed = ClosedForm::of(lineage)?;
+        let mut values = HashMap::with_capacity(lineage.num_vars());
+        values.extend(closed.values().map(|(v, b)| (v, Score::Exact(b))));
+        Some(Attribution {
+            values,
+            model_count: Some(closed.model_count().clone()),
+            ..scored(self.name(), [], EngineStats::default())
+        })
+    }
+
     fn attribute_indexed(
         &self,
         lineage: Lineage<'_>,
@@ -161,6 +191,9 @@ impl Attributor for ExaBanAttributor {
         let start = Instant::now();
         match lineage {
             Lineage::Boolean(phi) => {
+                if let Some(attribution) = self.closed_form(phi) {
+                    return Ok(attribution);
+                }
                 let tree = DTree::compile_full(phi.clone(), self.heuristic, deadline)?;
                 // The two-pass algorithm shares one bottom-up count pass
                 // across all variables; the optional Shapley pass reuses the

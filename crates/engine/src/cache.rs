@@ -8,6 +8,12 @@
 //!
 //! Design:
 //!
+//! * **Independent-clause lineages bypass the cache.** A Boolean lineage
+//!   whose clauses share no variable has a closed form
+//!   ([`crate::Attributor::closed_form`], ExaBan's depth-two d-tree) that
+//!   costs less than a warm hit, so [`crate::Session`] answers it before
+//!   building a [`Prekeyed`]: it makes no lookup, counts neither a hit nor a
+//!   miss, and leaves no entry.
 //! * **Keying in four levels: fingerprint, own presentation, known alias,
 //!   canonical key.** Every lookup first computes a cheap
 //!   isomorphism-invariant [`Fingerprint`] (variable/clause counts plus
@@ -36,12 +42,13 @@
 //!   second time that presentation keys to it (a few 64-bit presentation
 //!   digests per entry remember the first sightings; a digest collision
 //!   merely records an alias early, since alias matches compare shapes in
-//!   full). Renamed isomorphs that never repeat a presentation therefore
-//!   leave no aliases behind. An entry holds at most [`ALIAS_CAP`] aliases;
-//!   they die with the entry, survive a cross-presentation swap of the
-//!   entry's own shape (they are relative to the canonical order, which the
-//!   swap keeps), and are never persisted — a warm-started engine relearns
-//!   them.
+//!   full). An in-batch mate that keyed to the instance inserting the entry
+//!   is sighted too ([`SharedCache::sight_mates`]). Renamed isomorphs that
+//!   never repeat a presentation therefore leave no aliases behind. An
+//!   entry holds at most [`ALIAS_CAP`] aliases; they die with the entry,
+//!   survive a cross-presentation swap of the entry's own shape (they are
+//!   relative to the canonical order, which the swap keeps), and are never
+//!   persisted — a warm-started engine relearns them.
 //! * **Exact canonical confirmation**: equal canonical keys imply isomorphic
 //!   lineages (so cached attributions transfer under the variable
 //!   bijection), and isomorphic lineages produce equal keys under arbitrary
@@ -528,6 +535,10 @@ struct CacheEntry {
     tick: u64,
 }
 
+/// Another dense presentation of an entry's lineage, with the witness
+/// order that keyed it, as [`SharedCache::sight_mates`] takes it.
+pub(crate) type Sighting<'a> = (&'a Arc<Shape>, &'a [u32]);
+
 /// Another dense presentation of an entry's lineage.
 struct Alias {
     /// Shared with the probe that taught it.
@@ -852,6 +863,32 @@ impl SharedCache {
         Self::compact(&mut inner);
     }
 
+    /// Sights `mates` on the entry whose own presentation is `shape`: each
+    /// is another presentation with its witness order, an in-batch mate
+    /// that keyed to the instance that just inserted the entry and reused
+    /// its compile. That keying counts as a first sighting, as a canonical
+    /// hit's would, so the mate's next keying makes it an alias. Nothing
+    /// happens if the entry has been evicted or is unkeyed.
+    pub(crate) fn sight_mates(&self, fp: Fingerprint, shape: &Shape, mates: &[Sighting<'_>]) {
+        let digests: Vec<u64> = mates.iter().map(|(mate, _)| mate.digest()).collect();
+        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let inner = &mut *inner;
+        let Some(entry) = inner
+            .buckets
+            .get(&fp)
+            .and_then(|ids| ids.iter().copied().find(|id| *inner.entries[id].shape == *shape))
+        else {
+            return;
+        };
+        let entry = inner.entries.get_mut(&entry).expect("resident just seen");
+        if entry.canon.is_none() {
+            return;
+        }
+        for ((mate, order), digest) in mates.iter().zip(digests) {
+            entry.sight(mate, order, digest);
+        }
+    }
+
     /// Records canonicalization work performed by a session of this engine —
     /// refinement steps, individualization searches run, and searches
     /// avoided outright by vacant fingerprints — so [`CacheStats`] reports
@@ -1133,6 +1170,11 @@ impl ShardedCache {
         attribution: Arc<Attribution>,
     ) {
         self.shard(fp).insert(fp, shape, canon, attribution);
+    }
+
+    /// Routed [`SharedCache::sight_mates`].
+    pub(crate) fn sight_mates(&self, fp: Fingerprint, shape: &Shape, mates: &[Sighting<'_>]) {
+        self.shard(fp).sight_mates(fp, shape, mates);
     }
 
     /// Records canonicalization telemetry. The work is engine-wide (one

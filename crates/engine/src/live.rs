@@ -552,7 +552,9 @@ mod tests {
         assert!(report.touched.is_empty());
         assert_eq!(report.compile_steps, 0);
         assert_eq!(report.untouched, 2);
-        assert!(report.steps_saved > 0, "skipping the whole corpus must be visible");
+        // Both answers' clauses share no variable, so a cold re-attribution
+        // would answer them in closed form and compile nothing either.
+        assert_eq!(report.steps_saved, 0);
         // Deleting it again touches nothing either: its variable never made
         // it into any lineage, so the inverted index finds no answers.
         let report = live.apply_update(Update::delete("S", vec![99.into(), 1.into()])).unwrap();

@@ -4,7 +4,7 @@
 use crate::attribution::{Attribution, Degradation, DegradeReason, Ranked};
 use crate::attributor::Attributor;
 use crate::cache::{
-    CacheStats, CanonInfo, Lookup, Prekeyed, PresentationHit, Resident, ShardedCache,
+    CacheStats, CanonInfo, Lookup, Prekeyed, PresentationHit, Resident, ShardedCache, Sighting,
 };
 use crate::canon::Fingerprint;
 use crate::config::{Algorithm, EngineConfig, FallbackPolicy, Rung};
@@ -182,6 +182,11 @@ pub struct SessionStats {
     pub attributions: u64,
     /// Attributions served from the canonical-lineage cache.
     pub cache_hits: u64,
+    /// Attributions the backend answered in closed form
+    /// ([`Attributor::closed_form`]) without a prekey or a cache lookup.
+    /// Every other attribution is a cache hit or a cache miss, so
+    /// `attributions` = `cache_hits` + misses + `closed_forms`.
+    pub closed_forms: u64,
     /// Total knowledge-compilation steps actually performed.
     pub compile_steps: u64,
     /// Total decomposition and refinement steps spent canonicalizing lineages
@@ -388,7 +393,7 @@ impl Session {
         // before any compile work, and the shared counters record exactly
         // one lookup per logical attribution (a separate fast-path lookup
         // here would double-count misses in `Engine::stats`).
-        self.batch_prekeyed(vec![Prekeyed::of(lineage.as_lineage())], None, None)
+        self.attribute_batch(std::slice::from_ref(lineage), BatchOptions::default())
             .pop()
             .expect("one lineage in, one attribution out")
     }
@@ -398,6 +403,11 @@ impl Session {
     ///
     /// A batch is homogeneous: every lineage is Boolean, or every lineage is
     /// an aggregate one.
+    ///
+    /// A Boolean lineage the backend answers in closed form
+    /// ([`Attributor::closed_form`]) is served on the spot: no prekey, no
+    /// cache lookup, no cache entry. Instance `i` draws sample stream
+    /// `base + i` whichever way it is served.
     ///
     /// Work sharing mirrors the sequential loop exactly: one planning walk
     /// looks the lineages up in instance order on the calling thread (with
@@ -417,12 +427,42 @@ impl Session {
         lineages: &[L],
         options: BatchOptions<'_>,
     ) -> Vec<Result<Attribution, Interrupted>> {
-        // The dense renaming and fingerprint are one linear pass per
-        // lineage; the expensive canonical search only runs inside the
-        // planning loop, where the sequential cache-state walk decides
-        // (deterministically) which instances actually need it.
-        let prekeyed = lineages.iter().map(|l| Prekeyed::of(l.as_lineage())).collect();
-        self.batch_prekeyed(prekeyed, options.shared_budget, options.fallback)
+        let n = lineages.len();
+        self.stats.attributions += n as u64;
+        // Claim the batch's stream indices from the engine-global allocator:
+        // within one session the indices are exactly the ones the sequential
+        // loop would assign; across sessions they never collide.
+        let stream_base = self.streams.fetch_add(n as u64, Ordering::Relaxed);
+        let mut outcomes = Vec::with_capacity(n);
+        let (mut prekeyed, mut slots) = (Vec::new(), Vec::new());
+        for (i, lineage) in lineages.iter().map(AsLineage::as_lineage).enumerate() {
+            let closed = match lineage {
+                Lineage::Boolean(phi) => self.attributor.closed_form(phi),
+                Lineage::Aggregate(_) => None,
+            };
+            if let Some(attribution) = closed {
+                self.record(&attribution);
+                self.stats.closed_forms += 1;
+                outcomes.push(Ok(attribution));
+            } else {
+                // The dense renaming and fingerprint are one linear pass per
+                // lineage; the expensive canonical search only runs inside
+                // the planning loop, where the sequential cache-state walk
+                // decides (deterministically) which instances need it.
+                prekeyed.push(Prekeyed::of(lineage));
+                slots.push(i);
+                outcomes.push(Err(Interrupted));
+            }
+        }
+        let streams = slots.iter().map(|&i| stream_base + i as u64).collect();
+        let rest = self.batch_prekeyed(prekeyed, streams, options.shared_budget, options.fallback);
+        if slots.len() == n {
+            return rest;
+        }
+        for (i, outcome) in slots.into_iter().zip(rest) {
+            outcomes[i] = outcome;
+        }
+        outcomes
     }
 
     /// The algorithm that actually serves aggregate lineages for this
@@ -445,16 +485,11 @@ impl Session {
     fn batch_prekeyed(
         &mut self,
         prekeyed: Vec<Prekeyed>,
+        streams: Vec<u64>,
         shared_budget: Option<&Budget>,
         fallback: Option<&FallbackPolicy>,
     ) -> Vec<Result<Attribution, Interrupted>> {
-        let n = prekeyed.len();
-        self.stats.attributions += n as u64;
-        // Claim the batch's stream indices from the engine-global allocator:
-        // within one session the indices are exactly the ones the sequential
-        // loop would assign; across sessions they never collide.
-        let stream_base = self.streams.fetch_add(n as u64, Ordering::Relaxed);
-        if n == 0 {
+        if prekeyed.is_empty() {
             return Vec::new();
         }
         // A batch is homogeneous: either every instance is Boolean or every
@@ -473,7 +508,7 @@ impl Session {
         }
         let batch = Batch {
             prekeyed,
-            stream_base,
+            streams,
             shared_budget,
             // Copied out so the borrow of `self.config` ends before the
             // mutable assembly stage.
@@ -609,7 +644,7 @@ impl Session {
         };
         let config = &self.config;
         let attempt = |i: usize, budget: &Budget| {
-            run_dense(attributor, &batch.prekeyed[i], batch.stream_base + i as u64, budget)
+            run_dense(attributor, &batch.prekeyed[i], batch.streams[i], budget)
         };
         let run = |i: usize| -> JobOutcome {
             let fresh;
@@ -667,6 +702,13 @@ impl Session {
         computed: Vec<JobOutcome>,
     ) -> Vec<Result<Attribution, Interrupted>> {
         let Plan { jobs, hits, reuse, canon, paid } = plan;
+        // The in-batch mates that keyed to each owner and reuse its compile.
+        let mut mates: HashMap<usize, Vec<Sighting<'_>>> = HashMap::new();
+        for (i, owner) in reuse.iter().enumerate() {
+            if let (Some(owner), Some(mine)) = (owner, &canon[i]) {
+                mates.entry(*owner).or_default().push((&batch.prekeyed[i].shape, &mine.order));
+            }
+        }
         let mut outcomes: HashMap<usize, JobOutcome> = HashMap::with_capacity(jobs.len());
         for (&i, outcome) in jobs.iter().zip(computed) {
             if let JobOutcome::Done(attribution) = &outcome {
@@ -680,6 +722,9 @@ impl Session {
                         canon[i].clone(),
                         Arc::clone(attribution),
                     );
+                    if let Some(mates) = mates.get(&i) {
+                        self.cache.sight_mates(p.fingerprint, &p.shape, mates);
+                    }
                 }
             }
             outcomes.insert(i, outcome);
@@ -753,7 +798,7 @@ impl Session {
         if batch.rungs.is_empty() || batch.shared_budget.is_some_and(Budget::is_cancelled) {
             return Err(Interrupted);
         }
-        let (prekeyed, stream) = (&batch.prekeyed[i], batch.stream_base + i as u64);
+        let (prekeyed, stream) = (&batch.prekeyed[i], batch.streams[i]);
         let mut spent = primary_spent;
         let mut fallback_steps = 0u64;
         for rung in &batch.rungs {
@@ -846,8 +891,8 @@ fn cache_hit(mut attribution: Attribution) -> Attribution {
 /// stages.
 struct Batch<'a> {
     prekeyed: Vec<Prekeyed>,
-    /// Instance `i` draws sample stream `stream_base + i`.
-    stream_base: u64,
+    /// Instance `i` draws sample stream `streams[i]`.
+    streams: Vec<u64>,
     shared_budget: Option<&'a Budget>,
     /// The fallback ladder (call override, else configuration).
     rungs: Vec<Rung>,
@@ -1152,9 +1197,12 @@ mod tests {
     #[test]
     fn explain_keeps_finished_answers_when_one_starves() {
         // Answer 1 has a one-clause lineage; answer 2 joins three R facts
-        // with three S facts (a strictly costlier compilation). A step cap
-        // between the two starves answer 2 only — the completed work of
-        // answer 1 must survive.
+        // with three S facts. Both have clauses that share no variable, so
+        // ExaBan answers them in closed form and compiles nothing. Answer 3
+        // joins two R facts with two S facts each, so its clauses share the
+        // R facts and it compiles. A step cap between the costs starves
+        // answer 3 only — the completed work of answers 1 and 2 must
+        // survive.
         let mut db = Database::new();
         db.add_relation("R", 2);
         db.add_relation("S", 2);
@@ -1164,26 +1212,35 @@ mod tests {
             db.insert_endogenous("R", vec![2.into(), (20 + i).into()]).unwrap();
             db.insert_endogenous("S", vec![(20 + i).into(), 0.into()]).unwrap();
         }
+        for y in [30i64, 31] {
+            db.insert_endogenous("R", vec![3.into(), y.into()]).unwrap();
+            for z in 0..2i64 {
+                db.insert_endogenous("S", vec![y.into(), z.into()]).unwrap();
+            }
+        }
         let query = parse_program("Q(X) :- R(X, Y), S(Y, Z).").unwrap();
-        // Probe the two answers' compile costs with an unlimited budget.
+        // Probe the answers' compile costs with an unlimited budget.
         let probe = Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled()))
             .session()
             .explain(&query, &db);
         let cost = |i: usize| probe.answers[i].attribution().unwrap().stats.compile_steps;
-        assert!(cost(0) + 1 < cost(1), "the probe must order the answers by cost");
+        assert_eq!((cost(0), cost(1)), (0, 0), "closed-form answers compile nothing");
+        assert!(cost(0) + 1 < cost(2), "the probe must order the answers by cost");
 
         let mut config = EngineConfig::default().with_cache_config(CacheConfig::disabled());
         config.max_steps = Some(cost(0) + 1);
         let explained = Engine::new(config).session().explain(&query, &db);
         assert!(!explained.is_complete());
         assert_eq!(explained.num_starved(), 1);
-        assert_eq!(explained.finished().count(), 1);
-        assert!(explained.answers[0].outcome.is_ok(), "cheap answer keeps its result");
-        assert!(explained.answers[1].outcome.is_err(), "costly answer reports Interrupted");
-        assert_eq!(
-            explained.answers[0].attribution().unwrap().exact_values(),
-            probe.answers[0].attribution().unwrap().exact_values()
-        );
+        assert_eq!(explained.finished().count(), 2);
+        for i in 0..2 {
+            assert!(explained.answers[i].outcome.is_ok(), "cheap answer keeps its result");
+            assert_eq!(
+                explained.answers[i].attribution().unwrap().exact_values(),
+                probe.answers[i].attribution().unwrap().exact_values()
+            );
+        }
+        assert!(explained.answers[2].outcome.is_err(), "costly answer reports Interrupted");
     }
 
     /// Lineages mixing repeated canonical shapes (shifted cycles) with

@@ -22,7 +22,7 @@
 
 use crate::{ConjunctiveQuery, Selection, Term, UnionQuery};
 use banzhaf_arith::Rational;
-use banzhaf_boolean::{Dnf, Var, VarSet, WeightedDnf};
+use banzhaf_boolean::{Dnf, Var, WeightedDnf};
 use banzhaf_db::{Database, FactId, Provenance, Relation, Value};
 use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
@@ -83,11 +83,7 @@ pub fn evaluate(query: &UnionQuery, db: &Database) -> QueryResult {
     }
     let answers = group_by_tuple(groundings)
         .into_iter()
-        .map(|(tuple, clause_list)| {
-            let universe: VarSet = clause_list.iter().flatten().copied().collect();
-            let lineage = Dnf::from_clauses_with_universe(clause_list, universe);
-            Answer { tuple, lineage }
-        })
+        .map(|(tuple, clause_list)| Answer { tuple, lineage: Dnf::from_clauses(clause_list) })
         .collect();
     QueryResult { answers }
 }

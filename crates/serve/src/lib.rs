@@ -44,17 +44,20 @@
 //! use banzhaf_serve::{block_on, join_all, AttributionService, RequestOptions, ServeConfig};
 //!
 //! let service = AttributionService::start(ServeConfig::default().with_workers(2));
-//! // Two isomorphic lineages: the second is served from the shared cache.
-//! let tickets: Vec<_> = [0u32, 10]
-//!     .iter()
-//!     .map(|&o| {
-//!         let phi = Dnf::from_clauses(vec![vec![Var(o), Var(o + 1)], vec![Var(o + 2)]]);
-//!         service.submit(phi, RequestOptions::default()).unwrap()
-//!     })
+//! // Two isomorphic lineages whose clauses share no variable: both are
+//! // answered in closed form, without the cache. Then two isomorphic
+//! // lineages whose clauses share `o + 1`: the second is served from the
+//! // shared cache.
+//! let independent = |o: u32| vec![vec![Var(o), Var(o + 1)], vec![Var(o + 2)]];
+//! let shared = |o: u32| vec![vec![Var(o), Var(o + 1)], vec![Var(o + 1), Var(o + 2)]];
+//! let tickets: Vec<_> = [independent(0), independent(10), shared(20), shared(30)]
+//!     .into_iter()
+//!     .map(|clauses| service.submit(Dnf::from_clauses(clauses), RequestOptions::default()).unwrap())
 //!     .collect();
 //! let outcomes = block_on(join_all(tickets));
 //! assert!(outcomes.iter().all(Result::is_ok));
-//! // Every request was either compiled once or served from the shared cache.
+//! // Every cached request was either compiled once or served from the
+//! // shared cache.
 //! let cache = service.engine_stats().cache;
 //! assert_eq!(cache.hits + cache.insertions, 2);
 //! ```

@@ -76,10 +76,10 @@ pub mod prelude {
     };
 
     pub use banzhaf::{
-        adaban, adaban_all, bounds_for_var, critical_counts_all, exaban_all, exaban_single,
-        ichiban_rank, ichiban_topk, l1_distance_normalized, normalized_index, normalized_power,
-        shapley_all, AdaBanOptions, ApproxInterval, BanzhafResult, Budget, DTree, IchiBanOptions,
-        Interrupted, PivotHeuristic, Ranking, ShapleyValue, TopK,
+        adaban, adaban_all, bounds_for_var, critical_counts_all, exaban_all, exaban_closed_form,
+        exaban_single, ichiban_rank, ichiban_topk, l1_distance_normalized, normalized_index,
+        normalized_power, shapley_all, AdaBanOptions, ApproxInterval, BanzhafResult, Budget, DTree,
+        IchiBanOptions, Interrupted, PivotHeuristic, Ranking, ShapleyValue, TopK,
     };
     pub use banzhaf_arith::{Int, Natural, Rational};
     pub use banzhaf_baselines::{cnf_proxy, mc_banzhaf, mc_banzhaf_par, sig22_exact, McOptions};

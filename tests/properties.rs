@@ -276,6 +276,85 @@ proptest! {
     }
 }
 
+/// A DNF whose clauses share no variable: clause `i` has width
+/// `widths[i]`, and `unused` more universe variables occur in no clause. The
+/// universe is `total` sparse variables, assigned to clauses in an order
+/// shuffled by `seed`, so clause and unused variables interleave.
+fn independent_dnf(widths: &[usize], unused: usize, seed: u64) -> Dnf {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let total = widths.iter().sum::<usize>() + unused;
+    let mut vars: Vec<Var> = (0..total).map(sparse_var).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..total).rev() {
+        vars.swap(i, rng.gen_range(0..=i));
+    }
+    let mut rest = vars.as_slice();
+    let clauses: Vec<Vec<Var>> = widths
+        .iter()
+        .map(|&w| {
+            let (clause, tail) = rest.split_at(w);
+            rest = tail;
+            clause.to_vec()
+        })
+        .collect();
+    Dnf::from_clauses_with_universe(clauses, vars.into_iter().collect())
+}
+
+/// ExaBan over the compiled d-tree of `phi`.
+fn compiled_exaban(phi: &Dnf) -> BanzhafResult {
+    exaban_all(
+        &DTree::compile_full(phi.clone(), PivotHeuristic::MostFrequent, &Budget::unlimited())
+            .unwrap(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The closed form equals brute force and compiled ExaBan on random
+    /// independent-clause DNFs with unused universe variables, and refuses
+    /// the same DNF once one more clause shares a variable with it.
+    #[test]
+    fn closed_form_matches_brute_force_and_compiled_exaban(
+        widths in proptest::collection::vec(1usize..=3, 1..=4),
+        unused in 0usize..=3,
+        seed in any::<u64>(),
+    ) {
+        let phi = independent_dnf(&widths, unused, seed);
+        let closed = exaban_closed_form(&phi).expect("clauses share no variable");
+        prop_assert_eq!(&closed.model_count, &phi.brute_force_model_count());
+        prop_assert_eq!(closed.values.len(), phi.num_vars());
+        for x in phi.universe().iter() {
+            prop_assert_eq!(Int::from(closed.values[&x].clone()), phi.brute_force_banzhaf(x));
+        }
+        let compiled = compiled_exaban(&phi);
+        prop_assert_eq!(&closed.model_count, &compiled.model_count);
+        prop_assert_eq!(&closed.values, &compiled.values);
+
+        let first = phi.clauses()[0].vars()[0];
+        let fresh = sparse_var(phi.num_vars());
+        let shared = Dnf::from_clauses(phi.clauses().iter().map(|c| c.vars().to_vec()).chain([vec![first, fresh]]));
+        prop_assert!(exaban_closed_form(&shared).is_none());
+    }
+
+    /// Past 64 variables the counts span several limbs: the closed form
+    /// still equals compiled ExaBan, value for value.
+    #[test]
+    fn closed_form_matches_compiled_exaban_past_64_variables(
+        widths in proptest::collection::vec(1usize..=12, 1..=12),
+        extra in 0usize..=8,
+        seed in any::<u64>(),
+    ) {
+        let unused = extra + 65usize.saturating_sub(widths.iter().sum());
+        let phi = independent_dnf(&widths, unused, seed);
+        prop_assert!(phi.num_vars() > 64);
+        let closed = exaban_closed_form(&phi).expect("clauses share no variable");
+        let compiled = compiled_exaban(&phi);
+        prop_assert_eq!(&closed.model_count, &compiled.model_count);
+        prop_assert_eq!(&closed.values, &compiled.values);
+    }
+}
+
 /// Pins the d-tree shape of eight seeded hard-tail-sized lineages, recorded
 /// before the dense kernel replaced the `Dnf`-based compiler: expansion
 /// steps, arena nodes and the model count must not move.
