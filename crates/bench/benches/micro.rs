@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks of the building blocks: bigint arithmetic,
 //! iDNF bound construction and counting, d-tree compilation, ExaBan's count
 //! and context passes, Monte Carlo sampling throughput, provenance-aware
-//! query evaluation, and the session's cache-hit path.
+//! query evaluation, the session's cache-hit path, and a live update.
 
 use banzhaf::{exaban_all_with_counts, model_counts, Budget, DTree, PivotHeuristic};
 use banzhaf_arith::Natural;
 use banzhaf_baselines::{mc_banzhaf, McOptions};
 use banzhaf_boolean::{lower_bound_fn, upper_bound_fn, Dnf};
+use banzhaf_db::{Fact, Update};
 use banzhaf_engine::{BatchOptions, Engine, EngineConfig};
 use banzhaf_query::evaluate;
 use banzhaf_workloads::{
@@ -152,6 +153,36 @@ fn bench_session_hit(c: &mut Criterion) {
     group.finish();
 }
 
+/// One delete/re-insert pair through `LiveSession::apply_update` on the
+/// IMDB-like workload with its six queries registered: the join indexes'
+/// maintenance, the delete's conditioning, the insert's delta plans and the
+/// re-attribution of the touched answers. Each iteration takes the next of
+/// the mutable facts, in a cycle, so the pairs leave the facts as they were.
+fn bench_live_update(c: &mut Criterion) {
+    let mut group = c.benchmark_group("live_update");
+    let workload = imdb_workload(&DatasetSpec::default());
+    let facts: Vec<Fact> = workload
+        .db
+        .endogenous_facts()
+        .filter(|(_, f)| workload.mutable_relations.iter().any(|r| r == f.relation()))
+        .map(|(_, f)| f.clone())
+        .collect();
+    let engine = Engine::new(EngineConfig::default());
+    let mut live = engine.live_session(workload.db.clone());
+    for (name, query) in &workload.queries {
+        live.register(name.clone(), query.clone());
+    }
+    let mut next = facts.iter().cycle();
+    group.bench_function("imdb_delete_reinsert", |bench| {
+        bench.iter(|| {
+            let fact = next.next().expect("the IMDB-like workload has mutable facts");
+            live.apply_update(Update::Delete(fact.clone())).expect("the fact is live");
+            live.apply_update(Update::Insert(fact.clone())).expect("the relation exists")
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_bigint,
@@ -160,6 +191,7 @@ criterion_group!(
     bench_exaban_pass,
     bench_mc_sampling,
     bench_evaluate,
-    bench_session_hit
+    bench_session_hit,
+    bench_live_update
 );
 criterion_main!(benches);

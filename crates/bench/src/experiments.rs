@@ -1575,12 +1575,49 @@ pub fn degrade_under_pressure(config: &HarnessConfig) -> String {
 /// for the CI `bench-regression` gate (`bench_gate --persist`), which
 /// requires `bit_identical`, nonzero savings, and the steps-saved floor from
 /// `BENCH_baseline.json`.
-#[allow(clippy::too_many_lines)]
 pub fn warm_start(config: &HarnessConfig) -> String {
+    let run = warm_start_runs(config);
+    let json_note = match std::fs::write("BENCH_persist.json", &run.json) {
+        Ok(()) => "recorded to BENCH_persist.json".to_owned(),
+        Err(e) => format!("could not write BENCH_persist.json: {e}"),
+    };
+    format!(
+        "Warm start — snapshot/reload of the shared cache on a permuted/renamed \
+         stream ({} requests over {} shapes, {json_note})\n{}\
+         {} compile steps saved ({:.1}% of the cold run's), {} snapshot rejects, \
+         bit-identical: {}\n",
+        run.requests,
+        run.shapes,
+        run.table,
+        run.steps_saved,
+        run.steps_saved_ratio * 100.0,
+        run.snapshot_rejects,
+        run.bit_identical
+    )
+}
+
+/// [`warm_start`]'s three runs: the rendered table, the `BENCH_persist.json`
+/// text, and the numbers `bench_gate --persist` checks.
+struct WarmStart {
+    requests: usize,
+    shapes: usize,
+    table: String,
+    json: String,
+    bit_identical: bool,
+    steps_saved: u64,
+    steps_saved_ratio: f64,
+    snapshot_rejects: u64,
+}
+
+#[allow(clippy::too_many_lines)]
+fn warm_start_runs(config: &HarnessConfig) -> WarmStart {
     let (shapes, lineages) = canon_request_stream(config);
     let requests = lineages.len();
+    // Runs in one process (parallel tests) each get a snapshot of their own.
+    static RUNS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let snapshot_path = std::env::temp_dir().join(format!(
-        "banzhaf-warm-start-{}-{:x}.bzc",
+        "banzhaf-warm-start-{}-{:x}-{run}.bzc",
         std::process::id(),
         config.seed
     ));
@@ -1678,15 +1715,16 @@ pub fn warm_start(config: &HarnessConfig) -> String {
         warm_stats.hits,
         sharded_snapshot.shards.len(),
     );
-    let json_note = match std::fs::write("BENCH_persist.json", &json) {
-        Ok(()) => "recorded to BENCH_persist.json".to_owned(),
-        Err(e) => format!("could not write BENCH_persist.json: {e}"),
-    };
-    format!(
-        "Warm start — snapshot/reload of the shared cache on a permuted/renamed \
-         stream ({requests} requests over {shapes} shapes, {json_note})\n{}",
-        table.render()
-    )
+    WarmStart {
+        requests,
+        shapes,
+        table: table.render(),
+        json,
+        bit_identical,
+        steps_saved,
+        steps_saved_ratio,
+        snapshot_rejects: warm_stats.snapshot_rejects,
+    }
 }
 
 /// The aggregate-attribution repro experiment: exact aggregate Banzhaf
@@ -2016,6 +2054,27 @@ mod tests {
         let incremental = families.iter().map(|f| f.incremental_steps).sum();
         let cold = families.iter().map(|f| f.cold_steps).sum();
         let ratio = steps_saved(incremental, cold);
+        assert!(ratio >= floor, "{ratio} of cold steps saved vs floor {floor}");
+    }
+
+    /// `bench_gate --persist`'s checks, on `repro warm_start`'s seeded
+    /// stream: the warm-started and sharded replays match the cold run bit
+    /// for bit, the snapshot loads cleanly and saves compile steps, at least
+    /// the `BENCH_baseline.json` floor of them.
+    #[test]
+    fn warm_start_is_bit_identical_and_holds_the_baseline() {
+        let baseline = crate::json::Json::parse(include_str!("../../../BENCH_baseline.json"))
+            .expect("the baseline parses");
+        let floor = baseline
+            .get("warm_start")
+            .and_then(|b| b.get("steps_saved_ratio"))
+            .and_then(crate::json::Json::as_f64)
+            .expect("the baseline holds a steps_saved_ratio floor");
+        let run = warm_start_runs(&HarnessConfig::default());
+        assert!(run.bit_identical, "a warm or sharded replay diverged from the cold run");
+        assert!(run.steps_saved > 0, "the snapshot saved no compile steps");
+        assert_eq!(run.snapshot_rejects, 0, "the snapshot just written must load cleanly");
+        let ratio = run.steps_saved_ratio;
         assert!(ratio >= floor, "{ratio} of cold steps saved vs floor {floor}");
     }
 

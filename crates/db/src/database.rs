@@ -1,8 +1,9 @@
 //! The database: relations, fact storage, endogenous/exogenous partitioning.
 
-use crate::{Fact, FactId, Provenance, Update, Value};
+use crate::{Fact, FactId, Provenance, TupleIndex, Update, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Errors raised by database mutation and lookup.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -40,14 +41,46 @@ impl fmt::Display for DbError {
 
 impl std::error::Error for DbError {}
 
-/// A stored relation: its arity and its tuples with provenance tags.
-#[derive(Clone, Debug, Default)]
+/// A stored relation: its arity, its tuples with provenance tags, and the
+/// hash indexes built over them so far.
+///
+/// An index lives as long as its relation. [`Relation::index`] builds it on
+/// the first request for its key positions, through a shared reference, and
+/// every later request (from any query, plan or thread) gets the same one.
+/// Inserts and deletes keep every built index current in place: an insert
+/// adds the new last position to its bucket, and a delete drops its position
+/// and shifts the later ones down, as removing the tuple shifts the tuples.
+/// Cloning a relation shares its built indexes with the clone; the first
+/// write on either side copies a shared index before changing it.
+#[derive(Debug, Default)]
 pub struct Relation {
     arity: usize,
     tuples: Vec<(Vec<Value>, Provenance)>,
+    /// The indexes built so far, one per key-position set.
+    indexes: Mutex<Vec<Arc<TupleIndex>>>,
+}
+
+impl Clone for Relation {
+    fn clone(&self) -> Self {
+        Relation {
+            arity: self.arity,
+            tuples: self.tuples.clone(),
+            indexes: Mutex::new(lock(&self.indexes).clone()),
+        }
+    }
+}
+
+/// Locks a relation's index list. Building an index cannot leave the list
+/// half changed, so a panic under the lock does not invalidate it.
+fn lock(indexes: &Mutex<Vec<Arc<TupleIndex>>>) -> MutexGuard<'_, Vec<Arc<TupleIndex>>> {
+    indexes.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Relation {
+    fn new(arity: usize) -> Self {
+        Relation { arity, ..Relation::default() }
+    }
+
     /// The relation's arity.
     pub fn arity(&self) -> usize {
         self.arity
@@ -67,10 +100,65 @@ impl Relation {
     pub fn tuples(&self) -> impl Iterator<Item = (&[Value], Provenance)> + '_ {
         self.tuples.iter().map(|(vals, prov)| (vals.as_slice(), *prov))
     }
+
+    /// The tuple at `position` (an entry of a [`TupleIndex`] bucket).
+    ///
+    /// # Panics
+    /// Panics if `position` is out of range.
+    pub fn tuple(&self, position: u32) -> (&[Value], Provenance) {
+        let (values, provenance) = &self.tuples[position as usize];
+        (values, *provenance)
+    }
+
+    /// The index of this relation by the values at `positions` (ascending,
+    /// each below the arity), built now if no earlier request built it.
+    pub fn index(&self, positions: &[usize]) -> Arc<TupleIndex> {
+        debug_assert!(positions.windows(2).all(|w| w[0] < w[1]), "ascending positions");
+        debug_assert!(positions.iter().all(|&p| p < self.arity), "positions within the arity");
+        let mut indexes = lock(&self.indexes);
+        if let Some(index) = indexes.iter().find(|i| i.positions() == positions) {
+            return Arc::clone(index);
+        }
+        let index =
+            Arc::new(TupleIndex::build(positions, self.tuples.iter().map(|(v, _)| v.as_slice())));
+        indexes.push(Arc::clone(&index));
+        index
+    }
+
+    /// The indexes built so far, in the order they were built.
+    pub fn indexes(&self) -> Vec<Arc<TupleIndex>> {
+        lock(&self.indexes).clone()
+    }
+
+    /// Appends a tuple and adds it to every built index.
+    fn push(&mut self, values: Vec<Value>, provenance: Provenance) {
+        let at = self.tuples.len() as u32;
+        for index in self.indexes.get_mut().unwrap_or_else(PoisonError::into_inner) {
+            Arc::make_mut(index).insert(at, &values);
+        }
+        self.tuples.push((values, provenance));
+    }
+
+    /// Removes the tuple at `at` from the tuples and from every built index.
+    fn remove(&mut self, at: usize) {
+        let (values, _) = self.tuples.remove(at);
+        for index in self.indexes.get_mut().unwrap_or_else(PoisonError::into_inner) {
+            Arc::make_mut(index).remove(at as u32, &values);
+        }
+    }
 }
 
 /// An in-memory database: named relations over typed values, with each fact
 /// tagged endogenous or exogenous.
+///
+/// Each relation keeps the join indexes the query evaluator asks it for (see
+/// [`Relation`]): built on first use behind `&Database`, maintained in place
+/// by [`insert_endogenous`](Database::insert_endogenous),
+/// [`insert_exogenous`](Database::insert_exogenous) and
+/// [`delete_endogenous`](Database::delete_endogenous), and shared by a clone
+/// until either side writes. A `Database` is `Send + Sync`, so threads may
+/// evaluate queries over one `&Database` at once; the first of them to need
+/// an index builds it and the others wait for it.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
     relations: HashMap<String, Relation>,
@@ -93,7 +181,7 @@ impl Database {
     /// controlled; a duplicate indicates a bug in workload construction).
     pub fn add_relation(&mut self, name: impl Into<String>, arity: usize) {
         let name = name.into();
-        let previous = self.relations.insert(name.clone(), Relation { arity, tuples: Vec::new() });
+        let previous = self.relations.insert(name.clone(), Relation::new(arity));
         assert!(previous.is_none(), "{}", DbError::DuplicateRelation(name));
     }
 
@@ -109,8 +197,7 @@ impl Database {
         self.relations
             .get_mut(relation)
             .expect("checked above")
-            .tuples
-            .push((values, Provenance::Endogenous(id)));
+            .push(values, Provenance::Endogenous(id));
         Ok(id)
     }
 
@@ -131,7 +218,7 @@ impl Database {
             .iter()
             .position(|(_, prov)| *prov == Provenance::Endogenous(id))
             .expect("live fact has a stored tuple");
-        rel.tuples.remove(pos);
+        rel.remove(pos);
         Ok(fact)
     }
 
@@ -168,8 +255,7 @@ impl Database {
         self.relations
             .get_mut(relation)
             .expect("checked above")
-            .tuples
-            .push((values, Provenance::Exogenous));
+            .push(values, Provenance::Exogenous);
         Ok(())
     }
 
@@ -224,9 +310,16 @@ impl Database {
     }
 }
 
+// Query evaluation shares one `&Database` across threads.
+const _: fn() = || {
+    fn check<T: Send + Sync>() {}
+    check::<Database>();
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key_hash;
 
     fn sample_db() -> Database {
         let mut db = Database::new();
@@ -304,6 +397,39 @@ mod tests {
         let err = db.delete_endogenous(FactId(0)).unwrap_err();
         assert!(matches!(err, DbError::UnknownFact(_)));
         assert!(err.to_string().contains("unknown endogenous fact"));
+    }
+
+    #[test]
+    fn indexes_are_built_once_and_maintained_in_place() {
+        let mut db = sample_db();
+        let s = db.relation("S").unwrap();
+        let index = s.index(&[0]);
+        assert!(Arc::ptr_eq(&index, &s.index(&[0])), "a second request reuses the index");
+        assert!(index.bucket(key_hash([&Value::from(2)])).eq([1]));
+        let built = Arc::as_ptr(&index);
+        drop(index);
+        db.insert_exogenous("S", vec![Value::from(2), Value::from(30)]).unwrap();
+        let fact = db.find_endogenous("S", &[Value::from(1), Value::from(10)]).unwrap();
+        db.delete_endogenous(fact).unwrap();
+        let s = db.relation("S").unwrap();
+        let indexes = s.indexes();
+        assert_eq!(indexes.len(), 1);
+        assert_eq!(Arc::as_ptr(&indexes[0]), built, "updated in place, not rebuilt");
+        assert!(indexes[0].bucket(key_hash([&Value::from(2)])).eq([0, 1]));
+        assert_eq!(indexes[0].bucket(key_hash([&Value::from(1)])).next(), None);
+    }
+
+    #[test]
+    fn a_clone_shares_indexes_until_either_side_writes() {
+        let db = sample_db();
+        let shared = db.relation("S").unwrap().index(&[1]);
+        let mut copy = db.clone();
+        assert!(Arc::ptr_eq(&shared, &copy.relation("S").unwrap().index(&[1])));
+        copy.insert_endogenous("S", vec![Value::from(3), Value::from(20)]).unwrap();
+        let twenty = key_hash([&Value::from(20)]);
+        assert!(copy.relation("S").unwrap().index(&[1]).bucket(twenty).eq([1, 2]));
+        assert!(db.relation("S").unwrap().index(&[1]).bucket(twenty).eq([1]));
+        assert!(shared.bucket(twenty).eq([1]));
     }
 
     #[test]

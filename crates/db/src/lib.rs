@@ -27,10 +27,12 @@
 
 mod database;
 mod fact;
+mod index;
 mod update;
 mod value;
 
 pub use database::{Database, DbError, Relation};
 pub use fact::{Fact, FactId, Provenance};
+pub use index::{key_hash, Bucket, TupleIndex};
 pub use update::Update;
 pub use value::Value;

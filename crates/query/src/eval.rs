@@ -12,21 +12,26 @@
 //! borrowed database values, so a value is cloned only into an emitted
 //! answer tuple. A step records its keyed positions (constants, and variables
 //! an earlier step bound), the variables it binds first, and the selections
-//! on those variables, which its tuples must pass before anything is bound. A
-//! keyed step scans its relation on its first probe; from the second probe on
-//! it probes a transient hash index from the keyed values to the relation's
-//! matching tuples, built then and dropped with the plan, so a step probed
-//! once never pays for an index. A step without keyed positions scans its
+//! on those variables. A keyed step probes the index its relation keeps on
+//! those positions ([`Relation::index`]): built by the first query that needs
+//! it and kept by the database across queries and updates. A probe hashes
+//! the keyed values with [`key_hash`] and checks every tuple of the bucket
+//! again on its keyed values, repeated variables and selections, so a hash
+//! collision cannot add a grounding. A step without keyed positions scans its
 //! relation. Delta evaluation plans the atom it pins to the inserted tuple
 //! first, so every later step is keyed by values the tuple bound.
+//!
+//! A run writes its groundings into one flat buffer ([`Groundings`]) that
+//! every entry point reads, and evaluation groups them into answers by
+//! sorting a permutation of the groundings by answer tuple.
 
 use crate::{ConjunctiveQuery, Selection, Term, UnionQuery};
 use banzhaf_arith::Rational;
 use banzhaf_boolean::{Dnf, Var, WeightedDnf};
-use banzhaf_db::{Database, FactId, Provenance, Relation, Value};
-use std::cell::{Cell, OnceCell};
-use std::collections::HashMap;
+use banzhaf_db::{key_hash, Database, FactId, Provenance, Relation, TupleIndex, Value};
+use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// One answer tuple with its lineage.
 #[derive(Clone, Debug)]
@@ -77,29 +82,17 @@ impl QueryResult {
 /// so callers can map lineage variables back to facts via
 /// [`Database::fact`](banzhaf_db::Database::fact).
 pub fn evaluate(query: &UnionQuery, db: &Database) -> QueryResult {
-    let mut groundings = Vec::new();
+    let mut out = Groundings::new(&query.disjuncts);
     for cq in &query.disjuncts {
-        enumerate_groundings(cq, db, &mut groundings);
-    }
-    let answers = group_by_tuple(groundings)
-        .into_iter()
-        .map(|(tuple, clause_list)| Answer { tuple, lineage: Dnf::from_clauses(clause_list) })
-        .collect();
-    QueryResult { answers }
-}
-
-/// Groups `(tuple, item)` pairs by tuple, in tuple order, cloning each
-/// distinct tuple once; items keep their order within a group.
-fn group_by_tuple<T>(mut pairs: Vec<(Vec<&Value>, T)>) -> Vec<(Vec<Value>, Vec<T>)> {
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut groups: Vec<(Vec<&Value>, Vec<T>)> = Vec::new();
-    for (tuple, item) in pairs {
-        match groups.last_mut() {
-            Some((last, items)) if *last == tuple => items.push(item),
-            _ => groups.push((tuple, vec![item])),
+        if let Some(plan) = Plan::new(cq, db, None) {
+            plan.run(None, &mut out);
         }
     }
-    groups.into_iter().map(|(tuple, items)| (tuple.into_iter().cloned().collect(), items)).collect()
+    let answers = out.map_groups(|tuple, group| Answer {
+        tuple,
+        lineage: Dnf::from_clauses(group.iter().map(|&i| out.clause(i).iter().copied())),
+    });
+    QueryResult { answers }
 }
 
 /// One group of an aggregate query: the grouping-key tuple and the weighted
@@ -215,24 +208,34 @@ pub fn evaluate_aggregate(
     if specs.iter().any(|s| s.kind != kind) {
         return Err(AggregateError::MixedAggregates);
     }
-    let mut weighted = Vec::new();
-    let mut groundings = Vec::new();
-    for (cq, spec) in query.disjuncts.iter().zip(specs) {
-        // Reuse the Boolean grounding enumeration unchanged: appending the
-        // aggregated variable to the head makes every grounding surface its
-        // binding as the tuple's last component, popped off below.
-        let mut probe = cq.clone();
-        if let Some(input) = &spec.input {
-            probe.head.push(input.clone());
+    // Reuse the Boolean grounding enumeration unchanged: appending the
+    // aggregated variable to the head makes every grounding surface its
+    // binding after the head, where it is read off and cleared below.
+    let probes: Vec<ConjunctiveQuery> = query
+        .disjuncts
+        .iter()
+        .zip(&specs)
+        .map(|(cq, spec)| {
+            let mut probe = cq.clone();
+            probe.head.extend(spec.input.clone());
+            probe
+        })
+        .collect();
+    let mut out = Groundings::new(&probes);
+    let mut weights = Vec::new();
+    for ((cq, probe), spec) in query.disjuncts.iter().zip(&probes).zip(specs) {
+        let from = out.len();
+        if let Some(plan) = Plan::new(probe, db, None) {
+            plan.run(None, &mut out);
         }
-        enumerate_groundings(&probe, db, &mut groundings);
-        for (mut tuple, clause) in groundings.drain(..) {
+        for i in from..out.len() {
             let weight = match &spec.input {
                 Some(variable) => {
-                    let value =
-                        tuple.pop().expect("the probe head appends the aggregated variable");
+                    let value = out.heads[i * out.stride + cq.head.len()]
+                        .take()
+                        .expect("the probe head appends the aggregated variable");
                     match value.as_int() {
-                        Some(i) => Rational::from(i),
+                        Some(v) => Rational::from(v),
                         None => {
                             return Err(AggregateError::NonIntegerInput {
                                 variable: variable.clone(),
@@ -243,19 +246,17 @@ pub fn evaluate_aggregate(
                 }
                 None => Rational::one(),
             };
-            if clause.is_empty() {
+            if out.clause(i as u32).is_empty() {
                 return Err(AggregateError::UnconditionalGrounding);
             }
-            weighted.push((tuple, (clause, weight)));
+            weights.push(weight);
         }
     }
-    let answers = group_by_tuple(weighted)
-        .into_iter()
-        .map(|(tuple, pairs)| {
-            let lineage = WeightedDnf::from_weighted_clauses(kind, pairs);
-            AggregateAnswer { tuple, lineage }
-        })
-        .collect();
+    let answers = out.map_groups(|tuple, group| {
+        let pairs =
+            group.iter().map(|&i| (out.clause(i).iter().copied(), weights[i as usize].clone()));
+        AggregateAnswer { tuple, lineage: WeightedDnf::from_weighted_clauses(kind, pairs) }
+    });
     Ok(AggregateResult { answers })
 }
 
@@ -279,7 +280,7 @@ pub fn delta_groundings(
     let Some(fact) = db.fact(id) else {
         return Vec::new();
     };
-    let mut groundings = Vec::new();
+    let mut out = Groundings::new(&query.disjuncts);
     let pin = Pin { values: fact.values(), provenance: Provenance::Endogenous(id) };
     for cq in &query.disjuncts {
         // One plan per atom over the fact's relation, led by that atom. A
@@ -290,20 +291,10 @@ pub fn delta_groundings(
             let Some(plan) = Plan::new(cq, db, Some(atom)) else {
                 break;
             };
-            plan.run(Some(pin), &mut groundings);
+            plan.run(Some(pin), &mut out);
         }
     }
-    groundings
-        .into_iter()
-        .map(|(tuple, clause)| (tuple.into_iter().cloned().collect(), clause))
-        .collect()
-}
-
-/// Appends every grounding of a CQ to `out`.
-fn enumerate_groundings<'d>(cq: &ConjunctiveQuery, db: &'d Database, out: &mut Vec<Grounding<'d>>) {
-    if let Some(plan) = Plan::new(cq, db, None) {
-        plan.run(None, out);
-    }
+    (0..out.len() as u32).map(|i| (out.tuple(i), out.clause(i).to_vec())).collect()
 }
 
 /// The join order of `cq`'s atoms, led by `first` if given.
@@ -344,14 +335,70 @@ fn atom_order(cq: &ConjunctiveQuery, first: Option<usize>) -> Vec<usize> {
 /// A tuple of a relation together with its provenance tag.
 type Tuple<'d> = (&'d [Value], Provenance);
 
-/// One grounding: the answer tuple, borrowed from the database, and the
-/// clause of endogenous provenance variables it uses.
-type Grounding<'d> = (Vec<&'d Value>, Vec<Var>);
+/// The groundings of a run, in one flat buffer: grounding `i`'s answer tuple
+/// is `heads[i * stride..][..stride]` and its clause of endogenous
+/// provenance variables `vars[ends[i - 1]..ends[i]]` (from 0 for `i = 0`).
+struct Groundings<'d> {
+    /// The longest head of the disjuncts run into the buffer; a shorter head
+    /// (only in a hand-built union of mixed arities) is padded with `None`,
+    /// which orders it before every longer head it is a prefix of, as
+    /// tuples order.
+    stride: usize,
+    /// Head values borrowed from the database.
+    heads: Vec<Option<&'d Value>>,
+    vars: Vec<Var>,
+    ends: Vec<usize>,
+}
 
-/// A transient hash index of one step: the values at its keyed variable
-/// positions → the relation's tuples that carry them and that the step
-/// admits (see [`Step::admits`]), in relation order.
-type Index<'d> = HashMap<Vec<&'d Value>, Vec<Tuple<'d>>>;
+impl<'d> Groundings<'d> {
+    /// An empty buffer for the groundings of `disjuncts`.
+    fn new(disjuncts: &[ConjunctiveQuery]) -> Self {
+        let stride = disjuncts.iter().map(|cq| cq.head.len()).max().unwrap_or(0);
+        Groundings { stride, heads: Vec::new(), vars: Vec::new(), ends: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn head(&self, i: u32) -> &[Option<&'d Value>] {
+        &self.heads[i as usize * self.stride..][..self.stride]
+    }
+
+    /// Grounding `i`'s answer tuple, cloned out of the database.
+    fn tuple(&self, i: u32) -> Vec<Value> {
+        self.head(i).iter().flatten().map(|&v| v.clone()).collect()
+    }
+
+    fn clause(&self, i: u32) -> &[Var] {
+        let i = i as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.vars[start..self.ends[i]]
+    }
+
+    /// Maps each group of groundings sharing an answer tuple, in tuple
+    /// order, to `f(tuple, indexes of the group's groundings)`.
+    fn map_groups<T>(&self, mut f: impl FnMut(Vec<Value>, &[u32]) -> T) -> Vec<T> {
+        let mut order: Vec<u32> = (0..self.len() as u32).collect();
+        // Heads of integers alone, the common case, sort by a copy of their
+        // integers rather than through references into the database.
+        let ints: Option<Vec<i64>> = self.heads.iter().map(|v| v.and_then(Value::as_int)).collect();
+        let groups = match &ints {
+            Some(ints) => {
+                let key = |i: u32| ints[i as usize * self.stride..][..self.stride].iter();
+                sorted_runs(&mut order, |a, b| key(a).cmp(key(b)))
+            }
+            None => sorted_runs(&mut order, |a, b| self.head(a).cmp(self.head(b))),
+        };
+        groups.into_iter().map(|group| f(self.tuple(group[0]), group)).collect()
+    }
+}
+
+/// Sorts `order` by `cmp` and splits it into runs that compare equal.
+fn sorted_runs(order: &mut [u32], cmp: impl Fn(u32, u32) -> Ordering) -> Vec<&[u32]> {
+    order.sort_unstable_by(|&a, &b| cmp(a, b));
+    order.chunk_by(|&a, &b| cmp(a, b).is_eq()).collect()
+}
 
 /// A conjunctive query planned against one database: its atoms as join
 /// steps in [`atom_order`], with every variable resolved to a dense slot of
@@ -365,26 +412,32 @@ struct Plan<'q, 'd> {
     slots: usize,
 }
 
+/// Where a keyed position's value comes from.
+#[derive(Clone, Copy)]
+enum Key<'q> {
+    /// A constant of the atom.
+    Constant(&'q Value),
+    /// The slot of a variable an earlier step bound.
+    Slot(usize),
+}
+
 /// One atom of a [`Plan`]: where its candidate tuples come from, what they
 /// must match, and which slots they bind.
 struct Step<'q, 'd> {
     relation: &'d Relation,
-    /// Positions holding a constant.
-    constants: Vec<(usize, &'q Value)>,
+    /// The keyed positions, ascending: constants and variables an earlier
+    /// step bound.
+    key: Vec<(usize, Key<'q>)>,
     /// Positions repeating a variable of this atom: `(position, first
     /// occurrence)`.
     repeats: Vec<(usize, usize)>,
-    /// Positions of variables an earlier step bound: `(position, slot)`.
-    keyed: Vec<(usize, usize)>,
     /// Positions of variables this step binds first: `(position, slot)`.
     binds: Vec<(usize, usize)>,
     /// Selections on the variables this step binds: `(position, selection)`.
     selections: Vec<(usize, &'q Selection)>,
-    /// Whether the step has been probed; its first probe scans.
-    probed: Cell<bool>,
-    /// Built on the step's second probe and dropped with the plan, so the
-    /// database itself carries no index.
-    index: OnceCell<Index<'d>>,
+    /// The relation's index on the keyed positions; `None` when there are
+    /// none (the step scans) and for a delta plan's pinned first step.
+    index: Option<Arc<TupleIndex>>,
 }
 
 /// The inserted tuple a delta plan's first step matches, and nothing else.
@@ -408,18 +461,16 @@ impl<'q, 'd> Plan<'q, 'd> {
             let relation = db.relation(&atom.relation).filter(|r| r.arity() == atom.terms.len())?;
             let mut step = Step {
                 relation,
-                constants: Vec::new(),
+                key: Vec::new(),
                 repeats: Vec::new(),
-                keyed: Vec::new(),
                 binds: Vec::new(),
                 selections: Vec::new(),
-                probed: Cell::new(false),
-                index: OnceCell::new(),
+                index: None,
             };
             for (pos, term) in atom.terms.iter().enumerate() {
                 let name = match term {
                     Term::Constant(c) => {
-                        step.constants.push((pos, c));
+                        step.key.push((pos, Key::Constant(c)));
                         continue;
                     }
                     Term::Variable(name) => name.as_str(),
@@ -427,11 +478,16 @@ impl<'q, 'd> Plan<'q, 'd> {
                 if let Some(first) = atom.terms[..pos].iter().position(|t| t == term) {
                     step.repeats.push((pos, first));
                 } else if let Some(slot) = slots.iter().position(|&(n, _)| n == name) {
-                    step.keyed.push((pos, slot));
+                    step.key.push((pos, Key::Slot(slot)));
                 } else {
                     step.binds.push((pos, slots.len()));
                     slots.push((name, steps.len()));
                 }
+            }
+            let pinned = first.is_some() && steps.is_empty();
+            if !step.key.is_empty() && !pinned {
+                let positions: Vec<usize> = step.key.iter().map(|&(pos, _)| pos).collect();
+                step.index = Some(relation.index(&positions));
             }
             steps.push(step);
         }
@@ -449,49 +505,36 @@ impl<'q, 'd> Plan<'q, 'd> {
 
     /// Appends every grounding of the plan (with the first step matching
     /// only `pin`'s tuple, if given) to `out`.
-    fn run(&self, pin: Option<Pin<'d>>, out: &mut Vec<Grounding<'d>>) {
-        let mut run = Run {
-            plan: self,
-            pin,
-            bindings: vec![None; self.slots],
-            key: Vec::new(),
-            clause: Vec::new(),
-            out,
-        };
+    fn run(&self, pin: Option<Pin<'d>>, out: &mut Groundings<'d>) {
+        let mut run =
+            Run { plan: self, pin, bindings: vec![None; self.slots], clause: Vec::new(), out };
         run.descend(0);
     }
 }
 
 impl<'d> Step<'_, 'd> {
-    /// `true` iff `values` carries the step's constants, repeats its
-    /// repeated variables and passes its selections.
-    fn admits(&self, values: &[Value]) -> bool {
-        self.constants.iter().all(|&(pos, c)| values[pos] == *c)
+    /// `true` iff `values` carries the step's keyed values (constants and
+    /// the `bindings` of keyed variables), repeats its repeated variables
+    /// and passes its selections.
+    fn admits(&self, values: &[Value], bindings: &[Option<&'d Value>]) -> bool {
+        self.key.iter().all(|&(pos, key)| values[pos] == *key.value(bindings))
             && self.repeats.iter().all(|&(pos, first)| values[pos] == values[first])
             && self
                 .selections
                 .iter()
                 .all(|&(pos, s)| s.comparison.evaluate(&values[pos], &s.constant))
     }
+}
 
-    /// `true` iff the step has a keyed position (a constant or a variable an
-    /// earlier step bound), so that probing an index beats a scan.
-    fn is_keyed(&self) -> bool {
-        !self.constants.is_empty() || !self.keyed.is_empty()
-    }
-
-    /// The step's index, built on first use (the step's second probe).
-    fn index(&self) -> &Index<'d> {
-        self.index.get_or_init(|| {
-            let mut index: Index<'d> = HashMap::new();
-            for (values, provenance) in self.relation.tuples() {
-                if self.admits(values) {
-                    let key = self.keyed.iter().map(|&(pos, _)| &values[pos]).collect();
-                    index.entry(key).or_default().push((values, provenance));
-                }
-            }
-            index
-        })
+impl<'q> Key<'q> {
+    fn value<'v>(self, bindings: &[Option<&'v Value>]) -> &'v Value
+    where
+        'q: 'v,
+    {
+        match self {
+            Key::Constant(c) => c,
+            Key::Slot(s) => bindings[s].expect("an earlier step bound it"),
+        }
     }
 }
 
@@ -501,64 +544,50 @@ struct Run<'p, 'q, 'd> {
     pin: Option<Pin<'d>>,
     /// Slot → the value bound to it, borrowed from the database.
     bindings: Vec<Option<&'d Value>>,
-    /// Scratch buffer holding the probe key of the current step.
-    key: Vec<&'d Value>,
     /// The endogenous facts used by the current partial grounding.
     clause: Vec<Var>,
-    out: &'p mut Vec<Grounding<'d>>,
+    out: &'p mut Groundings<'d>,
 }
 
 impl<'d> Run<'_, '_, 'd> {
     fn descend(&mut self, depth: usize) {
         let plan = self.plan;
         let Some(step) = plan.steps.get(depth) else {
-            let tuple = plan
-                .head
-                .iter()
-                .map(|slot| {
-                    slot.and_then(|s| self.bindings[s])
-                        .expect("head variable bound by parser check")
-                })
-                .collect();
-            self.out.push((tuple, self.clause.clone()));
+            let out = &mut *self.out;
+            let bindings = &self.bindings;
+            out.heads.extend(plan.head.iter().map(|slot| {
+                Some(slot.and_then(|s| bindings[s]).expect("head variable bound by parser check"))
+            }));
+            out.heads.resize(out.len() * out.stride + out.stride, None);
+            out.vars.extend_from_slice(&self.clause);
+            out.ends.push(out.vars.len());
             return;
         };
         if let Some(pin) = self.pin.filter(|_| depth == 0) {
-            if step.admits(pin.values) {
+            if step.admits(pin.values, &self.bindings) {
                 self.extend(depth, (pin.values, pin.provenance));
             }
-        } else if step.is_keyed() && !step.probed.replace(true) {
-            for tuple in step.relation.tuples() {
-                let values = tuple.0;
-                let joins =
-                    step.keyed.iter().all(|&(pos, s)| self.bindings[s] == Some(&values[pos]));
-                if joins && step.admits(values) {
-                    self.extend(depth, tuple);
-                }
-            }
-        } else if step.is_keyed() {
-            self.key.clear();
+        } else if let Some(index) = &step.index {
             let bindings = &self.bindings;
-            self.key.extend(
-                step.keyed.iter().map(|&(_, s)| bindings[s].expect("an earlier step bound it")),
-            );
-            if let Some(bucket) = step.index().get(self.key.as_slice()) {
-                for &tuple in bucket {
+            let hash = key_hash(step.key.iter().map(|&(_, key)| key.value(bindings)));
+            for at in index.bucket(hash) {
+                let tuple = step.relation.tuple(at);
+                if step.admits(tuple.0, &self.bindings) {
                     self.extend(depth, tuple);
                 }
             }
         } else {
             for tuple in step.relation.tuples() {
-                if step.admits(tuple.0) {
+                if step.admits(tuple.0, &self.bindings) {
                     self.extend(depth, tuple);
                 }
             }
         }
     }
 
-    /// Extends the partial grounding by a tuple the step at `depth` admits
-    /// and joins with: binds the step's new slots, records the tuple's
-    /// provenance variable and descends.
+    /// Extends the partial grounding by a tuple the step at `depth` admits:
+    /// binds the step's new slots, records the tuple's provenance variable
+    /// and descends.
     fn extend(&mut self, depth: usize, (values, provenance): Tuple<'d>) {
         let step = &self.plan.steps[depth];
         for &(pos, slot) in &step.binds {
@@ -579,6 +608,7 @@ impl<'d> Run<'_, '_, 'd> {
 mod tests {
     use super::*;
     use crate::parse_program;
+    use std::collections::HashMap;
 
     /// The database of Example 6 of the paper.
     fn example6_db() -> Database {
@@ -767,35 +797,66 @@ mod tests {
     }
 
     #[test]
-    fn a_delta_plan_leads_with_its_pinned_atom_and_indexes_repeated_probes_only() {
+    fn a_delta_plan_leads_with_its_pinned_atom_and_probes_indexes_kept_across_updates() {
         let mut db = Database::new();
         db.add_relation("R", 2);
         db.add_relation("S", 2);
+        let mut r = Vec::new();
         for (a, b) in [(1, 10), (2, 10), (3, 20)] {
-            db.insert_endogenous("R", vec![a.into(), b.into()]).unwrap();
+            r.push(db.insert_endogenous("R", vec![a.into(), b.into()]).unwrap());
         }
         let id = db.insert_endogenous("S", vec![10.into(), 7.into()]).unwrap();
         db.insert_endogenous("S", vec![20.into(), 8.into()]).unwrap();
         let q = parse_program("Q(A) :- R(A, B), S(B, C).").unwrap();
         let cq = &q.disjuncts[0];
+        let answers = |db: &Database| -> Vec<(Vec<Value>, usize)> {
+            let result = evaluate(&q, db);
+            result.answers().iter().map(|a| (a.tuple.clone(), a.lineage.num_clauses())).collect()
+        };
+        let r_indexes = |db: &Database| db.relation("R").unwrap().indexes();
 
-        // Pinned to S(10, 7): S leads, and R is probed once, by a scan.
+        // A full evaluation scans S and probes R by B through an index the
+        // relation keeps; the next evaluation reuses it.
+        assert!(r_indexes(&db).is_empty());
+        let one_each = vec![(vec![1.into()], 1), (vec![2.into()], 1), (vec![3.into()], 1)];
+        assert_eq!(answers(&db), one_each);
+        let built = r_indexes(&db);
+        assert_eq!(built.len(), 1);
+        assert_eq!(built[0].positions(), &[1]);
+        assert_eq!(answers(&db), one_each);
+        let again = r_indexes(&db);
+        assert!(again.len() == 1 && Arc::ptr_eq(&built[0], &again[0]), "reused, not rebuilt");
+
+        // Pinned to S(10, 7): S leads, unindexed, and R is probed through
+        // the same index.
         assert_eq!(atom_order(cq, Some(1)), vec![1, 0]);
         let plan = Plan::new(cq, &db, Some(1)).unwrap();
+        assert!(plan.steps[0].index.is_none(), "the pinned step matches one tuple");
+        assert!(Arc::ptr_eq(plan.steps[1].index.as_ref().unwrap(), &built[0]));
         let fact = db.fact(id).unwrap();
         let pin = Pin { values: fact.values(), provenance: Provenance::Endogenous(id) };
-        let mut out = Vec::new();
+        let mut out = Groundings::new(&q.disjuncts);
         plan.run(Some(pin), &mut out);
         assert_eq!(out.len(), 2);
-        assert!(plan.steps[1].index.get().is_none(), "one probe builds no index");
+        let index = Arc::as_ptr(&built[0]);
+        drop((plan, built, again));
 
-        // A full run probes its second step once per S tuple: the first
-        // probe scans and the second builds the index.
-        let plan = Plan::new(cq, &db, None).unwrap();
-        let mut out = Vec::new();
-        plan.run(None, &mut out);
-        assert_eq!(out.len(), 3);
-        assert!(plan.steps[1].index.get().is_some(), "a second probe builds the index");
+        // An insert and a delete update that index in place.
+        let ten = key_hash([&Value::from(10)]);
+        db.insert_endogenous("R", vec![4.into(), 10.into()]).unwrap();
+        let kept = r_indexes(&db);
+        assert_eq!(Arc::as_ptr(&kept[0]), index, "an insert updates the index in place");
+        assert!(kept[0].bucket(ten).eq([0, 1, 3]));
+        drop(kept);
+        let mut four = one_each.clone();
+        four.push((vec![4.into()], 1));
+        assert_eq!(answers(&db), four);
+        db.delete_endogenous(r[0]).unwrap();
+        let kept = r_indexes(&db);
+        assert_eq!(Arc::as_ptr(&kept[0]), index, "a delete updates the index in place");
+        assert!(kept[0].bucket(ten).eq([0, 2]), "the later positions shift down");
+        drop(kept);
+        assert_eq!(answers(&db), four[1..]);
     }
 
     #[test]

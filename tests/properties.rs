@@ -409,11 +409,33 @@ struct JoinCase {
 /// atoms whose arity differs from their relation's.
 struct JoinCases;
 
-fn random_tuple(rng: &mut StdRng, arity: usize) -> Vec<Value> {
-    (0..arity).map(|_| Value::from(rng.gen_range(0..DOMAIN))).collect()
+/// Draws one value of a tuple or constant.
+type Draw = fn(&mut StdRng) -> Value;
+
+fn int_value(rng: &mut StdRng) -> Value {
+    Value::from(rng.gen_range(0..DOMAIN))
 }
 
-fn random_cq(rng: &mut StdRng, schema: &[(String, usize)], head_arity: usize) -> ConjunctiveQuery {
+/// An int of [`int_value`], or one of three strings (one longer than the
+/// eight bytes the key hasher folds at a time).
+fn mixed_value(rng: &mut StdRng) -> Value {
+    if rng.gen_bool(0.3) {
+        Value::from(["a", "bb", "a longer string"][rng.gen_range(0..3usize)])
+    } else {
+        int_value(rng)
+    }
+}
+
+fn random_tuple(rng: &mut StdRng, arity: usize, draw: Draw) -> Vec<Value> {
+    (0..arity).map(|_| draw(rng)).collect()
+}
+
+fn random_cq(
+    rng: &mut StdRng,
+    schema: &[(String, usize)],
+    head_arity: usize,
+    draw: Draw,
+) -> ConjunctiveQuery {
     const VARS: [&str; 3] = ["X", "Y", "Z"];
     let mut atoms = Vec::new();
     for _ in 0..rng.gen_range(1..=3usize) {
@@ -427,7 +449,7 @@ fn random_cq(rng: &mut StdRng, schema: &[(String, usize)], head_arity: usize) ->
         let terms = (0..arity)
             .map(|_| {
                 if rng.gen_bool(0.25) {
-                    Term::constant(rng.gen_range(0..DOMAIN))
+                    Term::constant(draw(rng))
                 } else {
                     Term::var(VARS[rng.gen_range(0..VARS.len())])
                 }
@@ -459,7 +481,7 @@ fn random_cq(rng: &mut StdRng, schema: &[(String, usize)], head_arity: usize) ->
         .map(|_| Selection {
             variable: ["X", "Y", "Z", "V"][rng.gen_range(0..4usize)].into(),
             comparison: comparisons[rng.gen_range(0..comparisons.len())],
-            constant: Value::from(rng.gen_range(0..DOMAIN)),
+            constant: draw(rng),
         })
         .collect();
     ConjunctiveQuery { head, selections, ..cq }
@@ -469,32 +491,47 @@ impl Strategy for JoinCases {
     type Value = JoinCase;
 
     fn generate(&self, rng: &mut StdRng) -> JoinCase {
-        let mut db = Database::new();
-        let schema: Vec<(String, usize)> = (0..rng.gen_range(2..=3usize))
-            .map(|i| (format!("R{i}"), rng.gen_range(1..=3usize)))
-            .collect();
-        for (name, arity) in &schema {
-            db.add_relation(name.as_str(), *arity);
-            let mut tuples: Vec<Vec<Value>> = Vec::new();
-            for _ in 0..rng.gen_range(0..=6usize) {
-                let values = if !tuples.is_empty() && rng.gen_bool(0.2) {
-                    tuples[rng.gen_range(0..tuples.len())].clone()
-                } else {
-                    random_tuple(rng, *arity)
-                };
-                if rng.gen_bool(0.7) {
-                    db.insert_endogenous(name, values.clone()).unwrap();
-                } else {
-                    db.insert_exogenous(name, values.clone()).unwrap();
-                }
-                tuples.push(values);
-            }
-        }
-        let head_arity = rng.gen_range(0..=2usize);
-        let disjuncts =
-            (0..rng.gen_range(1..=2usize)).map(|_| random_cq(rng, &schema, head_arity)).collect();
-        JoinCase { db, query: UnionQuery { disjuncts }, schema }
+        join_case(rng, int_value)
     }
+}
+
+/// [`JoinCases`] over int and string values.
+struct MixedJoinCases;
+
+impl Strategy for MixedJoinCases {
+    type Value = JoinCase;
+
+    fn generate(&self, rng: &mut StdRng) -> JoinCase {
+        join_case(rng, mixed_value)
+    }
+}
+
+fn join_case(rng: &mut StdRng, draw: Draw) -> JoinCase {
+    let mut db = Database::new();
+    let schema: Vec<(String, usize)> = (0..rng.gen_range(2..=3usize))
+        .map(|i| (format!("R{i}"), rng.gen_range(1..=3usize)))
+        .collect();
+    for (name, arity) in &schema {
+        db.add_relation(name.as_str(), *arity);
+        let mut tuples: Vec<Vec<Value>> = Vec::new();
+        for _ in 0..rng.gen_range(0..=6usize) {
+            let values = if !tuples.is_empty() && rng.gen_bool(0.2) {
+                tuples[rng.gen_range(0..tuples.len())].clone()
+            } else {
+                random_tuple(rng, *arity, draw)
+            };
+            if rng.gen_bool(0.7) {
+                db.insert_endogenous(name, values.clone()).unwrap();
+            } else {
+                db.insert_exogenous(name, values.clone()).unwrap();
+            }
+            tuples.push(values);
+        }
+    }
+    let head_arity = rng.gen_range(0..=2usize);
+    let disjuncts =
+        (0..rng.gen_range(1..=2usize)).map(|_| random_cq(rng, &schema, head_arity, draw)).collect();
+    JoinCase { db, query: UnionQuery { disjuncts }, schema }
 }
 
 /// Every grounding of `cq` over `db` by brute force: each combination of
@@ -619,7 +656,7 @@ proptest! {
         let JoinCase { mut db, query, schema } = case;
         let before = evaluated(&query, &db);
         let (relation, arity) = &schema[rng.gen_range(0..schema.len())];
-        let id = db.insert_endogenous(relation, random_tuple(&mut rng, *arity)).unwrap();
+        let id = db.insert_endogenous(relation, random_tuple(&mut rng, *arity, int_value)).unwrap();
         let mut delta: BTreeMap<Vec<Value>, Vec<Vec<Var>>> = BTreeMap::new();
         for (tuple, clause) in delta_groundings(&query, &db, id) {
             prop_assert!(clause.contains(&Var(id.0)));
@@ -636,5 +673,234 @@ proptest! {
         }
         let merged: Vec<(Vec<Value>, Dnf)> = merged.into_iter().collect();
         prop_assert_eq!(merged, evaluated(&query, &db));
+    }
+}
+
+// ------------------------------------ index maintenance under updates
+
+/// One write to a database.
+#[derive(Clone, Debug)]
+enum Write {
+    Endogenous(String, Vec<Value>),
+    Exogenous(String, Vec<Value>),
+    Delete(FactId),
+}
+
+/// A database together with the writes that built it from its empty
+/// relations, so that the same facts can be rebuilt into a new database.
+#[derive(Clone)]
+struct Track {
+    db: Database,
+    writes: Vec<Write>,
+}
+
+impl Track {
+    /// The writes that rebuild `db`: its tuples, relation by relation in
+    /// `schema` order, which is the order [`join_case`] inserted them in.
+    fn of(db: Database, schema: &[(String, usize)]) -> Self {
+        let mut writes = Vec::new();
+        for (name, _) in schema {
+            for (values, provenance) in db.relation(name).unwrap().tuples() {
+                writes.push(match provenance {
+                    Provenance::Endogenous(_) => Write::Endogenous(name.clone(), values.to_vec()),
+                    Provenance::Exogenous => Write::Exogenous(name.clone(), values.to_vec()),
+                });
+            }
+        }
+        Track { db, writes }
+    }
+
+    /// Applies `write`, returning the id of an inserted endogenous fact.
+    fn apply(&mut self, write: Write) -> Option<FactId> {
+        let id = apply_write(&mut self.db, &write);
+        self.writes.push(write);
+        id
+    }
+
+    /// The same facts, with the same ids, written into a new database that
+    /// has built no index yet.
+    fn fresh(&self, schema: &[(String, usize)]) -> Database {
+        let mut db = Database::new();
+        for (name, arity) in schema {
+            db.add_relation(name.as_str(), *arity);
+        }
+        for write in &self.writes {
+            apply_write(&mut db, write);
+        }
+        db
+    }
+}
+
+fn apply_write(db: &mut Database, write: &Write) -> Option<FactId> {
+    match write {
+        Write::Endogenous(relation, values) => {
+            Some(db.insert_endogenous(relation, values.clone()).unwrap())
+        }
+        Write::Exogenous(relation, values) => {
+            db.insert_exogenous(relation, values.clone()).unwrap();
+            None
+        }
+        Write::Delete(id) => {
+            db.delete_endogenous(*id).unwrap();
+            None
+        }
+    }
+}
+
+/// A random write to `db`: an endogenous or exogenous insert (a fifth of
+/// them repeating a stored tuple), or the delete of a random live fact.
+fn random_write(rng: &mut StdRng, db: &Database, schema: &[(String, usize)]) -> Write {
+    let live: Vec<FactId> = db.endogenous_facts().map(|(id, _)| id).collect();
+    if !live.is_empty() && rng.gen_bool(0.4) {
+        return Write::Delete(live[rng.gen_range(0..live.len())]);
+    }
+    let (name, arity) = &schema[rng.gen_range(0..schema.len())];
+    let stored: Vec<&[Value]> = db.relation(name).unwrap().tuples().map(|(v, _)| v).collect();
+    let values = if !stored.is_empty() && rng.gen_bool(0.2) {
+        stored[rng.gen_range(0..stored.len())].to_vec()
+    } else {
+        random_tuple(rng, *arity, mixed_value)
+    };
+    if rng.gen_bool(0.7) {
+        Write::Endogenous(name.clone(), values)
+    } else {
+        Write::Exogenous(name.clone(), values)
+    }
+}
+
+/// The delta groundings of fact `id` grouped into per-answer lineages.
+fn delta_answers(groundings: Vec<(Vec<Value>, Vec<Var>)>) -> BTreeMap<Vec<Value>, Dnf> {
+    let mut clauses: BTreeMap<Vec<Value>, Vec<Vec<Var>>> = BTreeMap::new();
+    for (tuple, clause) in groundings {
+        clauses.entry(tuple).or_default().push(clause);
+    }
+    clauses.into_iter().map(|(tuple, clauses)| (tuple, Dnf::from_clauses(clauses))).collect()
+}
+
+/// The nested-loop reference of [`delta_groundings`]: the oracle's
+/// groundings that use fact `id`.
+fn oracle_delta(query: &UnionQuery, db: &Database, id: FactId) -> BTreeMap<Vec<Value>, Dnf> {
+    let groundings = query
+        .disjuncts
+        .iter()
+        .flat_map(|cq| oracle_groundings(cq, db))
+        .filter(|(_, clause)| clause.contains(&Var(id.0)))
+        .collect();
+    delta_answers(groundings)
+}
+
+/// Checks a maintained database against the same facts freshly written
+/// into a new one and against the nested-loop oracle: `evaluate` on the
+/// whole query, `delta_groundings` for fact `id` if given.
+fn check_track(track: &Track, schema: &[(String, usize)], query: &UnionQuery, id: Option<FactId>) {
+    let fresh = track.fresh(schema);
+    let have = evaluated(query, &track.db);
+    assert_eq!(have, evaluated(query, &fresh), "maintained vs fresh indexes");
+    assert_eq!(have, oracle_answers(query, &track.db), "maintained indexes vs the oracle");
+    if let Some(id) = id {
+        let delta = delta_groundings(query, &track.db, id);
+        assert_eq!(delta, delta_groundings(query, &fresh, id), "delta of {id}, vs fresh");
+        assert_eq!(delta_answers(delta), oracle_delta(query, &track.db, id), "delta of {id}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Indexes kept through a random stream of inserts and deletes answer
+    /// exactly as indexes built from scratch and as the nested-loop oracle,
+    /// after every write, including a relation's last tuple deleted and
+    /// re-inserted, and on both sides of a clone written to independently.
+    #[test]
+    fn maintained_indexes_match_fresh_ones_and_the_oracle(
+        case in MixedJoinCases,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let JoinCase { db, query, schema } = case;
+        let mut tracks = vec![Track::of(db, &schema)];
+        // Build every index the query uses before the first write.
+        check_track(&tracks[0], &schema, &query, None);
+        let fork_at = rng.gen_range(0..8usize);
+        for step in 0..12usize {
+            if step == fork_at {
+                let twin = tracks[0].clone();
+                tracks.push(twin);
+            }
+            let t = rng.gen_range(0..tracks.len());
+            let writes = if rng.gen_bool(0.2) {
+                // Delete the last tuple of a relation, if endogenous, and
+                // re-insert it.
+                let (name, _) = &schema[rng.gen_range(0..schema.len())];
+                let last = tracks[t].db.relation(name).unwrap().tuples().last();
+                match last {
+                    Some((values, Provenance::Endogenous(id))) => vec![
+                        Write::Delete(id),
+                        Write::Endogenous(name.clone(), values.to_vec()),
+                    ],
+                    _ => vec![random_write(&mut rng, &tracks[t].db, &schema)],
+                }
+            } else {
+                vec![random_write(&mut rng, &tracks[t].db, &schema)]
+            };
+            for write in writes {
+                let inserted = tracks[t].apply(write);
+                let live: Vec<FactId> = tracks[t].db.endogenous_facts().map(|(id, _)| id).collect();
+                let probe = inserted.or_else(|| live.get(rng.gen_range(0..live.len().max(1))).copied());
+                check_track(&tracks[t], &schema, &query, probe);
+                // The other side of a clone is untouched by this write.
+                for other in tracks.iter().enumerate().filter(|&(i, _)| i != t).map(|(_, tr)| tr) {
+                    check_track(other, &schema, &query, None);
+                }
+            }
+        }
+    }
+}
+
+/// One query's answers with their lineages, as [`evaluated`] lists them.
+type Answers = Vec<(Vec<Value>, Dnf)>;
+
+/// Two threads evaluate the queries of a cold database at once, so each
+/// index is built under a race: both get the answers of a single-threaded
+/// evaluation, and the relation keeps one index per key-position set.
+#[test]
+fn threads_racing_to_build_an_index_agree() {
+    use banzhaf_repro::workloads::{imdb_workload, DatasetSpec};
+    let workload = imdb_workload(&DatasetSpec::default());
+    use banzhaf_repro::db::Relation;
+    // Each relation's indexed key-position sets, sorted.
+    let indexes = |db: &Database| -> Vec<Vec<Vec<usize>>> {
+        let relations = db.relation_names().into_iter().map(|name| db.relation(name).unwrap());
+        let positions = |r: &Relation| -> Vec<Vec<usize>> {
+            let mut keys: Vec<Vec<usize>> =
+                r.indexes().iter().map(|i| i.positions().to_vec()).collect();
+            keys.sort();
+            keys
+        };
+        relations.map(positions).collect()
+    };
+    // A clone shares the indexes built so far, and the workload's database
+    // has none, so every clone of it starts cold.
+    assert!(indexes(&workload.db).iter().all(Vec::is_empty));
+    let alone = workload.db.clone();
+    let expected: Vec<Answers> =
+        workload.queries.iter().map(|(_, q)| evaluated(q, &alone)).collect();
+    for _ in 0..4 {
+        let cold = workload.db.clone();
+        let barrier = std::sync::Barrier::new(2);
+        let results: Vec<Vec<Answers>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        workload.queries.iter().map(|(_, q)| evaluated(q, &cold)).collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(results[0], expected);
+        assert_eq!(results[1], expected);
+        assert_eq!(indexes(&cold), indexes(&alone), "the same indexes, each built once");
     }
 }
