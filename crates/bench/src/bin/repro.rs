@@ -16,9 +16,12 @@
 //! `--threads N` fans the sweep's instance loop and the engine sessions
 //! across N workers (0 = one per CPU); completed instances record identical
 //! scores at any thread count (wall-clock timeouts may cut off different
-//! borderline instances when workers contend for cores).
+//! borderline instances when workers contend for cores). The perf artifact
+//! experiments (`parallel_speedup` through `aggregate_attribution`) also
+//! write their `BENCH_*.json` record to the working directory.
 
 use banzhaf_bench::experiments;
+use banzhaf_bench::json::Json;
 use banzhaf_bench::runner::{run_sweep, HarnessConfig};
 use std::time::Duration;
 
@@ -104,8 +107,7 @@ fn main() {
     }
 
     if run_everything {
-        println!("{}", experiments::run_all(&config));
-        return;
+        experiments_requested = KNOWN_EXPERIMENTS.iter().map(|&e| e.to_owned()).collect();
     }
 
     // Run the sweep lazily: only if some requested experiment needs it.
@@ -125,6 +127,7 @@ fn main() {
     });
     let records = if needs_sweep { run_sweep(&config) } else { Vec::new() };
 
+    let artifact = |file, run: fn(&HarnessConfig) -> (String, Json)| record(file, run(&config));
     for experiment in &experiments_requested {
         let report = match experiment.as_str() {
             "table1" => experiments::table1(&config),
@@ -142,15 +145,29 @@ fn main() {
             "ablation_heuristic" => experiments::ablation_heuristic(&config),
             "ablation_adaban" => experiments::ablation_adaban(&config),
             "engine_cache" => experiments::engine_cache(&config),
-            "parallel_speedup" => experiments::parallel_speedup(&config),
-            "serve_throughput" => experiments::serve_throughput(&config),
-            "canon_hit_rate" => experiments::canon_hit_rate(&config),
-            "warm_start" => experiments::warm_start(&config),
-            "update_stream" => experiments::update_stream(&config),
-            "degrade_under_pressure" => experiments::degrade_under_pressure(&config),
-            "aggregate_attribution" => experiments::aggregate_attribution(&config),
+            "parallel_speedup" => artifact("BENCH_parallel.json", experiments::parallel_speedup),
+            "serve_throughput" => artifact("BENCH_serve.json", experiments::serve_throughput),
+            "canon_hit_rate" => artifact("BENCH_canon.json", experiments::canon_hit_rate),
+            "warm_start" => artifact("BENCH_persist.json", experiments::warm_start),
+            "update_stream" => artifact("BENCH_update.json", experiments::update_stream),
+            "degrade_under_pressure" => {
+                artifact("BENCH_degrade.json", experiments::degrade_under_pressure)
+            }
+            "aggregate_attribution" => {
+                artifact("BENCH_aggregate.json", experiments::aggregate_attribution)
+            }
             other => unreachable!("experiment {other} was validated against KNOWN_EXPERIMENTS"),
         };
         println!("{report}");
     }
+}
+
+/// Writes an artifact experiment's record to `file` and returns its report
+/// followed by a line saying where the record went.
+fn record(file: &str, (report, json): (String, Json)) -> String {
+    let note = match std::fs::write(file, format!("{json}\n")) {
+        Ok(()) => format!("recorded to {file}"),
+        Err(e) => format!("could not write {file}: {e}"),
+    };
+    format!("{report}{note}\n")
 }

@@ -1,12 +1,13 @@
-//! A minimal JSON reader for the harness's own `BENCH_*.json` artifacts.
+//! A minimal JSON reader and writer for the harness's own `BENCH_*.json`
+//! artifacts.
 //!
-//! The build environment has no crates.io access, so the CI regression gate
-//! (`bench_gate`) parses the perf artifacts with this ~150-line recursive
-//! descent parser instead of `serde_json`. It accepts standard JSON (objects,
-//! arrays, strings with the common escapes, numbers, booleans, null), which
-//! is a superset of what the experiment writers emit.
+//! The build environment has no crates.io access, so the artifact
+//! experiments build their records as [`Json`] values, `repro` writes them
+//! through [`Json`]'s `Display`, and the regression gate
+//! ([`crate::gate`]) parses them back with the recursive-descent parser
+//! here instead of `serde_json`. The parser accepts standard JSON (objects,
+//! arrays, strings with the common escapes, numbers, booleans, null).
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// A parsed JSON value.
@@ -23,8 +24,9 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object. Duplicate keys keep the last value, like most parsers.
-    Obj(HashMap<String, Json>),
+    /// An object, its members in insertion order. Duplicate keys are kept;
+    /// [`Json::get`] reads the last one, like most parsers.
+    Obj(Vec<(String, Json)>),
 }
 
 /// A parse failure: byte offset and message.
@@ -57,12 +59,32 @@ impl Json {
         Ok(value)
     }
 
+    /// An object with the given members, in order.
+    pub fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
+        Json::Obj(members.into_iter().map(|(key, value)| (key.to_owned(), value)).collect())
+    }
+
+    /// `value` rounded to `decimals` places, the number a `{:.N}` format
+    /// would have written.
+    pub fn fixed(value: f64, decimals: usize) -> Json {
+        Json::Num(format!("{value:.decimals$}").parse().expect("a formatted float parses"))
+    }
+
     /// Member access on objects (`None` on other variants or missing keys).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(members) => members.get(key),
+            Json::Obj(members) => members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// The value at a dotted path: object keys, or element indices of
+    /// arrays (`runs.1.speedup`). `None` if any step is missing.
+    pub fn at(&self, path: &str) -> Option<&Json> {
+        path.split('.').try_fold(self, |node, step| match node {
+            Json::Arr(items) => items.get(step.parse::<usize>().ok()?),
+            _ => node.get(step),
+        })
     }
 
     /// The number, if this is one.
@@ -96,6 +118,89 @@ impl Json {
             _ => None,
         }
     }
+
+    /// Writes `self` at nesting `depth`: the top-level object and the arrays
+    /// and objects directly inside it put one member per line (two-space
+    /// indent), deeper values stay on one line.
+    fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        let (open, close, entries): (_, _, Vec<(Option<&String>, &Json)>) = match self {
+            Json::Null => return f.write_str("null"),
+            Json::Bool(b) => return write!(f, "{b}"),
+            // Rust prints the shortest decimal that parses back to the same
+            // `f64`, never in exponent form; JSON has no NaN or infinity.
+            Json::Num(n) if n.is_finite() => return write!(f, "{n}"),
+            Json::Num(_) => return f.write_str("null"),
+            Json::Str(s) => return write_string(f, s),
+            Json::Arr(items) => ("[", "]", items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(members) => ("{", "}", members.iter().map(|(k, v)| (Some(k), v)).collect()),
+        };
+        let multiline = depth < 2 && !entries.is_empty();
+        let newline = |depth: usize| {
+            if multiline {
+                format!("\n{}", "  ".repeat(depth))
+            } else {
+                String::new()
+            }
+        };
+        f.write_str(open)?;
+        for (i, (key, value)) in entries.into_iter().enumerate() {
+            if i > 0 {
+                f.write_str(if multiline { "," } else { ", " })?;
+            }
+            f.write_str(&newline(depth + 1))?;
+            if let Some(key) = key {
+                write_string(f, key)?;
+                f.write_str(": ")?;
+            }
+            value.write(f, depth + 1)?;
+        }
+        f.write_str(&newline(depth))?;
+        f.write_str(close)
+    }
+}
+
+/// Writes `s` as a JSON string literal.
+fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if u32::from(c) < 0x20 => write!(f, "\\u{:04x}", u32::from(c))?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    f.write_str("\"")
+}
+
+/// The artifact layout: one top-level member per line, and one array element
+/// per line below it.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+macro_rules! json_from {
+    ($($source:ty => |$v:ident| $make:expr),* $(,)?) => {
+        $(impl From<$source> for Json {
+            fn from($v: $source) -> Json {
+                $make
+            }
+        })*
+    };
+}
+
+json_from! {
+    bool => |b| Json::Bool(b),
+    u64 => |n| Json::Num(n as f64),
+    usize => |n| Json::Num(n as f64),
+    u32 => |n| Json::Num(f64::from(n)),
+    &str => |s| Json::Str(s.to_owned()),
+    Vec<Json> => |items| Json::Arr(items),
 }
 
 struct Parser<'a> {
@@ -151,7 +256,7 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{', "'{'")?;
-        let mut members = HashMap::new();
+        let mut members = Vec::new();
         self.skip_whitespace();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -163,7 +268,7 @@ impl Parser<'_> {
             self.skip_whitespace();
             self.expect(b':', "':' after object key")?;
             self.skip_whitespace();
-            members.insert(key, self.value()?);
+            members.push((key, self.value()?));
             self.skip_whitespace();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -293,7 +398,7 @@ mod tests {
         assert_eq!(Json::parse("-12.5e-1").unwrap(), Json::Num(-1.25));
         assert_eq!(Json::parse(r#""a\"b\nA""#).unwrap(), Json::Str("a\"b\nA".to_owned()));
         assert_eq!(Json::parse("[]").unwrap(), Json::Arr(Vec::new()));
-        assert_eq!(Json::parse("{}").unwrap(), Json::Obj(HashMap::new()));
+        assert_eq!(Json::parse("{}").unwrap(), Json::Obj(Vec::new()));
     }
 
     #[test]
@@ -392,5 +497,79 @@ mod tests {
         assert!(json.as_bool().is_none());
         assert!(json.as_str().is_none());
         assert_eq!(json.as_array().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn committed_artifacts_round_trip_through_the_writer() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut artifacts = 0;
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap().to_owned();
+            if name.starts_with("BENCH_") && path.extension().is_some_and(|e| e == "json") {
+                let value = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+                assert_eq!(Json::parse(&value.to_string()).unwrap(), value, "{name}");
+                artifacts += 1;
+            }
+        }
+        assert!(artifacts >= 9, "only {artifacts} BENCH_*.json files at the root");
+    }
+
+    #[test]
+    fn escapes_numbers_and_nesting_round_trip() {
+        let run = |n: f64| Json::obj([("n", Json::Num(n)), ("tag", "a\"b\\c\n\t\r\u{1}é/".into())]);
+        let value = Json::obj([
+            ("text", "quote \" backslash \\ newline \n tab \t control \u{1f} end".into()),
+            ("negative", Json::Num(-12.5)),
+            ("fraction", Json::Num(0.000123)),
+            ("tiny", Json::Num(-4e-7)),
+            ("huge", Json::Num(1.25e21)),
+            ("integer", 9007199254740991u64.into()),
+            ("empty", Json::Arr(Vec::new())),
+            ("runs", vec![run(1.0), run(-0.25), Json::Obj(Vec::new())].into()),
+            ("nested", vec![Json::obj([("inner", vec![run(2.5), Json::Null].into())])].into()),
+        ]);
+        let text = value.to_string();
+        assert_eq!(Json::parse(&text).unwrap(), value, "{text}");
+    }
+
+    #[test]
+    fn writes_the_artifact_layout() {
+        let value = Json::obj([
+            ("experiment", "degrade_under_pressure".into()),
+            ("ladder_availability", Json::fixed(1.0, 6)),
+            ("strict_availability", Json::fixed(0.25, 6)),
+            ("none", Json::Arr(Vec::new())),
+            (
+                "rungs",
+                vec![Json::obj([("rung", "AdaBan".into()), ("answers", 3u64.into())])].into(),
+            ),
+        ]);
+        let expected = "{\n  \"experiment\": \"degrade_under_pressure\",\n  \
+                        \"ladder_availability\": 1,\n  \"strict_availability\": 0.25,\n  \
+                        \"none\": [],\n  \"rungs\": [\n    {\"rung\": \"AdaBan\", \"answers\": 3}\n  \
+                        ]\n}";
+        assert_eq!(value.to_string(), expected);
+    }
+
+    #[test]
+    fn fixed_rounds_like_the_format_it_replaces() {
+        for (value, decimals) in [(0.995_499_4, 6), (0.833_333_3, 4), (2_980.263_49, 3), (1.0, 4)] {
+            let text = format!("{value:.decimals$}");
+            assert_eq!(Json::fixed(value, decimals), Json::parse(&text).unwrap(), "{text}");
+        }
+        assert_eq!(Json::fixed(1.0, 4), Json::Num(1.0));
+    }
+
+    #[test]
+    fn dotted_paths_reach_members_and_elements() {
+        let json = Json::parse(r#"{"runs": [{"s": 1}, {"s": 2}], "a": {"b": true}}"#).unwrap();
+        assert_eq!(json.at("runs.1.s"), Some(&Json::Num(2.0)));
+        assert_eq!(json.at("a.b"), Some(&Json::Bool(true)));
+        for missing in ["runs.2.s", "runs.x", "a.b.c", "absent", "runs.-1"] {
+            assert_eq!(json.at(missing), None, "{missing}");
+        }
+        let duplicate = Json::parse(r#"{"k": 1, "k": 2}"#).unwrap();
+        assert_eq!(duplicate.get("k"), Some(&Json::Num(2.0)));
     }
 }
