@@ -1910,6 +1910,20 @@ mod tests {
         json.at(path).and_then(Json::as_bool).unwrap_or_else(|| panic!("no flag {path}: {json}"))
     }
 
+    /// `repro canon_hit_rate`'s record on a small stream: canonical keying
+    /// strictly beats first-occurrence keying, every isomorph after the
+    /// first of each shape hits, and cached and served runs match the cold
+    /// reference.
+    #[test]
+    fn canon_hit_rate_beats_first_occurrence_keying() {
+        let (report, json) = canon_hit_rate(&tiny_config());
+        assert!(report.contains("canonical, engine session"), "{report}");
+        assert!(flag(&json, "bit_identical"), "{json}");
+        assert!(num(&json, "canon_hit_rate") > num(&json, "naive_hit_rate"), "{json}");
+        let expected_hits = num(&json, "requests") - num(&json, "shapes");
+        assert_eq!(num(&json, "canon_hits"), expected_hits, "{json}");
+    }
+
     /// `repro canon_hit_rate`'s record on its seeded stream: every isomorph
     /// after the first of each shape hits (25 of 30, the 0.8333 floor),
     /// strictly beating first-occurrence keying, within a ceiling of 12282
@@ -1955,6 +1969,22 @@ mod tests {
         assert_eq!(num(&json, "steps_saved_ratio"), 1.0, "{json}");
         assert_eq!(num(&json, "warm_compile_steps"), 0.0, "{json}");
         assert_eq!(num(&json, "sharded_compile_steps"), 0.0, "{json}");
+        assert_eq!(num(&json, "warm_hits"), num(&json, "requests"), "{json}");
+        assert!(num(&json, "snapshot_bytes") > 0.0, "{json}");
+    }
+
+    /// `repro warm_start`'s record on a small stream: every replayed request
+    /// is served from the snapshot, so the warm and sharded engines compile
+    /// nothing, and their answers match the cold run.
+    #[test]
+    fn warm_start_saves_the_whole_replayed_stream() {
+        let (report, json) = warm_start(&tiny_config());
+        assert!(report.contains("Warm start"), "{report}");
+        assert!(flag(&json, "bit_identical"), "{json}");
+        assert_eq!(num(&json, "warm_compile_steps"), 0.0, "{json}");
+        assert_eq!(num(&json, "sharded_compile_steps"), 0.0, "{json}");
+        assert_eq!(num(&json, "steps_saved_ratio"), 1.0, "{json}");
+        assert_eq!(num(&json, "snapshot_rejects"), 0.0, "{json}");
         assert_eq!(num(&json, "warm_hits"), num(&json, "requests"), "{json}");
         assert!(num(&json, "snapshot_bytes") > 0.0, "{json}");
     }
