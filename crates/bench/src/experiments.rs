@@ -1559,18 +1559,15 @@ pub fn degrade_under_pressure(config: &HarnessConfig) -> (String, Json) {
 /// the cache, replay the stream in a **fresh** engine warm-started from the
 /// snapshot, and score the compile steps and wall clock the snapshot saved.
 ///
-/// Three runs over the identical `canon_request_stream`:
+/// Two runs over the identical `canon_request_stream`:
 ///
 /// * a **cold** engine — compiles every distinct shape once; its cache is
 ///   then written to disk via `Engine::save_cache`;
 /// * a **warm-started** fresh engine (`CacheConfig::warm_start`) — every
 ///   shape in the stream must be served from the loaded snapshot, values
-///   transferring through the persisted canonical witnesses;
-/// * a warm-started **sharded** engine (2 shards) — the same snapshot
-///   re-routed across shards at load, proving snapshots are shard-count
-///   independent.
+///   transferring through the persisted canonical witnesses.
 ///
-/// All three value streams must be bit-identical. Returns the
+/// Both value streams must be bit-identical. Returns the
 /// `BENCH_persist.json` record; the tier-1 test of this experiment requires
 /// `bit_identical`, nonzero savings, no rejected snapshot and a steps-saved
 /// floor.
@@ -1603,7 +1600,7 @@ pub fn warm_start(config: &HarnessConfig) -> (String, Json) {
     let warm_config = banzhaf_engine::CacheConfig::new().with_warm_start(&snapshot_path);
     let warm_wall = Instant::now();
     let warm_engine = Engine::new(
-        EngineConfig::new(Algorithm::ExaBan).with_cache_config(warm_config.clone()).with_threads(1),
+        EngineConfig::new(Algorithm::ExaBan).with_cache_config(warm_config).with_threads(1),
     );
     let mut warm_session = warm_engine.session();
     let warm = exact_value_stream(&mut warm_session, &lineages);
@@ -1611,20 +1608,9 @@ pub fn warm_start(config: &HarnessConfig) -> (String, Json) {
     let warm_compile_steps = warm_session.stats().compile_steps;
     let warm_stats = warm_engine.stats().cache;
 
-    // Sharded warm replay: the same snapshot re-routed across 2 shards.
-    let sharded_engine = Engine::new(
-        EngineConfig::new(Algorithm::ExaBan)
-            .with_cache_config(warm_config.with_shards(2))
-            .with_threads(1),
-    );
-    let mut sharded_session = sharded_engine.session();
-    let sharded = exact_value_stream(&mut sharded_session, &lineages);
-    let sharded_compile_steps = sharded_session.stats().compile_steps;
-    let sharded_snapshot = sharded_engine.stats();
-
     let _ = std::fs::remove_file(&snapshot_path);
 
-    let bit_identical = warm == cold && sharded == cold;
+    let bit_identical = warm == cold;
     let steps_saved = cold_compile_steps.saturating_sub(warm_compile_steps);
     let steps_saved_ratio =
         if cold_compile_steps > 0 { steps_saved as f64 / cold_compile_steps as f64 } else { 0.0 };
@@ -1650,13 +1636,6 @@ pub fn warm_start(config: &HarnessConfig) -> (String, Json) {
         warm_stats.snapshot_entries.to_string(),
         format!("{:.1} ms", warm_wall.as_secs_f64() * 1e3),
     ]);
-    table.push_row([
-        format!("warm-started, {} shards", sharded_snapshot.shards.len()),
-        sharded_compile_steps.to_string(),
-        sharded_snapshot.cache.hits.to_string(),
-        sharded_snapshot.cache.snapshot_entries.to_string(),
-        "—".to_owned(),
-    ]);
 
     let json = Json::obj([
         ("experiment", "warm_start".into()),
@@ -1665,7 +1644,6 @@ pub fn warm_start(config: &HarnessConfig) -> (String, Json) {
         ("shapes", shapes.into()),
         ("cold_compile_steps", cold_compile_steps.into()),
         ("warm_compile_steps", warm_compile_steps.into()),
-        ("sharded_compile_steps", sharded_compile_steps.into()),
         ("steps_saved", steps_saved.into()),
         ("steps_saved_ratio", Json::fixed(steps_saved_ratio, 4)),
         ("cold_wall_ms", Json::fixed(cold_wall.as_secs_f64() * 1e3, 3)),
@@ -1676,7 +1654,6 @@ pub fn warm_start(config: &HarnessConfig) -> (String, Json) {
         ("snapshot_loads", warm_stats.snapshot_loads.into()),
         ("snapshot_rejects", warm_stats.snapshot_rejects.into()),
         ("warm_hits", warm_stats.hits.into()),
-        ("shards", sharded_snapshot.shards.len().into()),
         ("bit_identical", bit_identical.into()),
     ]);
     let report = format!(
@@ -1953,11 +1930,11 @@ mod tests {
         assert!(num(&json, "steps_saved_ratio") >= 0.5, "{json}");
     }
 
-    /// `repro warm_start`'s record on its seeded stream: the warm-started and
-    /// sharded replays match the cold run, the snapshot loads cleanly and
-    /// saves compile steps (at least the 0.9 floor of them), and every
-    /// replayed request is served from the snapshot, so the warm engines
-    /// compile nothing at all.
+    /// `repro warm_start`'s record on its seeded stream: the warm-started
+    /// replay matches the cold run, the snapshot loads cleanly and saves
+    /// compile steps (at least the 0.9 floor of them), and every replayed
+    /// request is served from the snapshot, so the warm engine compiles
+    /// nothing at all.
     #[test]
     fn warm_start_is_bit_identical_and_holds_the_baseline() {
         let (report, json) = warm_start(&HarnessConfig::default());
@@ -1968,21 +1945,19 @@ mod tests {
         assert!(num(&json, "steps_saved_ratio") >= 0.9, "{json}");
         assert_eq!(num(&json, "steps_saved_ratio"), 1.0, "{json}");
         assert_eq!(num(&json, "warm_compile_steps"), 0.0, "{json}");
-        assert_eq!(num(&json, "sharded_compile_steps"), 0.0, "{json}");
         assert_eq!(num(&json, "warm_hits"), num(&json, "requests"), "{json}");
         assert!(num(&json, "snapshot_bytes") > 0.0, "{json}");
     }
 
     /// `repro warm_start`'s record on a small stream: every replayed request
-    /// is served from the snapshot, so the warm and sharded engines compile
-    /// nothing, and their answers match the cold run.
+    /// is served from the snapshot, so the warm engine compiles nothing, and
+    /// its answers match the cold run.
     #[test]
     fn warm_start_saves_the_whole_replayed_stream() {
         let (report, json) = warm_start(&tiny_config());
         assert!(report.contains("Warm start"), "{report}");
         assert!(flag(&json, "bit_identical"), "{json}");
         assert_eq!(num(&json, "warm_compile_steps"), 0.0, "{json}");
-        assert_eq!(num(&json, "sharded_compile_steps"), 0.0, "{json}");
         assert_eq!(num(&json, "steps_saved_ratio"), 1.0, "{json}");
         assert_eq!(num(&json, "snapshot_rejects"), 0.0, "{json}");
         assert_eq!(num(&json, "warm_hits"), num(&json, "requests"), "{json}");

@@ -436,7 +436,7 @@ pub struct CacheStats {
     /// in `hits`, not here.
     pub prekey_skips: u64,
     /// Warm-start snapshot files loaded successfully (see
-    /// [`SharedCache::load`] / [`ShardedCache::load`]).
+    /// [`SharedCache::load`]).
     pub snapshot_loads: u64,
     /// Entries admitted from warm-start snapshots (excess entries beyond the
     /// capacity bound are dropped at load, not evicted later).
@@ -944,7 +944,7 @@ impl SharedCache {
     /// Exports the resident entries for snapshotting, in insertion (entry-id)
     /// order — a deterministic order, so saving the same cache state twice
     /// produces byte-identical snapshot files.
-    pub(crate) fn export_entries(&self) -> Vec<SnapshotEntry> {
+    fn export_entries(&self) -> Vec<SnapshotEntry> {
         let inner = self.inner.lock().expect("cache lock poisoned");
         let mut ids: Vec<u64> = inner.entries.keys().copied().collect();
         ids.sort_unstable();
@@ -972,7 +972,7 @@ impl SharedCache {
     /// evicting — entries beyond the capacity bound are dropped (returns
     /// `false`), so a snapshot written by a larger cache degrades to a
     /// truncated warm start instead of churning the LRU queue.
-    pub(crate) fn admit(&self, entry: SnapshotEntry) -> bool {
+    fn admit(&self, entry: SnapshotEntry) -> bool {
         debug_assert!(
             entry.attribution.degradation.is_none(),
             "snapshots never carry degraded results"
@@ -997,7 +997,7 @@ impl SharedCache {
 
     /// Records the outcome of a snapshot-file load attempt against this
     /// cache's counters.
-    pub(crate) fn record_snapshot_load(&self, ok: bool) {
+    fn record_snapshot_load(&self, ok: bool) {
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         if ok {
             inner.snapshot_loads += 1;
@@ -1015,12 +1015,12 @@ impl SharedCache {
         crate::persist::save_entries(path.as_ref(), &self.export_entries())
     }
 
-    /// Loads a snapshot written by [`SharedCache::save`] (or
-    /// [`ShardedCache::save`]) into this cache, returning the number of
-    /// entries admitted. Corrupt, truncated, or version-mismatched files are
-    /// rejected with a typed [`SnapshotError`] — the cache is left exactly as
-    /// it was (a cold start), never partially loaded, and the rejection is
-    /// counted in [`CacheStats::snapshot_rejects`].
+    /// Loads a snapshot written by [`SharedCache::save`] into this cache,
+    /// returning the number of entries admitted (entries beyond the capacity
+    /// bound are dropped). Corrupt, truncated, or version-mismatched files
+    /// are rejected with a typed [`SnapshotError`] — the cache is left
+    /// exactly as it was (a cold start), never partially loaded, and the
+    /// rejection is counted in [`CacheStats::snapshot_rejects`].
     pub fn load(&self, path: impl AsRef<std::path::Path>) -> Result<usize, SnapshotError> {
         let entries = match crate::persist::load_entries(path.as_ref()) {
             Ok(entries) => entries,
@@ -1050,210 +1050,6 @@ pub(crate) struct SnapshotEntry {
     pub(crate) shape: Arc<Shape>,
     pub(crate) canon: Option<Arc<CanonInfo>>,
     pub(crate) attribution: Arc<Attribution>,
-}
-
-impl CacheStats {
-    /// Accumulates another shard's counters into this aggregate (capacities
-    /// and entry counts sum alongside the event counters).
-    fn accumulate(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.insertions += other.insertions;
-        self.evictions += other.evictions;
-        self.canon_steps += other.canon_steps;
-        self.canon_searches += other.canon_searches;
-        self.prekey_skips += other.prekey_skips;
-        self.snapshot_loads += other.snapshot_loads;
-        self.snapshot_entries += other.snapshot_entries;
-        self.snapshot_rejects += other.snapshot_rejects;
-        self.entries += other.entries;
-        self.capacity += other.capacity;
-    }
-}
-
-/// N independently locked [`SharedCache`] shards behind one cache interface.
-///
-/// Entries are routed by a deterministic FNV-1a hash of their
-/// isomorphism-invariant fingerprint pre-key — every presentation of a lineage
-/// shape lands on the same shard (isomorphic lineages share a fingerprint),
-/// so sharding never changes *which* lookups hit, only which lock they take.
-/// The shard index is process-independent ([`ShardedCache::shard_of`]), so it
-/// doubles as the partition function for a multi-process fleet: each process
-/// can own a subset of shards instead of duplicating the whole cache.
-///
-/// The total capacity is split evenly (each shard holds
-/// `ceil(capacity / shards)` entries, LRU-evicted per shard), and snapshots
-/// ([`ShardedCache::save`] / [`ShardedCache::load`]) are shard-count
-/// independent: one file holds every entry, and loading re-routes each entry
-/// to whatever shard owns its fingerprint under the *current* shard count.
-pub struct ShardedCache {
-    shards: Vec<SharedCache>,
-}
-
-impl ShardedCache {
-    /// A cache of `shards` shards (at least 1) bounded to `capacity` entries
-    /// in total (each shard to its even share, at least 1).
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard = capacity.div_ceil(shards).max(1);
-        ShardedCache { shards: (0..shards).map(|_| SharedCache::new(per_shard)).collect() }
-    }
-
-    /// The number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The total entry-count bound, summed across shards.
-    pub fn capacity(&self) -> usize {
-        self.shards.iter().map(SharedCache::capacity).sum()
-    }
-
-    /// The shard owning `fp`: FNV-1a over the fingerprint's raw fields, mod
-    /// the shard count. Deterministic across processes and runs — the fleet
-    /// partition function.
-    pub(crate) fn shard_index(&self, fp: Fingerprint) -> usize {
-        let (num_vars, num_clauses, widths, degrees, payload) = fp.raw_parts();
-        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-        let mut eat = |bytes: &[u8]| {
-            for &byte in bytes {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        eat(&num_vars.to_le_bytes());
-        eat(&num_clauses.to_le_bytes());
-        eat(&widths.to_le_bytes());
-        eat(&degrees.to_le_bytes());
-        eat(&payload.to_le_bytes());
-        (hash % self.shards.len() as u64) as usize
-    }
-
-    /// The shard that serves `lineage` (and every lineage isomorphic to it).
-    /// The serving layer reports this index per request so a fleet operator
-    /// can see which partition answered.
-    pub fn shard_of(&self, lineage: &Dnf) -> usize {
-        self.shard_index(Prekeyed::of(Lineage::Boolean(lineage)).fingerprint)
-    }
-
-    fn shard(&self, fp: Fingerprint) -> &SharedCache {
-        &self.shards[self.shard_index(fp)]
-    }
-
-    /// Routed [`SharedCache::lookup`].
-    pub(crate) fn lookup(&self, fp: Fingerprint, shape: &Shape) -> Lookup {
-        self.shard(fp).lookup(fp, shape)
-    }
-
-    /// Routed [`SharedCache::finish_lookup`].
-    pub(crate) fn finish_lookup(
-        &self,
-        fp: Fingerprint,
-        shape: &Arc<Shape>,
-        mine: &CanonInfo,
-        resolved: &[(u64, Arc<CanonInfo>)],
-    ) -> Option<CacheHit> {
-        self.shard(fp).finish_lookup(fp, shape, mine, resolved)
-    }
-
-    /// Routed [`SharedCache::record_miss`].
-    pub(crate) fn record_miss(&self, fp: Fingerprint) {
-        self.shard(fp).record_miss();
-    }
-
-    /// Routed [`SharedCache::insert`].
-    pub(crate) fn insert(
-        &self,
-        fp: Fingerprint,
-        shape: &Arc<Shape>,
-        canon: Option<Arc<CanonInfo>>,
-        attribution: Arc<Attribution>,
-    ) {
-        self.shard(fp).insert(fp, shape, canon, attribution);
-    }
-
-    /// Routed [`SharedCache::sight_mates`].
-    pub(crate) fn sight_mates(&self, fp: Fingerprint, shape: &Shape, mates: &[Sighting<'_>]) {
-        self.shard(fp).sight_mates(fp, shape, mates);
-    }
-
-    /// Records canonicalization telemetry. The work is engine-wide (one
-    /// session call spans many fingerprints), so it is recorded on shard 0
-    /// and reported through the aggregate [`ShardedCache::stats`].
-    pub(crate) fn record_canon(&self, steps: u64, searches: u64, skips: u64) {
-        self.shards[0].record_canon(steps, searches, skips);
-    }
-
-    /// Removes every entry from every shard (counters are preserved).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.clear();
-        }
-    }
-
-    /// The aggregate counters: every field summed across shards (each
-    /// shard's snapshot is internally consistent; a miss and the hit that
-    /// follows it for the same shape always land on the same shard, so the
-    /// summed hit rate never exceeds 1.0 either).
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in &self.shards {
-            total.accumulate(&shard.stats());
-        }
-        total
-    }
-
-    /// Per-shard counter snapshots, in shard-index order. Hits, misses,
-    /// insertions, evictions, and occupancy are genuinely per-shard;
-    /// engine-wide telemetry (canonicalization work, snapshot-file loads and
-    /// rejects) is recorded on shard 0.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(SharedCache::stats).collect()
-    }
-
-    /// Writes every shard's resident entries to one snapshot file (shard
-    /// order, then insertion order — deterministic). Returns the number of
-    /// entries written. The snapshot is shard-count independent: any engine
-    /// can load it, whatever its shard count.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<usize, SnapshotError> {
-        let mut entries = Vec::new();
-        for shard in &self.shards {
-            entries.extend(shard.export_entries());
-        }
-        crate::persist::save_entries(path.as_ref(), &entries)
-    }
-
-    /// Loads a snapshot, routing each entry to the shard that owns its
-    /// fingerprint under *this* cache's shard count. Returns the number of
-    /// entries admitted (a shard at capacity drops its excess). Corrupt or
-    /// version-mismatched files are rejected with a typed [`SnapshotError`],
-    /// counted in [`CacheStats::snapshot_rejects`], and leave every shard
-    /// untouched — a cold start, never a partial load.
-    pub fn load(&self, path: impl AsRef<std::path::Path>) -> Result<usize, SnapshotError> {
-        let entries = match crate::persist::load_entries(path.as_ref()) {
-            Ok(entries) => entries,
-            Err(error) => {
-                self.shards[0].record_snapshot_load(false);
-                return Err(error);
-            }
-        };
-        let admitted = entries
-            .into_iter()
-            .map(|e| self.shard(e.fingerprint).admit(e))
-            .filter(|&ok| ok)
-            .count();
-        self.shards[0].record_snapshot_load(true);
-        Ok(admitted)
-    }
-}
-
-impl fmt::Debug for ShardedCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedCache")
-            .field("shards", &self.shards.len())
-            .field("stats", &self.stats())
-            .finish()
-    }
 }
 
 /// Computes the full canonical key of `lineage` — dense renaming,

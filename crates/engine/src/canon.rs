@@ -683,9 +683,9 @@ pub(crate) struct Fingerprint {
 
 impl Fingerprint {
     /// The fingerprint's raw fields, in declaration order — the stable
-    /// identity the snapshot format and the shard router hash. Kept as an
-    /// explicit tuple (not struct access) so every consumer of the raw form
-    /// breaks loudly if a field is ever added.
+    /// identity the snapshot format writes. Kept as an explicit tuple (not
+    /// struct access) so every consumer of the raw form breaks loudly if a
+    /// field is ever added.
     pub(crate) fn raw_parts(self) -> (u32, u32, u64, u64, u64) {
         (self.num_vars, self.num_clauses, self.widths, self.degrees, self.payload)
     }

@@ -136,8 +136,7 @@ impl FallbackPolicy {
 }
 
 /// Configuration of the engine's shared attribution cache: whether it is on,
-/// how many entries it holds, how many independently locked shards it is
-/// split across, and an optional warm-start snapshot path.
+/// how many entries it holds, and an optional warm-start snapshot path.
 ///
 /// Non-exhaustive by design, like [`crate::BatchOptions`]: construct with
 /// [`CacheConfig::new`] (or [`CacheConfig::disabled`]) and refine through the
@@ -148,9 +147,9 @@ impl FallbackPolicy {
 /// use banzhaf_engine::{CacheConfig, EngineConfig};
 ///
 /// let config = EngineConfig::default()
-///     .with_cache_config(CacheConfig::new().with_capacity(4096).with_shards(4));
+///     .with_cache_config(CacheConfig::new().with_capacity(4096));
 /// assert!(config.cache.enabled);
-/// assert_eq!(config.cache.shards, 4);
+/// assert_eq!(config.cache.capacity, 4096);
 /// ```
 #[derive(Clone, Debug)]
 #[non_exhaustive]
@@ -160,18 +159,10 @@ pub struct CacheConfig {
     /// ([`crate::Backend::cacheable`]); the randomized Monte Carlo baseline
     /// always resamples.
     pub enabled: bool,
-    /// Total entry-count bound across all shards; least recently used shapes
-    /// are evicted beyond it (per shard — each shard is bounded to its share
-    /// `ceil(capacity / shards)`). The default (1024) keeps worst-case memory
-    /// modest while covering the repeated-shape rate of the synthetic corpora
-    /// many times over.
+    /// Entry-count bound; least recently used shapes are evicted beyond it.
+    /// The default (1024) keeps worst-case memory modest while covering the
+    /// repeated-shape rate of the synthetic corpora many times over.
     pub capacity: usize,
-    /// Number of independently locked cache shards (at least 1). Entries are
-    /// routed by a deterministic hash of their isomorphism-invariant
-    /// fingerprint, so the shard index doubles as the partition function for
-    /// a multi-process fleet. Results are bit-identical at every shard count;
-    /// more shards only cut lock contention (and partition eviction).
-    pub shards: usize,
     /// Warm-start snapshot path. When set, [`crate::Engine::new`] loads the
     /// snapshot (a corrupt or version-mismatched file is rejected with a
     /// typed error, counted in `snapshot_rejects`, and the engine starts
@@ -182,13 +173,13 @@ pub struct CacheConfig {
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig { enabled: true, capacity: 1024, shards: 1, warm_start: None }
+        CacheConfig { enabled: true, capacity: 1024, warm_start: None }
     }
 }
 
 impl CacheConfig {
-    /// The default cache configuration: enabled, 1024 entries, one shard, no
-    /// warm-start snapshot.
+    /// The default cache configuration: enabled, 1024 entries, no warm-start
+    /// snapshot.
     pub fn new() -> Self {
         CacheConfig::default()
     }
@@ -204,16 +195,9 @@ impl CacheConfig {
         self
     }
 
-    /// Bounds the cache to `capacity` entries in total (LRU eviction beyond).
+    /// Bounds the cache to `capacity` entries (LRU eviction beyond).
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
-        self
-    }
-
-    /// Splits the cache across `shards` independently locked shards
-    /// (clamped to at least 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -254,8 +238,8 @@ pub struct EngineConfig {
     pub lazy_bounds: bool,
     /// AdaBan/IchiBan's tighter leaf bounds (optimization (4)).
     pub opt4: bool,
-    /// The shared attribution cache: enablement, capacity, shard count, and
-    /// warm-start snapshot (see [`CacheConfig`]). Replaces the old flat
+    /// The shared attribution cache: enablement, capacity, and warm-start
+    /// snapshot (see [`CacheConfig`]). Replaces the old flat
     /// `cache: bool` / `cache_capacity: usize` knobs.
     pub cache: CacheConfig,
     /// Also compute exact Shapley values (exact backends only), reusing the
@@ -340,8 +324,8 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the whole cache configuration (enablement, capacity, shards,
-    /// warm-start snapshot) in one call.
+    /// Sets the whole cache configuration (enablement, capacity, warm-start
+    /// snapshot) in one call.
     pub fn with_cache_config(mut self, cache: CacheConfig) -> Self {
         self.cache = cache;
         self
@@ -400,7 +384,6 @@ mod tests {
         assert_eq!(config.epsilon_or_exact(), Rational::new(Int::one(), Natural::from(10u64)));
         assert!(config.cache.enabled);
         assert_eq!(config.cache.capacity, 1024);
-        assert_eq!(config.cache.shards, 1);
         assert!(config.cache.warm_start.is_none());
         assert!(config.lazy_bounds && config.opt4);
     }
@@ -423,13 +406,9 @@ mod tests {
 
     #[test]
     fn cache_config_builders_compose() {
-        let cache = CacheConfig::new()
-            .with_capacity(16)
-            .with_shards(0) // clamped to 1
-            .with_shards(4)
-            .with_warm_start("/tmp/snapshot.bzc");
+        let cache = CacheConfig::new().with_capacity(16).with_warm_start("/tmp/snapshot.bzc");
         assert!(cache.enabled);
-        assert_eq!((cache.capacity, cache.shards), (16, 4));
+        assert_eq!(cache.capacity, 16);
         assert_eq!(cache.warm_start.as_deref(), Some(std::path::Path::new("/tmp/snapshot.bzc")));
         assert!(!CacheConfig::disabled().enabled);
         assert!(!CacheConfig::new().with_enabled(false).enabled);

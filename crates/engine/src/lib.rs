@@ -75,7 +75,7 @@ pub use banzhaf_par::ThreadPool;
 pub use banzhaf_query::{
     evaluate_aggregate, parse_program, AggregateAnswer, AggregateError, AggregateResult, UnionQuery,
 };
-pub use cache::{canonical_key_probe, prekey_probe, CacheStats, ShardedCache, SharedCache};
+pub use cache::{canonical_key_probe, prekey_probe, CacheStats, SharedCache};
 pub use config::{Algorithm, CacheConfig, EngineConfig, FallbackPolicy, Rung};
 pub use live::{AnswerChange, LiveSession, LiveStats, TouchedAnswer, UpdateReport};
 pub use persist::SnapshotError;

@@ -406,8 +406,8 @@ impl<'a> Reader<'a> {
         let num_vars = self.u32("shape num_vars")?;
         let clauses = self.clauses(num_vars)?;
         // The fingerprint is re-derived, not trusted: a checksum-valid file
-        // whose pre-key disagrees with its shape would route lookups (and
-        // shards) wrong forever after.
+        // whose pre-key disagrees with its shape would route lookups wrong
+        // forever after.
         if fingerprint(num_vars as usize, &clauses) != fp {
             return self.corrupt("fingerprint matching the shape");
         }

@@ -4,7 +4,7 @@
 use crate::attribution::{Attribution, Degradation, DegradeReason, Ranked};
 use crate::attributor::Attributor;
 use crate::cache::{
-    CacheStats, CanonInfo, Lookup, Prekeyed, PresentationHit, Resident, ShardedCache, Sighting,
+    CacheStats, CanonInfo, Lookup, Prekeyed, PresentationHit, Resident, SharedCache, Sighting,
 };
 use crate::canon::Fingerprint;
 use crate::config::{Algorithm, EngineConfig, FallbackPolicy, Rung};
@@ -48,9 +48,8 @@ pub struct Engine {
     config: EngineConfig,
     /// The cross-session attribution cache: shared by every session of this
     /// engine (and by clones of the engine, which keep pointing at the same
-    /// store), sharded by fingerprint hash, size-bounded with per-shard LRU
-    /// eviction.
-    cache: Arc<ShardedCache>,
+    /// store), size-bounded with LRU eviction.
+    cache: Arc<SharedCache>,
     /// Engine-global sample-stream allocator: sessions draw disjoint stream
     /// index ranges from it, so randomized backends never replay one
     /// another's samples (two sessions each counting from 0 with the same
@@ -66,7 +65,7 @@ pub struct Engine {
 /// Writes the warm-start snapshot back when the last engine clone drops.
 struct WarmStartGuard {
     path: PathBuf,
-    cache: Arc<ShardedCache>,
+    cache: Arc<SharedCache>,
 }
 
 impl Drop for WarmStartGuard {
@@ -84,17 +83,12 @@ impl fmt::Debug for WarmStartGuard {
     }
 }
 
-/// One consistent view of an engine's cache tier, from [`Engine::stats`]:
-/// the aggregate counters plus the per-shard breakdown.
+/// One consistent view of an engine's cache tier, from [`Engine::stats`].
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct EngineSnapshot {
-    /// Counters summed across every shard (`entries`/`capacity` included).
+    /// The shared cache's counters and occupancy.
     pub cache: CacheStats,
-    /// Per-shard counters, indexed by shard (length = number of shards).
-    /// Engine-wide telemetry — canonicalization costs, snapshot
-    /// loads/rejects — is recorded on shard 0.
-    pub shards: Vec<CacheStats>,
 }
 
 impl Engine {
@@ -107,7 +101,7 @@ impl Engine {
     /// back when the last clone of the engine drops (or on demand via
     /// [`Engine::save_cache`]).
     pub fn new(config: EngineConfig) -> Self {
-        let cache = Arc::new(ShardedCache::new(config.cache.shards, config.cache.capacity));
+        let cache = Arc::new(SharedCache::new(config.cache.capacity));
         let warm = config.cache.warm_start.clone().map(|path| {
             if path.exists() {
                 // Errors are recorded in `snapshot_rejects`; a missing or
@@ -130,22 +124,14 @@ impl Engine {
         self.config.attributor()
     }
 
-    /// The engine's shared cross-session cache tier.
-    pub fn shared_cache(&self) -> &Arc<ShardedCache> {
+    /// The engine's shared cross-session cache.
+    pub fn shared_cache(&self) -> &Arc<SharedCache> {
         &self.cache
     }
 
-    /// The shard that owns `lineage`'s cache entry — the fleet partition
-    /// function, stable across processes (serving layers report it per
-    /// request).
-    pub fn shard_of(&self, lineage: &Dnf) -> usize {
-        self.cache.shard_of(lineage)
-    }
-
-    /// One consistent snapshot of the cache tier: aggregate counters plus
-    /// the per-shard breakdown.
+    /// One consistent snapshot of the cache tier's counters.
     pub fn stats(&self) -> EngineSnapshot {
-        EngineSnapshot { cache: self.cache.stats(), shards: self.cache.shard_stats() }
+        EngineSnapshot { cache: self.cache.stats() }
     }
 
     /// Writes the cache tier's warm-start snapshot to `path` on demand
@@ -315,9 +301,9 @@ pub struct Session {
     /// (ExaBan) rather than panicking, mirroring the fallback ladder's
     /// capability-driven rung selection.
     aggregate_attributor: Option<Box<dyn Attributor>>,
-    /// The engine-level shared cache tier: canonical lineage → attribution
-    /// over canonical variables, sharded by fingerprint hash.
-    cache: Arc<ShardedCache>,
+    /// The engine-level shared cache: canonical lineage → attribution over
+    /// canonical variables.
+    cache: Arc<SharedCache>,
     stats: SessionStats,
     /// The engine-global sample-stream allocator (randomized backends select
     /// their RNG streams from it; deterministic backends ignore it). Shared
@@ -338,10 +324,9 @@ impl Session {
 
     /// One consistent snapshot of the *shared* cache tier (hits from every
     /// session of the engine, not just this one; see [`SessionStats`] for
-    /// the per-session view): aggregate counters plus the per-shard
-    /// breakdown.
+    /// the per-session view).
     pub fn engine_stats(&self) -> EngineSnapshot {
-        EngineSnapshot { cache: self.cache.stats(), shards: self.cache.shard_stats() }
+        EngineSnapshot { cache: self.cache.stats() }
     }
 
     /// Evaluates a UCQ over a database and attributes every answer, fanning
@@ -560,7 +545,7 @@ impl Session {
             // reuse needs no lookup and no witness, and the lookup it skips
             // would have been a miss.
             if let Some(first) = keying.first[i].filter(|j| plan.jobs.binary_search(j).is_ok()) {
-                self.cache.record_miss(fp);
+                self.cache.record_miss();
                 plan.reuse[i] = Some(first);
                 continue;
             }
@@ -620,6 +605,7 @@ impl Session {
         // Account the canonicalization work: per session (SessionStats), and
         // per engine through the shared cache's counters so the end-to-end
         // serving stats can weigh the keying cost against the hits it buys.
+        // A batch that keyed nothing (every warm hit) skips the cache lock.
         let (steps, searches, skips) = plan
             .paid
             .iter()
@@ -627,7 +613,9 @@ impl Session {
         self.stats.canon_steps += steps;
         self.stats.canon_searches += searches;
         self.stats.prekey_skips += skips;
-        self.cache.record_canon(steps, searches, skips);
+        if (steps, searches, skips) != (0, 0, 0) {
+            self.cache.record_canon(steps, searches, skips);
+        }
         plan
     }
 
@@ -1007,7 +995,7 @@ impl<'a> Keying<'a> {
     /// Settles a contested bucket against its residents in bucket order,
     /// lazily canonicalizing the unkeyed ones and stopping at the first
     /// exact match with `mine`. Returns the witnesses computed here, for
-    /// [`ShardedCache::finish_lookup`] to store on their entries.
+    /// [`SharedCache::finish_lookup`] to store on their entries.
     fn settle(
         &mut self,
         residents: &[Resident],
@@ -1684,44 +1672,6 @@ mod tests {
             assert_eq!(session.stats().canon_steps, sequential.stats().canon_steps);
             assert_eq!(session.stats().canon_searches, sequential.stats().canon_searches);
             assert_eq!(session.stats().prekey_skips, sequential.stats().prekey_skips);
-        }
-    }
-
-    #[test]
-    fn sharded_engines_are_bit_identical_to_single_shard() {
-        let lineages = mixed_batch();
-        let refs: Vec<&Dnf> = lineages.iter().collect();
-        let mut single = Engine::new(EngineConfig::default()).session();
-        let expected = single.attribute_batch(&refs, BatchOptions::default());
-        for shards in [2usize, 4] {
-            for threads in [1usize, 2] {
-                let engine = Engine::new(
-                    EngineConfig::default()
-                        .with_cache_config(CacheConfig::new().with_shards(shards))
-                        .with_threads(threads),
-                );
-                assert_eq!(engine.shared_cache().num_shards(), shards);
-                let mut session = engine.session();
-                let got = session.attribute_batch(&refs, BatchOptions::default());
-                for (want, have) in expected.iter().zip(&got) {
-                    let (want, have) = (want.as_ref().unwrap(), have.as_ref().unwrap());
-                    assert_eq!(
-                        want.exact_values().unwrap(),
-                        have.exact_values().unwrap(),
-                        "shards={shards} threads={threads}"
-                    );
-                    assert_eq!(want.model_count, have.model_count);
-                    assert_eq!(want.stats.cache_hit, have.stats.cache_hit);
-                    assert_eq!(want.stats.compile_steps, have.stats.compile_steps);
-                }
-                assert_eq!(session.stats().cache_hits, single.stats().cache_hits);
-                // The aggregate view sums the shards; hits + misses add up
-                // across the breakdown exactly as in the single-shard run.
-                let snapshot = engine.stats();
-                assert_eq!(snapshot.shards.len(), shards);
-                let summed: u64 = snapshot.shards.iter().map(|s| s.hits).sum();
-                assert_eq!(snapshot.cache.hits, summed);
-            }
         }
     }
 

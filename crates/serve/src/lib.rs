@@ -23,11 +23,10 @@
 //!   budget check.
 //! * **a shared cross-session cache** — workers are sessions of one
 //!   [`banzhaf_engine::Engine`], so concurrent clients reuse each other's
-//!   compilations through the engine-level [`banzhaf_engine::ShardedCache`]
-//!   (size-bounded, per-shard LRU-evicted, optionally warm-started from a
-//!   snapshot via [`banzhaf_engine::CacheConfig`]; counters in
-//!   [`AttributionService::engine_stats`], the owning shard of a request in
-//!   [`AttributionService::shard_of`]).
+//!   compilations through the engine-level [`banzhaf_engine::SharedCache`]
+//!   (size-bounded, LRU-evicted, optionally warm-started from a snapshot
+//!   via [`banzhaf_engine::CacheConfig`]; counters in
+//!   [`AttributionService::engine_stats`]).
 //! * **live updates** — a service started with
 //!   [`ServeConfig::with_live_database`] owns a
 //!   [`banzhaf_engine::LiveSession`]; [`AttributionService::submit_update`]

@@ -482,8 +482,8 @@ pub struct ServiceStats {
 ///   budget check.
 /// * **Shared cache**: workers are sessions of one [`Engine`], so a lineage
 ///   shape compiled for any request is a cache hit for every later request,
-///   across all client sessions ([`AttributionService::engine_stats`]) —
-///   sharded and optionally warm-started from a snapshot via
+///   across all client sessions ([`AttributionService::engine_stats`]),
+///   optionally warm-started from a snapshot via
 ///   [`banzhaf_engine::CacheConfig`].
 /// * **Live updates**: a service configured with
 ///   [`ServeConfig::with_live_database`] also hosts a [`LiveSession`];
@@ -772,17 +772,9 @@ impl AttributionService {
         }
     }
 
-    /// One consistent snapshot of the engine's cache tier: aggregate
-    /// counters plus the per-shard breakdown.
+    /// One consistent snapshot of the engine's cache counters.
     pub fn engine_stats(&self) -> EngineSnapshot {
         self.engine.stats()
-    }
-
-    /// The shard of the engine's cache tier that owns `lineage`'s entry —
-    /// stable across processes, so a fleet can report (and partition by) the
-    /// serving shard.
-    pub fn shard_of(&self, lineage: &Dnf) -> usize {
-        self.engine.shard_of(lineage)
     }
 
     /// The engine whose sessions the workers run (e.g. to start a

@@ -67,8 +67,7 @@ pub mod prelude {
         Algorithm, AnswerAttribution, AnswerChange, Attribution, Attributor, BatchOptions,
         CacheConfig, CacheStats, Degradation, DegradeReason, Engine, EngineConfig, EngineSnapshot,
         EngineStats, FallbackPolicy, LiveSession, LiveStats, QueryAttribution, Ranked, Rung, Score,
-        Session, SessionStats, ShardedCache, SharedCache, SnapshotError, TouchedAnswer,
-        UpdateReport,
+        Session, SessionStats, SharedCache, SnapshotError, TouchedAnswer, UpdateReport,
     };
     pub use banzhaf_serve::{
         block_on, join_all, AttributionService, Rejected, RequestOptions, RetryPolicy, ServeConfig,

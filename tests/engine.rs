@@ -970,8 +970,7 @@ fn explain_pass(session: &mut Session, queries: &[(&UnionQuery, &Database)]) -> 
 /// presentation has been sighted twice, a warm explain pass keys nothing —
 /// every answer is served in closed form, or by its fingerprint bucket's own
 /// presentation or a known alias — and still equals a cache-off session bit
-/// for bit. Closed-form answers make no lookup and leave no entry. One and
-/// three shards agree on every pass.
+/// for bit. Closed-form answers make no lookup and leave no entry.
 #[test]
 fn warm_corpora_passes_key_nothing_and_match_cache_off() {
     let workloads = corpora();
@@ -980,36 +979,29 @@ fn warm_corpora_passes_key_nothing_and_match_cache_off() {
     let mut plain =
         Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled())).session();
     let cold = explain_pass(&mut plain, &queries);
-    let mut per_shards = Vec::new();
-    for shards in [1, 3] {
-        let engine = Engine::new(
-            EngineConfig::default().with_cache_config(CacheConfig::new().with_shards(shards)),
-        );
-        let mut session = engine.session();
-        let passes: Vec<_> = (0..4).map(|_| explain_pass(&mut session, &queries)).collect();
-        for pass in &passes {
-            assert_eq!(pass.renderings, cold.renderings, "shards={shards}");
-        }
-        // A presentation becomes an alias the second time it keys to an
-        // entry. Keying to a cache hit sights it, and so does keying to an
-        // in-batch mate that inserts a new entry: the second pass learns
-        // every alias, and the third keys nothing and hits everywhere.
-        let keyed: Vec<(u64, u64)> = passes.iter().map(|pass| pass.keyed).collect();
-        assert!(keyed[0].0 > keyed[1].0, "{keyed:?}");
-        assert_eq!(keyed[2], (0, 0), "shards={shards}: the third pass keys nothing");
-        assert_eq!(keyed[3], (0, 0), "shards={shards}: a warm pass keys nothing");
-        assert!(passes[2].all_served() && passes[3].all_served(), "a warm pass is all hits");
-        let stats = engine.stats().cache;
-        let session_stats = session.stats();
-        assert_eq!(
-            stats.hits + stats.misses,
-            session_stats.attributions - session_stats.closed_forms,
-            "closed-form answers make no lookup"
-        );
-        assert_eq!(stats.entries, 64, "shards={shards}");
-        per_shards.push((passes, stats.hits, stats.misses, stats.insertions, stats.canon_steps));
+    let engine = Engine::new(EngineConfig::default());
+    let mut session = engine.session();
+    let passes: Vec<_> = (0..4).map(|_| explain_pass(&mut session, &queries)).collect();
+    for pass in &passes {
+        assert_eq!(pass.renderings, cold.renderings);
     }
-    assert_eq!(per_shards[0], per_shards[1], "1 and 3 shards must agree on every pass");
+    // A presentation becomes an alias the second time it keys to an entry.
+    // Keying to a cache hit sights it, and so does keying to an in-batch
+    // mate that inserts a new entry: the second pass learns every alias, and
+    // the third keys nothing and hits everywhere.
+    let keyed: Vec<(u64, u64)> = passes.iter().map(|pass| pass.keyed).collect();
+    assert!(keyed[0].0 > keyed[1].0, "{keyed:?}");
+    assert_eq!(keyed[2], (0, 0), "the third pass keys nothing");
+    assert_eq!(keyed[3], (0, 0), "a warm pass keys nothing");
+    assert!(passes[2].all_served() && passes[3].all_served(), "a warm pass is all hits");
+    let stats = engine.stats().cache;
+    let session_stats = session.stats();
+    assert_eq!(
+        stats.hits + stats.misses,
+        session_stats.attributions - session_stats.closed_forms,
+        "closed-form answers make no lookup"
+    );
+    assert_eq!(stats.entries, 64);
 }
 
 /// Aliases are not persisted: a warm-started engine serves every answer

@@ -1,7 +1,7 @@
-//! Persistence and sharding integration tests: warm-start snapshots round
-//! trip through a fresh engine bit-identically, corrupted snapshots are
-//! rejected loudly and degrade to a cold start, and sharded runs match
-//! single-shard runs bit for bit.
+//! Persistence integration tests: warm-start snapshots round trip through a
+//! fresh engine bit-identically, snapshots larger than the cache load
+//! truncated, and corrupted snapshots are rejected loudly and degrade to a
+//! cold start.
 
 use banzhaf_repro::prelude::*;
 use proptest::prelude::*;
@@ -113,42 +113,6 @@ proptest! {
         // The warm session scored exactly one hit per cached request.
         let hits = cached.iter().filter(|&&c| c).count() as u64;
         prop_assert_eq!(warm.stats().cache_hits, hits);
-    }
-
-    /// Sharded (N >= 2) and single-shard runs are bit-identical at thread
-    /// counts 1 and 2, and the per-shard stats sum to the aggregate.
-    #[test]
-    fn sharded_runs_match_single_shard_bit_for_bit(
-        phis in proptest::collection::vec(small_dnf(), 1..=6),
-    ) {
-        let refs: Vec<&Dnf> = phis.iter().collect();
-        let mut single = Engine::new(EngineConfig::default()).session();
-        let expected = single.attribute_batch(&refs, BatchOptions::default());
-        for shards in [2usize, 3] {
-            for threads in [1usize, 2] {
-                let engine = Engine::new(
-                    EngineConfig::default()
-                        .with_cache_config(CacheConfig::new().with_shards(shards))
-                        .with_threads(threads),
-                );
-                let mut session = engine.session();
-                let got = session.attribute_batch(&refs, BatchOptions::default());
-                for (want, have) in expected.iter().zip(&got) {
-                    let (want, have) = (want.as_ref().unwrap(), have.as_ref().unwrap());
-                    prop_assert_eq!(want.exact_values().unwrap(), have.exact_values().unwrap());
-                    prop_assert_eq!(&want.model_count, &have.model_count);
-                    prop_assert_eq!(want.stats.cache_hit, have.stats.cache_hit);
-                    prop_assert_eq!(want.stats.compile_steps, have.stats.compile_steps);
-                }
-                let snapshot = engine.stats();
-                prop_assert_eq!(snapshot.shards.len(), shards);
-                let hits: u64 = snapshot.shards.iter().map(|s| s.hits).sum();
-                let entries: usize = snapshot.shards.iter().map(|s| s.entries).sum();
-                prop_assert_eq!(snapshot.cache.hits, hits);
-                prop_assert_eq!(snapshot.cache.entries, entries);
-                prop_assert_eq!(session.stats().cache_hits, single.stats().cache_hits);
-            }
-        }
     }
 }
 
@@ -284,65 +248,67 @@ fn garbage_tails_and_bit_flips_are_rejected_and_degrade_to_cold() {
 }
 
 #[test]
-fn snapshots_are_shard_count_independent() {
-    // A snapshot written by a single-shard engine loads into a sharded one
-    // (and vice versa): entries are re-routed by fingerprint at load time.
-    let scratch = Scratch::new("shardmove");
-    let phis: Vec<Dnf> = (0..4u32)
-        .map(|o| {
-            Dnf::from_clauses(vec![
-                vec![Var(o * 10), Var(o * 10 + 1)],
-                vec![Var(o * 10 + 1), Var(o * 10 + 2)],
-                vec![Var(o * 10 + 2), Var(o * 10 + 3)],
-            ])
-        })
+fn snapshots_larger_than_the_cache_load_truncated() {
+    // Chains of 2..=5 clauses: four shapes, none isomorphic to another and
+    // none answered in closed form, so the snapshot holds four entries.
+    let scratch = Scratch::new("truncate");
+    let phis: Vec<Dnf> = (2..=5u32)
+        .map(|len| Dnf::from_clauses((0..len).map(|i| vec![Var(i), Var(i + 1)])))
         .collect();
-    let single = Engine::new(EngineConfig::default());
-    let mut session = single.session();
-    let expected: Vec<Attribution> = phis.iter().map(|p| session.attribute(p).unwrap()).collect();
-    single.save_cache(&scratch.path).unwrap();
+    let mut reference =
+        Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled())).session();
+    let expected: Vec<Attribution> =
+        phis.iter().map(|phi| reference.attribute(phi).unwrap()).collect();
+    let full = Engine::new(EngineConfig::default());
+    let mut session = full.session();
+    for phi in &phis {
+        session.attribute(phi).unwrap();
+    }
+    assert_eq!(full.save_cache(&scratch.path).unwrap(), phis.len());
 
-    let sharded = Engine::new(
-        EngineConfig::default()
-            .with_cache_config(CacheConfig::new().with_shards(3).with_warm_start(&scratch.path)),
-    );
-    assert_eq!(sharded.stats().cache.snapshot_loads, 1);
-    let mut warm = sharded.session();
-    for (phi, want) in phis.iter().zip(&expected) {
+    // A cache of two admits the first two entries of the file (insertion
+    // order) and drops the rest at load: nothing is evicted.
+    let capacity = 2;
+    let small = Engine::new(EngineConfig::default().with_cache_config(
+        CacheConfig::new().with_capacity(capacity).with_warm_start(&scratch.path),
+    ));
+    let stats = small.stats().cache;
+    assert_eq!(stats.snapshot_loads, 1);
+    assert_eq!(stats.snapshot_entries, capacity as u64);
+    assert_eq!((stats.entries, stats.capacity), (capacity, capacity));
+    assert_eq!(stats.evictions, 0);
+    let mut warm = small.session();
+    for (i, (phi, want)) in phis.iter().zip(&expected).enumerate() {
         let have = warm.attribute(phi).unwrap();
-        assert!(have.stats.cache_hit);
+        let kept = i < capacity;
+        assert_eq!(have.stats.cache_hit, kept, "lineage {i}");
+        assert_eq!(have.stats.compile_steps == 0, kept, "a dropped shape compiles");
         assert_eq!(want.exact_values().unwrap(), have.exact_values().unwrap());
-        // The serving shard is reportable and stable.
-        let shard = sharded.shard_of(phi);
-        assert!(shard < 3);
-        assert_eq!(shard, sharded.shard_of(phi));
+        assert_eq!(want.model_count, have.model_count);
     }
 }
 
 #[test]
-fn service_reports_shards_and_snapshot_counters() {
+fn service_reports_snapshot_counters() {
     use banzhaf_repro::serve::{
         block_on, join_all, AttributionService, RequestOptions, ServeConfig,
     };
     let scratch = Scratch::new("service");
     write_good_snapshot(&scratch.path);
-    let service =
-        AttributionService::start(
-            ServeConfig::new(EngineConfig::default().with_cache_config(
-                CacheConfig::new().with_shards(2).with_warm_start(&scratch.path),
-            ))
-            .with_workers(2),
-        );
+    let service = AttributionService::start(
+        ServeConfig::new(
+            EngineConfig::default()
+                .with_cache_config(CacheConfig::new().with_warm_start(&scratch.path)),
+        )
+        .with_workers(2),
+    );
     let phi = Dnf::from_clauses(vec![vec![Var(5), Var(6)], vec![Var(6), Var(7)]]);
-    let shard = service.shard_of(&phi);
-    assert!(shard < 2);
     let tickets: Vec<_> =
         (0..2).map(|_| service.submit(phi.clone(), RequestOptions::default()).unwrap()).collect();
     for outcome in block_on(join_all(tickets)) {
         outcome.expect("unbounded budget");
     }
     let snapshot = service.engine_stats();
-    assert_eq!(snapshot.shards.len(), 2);
     assert_eq!(snapshot.cache.snapshot_loads, 1);
     assert!(snapshot.cache.snapshot_entries > 0);
     assert_eq!(snapshot.cache.snapshot_rejects, 0);
