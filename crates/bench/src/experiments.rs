@@ -667,12 +667,13 @@ fn ring_lineage(offset: u32, vars: u32) -> Dnf {
 /// on it).
 ///
 /// Measurement hygiene: the whole batch runs once untimed to warm the page
-/// cache and allocator, then each thread count is scored by its best of
-/// [`SPEEDUP_REPEATS`] runs — per-instance cost is large enough (rings of
-/// [`SPEEDUP_RING_VARS`] variables) to dwarf the fork-join overhead that a
-/// too-small instance set previously let dominate. Speedup remains
-/// hardware-dependent: on a single-core container the honest ratio is ~1;
-/// the bit-identity column is the correctness signal everywhere.
+/// cache and allocator, then [`SPEEDUP_REPEATS`] rounds time every thread
+/// count once each, and each count is scored by the median over rounds of
+/// the ratio `t1 / tk` within one round — per-instance cost is large enough
+/// (rings of [`SPEEDUP_RING_VARS`] variables) to dwarf the fork-join
+/// overhead that a too-small instance set previously let dominate. Speedup
+/// remains hardware-dependent: on a single-core container the honest ratio
+/// is ~1; the bit-identity column is the correctness signal everywhere.
 pub fn parallel_speedup(config: &HarnessConfig) -> (String, Json) {
     let instances = SPEEDUP_INSTANCES * config.scale.max(1);
     // Distinct variable ranges per instance; the attribution cache is off, so
@@ -703,41 +704,47 @@ pub fn parallel_speedup(config: &HarnessConfig) -> (String, Json) {
     // for page faults and allocator growth.
     let (_, reference) = batch_values(1);
 
-    // Interleaved rounds — 1, 2, 4, 1, 2, 4, … — so every thread count
-    // samples the same phases of whatever load/frequency drift the machine
-    // has; the best round per count is scored. (Measuring all repeats of one
-    // count back-to-back lets drift masquerade as speedup or regression.)
+    // Rounds alternate their order — 1, 2, 4, then 4, 2, 1 — so no count
+    // always runs first or last. A noisy neighbour slows the timings of one
+    // round together, so the ratio within a round cancels most of it, and
+    // the median over rounds ignores the rounds it still spoils.
     const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-    let mut best = [f64::INFINITY; THREAD_COUNTS.len()];
+    let mut rounds = [[0.0f64; THREAD_COUNTS.len()]; SPEEDUP_REPEATS];
     let mut identical = [true; THREAD_COUNTS.len()];
-    for _ in 0..SPEEDUP_REPEATS {
-        for (slot, &threads) in THREAD_COUNTS.iter().enumerate() {
-            let (secs, values) = batch_values(threads);
-            best[slot] = best[slot].min(secs);
+    for (round, seconds) in rounds.iter_mut().enumerate() {
+        for step in 0..THREAD_COUNTS.len() {
+            let slot = if round % 2 == 0 { step } else { THREAD_COUNTS.len() - 1 - step };
+            let (secs, values) = batch_values(THREAD_COUNTS[slot]);
+            seconds[slot] = secs;
             identical[slot] &= values == reference;
         }
     }
-    let t1 = best[0];
+    let median = |mut values: Vec<f64>| {
+        values.sort_by(f64::total_cmp);
+        values[values.len() / 2]
+    };
 
     let mut table =
-        TextTable::new(["Threads (effective)", "Wall (best)", "Speedup", "Bit-identical"]);
+        TextTable::new(["Threads (effective)", "Wall (median)", "Speedup", "Bit-identical"]);
     let mut runs: Vec<Json> = Vec::new();
     for (slot, &threads) in THREAD_COUNTS.iter().enumerate() {
         // `ThreadPool::new` clamps to the machine's cores; report both the
         // requested and the effective worker count so a single-core run is
         // transparently a sequential re-measurement, not a fake speedup.
         let effective = banzhaf_par::ThreadPool::new(threads).threads();
+        let seconds = median(rounds.iter().map(|round| round[slot]).collect());
+        let speedup = median(rounds.iter().map(|round| round[0] / round[slot]).collect());
         table.push_row([
             format!("{threads} ({effective})"),
-            crate::report::format_secs(best[slot]),
-            format!("{:.2}x", t1 / best[slot]),
+            crate::report::format_secs(seconds),
+            format!("{speedup:.2}x"),
             identical[slot].to_string(),
         ]);
         runs.push(Json::obj([
             ("threads", threads.into()),
             ("effective_threads", effective.into()),
-            ("seconds", Json::fixed(best[slot], 6)),
-            ("speedup", Json::fixed(t1 / best[slot], 3)),
+            ("seconds", Json::fixed(seconds, 6)),
+            ("speedup", Json::fixed(speedup, 3)),
         ]));
     }
 
@@ -752,7 +759,7 @@ pub fn parallel_speedup(config: &HarnessConfig) -> (String, Json) {
     ]);
     let report = format!(
         "Perf — batch attribution speedup by thread count ({instances} ring lineages, \
-         {SPEEDUP_RING_VARS} vars each, best of {SPEEDUP_REPEATS})\n{}",
+         {SPEEDUP_RING_VARS} vars each, median of {SPEEDUP_REPEATS} rounds)\n{}",
         table.render()
     );
     (report, json)
@@ -764,8 +771,9 @@ pub fn parallel_speedup(config: &HarnessConfig) -> (String, Json) {
 pub const SPEEDUP_RING_VARS: u32 = 30;
 /// Instances per scale unit in the speedup experiment.
 pub const SPEEDUP_INSTANCES: usize = 16;
-/// Timed repetitions per thread count (the best run is scored).
-pub const SPEEDUP_REPEATS: usize = 5;
+/// Timed rounds, each timing every thread count once (the median ratio over
+/// rounds is scored; odd, so the median is one round's).
+pub const SPEEDUP_REPEATS: usize = 9;
 
 /// Serving throughput: the async front end under a concurrent request mix.
 ///
@@ -1675,18 +1683,16 @@ pub fn warm_start(config: &HarnessConfig) -> (String, Json) {
 /// query layer evaluates `SUM(V)` and `COUNT(*)` revenue queries into
 /// per-answer [`banzhaf_engine::WeightedDnf`] lineages, and the engine
 /// attributes every lineage under four configurations — cache on/off ×
-/// 1/2 threads. Three checks:
+/// 1/2 threads (aggregate lineages bypass the cache, so "on" only means an
+/// enabled cache they never touch). Two checks:
 ///
 /// * **agreement** — every per-fact value equals the brute-force definition
 ///   (`Σ over all 2^n worlds of val(Y ∪ {f}) − val(Y)`), so
 ///   `agreement_rate` must be exactly 1.0;
-/// * **bit identity** — all four configurations produce identical rationals;
-/// * **kind keying** — re-attributing a COUNT twin of a SUM lineage (same
-///   Boolean skeleton) must *miss* the cache: a SUM entry never serves a
-///   COUNT request.
+/// * **bit identity** — all four configurations produce identical rationals.
 ///
 /// Returns the `BENCH_aggregate.json` record; the tier-1 test of this
-/// experiment requires all three.
+/// experiment requires both.
 #[allow(clippy::too_many_lines)]
 pub fn aggregate_attribution(config: &HarnessConfig) -> (String, Json) {
     use banzhaf_boolean::WeightedDnf;
@@ -1734,18 +1740,19 @@ pub fn aggregate_attribution(config: &HarnessConfig) -> (String, Json) {
     // One value stream per (cache, threads) configuration; all four must be
     // bit-identical. On this container parallelism is a plan, not extra
     // cores, so identity across thread counts is the correctness signal.
-    let run_stream = |cache_on: bool, threads: usize| {
+    type Scores = Vec<(Var, banzhaf_engine::Rational)>;
+    let run_stream = |cache_on: bool, threads: usize| -> Vec<Scores> {
         let cache = if cache_on { CacheConfig::new() } else { CacheConfig::disabled() };
         let engine = Engine::new(
             EngineConfig::new(Algorithm::ExaBan).with_cache_config(cache).with_threads(threads),
         );
-        let mut session = engine.session();
-        let values: Vec<Vec<(Var, banzhaf_engine::Rational)>> = session
+        engine
+            .session()
             .attribute_batch(&refs, BatchOptions::default())
             .into_iter()
             .map(|outcome| {
                 let attribution = outcome.expect("no budget is set in this experiment");
-                let mut scores: Vec<(Var, banzhaf_engine::Rational)> = attribution
+                let mut scores: Scores = attribution
                     .values
                     .into_iter()
                     .map(|(var, score)| match score {
@@ -1756,14 +1763,13 @@ pub fn aggregate_attribution(config: &HarnessConfig) -> (String, Json) {
                 scores.sort_unstable_by_key(|(var, _)| *var);
                 scores
             })
-            .collect();
-        (values, engine)
+            .collect()
     };
 
     let wall = Instant::now();
-    let (baseline, cached_engine) = run_stream(true, 1);
+    let baseline = run_stream(true, 1);
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    let variants = [run_stream(false, 1).0, run_stream(true, 2).0, run_stream(false, 2).0];
+    let variants = [run_stream(false, 1), run_stream(true, 2), run_stream(false, 2)];
     let bit_identical = variants.iter().all(|v| *v == baseline);
 
     // Brute-force cross-check of the baseline stream.
@@ -1779,32 +1785,6 @@ pub fn aggregate_attribution(config: &HarnessConfig) -> (String, Json) {
     }
     let agreement_rate = if checked > 0 { agreed as f64 / checked as f64 } else { 0.0 };
 
-    // Kind keying, on a fresh engine so only the SUM entry is cached: a
-    // COUNT twin of the first SUM lineage shares the Boolean skeleton but
-    // must not be served from the SUM entry (first COUNT attribution
-    // misses and inserts; the second one hits its own entry).
-    let sum_lineage = &lineages[0];
-    let count_twin =
-        WeightedDnf::from_weighted_clauses(
-            banzhaf_boolean::AggregateKind::Count,
-            sum_lineage.dnf().clauses().iter().map(|clause| {
-                (clause.iter().collect::<Vec<Var>>(), banzhaf_engine::Rational::one())
-            }),
-        );
-    let kind_engine = Engine::new(EngineConfig::new(Algorithm::ExaBan).with_threads(1));
-    let mut kind_session = kind_engine.session();
-    kind_session.attribute(sum_lineage).expect("no budget is set");
-    let hits_before = kind_engine.stats().cache.hits;
-    let twin = kind_session.attribute(&count_twin).expect("no budget is set");
-    let twin_missed = kind_engine.stats().cache.hits == hits_before;
-    kind_session.attribute(&count_twin).expect("no budget is set");
-    let twin_rehits = kind_engine.stats().cache.hits == hits_before + 1;
-    let kind_keying_separate = twin_missed && twin_rehits;
-    let twin_agrees = twin.values.iter().all(|(var, score)| {
-        matches!(score, Score::Rational(r) if **r == count_twin.brute_force_aggregate_banzhaf(*var))
-    });
-
-    let cache_stats = cached_engine.stats().cache;
     let mut table = TextTable::new(["Check", "Result"]);
     table.push_row(["lineages (SUM + COUNT answers)".to_owned(), lineages.len().to_string()]);
     table.push_row(["per-fact values checked".to_owned(), checked.to_string()]);
@@ -1812,14 +1792,6 @@ pub fn aggregate_attribution(config: &HarnessConfig) -> (String, Json) {
     table.push_row([
         "bit-identical across cache on/off × threads 1/2".to_owned(),
         bit_identical.to_string(),
-    ]);
-    table.push_row([
-        "COUNT twin of SUM skeleton misses cache".to_owned(),
-        kind_keying_separate.to_string(),
-    ]);
-    table.push_row([
-        "cache hits / insertions".to_owned(),
-        format!("{} / {}", cache_stats.hits, cache_stats.insertions),
     ]);
 
     let json = Json::obj([
@@ -1831,10 +1803,6 @@ pub fn aggregate_attribution(config: &HarnessConfig) -> (String, Json) {
         ("values_checked", checked.into()),
         ("agreement_rate", Json::fixed(agreement_rate, 4)),
         ("bit_identical", bit_identical.into()),
-        ("kind_keying_separate", kind_keying_separate.into()),
-        ("count_twin_agrees", twin_agrees.into()),
-        ("cache_hits", cache_stats.hits.into()),
-        ("cache_insertions", cache_stats.insertions.into()),
         ("wall_ms", Json::fixed(wall_ms, 3)),
     ]);
     let report = format!(
@@ -1965,17 +1933,14 @@ mod tests {
     }
 
     /// `repro aggregate_attribution`'s record on its seeded workload: every
-    /// value equals brute force, the cache/thread matrix is bit-identical,
-    /// and a SUM entry never serves its COUNT twin, which matches brute
-    /// force after the forced miss.
+    /// value equals brute force and the cache/thread matrix is
+    /// bit-identical.
     #[test]
     fn aggregate_attribution_agrees_with_brute_force() {
         let (report, json) = aggregate_attribution(&HarnessConfig::default());
         assert!(report.contains("Aggregate attribution"), "{report}");
         assert_eq!(num(&json, "agreement_rate"), 1.0, "{json}");
         assert!(flag(&json, "bit_identical"), "{json}");
-        assert!(flag(&json, "kind_keying_separate"), "{json}");
-        assert!(flag(&json, "count_twin_agrees"), "{json}");
         assert!(num(&json, "values_checked") > 0.0, "{json}");
     }
 

@@ -34,11 +34,6 @@ impl Assignment {
         }
     }
 
-    /// The set of variables mapped to 1.
-    pub fn true_vars(&self) -> &VarSet {
-        &self.trues
-    }
-
     /// Number of variables mapped to 1.
     pub fn weight(&self) -> usize {
         self.trues.len()

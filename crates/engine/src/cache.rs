@@ -14,6 +14,10 @@
 //!   costs less than a warm hit, so [`crate::Session`] answers it before
 //!   building a [`Prekeyed`]: it makes no lookup, counts neither a hit nor a
 //!   miss, and leaves no entry.
+//! * **Aggregate lineages bypass the cache.** A weighted (COUNT/SUM/MIN/MAX)
+//!   batch runs uncached, as randomized backends do: every instance
+//!   compiles, nothing is looked up or inserted, and the keys, fingerprints
+//!   and snapshots below are those of Boolean lineages only.
 //! * **Keying in four levels: fingerprint, own presentation, known alias,
 //!   canonical key.** Every lookup first computes a cheap
 //!   isomorphism-invariant [`Fingerprint`] (variable/clause counts plus
@@ -23,13 +27,13 @@
 //!   compiled and inserted under its fingerprint with the canonical form
 //!   left *uncomputed*. In an occupied bucket, under the same lock, a
 //!   resident whose dense [`Shape`] equals the probe's — the same
-//!   presentation, with the aggregate payload — settles the lookup with no
-//!   search: its values were computed on that very dense form. Failing
-//!   that, a resident that knows the probe's presentation as an **alias**
-//!   settles it just as cheaply: an alias is another dense presentation
-//!   that keyed to the entry before, stored with the witness order its
-//!   keying computed, so the values map back through the two witnesses
-//!   ([`Prekeyed::map_back_via`]) exactly as a fresh keying would map them.
+//!   presentation — settles the lookup with no search: its values were
+//!   computed on that very dense form. Failing that, a resident that knows
+//!   the probe's presentation as an **alias** settles it just as cheaply: an
+//!   alias is another dense presentation that keyed to the entry before,
+//!   stored with the witness order its keying computed, so the values map
+//!   back through the two witnesses ([`Prekeyed::map_back_via`]) exactly as
+//!   a fresh keying would map them.
 //!   Only when neither holds does anyone pay for canonicalization — the new
 //!   arrival and any still-unkeyed residents are canonicalized
 //!   ([`CanonicalKey`], the decomposed canonical renaming of
@@ -72,7 +76,7 @@
 //!   [`crate::Engine::stats`] (and the serving layer's stats).
 
 use crate::attribution::{Attribution, Score};
-use crate::canon::{canonical_form_classed, fingerprint, weighted_payload, Fingerprint};
+use crate::canon::{canonical_form, fingerprint, Fingerprint};
 use crate::persist::SnapshotError;
 use banzhaf::Budget;
 use banzhaf_arith::Rational;
@@ -103,19 +107,11 @@ use std::sync::{Arc, Mutex};
 pub(crate) struct CanonicalKey {
     pub(crate) num_vars: usize,
     pub(crate) clauses: Vec<Vec<u32>>,
-    /// The aggregate payload, `None` for Boolean lineages. Weights are
-    /// aligned with `clauses` (the canonical clause order), so two weighted
-    /// lineages key equal iff some variable bijection matches clauses *and*
-    /// their weights *and* the aggregate kind — a `SUM` lineage never serves
-    /// a `COUNT` hit, and equal Boolean skeletons with different weights key
-    /// apart.
-    pub(crate) payload: Option<WeightedInfo>,
 }
 
 /// What distinguishes a weighted aggregate lineage from its Boolean
-/// skeleton: the aggregate kind plus the per-clause weights. Attached as the
-/// `payload` of [`Shape`] (dense clause order) and [`CanonicalKey`]
-/// (canonical clause order).
+/// skeleton: the aggregate kind plus the per-clause weights, in the dense
+/// clause order of the [`Shape`] that carries it.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct WeightedInfo {
     pub(crate) kind: AggregateKind,
@@ -132,7 +128,9 @@ pub(crate) struct Shape {
     pub(crate) num_vars: usize,
     pub(crate) clauses: Vec<Vec<u32>>,
     /// The aggregate payload, `None` for Boolean lineages; weights aligned
-    /// with `clauses` (the dense presentation).
+    /// with `clauses` (the dense presentation). It builds
+    /// [`Prekeyed::dense_weighted`]; no key reads it, because aggregate
+    /// lineages never reach the cache.
     pub(crate) payload: Option<WeightedInfo>,
 }
 
@@ -143,17 +141,12 @@ impl Shape {
     /// canonical renaming, the keying steps it cost and whether some core
     /// ran the individualization search, or `None` when `budget` ran out
     /// mid-way: the caller then treats the shape as unkeyable (a definite
-    /// miss) rather than stalling the planning walk. The weighted payload
-    /// rides along as clause classes, so a weighted shape keys class-aware
-    /// at every stage.
+    /// miss) rather than stalling the planning walk.
     pub(crate) fn canonicalize(&self, budget: Option<&Budget>) -> Option<(CanonInfo, u64, bool)> {
-        let classes = self.weight_classes();
-        let form = canonical_form_classed(self.num_vars, &self.clauses, classes.as_deref(), budget)
-            .ok()?;
-        let payload = self.canonical_payload(&form.order, &form.clauses);
+        let form = canonical_form(self.num_vars, &self.clauses, budget).ok()?;
         Some((
             CanonInfo {
-                key: CanonicalKey { num_vars: self.num_vars, clauses: form.clauses, payload },
+                key: CanonicalKey { num_vars: self.num_vars, clauses: form.clauses },
                 order: form.order,
             },
             form.steps,
@@ -167,69 +160,6 @@ impl Shape {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         self.hash(&mut hasher);
         hasher.finish()
-    }
-
-    /// Per-clause class labels for the canonical search: the rank of each
-    /// clause's weight among the shape's sorted distinct weights. Ranks are
-    /// isomorphism-invariant (a weighted bijection carries each clause's
-    /// weight along, and both sides rank the same weight multiset), and they
-    /// make the canonical witness *weight-aware*: without them a symmetric
-    /// Boolean skeleton — the 3-path, say — lets the search pick either of
-    /// two automorphic witnesses, landing the weights of two isomorphic
-    /// weighted lineages in different canonical orders and splitting one
-    /// isomorphism class across two keys. `None` for Boolean shapes.
-    fn weight_classes(&self) -> Option<Vec<u32>> {
-        let payload = self.payload.as_ref()?;
-        let mut distinct: Vec<&Rational> = payload.weights.iter().collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        Some(
-            payload
-                .weights
-                .iter()
-                .map(|w| {
-                    distinct.binary_search(&w).expect("every weight ranks in the distinct list")
-                        as u32
-                })
-                .collect(),
-        )
-    }
-
-    /// Permutes the shape's clause weights into the canonical clause order —
-    /// the weights of [`CanonicalKey::payload`]. Renames each dense clause
-    /// through the inverse of the canonical witness, sorts the (clause,
-    /// weight) pairs by clause; the weighted clauses are distinct (the
-    /// lineage merged duplicates), so the permutation is unambiguous and the
-    /// resulting clause list is exactly the canonical one.
-    fn canonical_payload(
-        &self,
-        order: &[u32],
-        canonical_clauses: &[Vec<u32>],
-    ) -> Option<WeightedInfo> {
-        let payload = self.payload.as_ref()?;
-        let mut inv = vec![0u32; order.len()];
-        for (i, &dense) in order.iter().enumerate() {
-            inv[dense as usize] = i as u32;
-        }
-        let mut pairs: Vec<(Vec<u32>, &Rational)> = self
-            .clauses
-            .iter()
-            .zip(&payload.weights)
-            .map(|(c, w)| {
-                let mut clause: Vec<u32> = c.iter().map(|&v| inv[v as usize]).collect();
-                clause.sort_unstable();
-                (clause, w)
-            })
-            .collect();
-        pairs.sort_by(|(a, _), (b, _)| a.cmp(b));
-        debug_assert!(
-            pairs.iter().map(|(c, _)| c).eq(canonical_clauses.iter()),
-            "renaming the clauses through the witness must reproduce the canonical form"
-        );
-        Some(WeightedInfo {
-            kind: payload.kind,
-            weights: pairs.into_iter().map(|(_, w)| w.clone()).collect(),
-        })
     }
 }
 
@@ -263,11 +193,9 @@ impl Prekeyed {
     /// ranked in the lineage's sorted universe by binary search, and the
     /// rank indexes a table of first-occurrence ids.
     ///
-    /// An aggregate lineage renames its Boolean skeleton exactly so, the
-    /// weights follow their clauses through the rename, and the fingerprint
-    /// gains the renaming-invariant aggregate payload digest — so weighted
-    /// lookups never even share a bucket with Boolean ones (or with a
-    /// different kind or weight multiset).
+    /// An aggregate lineage renames its Boolean skeleton exactly so, and the
+    /// weights follow their clauses through the rename. Its fingerprint is
+    /// the skeleton's: aggregate batches never look the cache up.
     pub(crate) fn of(lineage: Lineage<'_>) -> Prekeyed {
         const UNSEEN: u32 = u32::MAX;
         let dnf = lineage.dnf();
@@ -319,10 +247,7 @@ impl Prekeyed {
                 Some(WeightedInfo { kind: w.kind(), weights })
             }
         };
-        let mut fingerprint = fingerprint(num_vars, &clauses);
-        if let Some(WeightedInfo { kind, weights }) = &payload {
-            fingerprint = fingerprint.with_payload(weighted_payload(*kind, &clauses, weights));
-        }
+        let fingerprint = fingerprint(num_vars, &clauses);
         Prekeyed { fingerprint, shape: Arc::new(Shape { num_vars, clauses, payload }), originals }
     }
 
@@ -677,6 +602,7 @@ impl SharedCache {
     pub(crate) fn lookup(&self, fp: Fingerprint, shape: &Shape) -> Lookup {
         // Fault injection: simulate lock contention (a Sleep action stalls
         // the caller right before the acquisition).
+        debug_assert!(shape.payload.is_none(), "aggregate lineages bypass the cache");
         banzhaf_par::failpoint!("cache::lookup");
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         let Some(ids) = inner.buckets.get(&fp).filter(|ids| !ids.is_empty()) else {
@@ -792,6 +718,7 @@ impl SharedCache {
             attribution.degradation.is_none(),
             "degraded results reflect a budget, not the lineage; never cache them"
         );
+        debug_assert!(shape.payload.is_none(), "aggregate lineages bypass the cache");
         // Fault injection: simulate lock contention on the merge side.
         banzhaf_par::failpoint!("cache::insert");
         let mut inner = self.inner.lock().expect("cache lock poisoned");
@@ -949,12 +876,6 @@ impl SharedCache {
         let mut ids: Vec<u64> = inner.entries.keys().copied().collect();
         ids.sort_unstable();
         ids.iter()
-            .filter(|id| {
-                // Weighted aggregate entries stay in memory only: the
-                // snapshot format (VERSION 1) persists Boolean shapes, whose
-                // fingerprint payload is always zero, and stays stable.
-                inner.entries[id].shape.payload.is_none()
-            })
             .map(|id| {
                 let entry = &inner.entries[id];
                 SnapshotEntry {
@@ -1612,114 +1533,6 @@ mod tests {
         assert_eq!(stats.insertions, 1);
     }
 
-    fn weighted_of(kind: AggregateKind, clauses: Vec<(Vec<u32>, i64)>) -> Prekeyed {
-        let lineage = WeightedDnf::from_weighted_clauses(
-            kind,
-            clauses
-                .into_iter()
-                .map(|(c, w)| (c.into_iter().map(Var).collect::<Vec<Var>>(), Rational::from(w))),
-        );
-        Prekeyed::of(Lineage::Aggregate(&lineage))
-    }
-
-    #[test]
-    fn weighted_lineages_key_apart_from_their_boolean_skeleton() {
-        let boolean = prekeyed_of(vec![vec![0, 1], vec![1, 2]]);
-        let weighted = weighted_of(AggregateKind::Sum, vec![(vec![0, 1], 3), (vec![1, 2], 5)]);
-        // Even the cheap pre-key separates them: Boolean payload is 0,
-        // weighted payloads never are.
-        assert_ne!(boolean.fingerprint, weighted.fingerprint);
-        let cache = SharedCache::new(8);
-        insert(&cache, &boolean, 1);
-        assert!(probe(&cache, &weighted).is_none(), "weighted probe must not hit a Boolean entry");
-        insert(&cache, &weighted, 2);
-        assert_eq!(cache.stats().entries, 2);
-        assert!(probe(&cache, &boolean).is_some());
-        assert!(probe(&cache, &weighted).is_some());
-    }
-
-    #[test]
-    fn different_kinds_or_weights_occupy_separate_entries() {
-        let sum = weighted_of(AggregateKind::Sum, vec![(vec![0, 1], 3), (vec![1, 2], 5)]);
-        let count = weighted_of(AggregateKind::Count, vec![(vec![0, 1], 3), (vec![1, 2], 5)]);
-        let other = weighted_of(AggregateKind::Sum, vec![(vec![0, 1], 3), (vec![1, 2], 7)]);
-        assert_ne!(sum.fingerprint, count.fingerprint, "kind is part of the pre-key");
-        assert_ne!(sum.fingerprint, other.fingerprint, "weights are part of the pre-key");
-        let cache = SharedCache::new(8);
-        insert(&cache, &sum, 1);
-        assert!(probe(&cache, &count).is_none(), "a SUM lineage never serves a COUNT hit");
-        assert!(probe(&cache, &other).is_none(), "different weights never share a hit");
-        // The skeleton presentation is shared, but kind and weights are part
-        // of the presentation: none of them settles on the SUM entry.
-        let boolean = prekeyed_of(vec![vec![0, 1], vec![1, 2]]);
-        for variant in [&count, &other, &boolean] {
-            assert_eq!(variant.shape.clauses, sum.shape.clauses, "one skeleton presentation");
-            assert!(matches!(cache.lookup(sum.fingerprint, &variant.shape), Lookup::Occupied(_)));
-        }
-        assert!(matches!(cache.lookup(sum.fingerprint, &sum.shape), Lookup::Presented(_)));
-        insert(&cache, &count, 2);
-        insert(&cache, &other, 3);
-        assert_eq!(cache.stats().entries, 3);
-    }
-
-    #[test]
-    fn isomorphic_weighted_lineages_share_one_entry() {
-        // The same weighted 3-path under two labellings — the weight must
-        // follow its clause through the renaming for the keys to agree.
-        let a = weighted_of(AggregateKind::Max, vec![(vec![0, 1], 2), (vec![1, 2], 9)]);
-        let b = weighted_of(AggregateKind::Max, vec![(vec![7, 3], 9), (vec![3, 9], 2)]);
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(
-            a.shape.canonicalize(None).unwrap().0.key,
-            b.shape.canonicalize(None).unwrap().0.key
-        );
-        let cache = SharedCache::new(8);
-        insert(&cache, &a, 1);
-        assert!(probe(&cache, &b).is_some(), "isomorphic weighted lineages share an entry");
-        // Swapping the two weights *also* shares the entry — the 3-path's
-        // reflection is a genuine weighted isomorphism carrying each weight
-        // to its clause's image, so the swap is a relabelling in disguise.
-        let swapped = weighted_of(AggregateKind::Max, vec![(vec![0, 1], 9), (vec![1, 2], 2)]);
-        assert_eq!(
-            a.shape.canonicalize(None).unwrap().0.key,
-            swapped.shape.canonicalize(None).unwrap().0.key
-        );
-        assert!(probe(&cache, &swapped).is_some(), "the reflected 3-path is the same function");
-        // On a skeleton whose automorphisms can NOT realize the move — the
-        // 4-path, whose only symmetry is the reflection fixing the middle —
-        // shifting the odd weight from the middle clause to an end clause
-        // is a different weighted function and must key apart. The pre-key
-        // cannot see the difference (equal width, degree, and
-        // (width, weight) multisets), so this resolves at the canonical key.
-        let middle = weighted_of(
-            AggregateKind::Max,
-            vec![(vec![0, 1], 2), (vec![1, 2], 9), (vec![2, 3], 2)],
-        );
-        let end = weighted_of(
-            AggregateKind::Max,
-            vec![(vec![0, 1], 9), (vec![1, 2], 2), (vec![2, 3], 2)],
-        );
-        assert_eq!(middle.fingerprint, end.fingerprint);
-        assert_ne!(
-            middle.shape.canonicalize(None).unwrap().0.key,
-            end.shape.canonicalize(None).unwrap().0.key
-        );
-        insert(&cache, &middle, 2);
-        assert!(probe(&cache, &end).is_none(), "weight placement distinguishes entries");
-    }
-
-    #[test]
-    fn weighted_entries_stay_out_of_snapshots() {
-        let cache = SharedCache::new(8);
-        let boolean = prekeyed_of(vec![vec![0, 1]]);
-        let weighted = weighted_of(AggregateKind::Count, vec![(vec![0, 1], 1)]);
-        insert(&cache, &boolean, 1);
-        insert(&cache, &weighted, 2);
-        let exported = cache.export_entries();
-        assert_eq!(exported.len(), 1, "only the Boolean entry is persisted");
-        assert!(exported[0].shape.payload.is_none());
-    }
-
     #[test]
     fn dense_weighted_lineage_preserves_the_aggregate() {
         // The backend runs the dense weighted presentation; its Banzhaf
@@ -1797,9 +1610,7 @@ mod tests {
                     by_clause[&vars].clone()
                 })
                 .collect();
-            let kind = lineage.kind();
-            let fp = fp.with_payload(weighted_payload(kind, &base.clauses, &weights));
-            let payload = Some(WeightedInfo { kind, weights });
+            let payload = Some(WeightedInfo { kind: lineage.kind(), weights });
             (Shape { payload, ..base }, originals, fp)
         }
     }

@@ -10,7 +10,7 @@
 //! `{0,1} ∨ {1,2}` or `{0,1} ∨ {0,2}` depending on which variable carries the
 //! middle label.
 //!
-//! [`canonical_form_classed`] keys a lineage in four stages. The first two
+//! [`canonical_form`] keys a lineage in four stages. The first two
 //! follow the decomposition ExaBan's d-tree compiler applies before any
 //! Shannon step; the third is the general form of its ⊙ step (a conjunction
 //! of functions on disjoint variables), which the compiler does not apply:
@@ -23,9 +23,8 @@
 //! 2. **Split (⊗).** The connected components of the clause–variable
 //!    incidence graph are keyed separately (an empty clause is a component of
 //!    its own) and concatenated in the order of their keys
-//!    `(variable count, renamed clause list, class sequence)`. Isomorphic
-//!    components key equal, so which of them comes first cannot change the
-//!    key either.
+//!    `(variable count, renamed clause list)`. Isomorphic components key
+//!    equal, so which of them comes first cannot change the key either.
 //! 3. **Product (⊙ of factors).** A connected part without common variables
 //!    may still be a cross product: every clause the union of one clause from
 //!    each of several clause sets on disjoint variables (`Movie(m) ∧
@@ -41,8 +40,7 @@
 //!    keyed through all four stages, the factors are ordered by key as
 //!    components are, and the key is the sorted cross product of their
 //!    clause lists with index offsets; the witness is the concatenation of
-//!    the factor orders. Classed (weighted) parts skip this stage, so their
-//!    keys are as the search gives them.
+//!    the factor orders.
 //! 4. **Search.** A part that neither factors, splits nor factors as a
 //!    product — an indecomposable core — runs the colour-refinement and
 //!    individualization search below. An input that is indecomposable at
@@ -61,9 +59,9 @@
 //! The search works on the bipartite clause–variable incidence graph:
 //!
 //! * **Colour refinement** (1-dimensional Weisfeiler–Leman): variables and
-//!   clauses start with colours derived from their degrees/widths (and
-//!   clause classes), and cells split by the multiset of their members'
-//!   neighbour colours until the partition is stable. It runs as a
+//!   clauses start with colours derived from their degrees/widths, and cells
+//!   split by the multiset of their members' neighbour colours until the
+//!   partition is stable. It runs as a
 //!   Hopcroft-style *worklist*: only cells holding a neighbour of a fragment
 //!   split in the previous round are re-examined (one largest fragment per
 //!   split is skipped), neighbour-colour multisets are counting-sorted into
@@ -113,8 +111,6 @@
 //! the same fingerprint.
 
 use banzhaf::{Budget, Interrupted};
-use banzhaf_arith::Rational;
-use banzhaf_boolean::AggregateKind;
 
 /// The canonical form of a lineage presented as dense clause lists.
 pub(crate) struct CanonicalForm {
@@ -136,29 +132,10 @@ pub(crate) struct CanonicalForm {
 /// docs for why this only ever degrades cache hit rate, never correctness).
 const MAX_LEAVES: usize = 512;
 
-/// The unclassed, unbudgeted spelling of [`canonical_form_classed`], kept
-/// for the tests.
-#[cfg(test)]
-pub(crate) fn canonical_form(num_vars: usize, clauses: &[Vec<u32>]) -> CanonicalForm {
-    canonical_form_classed(num_vars, clauses, None, None).expect("no budget, no interrupt")
-}
-
 /// Computes the canonical form of `clauses` over variables `0..num_vars`
 /// (variables beyond the clauses' support are degree-0 universe padding and
 /// are appended after the used variables in input order — no clause mentions
 /// them, so the key does not depend on their order).
-///
-/// `classes[c]` is an isomorphism-invariant label of clause `c` (weighted
-/// lineages label each clause by the rank of its weight, see
-/// `cache::Shape::canonicalize`). A label rides along with its clause through
-/// factoring and splitting, orders parts after their clause lists, and joins
-/// the clause nodes' initial colours in the search, so only class-preserving
-/// renamings count as automorphisms and every candidate is ordered by
-/// `(renamed clause list, induced class sequence)`: two weighted-isomorphic
-/// lineages pick the same witness even when the Boolean skeleton alone has
-/// automorphisms that permute differently-weighted clauses (the 3-path with
-/// distinct end-clause weights is the motivating case). With `classes: None`
-/// — or all labels equal — every choice reduces to the unclassed key.
 ///
 /// Under a cooperative `budget` every decomposition pass and every
 /// refinement round charges its step lump, so a step cap or deadline
@@ -167,20 +144,19 @@ pub(crate) fn canonical_form(num_vars: usize, clauses: &[Vec<u32>]) -> Canonical
 /// budget the result — form, witness order, and step count — is
 /// bit-identical to `budget: None`; on exhaustion the caller gets `Err` and
 /// treats the shape as unkeyable (a cache miss, never a wrong key).
-pub(crate) fn canonical_form_classed(
+pub(crate) fn canonical_form(
     num_vars: usize,
     clauses: &[Vec<u32>],
-    classes: Option<&[u32]>,
     budget: Option<&Budget>,
 ) -> Result<CanonicalForm, Interrupted> {
-    let mut keyer = Keyer::new(num_vars, clauses, classes, budget);
+    let mut keyer = Keyer::new(num_vars, clauses, budget);
     let part: Vec<u32> = (0..clauses.len() as u32).collect();
     let used: Vec<u32> = (0..num_vars as u32).filter(|&v| keyer.used[v as usize]).collect();
     let Some(step) = keyer.decompose(&part, &used) else {
-        let ((order, canonical_clauses, _), steps) = search(num_vars, clauses, classes, budget)?;
+        let ((order, canonical_clauses), steps) = search(num_vars, clauses, budget)?;
         return Ok(CanonicalForm { order, clauses: canonical_clauses, steps, searched: true });
     };
-    let (mut order, canonical_clauses, _) = keyer.apply(&part, &used, step)?;
+    let (mut order, canonical_clauses) = keyer.apply(&part, &used, step)?;
     order.extend((0..num_vars as u32).filter(|&v| !keyer.used[v as usize]));
     debug_assert!(canonical_clauses.windows(2).all(|w| w[0] <= w[1]), "parts assemble sorted");
     Ok(CanonicalForm {
@@ -196,10 +172,9 @@ pub(crate) fn canonical_form_classed(
 fn search(
     num_vars: usize,
     clauses: &[Vec<u32>],
-    classes: Option<&[u32]>,
     budget: Option<&Budget>,
 ) -> Result<(Candidate, u64), Interrupted> {
-    let mut searcher = Searcher::new(num_vars, clauses, classes);
+    let mut searcher = Searcher::new(num_vars, clauses);
     searcher.budget = budget;
     let initial = searcher.initial_colouring();
     if !searcher.interrupted {
@@ -223,7 +198,7 @@ enum Step {
     Product(Vec<(Vec<u32>, Vec<u32>)>),
 }
 
-/// The factor, split and product stages of [`canonical_form_classed`]. A
+/// The factor, split and product stages of [`canonical_form`]. A
 /// part is a set of input clause ids plus the variables they still mention;
 /// factoring marks its common variables `factored`, which removes them from
 /// every clause of the part (and of no other part: parts never share a
@@ -231,7 +206,6 @@ enum Step {
 /// marked too, so its clauses read as their projections onto it.
 struct Keyer<'a> {
     clauses: &'a [Vec<u32>],
-    classes: Option<&'a [u32]>,
     budget: Option<&'a Budget>,
     /// Whether some clause mentions the variable.
     used: Vec<bool>,
@@ -258,12 +232,7 @@ fn find(parent: &mut [u32], v: u32) -> u32 {
 }
 
 impl<'a> Keyer<'a> {
-    fn new(
-        num_vars: usize,
-        clauses: &'a [Vec<u32>],
-        classes: Option<&'a [u32]>,
-        budget: Option<&'a Budget>,
-    ) -> Self {
+    fn new(num_vars: usize, clauses: &'a [Vec<u32>], budget: Option<&'a Budget>) -> Self {
         let mut used = vec![false; num_vars];
         for clause in clauses {
             for &v in clause {
@@ -272,7 +241,6 @@ impl<'a> Keyer<'a> {
         }
         Keyer {
             clauses,
-            classes,
             budget,
             used,
             factored: vec![false; num_vars],
@@ -281,10 +249,6 @@ impl<'a> Keyer<'a> {
             steps: 0,
             searched: false,
         }
-    }
-
-    fn class(&self, c: u32) -> u32 {
-        self.classes.map_or(0, |labels| labels[c as usize])
     }
 
     /// How `part` (whose clauses mention exactly `vars`) decomposes, or
@@ -344,7 +308,7 @@ impl<'a> Keyer<'a> {
         if components.len() > 1 {
             return Some(Step::Split(components));
         }
-        if self.classes.is_some() || !may_be_product {
+        if !may_be_product {
             return None;
         }
         self.product(part, vars).map(Step::Product)
@@ -434,9 +398,7 @@ impl<'a> Keyer<'a> {
     /// split or product).
     fn key_part(&mut self, part: &[u32], vars: &[u32]) -> Result<Candidate, Interrupted> {
         if vars.is_empty() {
-            let mut classes: Vec<u32> = part.iter().map(|&c| self.class(c)).collect();
-            classes.sort_unstable();
-            return Ok((Vec::new(), vec![Vec::new(); part.len()], classes));
+            return Ok((Vec::new(), vec![Vec::new(); part.len()]));
         }
         match self.decompose(part, vars) {
             Some(step) => self.apply(part, vars, step),
@@ -464,7 +426,7 @@ impl<'a> Keyer<'a> {
                 }
                 let rest: Vec<u32> =
                     vars.iter().copied().filter(|&v| !self.factored[v as usize]).collect();
-                let (order, clauses, classes) = self.key_part(part, &rest)?;
+                let (order, clauses) = self.key_part(part, &rest)?;
                 let width = common.len() as u32;
                 let clauses = clauses
                     .into_iter()
@@ -472,7 +434,7 @@ impl<'a> Keyer<'a> {
                     .collect();
                 let mut full = common;
                 full.extend(order);
-                Ok((full, clauses, classes))
+                Ok((full, clauses))
             }
             Step::Split(components) => {
                 let mut keys = Vec::with_capacity(components.len());
@@ -480,14 +442,13 @@ impl<'a> Keyer<'a> {
                     keys.push(self.key_part(clauses, vars)?);
                 }
                 sort_keys(&mut keys);
-                let mut assembled: Candidate = (Vec::new(), Vec::new(), Vec::new());
-                for (order, clauses, classes) in keys {
+                let mut assembled: Candidate = (Vec::new(), Vec::new());
+                for (order, clauses) in keys {
                     let offset = assembled.0.len() as u32;
                     assembled.1.extend(
                         clauses.into_iter().map(|c| c.into_iter().map(|v| v + offset).collect()),
                     );
                     assembled.0.extend(order);
-                    assembled.2.extend(classes);
                 }
                 Ok(assembled)
             }
@@ -507,7 +468,7 @@ impl<'a> Keyer<'a> {
                 sort_keys(&mut keys);
                 let mut order = Vec::with_capacity(vars.len());
                 let mut product: Vec<Vec<u32>> = vec![Vec::new()];
-                for (factor_order, factor_clauses, _) in keys {
+                for (factor_order, factor_clauses) in keys {
                     let offset = order.len() as u32;
                     let mut extended = Vec::with_capacity(product.len() * factor_clauses.len());
                     for prefix in &product {
@@ -521,8 +482,7 @@ impl<'a> Keyer<'a> {
                     order.extend(factor_order);
                 }
                 product.sort_unstable();
-                let classes = vec![0; product.len()];
-                Ok((order, product, classes))
+                Ok((order, product))
             }
         }
     }
@@ -530,20 +490,17 @@ impl<'a> Keyer<'a> {
     /// Runs the search on a core, renumbered to its own dense universe.
     fn core(&mut self, part: &[u32], vars: &[u32]) -> Result<Candidate, Interrupted> {
         let clauses = self.localize(part, vars);
-        let classes: Option<Vec<u32>> =
-            self.classes.map(|_| part.iter().map(|&c| self.class(c)).collect());
-        let ((order, clauses, classes), steps) =
-            search(vars.len(), &clauses, classes.as_deref(), self.budget)?;
+        let ((order, clauses), steps) = search(vars.len(), &clauses, self.budget)?;
         self.steps += steps;
         self.searched = true;
-        Ok((order.into_iter().map(|local| vars[local as usize]).collect(), clauses, classes))
+        Ok((order.into_iter().map(|local| vars[local as usize]).collect(), clauses))
     }
 }
 
-/// Orders part keys by `(variable count, renamed clause list, class
-/// sequence)`, the order in which split and product stages assemble them.
+/// Orders part keys by `(variable count, renamed clause list)`, the order
+/// in which split and product stages assemble them.
 fn sort_keys(keys: &mut [Candidate]) {
-    keys.sort_by(|a, b| (a.0.len(), &a.1, &a.2).cmp(&(b.0.len(), &b.1, &b.2)));
+    keys.sort_by(|a, b| (a.0.len(), &a.1).cmp(&(b.0.len(), &b.1)));
 }
 
 /// The co-component of each variable of `clauses` over `0..num_vars` and
@@ -674,11 +631,6 @@ pub(crate) struct Fingerprint {
     widths: u64,
     /// FNV-1a over the sorted variable-degree multiset.
     degrees: u64,
-    /// An isomorphism-invariant digest of the clause weights and aggregate
-    /// kind for weighted (aggregate) lineages; `0` for plain Boolean ones.
-    /// Weighted shapes never share a bucket with their Boolean skeleton, and
-    /// a SUM lineage never pre-keys equal to the COUNT over the same clauses.
-    payload: u64,
 }
 
 impl Fingerprint {
@@ -686,32 +638,20 @@ impl Fingerprint {
     /// identity the snapshot format writes. Kept as an explicit tuple (not
     /// struct access) so every consumer of the raw form breaks loudly if a
     /// field is ever added.
-    pub(crate) fn raw_parts(self) -> (u32, u32, u64, u64, u64) {
-        (self.num_vars, self.num_clauses, self.widths, self.degrees, self.payload)
+    pub(crate) fn raw_parts(self) -> (u32, u32, u64, u64) {
+        (self.num_vars, self.num_clauses, self.widths, self.degrees)
     }
 
     /// Rebuilds a fingerprint from [`Fingerprint::raw_parts`] (snapshot
     /// deserialization). The caller is responsible for validating that the
     /// fingerprint matches its entry's shape — see `persist`.
-    pub(crate) fn from_raw_parts(parts: (u32, u32, u64, u64, u64)) -> Fingerprint {
-        Fingerprint {
-            num_vars: parts.0,
-            num_clauses: parts.1,
-            widths: parts.2,
-            degrees: parts.3,
-            payload: parts.4,
-        }
-    }
-
-    /// This fingerprint with the given weighted-payload digest attached.
-    pub(crate) fn with_payload(self, payload: u64) -> Fingerprint {
-        Fingerprint { payload, ..self }
+    pub(crate) fn from_raw_parts(parts: (u32, u32, u64, u64)) -> Fingerprint {
+        Fingerprint { num_vars: parts.0, num_clauses: parts.1, widths: parts.2, degrees: parts.3 }
     }
 }
 
 /// Computes the [`Fingerprint`] of `clauses` over variables `0..num_vars` in
-/// one linear pass — no refinement, no search. The payload field is `0`: this
-/// is the pre-key of a plain Boolean lineage.
+/// one linear pass — no refinement, no search.
 pub(crate) fn fingerprint(num_vars: usize, clauses: &[Vec<u32>]) -> Fingerprint {
     let mut widths: Vec<u32> = clauses.iter().map(|c| c.len() as u32).collect();
     widths.sort_unstable();
@@ -727,50 +667,7 @@ pub(crate) fn fingerprint(num_vars: usize, clauses: &[Vec<u32>]) -> Fingerprint 
         num_clauses: clauses.len() as u32,
         widths: fnv1a(&widths),
         degrees: fnv1a(&degrees),
-        payload: 0,
     }
-}
-
-/// The isomorphism-invariant payload digest of a weighted lineage: FNV-1a
-/// over the aggregate kind and the *sorted* multiset of
-/// `(clause width, weight)` pairs. Any variable bijection preserves widths
-/// and carries each clause's weight along, so isomorphic weighted lineages
-/// always digest equal; differing weight multisets or kinds (SUM vs COUNT)
-/// almost always separate. Never `0` — the value reserved for Boolean
-/// lineages — so a weighted shape cannot land in a Boolean bucket.
-pub(crate) fn weighted_payload(
-    kind: AggregateKind,
-    clauses: &[Vec<u32>],
-    weights: &[Rational],
-) -> u64 {
-    debug_assert_eq!(clauses.len(), weights.len(), "weights align with clauses");
-    let mut items: Vec<(u32, String)> = clauses
-        .iter()
-        .zip(weights)
-        .map(|(clause, weight)| (clause.len() as u32, weight.to_string()))
-        .collect();
-    items.sort_unstable();
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    let mut eat = |bytes: &[u8]| {
-        for &byte in bytes {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    // A stable per-kind tag, independent of the enum's in-memory layout.
-    let tag: u8 = match kind {
-        AggregateKind::Count => 1,
-        AggregateKind::Sum => 2,
-        AggregateKind::Min => 3,
-        AggregateKind::Max => 4,
-    };
-    eat(&[tag]);
-    for (width, weight) in &items {
-        eat(&width.to_le_bytes());
-        eat(weight.as_bytes());
-        eat(&[0xFF]);
-    }
-    hash.max(1)
 }
 
 /// FNV-1a over the little-endian bytes of `values`.
@@ -832,17 +729,12 @@ struct Scratch {
     merged: Vec<u32>,
 }
 
-/// A leaf candidate: (variable order, renamed sorted clause list, the class
-/// labels induced on that list — empty when unclassed).
-type Candidate = (Vec<u32>, Vec<Vec<u32>>, Vec<u32>);
+/// A leaf candidate: (variable order, renamed sorted clause list).
+type Candidate = (Vec<u32>, Vec<Vec<u32>>);
 
 struct Searcher<'a> {
     num_vars: usize,
     clauses: &'a [Vec<u32>],
-    /// Per-clause class labels ([`canonical_form_classed`]); `None` for
-    /// plain Boolean shapes, where every clause is interchangeable with any
-    /// other of the same width.
-    classes: Option<&'a [u32]>,
     /// Incidence adjacency: nodes `0..num_vars` are variables, nodes
     /// `num_vars..num_vars + clauses.len()` are clauses.
     adjacency: Vec<Vec<u32>>,
@@ -864,11 +756,7 @@ struct Searcher<'a> {
 }
 
 impl<'a> Searcher<'a> {
-    fn new(num_vars: usize, clauses: &'a [Vec<u32>], classes: Option<&'a [u32]>) -> Self {
-        debug_assert!(
-            classes.is_none_or(|c| c.len() == clauses.len()),
-            "class labels align with clauses"
-        );
+    fn new(num_vars: usize, clauses: &'a [Vec<u32>]) -> Self {
         let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); num_vars + clauses.len()];
         for (c, clause) in clauses.iter().enumerate() {
             let clause_node = (num_vars + c) as u32;
@@ -880,7 +768,6 @@ impl<'a> Searcher<'a> {
         Searcher {
             num_vars,
             clauses,
-            classes,
             adjacency,
             best: None,
             orbit: (0..num_vars as u32).collect(),
@@ -906,19 +793,17 @@ impl<'a> Searcher<'a> {
 
     /// The isomorphism-invariant starting partition: variables coloured by
     /// degree (unused universe variables sort after used ones), clauses by
-    /// width — and, when classed, by class, so differently-weighted clauses
-    /// never share a cell. Refinement would reach the degree/width split in
-    /// one round; starting from it just saves that round.
+    /// width. Refinement would reach the degree/width split in one round;
+    /// starting from it just saves that round.
     fn initial_colouring(&mut self) -> Colouring {
-        let signatures: Vec<(u32, u32, u32)> = (0..self.adjacency.len())
+        let signatures: Vec<(u32, u32)> = (0..self.adjacency.len())
             .map(|node| {
                 let degree = self.adjacency[node].len() as u32;
                 if node < self.num_vars {
                     // Used variables before unused ones, then by degree.
-                    (u32::from(degree == 0), degree, 0)
+                    (u32::from(degree == 0), degree)
                 } else {
-                    let class = self.classes.map_or(0, |c| c[node - self.num_vars]);
-                    (2, degree, class)
+                    (2, degree)
                 }
             })
             .collect();
@@ -1266,48 +1151,33 @@ impl<'a> Searcher<'a> {
         for (index, &v) in order.iter().enumerate() {
             rank[v as usize] = index as u32;
         }
-        // Classes ride along with their clause through the rename-and-sort:
-        // the renamed clauses are distinct sets, so sorting the (clause,
-        // class) pairs orders exactly as the clause-only sort did — for
-        // unclassed shapes (all labels 0) the candidate comparison below is
-        // bit-identical to the classless search.
-        let mut renamed: Vec<(Vec<u32>, u32)> = self
+        let mut renamed: Vec<Vec<u32>> = self
             .clauses
             .iter()
-            .enumerate()
-            .map(|(c, clause)| {
+            .map(|clause| {
                 let mut r: Vec<u32> = clause.iter().map(|&v| rank[v as usize]).collect();
                 r.sort_unstable();
-                (r, self.classes.map_or(0, |labels| labels[c]))
+                r
             })
             .collect();
         renamed.sort_unstable();
-        let (renamed, class_seq): (Vec<Vec<u32>>, Vec<u32>) = renamed.into_iter().unzip();
         self.steps += self.num_vars as u64 + self.clauses.len() as u64;
         match &self.best {
-            Some((best_order, best_clauses, best_classes))
-                if renamed == *best_clauses && class_seq == *best_classes =>
-            {
-                // Two renamings producing the same (clause list, class
-                // sequence) compose to a class-preserving automorphism of
-                // the input: canonical index i is variable `best_order[i]`
-                // under one and `order[i]` under the other. Feed its orbits
-                // to the branching prune. (Equal clause lists with *unequal*
-                // class sequences are a skeleton automorphism that permutes
-                // weights — not an automorphism of the weighted lineage, so
-                // it must not prune the search.)
+            Some((best_order, best_clauses)) if renamed == *best_clauses => {
+                // Two renamings producing the same clause list compose to an
+                // automorphism of the input: canonical index i is variable
+                // `best_order[i]` under one and `order[i]` under the other.
+                // Feed its orbits to the branching prune.
                 let pairs: Vec<(u32, u32)> =
                     best_order.iter().copied().zip(order.iter().copied()).collect();
                 for (a, b) in pairs {
                     self.orbit_union(a, b);
                 }
             }
-            Some((_, best_clauses, best_classes))
-                if (&renamed, &class_seq) < (best_clauses, best_classes) =>
-            {
-                self.best = Some((order, renamed, class_seq));
+            Some((_, best_clauses)) if renamed < *best_clauses => {
+                self.best = Some((order, renamed));
             }
-            None => self.best = Some((order, renamed, class_seq)),
+            None => self.best = Some((order, renamed)),
             _ => {}
         }
     }
@@ -1318,7 +1188,7 @@ impl<'a> Searcher<'a> {
 /// full-recompute oracle.
 #[cfg(test)]
 fn refined_colours(num_vars: usize, clauses: &[Vec<u32>]) -> (Vec<u32>, u32) {
-    let mut searcher = Searcher::new(num_vars, clauses, None);
+    let mut searcher = Searcher::new(num_vars, clauses);
     let colouring = searcher.initial_colouring();
     (colouring.colours, colouring.count)
 }
@@ -1548,10 +1418,21 @@ mod tests {
         }
     }
 
+    /// The canonical form without a budget.
+    fn unbudgeted_form(num_vars: usize, clauses: &[Vec<u32>]) -> CanonicalForm {
+        canonical_form(num_vars, clauses, None).expect("no budget, no interrupt")
+    }
+
     /// Applies `form.order` to check the form really is a renaming of the
-    /// input: renaming the input clauses through the inverse order and
-    /// sorting must reproduce `form.clauses`.
+    /// input: the order must be a permutation, and renaming the input
+    /// clauses through its inverse and sorting must reproduce
+    /// `form.clauses`.
     fn is_renaming_of(form: &CanonicalForm, num_vars: usize, clauses: &[Vec<u32>]) -> bool {
+        let mut sorted = form.order.clone();
+        sorted.sort_unstable();
+        if !sorted.iter().copied().eq(0..num_vars as u32) {
+            return false;
+        }
         let mut rank = vec![0u32; num_vars];
         for (index, &v) in form.order.iter().enumerate() {
             rank[v as usize] = index as u32;
@@ -1656,59 +1537,16 @@ mod tests {
 
     /// The search stage alone, on the input's own arrays.
     fn search_form(num_vars: usize, clauses: &[Vec<u32>]) -> CanonicalForm {
-        let ((order, clauses, _), steps) =
-            search(num_vars, clauses, None, None).expect("no budget, no interrupt");
+        let ((order, clauses), steps) =
+            search(num_vars, clauses, None).expect("no budget, no interrupt");
         CanonicalForm { order, clauses, steps, searched: true }
-    }
-
-    /// The search stage's key with classes: (clause list, class sequence).
-    fn search_key(
-        num_vars: usize,
-        clauses: &[Vec<u32>],
-        classes: &[u32],
-    ) -> (Vec<Vec<u32>>, Vec<u32>) {
-        let ((_, clauses, classes), _) =
-            search(num_vars, clauses, Some(classes), None).expect("no budget, no interrupt");
-        (clauses, classes)
-    }
-
-    /// The composed key with classes, rebuilt from the witness order — so it
-    /// is a renaming of the input by construction, and equals the form's
-    /// clause list exactly when the form is one.
-    fn composed_key(
-        num_vars: usize,
-        clauses: &[Vec<u32>],
-        classes: &[u32],
-    ) -> (Vec<Vec<u32>>, Vec<u32>) {
-        let form = canonical_form_classed(num_vars, clauses, Some(classes), None)
-            .expect("no budget, no interrupt");
-        let mut sorted = form.order.clone();
-        sorted.sort_unstable();
-        assert!(sorted.iter().copied().eq(0..num_vars as u32), "the witness is a permutation");
-        let mut rank = vec![0u32; num_vars];
-        for (index, &v) in form.order.iter().enumerate() {
-            rank[v as usize] = index as u32;
-        }
-        let mut renamed: Vec<(Vec<u32>, u32)> = clauses
-            .iter()
-            .zip(classes)
-            .map(|(clause, &class)| {
-                let mut c: Vec<u32> = clause.iter().map(|&v| rank[v as usize]).collect();
-                c.sort_unstable();
-                (c, class)
-            })
-            .collect();
-        renamed.sort_unstable();
-        let key: (Vec<Vec<u32>>, Vec<u32>) = renamed.into_iter().unzip();
-        assert_eq!(key.0, form.clauses, "the key is the input renamed through its witness");
-        key
     }
 
     /// A decomposable lineage: `copies` isomorphic copies of a `shape` core
     /// plus one core of another kind, under `common` variables shared by
     /// every clause, with one clause that is empty once they are factored
-    /// out (an empty clause of its own when `common` is 0), `unused` universe
-    /// variables no clause mentions, and random classes in `0..2`.
+    /// out (an empty clause of its own when `common` is 0), and `unused`
+    /// universe variables no clause mentions.
     fn decomposable(
         kinds: (usize, usize),
         size: usize,
@@ -1716,7 +1554,7 @@ mod tests {
         common: usize,
         unused: usize,
         rng: &mut StdRng,
-    ) -> (usize, Vec<Vec<u32>>, Vec<u32>) {
+    ) -> (usize, Vec<Vec<u32>>) {
         let mut clauses: Vec<Vec<u32>> = Vec::new();
         let mut next = common as u32;
         let core = shape(kinds.0, size, rng);
@@ -1732,23 +1570,16 @@ mod tests {
             clause.extend(0..common as u32);
             clause.sort_unstable();
         }
-        let classes = (0..clauses.len()).map(|_| rng.gen_range(0..2u32)).collect();
-        (next as usize + unused, clauses, classes)
+        (next as usize + unused, clauses)
     }
 
-    /// `clauses` (with their classes) relabelled and shuffled.
-    fn scramble(
-        num_vars: usize,
-        clauses: &[Vec<u32>],
-        classes: &[u32],
-        rng: &mut StdRng,
-    ) -> (Vec<Vec<u32>>, Vec<u32>) {
-        let mut pairs: Vec<(Vec<u32>, u32)> =
-            relabel(num_vars, clauses, rng).into_iter().zip(classes.iter().copied()).collect();
-        for i in (1..pairs.len()).rev() {
-            pairs.swap(i, rng.gen_range(0..=i));
+    /// `clauses` relabelled and shuffled.
+    fn scramble(num_vars: usize, clauses: &[Vec<u32>], rng: &mut StdRng) -> Vec<Vec<u32>> {
+        let mut scrambled = relabel(num_vars, clauses, rng);
+        for i in (1..scrambled.len()).rev() {
+            scrambled.swap(i, rng.gen_range(0..=i));
         }
-        pairs.into_iter().unzip()
+        scrambled
     }
 
     proptest! {
@@ -1775,55 +1606,17 @@ mod tests {
                 prop_assert_eq!(&fast.clauses, &slow.clauses);
                 prop_assert_eq!(&fast.order, &slow.order);
                 // The composed key is a renaming of the input.
-                prop_assert!(is_renaming_of(&canonical_form(num_vars, clauses), num_vars, clauses));
+                prop_assert!(is_renaming_of(&unbudgeted_form(num_vars, clauses), num_vars, clauses));
             }
             // Relabelling changes neither the key nor the fingerprint.
             prop_assert_eq!(
-                canonical_form(num_vars, &base).clauses,
-                canonical_form(num_vars, &relabelled).clauses
+                unbudgeted_form(num_vars, &base).clauses,
+                unbudgeted_form(num_vars, &relabelled).clauses
             );
             prop_assert_eq!(
                 fingerprint(num_vars, &base),
                 fingerprint(num_vars, &relabelled)
             );
-        }
-
-        #[test]
-        fn decomposed_keys_are_canonical_renamings(
-            kind in 0usize..8,
-            other_kind in 0usize..8,
-            size in 3usize..7,
-            copies in 1usize..4,
-            common in 0usize..3,
-            unused in 0usize..3,
-            seed in any::<u64>(),
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let kinds = (kind, other_kind);
-            let (num_vars, clauses, classes) =
-                decomposable(kinds, size, copies, common, unused, &mut rng);
-            let key = composed_key(num_vars, &clauses, &classes);
-            // Invariant under relabelling and clause shuffling.
-            let (scrambled, scrambled_classes) = scramble(num_vars, &clauses, &classes, &mut rng);
-            prop_assert_eq!(&composed_key(num_vars, &scrambled, &scrambled_classes), &key);
-            // Complete and sound exactly where the search is: against an
-            // isomorphic copy, a reclassed copy and an independently drawn
-            // shape, keys agree iff the search-only keys agree.
-            let mut reclassed = classes.clone();
-            let flip = rng.gen_range(0..reclassed.len());
-            reclassed[flip] ^= 1;
-            let (drawn_vars, drawn, drawn_classes) =
-                decomposable(kinds, size, copies, common, unused, &mut rng);
-            let search = search_key(num_vars, &clauses, &classes);
-            for (n, other, other_classes) in [
-                (num_vars, &scrambled, &scrambled_classes),
-                (num_vars, &clauses, &reclassed),
-                (drawn_vars, &drawn, &drawn_classes),
-            ] {
-                let same_key = n == num_vars && composed_key(n, other, other_classes) == key;
-                let same_search = n == num_vars && search_key(n, other, other_classes) == search;
-                prop_assert_eq!(same_key, same_search);
-            }
         }
 
         #[test]
@@ -1836,17 +1629,14 @@ mod tests {
             unused in 0usize..3,
             seed in any::<u64>(),
         ) {
-            // Without classes the product stage runs; the classed proptest
-            // above never reaches it.
             let mut rng = StdRng::seed_from_u64(seed);
             let kinds = (kind, other_kind);
-            let (num_vars, clauses, _) =
-                decomposable(kinds, size, copies, common, unused, &mut rng);
-            let form = canonical_form(num_vars, &clauses);
+            let (num_vars, clauses) = decomposable(kinds, size, copies, common, unused, &mut rng);
+            let form = unbudgeted_form(num_vars, &clauses);
             prop_assert!(is_renaming_of(&form, num_vars, &clauses));
-            let zeros = vec![0; clauses.len()];
-            let (scrambled, _) = scramble(num_vars, &clauses, &zeros, &mut rng);
-            let scrambled_form = canonical_form(num_vars, &scrambled);
+            // Invariant under relabelling and clause shuffling.
+            let scrambled = scramble(num_vars, &clauses, &mut rng);
+            let scrambled_form = unbudgeted_form(num_vars, &scrambled);
             prop_assert!(is_renaming_of(&scrambled_form, num_vars, &scrambled));
             prop_assert_eq!(&scrambled_form.clauses, &form.clauses);
             // Keys agree iff the search-only keys agree, against an
@@ -1854,11 +1644,10 @@ mod tests {
             // independently drawn shape.
             let mut pruned = scrambled.clone();
             pruned.swap_remove(rng.gen_range(0..pruned.len()));
-            let (drawn_vars, drawn, _) =
-                decomposable(kinds, size, copies, common, unused, &mut rng);
+            let (drawn_vars, drawn) = decomposable(kinds, size, copies, common, unused, &mut rng);
             let search = search_form(num_vars, &clauses).clauses;
             for (n, other) in [(num_vars, &scrambled), (num_vars, &pruned), (drawn_vars, &drawn)] {
-                let same_key = n == num_vars && canonical_form(n, other).clauses == form.clauses;
+                let same_key = n == num_vars && unbudgeted_form(n, other).clauses == form.clauses;
                 let same_search = n == num_vars && search_form(n, other).clauses == search;
                 prop_assert_eq!(same_key, same_search);
             }
@@ -1868,7 +1657,7 @@ mod tests {
     #[test]
     fn worklist_refinement_is_cheaper_than_the_oracle() {
         let ring: Vec<Vec<u32>> = (0..32).map(|i| vec![i, (i + 1) % 32]).collect();
-        let fast = canonical_form(32, &ring);
+        let fast = unbudgeted_form(32, &ring);
         let slow = oracle::canonical_form(32, &ring);
         assert_eq!(fast.clauses, slow.clauses);
         assert!(
@@ -1882,7 +1671,7 @@ mod tests {
     #[test]
     fn order_is_a_permutation_and_clauses_are_a_renaming() {
         let clauses = vec![vec![0, 1], vec![1, 2], vec![3]];
-        let form = canonical_form(5, &clauses);
+        let form = unbudgeted_form(5, &clauses);
         let mut sorted = form.order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
@@ -1898,15 +1687,15 @@ mod tests {
         let middle_label_large = vec![vec![0, 2], vec![1, 2]];
         let middle_label_small = vec![vec![0, 1], vec![0, 2]];
         let middle_label_mid = vec![vec![0, 1], vec![1, 2]];
-        let reference = canonical_form(3, &middle_label_mid);
-        assert_eq!(canonical_form(3, &middle_label_large).clauses, reference.clauses);
-        assert_eq!(canonical_form(3, &middle_label_small).clauses, reference.clauses);
+        let reference = unbudgeted_form(3, &middle_label_mid);
+        assert_eq!(unbudgeted_form(3, &middle_label_large).clauses, reference.clauses);
+        assert_eq!(unbudgeted_form(3, &middle_label_small).clauses, reference.clauses);
         // ...while genuinely non-isomorphic shapes stay apart: the 4-path
         // vs the 3-leaf star (these have different model counts, so a
         // collision would transfer wrong attribution values).
         let path4 = vec![vec![0, 1], vec![1, 2], vec![2, 3]];
         let star4 = vec![vec![0, 1], vec![0, 2], vec![0, 3]];
-        assert_ne!(canonical_form(4, &path4).clauses, canonical_form(4, &star4).clauses);
+        assert_ne!(unbudgeted_form(4, &path4).clauses, unbudgeted_form(4, &star4).clauses);
     }
 
     #[test]
@@ -1918,9 +1707,9 @@ mod tests {
         let rotated: Vec<u32> = (0..8).map(|i| (i + 3) % 8).collect();
         let reflected: Vec<u32> = (0..8).map(|i| (16 - i) % 8).collect();
         let scrambled: Vec<u32> = vec![5, 2, 7, 0, 3, 6, 1, 4];
-        let reference = canonical_form(8, &ring(&identity));
+        let reference = unbudgeted_form(8, &ring(&identity));
         for perm in [&rotated, &reflected, &scrambled] {
-            let form = canonical_form(8, &ring(perm));
+            let form = unbudgeted_form(8, &ring(perm));
             assert_eq!(form.clauses, reference.clauses, "{perm:?}");
         }
     }
@@ -1951,7 +1740,7 @@ mod tests {
         // Variables 1 and 3 never occur in a clause; the used variables must
         // occupy the low canonical indices regardless.
         let clauses = vec![vec![0, 2], vec![2, 4]];
-        let form = canonical_form(5, &clauses);
+        let form = unbudgeted_form(5, &clauses);
         for clause in &form.clauses {
             for &v in clause {
                 assert!(v < 3, "used variables must map below the unused block");
@@ -1962,14 +1751,14 @@ mod tests {
     #[test]
     fn degenerate_inputs() {
         // Constant false: no clauses.
-        let none = canonical_form(3, &[]);
+        let none = unbudgeted_form(3, &[]);
         assert_eq!(none.clauses, Vec::<Vec<u32>>::new());
         assert_eq!(none.order.len(), 3);
         // Constant true: one empty clause.
-        let all = canonical_form(0, &[vec![]]);
+        let all = unbudgeted_form(0, &[vec![]]);
         assert_eq!(all.clauses, vec![Vec::<u32>::new()]);
         // Empty universe, no clauses.
-        let empty = canonical_form(0, &[]);
+        let empty = unbudgeted_form(0, &[]);
         assert!(empty.order.is_empty());
         // Fingerprints of degenerate inputs are well-defined too.
         assert_ne!(fingerprint(3, &[]), fingerprint(0, &[]));
@@ -1987,16 +1776,15 @@ mod tests {
                 clauses.push(vec![a, b]);
             }
         }
-        let full = canonical_form(6, &clauses);
+        let full = unbudgeted_form(6, &clauses);
         // With an unexhausted budget the budgeted path is bit-identical.
-        let unlimited = canonical_form_classed(6, &clauses, None, Some(&Budget::unlimited()))
-            .expect("unlimited");
+        let unlimited = canonical_form(6, &clauses, Some(&Budget::unlimited())).expect("unlimited");
         assert_eq!(unlimited.clauses, full.clauses);
         assert_eq!(unlimited.order, full.order);
         assert_eq!(unlimited.steps, full.steps);
         // A cap far below the full search's refinement cost interrupts it.
         let capped = Budget::with_max_steps((full.steps / 4).max(1));
-        assert!(canonical_form_classed(6, &clauses, None, Some(&capped)).is_err());
+        assert!(canonical_form(6, &clauses, Some(&capped)).is_err());
         assert!(
             capped.steps_used() <= full.steps,
             "an interrupted descent must stop charging: {} charged vs {} full",
@@ -2013,21 +1801,18 @@ mod tests {
         let clique: Vec<Vec<u32>> =
             (0..6u32).flat_map(|a| (a + 1..6).map(move |b| vec![a, b])).collect();
         let one = Budget::unlimited();
-        canonical_form_classed(6, &clique, None, Some(&one)).expect("unlimited");
+        canonical_form(6, &clique, Some(&one)).expect("unlimited");
         let cap = one.steps_used() * 2;
-        assert!(
-            canonical_form_classed(6, &clique, None, Some(&Budget::with_max_steps(cap))).is_ok()
-        );
+        assert!(canonical_form(6, &clique, Some(&Budget::with_max_steps(cap))).is_ok());
         let cores: Vec<Vec<u32>> = (0..4u32)
             .flat_map(|k| clique.iter().map(move |c| c.iter().map(|&v| v + 6 * k).collect()))
             .collect();
-        let full = canonical_form(24, &cores);
-        let unlimited = canonical_form_classed(24, &cores, None, Some(&Budget::unlimited()))
-            .expect("unlimited");
+        let full = unbudgeted_form(24, &cores);
+        let unlimited = canonical_form(24, &cores, Some(&Budget::unlimited())).expect("unlimited");
         assert_eq!((&unlimited.clauses, &unlimited.order), (&full.clauses, &full.order));
         assert_eq!(unlimited.steps, full.steps);
         let capped = Budget::with_max_steps(cap);
-        assert!(canonical_form_classed(24, &cores, None, Some(&capped)).is_err());
+        assert!(canonical_form(24, &cores, Some(&capped)).is_err());
     }
 
     #[test]
@@ -2040,7 +1825,7 @@ mod tests {
             let star: Vec<Vec<u32>> = (0..k).map(|i| vec![0, 2 * i + 1, 2 * i + 2]).collect();
             let battery: Vec<Vec<u32>> = (0..k).map(|i| vec![i]).collect();
             for (num_vars, clauses) in [(2 * k as usize + 1, star), (k as usize, battery)] {
-                let form = canonical_form(num_vars, &clauses);
+                let form = unbudgeted_form(num_vars, &clauses);
                 assert!(is_renaming_of(&form, num_vars, &clauses));
                 // Each clause already is its canonical self.
                 assert_eq!(form.clauses, clauses);
@@ -2076,18 +1861,17 @@ mod tests {
         let mut per_clause = Vec::new();
         for scale in [1u32, 4] {
             let (num_vars, clauses) = movies(&[(2, 10 * scale), (2, 10 * scale), (3, 3), (1, 4)]);
-            let form = canonical_form(num_vars, &clauses);
+            let form = unbudgeted_form(num_vars, &clauses);
             assert!(!form.searched, "every core is a product");
             assert!(is_renaming_of(&form, num_vars, &clauses));
             per_clause.push(form.steps / clauses.len() as u64);
             let mut rng = StdRng::seed_from_u64(u64::from(scale));
-            let zeros = vec![0; clauses.len()];
-            let (scrambled, _) = scramble(num_vars, &clauses, &zeros, &mut rng);
-            assert_eq!(canonical_form(num_vars, &scrambled).clauses, form.clauses);
+            let scrambled = scramble(num_vars, &clauses, &mut rng);
+            assert_eq!(unbudgeted_form(num_vars, &scrambled).clauses, form.clauses);
             // Same variable and clause counts, other casts: keyed apart.
             let (other_vars, other) = movies(&[(2, 10 * scale), (2, 10 * scale), (1, 3), (2, 5)]);
             assert_eq!((other_vars, other.len()), (num_vars, clauses.len()));
-            assert_ne!(canonical_form(other_vars, &other).clauses, form.clauses);
+            assert_ne!(unbudgeted_form(other_vars, &other).clauses, form.clauses);
         }
         // Keying stays linear: steps per clause do not grow with the cast.
         assert!(per_clause[1] <= per_clause[0], "{per_clause:?}");
@@ -2095,16 +1879,10 @@ mod tests {
         // `{x1} ∨ {x2}`, read as `x1 ∨ x2 ∨ x0x1 ∨ x0x2`.
         let absorbed = vec![vec![1], vec![2], vec![0, 1], vec![0, 2]];
         let relabelled = vec![vec![0], vec![2], vec![0, 1], vec![1, 2]];
-        let form = canonical_form(3, &absorbed);
+        let form = unbudgeted_form(3, &absorbed);
         assert!(!form.searched);
         assert!(is_renaming_of(&form, 3, &absorbed));
-        assert_eq!(canonical_form(3, &relabelled).clauses, form.clauses);
-        // Classed keying leaves products to the search, as before.
-        let (num_vars, clauses) = movies(&[(2, 10)]);
-        let classes = vec![0; clauses.len()];
-        let form =
-            canonical_form_classed(num_vars, &clauses, Some(&classes), None).expect("no budget");
-        assert!(form.searched);
+        assert_eq!(unbudgeted_form(3, &relabelled).clauses, form.clauses);
     }
 
     #[test]
@@ -2115,8 +1893,8 @@ mod tests {
         let triangles =
             vec![vec![0, 1], vec![1, 2], vec![2, 0], vec![3, 4], vec![4, 5], vec![5, 3]];
         let hexagon = vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4], vec![4, 5], vec![5, 0]];
-        let a = canonical_form(6, &triangles);
-        let b = canonical_form(6, &hexagon);
+        let a = unbudgeted_form(6, &triangles);
+        let b = unbudgeted_form(6, &hexagon);
         assert_ne!(a.clauses, b.clauses);
         // They do share a fingerprint (equal counts, widths, and degrees) —
         // the pair the cache's lazy canonicalization must keep apart.
@@ -2124,9 +1902,9 @@ mod tests {
         // Relabelled copies of each still land on their own form.
         let triangles_relabelled =
             vec![vec![5, 3], vec![3, 1], vec![1, 5], vec![0, 2], vec![2, 4], vec![4, 0]];
-        assert_eq!(canonical_form(6, &triangles_relabelled).clauses, a.clauses);
+        assert_eq!(unbudgeted_form(6, &triangles_relabelled).clauses, a.clauses);
         let hexagon_relabelled =
             vec![vec![4, 2], vec![2, 0], vec![0, 3], vec![3, 5], vec![5, 1], vec![1, 4]];
-        assert_eq!(canonical_form(6, &hexagon_relabelled).clauses, b.clauses);
+        assert_eq!(unbudgeted_form(6, &hexagon_relabelled).clauses, b.clauses);
     }
 }

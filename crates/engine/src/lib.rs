@@ -23,7 +23,8 @@
 //!   [`SharedCache`] keyed by canonical lineage (isomorphic lineages of
 //!   distinct answers — and of distinct *sessions* — are attributed once;
 //!   size-bounded, LRU-evicted, hit/miss/eviction counters in [`CacheStats`])
-//!   and through the shared bottom-up model-count pass. Lookups resolve in
+//!   and through the shared bottom-up model-count pass. The cache holds
+//!   Boolean lineages only: aggregate batches compile every instance. Lookups resolve in
 //!   two levels: a cheap isomorphism-invariant *fingerprint* (clause/var
 //!   counts plus width and degree multiset hashes) settles the common case
 //!   without any search, and only contested fingerprints fall back to the

@@ -183,13 +183,7 @@ impl Writer {
         }
     }
     fn entry(&mut self, entry: &SnapshotEntry) {
-        let (num_vars, num_clauses, widths, degrees, payload) = entry.fingerprint.raw_parts();
-        // Weighted aggregate entries are filtered out before export; the
-        // version-1 layout persists Boolean shapes, whose payload is zero.
-        debug_assert!(
-            payload == 0 && entry.shape.payload.is_none(),
-            "snapshots persist Boolean entries only"
-        );
+        let (num_vars, num_clauses, widths, degrees) = entry.fingerprint.raw_parts();
         self.u32(num_vars);
         self.u32(num_clauses);
         self.u64(widths);
@@ -399,9 +393,6 @@ impl<'a> Reader<'a> {
             self.u32("fingerprint num_clauses")?,
             self.u64("fingerprint widths")?,
             self.u64("fingerprint degrees")?,
-            // Version-1 snapshots hold Boolean entries only; their aggregate
-            // payload field is always zero.
-            0,
         ));
         let num_vars = self.u32("shape num_vars")?;
         let clauses = self.clauses(num_vars)?;
@@ -431,11 +422,7 @@ impl<'a> Reader<'a> {
                 return self.corrupt("canonical key with the shape's clause count");
             }
             Some(Arc::new(CanonInfo {
-                key: CanonicalKey {
-                    num_vars: num_vars as usize,
-                    clauses: key_clauses,
-                    payload: None,
-                },
+                key: CanonicalKey { num_vars: num_vars as usize, clauses: key_clauses },
                 order,
             }))
         } else {
@@ -698,7 +685,7 @@ mod tests {
         // A checksum-valid file whose fingerprint disagrees with its shape
         // must still be rejected: the pre-key is re-derived, not trusted.
         let mut entries = sample_entries();
-        entries[0].fingerprint = Fingerprint::from_raw_parts((3, 2, 0xDEAD, 0xBEEF, 0));
+        entries[0].fingerprint = Fingerprint::from_raw_parts((3, 2, 0xDEAD, 0xBEEF));
         let bytes = encode(&entries);
         assert!(matches!(
             decode(&bytes),

@@ -365,10 +365,9 @@ impl Session {
     /// when the cache's cheap fingerprint pre-key is contested and no
     /// resident holds the lineage's exact dense presentation.
     ///
-    /// The cache keys aggregate lineages by the canonical Boolean skeleton
-    /// *plus* the aggregate kind and the clause weights (permuted into
-    /// canonical order), so a `SUM` lineage never serves a `COUNT` hit and
-    /// weighted lineages never collide with Boolean ones. If the configured
+    /// Aggregate lineages bypass the cache: each one compiles, makes no
+    /// lookup and leaves no entry, so its attribution reports
+    /// `cache_hit: false` and zero keying counters. If the configured
     /// backend does not advertise the aggregate capability in the backend
     /// registry, the session transparently serves an aggregate lineage with
     /// the registry's first exact aggregate-capable backend (ExaBan) instead
@@ -482,11 +481,9 @@ impl Session {
         // slice of one lineage type). Aggregate batches may substitute the
         // configured backend with a capable one, so every capability check
         // reads the *effective* algorithm.
-        let algorithm = if prekeyed.iter().any(Prekeyed::is_aggregate) {
-            self.effective_aggregate_algorithm()
-        } else {
-            self.config.algorithm
-        };
+        let aggregate = prekeyed.iter().any(Prekeyed::is_aggregate);
+        let algorithm =
+            if aggregate { self.effective_aggregate_algorithm() } else { self.config.algorithm };
         if algorithm != self.config.algorithm && self.aggregate_attributor.is_none() {
             self.aggregate_attributor =
                 Some(EngineConfig { algorithm, ..self.config.clone() }.attributor());
@@ -502,7 +499,9 @@ impl Session {
             // Randomized backends are never cached: transferring one
             // lineage's samples to another would correlate supposedly
             // independent estimates (see [`crate::Backend::cacheable`]).
-            use_cache: self.config.cache.enabled && backend(algorithm).cacheable,
+            // Aggregate batches run uncached too: the cache keys Boolean
+            // lineages only.
+            use_cache: self.config.cache.enabled && backend(algorithm).cacheable && !aggregate,
         };
         let plan = self.plan(&batch);
         let computed = self.compile(&batch, &plan.jobs);

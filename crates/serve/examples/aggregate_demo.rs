@@ -3,8 +3,9 @@
 //!
 //! The async front end still speaks Boolean DNF requests only — aggregate
 //! work rides the same engine through [`AttributionService::engine`], so a
-//! SUM/COUNT client shares the worker pool's cache and configuration without
-//! any new service endpoints. This demo:
+//! SUM/COUNT client shares the worker pool's configuration without any new
+//! service endpoints (aggregate lineages bypass the shared cache). This
+//! demo:
 //!
 //! 1. evaluates a SUM and a COUNT query over a TPC-H-flavoured micro
 //!    database, producing per-answer [`banzhaf_engine::WeightedDnf`] lineages,
@@ -55,7 +56,7 @@ fn main() {
     assert!(outcomes.iter().all(Result::is_ok), "Boolean requests still flow");
     println!("boolean skeletons served: {}", outcomes.len());
 
-    // Aggregate attribution against the same engine (and shared cache).
+    // Aggregate attribution against the same engine (uncached).
     let mut session = service.engine().session();
     for result in [&revenue, &orders] {
         for answer in result.answers() {

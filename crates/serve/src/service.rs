@@ -35,8 +35,6 @@ pub struct ServeConfig {
     /// ([`RequestOptions::timeout`]). Measured from submission, so time spent
     /// queued counts against it.
     pub default_timeout: Option<Duration>,
-    /// Step cap applied to requests that do not carry their own.
-    pub default_max_steps: Option<u64>,
     /// The database the service hosts live: when set, the service owns a
     /// [`LiveSession`] over it (sharing the workers' engine, hence their
     /// cache) and accepts [`AttributionService::submit_update`] requests.
@@ -56,7 +54,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 64,
             default_timeout: None,
-            default_max_steps: None,
             live_database: None,
             live_queries: Vec::new(),
         }
@@ -87,12 +84,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the default per-request step cap.
-    pub fn with_default_max_steps(mut self, max_steps: u64) -> Self {
-        self.default_max_steps = Some(max_steps);
-        self
-    }
-
     /// Hosts `database` live: the service accepts
     /// [`AttributionService::submit_update`] requests against it.
     pub fn with_live_database(mut self, database: Database) -> Self {
@@ -116,7 +107,7 @@ impl ServeConfig {
 pub struct RequestOptions {
     /// Deadline for this request, from submission (overrides the default).
     pub timeout: Option<Duration>,
-    /// Step cap for this request (overrides the default).
+    /// Step cap for this request (none by default).
     pub max_steps: Option<u64>,
     /// Budget-exhaustion fallback policy for this request (overrides the
     /// engine configuration's [`FallbackPolicy`]). With a ladder, a request
@@ -510,7 +501,6 @@ pub struct AttributionService {
     live: Option<Arc<LiveShared>>,
     workers: Vec<JoinHandle<()>>,
     default_timeout: Option<Duration>,
-    default_max_steps: Option<u64>,
 }
 
 impl AttributionService {
@@ -625,15 +615,11 @@ impl AttributionService {
             live,
             workers,
             default_timeout: config.default_timeout,
-            default_max_steps: config.default_max_steps,
         }
     }
 
     fn budget_for(&self, options: &RequestOptions) -> Budget {
-        Budget::new(
-            options.timeout.or(self.default_timeout),
-            options.max_steps.or(self.default_max_steps),
-        )
+        Budget::new(options.timeout.or(self.default_timeout), options.max_steps)
     }
 
     fn push(&self, job: Job) -> Result<(), Rejected> {

@@ -85,11 +85,6 @@ impl LineageGenerator {
         }
         Dnf::from_clauses(clauses)
     }
-
-    /// Generates a batch of lineages.
-    pub fn generate_many<R: Rng>(&self, count: usize, rng: &mut R) -> Vec<Dnf> {
-        (0..count).map(|_| self.generate(rng)).collect()
-    }
 }
 
 #[cfg(test)]

@@ -538,7 +538,8 @@ proptest! {
     /// queries over random small databases, every per-fact value the engine
     /// returns equals the brute-force aggregate Banzhaf value (the signed
     /// sum of `val(Y + f) - val(Y)` over all `2^n` subsets of the other
-    /// facts) — with the cache on and off, at 1 and 2 threads.
+    /// facts) — with the cache on and off (aggregate lineages bypass it
+    /// either way), at 1 and 2 threads.
     #[test]
     fn aggregate_attributions_agree_with_brute_force(
         rows in aggregate_rows(),
@@ -595,50 +596,71 @@ proptest! {
     }
 }
 
-/// Weighted cache keying: lineages sharing one Boolean skeleton but
-/// differing in clause weights (with no skeleton automorphism carrying one
-/// weight placement to the other) or in aggregate kind occupy **separate**
-/// cache entries, while a genuine weighted isomorph (renamed variables,
-/// weights carried along) still hits.
-#[test]
-fn weighted_lineages_key_apart_by_weights_and_kind() {
-    let path = |offset: u32, weights: [i64; 3], kind| {
-        WeightedDnf::from_weighted_clauses(
-            kind,
-            vec![
-                (vec![Var(offset), Var(offset + 1)], Rational::from(weights[0])),
-                (vec![Var(offset + 1), Var(offset + 2)], Rational::from(weights[1])),
-                (vec![Var(offset + 2), Var(offset + 3)], Rational::from(weights[2])),
-            ],
-        )
-    };
-    // Four pairwise non-isomorphic variants of the same 4-path skeleton: the
-    // odd weight in the middle vs at the end (the path's only non-trivial
-    // automorphism is the reflection, which fixes the middle clause), a
-    // COUNT twin, and a MIN twin of the first weight placement.
-    let middle = path(0, [2, 9, 2], AggregateKind::Sum);
-    let end = path(0, [9, 2, 2], AggregateKind::Sum);
-    let count = path(0, [1, 1, 1], AggregateKind::Count);
-    let min = path(0, [2, 9, 2], AggregateKind::Min);
+/// A weighted 4-path over the facts `offset..offset + 4`, clause `k`
+/// weighing `weights[k]`.
+fn weighted_path(offset: u32, kind: AggregateKind, weights: [i64; 3]) -> WeightedDnf {
+    WeightedDnf::from_weighted_clauses(
+        kind,
+        (0..3u32).map(|k| {
+            (vec![Var(offset + k), Var(offset + k + 1)], Rational::from(weights[k as usize]))
+        }),
+    )
+}
 
-    let engine = Engine::new(EngineConfig::default());
-    let mut session = engine.session();
-    for lineage in [&middle, &end, &count, &min] {
-        let attribution = session.attribute(lineage).unwrap();
-        assert!(!attribution.stats.cache_hit, "{:?} must get its own entry", lineage.kind());
+/// Aggregate batches run uncached: a cache-enabled engine makes no lookup,
+/// insertion or entry for them, even for exact repeats, weighted isomorphs
+/// and a COUNT twin of a SUM skeleton whose Boolean skeleton is resident,
+/// and every value equals brute force and a cache-off run bit for bit.
+#[test]
+fn aggregate_lineages_never_reach_the_shared_cache() {
+    let lineages = [
+        weighted_path(0, AggregateKind::Sum, [9, 2, 2]),
+        // Shifted labels keep the dense presentation: an exact repeat.
+        weighted_path(10, AggregateKind::Sum, [9, 2, 2]),
+        // The reflection carries each weight to its clause's image: a
+        // weighted isomorph under another presentation.
+        weighted_path(20, AggregateKind::Sum, [2, 2, 9]),
+        weighted_path(30, AggregateKind::Sum, [2, 9, 2]),
+        weighted_path(40, AggregateKind::Count, [1, 1, 1]),
+    ];
+    let refs: Vec<&WeightedDnf> = lineages.iter().collect();
+    for threads in [1usize, 2] {
+        let config = EngineConfig::new(Algorithm::ExaBan).with_threads(threads);
+        let engine = Engine::new(config.clone());
+        let mut session = engine.session();
+        let skeleton = lineages[0].dnf().clone();
+        assert!(!closed_form(&skeleton));
+        session.attribute(&skeleton).unwrap();
+        let before = engine.stats().cache;
+        assert_eq!(before.entries, 1, "the Boolean skeleton is resident");
+        let batch = session.attribute_batch(&refs, BatchOptions::default());
+        let singles: Vec<_> = lineages.iter().map(|l| session.attribute(l)).collect();
+        let after = engine.stats().cache;
+        assert_eq!(after.hits + after.misses, before.hits + before.misses, "threads={threads}");
+        assert_eq!(after.insertions, before.insertions, "threads={threads}");
+        assert_eq!(after.entries, before.entries, "threads={threads}");
+        let plain = Engine::new(config.with_cache_config(CacheConfig::disabled()))
+            .session()
+            .attribute_batch(&refs, BatchOptions::default());
+        for (((lineage, a), b), c) in lineages.iter().zip(&batch).zip(&singles).zip(&plain) {
+            let (a, b, c) = (a.as_ref().unwrap(), b.as_ref().unwrap(), c.as_ref().unwrap());
+            for got in [a, b] {
+                assert!(!got.stats.cache_hit);
+                let stats = &got.stats;
+                assert_eq!(
+                    (stats.canon_steps, stats.canon_searches, stats.prekey_skips),
+                    (0, 0, 0)
+                );
+                assert_eq!(rendering(lineage.universe(), got), rendering(lineage.universe(), c));
+            }
+            for x in lineage.universe().iter() {
+                let Some(Score::Rational(value)) = a.value(x) else {
+                    panic!("aggregate scores are exact rationals");
+                };
+                assert_eq!(**value, lineage.brute_force_aggregate_banzhaf(x), "threads={threads}");
+            }
+        }
     }
-    // The Boolean skeleton itself keys apart from every weighted entry.
-    let skeleton = middle.dnf().clone();
-    assert!(!session.attribute(&skeleton).unwrap().stats.cache_hit);
-    let stats = engine.stats().cache;
-    assert_eq!(stats.insertions, 5, "five distinct entries, no sharing");
-    assert_eq!(stats.hits, 0);
-    // A genuine weighted isomorph — variables renamed, weights carried
-    // along — is served from `middle`'s entry.
-    let renamed = path(20, [2, 9, 2], AggregateKind::Sum);
-    assert!(session.attribute(&renamed).unwrap().stats.cache_hit);
-    assert_eq!(engine.stats().cache.entries, 5);
-    assert_eq!(engine.stats().cache.hits, 1);
 }
 
 /// An order-independent rendering of everything an attribution reports per
@@ -808,49 +830,6 @@ fn in_batch_presentation_reuse_in_an_occupied_bucket_is_a_miss() {
         let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
         assert_eq!(rendering(phi.universe(), a), rendering(phi.universe(), b));
     }
-}
-
-#[test]
-fn weighted_lineages_with_one_skeleton_presentation_never_share_by_presentation() {
-    // The odd weight in the middle vs at the end of a 4-path: equal
-    // skeleton presentation and equal fingerprint, different functions.
-    let path = |weights: [i64; 3], kind| {
-        WeightedDnf::from_weighted_clauses(
-            kind,
-            vec![
-                (vec![Var(0), Var(1)], Rational::from(weights[0])),
-                (vec![Var(1), Var(2)], Rational::from(weights[1])),
-                (vec![Var(2), Var(3)], Rational::from(weights[2])),
-            ],
-        )
-    };
-    let variants = [
-        path([2, 9, 2], AggregateKind::Sum),
-        path([9, 2, 2], AggregateKind::Sum),
-        path([2, 9, 2], AggregateKind::Max),
-    ];
-    let engine = Engine::new(EngineConfig::default());
-    let mut cached = engine.session();
-    let mut plain =
-        Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled())).session();
-    for lineage in &variants {
-        let a = cached.attribute(lineage).unwrap();
-        let b = plain.attribute(lineage).unwrap();
-        assert!(
-            !a.stats.cache_hit,
-            "{:?} {:?} must not be served",
-            lineage.kind(),
-            lineage.weights()
-        );
-        assert_eq!(rendering(lineage.universe(), &a), rendering(lineage.universe(), &b));
-    }
-    // The exact repeat of each variant is a presentation hit.
-    for lineage in &variants {
-        let a = cached.attribute(lineage).unwrap();
-        assert!(a.stats.cache_hit);
-        assert_eq!(a.stats.canon_searches, 0);
-    }
-    assert_eq!(engine.stats().cache.entries, 3);
 }
 
 #[test]
@@ -1197,8 +1176,9 @@ proptest! {
     /// three rounds through one engine: the first keys each new
     /// presentation, the second learns it as an alias, the third is served
     /// by presentation or alias without any keying — and every answer, alias
-    /// hits included, equals the brute-force Banzhaf value, Boolean and
-    /// weighted alike.
+    /// hits included, equals the brute-force Banzhaf value. Weighted copies
+    /// match brute force too, and, bypassing the cache, neither hit nor key
+    /// in any round.
     #[test]
     fn alias_hits_on_random_isomorphs_equal_brute_force(
         phi in small_dnf(),
@@ -1235,10 +1215,12 @@ proptest! {
                     };
                     prop_assert_eq!(&**got, &lineage.brute_force_aggregate_banzhaf(x));
                 }
-                if round == 2 {
-                    prop_assert!(a.stats.cache_hit);
-                    prop_assert_eq!(a.stats.canon_steps, 0, "a warm presentation keys nothing");
-                }
+                // Aggregate lineages bypass the cache in every round.
+                prop_assert!(!a.stats.cache_hit);
+                prop_assert_eq!(
+                    (a.stats.canon_steps, a.stats.canon_searches, a.stats.prekey_skips),
+                    (0, 0, 0)
+                );
             }
         }
     }

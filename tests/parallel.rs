@@ -155,9 +155,8 @@ fn shared_budget_interrupts_across_workers() {
     }
 }
 
-/// A contested-heavy *aggregate* batch: four weighted-isomorphic SUM
-/// lineages per shape (every fingerprint bucket is contested), plus a COUNT
-/// twin of the first shape so kind keying is exercised under fan-out.
+/// An aggregate batch with repeats: four weighted-isomorphic SUM lineages
+/// per shape, plus a COUNT twin of the first shape's skeleton.
 fn contested_aggregate_batch() -> Vec<WeightedDnf> {
     let mut lineages = Vec::new();
     for shape in 0..2u32 {
@@ -184,9 +183,9 @@ fn contested_aggregate_batch() -> Vec<WeightedDnf> {
     lineages
 }
 
-/// Aggregate batches run through the same two-pass canonicalization plan as
-/// Boolean ones: per-fact rationals and aggregate totals are bit-identical
-/// at 1, 2 and 4 threads, cache on and off, on a contested-heavy batch.
+/// Aggregate batches fan their compiles across the pool like Boolean ones
+/// (uncached, whatever the cache setting): per-fact rationals and aggregate
+/// totals are bit-identical at 1, 2 and 4 threads, cache on and off.
 #[test]
 fn contested_aggregate_batches_are_thread_count_invariant() {
     let lineages = contested_aggregate_batch();
