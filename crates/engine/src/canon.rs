@@ -1620,6 +1620,44 @@ mod tests {
         }
 
         #[test]
+        fn decomposed_keys_are_canonical_renamings(
+            kind in 0usize..8,
+            other_kind in 0usize..8,
+            size in 3usize..7,
+            copies in 1usize..4,
+            common in 0usize..3,
+            unused in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let kinds = (kind, other_kind);
+            let (num_vars, clauses) = decomposable(kinds, size, copies, common, unused, &mut rng);
+            // The factored, split and multiplied key is the input renamed
+            // through its witness, whatever the presentation.
+            let form = unbudgeted_form(num_vars, &clauses);
+            prop_assert!(is_renaming_of(&form, num_vars, &clauses));
+            let scrambled = scramble(num_vars, &clauses, &mut rng);
+            prop_assert_eq!(&unbudgeted_form(num_vars, &scrambled).clauses, &form.clauses);
+            // Complete and sound exactly where the search is: against an
+            // isomorphic copy, a copy with one clause widened by a variable
+            // it lacks and an independently drawn shape, keys agree iff the
+            // search-only keys agree.
+            let mut widened = scrambled.clone();
+            let at = rng.gen_range(0..widened.len());
+            let lacking: Vec<u32> =
+                (0..num_vars as u32).filter(|v| !widened[at].contains(v)).collect();
+            widened[at].push(lacking[rng.gen_range(0..lacking.len())]);
+            widened[at].sort_unstable();
+            let (drawn_vars, drawn) = decomposable(kinds, size, copies, common, unused, &mut rng);
+            let search = search_form(num_vars, &clauses).clauses;
+            for (n, other) in [(num_vars, &scrambled), (num_vars, &widened), (drawn_vars, &drawn)] {
+                let same_key = n == num_vars && unbudgeted_form(n, other).clauses == form.clauses;
+                let same_search = n == num_vars && search_form(n, other).clauses == search;
+                prop_assert_eq!(same_key, same_search);
+            }
+        }
+
+        #[test]
         fn unclassed_keys_are_canonical_renamings(
             kind in 0usize..8,
             other_kind in 0usize..8,
