@@ -1,6 +1,14 @@
-//! Positive DNF functions with an explicit variable universe.
+//! Positive DNF functions with an explicit variable universe, stored flat.
+//!
+//! A [`Dnf`] keeps every clause's variables in one `Vec<Var>`, clause after
+//! clause, with one `u32` end offset per clause, next to its universe: three
+//! buffers however many clauses it has. Readers borrow the clauses through
+//! the [`Clauses`] list view and its `Copy` [`Clause`] views, so building,
+//! cloning and dropping a lineage costs one allocation per buffer rather
+//! than one per clause.
 
-use crate::{Assignment, Clause, Var, VarSet};
+use crate::{Assignment, Clause, Clauses, Var, VarSet};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -13,13 +21,17 @@ use std::fmt;
 /// the universe (Example 13 of the paper).
 ///
 /// Canonical form:
-/// * clauses are sorted and deduplicated;
+/// * every clause is sorted and deduplicated, and the clauses are sorted
+///   (as variable slices) and deduplicated;
 /// * a tautology is represented by the single empty clause;
 /// * the constant `false` is represented by an empty clause list.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Dnf {
     universe: VarSet,
-    clauses: Vec<Clause>,
+    /// Every clause's variables, clause after clause.
+    vars: Vec<Var>,
+    /// Clause `i` is `vars[ends[i - 1]..ends[i]]` (from 0 for `i = 0`).
+    ends: Vec<u32>,
 }
 
 impl Dnf {
@@ -30,9 +42,34 @@ impl Dnf {
         I: IntoIterator<Item = C>,
         C: IntoIterator<Item = Var>,
     {
-        let clauses: Vec<Clause> = clauses.into_iter().map(Clause::new).collect();
-        let universe: VarSet = clauses.iter().flat_map(Clause::iter).collect();
-        Dnf::from_parts(universe, clauses)
+        let clauses = clauses.into_iter();
+        let mut dnf = Dnf::with_capacity(VarSet::empty(), clauses.size_hint().0, 0);
+        for clause in clauses {
+            dnf.push_clause(clause);
+        }
+        dnf.with_used_universe().canonical()
+    }
+
+    /// Builds a DNF from borrowed clause slices (in any order, each in any
+    /// order, repeats allowed). The universe is the set of variables
+    /// occurring in the clauses.
+    ///
+    /// A first pass over `clauses` sizes the variable buffer and the clause
+    /// ends exactly, so the DNF costs one allocation per buffer (and one for
+    /// the universe) when the clauses already come in canonical order;
+    /// otherwise the clause list is re-sorted once.
+    pub fn from_clause_slices<'a, I>(clauses: I) -> Self
+    where
+        I: IntoIterator<Item = &'a [Var]>,
+        I::IntoIter: Clone,
+    {
+        let clauses = clauses.into_iter();
+        let (count, size) = clauses.clone().fold((0, 0), |(n, s), c| (n + 1, s + c.len()));
+        let mut dnf = Dnf::with_capacity(VarSet::empty(), count, size);
+        for clause in clauses {
+            dnf.push_clause(clause.iter().copied());
+        }
+        dnf.with_used_universe().canonical()
     }
 
     /// Builds a DNF from clauses over an explicitly given universe.
@@ -44,45 +81,105 @@ impl Dnf {
         I: IntoIterator<Item = C>,
         C: IntoIterator<Item = Var>,
     {
-        let clauses: Vec<Clause> = clauses.into_iter().map(Clause::new).collect();
-        for c in &clauses {
-            for v in c.iter() {
-                assert!(universe.contains(v), "clause variable {v} outside the universe");
-            }
+        let clauses = clauses.into_iter();
+        let mut dnf = Dnf::with_capacity(universe, clauses.size_hint().0, 0);
+        for clause in clauses {
+            dnf.push_clause(clause);
         }
-        Dnf::from_parts(universe, clauses)
+        for &v in &dnf.vars {
+            assert!(dnf.universe.contains(v), "clause variable {v} outside the universe");
+        }
+        dnf.canonical()
     }
 
-    /// Internal constructor enforcing the canonical form.
-    pub(crate) fn from_parts(universe: VarSet, mut clauses: Vec<Clause>) -> Self {
-        if clauses.iter().any(Clause::is_empty) {
-            return Dnf { universe, clauses: vec![Clause::empty()] };
+    /// An empty clause list over `universe` with room for `clauses` clauses
+    /// of `size` variables in all: the start of a DNF built clause by clause
+    /// with [`push_clause`](Dnf::push_clause) or
+    /// [`push_sorted`](Dnf::push_sorted).
+    pub(crate) fn with_capacity(universe: VarSet, clauses: usize, size: usize) -> Self {
+        Dnf { universe, vars: Vec::with_capacity(size), ends: Vec::with_capacity(clauses) }
+    }
+
+    /// Appends a clause given as arbitrary variables, sorting and
+    /// deduplicating them in place. The clause list may leave canonical form
+    /// until [`canonical`](Dnf::canonical) restores it.
+    pub(crate) fn push_clause(&mut self, clause: impl IntoIterator<Item = Var>) {
+        let start = self.vars.len();
+        self.vars.extend(clause);
+        if !strictly_increasing(&self.vars[start..]) {
+            self.vars[start..].sort_unstable();
+            let mut kept = start;
+            for read in start..self.vars.len() {
+                if kept == start || self.vars[read] != self.vars[kept - 1] {
+                    self.vars[kept] = self.vars[read];
+                    kept += 1;
+                }
+            }
+            self.vars.truncate(kept);
         }
-        // Skip the O(n log n) sort when the input is provably canonical
-        // already — strictly increasing means sorted *and* deduplicated.
-        // Conditioning on `v := 0` only drops clauses from a canonical list
-        // (order and uniqueness preserved), so the hottest construction path
-        // during d-tree compilation takes this linear check alone.
-        if !clauses.windows(2).all(|w| w[0] < w[1]) {
-            clauses.sort_unstable();
-            clauses.dedup();
+        self.close_clause();
+    }
+
+    /// Appends a clause whose variables are already sorted and distinct.
+    pub(crate) fn push_sorted(&mut self, clause: &[Var]) {
+        debug_assert!(strictly_increasing(clause), "clause not sorted");
+        self.vars.extend_from_slice(clause);
+        self.close_clause();
+    }
+
+    fn close_clause(&mut self) {
+        let end = u32::try_from(self.vars.len()).expect("fewer than 2^32 clause variables");
+        self.ends.push(end);
+    }
+
+    /// The same clause list over the variables occurring in it.
+    pub(crate) fn with_used_universe(mut self) -> Dnf {
+        self.universe = self.used_vars();
+        self
+    }
+
+    /// The `i`-th clause's variables.
+    pub(crate) fn clause(&self, i: usize) -> &[Var] {
+        self.clauses().get(i).expect("a clause index in range").vars()
+    }
+
+    /// Restores the canonical form after clauses were pushed: a list with an
+    /// empty clause becomes the single empty clause, and a list out of
+    /// order is sorted and deduplicated. A list already strictly increasing
+    /// (sorted *and* deduplicated), as conditioning on `v := 0` or a sorted
+    /// evaluator group leaves it, is kept after one linear check.
+    pub(crate) fn canonical(self) -> Dnf {
+        if self.ends.first() == Some(&0) || self.ends.windows(2).any(|w| w[0] == w[1]) {
+            return Dnf::constant_true(self.universe);
         }
-        Dnf { universe, clauses }
+        let n = self.ends.len();
+        if (1..n).all(|i| self.clause(i - 1) < self.clause(i)) {
+            return self;
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by(|&a, &b| self.clause(a).cmp(self.clause(b)));
+        order.dedup_by(|a, b| self.clause(*a) == self.clause(*b));
+        let mut sorted = Dnf::with_capacity(VarSet::empty(), order.len(), self.vars.len());
+        for &i in &order {
+            sorted.push_sorted(self.clause(i));
+        }
+        sorted.universe = self.universe;
+        sorted
     }
 
     /// The constant `true` function over the given universe.
     pub fn constant_true(universe: VarSet) -> Self {
-        Dnf { universe, clauses: vec![Clause::empty()] }
+        Dnf { universe, vars: Vec::new(), ends: vec![0] }
     }
 
     /// The constant `false` function over the given universe.
     pub fn constant_false(universe: VarSet) -> Self {
-        Dnf { universe, clauses: Vec::new() }
+        Dnf { universe, vars: Vec::new(), ends: Vec::new() }
     }
 
     /// The single-variable function `v`.
     pub fn variable(v: Var) -> Self {
-        Dnf { universe: VarSet::from_iter([v]), clauses: vec![Clause::new([v])] }
+        Dnf { universe: VarSet::from_sorted(vec![v]), vars: vec![v], ends: vec![1] }
     }
 
     /// The universe the function is defined over.
@@ -100,28 +197,29 @@ impl Dnf {
         if self.is_true() {
             0
         } else {
-            self.clauses.len()
+            self.ends.len()
         }
     }
 
-    /// Total number of literal occurrences (the `|φ|` size measure).
+    /// Total number of literal occurrences (the `|φ|` size measure): the
+    /// length of the variable buffer, read in `O(1)`.
     pub fn size(&self) -> usize {
-        self.clauses.iter().map(Clause::len).sum()
+        self.vars.len()
     }
 
-    /// The clauses of the function.
-    pub fn clauses(&self) -> &[Clause] {
-        &self.clauses
+    /// The clauses of the function, in canonical order.
+    pub fn clauses(&self) -> Clauses<'_> {
+        Clauses::new(&self.vars, &self.ends)
     }
 
     /// `true` iff the function is the constant `true`.
     pub fn is_true(&self) -> bool {
-        self.clauses.first().is_some_and(Clause::is_empty)
+        self.ends.first() == Some(&0)
     }
 
     /// `true` iff the function is the constant `false`.
     pub fn is_false(&self) -> bool {
-        self.clauses.is_empty()
+        self.ends.is_empty()
     }
 
     /// `true` iff the function is a constant.
@@ -132,35 +230,30 @@ impl Dnf {
     /// `true` iff the function is a single positive literal over a singleton
     /// universe.
     pub fn is_single_literal(&self) -> Option<Var> {
-        if self.universe.len() == 1 && self.clauses.len() == 1 && self.clauses[0].len() == 1 {
-            Some(self.clauses[0].vars()[0])
-        } else {
-            None
-        }
+        (self.universe.len() == 1 && self.ends.len() == 1 && self.vars.len() == 1)
+            .then(|| self.vars[0])
     }
 
     /// The set of variables that actually occur in some clause.
     pub fn used_vars(&self) -> VarSet {
-        self.clauses.iter().flat_map(Clause::iter).collect()
+        self.vars.iter().copied().collect()
     }
 
     /// `true` iff the variable occurs in some clause.
     pub fn uses_var(&self, v: Var) -> bool {
-        self.clauses.iter().any(|c| c.contains(v))
+        self.vars.contains(&v)
     }
 
     /// Evaluates the function under an assignment.
     pub fn evaluate(&self, assignment: &Assignment) -> bool {
-        self.clauses.iter().any(|c| c.iter().all(|v| assignment.get(v)))
+        self.clauses().iter().any(|c| c.iter().all(|v| assignment.get(v)))
     }
 
     /// Number of occurrences of each used variable across all clauses.
     pub fn occurrence_counts(&self) -> HashMap<Var, usize> {
         let mut counts = HashMap::new();
-        for c in &self.clauses {
-            for v in c.iter() {
-                *counts.entry(v).or_insert(0) += 1;
-            }
+        for &v in &self.vars {
+            *counts.entry(v).or_insert(0) += 1;
         }
         counts
     }
@@ -172,25 +265,39 @@ impl Dnf {
         if self.is_true() {
             return Dnf::constant_true(universe);
         }
-        // Exact preallocation: setting `v := 1` keeps every clause (some
-        // shortened), setting `v := 0` keeps exactly the clauses avoiding v.
-        let kept = if value {
-            self.clauses.len()
+        // Exact preallocation: setting `v := 1` keeps every clause, those
+        // holding `v` one variable shorter; setting `v := 0` keeps exactly
+        // the clauses avoiding `v`.
+        let (mut hits, mut hit_size) = (0, 0);
+        for c in self.clauses().iter().filter(|c| c.contains(v)) {
+            hits += 1;
+            hit_size += c.len();
+        }
+        let (clauses, size) = if value {
+            (self.ends.len(), self.vars.len() - hits)
         } else {
-            self.clauses.iter().filter(|c| !c.contains(v)).count()
+            (self.ends.len() - hits, self.vars.len() - hit_size)
         };
-        let mut clauses = Vec::with_capacity(kept);
-        for c in &self.clauses {
-            if c.contains(v) {
-                if value {
-                    clauses.push(c.without(v));
+        let mut out = Dnf::with_capacity(universe, clauses, size);
+        for c in self.clauses() {
+            match c.vars().binary_search(&v) {
+                Ok(at) if value => {
+                    out.vars.extend_from_slice(&c.vars()[..at]);
+                    out.vars.extend_from_slice(&c.vars()[at + 1..]);
+                    out.close_clause();
                 }
                 // value == false: the clause is falsified and dropped.
-            } else {
-                clauses.push(c.clone());
+                Ok(_) => {}
+                Err(_) => out.push_sorted(c.vars()),
             }
         }
-        Dnf::from_parts(universe, clauses)
+        // Dropping clauses keeps a canonical list canonical; shortening them
+        // can reorder, repeat or empty some.
+        if value {
+            out.canonical()
+        } else {
+            out
+        }
     }
 
     /// Returns the same function defined over a larger universe.
@@ -202,7 +309,7 @@ impl Dnf {
             self.universe.is_subset(&universe),
             "widen_universe: new universe must contain the old one"
         );
-        Dnf { universe, clauses: self.clauses.clone() }
+        Dnf { universe, vars: self.vars.clone(), ends: self.ends.clone() }
     }
 
     /// The same clauses over the universe of variables that actually occur.
@@ -214,7 +321,7 @@ impl Dnf {
     /// restricted to its used variables before it can be compared — or
     /// cached — interchangeably with a lineage built fresh from its clauses.
     pub fn restrict_to_used(&self) -> Dnf {
-        Dnf { universe: self.used_vars(), clauses: self.clauses.clone() }
+        Dnf { universe: self.used_vars(), vars: self.vars.clone(), ends: self.ends.clone() }
     }
 
     /// Removes clauses that are subsumed by (are supersets of) other clauses.
@@ -227,29 +334,54 @@ impl Dnf {
         if self.is_constant() {
             return self.clone();
         }
-        let mut kept: Vec<Clause> = Vec::with_capacity(self.clauses.len());
         // Shorter clauses absorb longer ones; process by increasing length.
-        let mut by_len = self.clauses.clone();
-        by_len.sort_by_key(Clause::len);
-        'outer: for c in by_len {
-            for k in &kept {
-                if k.subsumes(&c) {
-                    continue 'outer;
-                }
+        let mut by_len: Vec<Clause<'_>> = self.clauses().iter().collect();
+        by_len.sort_by_key(|c| c.len());
+        let mut kept: Vec<Clause<'_>> = Vec::with_capacity(by_len.len());
+        for c in by_len {
+            if !kept.iter().any(|k| k.subsumes(c)) {
+                kept.push(c);
             }
-            kept.push(c);
         }
-        Dnf::from_parts(self.universe.clone(), kept)
+        let size = kept.iter().map(|c| c.len()).sum();
+        let mut out = Dnf::with_capacity(self.universe.clone(), kept.len(), size);
+        for c in kept {
+            out.push_sorted(c.vars());
+        }
+        out.canonical()
     }
 
-    /// Disjunction of two functions over the union of their universes.
+    /// Disjunction of two functions over the union of their universes: one
+    /// merge of the two sorted clause lists.
     pub fn or(&self, other: &Dnf) -> Dnf {
         let universe = self.universe.union(&other.universe);
         if self.is_true() || other.is_true() {
             return Dnf::constant_true(universe);
         }
-        let clauses = self.clauses.iter().chain(other.clauses.iter()).cloned().collect();
-        Dnf::from_parts(universe, clauses)
+        let mut out = Dnf::with_capacity(
+            universe,
+            self.ends.len() + other.ends.len(),
+            self.vars.len() + other.vars.len(),
+        );
+        let (mut a, mut b) = (self.clauses().iter().peekable(), other.clauses().iter().peekable());
+        loop {
+            let next = match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) => match x.cmp(y) {
+                    Ordering::Less => a.next(),
+                    Ordering::Greater => b.next(),
+                    Ordering::Equal => {
+                        b.next();
+                        a.next()
+                    }
+                },
+                (Some(_), None) => a.next(),
+                (None, _) => b.next(),
+            };
+            match next {
+                Some(clause) => out.push_sorted(clause.vars()),
+                None => return out,
+            }
+        }
     }
 
     /// Conjunction of two functions over the union of their universes
@@ -265,14 +397,23 @@ impl Dnf {
         if other.is_true() {
             return self.widen_universe(universe);
         }
-        let mut clauses = Vec::with_capacity(self.clauses.len() * other.clauses.len());
-        for a in &self.clauses {
-            for b in &other.clauses {
-                clauses.push(Clause::new(a.iter().chain(b.iter())));
+        let mut out = Dnf::with_capacity(
+            universe,
+            self.ends.len() * other.ends.len(),
+            self.vars.len() * other.ends.len() + other.vars.len() * self.ends.len(),
+        );
+        for a in self.clauses() {
+            for b in other.clauses() {
+                out.push_clause(a.iter().chain(b.iter()));
             }
         }
-        Dnf::from_parts(universe, clauses)
+        out.canonical()
     }
+}
+
+/// `true` iff `vars` is sorted and holds no repeat.
+fn strictly_increasing(vars: &[Var]) -> bool {
+    vars.windows(2).all(|w| w[0] < w[1])
 }
 
 impl fmt::Debug for Dnf {
@@ -283,7 +424,7 @@ impl fmt::Debug for Dnf {
         if self.is_true() {
             return write!(f, "⊤[{} vars]", self.num_vars());
         }
-        let parts: Vec<String> = self.clauses.iter().map(|c| format!("({c})")).collect();
+        let parts: Vec<String> = self.clauses().iter().map(|c| format!("({c})")).collect();
         write!(f, "{} [{} vars]", parts.join(" ∨ "), self.num_vars())
     }
 }
@@ -393,7 +534,7 @@ mod tests {
         let phi = Dnf::from_clauses(vec![vec![v(0)], vec![v(0), v(1)]]);
         let a = phi.absorb();
         assert_eq!(a.num_clauses(), 1);
-        assert_eq!(a.clauses()[0].vars(), &[v(0)]);
+        assert_eq!(a.clauses().get(0).unwrap().vars(), &[v(0)]);
         assert_eq!(a.num_vars(), 2); // Universe is unchanged.
                                      // Model counts agree.
         assert_eq!(phi.brute_force_model_count(), a.brute_force_model_count());

@@ -53,8 +53,7 @@ impl Dnf {
         if self.is_false() {
             return Natural::zero();
         }
-        let used: usize = self.clauses().iter().map(Clause::len).sum();
-        let free = self.num_vars() - used;
+        let free = self.num_vars() - self.size();
         let mut non_models = Natural::pow2(free);
         for c in self.clauses() {
             let ways = &Natural::pow2(c.len()) - &Natural::one();
@@ -77,19 +76,19 @@ pub fn lower_bound_fn(phi: &Dnf) -> Dnf {
     if phi.is_constant() {
         return phi.clone();
     }
-    let mut order: Vec<&Clause> = phi.clauses().iter().collect();
+    let mut order: Vec<Clause<'_>> = phi.clauses().iter().collect();
     order.sort_by_key(|c| c.len());
     let mut used = VarSet::empty();
-    let mut kept: Vec<Clause> = Vec::new();
+    let mut kept = Dnf::with_capacity(phi.universe().clone(), 0, 0);
     for c in order {
         if c.iter().all(|v| !used.contains(v)) {
             for v in c.iter() {
                 used.insert(v);
             }
-            kept.push(c.clone());
+            kept.push_sorted(c.vars());
         }
     }
-    Dnf::from_parts(phi.universe().clone(), kept)
+    kept.canonical()
 }
 
 /// The iDNF upper-bound function `U(φ)`: keeps the first occurrence of every
@@ -101,15 +100,17 @@ pub fn upper_bound_fn(phi: &Dnf) -> Dnf {
         return phi.clone();
     }
     let mut seen = VarSet::empty();
-    let mut kept: Vec<Clause> = Vec::with_capacity(phi.num_clauses());
+    let mut kept = Dnf::with_capacity(phi.universe().clone(), phi.num_clauses(), phi.size());
+    let mut fresh: Vec<Var> = Vec::new();
     for c in phi.clauses() {
-        let fresh: Vec<Var> = c.iter().filter(|&v| !seen.contains(v)).collect();
+        fresh.clear();
+        fresh.extend(c.iter().filter(|&v| !seen.contains(v)));
         for &v in &fresh {
             seen.insert(v);
         }
-        kept.push(Clause::new(fresh));
+        kept.push_sorted(&fresh);
     }
-    Dnf::from_parts(phi.universe().clone(), kept)
+    kept.canonical()
 }
 
 /// Lower and upper bounds for the model count and the Banzhaf value of one
@@ -287,9 +288,9 @@ mod tests {
     fn upper_bound_may_collapse_to_true() {
         // Duplicate clause: the second occurrence loses all variables,
         // turning U(φ) into the constant true — still a sound upper bound.
-        let phi = Dnf::from_parts(
+        let phi = Dnf::from_clauses_with_universe(
+            vec![vec![v(0), v(1)], vec![v(0)]],
             VarSet::from_iter([v(0), v(1)]),
-            vec![Clause::new([v(0), v(1)]), Clause::new([v(0)])],
         );
         let u = upper_bound_fn(&phi);
         assert!(u.idnf_model_count() >= phi.brute_force_model_count());

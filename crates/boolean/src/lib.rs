@@ -8,7 +8,9 @@
 //!
 //! * [`Dnf`] — a positive DNF with an explicit variable *universe* (the
 //!   function may be defined over more variables than it mentions, which
-//!   matters for model counting, cf. Example 13 of the paper);
+//!   matters for model counting, cf. Example 13 of the paper), stored flat:
+//!   one variable buffer with clause end offsets, read through the borrowed
+//!   [`Clauses`] and [`Clause`] views;
 //! * conditioning `φ[x := b]`, evaluation, and structural queries;
 //! * the iDNF lower/upper bound constructions `L(φ)` and `U(φ)` of
 //!   Sec. 3.2.1 with their linear-time model counting;
@@ -43,7 +45,7 @@ mod var;
 mod weighted;
 
 pub use assignment::Assignment;
-pub use clause::Clause;
+pub use clause::{Clause, ClauseIter, Clauses};
 pub use dnf::Dnf;
 pub use idnf::{lower_bound_fn, upper_bound_fn, IdnfCounts};
 pub use lineage::{AsLineage, Lineage};

@@ -26,7 +26,7 @@
 //! propagation abstraction (count/sum with a zero identity, min/max with
 //! ±∞ identities) used by world evaluation and sampling estimators.
 
-use crate::{Assignment, Clause, Dnf, Var, VarSet};
+use crate::{Assignment, Dnf, Var, VarSet};
 use banzhaf_arith::Rational;
 use std::fmt;
 
@@ -185,24 +185,33 @@ impl WeightedDnf {
         I: IntoIterator<Item = (C, Rational)>,
         C: IntoIterator<Item = Var>,
     {
-        let mut pairs: Vec<(Clause, Rational)> =
-            clauses.into_iter().map(|(c, w)| (Clause::new(c), w)).collect();
+        let mut flat = Dnf::with_capacity(VarSet::empty(), 0, 0);
+        let mut weights = Vec::new();
+        for (clause, weight) in clauses {
+            flat.push_clause(clause);
+            weights.push(weight);
+        }
         assert!(
-            pairs.iter().all(|(c, _)| !c.is_empty()),
+            flat.clauses().iter().all(|c| !c.is_empty()),
             "weighted clauses must mention at least one endogenous fact"
         );
-        pairs.sort_by(|(a, _), (b, _)| a.cmp(b));
-        let mut merged: Vec<(Clause, Rational)> = Vec::with_capacity(pairs.len());
-        for (c, w) in pairs {
-            match merged.last_mut() {
-                Some((last, acc)) if *last == c => *acc = kind.merge_weights(acc, &w),
-                _ => merged.push((c, w)),
+        // A stable sort, so equal clauses merge their weights in input order.
+        let mut order: Vec<usize> = (0..weights.len()).collect();
+        order.sort_by(|&a, &b| flat.clause(a).cmp(flat.clause(b)));
+        let mut dnf = Dnf::with_capacity(VarSet::empty(), order.len(), flat.size());
+        let mut merged: Vec<Rational> = Vec::with_capacity(order.len());
+        for i in order {
+            let (clause, n) = (flat.clause(i), merged.len());
+            if n > 0 && dnf.clause(n - 1) == clause {
+                merged[n - 1] = kind.merge_weights(&merged[n - 1], &weights[i]);
+            } else {
+                dnf.push_sorted(clause);
+                merged.push(weights[i].clone());
             }
         }
-        let weights: Vec<Rational> = merged.iter().map(|(_, w)| w.clone()).collect();
-        let dnf = Dnf::from_clauses(merged.into_iter().map(|(c, _)| c.vars().to_vec()));
-        debug_assert_eq!(dnf.num_clauses(), weights.len());
-        WeightedDnf { kind, dnf, weights }
+        let dnf = dnf.with_used_universe();
+        debug_assert_eq!(dnf.num_clauses(), merged.len());
+        WeightedDnf { kind, dnf, weights: merged }
     }
 
     /// Builds a `COUNT` lineage where every clause weighs 1 (duplicates add).
@@ -290,7 +299,7 @@ impl WeightedDnf {
                 .iter()
                 .zip(&self.weights)
                 .filter(|(_, w)| keep(w))
-                .map(|(c, _)| c.vars().to_vec()),
+                .map(|(c, _)| c.iter()),
             self.universe().clone(),
         )
     }

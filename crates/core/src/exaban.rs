@@ -344,25 +344,19 @@ pub struct ClosedForm<'a> {
 
 impl<'a> ClosedForm<'a> {
     /// The closed form of `phi`, or `None` for a constant or for clauses
-    /// that share a variable. One linear pass rejects: `Σ|C_j| ≤ n` is
-    /// tested first, in `O(clauses)` and without allocating, and then that
-    /// no variable repeats.
+    /// that share a variable. `Σ|C_j| ≤ n` is tested first, in `O(1)` from
+    /// the length of the lineage's variable buffer, and then one linear pass
+    /// checks that no variable repeats.
     pub fn of(phi: &'a Dnf) -> Option<Self> {
-        if phi.is_constant() {
+        let universe = phi.universe().as_slice();
+        let size = phi.size();
+        if size > universe.len() || phi.is_constant() {
             return None;
         }
-        let universe = phi.universe().as_slice();
         let clauses = phi.clauses();
-        let mut size = 0usize;
-        for clause in clauses {
-            size += clause.len();
-            if size > universe.len() {
-                return None;
-            }
-        }
         let mut used = vec![0u64; universe.len().div_ceil(64)];
-        for v in clauses.iter().flat_map(Clause::vars) {
-            let p = universe.binary_search(v).expect("clause variable in the universe");
+        for v in clauses.iter().flat_map(Clause::iter) {
+            let p = universe.binary_search(&v).expect("clause variable in the universe");
             let bit = 1u64 << (p % 64);
             if used[p / 64] & bit != 0 {
                 return None;
@@ -404,7 +398,7 @@ impl<'a> ClosedForm<'a> {
         let in_clauses = self.phi.clauses().iter().flat_map(move |clause| {
             let (_, score) =
                 self.scores.iter().find(|(w, _)| *w == clause.len()).expect("every width scored");
-            clause.vars().iter().map(move |&v| (v, score.clone()))
+            clause.iter().map(move |v| (v, score.clone()))
         });
         let unused = self
             .phi

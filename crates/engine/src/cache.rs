@@ -80,7 +80,7 @@ use crate::canon::{canonical_form, fingerprint, Fingerprint};
 use crate::persist::SnapshotError;
 use banzhaf::Budget;
 use banzhaf_arith::Rational;
-use banzhaf_boolean::{AggregateKind, Clause, Dnf, Lineage, Var, VarSet, WeightedDnf};
+use banzhaf_boolean::{AggregateKind, Dnf, Lineage, Var, VarSet, WeightedDnf};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -180,7 +180,8 @@ pub(crate) struct CanonInfo {
 /// [`Prekeyed::dense_weighted`]) only when the lookup misses, so a cache hit
 /// builds neither.
 pub(crate) struct Prekeyed {
-    pub(crate) fingerprint: Fingerprint,
+    /// `None` for an aggregate lineage, which never looks the cache up.
+    fingerprint: Option<Fingerprint>,
     pub(crate) shape: Arc<Shape>,
     /// Dense variable → original fact.
     originals: Vec<Var>,
@@ -194,8 +195,8 @@ impl Prekeyed {
     /// rank indexes a table of first-occurrence ids.
     ///
     /// An aggregate lineage renames its Boolean skeleton exactly so, and the
-    /// weights follow their clauses through the rename. Its fingerprint is
-    /// the skeleton's: aggregate batches never look the cache up.
+    /// weights follow their clauses through the rename. It gets no
+    /// fingerprint: aggregate batches never look the cache up.
     pub(crate) fn of(lineage: Lineage<'_>) -> Prekeyed {
         const UNSEEN: u32 = u32::MAX;
         let dnf = lineage.dnf();
@@ -223,32 +224,35 @@ impl Prekeyed {
                 clause
             })
             .collect();
-        clauses.sort_unstable();
         originals
             .extend(universe.iter().zip(&ids).filter(|&(_, &id)| id == UNSEEN).map(|(&v, _)| v));
         let num_vars = originals.len();
-        let payload = match lineage {
-            Lineage::Boolean(_) => None,
+        let (fingerprint, payload) = match lineage {
+            Lineage::Boolean(_) => {
+                clauses.sort_unstable();
+                (Some(fingerprint(num_vars, &clauses)), None)
+            }
             Lineage::Aggregate(w) => {
-                // The weighted clauses are distinct and sorted (duplicates
-                // were merged at construction), so renaming a dense clause
-                // back to its facts and binary-searching the clause list
-                // recovers its weight.
-                let stored = dnf.clauses();
-                let weights = clauses
-                    .iter()
-                    .map(|c| {
-                        let clause = Clause::new(c.iter().map(|&i| originals[i as usize]));
-                        let at =
-                            stored.binary_search(&clause).expect("every dense clause is stored");
-                        w.weights()[at].clone()
-                    })
-                    .collect();
-                Some(WeightedInfo { kind: w.kind(), weights })
+                // The weighted clauses are distinct (duplicates were merged
+                // at construction) and the rename is injective, so sorting
+                // the dense clauses through a permutation carries each
+                // weight along with its clause.
+                let mut order: Vec<usize> = (0..clauses.len()).collect();
+                order.sort_unstable_by(|&a, &b| clauses[a].cmp(&clauses[b]));
+                let weights = order.iter().map(|&i| w.weights()[i].clone()).collect();
+                clauses = order.iter().map(|&i| std::mem::take(&mut clauses[i])).collect();
+                (None, Some(WeightedInfo { kind: w.kind(), weights }))
             }
         };
-        let fingerprint = fingerprint(num_vars, &clauses);
         Prekeyed { fingerprint, shape: Arc::new(Shape { num_vars, clauses, payload }), originals }
+    }
+
+    /// The fingerprint pre-key of a Boolean lookup.
+    ///
+    /// # Panics
+    /// Panics for an aggregate lineage, which has none.
+    pub(crate) fn fingerprint(&self) -> Fingerprint {
+        self.fingerprint.expect("aggregate lineages never look the cache up")
     }
 
     /// `true` for an aggregate lookup.
@@ -990,7 +994,7 @@ pub fn prekey_probe(lineage: &Dnf) -> u64 {
     use std::hash::{Hash, Hasher};
     let prekeyed = Prekeyed::of(Lineage::Boolean(lineage));
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    prekeyed.fingerprint.hash(&mut hasher);
+    prekeyed.fingerprint().hash(&mut hasher);
     hasher.finish()
 }
 
@@ -1028,7 +1032,7 @@ mod tests {
     /// and any unkeyed residents, then settle — and maps a hit back to the
     /// probe's facts.
     fn probe(cache: &SharedCache, p: &Prekeyed) -> Option<Attribution> {
-        match cache.lookup(p.fingerprint, &p.shape) {
+        match cache.lookup(p.fingerprint(), &p.shape) {
             Lookup::Vacant => None,
             Lookup::Presented(PresentationHit { attribution, alias: None }) => {
                 Some(p.map_back(&attribution))
@@ -1043,7 +1047,7 @@ mod tests {
                     .filter(|r| r.canon.is_none())
                     .map(|r| (r.id, Arc::new(r.shape.canonicalize(None).unwrap().0)))
                     .collect();
-                let hit = cache.finish_lookup(p.fingerprint, &p.shape, &mine, &resolved)?;
+                let hit = cache.finish_lookup(p.fingerprint(), &p.shape, &mine, &resolved)?;
                 Some(p.map_back_via(&mine.order, &hit.canon.order, &hit.attribution))
             }
         }
@@ -1058,7 +1062,7 @@ mod tests {
     }
 
     fn insert(cache: &SharedCache, p: &Prekeyed, tag: u64) {
-        cache.insert(p.fingerprint, &p.shape, None, dummy_attribution(tag));
+        cache.insert(p.fingerprint(), &p.shape, None, dummy_attribution(tag));
     }
 
     /// A presentation-keyed attribution for a 3-path: the middle variable
@@ -1216,7 +1220,7 @@ mod tests {
         let middle_mid = prekeyed_of(vec![vec![0, 1], vec![1, 2]]);
         let middle_large = prekeyed_of(vec![vec![9, 0], vec![9, 1]]);
         let middle_small = prekeyed_of(vec![vec![0, 1], vec![0, 2]]);
-        assert_eq!(middle_mid.fingerprint, middle_large.fingerprint);
+        assert_eq!(middle_mid.fingerprint(), middle_large.fingerprint());
         let (mid, steps, _) = middle_mid.shape.canonicalize(None).unwrap();
         let (large, _, _) = middle_large.shape.canonicalize(None).unwrap();
         let (small, _, _) = middle_small.shape.canonicalize(None).unwrap();
@@ -1234,7 +1238,7 @@ mod tests {
         // The path and the star already separate on the cheap pre-key (their
         // degree multisets differ), so a cache holding one never pays a
         // search when the other arrives.
-        assert_ne!(path4.fingerprint, star4.fingerprint);
+        assert_ne!(path4.fingerprint(), star4.fingerprint());
     }
 
     #[test]
@@ -1259,7 +1263,7 @@ mod tests {
             vec![4, 5],
             vec![5, 0],
         ]);
-        assert_eq!(triangles.fingerprint, hexagon.fingerprint);
+        assert_eq!(triangles.fingerprint(), hexagon.fingerprint());
         let cache = SharedCache::new(8);
         assert!(probe(&cache, &triangles).is_none());
         insert(&cache, &triangles, 1);
@@ -1308,8 +1312,8 @@ mod tests {
         let (cb, _, _) = b.shape.canonicalize(None).unwrap();
         assert_eq!(ca.key, cb.key, "isomorphic shapes share one canonical key");
         let cache = SharedCache::new(8);
-        cache.insert(a.fingerprint, &a.shape, Some(Arc::new(ca)), path3_attribution(&a));
-        cache.insert(b.fingerprint, &b.shape, Some(Arc::new(cb)), path3_attribution(&b));
+        cache.insert(a.fingerprint(), &a.shape, Some(Arc::new(ca)), path3_attribution(&a));
+        cache.insert(b.fingerprint(), &b.shape, Some(Arc::new(cb)), path3_attribution(&b));
         assert_eq!(cache.stats().entries, 1, "equal canonical keys share one entry");
         // A third labelling hits the entry and maps the values back through
         // the composed witnesses: the middle fact must carry the middle
@@ -1340,7 +1344,7 @@ mod tests {
                     let middle = path3_middle(p);
                     for _ in 0..500 {
                         cache.insert(
-                            p.fingerprint,
+                            p.fingerprint(),
                             &p.shape,
                             Some(Arc::clone(&mine)),
                             path3_attribution(p),
@@ -1378,7 +1382,7 @@ mod tests {
     /// Whether `p`'s presentation settles on a known alias of a resident.
     fn is_alias_hit(cache: &SharedCache, p: &Prekeyed) -> bool {
         matches!(
-            cache.lookup(p.fingerprint, &p.shape),
+            cache.lookup(p.fingerprint(), &p.shape),
             Lookup::Presented(PresentationHit { alias: Some(_), .. })
         )
     }
@@ -1393,28 +1397,28 @@ mod tests {
         // score to an end.
         let (p1, p2, p3) = (path4(0, 1, 2, 3), path4(1, 0, 2, 3), path4(3, 1, 0, 2));
         assert!(*p1.shape != *p2.shape && *p2.shape != *p3.shape && *p1.shape != *p3.shape);
-        assert!(p1.fingerprint == p2.fingerprint && p2.fingerprint == p3.fingerprint);
+        assert!(p1.fingerprint() == p2.fingerprint() && p2.fingerprint() == p3.fingerprint());
         let witness = |p: &Prekeyed| Some(Arc::new(p.shape.canonicalize(None).unwrap().0));
         let cache = SharedCache::new(8);
-        cache.insert(p1.fingerprint, &p1.shape, witness(&p1), path3_attribution(&p1));
+        cache.insert(p1.fingerprint(), &p1.shape, witness(&p1), path3_attribution(&p1));
         for _ in 0..2 {
             assert!(!is_alias_hit(&cache, &p2), "an alias needs two sightings");
             assert_degree_scores(&p2, &probe(&cache, &p2).expect("canonical hit"));
         }
         assert!(is_alias_hit(&cache, &p2));
-        cache.insert(p3.fingerprint, &p3.shape, witness(&p3), path3_attribution(&p3));
+        cache.insert(p3.fingerprint(), &p3.shape, witness(&p3), path3_attribution(&p3));
         assert_eq!(cache.stats().entries, 1, "the insert swapped the one entry");
         for p in [&p1, &p2] {
             assert!(is_alias_hit(&cache, p));
             assert_degree_scores(p, &probe(&cache, p).expect("alias hit"));
         }
         assert!(matches!(
-            cache.lookup(p3.fingerprint, &p3.shape),
+            cache.lookup(p3.fingerprint(), &p3.shape),
             Lookup::Presented(PresentationHit { alias: None, .. })
         ));
         assert_degree_scores(&p3, &probe(&cache, &p3).expect("own presentation"));
         // Swapping back drops `p1` from the aliases and keeps `p3` as one.
-        cache.insert(p1.fingerprint, &p1.shape, witness(&p1), path3_attribution(&p1));
+        cache.insert(p1.fingerprint(), &p1.shape, witness(&p1), path3_attribution(&p1));
         let inner = cache.inner.lock().unwrap();
         let entry = inner.entries.values().next().expect("one entry");
         assert!(entry.shape == p1.shape);
@@ -1425,7 +1429,7 @@ mod tests {
     fn lru_eviction_drops_an_entrys_aliases() {
         let cache = SharedCache::new(1);
         let (p1, p2) = (path4(0, 1, 2, 3), path4(1, 0, 2, 3));
-        cache.insert(p1.fingerprint, &p1.shape, None, path3_attribution(&p1));
+        cache.insert(p1.fingerprint(), &p1.shape, None, path3_attribution(&p1));
         probe(&cache, &p2).expect("canonical hit");
         probe(&cache, &p2).expect("canonical hit");
         assert!(is_alias_hit(&cache, &p2));
@@ -1433,9 +1437,9 @@ mod tests {
         insert(&cache, &prekeyed_of(vec![vec![0]]), 9);
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(Arc::strong_count(&p2.shape), 1, "the aliases died with their entry");
-        cache.insert(p1.fingerprint, &p1.shape, None, path3_attribution(&p1));
+        cache.insert(p1.fingerprint(), &p1.shape, None, path3_attribution(&p1));
         assert!(
-            matches!(cache.lookup(p2.fingerprint, &p2.shape), Lookup::Occupied(_)),
+            matches!(cache.lookup(p2.fingerprint(), &p2.shape), Lookup::Occupied(_)),
             "a re-inserted entry starts without aliases"
         );
     }
@@ -1487,7 +1491,7 @@ mod tests {
             assert!(is_alias_hit(&cache, p));
         }
         assert!(matches!(
-            cache.lookup(others[ALIAS_CAP].fingerprint, &others[ALIAS_CAP].shape),
+            cache.lookup(others[ALIAS_CAP].fingerprint(), &others[ALIAS_CAP].shape),
             Lookup::Occupied(_)
         ));
         // First sightings are remembered oldest-out: past the bound, the
@@ -1592,8 +1596,8 @@ mod tests {
             (Shape { num_vars, clauses, payload: None }, originals, fp)
         }
 
-        pub(super) fn weighted(lineage: &WeightedDnf) -> (Shape, Vec<Var>, Fingerprint) {
-            let (base, originals, fp) = of(lineage.dnf());
+        pub(super) fn weighted(lineage: &WeightedDnf) -> (Shape, Vec<Var>) {
+            let (base, originals, _) = of(lineage.dnf());
             let by_clause: HashMap<Vec<Var>, &Rational> = lineage
                 .dnf()
                 .clauses()
@@ -1611,7 +1615,7 @@ mod tests {
                 })
                 .collect();
             let payload = Some(WeightedInfo { kind: lineage.kind(), weights });
-            (Shape { payload, ..base }, originals, fp)
+            (Shape { payload, ..base }, originals)
         }
     }
 
@@ -1655,15 +1659,16 @@ mod tests {
             let (shape, originals, fp) = oracle::of(&dnf);
             proptest::prop_assert_eq!(&*prekeyed.shape, &shape);
             proptest::prop_assert_eq!(&prekeyed.originals, &originals);
-            proptest::prop_assert_eq!(prekeyed.fingerprint, fp);
+            proptest::prop_assert_eq!(prekeyed.fingerprint(), fp);
             for kind in [AggregateKind::Sum, AggregateKind::Max] {
                 let weighted = WeightedDnf::from_weighted_clauses(kind, clauses.clone())
                     .widen_universe(dnf.universe().clone());
                 let prekeyed = Prekeyed::of(Lineage::Aggregate(&weighted));
-                let (shape, originals, fp) = oracle::weighted(&weighted);
+                let (shape, originals) = oracle::weighted(&weighted);
                 proptest::prop_assert_eq!(&*prekeyed.shape, &shape);
                 proptest::prop_assert_eq!(&prekeyed.originals, &originals);
-                proptest::prop_assert_eq!(prekeyed.fingerprint, fp);
+                // Aggregate batches never look the cache up.
+                proptest::prop_assert_eq!(prekeyed.fingerprint, None);
             }
         }
     }

@@ -15,8 +15,8 @@
 //!   is definitionally the lineage a fresh evaluation of the shrunken
 //!   database would build;
 //! * insertions re-run the planned join only with the new fact *pinned*
-//!   ([`banzhaf_query::delta_groundings`]), merging the delta clauses into
-//!   the affected answers' lineages;
+//!   ([`banzhaf_query::delta_groundings`]), and each affected answer's delta
+//!   lineage is merged into its lineage by [`Dnf::or`];
 //!
 //! and re-attribution flows through the ordinary [`Session`] batch path, so
 //! every untouched shape stays warm in the engine's `SharedCache` — resolved
@@ -365,17 +365,13 @@ impl LiveSession {
         let mut staged: Vec<(usize, Vec<Value>, Dnf, AnswerChange)> = Vec::new();
         if update.is_insert() {
             for (qi, q) in self.queries.iter().enumerate() {
-                let mut merged: BTreeMap<Vec<Value>, Vec<Vec<Var>>> = BTreeMap::new();
-                for (tuple, clause) in delta_groundings(&q.query, &self.db, id) {
-                    merged.entry(tuple).or_default().push(clause);
-                }
-                for (tuple, clauses) in merged {
-                    let delta = Dnf::from_clauses(clauses);
-                    match q.answers.get(&tuple) {
+                for delta in delta_groundings(&q.query, &self.db, id) {
+                    match q.answers.get(&delta.tuple) {
                         Some(old) => {
-                            staged.push((qi, tuple, old.lineage.or(&delta), AnswerChange::Updated));
+                            let lineage = old.lineage.or(&delta.lineage);
+                            staged.push((qi, delta.tuple, lineage, AnswerChange::Updated));
                         }
-                        None => staged.push((qi, tuple, delta, AnswerChange::Added)),
+                        None => staged.push((qi, delta.tuple, delta.lineage, AnswerChange::Added)),
                     }
                 }
             }

@@ -573,13 +573,13 @@ mod tests {
         });
         vec![
             SnapshotEntry {
-                fingerprint: p.fingerprint,
+                fingerprint: p.fingerprint(),
                 shape: Arc::clone(&p.shape),
                 canon: Some(Arc::new(canon)),
                 attribution: Arc::clone(&attribution),
             },
             SnapshotEntry {
-                fingerprint: p.fingerprint,
+                fingerprint: p.fingerprint(),
                 shape: Arc::clone(&p.shape),
                 canon: None,
                 attribution,

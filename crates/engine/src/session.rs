@@ -539,7 +539,7 @@ impl Session {
         // Earlier instances that will insert a fresh entry, by fingerprint.
         let mut pending: HashMap<Fingerprint, Vec<usize>> = HashMap::new();
         for (i, p) in batch.prekeyed.iter().enumerate() {
-            let fp = p.fingerprint;
+            let fp = p.fingerprint();
             // An earlier instance with this very presentation compiles it:
             // reuse needs no lookup and no witness, and the lookup it skips
             // would have been a miss.
@@ -704,13 +704,13 @@ impl Session {
                     banzhaf_par::failpoint!("session::merge");
                     let p = &batch.prekeyed[i];
                     self.cache.insert(
-                        p.fingerprint,
+                        p.fingerprint(),
                         &p.shape,
                         canon[i].clone(),
                         Arc::clone(attribution),
                     );
                     if let Some(mates) = mates.get(&i) {
-                        self.cache.sight_mates(p.fingerprint, &p.shape, mates);
+                        self.cache.sight_mates(p.fingerprint(), &p.shape, mates);
                     }
                 }
             }
@@ -940,7 +940,7 @@ impl<'a> Keying<'a> {
         let mut first = vec![None; n];
         let mut firsts: HashMap<Fingerprint, Vec<usize>> = HashMap::new();
         for (i, p) in prekeyed.iter().enumerate() {
-            let seen = firsts.entry(p.fingerprint).or_default();
+            let seen = firsts.entry(p.fingerprint()).or_default();
             first[i] = seen.iter().copied().find(|&j| prekeyed[j].shape == p.shape);
             if first[i].is_none() {
                 seen.push(i);

@@ -22,14 +22,15 @@
 //! first, so every later step is keyed by values the tuple bound.
 //!
 //! A run writes its groundings into one flat buffer ([`Groundings`]) that
-//! every entry point reads, and evaluation groups them into answers by
-//! sorting a permutation of the groundings by answer tuple.
+//! every entry point reads, each clause sorted and deduplicated as a lineage
+//! holds it. Evaluation groups the groundings into answers by sorting a
+//! permutation of them by answer tuple, then sorts each group by clause and
+//! copies its distinct clauses straight into the answer's flat [`Dnf`].
 
 use crate::{ConjunctiveQuery, Selection, Term, UnionQuery};
 use banzhaf_arith::Rational;
 use banzhaf_boolean::{Dnf, Var, WeightedDnf};
 use banzhaf_db::{key_hash, Database, FactId, Provenance, Relation, TupleIndex, Value};
-use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -88,11 +89,7 @@ pub fn evaluate(query: &UnionQuery, db: &Database) -> QueryResult {
             plan.run(None, &mut out);
         }
     }
-    let answers = out.map_groups(|tuple, group| Answer {
-        tuple,
-        lineage: Dnf::from_clauses(group.iter().map(|&i| out.clause(i).iter().copied())),
-    });
-    QueryResult { answers }
+    QueryResult { answers: out.answers() }
 }
 
 /// One group of an aggregate query: the grouping-key tuple and the weighted
@@ -260,23 +257,20 @@ pub fn evaluate_aggregate(
     Ok(AggregateResult { answers })
 }
 
-/// Groundings contributed by a single endogenous fact: every homomorphism of
-/// `query` into `db` that uses the fact identified by `id` in at least one
-/// atom, as `(answer tuple, clause)` pairs. `db` must already contain the
-/// fact; an unknown or deleted id yields no groundings.
+/// The lineage a single endogenous fact adds to each answer: every
+/// homomorphism of `query` into `db` that uses the fact identified by `id` in
+/// at least one atom, grouped into one [`Answer`] per answer tuple (in tuple
+/// order) whose lineage is the disjunction of those groundings' clauses.
+/// `db` must already contain the fact; an unknown or deleted id yields no
+/// answers.
 ///
 /// This is the delta rule of incremental view maintenance specialised to one
 /// inserted fact: for each disjunct and each atom position whose relation
 /// matches, the planned join re-runs with that position *pinned* to the new
 /// tuple while every other atom ranges over the full (already updated)
 /// database. A grounding that uses the new fact at `k` atom positions is
-/// found `k` times; the canonical DNF constructor deduplicates the repeated
-/// clauses.
-pub fn delta_groundings(
-    query: &UnionQuery,
-    db: &Database,
-    id: FactId,
-) -> Vec<(Vec<Value>, Vec<Var>)> {
+/// found `k` times; the canonical DNF form keeps its clause once.
+pub fn delta_groundings(query: &UnionQuery, db: &Database, id: FactId) -> Vec<Answer> {
     let Some(fact) = db.fact(id) else {
         return Vec::new();
     };
@@ -294,7 +288,7 @@ pub fn delta_groundings(
             plan.run(Some(pin), &mut out);
         }
     }
-    (0..out.len() as u32).map(|i| (out.tuple(i), out.clause(i).to_vec())).collect()
+    out.answers()
 }
 
 /// The join order of `cq`'s atoms, led by `first` if given.
@@ -337,7 +331,8 @@ type Tuple<'d> = (&'d [Value], Provenance);
 
 /// The groundings of a run, in one flat buffer: grounding `i`'s answer tuple
 /// is `heads[i * stride..][..stride]` and its clause of endogenous
-/// provenance variables `vars[ends[i - 1]..ends[i]]` (from 0 for `i = 0`).
+/// provenance variables, sorted and deduplicated as a lineage holds it,
+/// `vars[ends[i - 1]..ends[i]]` (from 0 for `i = 0`).
 struct Groundings<'d> {
     /// The longest head of the disjuncts run into the buffer; a shorter head
     /// (only in a hand-built union of mixed arities) is padded with `None`,
@@ -377,27 +372,71 @@ impl<'d> Groundings<'d> {
     }
 
     /// Maps each group of groundings sharing an answer tuple, in tuple
-    /// order, to `f(tuple, indexes of the group's groundings)`.
-    fn map_groups<T>(&self, mut f: impl FnMut(Vec<Value>, &[u32]) -> T) -> Vec<T> {
+    /// order, to `f(tuple, indexes of the group's groundings)`; `f` may
+    /// reorder the indexes.
+    fn map_groups<T>(&self, mut f: impl FnMut(Vec<Value>, &mut [u32]) -> T) -> Vec<T> {
         let mut order: Vec<u32> = (0..self.len() as u32).collect();
-        // Heads of integers alone, the common case, sort by a copy of their
-        // integers rather than through references into the database.
-        let ints: Option<Vec<i64>> = self.heads.iter().map(|v| v.and_then(Value::as_int)).collect();
-        let groups = match &ints {
-            Some(ints) => {
-                let key = |i: u32| ints[i as usize * self.stride..][..self.stride].iter();
-                sorted_runs(&mut order, |a, b| key(a).cmp(key(b)))
-            }
-            None => sorted_runs(&mut order, |a, b| self.head(a).cmp(self.head(b))),
+        // Heads of at most two integers, the common case, sort as one packed
+        // key each rather than through references into the database.
+        let packed: Option<Vec<u128>> = (self.stride <= 2)
+            .then(|| order.iter().map(|&i| pack(self.head(i))).collect())
+            .flatten();
+        let groups = match &packed {
+            Some(keys) => sorted_runs(&mut order, |i| keys[i as usize]),
+            None => sorted_runs(&mut order, |i| self.head(i)),
         };
         groups.into_iter().map(|group| f(self.tuple(group[0]), group)).collect()
     }
+
+    /// One [`Answer`] per group of groundings sharing an answer tuple, in
+    /// tuple order.
+    fn answers(&self) -> Vec<Answer> {
+        self.map_groups(|tuple, group| Answer { tuple, lineage: self.lineage(group) })
+    }
+
+    /// The lineage of one group: its distinct clauses sorted into canonical
+    /// order by permuting `group`, then copied straight out of the buffer,
+    /// so the lineage's variable buffer, clause ends and universe are one
+    /// exactly sized allocation each.
+    fn lineage(&self, group: &mut [u32]) -> Dnf {
+        group.sort_unstable_by(|&a, &b| self.clause(a).cmp(self.clause(b)));
+        let mut distinct = 0;
+        for k in 0..group.len() {
+            if distinct == 0 || self.clause(group[k]) != self.clause(group[distinct - 1]) {
+                group[distinct] = group[k];
+                distinct += 1;
+            }
+        }
+        Dnf::from_clause_slices(group[..distinct].iter().map(|&i| self.clause(i)))
+    }
 }
 
-/// Sorts `order` by `cmp` and splits it into runs that compare equal.
-fn sorted_runs(order: &mut [u32], cmp: impl Fn(u32, u32) -> Ordering) -> Vec<&[u32]> {
-    order.sort_unstable_by(|&a, &b| cmp(a, b));
-    order.chunk_by(|&a, &b| cmp(a, b).is_eq()).collect()
+/// Sorts `order` by `key` and splits it into runs of equal keys. The keys
+/// are computed once and sorted alongside the indexes.
+fn sorted_runs<K: Ord>(order: &mut [u32], key: impl Fn(u32) -> K) -> Vec<&mut [u32]> {
+    let mut keyed: Vec<(K, u32)> = order.iter().map(|&i| (key(i), i)).collect();
+    keyed.sort_unstable();
+    for (slot, (_, i)) in order.iter_mut().zip(&keyed) {
+        *slot = *i;
+    }
+    let mut runs = Vec::new();
+    let mut rest = order;
+    for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+        let (head, tail) = rest.split_at_mut(run.len());
+        runs.push(head);
+        rest = tail;
+    }
+    runs
+}
+
+/// A head of at most two integers as one key that orders as the head does
+/// (`None` when some value is not an integer): each integer with its sign
+/// bit flipped, the first in the high half.
+fn pack(head: &[Option<&Value>]) -> Option<u128> {
+    head.iter().try_fold(0u128, |key, v| {
+        let int = v.and_then(Value::as_int)?;
+        Some(key << 64 | u128::from(int as u64 ^ (1 << 63)))
+    })
 }
 
 /// A conjunctive query planned against one database: its atoms as join
@@ -506,8 +545,14 @@ impl<'q, 'd> Plan<'q, 'd> {
     /// Appends every grounding of the plan (with the first step matching
     /// only `pin`'s tuple, if given) to `out`.
     fn run(&self, pin: Option<Pin<'d>>, out: &mut Groundings<'d>) {
-        let mut run =
-            Run { plan: self, pin, bindings: vec![None; self.slots], clause: Vec::new(), out };
+        let mut run = Run {
+            plan: self,
+            pin,
+            bindings: vec![None; self.slots],
+            clause: Vec::new(),
+            sorted: Vec::new(),
+            out,
+        };
         run.descend(0);
     }
 }
@@ -546,6 +591,8 @@ struct Run<'p, 'q, 'd> {
     bindings: Vec<Option<&'d Value>>,
     /// The endogenous facts used by the current partial grounding.
     clause: Vec<Var>,
+    /// Scratch for sorting a complete grounding's clause.
+    sorted: Vec<Var>,
     out: &'p mut Groundings<'d>,
 }
 
@@ -559,7 +606,10 @@ impl<'d> Run<'_, '_, 'd> {
                 Some(slot.and_then(|s| bindings[s]).expect("head variable bound by parser check"))
             }));
             out.heads.resize(out.len() * out.stride + out.stride, None);
-            out.vars.extend_from_slice(&self.clause);
+            self.sorted.clone_from(&self.clause);
+            self.sorted.sort_unstable();
+            self.sorted.dedup();
+            out.vars.extend_from_slice(&self.sorted);
             out.ends.push(out.vars.len());
             return;
         };
@@ -720,6 +770,24 @@ mod tests {
     }
 
     #[test]
+    fn packed_heads_order_as_their_tuples() {
+        let values: Vec<Value> =
+            [i64::MIN, -5, -1, 0, 1, 7, i64::MAX].into_iter().map(Value::from).collect();
+        let heads: Vec<[&Value; 2]> =
+            values.iter().flat_map(|a| values.iter().map(move |b| [a, b])).collect();
+        let pack2 = |h: &[&Value; 2]| pack(&[Some(h[0]), Some(h[1])]).unwrap();
+        for x in &heads {
+            assert_eq!(pack(&[Some(x[0])]).cmp(&pack(&[Some(x[1])])), x[0].cmp(x[1]));
+            for y in &heads {
+                assert_eq!(pack2(x).cmp(&pack2(y)), x.cmp(y), "{x:?} against {y:?}");
+            }
+        }
+        assert_eq!(pack(&[]), Some(0));
+        assert_eq!(pack(&[Some(&Value::from("a"))]), None);
+        assert_eq!(pack(&[Some(&Value::from(1)), None]), None);
+    }
+
+    #[test]
     fn union_queries_merge_clauses() {
         let mut db = Database::new();
         db.add_relation("R", 1);
@@ -747,9 +815,11 @@ mod tests {
         }
         let delta = delta_groundings(query, db, id);
         assert!(!delta.is_empty(), "the inserted fact must contribute groundings");
-        for (tuple, clause) in delta {
-            assert!(clause.contains(&Var(id.0)), "every delta clause uses the new fact");
-            merged.entry(tuple).or_default().push(clause);
+        for answer in delta {
+            for clause in answer.lineage.clauses() {
+                assert!(clause.contains(Var(id.0)), "every delta clause uses the new fact");
+                merged.entry(answer.tuple.clone()).or_default().push(clause.iter().collect());
+            }
         }
         assert_eq!(merged.len(), after.answers().len());
         for (tuple, clauses) in merged {
@@ -986,6 +1056,6 @@ mod tests {
         assert_eq!(result.answers().len(), 1);
         let lineage = &result.answers()[0].lineage;
         assert_eq!(lineage.num_vars(), 2);
-        assert_eq!(lineage.clauses()[0].len(), 2);
+        assert_eq!(lineage.clauses().get(0).unwrap().len(), 2);
     }
 }

@@ -331,7 +331,7 @@ proptest! {
         prop_assert_eq!(&closed.model_count, &compiled.model_count);
         prop_assert_eq!(&closed.values, &compiled.values);
 
-        let first = phi.clauses()[0].vars()[0];
+        let first = phi.clauses().get(0).unwrap().vars()[0];
         let fresh = sparse_var(phi.num_vars());
         let shared = Dnf::from_clauses(phi.clauses().iter().map(|c| c.vars().to_vec()).chain([vec![first, fresh]]));
         prop_assert!(exaban_closed_form(&shared).is_none());
@@ -384,7 +384,9 @@ fn golden_dtree_shapes() {
 
 // ------------------------------------------------ differential join tests
 
-use banzhaf_repro::query::{delta_groundings, Atom, Comparison, ConjunctiveQuery, Selection, Term};
+use banzhaf_repro::query::{
+    delta_groundings, Answer, Atom, Comparison, ConjunctiveQuery, Selection, Term,
+};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::{BTreeMap, HashMap};
@@ -589,7 +591,12 @@ fn oracle_answers(query: &UnionQuery, db: &Database) -> Vec<(Vec<Value>, Dnf)> {
 
 /// The query's per-answer lineages as computed by [`evaluate`].
 fn evaluated(query: &UnionQuery, db: &Database) -> Vec<(Vec<Value>, Dnf)> {
-    evaluate(query, db).into_answers().into_iter().map(|a| (a.tuple, a.lineage)).collect()
+    pairs(evaluate(query, db).into_answers())
+}
+
+/// Answers as `(tuple, lineage)` pairs, in the order given.
+fn pairs(answers: Vec<Answer>) -> Vec<(Vec<Value>, Dnf)> {
+    answers.into_iter().map(|a| (a.tuple, a.lineage)).collect()
 }
 
 /// The aggregate answers the oracle's groundings induce, with the error
@@ -657,22 +664,127 @@ proptest! {
         let before = evaluated(&query, &db);
         let (relation, arity) = &schema[rng.gen_range(0..schema.len())];
         let id = db.insert_endogenous(relation, random_tuple(&mut rng, *arity, int_value)).unwrap();
-        let mut delta: BTreeMap<Vec<Value>, Vec<Vec<Var>>> = BTreeMap::new();
-        for (tuple, clause) in delta_groundings(&query, &db, id) {
-            prop_assert!(clause.contains(&Var(id.0)));
-            delta.entry(tuple).or_default().push(clause);
-        }
         let mut merged: BTreeMap<Vec<Value>, Dnf> = before.into_iter().collect();
-        for (tuple, clauses) in delta {
-            let delta = Dnf::from_clauses(clauses);
-            let lineage = match merged.remove(&tuple) {
-                Some(old) => old.or(&delta),
-                None => delta,
+        for delta in delta_groundings(&query, &db, id) {
+            prop_assert!(delta.lineage.clauses().iter().all(|c| c.contains(Var(id.0))));
+            let lineage = match merged.remove(&delta.tuple) {
+                Some(old) => old.or(&delta.lineage),
+                None => delta.lineage,
             };
-            merged.insert(tuple, lineage);
+            merged.insert(delta.tuple, lineage);
         }
         let merged: Vec<(Vec<Value>, Dnf)> = merged.into_iter().collect();
         prop_assert_eq!(merged, evaluated(&query, &db));
+    }
+}
+
+/// Every grounding of `cq` over `db`, found atom by atom: each stored tuple
+/// of the next atom's relation that agrees with the bindings so far extends
+/// the partial grounding, and the selections are checked on complete ones.
+/// The groundings of [`oracle_groundings`] without walking the whole cross
+/// product, so it runs on the corpora.
+fn nested_loop_groundings(cq: &ConjunctiveQuery, db: &Database) -> Vec<(Vec<Value>, Vec<Var>)> {
+    /// Extends the partial grounding by the atom at `depth`.
+    fn descend<'a>(
+        cq: &'a ConjunctiveQuery,
+        db: &'a Database,
+        depth: usize,
+        binding: &mut Vec<(&'a str, &'a Value)>,
+        clause: &mut Vec<Var>,
+        out: &mut Vec<(Vec<Value>, Vec<Var>)>,
+    ) {
+        let bound = |binding: &[(&'a str, &'a Value)], name: &str| {
+            binding.iter().find(|&&(n, _)| n == name).map(|&(_, v)| v)
+        };
+        let Some(atom) = cq.atoms.get(depth) else {
+            let selected = cq.selections.iter().all(|s| {
+                bound(binding, &s.variable).is_some_and(|v| s.comparison.evaluate(v, &s.constant))
+            });
+            if selected {
+                let tuple = cq.head.iter().map(|h| bound(binding, h).unwrap().clone()).collect();
+                out.push((tuple, clause.clone()));
+            }
+            return;
+        };
+        let Some(relation) = db.relation(&atom.relation) else { return };
+        for (values, provenance) in relation.tuples() {
+            let mark = binding.len();
+            let mut agrees = values.len() == atom.terms.len();
+            for (term, value) in atom.terms.iter().zip(values) {
+                agrees &= match term {
+                    Term::Constant(c) => c == value,
+                    Term::Variable(name) => match bound(binding, name) {
+                        Some(earlier) => earlier == value,
+                        None => {
+                            binding.push((name, value));
+                            true
+                        }
+                    },
+                };
+                if !agrees {
+                    break;
+                }
+            }
+            if agrees {
+                let fact = provenance.fact_id().map(|id| Var(id.0));
+                clause.extend(fact);
+                descend(cq, db, depth + 1, binding, clause, out);
+                clause.truncate(clause.len() - usize::from(fact.is_some()));
+            }
+            binding.truncate(mark);
+        }
+    }
+    let mut out = Vec::new();
+    descend(cq, db, 0, &mut Vec::new(), &mut Vec::new(), &mut out);
+    out
+}
+
+/// On every corpus query, each lineage the evaluator builds equals
+/// [`Dnf::from_clauses`] over its answer's groundings.
+#[test]
+fn corpora_lineages_are_the_dnfs_of_their_groundings() {
+    use banzhaf_repro::workloads::{academic_workload, imdb_workload, tpch_workload, DatasetSpec};
+    let spec = DatasetSpec::default();
+    for workload in [academic_workload(&spec), imdb_workload(&spec), tpch_workload(&spec)] {
+        for (name, query) in &workload.queries {
+            let mut groundings: BTreeMap<Vec<Value>, Vec<Vec<Var>>> = BTreeMap::new();
+            for cq in &query.disjuncts {
+                for (tuple, clause) in nested_loop_groundings(cq, &workload.db) {
+                    groundings.entry(tuple).or_default().push(clause);
+                }
+            }
+            let want: Answers = groundings
+                .into_iter()
+                .map(|(tuple, clauses)| (tuple, Dnf::from_clauses(clauses)))
+                .collect();
+            assert!(!want.is_empty(), "{name} has answers");
+            assert_eq!(evaluated(query, &workload.db), want, "{name}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// On random queries over int and string values, each lineage the
+    /// evaluator builds equals [`Dnf::from_clauses`] over its answer's
+    /// groundings. Heads lengthened by `extra` variables (up to four) group
+    /// through the evaluator's general tuple order rather than its packed
+    /// integer keys, and `mixed` keeps the first disjunct's head shorter
+    /// than the others', a union of mixed arities.
+    #[test]
+    fn evaluated_lineages_are_the_dnfs_of_their_groundings(
+        case in MixedJoinCases,
+        extra in 0usize..=2,
+        mixed in any::<bool>(),
+    ) {
+        let JoinCase { db, mut query, .. } = case;
+        for (i, cq) in query.disjuncts.iter_mut().enumerate() {
+            let more = if mixed && i == 0 { 0 } else { extra };
+            let bound = cq.variables();
+            cq.head.extend(bound.iter().cycle().take(more).cloned());
+        }
+        prop_assert_eq!(evaluated(&query, &db), oracle_answers(&query, &db));
     }
 }
 
@@ -798,9 +910,11 @@ fn check_track(track: &Track, schema: &[(String, usize)], query: &UnionQuery, id
     assert_eq!(have, evaluated(query, &fresh), "maintained vs fresh indexes");
     assert_eq!(have, oracle_answers(query, &track.db), "maintained indexes vs the oracle");
     if let Some(id) = id {
-        let delta = delta_groundings(query, &track.db, id);
-        assert_eq!(delta, delta_groundings(query, &fresh, id), "delta of {id}, vs fresh");
-        assert_eq!(delta_answers(delta), oracle_delta(query, &track.db, id), "delta of {id}");
+        let delta = pairs(delta_groundings(query, &track.db, id));
+        assert_eq!(delta, pairs(delta_groundings(query, &fresh, id)), "delta of {id}, vs fresh");
+        let oracle: Vec<(Vec<Value>, Dnf)> =
+            oracle_delta(query, &track.db, id).into_iter().collect();
+        assert_eq!(delta, oracle, "delta of {id}");
     }
 }
 
@@ -902,5 +1016,133 @@ fn threads_racing_to_build_an_index_agree() {
         assert_eq!(results[0], expected);
         assert_eq!(results[1], expected);
         assert_eq!(indexes(&cold), indexes(&alone), "the same indexes, each built once");
+    }
+}
+
+// ------------------------------------------------ the flat lineage layout
+
+/// A random clause list: 0–8 clauses of 1–5 variables drawn with repeats
+/// from a pool of 1–100 sparse ids (so some lists span more than 64
+/// variables), listed in any order, some clauses repeated with their
+/// variables reversed, now and then an empty clause; plus up to three
+/// universe variables that may occur in no clause.
+#[derive(Clone, Debug)]
+struct ClauseList {
+    clauses: Vec<Vec<Var>>,
+    extra: Vec<Var>,
+}
+
+struct ClauseLists;
+
+impl Strategy for ClauseLists {
+    type Value = ClauseList;
+
+    fn generate(&self, rng: &mut StdRng) -> ClauseList {
+        let pool = rng.gen_range(1..=100u32);
+        let var = |rng: &mut StdRng| Var(3 * rng.gen_range(0..pool) + 1);
+        let mut clauses: Vec<Vec<Var>> = Vec::new();
+        for _ in 0..rng.gen_range(0..=8usize) {
+            let clause = if !clauses.is_empty() && rng.gen_bool(0.2) {
+                clauses[rng.gen_range(0..clauses.len())].iter().rev().copied().collect()
+            } else if rng.gen_bool(0.05) {
+                Vec::new()
+            } else {
+                (0..rng.gen_range(1..=5usize)).map(|_| var(rng)).collect()
+            };
+            clauses.push(clause);
+        }
+        let extra = (0..rng.gen_range(0..=3usize)).map(|_| var(rng)).collect();
+        ClauseList { clauses, extra }
+    }
+}
+
+impl ClauseList {
+    /// The clause variables plus the extra ones.
+    fn universe(&self) -> VarSet {
+        self.clauses.iter().flatten().chain(&self.extra).copied().collect()
+    }
+}
+
+/// The clause list a DNF keeps for `clauses`, by the definition of its
+/// canonical form: each clause sorted and deduplicated, the clauses sorted
+/// (as vectors) and deduplicated, and a list holding the empty clause
+/// reduced to that clause alone (`true`).
+fn canonical(clauses: Vec<Vec<Var>>) -> Vec<Vec<Var>> {
+    let mut out: Vec<Vec<Var>> = clauses
+        .into_iter()
+        .map(|mut c| {
+            c.sort_unstable();
+            c.dedup();
+            c
+        })
+        .collect();
+    out.sort();
+    out.dedup();
+    if out.first().is_some_and(Vec::is_empty) {
+        out.truncate(1);
+    }
+    out
+}
+
+/// A DNF's clauses as vectors, in its order.
+fn listed(phi: &Dnf) -> Vec<Vec<Var>> {
+    phi.clauses().iter().map(|c| c.vars().to_vec()).collect()
+}
+
+/// Checks every layout query of `phi` against the oracle clause list
+/// `want` (canonical) over `universe`.
+fn check_layout(phi: &Dnf, want: &[Vec<Var>], universe: &VarSet) {
+    let truth = want.first().is_some_and(Vec::is_empty);
+    prop_assert_eq!(listed(phi), want.to_vec());
+    prop_assert_eq!(phi.universe(), universe);
+    prop_assert_eq!(phi.clauses().len(), want.len());
+    prop_assert_eq!(phi.num_clauses(), if truth { 0 } else { want.len() });
+    prop_assert_eq!(phi.size(), want.iter().map(Vec::len).sum::<usize>());
+    prop_assert_eq!((phi.is_true(), phi.is_false()), (truth, want.is_empty()));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every way of building a DNF keeps the canonical clause list of a
+    /// `Vec<Vec<Var>>` oracle that sorts and deduplicates, and conditioning,
+    /// disjunction and widening the universe keep it too.
+    #[test]
+    fn flat_layout_matches_a_sorted_clause_list_oracle(
+        a in ClauseLists,
+        b in ClauseLists,
+        pick in any::<u64>(),
+    ) {
+        let universe = a.universe();
+        let want = canonical(a.clauses.clone());
+        let phi = Dnf::from_clauses_with_universe(a.clauses.clone(), universe.clone());
+        check_layout(&phi, &want, &universe);
+        let used: VarSet = a.clauses.iter().flatten().copied().collect();
+        check_layout(&Dnf::from_clauses(a.clauses.clone()), &want, &used);
+        let slices = Dnf::from_clause_slices(a.clauses.iter().map(Vec::as_slice));
+        check_layout(&slices, &want, &used);
+
+        // Conditioning on a universe variable, in a clause when there is one.
+        if !universe.is_empty() {
+            let v = universe.as_slice()[pick as usize % universe.len()];
+            let mut rest = universe.clone();
+            rest.remove(v);
+            let kept: Vec<Vec<Var>> = want.iter().filter(|c| !c.contains(&v)).cloned().collect();
+            check_layout(&phi.condition(v, false), &canonical(kept), &rest);
+            let shortened: Vec<Vec<Var>> =
+                want.iter().map(|c| c.iter().copied().filter(|&u| u != v).collect()).collect();
+            check_layout(&phi.condition(v, true), &canonical(shortened), &rest);
+        }
+
+        // Disjunction: the union of the clause lists over the union of the
+        // universes.
+        let other = Dnf::from_clauses_with_universe(b.clauses.clone(), b.universe());
+        let both = canonical(a.clauses.iter().chain(&b.clauses).cloned().collect());
+        let joint = universe.union(&b.universe());
+        check_layout(&phi.or(&other), &both, &joint);
+        check_layout(&other.or(&phi), &both, &joint);
+
+        // Widening the universe keeps the clauses.
+        check_layout(&phi.widen_universe(joint.clone()), &want, &joint);
     }
 }
