@@ -10,13 +10,10 @@ use crate::json::Json;
 use crate::report::{percent, RuntimeSummary, TextTable, PERCENTILES};
 use crate::runner::{by_corpus, compare_cache, HarnessConfig, InstanceRecord};
 use banzhaf::{critical_counts_all, l1_distance_normalized, Budget, DTree, PivotHeuristic, Var};
-use banzhaf_arith::Natural;
 use banzhaf_baselines::{rank_estimates, rank_proxy};
 use banzhaf_boolean::Dnf;
 use banzhaf_db::Database;
-use banzhaf_engine::{
-    Algorithm, Attribution, BatchOptions, CacheConfig, Engine, EngineConfig, Interrupted,
-};
+use banzhaf_engine::{Algorithm, BatchOptions, CacheConfig, Engine, EngineConfig};
 use banzhaf_query::parse_program;
 use banzhaf_workloads::Corpus;
 use std::collections::HashMap;
@@ -671,9 +668,8 @@ fn ring_lineage(offset: u32, vars: u32) -> Dnf {
 ///
 /// Measurement hygiene: the whole batch runs once untimed to warm the page
 /// cache and allocator, then [`SPEEDUP_REPEATS`] rounds time every thread
-/// count once each, over [`SPEEDUP_BATCHES`] back-to-back batches, and each
-/// count is scored by the median over rounds of the ratio `t1 / tk` within
-/// one round — per-instance cost is large enough
+/// count once each, and each count is scored by the median over rounds of
+/// the ratio `t1 / tk` within one round — per-instance cost is large enough
 /// (rings of [`SPEEDUP_RING_VARS`] variables) to dwarf the fork-join
 /// overhead that a too-small instance set previously let dominate. Speedup
 /// remains hardware-dependent: on a single-core container the honest ratio
@@ -687,15 +683,7 @@ pub fn parallel_speedup(config: &HarnessConfig) -> (String, Json) {
         .collect();
     let refs: Vec<&Dnf> = lineages.iter().collect();
 
-    let values = |results: Vec<Result<Attribution, Interrupted>>| -> Vec<HashMap<Var, Natural>> {
-        results
-            .into_iter()
-            .map(|r| r.expect("unbounded budget").exact_values().expect("ExaBan is exact"))
-            .collect()
-    };
-    // The wall time of `batches` back-to-back batches at `threads`, with
-    // each batch's values.
-    let timed = |threads: usize, batches: usize| {
+    let batch_values = |threads: usize| -> (f64, Vec<HashMap<Var, banzhaf_arith::Natural>>) {
         let engine = Engine::new(
             EngineConfig::new(Algorithm::ExaBan)
                 .with_cache_config(CacheConfig::disabled())
@@ -703,15 +691,18 @@ pub fn parallel_speedup(config: &HarnessConfig) -> (String, Json) {
         );
         let mut session = engine.session();
         let start = Instant::now();
-        let results: Vec<_> =
-            (0..batches).map(|_| session.attribute_batch(&refs, BatchOptions::default())).collect();
+        let results = session.attribute_batch(&refs, BatchOptions::default());
         let secs = start.elapsed().as_secs_f64();
-        (secs, results.into_iter().map(values).collect::<Vec<_>>())
+        let values = results
+            .into_iter()
+            .map(|r| r.expect("unbounded budget").exact_values().expect("ExaBan is exact"))
+            .collect();
+        (secs, values)
     };
 
     // Warmup: one untimed full batch so the first measured run does not pay
     // for page faults and allocator growth.
-    let reference = timed(1, 1).1.pop().expect("one batch");
+    let (_, reference) = batch_values(1);
 
     // Rounds alternate their order — 1, 2, 4, then 4, 2, 1 — so no count
     // always runs first or last. A noisy neighbour slows the timings of one
@@ -723,9 +714,9 @@ pub fn parallel_speedup(config: &HarnessConfig) -> (String, Json) {
     for (round, seconds) in rounds.iter_mut().enumerate() {
         for step in 0..THREAD_COUNTS.len() {
             let slot = if round % 2 == 0 { step } else { THREAD_COUNTS.len() - 1 - step };
-            let (secs, batches) = timed(THREAD_COUNTS[slot], SPEEDUP_BATCHES);
-            seconds[slot] = secs / SPEEDUP_BATCHES as f64;
-            identical[slot] &= batches.iter().all(|values| *values == reference);
+            let (secs, values) = batch_values(THREAD_COUNTS[slot]);
+            seconds[slot] = secs;
+            identical[slot] &= values == reference;
         }
     }
     let median = |mut values: Vec<f64>| {
@@ -763,7 +754,6 @@ pub fn parallel_speedup(config: &HarnessConfig) -> (String, Json) {
         ("instances", instances.into()),
         ("ring_vars", SPEEDUP_RING_VARS.into()),
         ("repeats", SPEEDUP_REPEATS.into()),
-        ("batches", SPEEDUP_BATCHES.into()),
         ("bit_identical", identical.iter().all(|&ok| ok).into()),
         ("runs", runs.into()),
     ]);
@@ -784,11 +774,6 @@ pub const SPEEDUP_INSTANCES: usize = 16;
 /// Timed rounds, each timing every thread count once (the median ratio over
 /// rounds is scored; odd, so the median is one round's).
 pub const SPEEDUP_REPEATS: usize = 9;
-/// Batches each thread count runs back to back per round, about 0.3 s of
-/// single-thread work on a 2-vCPU host: one batch alone (about 80 ms) let
-/// a neighbour's burst move a round's ratio. The artifact's `seconds` are
-/// per batch.
-pub const SPEEDUP_BATCHES: usize = 4;
 
 /// Serving throughput: the async front end under a concurrent request mix.
 ///

@@ -5,7 +5,9 @@
 //! clause marks where each stops. Nothing owns a single clause, so a clause
 //! is read through [`Clause`], a `Copy` view of its sorted, deduplicated
 //! variables, and the clause list through [`Clauses`], which iterates those
-//! views in the DNF's canonical clause order.
+//! views in the DNF's canonical clause order. [`canonicalize_tail`] sorts a
+//! clause in place at the end of such a buffer, for the DNF's own builders
+//! and for the query evaluator's grounding buffer alike.
 
 use crate::Var;
 use std::fmt;
@@ -52,6 +54,30 @@ impl<'a> Clause<'a> {
     pub fn subsumes(self, other: Clause<'_>) -> bool {
         self.len() <= other.len() && self.iter().all(|v| other.contains(v))
     }
+}
+
+/// Sorts and deduplicates the clause `vars[start..]` in place and truncates
+/// `vars` to the variables kept: the canonical form of a clause just
+/// appended to a flat variable buffer. A clause already strictly increasing
+/// is kept after one linear check.
+pub fn canonicalize_tail(vars: &mut Vec<Var>, start: usize) {
+    if strictly_increasing(&vars[start..]) {
+        return;
+    }
+    vars[start..].sort_unstable();
+    let mut kept = start;
+    for read in start..vars.len() {
+        if kept == start || vars[read] != vars[kept - 1] {
+            vars[kept] = vars[read];
+            kept += 1;
+        }
+    }
+    vars.truncate(kept);
+}
+
+/// `true` iff `vars` is sorted and holds no repeat.
+pub(crate) fn strictly_increasing(vars: &[Var]) -> bool {
+    vars.windows(2).all(|w| w[0] < w[1])
 }
 
 impl fmt::Debug for Clause<'_> {
@@ -200,6 +226,9 @@ mod tests {
         let (small, big) = (phi.clauses().get(0).unwrap(), phi.clauses().get(1).unwrap());
         assert!(small.subsumes(big));
         assert!(!big.subsumes(small));
+        // The empty clause (the constant `true`'s) subsumes every clause.
+        let truth = Dnf::constant_true(crate::VarSet::empty());
+        assert!(truth.clauses().get(0).unwrap().subsumes(big));
         assert!(big.subsumes(big));
         // Clauses order as their variable slices: [1] < [1, 2] < [2].
         assert!(small < big && big.vars() < &[Var(2)][..]);

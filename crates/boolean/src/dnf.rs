@@ -7,6 +7,7 @@
 //! cloning and dropping a lineage costs one allocation per buffer rather
 //! than one per clause.
 
+use crate::clause::{canonicalize_tail, strictly_increasing};
 use crate::{Assignment, Clause, Clauses, Var, VarSet};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -50,14 +51,18 @@ impl Dnf {
         dnf.with_used_universe().canonical()
     }
 
-    /// Builds a DNF from borrowed clause slices (in any order, each in any
-    /// order, repeats allowed). The universe is the set of variables
-    /// occurring in the clauses.
+    /// Builds a DNF from borrowed clause slices, each sorted and free of
+    /// repeats, as [`Clause::vars`] and [`canonicalize_tail`] leave them;
+    /// the clauses may come in any order and repeat. The universe is the set
+    /// of variables occurring in the clauses.
     ///
     /// A first pass over `clauses` sizes the variable buffer and the clause
     /// ends exactly, so the DNF costs one allocation per buffer (and one for
     /// the universe) when the clauses already come in canonical order;
     /// otherwise the clause list is re-sorted once.
+    ///
+    /// # Panics
+    /// In debug builds, panics if a clause is not strictly increasing.
     pub fn from_clause_slices<'a, I>(clauses: I) -> Self
     where
         I: IntoIterator<Item = &'a [Var]>,
@@ -67,7 +72,7 @@ impl Dnf {
         let (count, size) = clauses.clone().fold((0, 0), |(n, s), c| (n + 1, s + c.len()));
         let mut dnf = Dnf::with_capacity(VarSet::empty(), count, size);
         for clause in clauses {
-            dnf.push_clause(clause.iter().copied());
+            dnf.push_sorted(clause);
         }
         dnf.with_used_universe().canonical()
     }
@@ -106,17 +111,7 @@ impl Dnf {
     pub(crate) fn push_clause(&mut self, clause: impl IntoIterator<Item = Var>) {
         let start = self.vars.len();
         self.vars.extend(clause);
-        if !strictly_increasing(&self.vars[start..]) {
-            self.vars[start..].sort_unstable();
-            let mut kept = start;
-            for read in start..self.vars.len() {
-                if kept == start || self.vars[read] != self.vars[kept - 1] {
-                    self.vars[kept] = self.vars[read];
-                    kept += 1;
-                }
-            }
-            self.vars.truncate(kept);
-        }
+        canonicalize_tail(&mut self.vars, start);
         self.close_clause();
     }
 
@@ -409,11 +404,6 @@ impl Dnf {
         }
         out.canonical()
     }
-}
-
-/// `true` iff `vars` is sorted and holds no repeat.
-fn strictly_increasing(vars: &[Var]) -> bool {
-    vars.windows(2).all(|w| w[0] < w[1])
 }
 
 impl fmt::Debug for Dnf {

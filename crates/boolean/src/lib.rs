@@ -45,7 +45,7 @@ mod var;
 mod weighted;
 
 pub use assignment::Assignment;
-pub use clause::{Clause, ClauseIter, Clauses};
+pub use clause::{canonicalize_tail, Clause, ClauseIter, Clauses};
 pub use dnf::Dnf;
 pub use idnf::{lower_bound_fn, upper_bound_fn, IdnfCounts};
 pub use lineage::{AsLineage, Lineage};

@@ -29,7 +29,7 @@
 
 use crate::{ConjunctiveQuery, Selection, Term, UnionQuery};
 use banzhaf_arith::Rational;
-use banzhaf_boolean::{Dnf, Var, WeightedDnf};
+use banzhaf_boolean::{canonicalize_tail, Dnf, Var, WeightedDnf};
 use banzhaf_db::{key_hash, Database, FactId, Provenance, Relation, TupleIndex, Value};
 use std::fmt;
 use std::sync::Arc;
@@ -545,14 +545,8 @@ impl<'q, 'd> Plan<'q, 'd> {
     /// Appends every grounding of the plan (with the first step matching
     /// only `pin`'s tuple, if given) to `out`.
     fn run(&self, pin: Option<Pin<'d>>, out: &mut Groundings<'d>) {
-        let mut run = Run {
-            plan: self,
-            pin,
-            bindings: vec![None; self.slots],
-            clause: Vec::new(),
-            sorted: Vec::new(),
-            out,
-        };
+        let mut run =
+            Run { plan: self, pin, bindings: vec![None; self.slots], clause: Vec::new(), out };
         run.descend(0);
     }
 }
@@ -591,8 +585,6 @@ struct Run<'p, 'q, 'd> {
     bindings: Vec<Option<&'d Value>>,
     /// The endogenous facts used by the current partial grounding.
     clause: Vec<Var>,
-    /// Scratch for sorting a complete grounding's clause.
-    sorted: Vec<Var>,
     out: &'p mut Groundings<'d>,
 }
 
@@ -606,10 +598,9 @@ impl<'d> Run<'_, '_, 'd> {
                 Some(slot.and_then(|s| bindings[s]).expect("head variable bound by parser check"))
             }));
             out.heads.resize(out.len() * out.stride + out.stride, None);
-            self.sorted.clone_from(&self.clause);
-            self.sorted.sort_unstable();
-            self.sorted.dedup();
-            out.vars.extend_from_slice(&self.sorted);
+            let start = out.vars.len();
+            out.vars.extend_from_slice(&self.clause);
+            canonicalize_tail(&mut out.vars, start);
             out.ends.push(out.vars.len());
             return;
         };

@@ -384,6 +384,7 @@ fn golden_dtree_shapes() {
 
 // ------------------------------------------------ differential join tests
 
+use banzhaf_repro::boolean::canonicalize_tail;
 use banzhaf_repro::query::{
     delta_groundings, Answer, Atom, Comparison, ConjunctiveQuery, Selection, Term,
 };
@@ -1119,7 +1120,19 @@ proptest! {
         check_layout(&phi, &want, &universe);
         let used: VarSet = a.clauses.iter().flatten().copied().collect();
         check_layout(&Dnf::from_clauses(a.clauses.clone()), &want, &used);
-        let slices = Dnf::from_clause_slices(a.clauses.iter().map(Vec::as_slice));
+        // Clause slices come sorted and repeat-free, as `canonicalize_tail`
+        // leaves them, but in any order and repeated.
+        let sorted: Vec<Vec<Var>> = a
+            .clauses
+            .iter()
+            .map(|c| {
+                let mut tail = c.clone();
+                canonicalize_tail(&mut tail, 0);
+                prop_assert_eq!(&tail, &canonical(vec![c.clone()])[0]);
+                tail
+            })
+            .collect();
+        let slices = Dnf::from_clause_slices(sorted.iter().map(Vec::as_slice));
         check_layout(&slices, &want, &used);
 
         // Conditioning on a universe variable, in a clause when there is one.
