@@ -17,8 +17,9 @@
 //! across N workers (0 = one per CPU); completed instances record identical
 //! scores at any thread count (wall-clock timeouts may cut off different
 //! borderline instances when workers contend for cores). The perf artifact
-//! experiments (`parallel_speedup` through `aggregate_attribution`) also
-//! write their `BENCH_*.json` record to the working directory.
+//! experiments (`engine_cache`, and `parallel_speedup` through
+//! `aggregate_attribution`) also write their `BENCH_*.json` record to the
+//! working directory.
 
 use banzhaf_bench::experiments;
 use banzhaf_bench::json::Json;
@@ -144,7 +145,7 @@ fn main() {
             "app_d" => experiments::app_d(),
             "ablation_heuristic" => experiments::ablation_heuristic(&config),
             "ablation_adaban" => experiments::ablation_adaban(&config),
-            "engine_cache" => experiments::engine_cache(&config),
+            "engine_cache" => artifact("BENCH_cache.json", experiments::engine_cache),
             "parallel_speedup" => artifact("BENCH_parallel.json", experiments::parallel_speedup),
             "serve_throughput" => artifact("BENCH_serve.json", experiments::serve_throughput),
             "canon_hit_rate" => artifact("BENCH_canon.json", experiments::canon_hit_rate),

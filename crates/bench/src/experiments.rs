@@ -610,25 +610,37 @@ pub fn ablation_adaban(config: &HarnessConfig) -> String {
 
 /// Engine ablation: the effect of the session d-tree cache (keyed by
 /// canonical lineage) on the total knowledge-compilation work per corpus,
-/// and on the wall time per instance of the cached and uncached `attribute`
-/// calls (interleaved, best of [`crate::runner::CACHE_WALL_REPEATS`]).
-pub fn engine_cache(config: &HarnessConfig) -> String {
+/// and the wall time per instance of each layer: the raw backend call, an
+/// uncached session and a cached one (interleaved, best of
+/// [`crate::runner::CACHE_WALL_REPEATS`]). `closed_forms` counts the answers
+/// ExaBan served without the cache (read-once lineages), and
+/// `cached_over_uncached` is the cached session's wall over the uncached
+/// one's: above 1, the cache costs more than it saves on a cold pass.
+/// Returns the `BENCH_cache.json` record.
+pub fn engine_cache(config: &HarnessConfig) -> (String, Json) {
     let mut table = TextTable::new([
         "Dataset",
         "Instances",
+        "Closed forms",
         "Cache hits",
         "Steps (cached)",
         "Steps (uncached)",
         "Saved",
-        "µs/inst (cached)",
+        "µs/inst (raw)",
         "µs/inst (uncached)",
+        "µs/inst (cached)",
     ]);
+    let mut records = Vec::new();
     for corpus in config.corpora() {
         let lineages: Vec<&Dnf> = corpus.instances.iter().map(|i| &i.lineage).collect();
         let cmp = compare_cache(&lineages, config);
+        let us = |wall: Duration| wall.as_secs_f64() * 1e6 / lineages.len().max(1) as f64;
+        let (raw, uncached, cached) =
+            (us(cmp.raw_wall), us(cmp.uncached_wall), us(cmp.cached_wall));
         table.push_row([
             corpus.name.clone(),
             cmp.instances.to_string(),
+            cmp.closed_forms.to_string(),
             cmp.cache_hits.to_string(),
             cmp.cached_steps.to_string(),
             cmp.uncached_steps.to_string(),
@@ -636,16 +648,33 @@ pub fn engine_cache(config: &HarnessConfig) -> String {
                 (cmp.uncached_steps - cmp.cached_steps.min(cmp.uncached_steps)) as usize,
                 cmp.uncached_steps.max(1) as usize,
             ),
-            per_instance_us(cmp.cached_wall, lineages.len()),
-            per_instance_us(cmp.uncached_wall, lineages.len()),
+            format!("{raw:.1}"),
+            format!("{uncached:.1}"),
+            format!("{cached:.1}"),
         ]);
+        records.push(Json::obj([
+            ("name", corpus.name.as_str().into()),
+            ("instances", cmp.instances.into()),
+            ("closed_forms", cmp.closed_forms.into()),
+            ("cache_hits", cmp.cache_hits.into()),
+            ("cached_steps", cmp.cached_steps.into()),
+            ("uncached_steps", cmp.uncached_steps.into()),
+            ("raw_us", Json::fixed(raw, 3)),
+            ("uncached_us", Json::fixed(uncached, 3)),
+            ("cached_us", Json::fixed(cached, 3)),
+            ("cached_over_uncached", Json::fixed(cached / uncached.max(f64::MIN_POSITIVE), 4)),
+        ]));
     }
-    format!("Engine — d-tree cache effect (ExaBan, canonical-lineage keying)\n{}", table.render())
-}
-
-/// Mean microseconds per instance of `wall` spread over `instances`.
-fn per_instance_us(wall: Duration, instances: usize) -> String {
-    format!("{:.1}", wall.as_secs_f64() * 1e6 / instances.max(1) as f64)
+    let report = format!(
+        "Engine — d-tree cache effect (ExaBan, canonical-lineage keying)\n{}",
+        table.render()
+    );
+    let json = Json::obj([
+        ("experiment", "engine_cache".into()),
+        ("algorithm", "ExaBan".into()),
+        ("corpora", records.into()),
+    ]);
+    (report, json)
 }
 
 /// A ring lineage over `vars` variables starting at `offset` — connected, no
@@ -958,11 +987,13 @@ fn random_isomorph(phi: &Dnf, seed: u64) -> Dnf {
 }
 
 /// The `canon_hit_rate` request stream: `reps` random isomorphs of each of a
-/// handful of label-sensitive base shapes (ring, path, star, double star,
-/// clique — shapes whose label order the replaced keying was sensitive to),
-/// round-robined the way repeated queries arrive. Returns the shape count
-/// and the stream; everything is seeded, so the stream — and therefore the
-/// gated hit rates — is deterministic.
+/// handful of label-sensitive base shapes (ring, path, cross product, double
+/// star, clique — shapes whose label order the replaced keying was
+/// sensitive to), round-robined the way repeated queries arrive. Every shape
+/// needs a Shannon step, so no request is answered in closed form and each
+/// one reaches the cache. Returns the shape count and the stream;
+/// everything is seeded, so the stream — and therefore the gated hit
+/// rates — is deterministic.
 fn canon_request_stream(config: &HarnessConfig) -> (usize, Vec<Dnf>) {
     let base_shapes: Vec<(&str, Dnf)> = vec![
         ("ring10", ring_lineage(0, 10)),
@@ -970,7 +1001,14 @@ fn canon_request_stream(config: &HarnessConfig) -> (usize, Vec<Dnf>) {
             "path12",
             Dnf::from_clauses((0..11u32).map(|i| vec![Var(i), Var(i + 1)]).collect::<Vec<_>>()),
         ),
-        ("star8", Dnf::from_clauses((1..8u32).map(|i| vec![Var(0), Var(i)]).collect::<Vec<_>>())),
+        (
+            "product2x4",
+            Dnf::from_clauses(
+                (0..2u32)
+                    .flat_map(|x| (2..6u32).map(move |y| vec![Var(x), Var(y)]))
+                    .collect::<Vec<_>>(),
+            ),
+        ),
         (
             "doublestar8",
             Dnf::from_clauses(vec![
@@ -1840,11 +1878,25 @@ mod tests {
 
     #[test]
     fn engine_cache_report_covers_all_corpora() {
-        let report = engine_cache(&tiny_config());
+        let (report, json) = engine_cache(&tiny_config());
         assert!(report.contains("d-tree cache effect"));
         assert!(report.contains("µs/inst (cached)") && report.contains("µs/inst (uncached)"));
+        assert!(report.contains("µs/inst (raw)"));
         assert!(report.contains("Academic-like"));
         assert!(report.contains("TPC-H-like"));
+        let corpora = json.at("corpora").and_then(Json::as_array).unwrap();
+        let names: Vec<&str> =
+            corpora.iter().map(|c| c.get("name").and_then(Json::as_str).unwrap()).collect();
+        assert_eq!(names, ["Academic-like", "IMDB-like", "TPC-H-like"]);
+        for corpus in corpora {
+            // Every read-once answer is served without the cache, and only
+            // the others are looked up.
+            assert!(num(corpus, "closed_forms") > 0.0, "{corpus}");
+            assert!(
+                num(corpus, "cache_hits") + num(corpus, "closed_forms") <= num(corpus, "instances")
+            );
+            assert!(num(corpus, "cached_over_uncached") > 0.0, "{corpus}");
+        }
     }
 
     fn num(json: &Json, path: &str) -> f64 {

@@ -258,6 +258,9 @@ pub struct CacheComparison {
     pub instances: usize,
     /// Cache hits observed in the cached run.
     pub cache_hits: u64,
+    /// Instances the cached run answered in closed form, without the cache
+    /// ([`banzhaf_engine::SessionStats::closed_forms`]).
+    pub closed_forms: u64,
     /// Total compile steps with the cache enabled.
     pub cached_steps: u64,
     /// Total compile steps with the cache disabled.
@@ -268,16 +271,19 @@ pub struct CacheComparison {
     /// Wall time of the uncached run's `attribute` calls, best of
     /// [`CACHE_WALL_REPEATS`].
     pub uncached_wall: Duration,
+    /// Wall time of the same calls straight to the backend, with no session
+    /// around it, best of [`CACHE_WALL_REPEATS`].
+    pub raw_wall: Duration,
 }
 
 /// Runs per [`compare_cache`] call; each side's wall time is its best run.
 pub const CACHE_WALL_REPEATS: usize = 3;
 
 /// Attributes every lineage twice through engine sessions — once with the
-/// canonical-lineage d-tree cache, once without — and reports the compile
-/// work and the wall time each run spent. Both sessions attribute the
-/// canonical form, so per-instance compile work is identical except where
-/// the cache elides it.
+/// canonical-lineage d-tree cache, once without — and once straight through
+/// the backend, and reports the compile work and the wall time each run
+/// spent. Both sessions attribute the canonical form, so per-instance
+/// compile work is identical except where the cache elides it.
 ///
 /// Every *completed* attribution is charged to its run's step total — in
 /// particular a cache miss is charged even if the uncached run timed out on
@@ -287,27 +293,34 @@ pub const CACHE_WALL_REPEATS: usize = 3;
 /// both runs completed.
 ///
 /// The corpus runs [`CACHE_WALL_REPEATS`] times, each time through fresh
-/// engines (so the cached run starts cold), with the cached and uncached
-/// call on each lineage timed back to back; each side keeps its fastest
+/// engines (so the cached run starts cold), with the cached, uncached and
+/// raw call on each lineage timed back to back; each side keeps its fastest
 /// run's total. Counts come from the first run.
 pub fn compare_cache(lineages: &[&Dnf], config: &HarnessConfig) -> CacheComparison {
     let mut comparison = CacheComparison {
         cached_wall: Duration::MAX,
         uncached_wall: Duration::MAX,
+        raw_wall: Duration::MAX,
         ..CacheComparison::default()
     };
     let base = config.engine_config(Algorithm::ExaBan);
+    let raw = base.attributor();
     for repeat in 0..CACHE_WALL_REPEATS {
         let mut cached = Engine::new(base.clone().with_cache_config(CacheConfig::new())).session();
         let mut uncached =
             Engine::new(base.clone().with_cache_config(CacheConfig::disabled())).session();
-        let (mut cached_wall, mut uncached_wall) = (Duration::ZERO, Duration::ZERO);
+        let (mut cached_wall, mut uncached_wall, mut raw_wall) =
+            (Duration::ZERO, Duration::ZERO, Duration::ZERO);
         for lineage in lineages {
             let start = Instant::now();
             let a = cached.attribute(lineage);
             let middle = Instant::now();
             let b = uncached.attribute(lineage);
-            uncached_wall += middle.elapsed();
+            let end = Instant::now();
+            // The raw call's outcome equals the uncached session's.
+            let _ = raw.attribute(lineage, &base.budget());
+            raw_wall += end.elapsed();
+            uncached_wall += end - middle;
             cached_wall += middle - start;
             if repeat > 0 {
                 continue;
@@ -323,8 +336,10 @@ pub fn compare_cache(lineages: &[&Dnf], config: &HarnessConfig) -> CacheComparis
                 comparison.instances += 1;
             }
         }
+        comparison.closed_forms = cached.stats().closed_forms;
         comparison.cached_wall = comparison.cached_wall.min(cached_wall);
         comparison.uncached_wall = comparison.uncached_wall.min(uncached_wall);
+        comparison.raw_wall = comparison.raw_wall.min(raw_wall);
     }
     comparison
 }

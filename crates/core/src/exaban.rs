@@ -26,12 +26,20 @@
 //! in a vector indexed by position in the tree's universe
 //! ([`DTree::universe`]), which also supplies the zero entries of variables
 //! that occur only in constant leaves.
+//!
+//! [`ReadOnce`] answers without a tree when the compiler would need no
+//! Shannon step: it applies the compiler's ⊙ and ⊗ rules recursively to the
+//! clause rows as bitsets and combines Eq. (4)–(7) on the way back up, so a
+//! read-once lineage (as most lineages of hierarchical self-join-free
+//! queries are) costs one linear pass per level of its decomposition. It gives up at the
+//! first part that needs a ⊕ node, which the compiled path then handles.
 
 use banzhaf_arith::{Int, Natural};
-use banzhaf_boolean::{Clause, Dnf, Var};
+use banzhaf_boolean::{Dnf, Var};
 use banzhaf_dtree::{DTree, Node, NodeId, OpKind, Span};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::{BitAnd, BitOr, Not};
 
 /// Exact Banzhaf values of every variable of a function, plus its model count.
 #[derive(Clone, Debug)]
@@ -322,103 +330,247 @@ pub fn exaban_all_with_counts(tree: &DTree, counts: &ModelCounts) -> BanzhafResu
     BanzhafResult { values, model_count: counts.get(tree, tree.root()).into_owned() }
 }
 
-/// ExaBan in closed form for a lineage whose clauses share no variable.
-///
-/// Such a lineage compiles to a depth-two d-tree: a `⊗` over its clauses,
-/// each a `⊙` of literals. Eq. (7) and (9) then give every value directly.
-/// For `x` in clause `C_i`, `Banzhaf(φ, x) = 2^u · Π_{j≠i} (2^{|C_j|} − 1)`,
-/// where `u` counts the universe variables that occur in no clause; those
-/// score 0. The model count is `2^n − 2^u · Π_j (2^{|C_j|} − 1)`.
-#[derive(Clone, Debug)]
-pub struct ClosedForm<'a> {
-    phi: &'a Dnf,
-    /// One bit per universe position: set iff some clause uses it.
-    used: Vec<u64>,
-    /// Universe variables in no clause.
-    unused: usize,
-    /// Each distinct clause width with the value of a variable in a clause
-    /// of that width (clauses of one width score alike).
-    scores: Vec<(usize, Natural)>,
-    model_count: Natural,
+/// A clause row of the read-once pass: one bit per universe position.
+trait Row: Copy + Eq + BitAnd<Output = Self> + BitOr<Output = Self> + Not<Output = Self> {
+    const ZERO: Self;
+    /// The row with positions `0..n` set.
+    fn first(n: usize) -> Self;
+    fn bit(p: usize) -> Self;
+    fn count(self) -> u32;
+    /// The lowest set position of a non-empty row.
+    fn lowest(self) -> usize;
+    fn without_lowest(self) -> Self;
 }
 
-impl<'a> ClosedForm<'a> {
-    /// The closed form of `phi`, or `None` for a constant or for clauses
-    /// that share a variable. `Σ|C_j| ≤ n` is tested first, in `O(1)` from
-    /// the length of the lineage's variable buffer, and then one linear pass
-    /// checks that no variable repeats.
+macro_rules! impl_row {
+    ($($t:ty),*) => {$(
+        impl Row for $t {
+            const ZERO: Self = 0;
+            fn first(n: usize) -> Self {
+                <$t>::MAX.checked_shr(<$t>::BITS - n as u32).unwrap_or(0)
+            }
+            fn bit(p: usize) -> Self {
+                1 << p
+            }
+            fn count(self) -> u32 {
+                self.count_ones()
+            }
+            fn lowest(self) -> usize {
+                self.trailing_zeros() as usize
+            }
+            fn without_lowest(self) -> Self {
+                self & (self - 1)
+            }
+        }
+    )*};
+}
+impl_row!(u64, u128);
+
+/// The set positions of `row`, ascending.
+fn positions<R: Row>(mut row: R) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (row != R::ZERO).then(|| {
+            let p = row.lowest();
+            row = row.without_lowest();
+            p
+        })
+    })
+}
+
+/// `2^n` for `n < 128`.
+fn pow2(n: u32) -> u128 {
+    1 << n
+}
+
+/// ExaBan without compilation for a lineage that is *read-once* under the
+/// compiler's first two rules: factoring out common variables (⊙) and
+/// splitting into connected components (⊗), applied recursively, reach
+/// single variables without a Shannon step (⊕). Lineages of hierarchical
+/// self-join-free queries are of this kind unless they hold a cross
+/// product of independent atoms (`(a ∨ b) ∧ (c ∨ d)` as four clauses),
+/// which the compiler only splits by Shannon steps.
+///
+/// The pass follows [`DTree::compile_full`]'s rules on the clause rows as
+/// bitsets over universe positions, and combines counts and values with
+/// Eq. (4)–(7) on the way back up:
+///
+/// * ⊙ with the common literals `x₁ … x_k`: the count is the rest's count
+///   `#ρ`, each `x_i` scores `#ρ`, and the rest's values carry over (a
+///   literal's count is 1). An empty remaining row makes the rest `true`,
+///   with `#ρ = 2^{|ρ|}`, and its variables score 0.
+/// * ⊗ over components `φ₁ … φ_k` and `u` unused universe variables: with
+///   `m_i = 2^{n_i} − #φ_i`, the count is `2^n − 2^u·Π m_i`, and a variable
+///   of `φ_i` scores its value in `φ_i` times `2^u·Π_{j≠i} m_j`. The unused
+///   variables score 0. One union-find pass finds the components.
+///
+/// Every count and value of a function over `n` variables is at most
+/// `2^n`, so for `n < 128` the pass computes in `u128` and makes
+/// [`Natural`]s only at the end. It returns `None` at the first part that
+/// needs a Shannon step, and for universes of 128 or more variables.
+#[derive(Clone, Debug)]
+pub struct ReadOnce<'a> {
+    universe: &'a [Var],
+    /// The Banzhaf value of each universe variable, by position.
+    values: Vec<u128>,
+    model_count: u128,
+}
+
+impl<'a> ReadOnce<'a> {
+    /// The read-once pass over `phi`, or `None` if `phi` needs a Shannon
+    /// step or has 128 or more variables. Constants are answered too.
     pub fn of(phi: &'a Dnf) -> Option<Self> {
+        match phi.num_vars() {
+            0..=64 => Self::over::<u64>(phi),
+            65..=127 => Self::over::<u128>(phi),
+            _ => None,
+        }
+    }
+
+    fn over<R: Row>(phi: &'a Dnf) -> Option<Self> {
         let universe = phi.universe().as_slice();
-        let size = phi.size();
-        if size > universe.len() || phi.is_constant() {
-            return None;
-        }
-        let clauses = phi.clauses();
-        let mut used = vec![0u64; universe.len().div_ceil(64)];
-        for v in clauses.iter().flat_map(Clause::iter) {
-            let p = universe.binary_search(&v).expect("clause variable in the universe");
-            let bit = 1u64 << (p % 64);
-            if used[p / 64] & bit != 0 {
-                return None;
-            }
-            used[p / 64] |= bit;
-        }
-        // The distinct clause widths, each with its multiplicity.
-        let mut widths: Vec<(usize, u32)> = Vec::new();
-        for clause in clauses {
-            match widths.iter_mut().find(|(w, _)| *w == clause.len()) {
-                Some((_, m)) => *m += 1,
-                None => widths.push((clause.len(), 1)),
-            }
-        }
-        // Π_j (2^{|C_j|} − 1) over every clause, or over all but one clause
-        // of width `skip`. Widths are few, so recomputing it per width is
-        // cheaper than dividing.
-        let non_models = |skip: Option<usize>| {
-            widths.iter().fold(Natural::one(), |acc, &(w, m)| {
-                let f = &Natural::pow2(w) - &Natural::one();
-                acc.mul_ref(&f.pow(m - u32::from(skip == Some(w))))
-            })
-        };
-        let unused = universe.len() - size;
-        let scores =
-            widths.iter().map(|&(w, _)| (w, non_models(Some(w)).shl_bits(unused))).collect();
-        let model_count = &Natural::pow2(universe.len()) - &non_models(None).shl_bits(unused);
-        Some(ClosedForm { phi, used, unused, scores, model_count })
+        let position =
+            |v: Var| universe.binary_search(&v).expect("clause variable in the universe");
+        let mut rows: Vec<R> = phi
+            .clauses()
+            .iter()
+            .map(|clause| clause.iter().fold(R::ZERO, |row, v| row | R::bit(position(v))))
+            .collect();
+        let mut pass =
+            Pass { values: vec![0; universe.len()], parent: [0; 128], groups: Vec::new() };
+        let model_count =
+            if rows.is_empty() { 0 } else { pass.part(&mut rows, R::first(universe.len()))? };
+        Some(ReadOnce { universe, values: pass.values, model_count })
     }
 
     /// The model count `#φ`.
-    pub fn model_count(&self) -> &Natural {
-        &self.model_count
+    pub fn model_count(&self) -> Natural {
+        Natural::from(self.model_count)
     }
 
-    /// Every universe variable with its Banzhaf value: the clause variables
-    /// in clause order, then the unused ones with value 0.
+    /// Every universe variable with its Banzhaf value, in universe order.
     pub fn values(&self) -> impl Iterator<Item = (Var, Natural)> + '_ {
-        let in_clauses = self.phi.clauses().iter().flat_map(move |clause| {
-            let (_, score) =
-                self.scores.iter().find(|(w, _)| *w == clause.len()).expect("every width scored");
-            clause.iter().map(move |v| (v, score.clone()))
-        });
-        let unused = self
-            .phi
-            .universe()
-            .iter()
-            .enumerate()
-            .filter(move |(p, _)| self.used[p / 64] & (1 << (p % 64)) == 0)
-            .map(|(_, v)| (v, Natural::zero()))
-            .take(self.unused);
-        in_clauses.chain(unused)
+        self.universe.iter().zip(&self.values).map(|(&v, &b)| (v, Natural::from(b)))
     }
 }
 
-/// [`ClosedForm`] collected into a [`BanzhafResult`]: the same values and
-/// model count as [`exaban_all`] over the compiled tree, or `None` when the
-/// clauses share a variable or `phi` is a constant.
-pub fn exaban_closed_form(phi: &Dnf) -> Option<BanzhafResult> {
-    let closed = ClosedForm::of(phi)?;
-    let values = closed.values().collect();
-    Some(BanzhafResult { values, model_count: closed.model_count })
+/// One component of a ⊗ split: its positions, its non-model count and the
+/// product of the non-model counts after it.
+struct Group<R> {
+    vars: R,
+    non_models: u128,
+    after: u128,
+}
+
+/// The read-once pass's output and scratch space.
+struct Pass<R> {
+    /// The value of each universe position within the part that holds it.
+    values: Vec<u128>,
+    /// Union-find parents over universe positions.
+    parent: [u8; 128],
+    /// The groups of every ⊗ split on the current path, innermost last.
+    groups: Vec<Group<R>>,
+}
+
+impl<R: Row> Pass<R> {
+    /// The model count of the part with non-empty `rows` over `universe`,
+    /// writing the value of each of its variables within the part into
+    /// `values`; `None` if the part needs a Shannon step.
+    fn part(&mut self, rows: &mut [R], universe: R) -> Option<u128> {
+        if rows.contains(&R::ZERO) {
+            return Some(pow2(universe.count()));
+        }
+        // ⊙: factor out the variables common to every row.
+        let common = rows.iter().fold(universe, |acc, &r| acc & r);
+        if common != R::ZERO {
+            for r in rows.iter_mut() {
+                *r = *r & !common;
+            }
+            let count = self.part(rows, universe & !common)?;
+            for p in positions(common) {
+                self.values[p] = count;
+            }
+            return Some(count);
+        }
+        // ⊗: split into connected components. With no common variable, a
+        // single component would need a Shannon step.
+        let used = rows.iter().fold(R::ZERO, |acc, &r| acc | r);
+        for p in positions(used) {
+            self.parent[p] = p as u8;
+        }
+        for &row in rows.iter() {
+            let mut rest = positions(row);
+            let first = self.find(rest.next().expect("a non-empty row"));
+            for p in rest {
+                let root = self.find(p);
+                self.parent[root as usize] = first;
+            }
+        }
+        let mut components = 0;
+        for p in positions(used) {
+            let root = self.find(p);
+            self.parent[p] = root;
+            components += usize::from(root as usize == p);
+        }
+        if components == 1 {
+            return None;
+        }
+        // Group the rows by component, unless every row is its own.
+        if components < rows.len() {
+            let parent = &self.parent;
+            rows.sort_unstable_by_key(|r| parent[r.lowest()]);
+        }
+        let base = self.groups.len();
+        let mut start = 0;
+        while start < rows.len() {
+            let root = self.parent[rows[start].lowest()];
+            let len = rows[start..].iter().take_while(|r| self.parent[r.lowest()] == root).count();
+            let group = &mut rows[start..start + len];
+            start += len;
+            let vars = group.iter().fold(R::ZERO, |acc, &r| acc | r);
+            let count = if let [row] = group {
+                // A single clause: every variable is a literal scoring 1.
+                for p in positions(*row) {
+                    self.values[p] = 1;
+                }
+                1
+            } else {
+                self.part(group, vars)?
+            };
+            self.groups.push(Group { vars, non_models: pow2(vars.count()) - count, after: 0 });
+        }
+        // Each component's variables scale by 2^u and the other
+        // components' non-model counts: a suffix product, then a prefix.
+        let mut non_models = pow2((universe & !used).count());
+        for group in self.groups[base..].iter_mut().rev() {
+            group.after = non_models;
+            non_models *= group.non_models;
+        }
+        let mut before = 1;
+        for group in self.groups.drain(base..) {
+            let factor = before * group.after;
+            for p in positions(group.vars) {
+                self.values[p] *= factor;
+            }
+            before *= group.non_models;
+        }
+        Some(pow2(universe.count()) - non_models)
+    }
+
+    fn find(&mut self, mut p: usize) -> u8 {
+        while self.parent[p] as usize != p {
+            self.parent[p] = self.parent[self.parent[p] as usize];
+            p = self.parent[p] as usize;
+        }
+        p as u8
+    }
+}
+
+/// [`ReadOnce`] collected into a [`BanzhafResult`]: the same values and
+/// model count as [`exaban_all`] over the compiled tree, or `None` when
+/// `phi` needs a Shannon step or has 128 or more variables.
+pub fn exaban_read_once(phi: &Dnf) -> Option<BanzhafResult> {
+    let pass = ReadOnce::of(phi)?;
+    Some(BanzhafResult { values: pass.values().collect(), model_count: pass.model_count() })
 }
 
 #[cfg(test)]
@@ -558,7 +710,7 @@ mod tests {
             ),
         ];
         for phi in functions {
-            let closed = exaban_closed_form(&phi).expect("independent clauses");
+            let closed = exaban_read_once(&phi).expect("independent clauses are read-once");
             let compiled = exaban_all(&compile(phi.clone()));
             assert_eq!(closed.model_count, compiled.model_count, "{phi}");
             assert_eq!(closed.model_count, phi.brute_force_model_count(), "{phi}");
@@ -567,26 +719,35 @@ mod tests {
     }
 
     #[test]
-    fn closed_form_refuses_shared_variables_and_constants() {
-        let shared = banzhaf_boolean::Dnf::from_clauses(vec![
+    fn read_once_pass_answers_constants_and_refuses_what_needs_shannon() {
+        let universe = banzhaf_boolean::VarSet::from_iter([v(0), v(1)]);
+        let t = exaban_read_once(&banzhaf_boolean::Dnf::constant_true(universe.clone())).unwrap();
+        assert_eq!(t.model_count.to_u64(), Some(4));
+        assert_eq!(t.value(v(0)).unwrap().to_u64(), Some(0));
+        let f = exaban_read_once(&banzhaf_boolean::Dnf::constant_false(universe)).unwrap();
+        assert_eq!(f.model_count.to_u64(), Some(0));
+        assert_eq!(f.value(v(1)).unwrap().to_u64(), Some(0));
+        // A shared variable alone is factored out: x ∧ (y ∨ z) ∨ u.
+        assert!(exaban_read_once(&banzhaf_boolean::Dnf::from_clauses(vec![
             vec![v(0), v(1)],
             vec![v(1), v(2)],
             vec![v(3)],
-        ]);
-        // Σ|C_j| ≤ n holds once unused variables pad the universe, so the
-        // repeat check is what refuses this one.
+        ]))
+        .is_some());
+        let triangle = vec![vec![v(0), v(1)], vec![v(1), v(2)], vec![v(0), v(2)]];
+        // Unused variables pad the universe, so the ⊗ step splits them off
+        // before the triangle refuses.
         let padded = banzhaf_boolean::Dnf::from_clauses_with_universe(
-            vec![vec![v(0), v(1)], vec![v(1), v(2)]],
+            triangle.clone(),
             (0..8).map(v).collect(),
         );
-        let universe = banzhaf_boolean::VarSet::from_iter([v(0), v(1)]);
-        for phi in [
-            shared,
-            padded,
-            banzhaf_boolean::Dnf::constant_true(universe.clone()),
-            banzhaf_boolean::Dnf::constant_false(universe),
-        ] {
-            assert!(ClosedForm::of(&phi).is_none(), "{phi}");
+        // Clauses that share no variable, over 128 universe variables.
+        let wide = banzhaf_boolean::Dnf::from_clauses_with_universe(
+            vec![vec![v(0), v(1)], vec![v(2)]],
+            (0..128).map(v).collect(),
+        );
+        for phi in [banzhaf_boolean::Dnf::from_clauses(triangle), padded, wide] {
+            assert!(ReadOnce::of(&phi).is_none(), "{phi}");
         }
     }
 

@@ -4,9 +4,9 @@
 //! in Query Answering* (SIGMOD 2024):
 //!
 //! * [`exaban_all`] / [`exaban_single`] — **ExaBan** (Fig. 1): exact Banzhaf
-//!   values and model counts over a complete d-tree; [`exaban_closed_form`]
-//!   gives the same answer without compiling when the clauses share no
-//!   variable.
+//!   values and model counts over a complete d-tree; [`exaban_read_once`]
+//!   gives the same answer without compiling when the compiler would need
+//!   no Shannon step (a read-once lineage).
 //! * [`bounds_for_var`] — the `bounds` procedure (Fig. 2): lower/upper bounds
 //!   on Banzhaf values and model counts over a *partial* d-tree, using the
 //!   iDNF constructions of Sec. 3.2.1 at non-trivial leaves.
@@ -53,8 +53,8 @@ pub use banzhaf_boolean::{AggregateKind, AggregateValue, Dnf, Var, WeightedDnf};
 pub use banzhaf_dtree::{Budget, DTree, Interrupted, PivotHeuristic};
 pub use bounds::{bounds_for_var, BoundQuad};
 pub use exaban::{
-    exaban_all, exaban_all_with_counts, exaban_closed_form, exaban_single, model_counts,
-    BanzhafResult, ClosedForm, ModelCounts,
+    exaban_all, exaban_all_with_counts, exaban_read_once, exaban_single, model_counts,
+    BanzhafResult, ModelCounts, ReadOnce,
 };
 pub use ichiban::{ichiban_rank, ichiban_topk, IchiBanOptions, Ranking, TopK};
 pub use shapley::{critical_counts_all, shapley_all, ShapleyValue};

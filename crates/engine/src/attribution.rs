@@ -89,8 +89,8 @@ pub struct EngineStats {
     /// Size of the (possibly partial) d-tree after the run, in nodes.
     pub dtree_nodes: usize,
     /// Wall-clock time spent inside the backend; 0 for a cache hit and for
-    /// a closed form ([`crate::Attributor::closed_form`]), whose one linear
-    /// pass costs about as much as the two clock reads that would time it.
+    /// a closed form ([`crate::Attributor::closed_form`]), whose direct pass
+    /// costs about as much as the two clock reads that would time it.
     pub wall: Duration,
     /// `true` iff the result was served from the session's d-tree cache.
     pub cache_hit: bool,

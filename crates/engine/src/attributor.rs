@@ -3,8 +3,8 @@
 use crate::attribution::{Attribution, EngineStats, Ranked, Score};
 use banzhaf::{
     adaban, adaban_all, aggregate_banzhaf_all, exaban_all, exaban_all_with_counts, ichiban_rank,
-    ichiban_topk, model_counts, shapley_all, AdaBanOptions, ApproxInterval, Budget, ClosedForm,
-    DTree, IchiBanOptions, Interrupted, PivotHeuristic,
+    ichiban_topk, model_counts, shapley_all, AdaBanOptions, ApproxInterval, Budget, DTree,
+    IchiBanOptions, Interrupted, PivotHeuristic, ReadOnce,
 };
 use banzhaf_arith::Natural;
 use banzhaf_baselines::{cnf_proxy, mc_banzhaf_par, sig22_exact, McOptions};
@@ -54,13 +54,14 @@ pub trait Attributor: Send + Sync {
     ) -> Result<Attribution, Interrupted>;
 
     /// The attribution of a Boolean lineage that the backend answers in
-    /// closed form — in one linear pass, with no compilation and cheaper
-    /// than a cache lookup — or `None` (the default) if it needs the full
-    /// [`Attributor::attribute_indexed`] run. A [`crate::Session`] serves
-    /// such a lineage straight from here: no prekey, no cache lookup and no
-    /// cache entry. An override returns the values and model count the full
-    /// run would return; it compiles nothing, so its stats report no steps,
-    /// no nodes and no wall time.
+    /// closed form — by a direct pass with no compilation, cheaper than a
+    /// cache lookup, as ExaBan does for every read-once lineage — or `None`
+    /// (the default) if it needs the full [`Attributor::attribute_indexed`]
+    /// run. A [`crate::Session`] asks before every prekey and serves such a
+    /// lineage straight from here: no prekey, no cache lookup and no cache
+    /// entry, so a refusal must stay cheap too. An override returns the
+    /// values and model count the full run would return; it compiles
+    /// nothing, so its stats report no steps, no nodes and no wall time.
     fn closed_form(&self, _lineage: &Dnf) -> Option<Attribution> {
         None
     }
@@ -165,19 +166,19 @@ impl Attributor for ExaBanAttributor {
         "ExaBan"
     }
 
-    /// Clauses that share no variable form a depth-two d-tree whose values
-    /// follow in closed form ([`ClosedForm`]); Shapley values still need the
-    /// compiled tree.
+    /// A lineage whose ⊙/⊗ decomposition needs no Shannon step (a
+    /// read-once lineage) is answered by one direct pass ([`ReadOnce`]);
+    /// Shapley values still need the compiled tree.
     fn closed_form(&self, lineage: &Dnf) -> Option<Attribution> {
         if self.include_shapley {
             return None;
         }
-        let closed = ClosedForm::of(lineage)?;
+        let pass = ReadOnce::of(lineage)?;
         let mut values = HashMap::with_capacity(lineage.num_vars());
-        values.extend(closed.values().map(|(v, b)| (v, Score::Exact(b))));
+        values.extend(pass.values().map(|(v, b)| (v, Score::Exact(b))));
         Some(Attribution {
             values,
-            model_count: Some(closed.model_count().clone()),
+            model_count: Some(pass.model_count()),
             ..scored(self.name(), [], EngineStats::default())
         })
     }
@@ -497,7 +498,10 @@ mod tests {
             let exact = att.exact_values().unwrap();
             assert_eq!(exact[&v(0)].to_u64(), Some(3));
             assert_eq!(exact[&v(3)].to_u64(), Some(5));
-            assert!(att.stats.compile_steps > 0, "{algorithm} records compile work");
+            // Example 13 is read-once, which ExaBan answers without
+            // compiling; the ring needs Shannon steps on every exact backend.
+            let hard = attributor.attribute(&hard_function(), &Budget::unlimited()).unwrap();
+            assert!(hard.stats.compile_steps > 0, "{algorithm} records compile work");
         }
     }
 

@@ -8,12 +8,13 @@
 //!
 //! Design:
 //!
-//! * **Independent-clause lineages bypass the cache.** A Boolean lineage
-//!   whose clauses share no variable has a closed form
-//!   ([`crate::Attributor::closed_form`], ExaBan's depth-two d-tree) that
-//!   costs less than a warm hit, so [`crate::Session`] answers it before
-//!   building a [`Prekeyed`]: it makes no lookup, counts neither a hit nor a
-//!   miss, and leaves no entry.
+//! * **Read-once lineages bypass the cache.** A Boolean lineage whose ⊙/⊗
+//!   decomposition reaches single variables without a Shannon step has a
+//!   closed form ([`crate::Attributor::closed_form`], ExaBan's direct
+//!   read-once pass) that costs less than a warm hit, so [`crate::Session`]
+//!   answers it before building a [`Prekeyed`]: it makes no lookup, counts
+//!   neither a hit nor a miss, and leaves no entry. The cache holds only
+//!   lineages that need Shannon steps.
 //! * **Aggregate lineages bypass the cache.** A weighted (COUNT/SUM/MIN/MAX)
 //!   batch runs uncached, as randomized backends do: every instance
 //!   compiles, nothing is looked up or inserted, and the keys, fingerprints

@@ -169,7 +169,8 @@ pub struct SessionStats {
     /// Attributions served from the canonical-lineage cache.
     pub cache_hits: u64,
     /// Attributions the backend answered in closed form
-    /// ([`Attributor::closed_form`]) without a prekey or a cache lookup.
+    /// ([`Attributor::closed_form`]) without a prekey or a cache lookup: for
+    /// ExaBan, every read-once lineage, independent clauses included.
     /// Every other attribution is a cache hit or a cache miss, so
     /// `attributions` = `cache_hits` + misses + `closed_forms`.
     pub closed_forms: u64,
@@ -399,8 +400,10 @@ impl Session {
     /// collide), each *distinct* uncached shape is compiled once (only the
     /// compiles fan out across the pool), and the freshly compiled trees are
     /// merged into the d-tree cache by the session alone once the workers
-    /// have joined — the cache never sees concurrent writers. By default every instance gets its own fresh [`Budget`] from
-    /// the configuration, exactly as repeated [`Session::attribute`] calls
+    /// have joined — the cache never sees concurrent writers.
+    ///
+    /// By default every instance gets its own fresh [`Budget`] from the
+    /// configuration, exactly as repeated [`Session::attribute`] calls
     /// would, so the per-instance results — values, model counts, cache-hit
     /// flags, and `Interrupted` outcomes under step caps — are
     /// **bit-identical to the sequential path at every thread count**;
@@ -1048,6 +1051,27 @@ mod tests {
         ])
     }
 
+    /// A 4-path shifted by a variable offset: connected with no common
+    /// variable, so it needs a Shannon step (a 3-path would factor out its
+    /// middle variable and be read-once).
+    fn shifted_path(offset: u32) -> Dnf {
+        Dnf::from_clauses(vec![
+            vec![v(offset), v(offset + 1)],
+            vec![v(offset + 1), v(offset + 2)],
+            vec![v(offset + 2), v(offset + 3)],
+        ])
+    }
+
+    /// A triangle shifted by a variable offset: the smallest lineage that
+    /// needs a Shannon step, in fewer compile steps than the cycle.
+    fn shifted_triangle(offset: u32) -> Dnf {
+        Dnf::from_clauses(vec![
+            vec![v(offset), v(offset + 1)],
+            vec![v(offset + 1), v(offset + 2)],
+            vec![v(offset), v(offset + 2)],
+        ])
+    }
+
     #[test]
     fn isomorphic_lineages_share_a_cache_entry() {
         let engine = Engine::new(EngineConfig::default());
@@ -1120,21 +1144,22 @@ mod tests {
 
     #[test]
     fn relabelled_lineages_hit_regardless_of_label_order() {
-        // A 3-path whose middle variable carries the smallest label vs the
-        // middle label: first-occurrence renaming keyed these apart (the
-        // spurious miss this PR fixes); the refinement-based key must score
-        // a hit and transfer the values through the bijection.
+        // A 4-path whose middle variables carry the middle labels vs the
+        // smallest ones: first-occurrence renaming keyed these apart; the
+        // refinement-based key must score a hit and transfer the values
+        // through the bijection.
         let engine = Engine::new(EngineConfig::default());
         let mut session = engine.session();
-        let middle_is_mid = Dnf::from_clauses(vec![vec![v(0), v(1)], vec![v(1), v(2)]]);
-        let middle_is_small = Dnf::from_clauses(vec![vec![v(0), v(1)], vec![v(0), v(2)]]);
+        let middle_is_mid = shifted_path(0);
+        let middle_is_small =
+            Dnf::from_clauses(vec![vec![v(2), v(0)], vec![v(0), v(1)], vec![v(1), v(3)]]);
         let a = session.attribute(&middle_is_mid).unwrap();
         let b = session.attribute(&middle_is_small).unwrap();
         assert!(b.stats.cache_hit, "isomorphic labellings must share one cache entry");
         assert_eq!(engine.stats().cache.insertions, 1);
         // The bijection maps middles to middles and ends to ends.
         assert_eq!(a.value(v(1)).unwrap().exact(), b.value(v(0)).unwrap().exact());
-        assert_eq!(a.value(v(0)).unwrap().exact(), b.value(v(1)).unwrap().exact());
+        assert_eq!(a.value(v(0)).unwrap().exact(), b.value(v(2)).unwrap().exact());
         assert_eq!(a.model_count, b.model_count);
         assert!(b.stats.canon_steps > 0, "canonicalization cost must be reported");
     }
@@ -1184,20 +1209,23 @@ mod tests {
     #[test]
     fn explain_keeps_finished_answers_when_one_starves() {
         // Answer 1 has a one-clause lineage; answer 2 joins three R facts
-        // with three S facts. Both have clauses that share no variable, so
-        // ExaBan answers them in closed form and compiles nothing. Answer 3
-        // joins two R facts with two S facts each, so its clauses share the
-        // R facts and it compiles. A step cap between the costs starves
-        // answer 3 only — the completed work of answers 1 and 2 must
-        // survive.
+        // with three S facts and three T facts, one chain each. Both have
+        // clauses that share no variable, so ExaBan answers them in closed
+        // form and compiles nothing. Answer 3 joins two R facts with two S
+        // facts each and two T facts, a cycle of shared facts with no fact
+        // common to every clause, so it needs a Shannon step and compiles.
+        // A step cap between the costs starves answer 3 only — the
+        // completed work of answers 1 and 2 must survive.
         let mut db = Database::new();
         db.add_relation("R", 2);
         db.add_relation("S", 2);
+        db.add_relation("T", 1);
         db.insert_endogenous("R", vec![1.into(), 10.into()]).unwrap();
         db.insert_endogenous("S", vec![10.into(), 0.into()]).unwrap();
         for i in 0..3i64 {
             db.insert_endogenous("R", vec![2.into(), (20 + i).into()]).unwrap();
-            db.insert_endogenous("S", vec![(20 + i).into(), 0.into()]).unwrap();
+            db.insert_endogenous("S", vec![(20 + i).into(), (100 + i).into()]).unwrap();
+            db.insert_endogenous("T", vec![(100 + i).into()]).unwrap();
         }
         for y in [30i64, 31] {
             db.insert_endogenous("R", vec![3.into(), y.into()]).unwrap();
@@ -1205,7 +1233,10 @@ mod tests {
                 db.insert_endogenous("S", vec![y.into(), z.into()]).unwrap();
             }
         }
-        let query = parse_program("Q(X) :- R(X, Y), S(Y, Z).").unwrap();
+        for z in 0..2i64 {
+            db.insert_endogenous("T", vec![z.into()]).unwrap();
+        }
+        let query = parse_program("Q(X) :- R(X, Y), S(Y, Z), T(Z).").unwrap();
         // Probe the answers' compile costs with an unlimited budget.
         let probe = Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled()))
             .session()
@@ -1232,10 +1263,11 @@ mod tests {
 
     /// Lineages mixing repeated canonical shapes (shifted cycles) with
     /// distinct ones, so batches exercise hits, in-batch reuse and misses.
+    /// Every one needs a Shannon step, so none is answered in closed form.
     fn mixed_batch() -> Vec<Dnf> {
         let mut lineages: Vec<Dnf> = (0..4u32).map(|s| shifted_cycle(s * 10)).collect();
-        lineages.push(Dnf::from_clauses(vec![vec![v(0), v(1)], vec![v(1), v(2)]]));
-        lineages.push(Dnf::from_clauses(vec![vec![v(0), v(1)], vec![v(0), v(2)], vec![v(3)]]));
+        lineages.push(shifted_triangle(0));
+        lineages.push(shifted_path(0));
         lineages
     }
 
@@ -1284,10 +1316,10 @@ mod tests {
         // `mixed_batch` repeats the cycle's presentation four times; add
         // repeats of the other two presentations, interleaved.
         let mut lineages = mixed_batch();
-        lineages.push(Dnf::from_clauses(vec![vec![v(50), v(51)], vec![v(51), v(52)]]));
+        lineages.push(shifted_triangle(50));
         lineages.push(shifted_cycle(70));
-        lineages.push(Dnf::from_clauses(vec![vec![v(60), v(61)], vec![v(60), v(62)], vec![v(63)]]));
-        lineages.push(Dnf::from_clauses(vec![vec![v(80), v(81)], vec![v(81), v(82)]]));
+        lineages.push(shifted_path(60));
+        lineages.push(shifted_triangle(80));
         let refs: Vec<&Dnf> = lineages.iter().collect();
         // Two engines warmed by a first pass: one looped, one batched.
         let (looped, batched) =
@@ -1327,8 +1359,8 @@ mod tests {
         // exactly as in the loop, which only holds if the third instance's
         // settle (no lookup) refreshes A's recency.
         let a = shifted_cycle(0);
-        let b = Dnf::from_clauses(vec![vec![v(0), v(1)], vec![v(1), v(2)]]);
-        let c = Dnf::from_clauses(vec![vec![v(0), v(1)], vec![v(0), v(2)], vec![v(3)]]);
+        let b = shifted_triangle(0);
+        let c = shifted_path(0);
         let survivors = |batch: bool| {
             let engine = Engine::new(
                 EngineConfig::default().with_cache_config(CacheConfig::new().with_capacity(2)),
@@ -1475,7 +1507,7 @@ mod tests {
             EngineConfig::default().with_cache_config(CacheConfig::new().with_capacity(1)),
         );
         let mut session = engine.session();
-        let path = Dnf::from_clauses(vec![vec![v(0), v(1)], vec![v(1), v(2)]]);
+        let path = shifted_path(0);
         let cycle = shifted_cycle(0);
         let first_path = session.attribute(&path).unwrap();
         // The cycle displaces the path (capacity 1), so re-attributing the

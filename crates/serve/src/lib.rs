@@ -43,13 +43,13 @@
 //! use banzhaf_serve::{block_on, join_all, AttributionService, RequestOptions, ServeConfig};
 //!
 //! let service = AttributionService::start(ServeConfig::default().with_workers(2));
-//! // Two isomorphic lineages whose clauses share no variable: both are
-//! // answered in closed form, without the cache. Then two isomorphic
-//! // lineages whose clauses share `o + 1`: the second is served from the
-//! // shared cache.
-//! let independent = |o: u32| vec![vec![Var(o), Var(o + 1)], vec![Var(o + 2)]];
-//! let shared = |o: u32| vec![vec![Var(o), Var(o + 1)], vec![Var(o + 1), Var(o + 2)]];
-//! let tickets: Vec<_> = [independent(0), independent(10), shared(20), shared(30)]
+//! // Two isomorphic read-once lineages (their clauses share `o + 1`, which
+//! // factors out): both are answered in closed form, without the cache.
+//! // Then two isomorphic 4-paths, which need a Shannon step: the second is
+//! // served from the shared cache.
+//! let read_once = |o: u32| vec![vec![Var(o), Var(o + 1)], vec![Var(o + 1), Var(o + 2)]];
+//! let path = |o: u32| (o..o + 3).map(|i| vec![Var(i), Var(i + 1)]).collect::<Vec<_>>();
+//! let tickets: Vec<_> = [read_once(0), read_once(10), path(20), path(30)]
 //!     .into_iter()
 //!     .map(|clauses| service.submit(Dnf::from_clauses(clauses), RequestOptions::default()).unwrap())
 //!     .collect();

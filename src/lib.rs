@@ -75,7 +75,7 @@ pub mod prelude {
     };
 
     pub use banzhaf::{
-        adaban, adaban_all, bounds_for_var, critical_counts_all, exaban_all, exaban_closed_form,
+        adaban, adaban_all, bounds_for_var, critical_counts_all, exaban_all, exaban_read_once,
         exaban_single, ichiban_rank, ichiban_topk, l1_distance_normalized, normalized_index,
         normalized_power, shapley_all, AdaBanOptions, ApproxInterval, BanzhafResult, Budget, DTree,
         IchiBanOptions, Interrupted, PivotHeuristic, Ranking, ShapleyValue, TopK,

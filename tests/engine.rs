@@ -17,10 +17,11 @@ fn small_dnf() -> impl Strategy<Value = Dnf> {
     )
 }
 
-/// `true` iff ExaBan answers `phi` in closed form (its clauses share no
-/// variable), so a session serves it without a cache lookup or entry.
+/// `true` iff ExaBan answers `phi` in closed form (it is read-once: its ⊙/⊗
+/// decomposition needs no Shannon step), so a session serves it without a
+/// cache lookup or entry.
 fn closed_form(phi: &Dnf) -> bool {
-    exaban_closed_form(phi).is_some()
+    exaban_read_once(phi).is_some()
 }
 
 /// Ground truth via the core two-pass algorithm on a compiled d-tree.
@@ -832,17 +833,25 @@ fn in_batch_presentation_reuse_in_an_occupied_bucket_is_a_miss() {
     }
 }
 
+/// `(x₀ ∨ x₁) ∧ (y₀ ∨ y₁ ∨ y₂)` as six clauses `{xᵢ, yⱼ}`, with the pair
+/// labelled from `pair` and the triple from `triple`: connected with no
+/// common variable, so it needs a Shannon step and is not read-once.
+fn k23(pair: u32, triple: u32) -> Dnf {
+    Dnf::from_clauses(
+        (pair..pair + 2)
+            .flat_map(|x| (triple..triple + 3).map(move |y| vec![Var(x), Var(y)]))
+            .collect::<Vec<_>>(),
+    )
+}
+
 #[test]
 fn in_batch_reuse_maps_back_by_presentation_or_through_witnesses() {
-    // A 3-path whose middle fact holds the middle label, a relabelling whose
-    // middle fact holds the smallest label (another presentation), and a
-    // shifted copy of the first (the same presentation). The middle fact
-    // scores differently from the ends, so a reuse mapped back the wrong way
-    // shows.
-    let path = |a: u32, b: u32, c: u32| {
-        Dnf::from_clauses(vec![vec![Var(a), Var(b)], vec![Var(b), Var(c)]])
-    };
-    let lineages = [path(0, 1, 2), path(21, 20, 22), path(10, 11, 12)];
+    // A product of two facts with three whose pair holds the smallest
+    // labels, a relabelling whose triple holds them (another presentation),
+    // and a shifted copy of the first (the same presentation). A fact of the
+    // pair scores differently from one of the triple, so a reuse mapped back
+    // the wrong way shows.
+    let lineages = [k23(0, 2), k23(23, 20), k23(10, 12)];
     let refs: Vec<&Dnf> = lineages.iter().collect();
     let plain = Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled()))
         .session()
@@ -856,8 +865,9 @@ fn in_batch_reuse_maps_back_by_presentation_or_through_witnesses() {
         }
         assert_eq!(session.stats().cache_hits, 2, "both later paths reuse the first compile");
         // The relabelling keys itself and the pending owner; the shifted
-        // copy reuses the owner by presentation, with no keying. A 3-path
-        // factors and splits all the way down, so neither keying searches.
+        // copy reuses the owner by presentation, with no keying. The product
+        // needs Shannon steps to compile but keys as a cross product, so
+        // neither keying searches.
         assert!(out[1].as_ref().unwrap().stats.canon_steps > 0);
         assert_eq!(session.stats().canon_searches, 0);
         assert_eq!(out[2].as_ref().unwrap().stats.canon_steps, 0);
@@ -866,17 +876,14 @@ fn in_batch_reuse_maps_back_by_presentation_or_through_witnesses() {
 
 #[test]
 fn a_repeated_presentation_reuses_its_witness_within_a_batch() {
-    let path = |a: u32, b: u32, c: u32| {
-        Dnf::from_clauses(vec![vec![Var(a), Var(b)], vec![Var(b), Var(c)]])
-    };
     let engine = Engine::new(EngineConfig::default());
     let mut session = engine.session();
-    // The resident holds the presentation with the middle fact in the middle.
-    session.attribute(&path(0, 1, 2)).unwrap();
-    // Two copies of another presentation (middle fact smallest): both hit
-    // through the canonical key, and only the first pays the keying (which
-    // decomposes without a search).
-    let lineages = [path(21, 20, 22), path(31, 30, 32)];
+    // The resident holds the presentation with the pair's labels smallest.
+    session.attribute(&k23(0, 2)).unwrap();
+    // Two copies of another presentation (the triple's labels smallest):
+    // both hit through the canonical key, and only the first pays the
+    // keying (which decomposes as a cross product without a search).
+    let lineages = [k23(23, 20), k23(33, 30)];
     let refs: Vec<&Dnf> = lineages.iter().collect();
     let out = session.attribute_batch(&refs, BatchOptions::default());
     let plain = Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled()))
@@ -909,8 +916,8 @@ struct Pass {
     renderings: Vec<Vec<String>>,
     /// Every answer's cache-hit flag.
     hits: Vec<bool>,
-    /// Whether each answer's lineage has a closed form (clauses that share
-    /// no variable), so the session served it without the cache.
+    /// Whether each answer's lineage has a closed form (it is read-once),
+    /// so the session served it without the cache.
     closed: Vec<bool>,
     /// The keying steps and searches the pass added to the session.
     keyed: (u64, u64),
@@ -980,7 +987,7 @@ fn warm_corpora_passes_key_nothing_and_match_cache_off() {
         session_stats.attributions - session_stats.closed_forms,
         "closed-form answers make no lookup"
     );
-    assert_eq!(stats.entries, 64);
+    assert_eq!(stats.entries, 19);
 }
 
 /// Aliases are not persisted: a warm-started engine serves every answer
@@ -1006,7 +1013,7 @@ fn warm_starts_carry_no_aliases_and_relearn_them() {
     let warm = Engine::new(
         EngineConfig::default().with_cache_config(CacheConfig::new().with_warm_start(&path)),
     );
-    assert_eq!(warm.stats().cache.entries, 64);
+    assert_eq!(warm.stats().cache.entries, 19);
     let mut session = warm.session();
     let passes: Vec<_> = (0..2).map(|_| explain_pass(&mut session, &queries)).collect();
     for pass in &passes {
@@ -1022,8 +1029,9 @@ fn warm_starts_carry_no_aliases_and_relearn_them() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Closed-form answers on the paper corpora: 1044 of the 1362 answer
-/// lineages have clauses that share no variable. A cache-off session, cached
+/// Closed-form answers on the paper corpora: 1334 of the 1362 answer
+/// lineages are read-once (1044 of them have clauses that share no
+/// variable). A cache-off session, cached
 /// sessions at one and two threads, the serve tier and live sessions return
 /// the same bits for every answer, and the closed-form lineages make no
 /// cache lookup and leave no entry.
@@ -1035,7 +1043,7 @@ fn closed_form_answers_agree_across_cache_threads_serve_and_live() {
         Engine::new(EngineConfig::default().with_cache_config(CacheConfig::disabled())).session();
     let cold = explain_pass(&mut plain, &queries);
     let (answers, closed) = (cold.closed.len() as u64, plain.stats().closed_forms);
-    assert_eq!((answers, closed), (1362, 1044));
+    assert_eq!((answers, closed), (1362, 1334));
     for threads in [1, 2] {
         for cache in [CacheConfig::disabled(), CacheConfig::new()] {
             let enabled = cache.enabled;
@@ -1047,7 +1055,7 @@ fn closed_form_answers_agree_across_cache_threads_serve_and_live() {
             let stats = engine.stats().cache;
             let looked_up = if enabled { answers - closed } else { 0 };
             assert_eq!(stats.hits + stats.misses, looked_up, "closed forms make no lookup");
-            assert_eq!(stats.entries, if enabled { 64 } else { 0 }, "and leave no entry");
+            assert_eq!(stats.entries, if enabled { 19 } else { 0 }, "and leave no entry");
         }
     }
 

@@ -77,9 +77,9 @@ proptest! {
         let warm_reference: Vec<Attribution> =
             phis.iter().map(|phi| session.attribute(phi).unwrap()).collect();
         let written = first.save_cache(&scratch.path).expect("snapshot written");
-        // Lineages whose clauses share no variable are answered in closed
-        // form and never enter the cache.
-        let cached: Vec<bool> = phis.iter().map(|phi| exaban_closed_form(phi).is_none()).collect();
+        // Read-once lineages are answered in closed form and never enter
+        // the cache.
+        let cached: Vec<bool> = phis.iter().map(|phi| exaban_read_once(phi).is_none()).collect();
         prop_assert_eq!(written > 0, cached.contains(&true));
         // Fresh engine loads the snapshot: every shape already compiled by
         // the first engine must hit, with values bit-identical to both the
@@ -116,11 +116,18 @@ proptest! {
     }
 }
 
+/// The 4-path `{o, o+1} ∨ {o+1, o+2} ∨ {o+2, o+3}`: connected with no common
+/// variable, so it needs a Shannon step and enters the cache (a 3-path is
+/// read-once and would be answered in closed form).
+fn path_lineage(o: u32) -> Dnf {
+    Dnf::from_clauses((o..o + 3).map(|i| vec![Var(i), Var(i + 1)]))
+}
+
 /// Writes a good snapshot of a small warmed engine to `path` and returns the
 /// reference attribution for later bit-identity checks.
 fn write_good_snapshot(path: &std::path::Path) -> Attribution {
     let engine = Engine::new(EngineConfig::default());
-    let phi = Dnf::from_clauses(vec![vec![Var(0), Var(1)], vec![Var(1), Var(2)]]);
+    let phi = path_lineage(0);
     let att = engine.session().attribute(&phi).unwrap();
     engine.save_cache(path).expect("snapshot written");
     att
@@ -136,7 +143,7 @@ fn assert_degrades_to_cold(path: &std::path::Path, expected: &Attribution) {
     assert_eq!(stats.snapshot_rejects, 1, "rejected snapshot must be counted");
     assert_eq!(stats.snapshot_loads, 0);
     assert_eq!(stats.entries, 0, "no partial load may be admitted");
-    let phi = Dnf::from_clauses(vec![vec![Var(0), Var(1)], vec![Var(1), Var(2)]]);
+    let phi = path_lineage(0);
     let att = engine.session().attribute(&phi).unwrap();
     assert!(!att.stats.cache_hit, "cold start recompiles");
     assert_eq!(att.exact_values().unwrap(), expected.exact_values().unwrap());
@@ -249,10 +256,11 @@ fn garbage_tails_and_bit_flips_are_rejected_and_degrade_to_cold() {
 
 #[test]
 fn snapshots_larger_than_the_cache_load_truncated() {
-    // Chains of 2..=5 clauses: four shapes, none isomorphic to another and
-    // none answered in closed form, so the snapshot holds four entries.
+    // Chains of 3..=6 clauses: four shapes, none isomorphic to another and
+    // none answered in closed form (each needs a Shannon step), so the
+    // snapshot holds four entries.
     let scratch = Scratch::new("truncate");
-    let phis: Vec<Dnf> = (2..=5u32)
+    let phis: Vec<Dnf> = (3..=6u32)
         .map(|len| Dnf::from_clauses((0..len).map(|i| vec![Var(i), Var(i + 1)])))
         .collect();
     let mut reference =
@@ -302,7 +310,7 @@ fn service_reports_snapshot_counters() {
         )
         .with_workers(2),
     );
-    let phi = Dnf::from_clauses(vec![vec![Var(5), Var(6)], vec![Var(6), Var(7)]]);
+    let phi = path_lineage(5);
     let tickets: Vec<_> =
         (0..2).map(|_| service.submit(phi.clone(), RequestOptions::default()).unwrap()).collect();
     for outcome in block_on(join_all(tickets)) {

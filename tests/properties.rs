@@ -300,20 +300,144 @@ fn independent_dnf(widths: &[usize], unused: usize, seed: u64) -> Dnf {
     Dnf::from_clauses_with_universe(clauses, vars.into_iter().collect())
 }
 
-/// ExaBan over the compiled d-tree of `phi`.
-fn compiled_exaban(phi: &Dnf) -> BanzhafResult {
-    exaban_all(
-        &DTree::compile_full(phi.clone(), PivotHeuristic::MostFrequent, &Budget::unlimited())
-            .unwrap(),
-    )
+/// The clauses of a random read-once function over `vars`, each clause
+/// extended by `prefix`: either the common literals `X` (a random prefix of
+/// `vars`) factored over the rest, or the disjunction of two or more
+/// independent parts, nested. A factored rest sometimes gains the empty
+/// clause, so that `X` alone is a clause and absorbs the rest's clauses
+/// (`x ∨ x∧y`), whose variables then score 0.
+fn read_once_clauses(vars: &[Var], prefix: &[Var], rng: &mut impl rand::Rng) -> Vec<Vec<Var>> {
+    let with_prefix = |clause: &[Var]| prefix.iter().chain(clause).copied().collect::<Vec<_>>();
+    if vars.len() == 1 {
+        return vec![with_prefix(vars)];
+    }
+    if rng.gen_bool(0.5) {
+        let (common, rest) = vars.split_at(rng.gen_range(1..=vars.len()));
+        let prefix = with_prefix(common);
+        if rest.is_empty() {
+            return vec![prefix];
+        }
+        let mut clauses = read_once_parts(rest, 1, &prefix, rng);
+        if rng.gen_bool(0.25) {
+            clauses.push(prefix);
+        }
+        clauses
+    } else {
+        read_once_parts(vars, 2, prefix, rng)
+    }
+}
+
+/// The clauses of at least `min` (and at most `vars.len()`) independent
+/// read-once parts that split `vars` between them.
+fn read_once_parts(
+    vars: &[Var],
+    min: usize,
+    prefix: &[Var],
+    rng: &mut impl rand::Rng,
+) -> Vec<Vec<Var>> {
+    let parts = rng.gen_range(min..=vars.len().min(min + 3));
+    let mut cuts: Vec<usize> = (1..vars.len()).collect();
+    for i in (1..cuts.len()).rev() {
+        cuts.swap(i, rng.gen_range(0..=i));
+    }
+    cuts.truncate(parts - 1);
+    cuts.sort_unstable();
+    let bounds: Vec<usize> = [0].into_iter().chain(cuts).chain([vars.len()]).collect();
+    bounds.windows(2).flat_map(|w| read_once_clauses(&vars[w[0]..w[1]], prefix, rng)).collect()
+}
+
+/// A random read-once DNF over `used` sparse variables plus `unused` more
+/// universe variables in no clause, shuffled by `seed` so that clause and
+/// unused variables interleave.
+fn read_once_dnf(used: usize, unused: usize, seed: u64) -> Dnf {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut vars: Vec<Var> = (0..used + unused).map(sparse_var).collect();
+    for i in (1..vars.len()).rev() {
+        vars.swap(i, rng.gen_range(0..=i));
+    }
+    let clauses = read_once_clauses(&vars[..used], &[], &mut rng);
+    Dnf::from_clauses_with_universe(clauses, vars.into_iter().collect())
+}
+
+/// The read-once pass's answer on `phi`, asserted equal to compiled
+/// ExaBan's values and model count over a tree with no ⊕ node.
+fn read_once_matching_compiled(phi: &Dnf) -> BanzhafResult {
+    let pass = exaban_read_once(phi).unwrap_or_else(|| panic!("refused the read-once {phi}"));
+    let tree = DTree::compile_full(phi.clone(), PivotHeuristic::MostFrequent, &Budget::unlimited())
+        .unwrap();
+    assert_eq!(tree.stats().exclusive, 0, "{phi}");
+    let compiled = exaban_all(&tree);
+    assert_eq!(pass.model_count, compiled.model_count, "{phi}");
+    assert_eq!(pass.values, compiled.values, "{phi}");
+    pass
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The closed form equals brute force and compiled ExaBan on random
-    /// independent-clause DNFs with unused universe variables, and refuses
-    /// the same DNF once one more clause shares a variable with it.
+    /// The read-once pass equals brute force, compiled ExaBan and Sig22 on
+    /// random read-once DNFs with absorbed clauses and unused universe
+    /// variables.
+    #[test]
+    fn read_once_pass_matches_brute_force_compiled_exaban_and_sig22(
+        used in 1usize..=13,
+        unused in 0usize..=3,
+        seed in any::<u64>(),
+    ) {
+        let phi = read_once_dnf(used, unused, seed);
+        let pass = read_once_matching_compiled(&phi);
+        prop_assert_eq!(&pass.model_count, &phi.brute_force_model_count());
+        prop_assert_eq!(pass.values.len(), phi.num_vars());
+        for x in phi.universe().iter() {
+            prop_assert_eq!(Int::from(pass.values[&x].clone()), phi.brute_force_banzhaf(x));
+        }
+        let sig = sig22_exact(&phi, &Budget::unlimited()).unwrap();
+        prop_assert_eq!(&pass.model_count, &sig.model_count);
+        prop_assert_eq!(&pass.values, &sig.values);
+    }
+
+    /// Past 64 variables rows and counts need 128 bits: the pass still
+    /// equals compiled ExaBan up to 127 variables, and refuses from 128 on.
+    #[test]
+    fn read_once_pass_matches_compiled_exaban_past_64_variables(
+        used in 40usize..=140,
+        unused in 0usize..=30,
+        seed in any::<u64>(),
+    ) {
+        let phi = read_once_dnf(used, unused, seed);
+        if phi.num_vars() < 128 {
+            read_once_matching_compiled(&phi);
+        } else {
+            prop_assert!(exaban_read_once(&phi).is_none());
+        }
+    }
+
+    /// On random DNFs over one to three words of variables, the pass
+    /// refuses exactly when the compiled tree has a ⊕ node (or the universe
+    /// has 128 or more variables), and otherwise equals compiled ExaBan.
+    #[test]
+    fn read_once_pass_refuses_exactly_when_compiling_needs_shannon(
+        n in 1usize..=130,
+        clauses in clause_lists(),
+    ) {
+        let phi = sparse_dnf(n, clauses);
+        let tree = DTree::compile_full(phi.clone(), PivotHeuristic::MostFrequent, &Budget::unlimited()).unwrap();
+        let needs_shannon = tree.stats().exclusive > 0;
+        match exaban_read_once(&phi) {
+            None => prop_assert!(needs_shannon || phi.num_vars() >= 128, "{}", phi),
+            Some(pass) => {
+                prop_assert!(!needs_shannon && phi.num_vars() < 128, "{}", phi);
+                let compiled = exaban_all(&tree);
+                prop_assert_eq!(&pass.model_count, &compiled.model_count);
+                prop_assert_eq!(&pass.values, &compiled.values);
+            }
+        }
+    }
+
+    /// Clauses that share no variable (the depth-two case) are read-once;
+    /// one more clause joining two of them makes the lineage need a Shannon
+    /// step, and the pass refuses it.
     #[test]
     fn closed_form_matches_brute_force_and_compiled_exaban(
         widths in proptest::collection::vec(1usize..=3, 1..=4),
@@ -321,24 +445,20 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let phi = independent_dnf(&widths, unused, seed);
-        let closed = exaban_closed_form(&phi).expect("clauses share no variable");
-        prop_assert_eq!(&closed.model_count, &phi.brute_force_model_count());
-        prop_assert_eq!(closed.values.len(), phi.num_vars());
+        let pass = read_once_matching_compiled(&phi);
+        prop_assert_eq!(&pass.model_count, &phi.brute_force_model_count());
         for x in phi.universe().iter() {
-            prop_assert_eq!(Int::from(closed.values[&x].clone()), phi.brute_force_banzhaf(x));
+            prop_assert_eq!(Int::from(pass.values[&x].clone()), phi.brute_force_banzhaf(x));
         }
-        let compiled = compiled_exaban(&phi);
-        prop_assert_eq!(&closed.model_count, &compiled.model_count);
-        prop_assert_eq!(&closed.values, &compiled.values);
-
-        let first = phi.clauses().get(0).unwrap().vars()[0];
-        let fresh = sparse_var(phi.num_vars());
-        let shared = Dnf::from_clauses(phi.clauses().iter().map(|c| c.vars().to_vec()).chain([vec![first, fresh]]));
-        prop_assert!(exaban_closed_form(&shared).is_none());
+        let firsts: Vec<Var> = phi.clauses().iter().map(|c| c.vars()[0]).collect();
+        if let [first, .., last] = firsts[..] {
+            let joined = Dnf::from_clauses(phi.clauses().iter().map(|c| c.vars().to_vec()).chain([vec![first, last]]));
+            prop_assert!(exaban_read_once(&joined).is_none());
+        }
     }
 
-    /// Past 64 variables the counts span several limbs: the closed form
-    /// still equals compiled ExaBan, value for value.
+    /// Independent clauses past 64 variables: the pass equals compiled
+    /// ExaBan up to 127 variables and refuses from 128 on.
     #[test]
     fn closed_form_matches_compiled_exaban_past_64_variables(
         widths in proptest::collection::vec(1usize..=12, 1..=12),
@@ -348,10 +468,11 @@ proptest! {
         let unused = extra + 65usize.saturating_sub(widths.iter().sum());
         let phi = independent_dnf(&widths, unused, seed);
         prop_assert!(phi.num_vars() > 64);
-        let closed = exaban_closed_form(&phi).expect("clauses share no variable");
-        let compiled = compiled_exaban(&phi);
-        prop_assert_eq!(&closed.model_count, &compiled.model_count);
-        prop_assert_eq!(&closed.values, &compiled.values);
+        if phi.num_vars() < 128 {
+            read_once_matching_compiled(&phi);
+        } else {
+            prop_assert!(exaban_read_once(&phi).is_none());
+        }
     }
 }
 
