@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the building blocks: bigint arithmetic,
 //! iDNF bound construction and counting, d-tree compilation, ExaBan's count
 //! and context passes, Monte Carlo sampling throughput, provenance-aware
-//! query evaluation, the session's cache-hit path, and a live update.
+//! query evaluation, the session's cache-hit path, a warm explain, and a live
+//! update.
 
 use banzhaf::{exaban_all_with_counts, model_counts, Budget, DTree, PivotHeuristic};
 use banzhaf_arith::Natural;
@@ -152,6 +153,26 @@ fn bench_session_hit(c: &mut Criterion) {
     group.finish();
 }
 
+/// A warm `Session::explain` of each corpus query: evaluation, then every
+/// answer in closed form or a cache hit, assembled into one answer per
+/// tuple. Next to `evaluate` and `session_hit`, the rest is the cost of
+/// assembling the answers.
+fn bench_explain(c: &mut Criterion) {
+    let mut group = c.benchmark_group("explain");
+    let spec = DatasetSpec::default();
+    for workload in [academic_workload(&spec), imdb_workload(&spec), tpch_workload(&spec)] {
+        for (name, query) in &workload.queries {
+            let engine = Engine::new(EngineConfig::default());
+            let mut session = engine.session();
+            session.explain(query, &workload.db);
+            group.bench_function(name, |bench| {
+                bench.iter(|| session.explain(query, &workload.db));
+            });
+        }
+    }
+    group.finish();
+}
+
 /// One delete/re-insert pair through `LiveSession::apply_update` on the
 /// IMDB-like workload with its six queries registered: the join indexes'
 /// maintenance, the delete's conditioning, the insert's delta plans and the
@@ -191,6 +212,7 @@ criterion_group!(
     bench_mc_sampling,
     bench_evaluate,
     bench_session_hit,
+    bench_explain,
     bench_live_update
 );
 criterion_main!(benches);

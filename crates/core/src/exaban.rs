@@ -38,15 +38,14 @@ use banzhaf_arith::{Int, Natural};
 use banzhaf_boolean::{Dnf, Var};
 use banzhaf_dtree::{DTree, Node, NodeId, OpKind, Span};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::ops::{BitAnd, BitOr, Not};
 
 /// Exact Banzhaf values of every variable of a function, plus its model count.
 #[derive(Clone, Debug)]
 pub struct BanzhafResult {
-    /// The Banzhaf value of each variable of the function's universe.
-    /// For positive lineage these are non-negative.
-    pub values: HashMap<Var, Natural>,
+    /// The Banzhaf value of each variable of the function's universe, in
+    /// ascending variable order. For positive lineage these are non-negative.
+    pub values: Vec<(Var, Natural)>,
     /// The exact model count `#φ`.
     pub model_count: Natural,
 }
@@ -54,13 +53,13 @@ pub struct BanzhafResult {
 impl BanzhafResult {
     /// The Banzhaf value of `v`, if `v` is a variable of the function.
     pub fn value(&self, v: Var) -> Option<&Natural> {
-        self.values.get(&v)
+        let at = self.values.binary_search_by_key(&v, |&(u, _)| u).ok()?;
+        Some(&self.values[at].1)
     }
 
     /// Variables sorted by decreasing Banzhaf value (ties by variable index).
     pub fn ranking(&self) -> Vec<(Var, Natural)> {
-        let mut items: Vec<(Var, Natural)> =
-            self.values.iter().map(|(v, b)| (*v, b.clone())).collect();
+        let mut items = self.values.clone();
         items.sort_by(|(va, ba), (vb, bb)| bb.cmp(ba).then(va.cmp(vb)));
         items
     }
@@ -447,7 +446,8 @@ impl<'a> ReadOnce<'a> {
         Natural::from(self.model_count)
     }
 
-    /// Every universe variable with its Banzhaf value, in universe order.
+    /// Every universe variable with its Banzhaf value, in universe order
+    /// (ascending by variable).
     pub fn values(&self) -> impl Iterator<Item = (Var, Natural)> + '_ {
         self.universe.iter().zip(&self.values).map(|(&v, &b)| (v, Natural::from(b)))
     }

@@ -152,8 +152,9 @@ pub struct Degradation {
 pub struct Attribution {
     /// The backend that produced the result (an [`crate::Algorithm`] name).
     pub algorithm: &'static str,
-    /// One score per variable of the lineage's universe.
-    pub values: HashMap<Var, Score>,
+    /// One score per variable of the lineage's universe, in ascending
+    /// variable order.
+    pub values: Vec<(Var, Score)>,
     /// The exact model count `#φ`, when the backend computes one.
     pub model_count: Option<Natural>,
     /// Exact Shapley values, when requested from an exact backend.
@@ -174,13 +175,13 @@ pub struct Attribution {
 impl Attribution {
     /// The score of one fact, if it is in the lineage's universe.
     pub fn value(&self, v: Var) -> Option<&Score> {
-        self.values.get(&v)
+        let at = self.values.binary_search_by_key(&v, |&(u, _)| u).ok()?;
+        Some(&self.values[at].1)
     }
 
     /// Facts ordered by decreasing score (ties by variable index).
     pub fn ranking(&self) -> Vec<(Var, Score)> {
-        let mut items: Vec<(Var, Score)> =
-            self.values.iter().map(|(v, s)| (*v, s.clone())).collect();
+        let mut items = self.values.clone();
         items.sort_by(|(va, sa), (vb, sb)| sb.cmp_points(sa).then(va.cmp(vb)));
         items
     }
@@ -203,7 +204,7 @@ impl Attribution {
 
     /// `true` iff every score is certified exact.
     pub fn is_exact(&self) -> bool {
-        self.values.values().all(Score::is_exact)
+        self.values.iter().all(|(_, s)| s.is_exact())
     }
 }
 
@@ -288,7 +289,7 @@ mod tests {
     #[test]
     fn rational_scores_keep_the_attribution_exact() {
         let mut att = exact_attribution(&[(0, 3)]);
-        att.values.insert(v(1), Score::Rational(Box::new(Rational::from(-2i64))));
+        att.values.push((v(1), Score::Rational(Box::new(Rational::from(-2i64)))));
         att.aggregate = Some(AggregateKind::Sum);
         assert!(att.is_exact());
         assert!(att.exact_values().is_none(), "a rational score has no Natural view");
@@ -299,7 +300,7 @@ mod tests {
     #[test]
     fn mixed_attribution_is_not_exact() {
         let mut att = exact_attribution(&[(0, 3)]);
-        att.values.insert(v(1), Score::Estimate(2.0));
+        att.values.push((v(1), Score::Estimate(2.0)));
         assert!(!att.is_exact());
         assert!(att.exact_values().is_none());
         assert_eq!(att.estimates().len(), 2);

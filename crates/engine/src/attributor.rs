@@ -10,7 +10,6 @@ use banzhaf_arith::Natural;
 use banzhaf_baselines::{cnf_proxy, mc_banzhaf_par, sig22_exact, McOptions};
 use banzhaf_boolean::{Dnf, Lineage, Var};
 use banzhaf_par::{seed, ThreadPool};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -124,15 +123,29 @@ fn boolean_only<'a>(name: &str, lineage: Lineage<'a>) -> &'a Dnf {
 }
 
 /// An attribution carrying only scores and stats; each backend sets the
-/// optional fields it computes on top.
+/// optional fields it computes on top. `values` may come in any order (most
+/// backends score into a map); they are sorted by variable here.
 fn scored(
     algorithm: &'static str,
     values: impl IntoIterator<Item = (Var, Score)>,
     stats: EngineStats,
 ) -> Attribution {
+    let mut values: Vec<(Var, Score)> = values.into_iter().collect();
+    values.sort_unstable_by_key(|&(v, _)| v);
+    ascending(algorithm, values, stats)
+}
+
+/// [`scored`] for values already in ascending variable order, as ExaBan's
+/// passes produce them by universe position.
+fn ascending(
+    algorithm: &'static str,
+    values: Vec<(Var, Score)>,
+    stats: EngineStats,
+) -> Attribution {
+    debug_assert!(values.windows(2).all(|w| w[0].0 < w[1].0), "values ascending by variable");
     Attribution {
         algorithm,
-        values: values.into_iter().collect(),
+        values,
         model_count: None,
         shapley: None,
         aggregate: None,
@@ -174,12 +187,10 @@ impl Attributor for ExaBanAttributor {
             return None;
         }
         let pass = ReadOnce::of(lineage)?;
-        let mut values = HashMap::with_capacity(lineage.num_vars());
-        values.extend(pass.values().map(|(v, b)| (v, Score::Exact(b))));
+        let values = pass.values().map(|(v, b)| (v, Score::Exact(b))).collect();
         Some(Attribution {
-            values,
             model_count: Some(pass.model_count()),
-            ..scored(self.name(), [], EngineStats::default())
+            ..ascending(self.name(), values, EngineStats::default())
         })
     }
 
@@ -201,11 +212,11 @@ impl Attributor for ExaBanAttributor {
                 // same compiled tree (compilation dominates, so Banzhaf +
                 // Shapley cost barely more than Banzhaf alone).
                 let result = exaban_all(&tree);
-                let values = result.values.into_iter().map(|(v, b)| (v, Score::Exact(b)));
+                let values = result.values.into_iter().map(|(v, b)| (v, Score::Exact(b))).collect();
                 Ok(Attribution {
                     model_count: Some(result.model_count),
                     shapley: self.include_shapley.then(|| shapley_all(&tree)),
-                    ..scored(self.name(), values, tree_stats(&tree, start))
+                    ..ascending(self.name(), values, tree_stats(&tree, start))
                 })
             }
             Lineage::Aggregate(w) => {
@@ -265,7 +276,7 @@ impl Attributor for AdaBanAttributor {
             let values = intervals
                 .into_iter()
                 .map(|(v, _)| {
-                    let b = exact.values[&v].clone();
+                    let b = exact.value(v).expect("a universe variable").clone();
                     (v, Score::Interval(Box::new(ApproxInterval::new(b.clone(), b))))
                 })
                 .collect();

@@ -316,8 +316,10 @@ impl Prekeyed {
     }
 
     fn rename_through(dense: &Attribution, rename: impl Fn(&Var) -> Var) -> Attribution {
-        let values: HashMap<Var, Score> =
+        // A renaming reorders the variables: the one sort on the way out.
+        let mut values: Vec<(Var, Score)> =
             dense.values.iter().map(|(v, s)| (rename(v), s.clone())).collect();
+        values.sort_unstable_by_key(|&(v, _)| v);
         let shapley =
             dense.shapley.as_ref().map(|m| m.iter().map(|(v, s)| (rename(v), s.clone())).collect());
         Attribution {
@@ -1004,6 +1006,7 @@ mod tests {
     use super::*;
     use crate::attribution::EngineStats;
     use banzhaf_arith::Natural;
+    use std::collections::BTreeMap;
 
     fn v(i: u32) -> Var {
         Var(i)
@@ -1056,7 +1059,7 @@ mod tests {
 
     /// The one value of a [`dummy_attribution`] served for any lineage.
     fn tag(attribution: &Attribution) -> u64 {
-        let mut values = attribution.values.values();
+        let mut values = attribution.values.iter().map(|(_, s)| s);
         let value = values.next().expect("one value").exact().expect("exact");
         assert!(values.next().is_none());
         value.to_u64().expect("small tag")
@@ -1071,7 +1074,7 @@ mod tests {
     /// stale canonical witness composed with another presentation's values
     /// is detectable.
     fn path3_attribution(p: &Prekeyed) -> Arc<Attribution> {
-        let mut degree: HashMap<u32, usize> = HashMap::new();
+        let mut degree: BTreeMap<u32, usize> = BTreeMap::new();
         for clause in &p.shape.clauses {
             for &var in clause {
                 *degree.entry(var).or_default() += 1;
@@ -1321,9 +1324,9 @@ mod tests {
         // score regardless of which writer landed last.
         let c = prekeyed_of(vec![vec![7, 3], vec![3, 9]]); // middle fact: 3
         let mapped = probe(&cache, &c).expect("isomorphic probe hits the shared entry");
-        assert_eq!(mapped.values[&v(3)].exact(), Some(Natural::from(100u64)));
-        assert_eq!(mapped.values[&v(7)].exact(), Some(Natural::from(1u64)));
-        assert_eq!(mapped.values[&v(9)].exact(), Some(Natural::from(1u64)));
+        assert_eq!(mapped.value(v(3)).and_then(Score::exact), Some(Natural::from(100u64)));
+        assert_eq!(mapped.value(v(7)).and_then(Score::exact), Some(Natural::from(1u64)));
+        assert_eq!(mapped.value(v(9)).and_then(Score::exact), Some(Natural::from(1u64)));
     }
 
     #[test]
@@ -1352,7 +1355,7 @@ mod tests {
                         );
                         if let Some(mapped) = probe(cache, p) {
                             assert_eq!(
-                                mapped.values[&middle].exact(),
+                                mapped.value(middle).and_then(Score::exact),
                                 Some(Natural::from(100u64)),
                                 "stale witness composed with another presentation's values"
                             );
@@ -1376,7 +1379,7 @@ mod tests {
         let want = p.map_back(&path3_attribution(p));
         assert_eq!(mapped.values.len(), want.values.len());
         for (fact, score) in &want.values {
-            assert_eq!(mapped.values[fact].exact(), score.exact(), "{fact}");
+            assert_eq!(mapped.value(*fact).and_then(Score::exact), score.exact(), "{fact}");
         }
     }
 

@@ -21,13 +21,15 @@
 //! Each entry carries the fingerprint pre-key (4 raw fields), the dense
 //! shape (clauses of `u32` variables), the optional canonical witness
 //! (variable order + canonical key clauses), and the dense attribution
-//! (algorithm name, per-variable scores, model count, optional Shapley
-//! values, compile-time stats). Naturals are little-endian `u64` limb
-//! vectors; all lengths are `u32` LE. Integrity is layered: the checksum
-//! catches accidental corruption (truncation, bit flips, garbage tails), and
-//! the reader additionally recomputes each entry's fingerprint from its
-//! shape and validates each witness is a permutation — a snapshot that
-//! parses but lies about its keys is rejected rather than served.
+//! (algorithm name, per-variable scores in strictly ascending variable
+//! order, model count, optional Shapley values, compile-time stats).
+//! Naturals are little-endian `u64` limb vectors; all lengths are `u32` LE.
+//! Integrity is layered: the checksum catches accidental corruption
+//! (truncation, bit flips, garbage tails), and the reader additionally
+//! recomputes each entry's fingerprint from its shape, validates each
+//! witness is a permutation and rejects scores out of variable order — a
+//! snapshot that parses but lies about its keys is rejected rather than
+//! served.
 
 use crate::attribution::{Attribution, EngineStats, Score};
 use crate::cache::{CanonInfo, CanonicalKey, Shape, SnapshotEntry};
@@ -205,13 +207,11 @@ impl Writer {
         let name = att.algorithm.as_bytes();
         self.u32(name.len() as u32);
         self.buf.extend_from_slice(name);
-        // Values in sorted variable order: the in-memory map iterates in
-        // arbitrary order, and a deterministic file (same cache state ⇒ same
-        // bytes) is what makes snapshot diffs and the checksum meaningful.
-        let mut values: Vec<(&Var, &Score)> = att.values.iter().collect();
-        values.sort_by_key(|(v, _)| v.0);
-        self.u32(values.len() as u32);
-        for (v, score) in values {
+        // Values are kept in ascending variable order, so the file is
+        // deterministic (same cache state ⇒ same bytes), which is what makes
+        // snapshot diffs and the checksum meaningful.
+        self.u32(att.values.len() as u32);
+        for (v, score) in &att.values {
             self.u32(v.0);
             self.score(score);
         }
@@ -438,16 +438,16 @@ impl<'a> Reader<'a> {
             return Err(SnapshotError::UnknownAlgorithm(name.to_owned()));
         };
         let value_count = self.u32("value count")?;
-        let mut values: HashMap<Var, Score> = HashMap::new();
+        let mut values: Vec<(Var, Score)> = Vec::new();
         for _ in 0..value_count {
             let v = self.u32("value variable")?;
             if v >= num_vars {
                 return self.corrupt("value variable within the universe");
             }
-            let score = self.score()?;
-            if values.insert(Var(v), score).is_some() {
-                return self.corrupt("distinct value variables");
+            if values.last().is_some_and(|&(u, _)| u.0 >= v) {
+                return self.corrupt("strictly ascending value variables");
             }
+            values.push((Var(v), self.score()?));
         }
         let model_count = if self.flag("model count flag")? { Some(self.natural()?) } else { None };
         let shapley = if self.flag("shapley flag")? {
@@ -602,8 +602,11 @@ mod tests {
             }
             assert_eq!(want.attribution.algorithm, have.attribution.algorithm);
             assert_eq!(want.attribution.values.len(), have.attribution.values.len());
-            for (v, score) in &want.attribution.values {
-                match (score, &have.attribution.values[v]) {
+            for ((v, score), (u, read)) in
+                want.attribution.values.iter().zip(&have.attribution.values)
+            {
+                assert_eq!(v, u);
+                match (score, read) {
                     (Score::Exact(a), Score::Exact(b)) => assert_eq!(a, b),
                     (Score::Interval(a), Score::Interval(b)) => {
                         assert_eq!((&a.lower, &a.upper), (&b.lower, &b.upper));

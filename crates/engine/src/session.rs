@@ -13,7 +13,7 @@ use crate::registry::{backend, first_with, Precision};
 use banzhaf::{Budget, Interrupted};
 use banzhaf_boolean::{AsLineage, Dnf, Lineage};
 use banzhaf_db::{Database, Value};
-use banzhaf_query::{evaluate, UnionQuery};
+use banzhaf_query::{evaluate, Answer, UnionQuery};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -333,24 +333,16 @@ impl Session {
     /// Evaluates a UCQ over a database and attributes every answer, fanning
     /// the per-answer work across the configured thread pool.
     ///
+    /// The answers run through the batch loop of [`Session::attribute_batch`],
+    /// so each equals `attribute_batch` over the answers' lineages bit for
+    /// bit, and the answers are built in one vector, outcomes included.
+    ///
     /// Outcomes are per answer: an answer that exceeded its budget carries
     /// `Err(Interrupted)` in its [`AnswerAttribution::outcome`] while its
     /// siblings keep their completed attributions.
     pub fn explain(&mut self, query: &UnionQuery, db: &Database) -> QueryAttribution {
-        let result = evaluate(query, db);
-        let raw: Vec<_> = result.into_answers();
-        let lineages: Vec<&Dnf> = raw.iter().map(|a| &a.lineage).collect();
-        let outcomes = self.attribute_batch(&lineages, BatchOptions::default());
-        let answers = raw
-            .into_iter()
-            .zip(outcomes)
-            .map(|(answer, outcome)| AnswerAttribution {
-                tuple: answer.tuple,
-                lineage: answer.lineage,
-                outcome,
-            })
-            .collect();
-        QueryAttribution { answers }
+        let answers = evaluate(query, db).into_answers();
+        QueryAttribution { answers: self.attribute_each(answers, BatchOptions::default()) }
     }
 
     /// Attributes one lineage — Boolean, or a weighted aggregate
@@ -414,23 +406,39 @@ impl Session {
         lineages: &[L],
         options: BatchOptions<'_>,
     ) -> Vec<Result<Attribution, Interrupted>> {
-        let n = lineages.len();
+        self.attribute_each(lineages, options)
+    }
+
+    /// The batch loop behind [`Session::attribute_batch`] and
+    /// [`Session::explain`]: closed forms on the spot, in instance order,
+    /// every other instance through [`Session::batch_prekeyed`]. Each
+    /// instance becomes its answer in one vector of capacity `n`, and the
+    /// outcomes of the prekeyed instances are written into their answers
+    /// once the batch returns.
+    fn attribute_each<I: Instance>(
+        &mut self,
+        instances: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator>,
+        options: BatchOptions<'_>,
+    ) -> Vec<I::Answer> {
+        let instances = instances.into_iter();
+        let n = instances.len();
         self.stats.attributions += n as u64;
         // Claim the batch's stream indices from the engine-global allocator:
         // within one session the indices are exactly the ones the sequential
         // loop would assign; across sessions they never collide.
         let stream_base = self.streams.fetch_add(n as u64, Ordering::Relaxed);
-        let mut outcomes = Vec::with_capacity(n);
+        let mut answers = Vec::with_capacity(n);
         let (mut prekeyed, mut slots) = (Vec::new(), Vec::new());
-        for (i, lineage) in lineages.iter().map(AsLineage::as_lineage).enumerate() {
+        for (i, instance) in instances.enumerate() {
+            let lineage = instance.lineage();
             let closed = match lineage {
                 Lineage::Boolean(phi) => self.attributor.closed_form(phi),
                 Lineage::Aggregate(_) => None,
             };
-            if let Some(attribution) = closed {
+            let outcome = if let Some(attribution) = closed {
                 self.record(&attribution);
                 self.stats.closed_forms += 1;
-                outcomes.push(Ok(attribution));
+                Ok(attribution)
             } else {
                 // The dense renaming and fingerprint are one linear pass per
                 // lineage; the expensive canonical search only runs inside
@@ -438,18 +446,16 @@ impl Session {
                 // decides (deterministically) which instances need it.
                 prekeyed.push(Prekeyed::of(lineage));
                 slots.push(i);
-                outcomes.push(Err(Interrupted));
-            }
+                Err(Interrupted)
+            };
+            answers.push(instance.answer(outcome));
         }
         let streams = slots.iter().map(|&i| stream_base + i as u64).collect();
         let rest = self.batch_prekeyed(prekeyed, streams, options.shared_budget, options.fallback);
-        if slots.len() == n {
-            return rest;
-        }
         for (i, outcome) in slots.into_iter().zip(rest) {
-            outcomes[i] = outcome;
+            *I::outcome(&mut answers[i]) = outcome;
         }
-        outcomes
+        answers
     }
 
     /// The algorithm that actually serves aggregate lineages for this
@@ -875,6 +881,44 @@ fn cache_hit(mut attribution: Attribution) -> Attribution {
     attribution.stats.wall = Duration::ZERO;
     attribution.stats.cache_hit = true;
     attribution
+}
+
+/// One instance of a batch loop ([`Session::attribute_each`]): its lineage,
+/// and the answer it becomes with its outcome.
+trait Instance {
+    type Answer;
+    fn lineage(&self) -> Lineage<'_>;
+    fn answer(self, outcome: Result<Attribution, Interrupted>) -> Self::Answer;
+    fn outcome(answer: &mut Self::Answer) -> &mut Result<Attribution, Interrupted>;
+}
+
+/// A lineage of [`Session::attribute_batch`]: its answer is the outcome.
+impl<L: AsLineage> Instance for &L {
+    type Answer = Result<Attribution, Interrupted>;
+    fn lineage(&self) -> Lineage<'_> {
+        (**self).as_lineage()
+    }
+    fn answer(self, outcome: Result<Attribution, Interrupted>) -> Self::Answer {
+        outcome
+    }
+    fn outcome(answer: &mut Self::Answer) -> &mut Result<Attribution, Interrupted> {
+        answer
+    }
+}
+
+/// An evaluated answer of [`Session::explain`]: tuple and lineage move into
+/// the answer next to the outcome.
+impl Instance for Answer {
+    type Answer = AnswerAttribution;
+    fn lineage(&self) -> Lineage<'_> {
+        Lineage::Boolean(&self.lineage)
+    }
+    fn answer(self, outcome: Result<Attribution, Interrupted>) -> AnswerAttribution {
+        AnswerAttribution { tuple: self.tuple, lineage: self.lineage, outcome }
+    }
+    fn outcome(answer: &mut AnswerAttribution) -> &mut Result<Attribution, Interrupted> {
+        &mut answer.outcome
+    }
 }
 
 /// One batch's fixed context, shared by the planning, compile and assembly

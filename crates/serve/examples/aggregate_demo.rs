@@ -69,13 +69,12 @@ fn main() {
                 attribution.algorithm,
                 attribution.aggregate_total.as_ref().expect("exact backends report a total"),
             );
-            let mut vars: Vec<_> = attribution.values.keys().copied().collect();
-            vars.sort_unstable();
-            for var in vars {
-                let Score::Rational(got) = &attribution.values[&var] else {
+            // Values come in ascending variable order.
+            for (var, score) in &attribution.values {
+                let Score::Rational(got) = score else {
                     panic!("exact aggregate scores are rationals");
                 };
-                let expected = lineage.brute_force_aggregate_banzhaf(var);
+                let expected = lineage.brute_force_aggregate_banzhaf(*var);
                 assert_eq!(**got, expected, "aggregate Banzhaf of {var:?} disagrees");
                 println!("  {var:?} -> {got}");
             }

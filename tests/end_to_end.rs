@@ -272,14 +272,15 @@ fn normalizations_and_error_measures_pipeline() {
         &Budget::unlimited(),
     )
     .unwrap();
-    let exact = exaban_all(&tree);
-    let index = normalized_index(&exact.values);
+    let exact: std::collections::HashMap<Var, Natural> =
+        exaban_all(&tree).values.into_iter().collect();
+    let index = normalized_index(&exact);
     let total: f64 = index.values().sum();
     assert!((total - 1.0).abs() < 1e-9 || total == 0.0);
-    let power = normalized_power(&exact.values, instance.lineage.num_vars());
+    let power = normalized_power(&exact, instance.lineage.num_vars());
     assert!(power.values().all(|&p| (0.0..=1.0).contains(&p)));
     // An exact "estimate" has zero normalized ℓ1 distance.
     let as_estimate: std::collections::HashMap<Var, f64> =
-        exact.values.iter().map(|(v, b)| (*v, b.to_f64())).collect();
-    assert!(l1_distance_normalized(&as_estimate, &exact.values) < 1e-9);
+        exact.iter().map(|(v, b)| (*v, b.to_f64())).collect();
+    assert!(l1_distance_normalized(&as_estimate, &exact) < 1e-9);
 }

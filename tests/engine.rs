@@ -990,6 +990,64 @@ fn warm_corpora_passes_key_nothing_and_match_cache_off() {
     assert_eq!(stats.entries, 19);
 }
 
+/// The counters `explain` and `attribute_batch` must move alike:
+/// attributions, closed forms, cache hits and misses.
+fn served(stats: &SessionStats) -> [u64; 4] {
+    let misses = stats.attributions - stats.closed_forms - stats.cache_hits;
+    [stats.attributions, stats.closed_forms, stats.cache_hits, misses]
+}
+
+/// `explain` and `attribute_batch` share one batch loop: over the same
+/// answers' lineages they return bit-identical attributions, under ExaBan
+/// (closed forms, misses and hits) and under Monte Carlo (instance `i`
+/// draws stream `base + i` either way), and move the session's counters and
+/// the shared cache's by the same amounts, cold and warm.
+#[test]
+fn explain_and_attribute_batch_agree_bit_for_bit() {
+    let workloads = corpora();
+    let queries = corpora_queries(&workloads);
+    for algorithm in [Algorithm::ExaBan, Algorithm::MonteCarlo] {
+        let config = EngineConfig::new(algorithm);
+        let (explaining, batching) = (Engine::new(config.clone()), Engine::new(config));
+        let (mut explainer, mut batcher) = (explaining.session(), batching.session());
+        for _pass in 0..2 {
+            for &(query, db) in &queries {
+                let answers = evaluate(query, db).into_answers();
+                let lineages: Vec<&Dnf> = answers.iter().map(|a| &a.lineage).collect();
+                let (explain_before, batch_before) =
+                    (served(explainer.stats()), served(batcher.stats()));
+                let explained = explainer.explain(query, db).answers;
+                let batched = batcher.attribute_batch(&lineages, BatchOptions::default());
+                assert_eq!(explained.len(), batched.len());
+                for ((answer, outcome), raw) in explained.iter().zip(&batched).zip(&answers) {
+                    assert_eq!(answer.tuple, raw.tuple);
+                    let universe = answer.lineage.universe();
+                    let (e, b) = (
+                        answer.attribution().expect("unlimited budget"),
+                        outcome.as_ref().expect("unlimited budget"),
+                    );
+                    assert_eq!(rendering(universe, e), rendering(universe, b), "{algorithm:?}");
+                    assert_eq!((e.algorithm, e.stats.cache_hit), (b.algorithm, b.stats.cache_hit));
+                }
+                let moved = |after: [u64; 4], before: [u64; 4]| -> Vec<u64> {
+                    after.iter().zip(before).map(|(a, b)| a - b).collect()
+                };
+                assert_eq!(
+                    moved(served(explainer.stats()), explain_before),
+                    moved(served(batcher.stats()), batch_before),
+                    "{algorithm:?}"
+                );
+            }
+        }
+        let (e, b) = (explaining.stats().cache, batching.stats().cache);
+        assert_eq!((e.hits, e.misses, e.entries), (b.hits, b.misses, b.entries), "{algorithm:?}");
+        if algorithm == Algorithm::ExaBan {
+            let stats = explainer.stats();
+            assert!(stats.closed_forms > 0 && stats.cache_hits > 0, "{stats:?}");
+        }
+    }
+}
+
 /// Aliases are not persisted: a warm-started engine serves every answer
 /// from the snapshot, but relearns the aliases (keying again on its first
 /// pass) before a pass keys nothing. The snapshot format stays at version 3.

@@ -230,6 +230,45 @@ fn version_2_snapshots_are_rejected_and_degrade_to_cold() {
     assert_degrades_to_cold(&scratch.path, &expected);
 }
 
+/// The bytes of one exact value record: the variable, score tag 0 and a
+/// one-limb natural.
+fn exact_record(v: Var, value: u64) -> Vec<u8> {
+    let mut record = v.0.to_le_bytes().to_vec();
+    record.push(0);
+    record.extend_from_slice(&1u32.to_le_bytes());
+    record.extend_from_slice(&value.to_le_bytes());
+    record
+}
+
+#[test]
+fn value_records_out_of_order_are_corrupt_and_degrade_to_cold() {
+    let scratch = Scratch::new("value-order");
+    let expected = write_good_snapshot(&scratch.path);
+    let mut bytes = std::fs::read(&scratch.path).unwrap();
+    // The 4-path compiles over its own variables `0..4`, so the entry stores
+    // the values of `Var(0)` and `Var(1)` back to back. Swap the two records
+    // and re-forge the checksum, so only the order check can reject the file.
+    let value = |v: Var| expected.value(v).and_then(Score::exact).unwrap().to_u64().unwrap();
+    let (first, second) =
+        (exact_record(Var(0), value(Var(0))), exact_record(Var(1), value(Var(1))));
+    let pair = [first.as_slice(), &second].concat();
+    let at: Vec<usize> =
+        (0..bytes.len() - pair.len()).filter(|&i| bytes[i..i + pair.len()] == pair[..]).collect();
+    assert_eq!(at.len(), 1, "the pair of records occurs once");
+    bytes[at[0]..at[0] + pair.len()].copy_from_slice(&[second.as_slice(), &first].concat());
+    let checksum = fnv1a(&bytes[8..bytes.len() - 8]);
+    let end = bytes.len() - 8;
+    bytes[end..].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(&scratch.path, &bytes).unwrap();
+    let probe = Engine::new(EngineConfig::default());
+    let err = probe.shared_cache().load(&scratch.path).expect_err("swapped records");
+    assert!(
+        matches!(err, SnapshotError::Corrupt { what: "strictly ascending value variables", .. }),
+        "got {err}"
+    );
+    assert_degrades_to_cold(&scratch.path, &expected);
+}
+
 #[test]
 fn garbage_tails_and_bit_flips_are_rejected_and_degrade_to_cold() {
     let scratch = Scratch::new("garbage");

@@ -390,11 +390,13 @@ proptest! {
         prop_assert_eq!(&pass.model_count, &phi.brute_force_model_count());
         prop_assert_eq!(pass.values.len(), phi.num_vars());
         for x in phi.universe().iter() {
-            prop_assert_eq!(Int::from(pass.values[&x].clone()), phi.brute_force_banzhaf(x));
+            prop_assert_eq!(Int::from(pass.value(x).unwrap().clone()), phi.brute_force_banzhaf(x));
         }
         let sig = sig22_exact(&phi, &Budget::unlimited()).unwrap();
         prop_assert_eq!(&pass.model_count, &sig.model_count);
-        prop_assert_eq!(&pass.values, &sig.values);
+        for (x, b) in &pass.values {
+            prop_assert_eq!(Some(b), sig.value(*x));
+        }
     }
 
     /// Past 64 variables rows and counts need 128 bits: the pass still
@@ -448,7 +450,7 @@ proptest! {
         let pass = read_once_matching_compiled(&phi);
         prop_assert_eq!(&pass.model_count, &phi.brute_force_model_count());
         for x in phi.universe().iter() {
-            prop_assert_eq!(Int::from(pass.values[&x].clone()), phi.brute_force_banzhaf(x));
+            prop_assert_eq!(Int::from(pass.value(x).unwrap().clone()), phi.brute_force_banzhaf(x));
         }
         let firsts: Vec<Var> = phi.clauses().iter().map(|c| c.vars()[0]).collect();
         if let [first, .., last] = firsts[..] {
@@ -473,6 +475,96 @@ proptest! {
         } else {
             prop_assert!(exaban_read_once(&phi).is_none());
         }
+    }
+}
+
+/// The variables of a list of per-variable values, in list order.
+fn vars_of<T>(values: &[(Var, T)]) -> Vec<Var> {
+    values.iter().map(|(v, _)| *v).collect()
+}
+
+/// `phi` with every variable `v` renamed to `Var(100_000 - v)`: the renaming
+/// reverses the variable order, so a map-back that kept the cached order
+/// would return the values descending.
+fn reversed(phi: &Dnf) -> Dnf {
+    let flip = |v: Var| Var(100_000 - v.0);
+    Dnf::from_clauses_with_universe(
+        phi.clauses().iter().map(|c| c.iter().map(flip).collect::<Vec<_>>()),
+        phi.universe().iter().map(flip).collect(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every path returns its values strictly ascending by variable and
+    /// covering exactly the lineage's universe (unused variables included):
+    /// the read-once pass, compiled ExaBan, Sig22, AdaBan, Monte Carlo, a
+    /// renamed cache hit, a hit loaded from a snapshot and an aggregate.
+    #[test]
+    fn every_path_returns_values_ascending_over_the_universe(
+        n in 1usize..=12,
+        clauses in clause_lists(),
+        used in 1usize..=10,
+        unused in 0usize..=3,
+        seed in any::<u64>(),
+    ) {
+        let phi = sparse_dnf(n, clauses);
+        let read_once = read_once_dnf(used, unused, seed);
+        let unlimited = Budget::unlimited();
+        for f in [&phi, &read_once] {
+            let universe = f.universe().as_slice().to_vec();
+            if let Some(pass) = exaban_read_once(f) {
+                prop_assert_eq!(vars_of(&pass.values), universe.clone());
+            }
+            let tree = DTree::compile_full(f.clone(), PivotHeuristic::MostFrequent, &unlimited).unwrap();
+            prop_assert_eq!(vars_of(&exaban_all(&tree).values), universe.clone());
+            for algorithm in [Algorithm::ExaBan, Algorithm::Sig22, Algorithm::AdaBan, Algorithm::MonteCarlo] {
+                let attribution = EngineConfig::new(algorithm).attributor().attribute(f, &unlimited).unwrap();
+                prop_assert_eq!(vars_of(&attribution.values), universe.clone(), "{:?}", algorithm);
+            }
+        }
+        let closed = EngineConfig::default().attributor().closed_form(&read_once);
+        prop_assert!(closed.is_some(), "{}", read_once);
+        prop_assert_eq!(vars_of(&closed.unwrap().values), read_once.universe().as_slice().to_vec());
+
+        // A lineage that needs Shannon steps reaches the cache; its reversed
+        // copy is a renamed hit, in this engine and in one warm-started from
+        // its snapshot.
+        let cached = if exaban_read_once(&phi).is_none() {
+            phi.clone()
+        } else {
+            Dnf::from_clauses((0..3).map(|k| vec![sparse_var(k), sparse_var(k + 1)]))
+        };
+        let copy = reversed(&cached);
+        let engine = Engine::new(EngineConfig::default());
+        let mut session = engine.session();
+        prop_assert!(!session.attribute(&cached).unwrap().stats.cache_hit);
+        let hit = session.attribute(&copy).unwrap();
+        prop_assert!(hit.stats.cache_hit);
+        prop_assert_eq!(vars_of(&hit.values), copy.universe().as_slice().to_vec());
+        let path = std::env::temp_dir().join(format!(
+            "banzhaf-properties-ascending-{}-{:?}.bzc",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        engine.save_cache(&path).unwrap();
+        let warm = Engine::new(
+            EngineConfig::default().with_cache_config(CacheConfig::new().with_warm_start(&path)),
+        );
+        let loaded = warm.session().attribute(&copy).unwrap();
+        drop(warm);
+        std::fs::remove_file(&path).unwrap();
+        prop_assert!(loaded.stats.cache_hit);
+        prop_assert_eq!(vars_of(&loaded.values), copy.universe().as_slice().to_vec());
+
+        // An aggregate over the reversed copy's clauses, one weight each.
+        let weighted = WeightedDnf::from_weighted_clauses(
+            AggregateKind::Sum,
+            copy.clauses().iter().enumerate().map(|(i, c)| (c.vars().to_vec(), Rational::from(i as i64 + 1))),
+        );
+        let aggregate = session.attribute(&weighted).unwrap();
+        prop_assert_eq!(vars_of(&aggregate.values), weighted.dnf().universe().as_slice().to_vec());
     }
 }
 
